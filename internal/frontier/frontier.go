@@ -59,8 +59,10 @@ type Config struct {
 	// bulk whenever any backend's snapshot generation or id offset
 	// changes, or when this front routes a write — see coalesce.go.
 	CacheSize int
-	// Client issues backend requests (default: http.Client with sane
-	// connection pooling).
+	// Client issues backend requests. The default keeps up to MaxInFlight
+	// idle connections per backend, so that a front at its admission limit
+	// still reuses every backend connection (net/http's own default of two
+	// per host makes a busier front dial and close a socket per call).
 	Client *http.Client
 }
 
@@ -123,7 +125,10 @@ type Front struct {
 	cfg    Config
 	groups []*group
 	client *http.Client
-	sem    chan struct{}
+	// transport is the default client's transport, nil when Config.Client
+	// was supplied; Close releases its idle connections.
+	transport *http.Transport
+	sem       chan struct{}
 
 	reg      *telemetry.Registry
 	fanout   *telemetry.Counter
@@ -174,7 +179,10 @@ func New(cfg Config) (*Front, error) {
 		stop:    make(chan struct{}),
 	}
 	if f.client == nil {
-		f.client = &http.Client{}
+		f.transport = http.DefaultTransport.(*http.Transport).Clone()
+		f.transport.MaxIdleConnsPerHost = cfg.MaxInFlight
+		f.transport.MaxIdleConns = 0 // the per-host cap is the bound
+		f.client = &http.Client{Transport: f.transport}
 	}
 	if cfg.CacheSize > 0 {
 		f.cache = newResultCache(cfg.CacheSize)
@@ -242,10 +250,14 @@ func (f *Front) Start() {
 	}()
 }
 
-// Close stops the health loop.
+// Close stops the health loop and drops the default client's idle backend
+// connections.
 func (f *Front) Close() {
 	close(f.stop)
 	f.wg.Wait()
+	if f.transport != nil {
+		f.transport.CloseIdleConnections()
+	}
 }
 
 // ProbeHealth sweeps every backend's /healthz once, updating rotation

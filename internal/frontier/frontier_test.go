@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -384,6 +386,88 @@ func TestBackpressure(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
+}
+
+// barrier releases its callers n at a time, any number of times.
+type barrier struct {
+	mu      sync.Mutex
+	n       int
+	waiting int
+	gate    chan struct{}
+}
+
+func newBarrier(n int) *barrier { return &barrier{n: n, gate: make(chan struct{})} }
+
+func (b *barrier) wait() {
+	b.mu.Lock()
+	b.waiting++
+	g := b.gate
+	if b.waiting == b.n {
+		b.waiting, b.gate = 0, make(chan struct{})
+		close(g)
+	}
+	b.mu.Unlock()
+	<-g
+}
+
+// TestDefaultClientReusesBackendConnections: a front built without
+// Config.Client must keep one backend connection per in-flight request
+// alive between requests. The stub backend answers only once all 16
+// clients are inside it, so every wave needs 16 connections at once, and
+// the clients start the next wave only when all have their answer, so all
+// 16 connections are idle in between. net/http's default pool of two idle
+// connections per host closes 14 of them there and dials 14 more for the
+// next wave (86 over six waves); the sized pool dials each once. The bound
+// leaves room for a connection handed back a moment after its client
+// moved on.
+func TestDefaultClientReusesBackendConnections(t *testing.T) {
+	const clients, waves = 16, 6
+	inBackend, betweenWaves := newBarrier(clients), newBarrier(clients)
+	var dials atomic.Int64
+	backend := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			_ = json.NewEncoder(w).Encode(serve.HealthzResponse{Status: "ok", IndexLoaded: true})
+			return
+		}
+		_, _ = io.Copy(io.Discard, r.Body)
+		inBackend.wait()
+		_ = json.NewEncoder(w).Encode(serve.SearchResponse{IDs: []int{0}, Distances: []float32{0}})
+	}))
+	backend.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	backend.Start()
+	defer backend.Close()
+
+	f, err := New(Config{Shards: [][]string{{backend.URL}}, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	mux := f.Mux()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for wave := 0; wave < waves; wave++ {
+				// A distinct vector per request, or the front coalesces them.
+				body, _ := json.Marshal(serve.SearchRequest{Vector: []float32{float32(c), float32(wave)}, K: 1})
+				rec := httptest.NewRecorder()
+				mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("client %d wave %d: HTTP %d: %s", c, wave, rec.Code, rec.Body)
+				}
+				betweenWaves.wait()
+			}
+		}(c)
+	}
+	wg.Wait()
+	if n := dials.Load(); n > 2*clients {
+		t.Fatalf("%d backend connections dialed for %d waves of %d concurrent searches, want at most %d", n, waves, clients, 2*clients)
+	}
 }
 
 // TestFrontMetrics: the front's /metrics scrape carries the per-backend

@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -131,5 +132,68 @@ func TestSearchSubsetADCIntoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("SearchSubsetADCInto allocates %v per run", allocs)
+	}
+}
+
+// perRowADCScan is the scan the block form replaced, kept as the reference:
+// one LUTSum call and one Push per live candidate, in subset order.
+func perRowADCScan(codes []uint8, m, kTab int, lut []float32, subset []int32, k int, skip *bitset.Set) ([]vecmath.Neighbor, int) {
+	tk := vecmath.NewTopK(k)
+	skipped := 0
+	for _, i := range subset {
+		if skip.Has(int(i)) {
+			skipped++
+			continue
+		}
+		tk.Push(int(i), vecmath.LUTSum(lut, kTab, codes[int(i)*m:(int(i)+1)*m]))
+	}
+	return tk.AppendSorted(nil), skipped
+}
+
+// TestBlockADCScanMatchesPerRowScan: ids, distance bits and the skipped
+// count equal the per-row reference for subsets on either side of every
+// block boundary, with and without tombstones, for real codes and for a
+// code buffer holding only three distinct rows — there nearly every
+// candidate ties with the worst retained distance, so which ids survive at
+// the top-R boundary is decided by arrival order alone.
+func TestBlockADCScanMatchesPerRowScan(t *testing.T) {
+	base, pq, codes, lut, _ := adcFixture(t, 47, 700, 16, 4, 16)
+	m := pq.Subspaces
+	tied := make([]uint8, len(codes))
+	for i := 0; i < base.N; i++ {
+		copy(tied[i*m:(i+1)*m], codes[(i%3)*m:(i%3+1)*m])
+	}
+	rng := rand.New(rand.NewSource(48))
+	var skip *bitset.Set
+	for i := 0; i < base.N; i++ {
+		if rng.Float64() < 0.3 {
+			skip = skip.With(i)
+		}
+	}
+	tk := vecmath.NewTopK(1)
+	for _, buf := range [][]uint8{codes, tied} {
+		for _, sk := range []*bitset.Set{nil, skip} {
+			for _, n := range []int{0, 1, 2, adcBlock - 1, adcBlock, adcBlock + 1, 2*adcBlock + 37} {
+				subset := make([]int32, n)
+				for i := range subset {
+					subset[i] = int32(rng.Intn(base.N))
+				}
+				for _, k := range []int{1, 10, 100, n + 5} {
+					got, gotSkipped := SearchSubsetADCIntoCounted(nil, buf, m, pq.K, lut, subset, k, tk, sk)
+					want, wantSkipped := perRowADCScan(buf, m, pq.K, lut, subset, k, sk)
+					if gotSkipped != wantSkipped {
+						t.Fatalf("n=%d k=%d: skipped %d, per-row scan %d", n, k, gotSkipped, wantSkipped)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("n=%d k=%d: %d results, per-row scan %d", n, k, len(got), len(want))
+					}
+					for i := range want {
+						if got[i].Index != want[i].Index || math.Float32bits(got[i].Dist) != math.Float32bits(want[i].Dist) {
+							t.Fatalf("n=%d k=%d result[%d]: %+v, per-row scan %+v", n, k, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }

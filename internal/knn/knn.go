@@ -102,25 +102,50 @@ func SearchSubsetADCInto(dst []vecmath.Neighbor, codes []uint8, m, kTab int, lut
 	return dst
 }
 
+// adcBlock is how many candidate ids one LUTSumRows call scores. The two
+// per-block buffers live on the scan's stack (2 KB together).
+const adcBlock = 256
+
 // SearchSubsetADCIntoCounted is SearchSubsetADCInto plus the same
 // skipped-tombstone accounting as SearchSubsetIntoCounted. codes is the
 // flat row-major code buffer (row i at codes[i*m:(i+1)*m]); it must cover
 // every id in subset. Steady-state the call allocates nothing beyond
 // growth of dst.
+//
+// The scan runs in blocks: up to adcBlock ids (tombstoned ones dropped
+// first, when the epoch has any) are scored by one vecmath.LUTSumRows call
+// into a stack buffer, and an entry reaches TopK.Push only if Push would
+// retain it — the test below is Push's own rejection, read against the
+// current worst retained distance — so the retained set and the tie rule
+// are those of pushing every candidate in subset order.
 func SearchSubsetADCIntoCounted(dst []vecmath.Neighbor, codes []uint8, m, kTab int, lut []float32, subset []int32, k int, tk *vecmath.TopK, skip *bitset.Set) ([]vecmath.Neighbor, int) {
 	tk.SetK(k)
 	skipped := 0
-	if skip.Count() > 0 {
-		for _, i := range subset {
-			if skip.Has(int(i)) {
-				skipped++
-				continue
+	tombs := skip.Count() > 0
+	var live [adcBlock]int32
+	var dist [adcBlock]float32
+	for len(subset) > 0 {
+		ids := subset[:min(adcBlock, len(subset))]
+		subset = subset[len(ids):]
+		if tombs {
+			n := 0
+			for _, id := range ids {
+				if skip.Has(int(id)) {
+					skipped++
+					continue
+				}
+				live[n] = id
+				n++
 			}
-			tk.Push(int(i), vecmath.LUTSum(lut, kTab, codes[int(i)*m:(int(i)+1)*m]))
+			ids = live[:n]
 		}
-	} else {
-		for _, i := range subset {
-			tk.Push(int(i), vecmath.LUTSum(lut, kTab, codes[int(i)*m:(int(i)+1)*m]))
+		vecmath.LUTSumRows(dist[:], lut, kTab, codes, m, ids)
+		worst, full := tk.Worst()
+		for i, id := range ids {
+			if d := dist[i]; !full || !(d >= worst) {
+				tk.Push(int(id), d)
+				worst, full = tk.Worst()
+			}
 		}
 	}
 	return tk.AppendSorted(dst), skipped

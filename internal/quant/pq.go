@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/kmeans"
@@ -52,7 +53,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// PQ is a trained product quantizer.
+// PQ is a trained product quantizer. Obtain one from Train or, for stored
+// codebooks, FromCodebooks: both derive the centroid-major mirror every
+// scoring method reads, so a PQ assembled field by field cannot score.
 type PQ struct {
 	Dim       int
 	Subspaces int
@@ -61,6 +64,56 @@ type PQ struct {
 	Bounds []int
 	// Codebooks[s] is a K×subDim dataset of centroids.
 	Codebooks []*dataset.Dataset
+	// mirror[s] is Codebooks[s] transposed, centroid-major: coordinate j of
+	// centroid c sits at mirror[s][j*N+c] with N the codebook's centroid
+	// count, so one vecmath.SegmentToCentroids pass over its rows scores a
+	// segment against all centroids. Derived, never stored: snapshots keep
+	// the row-major codebooks only.
+	mirror [][]float32
+}
+
+// FromCodebooks assembles a quantizer from already-trained codebooks (the
+// snapshot loader's entry point) and derives its mirror. bounds delimits
+// the subspaces as in PQ.Bounds; codebook s must hold between 1 and k
+// centroids of bounds[s+1]-bounds[s] dimensions.
+func FromCodebooks(dim, k int, bounds []int, codebooks []*dataset.Dataset) (*PQ, error) {
+	m := len(codebooks)
+	if m == 0 || len(bounds) != m+1 || bounds[0] != 0 || bounds[m] != dim {
+		return nil, fmt.Errorf("quant: %d codebooks with bounds %v do not tile dim %d", m, bounds, dim)
+	}
+	if k < 1 || k > 256 {
+		return nil, fmt.Errorf("quant: K=%d outside uint8 code range", k)
+	}
+	for s, cb := range codebooks {
+		if cb == nil || cb.N < 1 || cb.N > k || cb.Dim != bounds[s+1]-bounds[s] || len(cb.Data) != cb.N*cb.Dim {
+			return nil, fmt.Errorf("quant: codebook %d has the wrong shape for K=%d, dims [%d,%d)", s, k, bounds[s], bounds[s+1])
+		}
+	}
+	pq := &PQ{Dim: dim, Subspaces: m, K: k, Bounds: bounds, Codebooks: codebooks}
+	pq.buildMirror()
+	return pq, nil
+}
+
+func (pq *PQ) buildMirror() {
+	pq.mirror = make([][]float32, pq.Subspaces)
+	for s, cb := range pq.Codebooks {
+		t := make([]float32, len(cb.Data))
+		for c := 0; c < cb.N; c++ {
+			for j, v := range cb.Row(c) {
+				t[j*cb.N+c] = v
+			}
+		}
+		pq.mirror[s] = t
+	}
+}
+
+// centroidDists stores in dst[c] the squared distance between v's
+// subspace-s segment and centroid c, for every centroid of that subspace
+// (len(dst) must be Codebooks[s].N). The LUT builders and the encoder all
+// score through this one kernel call, which is what makes a code the
+// argmin of the matching LUT row bit for bit.
+func (pq *PQ) centroidDists(dst []float32, s int, v []float32) {
+	vecmath.SegmentToCentroids(dst, v[pq.Bounds[s]:pq.Bounds[s+1]], pq.mirror[s])
 }
 
 // Train fits the quantizer on ds.
@@ -108,6 +161,7 @@ func Train(ds *dataset.Dataset, cfg Config) (*PQ, error) {
 		}
 		pq.Codebooks[s] = cents
 	}
+	pq.buildMirror()
 	return pq, nil
 }
 
@@ -164,18 +218,14 @@ func (pq *PQ) EncodeVec(v []float32) []uint8 {
 	return code
 }
 
+// encodeVecInto picks, per subspace, the first centroid at minimum distance
+// (vecmath.ArgMin breaks ties toward the smaller index).
 func (pq *PQ) encodeVecInto(code []uint8, v []float32) {
+	var dist [256]float32
 	for s := 0; s < pq.Subspaces; s++ {
-		lo, hi := pq.Bounds[s], pq.Bounds[s+1]
-		seg := v[lo:hi]
-		cb := pq.Codebooks[s]
-		best, bi := float32(math.MaxFloat32), 0
-		for c := 0; c < cb.N; c++ {
-			if d := vecmath.SquaredL2(seg, cb.Row(c)); d < best {
-				best, bi = d, c
-			}
-		}
-		code[s] = uint8(bi)
+		d := dist[:pq.Codebooks[s].N]
+		pq.centroidDists(d, s, v)
+		code[s] = uint8(vecmath.ArgMin(d))
 	}
 }
 
@@ -193,18 +243,13 @@ func (pq *PQ) Decode(code []uint8) []float32 {
 // between the query's subspace-s segment and centroid c.
 type LUT [][]float32
 
-// BuildLUT precomputes the ADC table for q.
+// BuildLUT precomputes the ADC table for q: the rows of AppendLUT's flat
+// table, each cut to its codebook's centroid count.
 func (pq *PQ) BuildLUT(q []float32) LUT {
+	flat := pq.AppendLUT(nil, q)
 	lut := make(LUT, pq.Subspaces)
-	for s := 0; s < pq.Subspaces; s++ {
-		lo, hi := pq.Bounds[s], pq.Bounds[s+1]
-		seg := q[lo:hi]
-		cb := pq.Codebooks[s]
-		row := make([]float32, cb.N)
-		for c := 0; c < cb.N; c++ {
-			row[c] = vecmath.SquaredL2(seg, cb.Row(c))
-		}
-		lut[s] = row
+	for s := range lut {
+		lut[s] = flat[s*pq.K : s*pq.K+pq.Codebooks[s].N]
 	}
 	return lut
 }
@@ -216,46 +261,38 @@ func (pq *PQ) BuildLUT(q []float32) LUT {
 // every row is exactly K wide and vecmath.LUTSum can index it uniformly.
 // It allocates only when dst lacks capacity.
 func (pq *PQ) AppendLUT(dst []float32, q []float32) []float32 {
-	n := len(dst)
-	dst = append(dst, make([]float32, pq.Subspaces*pq.K)...)
+	n, size := len(dst), pq.Subspaces*pq.K
+	dst = slices.Grow(dst, size)[:n+size]
 	flat := dst[n:]
 	for s := 0; s < pq.Subspaces; s++ {
-		lo, hi := pq.Bounds[s], pq.Bounds[s+1]
-		seg := q[lo:hi]
-		cb := pq.Codebooks[s]
-		row := flat[s*pq.K : (s+1)*pq.K]
-		for c := 0; c < cb.N; c++ {
-			row[c] = vecmath.SquaredL2(seg, cb.Row(c))
-		}
-		for c := cb.N; c < pq.K; c++ {
-			row[c] = 0
-		}
+		pq.lutRow(flat[s*pq.K:(s+1)*pq.K], s, q)
 	}
 	return dst
+}
+
+// lutRow fills one K-wide table row: the distances to subspace s's
+// centroids, then the zero padding of a short codebook.
+func (pq *PQ) lutRow(row []float32, s int, q []float32) {
+	cn := pq.Codebooks[s].N
+	pq.centroidDists(row[:cn], s, q)
+	clear(row[cn:])
 }
 
 // AppendLUTBatch appends the flat ADC tables of every query to dst back to
 // back — query i's table occupies the Subspaces*K stride starting at
 // i*Subspaces*K — and returns the extended slice. The batched build
-// iterates centroid-major: each codebook row is scored against every
-// query's segment before moving to the next centroid, so a centroid's
-// cache lines are reused across the whole batch instead of being refetched
-// per query. Every entry is the identical vecmath.SquaredL2 call AppendLUT
+// iterates subspace-major: one subspace's mirror rows (a few KB) score
+// every query's segment before the next subspace is touched, so they stay
+// in L1 across the batch. Every row is the identical kernel call AppendLUT
 // performs, so each query's table is bit-identical to a per-query
 // AppendLUT. It allocates only when dst lacks capacity.
 func (pq *PQ) AppendLUTBatch(dst []float32, queries [][]float32) []float32 {
-	n := len(dst)
-	stride := pq.Subspaces * pq.K
-	dst = append(dst, make([]float32, len(queries)*stride)...)
-	flat := dst[n:] // pre-zeroed, so short codebooks need no explicit padding
+	n, stride := len(dst), pq.Subspaces*pq.K
+	dst = slices.Grow(dst, len(queries)*stride)[:n+len(queries)*stride]
+	flat := dst[n:]
 	for s := 0; s < pq.Subspaces; s++ {
-		lo, hi := pq.Bounds[s], pq.Bounds[s+1]
-		cb := pq.Codebooks[s]
-		for c := 0; c < cb.N; c++ {
-			crow := cb.Row(c)
-			for qi, q := range queries {
-				flat[qi*stride+s*pq.K+c] = vecmath.SquaredL2(q[lo:hi], crow)
-			}
+		for qi, q := range queries {
+			pq.lutRow(flat[qi*stride+s*pq.K:][:pq.K], s, q)
 		}
 	}
 	return dst

@@ -1,8 +1,10 @@
 package quant
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -312,5 +314,184 @@ func TestScaNNSearchSubset(t *testing.T) {
 	}
 	if ns[0].Index != 5 {
 		t.Fatalf("self query top-1 = %d", ns[0].Index)
+	}
+}
+
+// shortCodebooks rebuilds pq through FromCodebooks with subspace 0 cut to
+// n centroids, the N < K shape only a stored quantizer can have.
+func shortCodebooks(t *testing.T, pq *PQ, n int) *PQ {
+	t.Helper()
+	cbs := append([]*dataset.Dataset(nil), pq.Codebooks...)
+	cbs[0] = &dataset.Dataset{N: n, Dim: cbs[0].Dim, Data: cbs[0].Data[:n*cbs[0].Dim]}
+	short, err := FromCodebooks(pq.Dim, pq.K, pq.Bounds, cbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return short
+}
+
+// TestLUTAndCodeBitIdentity pins what the shared segment kernel makes
+// identical: AppendLUT ≡ AppendLUTBatch ≡ BuildLUT entry for entry, zero
+// padding behind a short codebook, and EncodeInto ≡ EncodeVec ≡ the first
+// minimum of the matching LUT row — over even, uneven and 9-wide subspaces,
+// K from one short of a lane block to the uint8 ceiling, and N < K. Every
+// entry is also held to the row-major SquaredL2 the table used to be built
+// from, within rounding, so a transposition slip in the mirror shows.
+func TestLUTAndCodeBitIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		n, dim, m, k, cut int
+		uneven            bool
+	}{
+		{name: "even", n: 200, dim: 16, m: 4, k: 16},
+		{name: "uneven", n: 100, dim: 10, m: 3, k: 4, uneven: true},
+		{name: "subdim9-k7", n: 100, dim: 27, m: 3, k: 7},
+		{name: "k255", n: 400, dim: 8, m: 4, k: 255},
+		{name: "k256-subdim1", n: 400, dim: 4, m: 4, k: 256},
+		{name: "short-codebook", n: 200, dim: 16, m: 4, k: 16, cut: 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := blobs(61, tc.n, tc.dim)
+			pq, err := Train(ds, Config{Subspaces: tc.m, K: tc.k, Seed: 62, Iters: 4, AllowUneven: tc.uneven})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.cut > 0 {
+				pq = shortCodebooks(t, pq, tc.cut)
+			}
+			queries := make([][]float32, 9)
+			for i := range queries {
+				queries[i] = ds.Row(i * 7)
+			}
+			stride := pq.Subspaces * pq.K
+			batch := pq.AppendLUTBatch([]float32{-1}, queries)[1:] // appends after existing content
+			for qi, q := range queries {
+				flat := pq.AppendLUT(nil, q)
+				nested := pq.BuildLUT(q)
+				code := pq.EncodeVec(q)
+				for s := 0; s < pq.Subspaces; s++ {
+					cb := pq.Codebooks[s]
+					row := flat[s*pq.K : (s+1)*pq.K]
+					if len(nested[s]) != cb.N {
+						t.Fatalf("BuildLUT row %d has %d entries, codebook %d", s, len(nested[s]), cb.N)
+					}
+					for c, v := range row {
+						if b := batch[qi*stride+s*pq.K+c]; math.Float32bits(b) != math.Float32bits(v) {
+							t.Fatalf("query %d LUT[%d][%d]: batch %v, single %v", qi, s, c, b, v)
+						}
+						if c >= cb.N {
+							if v != 0 {
+								t.Fatalf("query %d LUT[%d][%d]=%v: padding behind %d centroids must stay zero", qi, s, c, v, cb.N)
+							}
+							continue
+						}
+						if math.Float32bits(nested[s][c]) != math.Float32bits(v) {
+							t.Fatalf("query %d LUT[%d][%d]: nested %v, flat %v", qi, s, c, nested[s][c], v)
+						}
+						ref := float64(vecmath.SquaredL2(q[pq.Bounds[s]:pq.Bounds[s+1]], cb.Row(c)))
+						if math.Abs(float64(v)-ref) > 1e-5*(1+ref) {
+							t.Fatalf("query %d LUT[%d][%d]=%v, row-major distance %v", qi, s, c, v, ref)
+						}
+					}
+					if want := vecmath.ArgMin(row[:cb.N]); int(code[s]) != want {
+						t.Fatalf("query %d subspace %d: code %d, first minimum of the LUT row %d", qi, s, code[s], want)
+					}
+				}
+			}
+			flatCodes, err := pq.EncodeInto(nil, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < ds.N; i++ {
+				if got, want := flatCodes[i*pq.Subspaces:(i+1)*pq.Subspaces], pq.EncodeVec(ds.Row(i)); !slices.Equal(got, want) {
+					t.Fatalf("row %d: EncodeInto %v, EncodeVec %v", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestEncodeTiesTakeFirstCentroid: with a centroid stored twice, a vector
+// sitting on it is at distance 0 from both copies and must take the lower
+// index, whichever lane of the kernel each copy lands in.
+func TestEncodeTiesTakeFirstCentroid(t *testing.T) {
+	const k, dim = 40, 3
+	cb := blobs(63, k, dim)
+	for _, pair := range [][2]int{{1, 2}, {3, 35}, {9, 39}, {33, 38}} {
+		copy(cb.Row(pair[1]), cb.Row(pair[0]))
+		pq, err := FromCodebooks(dim, k, []int{0, dim}, []*dataset.Dataset{cb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := pq.EncodeVec(cb.Row(pair[1])); int(code[0]) != pair[0] {
+			t.Fatalf("centroids %v identical: code %d, want the first", pair, code[0])
+		}
+	}
+}
+
+func TestFromCodebooksValidation(t *testing.T) {
+	cb := func(n, dim int) *dataset.Dataset { return dataset.New(n, dim) }
+	for name, tc := range map[string]struct {
+		dim, k int
+		bounds []int
+		cbs    []*dataset.Dataset
+	}{
+		"no codebooks":      {4, 4, []int{0}, nil},
+		"bounds short":      {4, 4, []int{0, 4}, []*dataset.Dataset{cb(4, 2), cb(4, 2)}},
+		"bounds miss dim":   {4, 4, []int{0, 2, 3}, []*dataset.Dataset{cb(4, 2), cb(4, 1)}},
+		"K over uint8":      {4, 257, []int{0, 4}, []*dataset.Dataset{cb(4, 4)}},
+		"more than K":       {4, 4, []int{0, 4}, []*dataset.Dataset{cb(5, 4)}},
+		"empty codebook":    {4, 4, []int{0, 4}, []*dataset.Dataset{cb(0, 4)}},
+		"wrong sub-dim":     {4, 4, []int{0, 2, 4}, []*dataset.Dataset{cb(4, 2), cb(4, 3)}},
+		"nil codebook":      {4, 4, []int{0, 4}, []*dataset.Dataset{nil}},
+		"data length wrong": {4, 4, []int{0, 4}, []*dataset.Dataset{{N: 4, Dim: 4, Data: make([]float32, 15)}}},
+	} {
+		if _, err := FromCodebooks(tc.dim, tc.k, tc.bounds, tc.cbs); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// Per-op benchmarks of the two quantizer operations the serving path pays
+// for, at the codebook shapes the engine uses (128-d; M subspaces × K
+// centroids):
+//
+//	go test ./internal/quant -run '^$' -bench 'AppendLUT|EncodeVec'
+func benchPQ(b *testing.B, m, k int) (*PQ, *dataset.Dataset) {
+	ds := blobs(71, 1024, 128)
+	pq, err := Train(ds, Config{Subspaces: m, K: k, Seed: 72, Iters: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pq, ds
+}
+
+var benchShapes = []struct{ m, k int }{{32, 256}, {16, 256}, {8, 256}, {32, 16}}
+
+func BenchmarkAppendLUT(b *testing.B) {
+	for _, sh := range benchShapes {
+		b.Run(fmt.Sprintf("m%dk%d", sh.m, sh.k), func(b *testing.B) {
+			pq, ds := benchPQ(b, sh.m, sh.k)
+			lut := pq.AppendLUT(nil, ds.Row(0))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lut = pq.AppendLUT(lut[:0], ds.Row(i%ds.N))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.m*sh.k), "ns/centroid")
+		})
+	}
+}
+
+func BenchmarkEncodeVec(b *testing.B) {
+	for _, sh := range benchShapes {
+		b.Run(fmt.Sprintf("m%dk%d", sh.m, sh.k), func(b *testing.B) {
+			pq, ds := benchPQ(b, sh.m, sh.k)
+			code := make([]uint8, 0, sh.m)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				code = pq.AppendCode(code[:0], ds.Row(i%ds.N))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.m*sh.k), "ns/centroid")
+		})
 	}
 }

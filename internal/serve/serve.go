@@ -370,6 +370,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // directly against a pooled Searcher. All paths return bit-identical
 // results. rerankK must already be resolved against the server default.
 func (s *Server) searchOne(vec []float32, k, probes, rerankK int) ([]usp.Result, int, int, error) {
+	// Checked before admission: inside a collected batch one non-finite
+	// vector would fail every request grouped with it.
+	if err := usp.ValidateVector(vec); err != nil {
+		return nil, 0, 0, err
+	}
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	if s.batch != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	usp "repro"
 	"repro/internal/dataset"
@@ -124,6 +126,47 @@ func TestEndpointValidation(t *testing.T) {
 			t.Fatalf("%s with truncated JSON: HTTP %d, want 400", path, resp.StatusCode)
 		}
 	}
+
+	// Non-finite vectors are 400 on every endpoint that takes one. JSON has
+	// no NaN/Inf literal, so over the wire the only non-finite input is a
+	// number beyond float32 range, refused at decode; a caller of the
+	// in-process entry point can pass one, and the engine's ErrInvalid must
+	// classify as 400 without failing the requests batched beside it.
+	for path, body := range map[string]string{
+		"/search":       `{"vector":[1e39,0,0,0,0,0,0,0],"k":3}`,
+		"/search/batch": `{"vectors":[[0,0,0,0,0,0,0,-1e39]],"k":3}`,
+		"/add":          `{"vector":[0,1e39,0,0,0,0,0,0]}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s with an out-of-range component: HTTP %d, want 400", path, resp.StatusCode)
+		}
+	}
+	batching := New(srv.Index(), Config{DataDir: t.TempDir(), BatchWindow: time.Millisecond})
+	defer batching.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			vec := append([]float32(nil), q...)
+			if i == 3 {
+				vec[2] = float32(math.NaN())
+			}
+			_, _, err := batching.Search(vec, 5, 2, 0)
+			switch {
+			case i == 3 && (err == nil || statusFor(err) != http.StatusBadRequest):
+				t.Errorf("NaN query: error %v, want one that maps to 400", err)
+			case i != 3 && err != nil:
+				t.Errorf("finite query beside a NaN one failed: %v", err)
+			}
+		}(i)
+	}
+	wg.Wait()
 
 	// GET on a POST endpoint is 405.
 	resp, err := http.Get(ts.URL + "/search")

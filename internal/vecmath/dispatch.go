@@ -2,18 +2,26 @@ package vecmath
 
 import "os"
 
-// kernels bundles one implementation of the three hot microkernels. Exactly
+// kernels bundles one implementation of the hot microkernels. Exactly
 // one set is selected at package init and used for the life of the process;
 // mixing implementations within a process would break the bit-identity
 // guarantees the query engine is built on (cached norms vs query-side norms,
 // batch vs single-row inference), so the choice is deliberately not mutable
 // at runtime.
+//
+// The two block kernels of the quantized path (SegmentToCentroids,
+// LUTSumRows) write into buffers their callers keep on the stack. An
+// indirect call would force those buffers to the heap, so the table holds
+// only a flag for them: arch selects the per-architecture pair
+// (segToCentroidsArch, lutSumRowsArch in dispatch_<arch>.go) over the
+// portable pair, and the public wrappers call either one directly.
 type kernels struct {
 	name   string
 	dot    func(a, b []float32) float32
 	sqL2   func(a, b []float32) float32
 	axpy   func(alpha float32, x, y []float32)
 	lutSum func(lut []float32, k int, code []uint8) float32
+	arch   bool
 }
 
 var scalarKernels = kernels{

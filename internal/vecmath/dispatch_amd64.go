@@ -29,12 +29,30 @@ func axpyAVX2(alpha float32, x, y []float32)
 //go:noescape
 func lutSumAVX2(lut []float32, k int, code []uint8) float32
 
+//go:noescape
+func segToCentroidsAVX2(dst, seg, cbT []float32)
+
+//go:noescape
+func lutSumRowsAVX2(dst, lut []float32, k int, codes []uint8, m int, ids []int32)
+
 var avx2Kernels = kernels{
 	name:   "avx2-fma",
 	dot:    dotAVX2,
 	sqL2:   sqL2AVX2,
 	axpy:   axpyAVX2,
 	lutSum: lutSumAVX2,
+	arch:   true,
+}
+
+// The block kernels the wrappers call directly when avx2Kernels is active
+// (see the kernels type for why they are not table entries).
+
+func segToCentroidsArch(dst, seg, cbT []float32) {
+	segToCentroidsAVX2(dst, seg, cbT)
+}
+
+func lutSumRowsArch(dst, lut []float32, k int, codes []uint8, m int, ids []int32) {
+	lutSumRowsAVX2(dst, lut, k, codes, m, ids)
 }
 
 // archKernels returns the best kernel set this CPU supports.

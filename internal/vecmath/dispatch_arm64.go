@@ -27,6 +27,22 @@ var neonKernels = kernels{
 	sqL2:   sqL2NEON,
 	axpy:   axpyNEON,
 	lutSum: lutSumNEON,
+	arch:   true,
+}
+
+// The block kernels have no NEON port yet. The segment kernel runs the
+// portable code; the multi-row sum loops over the NEON single-row kernel,
+// which keeps every row bit-equal to LUTSum under this dispatch.
+
+func segToCentroidsArch(dst, seg, cbT []float32) {
+	segToCentroidsScalar(dst, seg, cbT)
+}
+
+func lutSumRowsArch(dst, lut []float32, k int, codes []uint8, m int, ids []int32) {
+	for i, id := range ids {
+		o := int(id) * m
+		dst[i] = lutSumNEON(lut, k, codes[o:o+m])
+	}
 }
 
 // archKernels returns the best kernel set this CPU supports.

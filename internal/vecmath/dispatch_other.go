@@ -7,3 +7,14 @@ package vecmath
 // provide kernels_<arch>.s + dispatch_<arch>.go exporting archKernels (see
 // DESIGN.md, "Kernel layer") and exclude the arch from this build tag.
 func archKernels() (kernels, bool) { return kernels{}, false }
+
+// Never called (no kernel set here has arch set); present so the wrappers
+// compile.
+
+func segToCentroidsArch(dst, seg, cbT []float32) {
+	segToCentroidsScalar(dst, seg, cbT)
+}
+
+func lutSumRowsArch(dst, lut []float32, k int, codes []uint8, m int, ids []int32) {
+	lutSumRowsScalar(dst, lut, k, codes, m, ids)
+}

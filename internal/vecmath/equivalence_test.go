@@ -270,4 +270,191 @@ func TestPublicKernelsUseActiveImpl(t *testing.T) {
 	if LUTSum(lut, k, code) != active.lutSum(lut, k, code) {
 		t.Fatal("LUTSum does not match active kernel")
 	}
+	// The block kernels: the wrappers must run the pair the active set
+	// names, and nothing else.
+	pair := blockImpls()[0]
+	if active.arch {
+		pair = blockImpls()[1]
+	}
+	seg, cbT := a[:5], b[:5*k]
+	got, want := make([]float32, k), make([]float32, k)
+	SegmentToCentroids(got, seg, cbT)
+	pair.seg(want, seg, cbT)
+	for c := range want {
+		if got[c] != want[c] {
+			t.Fatalf("SegmentToCentroids diverges from the %s kernel at %d", pair.name, c)
+		}
+	}
+	ids := []int32{2, 0, 1}
+	codes := make([]uint8, 3*12)
+	for i := range codes {
+		codes[i] = uint8(rng.Intn(k))
+	}
+	LUTSumRows(got[:3], lut, k, codes, 12, ids)
+	pair.rows(want[:3], lut, k, codes, 12, ids)
+	for i := range ids {
+		if got[i] != want[i] {
+			t.Fatalf("LUTSumRows diverges from the %s kernel at %d", pair.name, i)
+		}
+	}
+}
+
+// blockKernels is one implementation of the two block kernels, which are
+// called directly and so are not entries of the kernels table.
+type blockKernels struct {
+	name string
+	seg  func(dst, seg, cbT []float32)
+	rows func(dst, lut []float32, k int, codes []uint8, m int, ids []int32)
+}
+
+// blockImpls lists the portable pair and, when this machine can run it,
+// the architecture pair.
+func blockImpls() []blockKernels {
+	impls := []blockKernels{{"scalar", segToCentroidsScalar, lutSumRowsScalar}}
+	if arch, ok := archKernels(); ok {
+		impls = append(impls, blockKernels{arch.name, segToCentroidsArch, lutSumRowsArch})
+	}
+	return impls
+}
+
+// blockKs are the codebook sizes the block-kernel tests sweep: below one
+// lane, one short of / exactly one and two lane blocks, and either side of
+// the 32-centroid block boundary at the uint8 ceiling.
+var blockKs = []int{1, 7, 8, 16, 255, 256}
+
+// TestSegmentToCentroidsMatchesScalar sweeps the segment kernel over the
+// codebook sizes above, sub-dimensions 0–9 (0 must zero dst) and
+// float-level misalignments of all three slices, against the portable
+// kernel under the shared forward-error model.
+func TestSegmentToCentroidsMatchesScalar(t *testing.T) {
+	arch, ok := archKernels()
+	if !ok {
+		t.Skip("no SIMD kernels on this architecture")
+	}
+	rng := rand.New(rand.NewSource(31))
+	for _, k := range blockKs {
+		for d := 0; d <= 9; d++ {
+			for off := 0; off < 8; off += 1 + rng.Intn(3) {
+				seg := skewedVec(rng, d+off)[off:]
+				cbT := skewedVec(rng, d*k+off)[off:]
+				got := skewedVec(rng, k+off)[off:] // stale contents must be overwritten
+				want := make([]float32, k)
+				segToCentroidsArch(got, seg, cbT)
+				segToCentroidsScalar(want, seg, cbT)
+				for c := 0; c < k; c++ {
+					var mass float64
+					for j := 0; j < d; j++ {
+						diff := float64(seg[j]) - float64(cbT[j*k+c])
+						mass += diff * diff
+					}
+					if diff := math.Abs(float64(got[c]) - float64(want[c])); diff > reductionTol(d, mass) {
+						t.Fatalf("k=%d d=%d offset %d centroid %d: %s=%v scalar=%v |diff|=%v > tol=%v",
+							k, d, off, c, arch.name, got[c], want[c], diff, reductionTol(d, mass))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSegmentToCentroidsColumnIndependence pins the accumulation-order
+// contract under the active dispatch: a centroid's distance is the same
+// bits in a codebook cut to its first n centroids, for n putting its column
+// under each of the 32-, 8- and 1-centroid blocks — so a short codebook's
+// distances, and the codes taken from them, match the full one's.
+func TestSegmentToCentroidsColumnIndependence(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	const k, d = 256, 7
+	seg, cbT := skewedVec(rng, d), skewedVec(rng, d*k)
+	full := make([]float32, k)
+	SegmentToCentroids(full, seg, cbT)
+	for _, n := range []int{1, 7, 8, 9, 31, 32, 33, 40, 255} {
+		cut := make([]float32, d*n)
+		for j := 0; j < d; j++ {
+			copy(cut[j*n:(j+1)*n], cbT[j*k:])
+		}
+		part := make([]float32, n)
+		SegmentToCentroids(part, seg, cut)
+		for c := range part {
+			if math.Float32bits(part[c]) != math.Float32bits(full[c]) {
+				t.Fatalf("%d centroids, centroid %d: %v, among all %d: %v", n, c, part[c], k, full[c])
+			}
+		}
+	}
+}
+
+// lutRowsFixture builds a random table, code buffer and id run. ids repeat
+// and arrive in no order, as a probed bin's do.
+func lutRowsFixture(rng *rand.Rand, m, k, rows, n int) (lut []float32, codes []uint8, ids []int32) {
+	lut = skewedVec(rng, m*k)
+	codes = make([]uint8, rows*m)
+	for i := range codes {
+		codes[i] = uint8(rng.Intn(k))
+	}
+	ids = make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(rng.Intn(rows))
+	}
+	return lut, codes, ids
+}
+
+// TestLUTSumRowsBitEqualsLUTSum pins the multi-row kernel of every
+// implementation to the single-row kernel of the same implementation, bit
+// for bit: subspace counts across every 8-code block boundary, all table
+// widths, id runs of every parity including empty, misaligned buffers.
+func TestLUTSumRowsBitEqualsLUTSum(t *testing.T) {
+	single := map[string]func(lut []float32, k int, code []uint8) float32{"scalar": lutSumScalar}
+	if arch, ok := archKernels(); ok {
+		single[arch.name] = arch.lutSum
+	}
+	rng := rand.New(rand.NewSource(33))
+	for _, impl := range blockImpls() {
+		for _, m := range []int{1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65} {
+			for _, k := range blockKs {
+				for _, n := range []int{0, 1, 2, 3, 6, 7, 64, 257} {
+					off := rng.Intn(8)
+					lut, codes, ids := lutRowsFixture(rng, m, k, 97, n+off)
+					ids = ids[off:]
+					dst := make([]float32, n+off)[off:]
+					impl.rows(dst, lut, k, codes, m, ids)
+					for i, id := range ids {
+						want := single[impl.name](lut, k, codes[int(id)*m:(int(id)+1)*m])
+						if math.Float32bits(dst[i]) != math.Float32bits(want) {
+							t.Fatalf("%s m=%d k=%d n=%d: dst[%d]=%v, single-row kernel %v", impl.name, m, k, n, i, dst[i], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLUTSumRowsPublic: the wrapper agrees with LUTSum per row under the
+// active dispatch, leaves dst beyond len(ids) alone, and refuses an id
+// whose row is outside the code buffer instead of reading past it.
+func TestLUTSumRowsPublic(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	const m, k, rows = 12, 16, 50
+	lut, codes, ids := lutRowsFixture(rng, m, k, rows, 41)
+	dst := make([]float32, len(ids)+1)
+	dst[len(ids)] = -1
+	LUTSumRows(dst, lut, k, codes, m, ids)
+	for i, id := range ids {
+		if want := LUTSum(lut, k, codes[int(id)*m:(int(id)+1)*m]); math.Float32bits(dst[i]) != math.Float32bits(want) {
+			t.Fatalf("dst[%d]=%v, LUTSum %v", i, dst[i], want)
+		}
+	}
+	if dst[len(ids)] != -1 {
+		t.Fatal("LUTSumRows wrote past len(ids)")
+	}
+	for _, bad := range []int32{rows, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("id %d outside the code buffer did not panic", bad)
+				}
+			}()
+			LUTSumRows(dst, lut, k, codes, m, []int32{0, bad})
+		}()
+	}
 }

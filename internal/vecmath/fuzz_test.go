@@ -20,6 +20,17 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(make([]byte, 8*8), float32(0.25))                             // one lane block
 	f.Add(make([]byte, 8*129), float32(1e3))                            // big + tail
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0x80, 0x7f}, float32(1)) // NaN/Inf bits
+	// Block-kernel legs: raw[0]+1 is the table width / codebook size k and
+	// raw[1] picks the sub-dimension, so these cover k ∈ {1, 7, 8, 16, 255,
+	// 256} at sub-dimensions 1–9 with enough floats for several rows.
+	for i, k := range []int{1, 7, 8, 16, 255, 256} {
+		raw := make([]byte, 8*(k*5+3))
+		for j := range raw {
+			raw[j] = byte(j * (i + 3))
+		}
+		raw[0], raw[1] = byte(k-1), byte(2*i)
+		f.Add(raw, float32(1))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, alpha float32) {
 		arch, ok := archKernels()
 		if !ok {
@@ -69,10 +80,10 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if n > 0 {
 			k := 1 + int(raw[0])
 			m := (2 * n) / k // a and b back-to-back form a 2n-float table
+			flat := make([]float32, 0, 2*n)
+			flat = append(flat, a...)
+			flat = append(flat, b...)
 			if m > 0 {
-				flat := make([]float32, 0, 2*n)
-				flat = append(flat, a...)
-				flat = append(flat, b...)
 				lut := flat[:m*k]
 				code := make([]uint8, m)
 				for i := range code {
@@ -84,6 +95,55 @@ func FuzzKernelEquivalence(f *testing.F) {
 				}
 				if got, want := float64(arch.lutSum(lut, k, code)), float64(lutSumScalar(lut, k, code)); math.Abs(got-want) > reductionTol(m, lutMass) {
 					t.Fatalf("lutSum: %s=%v scalar=%v (m=%d k=%d)", arch.name, got, want, m, k)
+				}
+			}
+
+			// Multi-row leg: the same table against a code buffer of a few
+			// rows of m2 codes, ids (repeats, any order, possibly none)
+			// from the raw bytes. Each implementation's block kernel must
+			// reproduce its own single-row kernel bit for bit.
+			if m2 := min(m, 1+int(raw[1])%40); m2 > 0 {
+				lut := flat[:m2*k]
+				rows := 1 + len(raw)%5
+				codes := make([]uint8, rows*m2)
+				for i := range codes {
+					codes[i] = uint8(int(raw[(i*7+1)%len(raw)]) % k)
+				}
+				ids := make([]int32, len(raw)%11)
+				for i := range ids {
+					ids[i] = int32(int(raw[(i*3+2)%len(raw)]) % rows)
+				}
+				gotS, gotA := make([]float32, len(ids)), make([]float32, len(ids))
+				lutSumRowsScalar(gotS, lut, k, codes, m2, ids)
+				lutSumRowsArch(gotA, lut, k, codes, m2, ids)
+				for i, id := range ids {
+					row := codes[int(id)*m2 : (int(id)+1)*m2]
+					if w := lutSumScalar(lut, k, row); math.Float32bits(gotS[i]) != math.Float32bits(w) {
+						t.Fatalf("lutSumRows scalar: dst[%d]=%v single-row %v (m=%d k=%d)", i, gotS[i], w, m2, k)
+					}
+					if w := arch.lutSum(lut, k, row); math.Float32bits(gotA[i]) != math.Float32bits(w) {
+						t.Fatalf("lutSumRows %s: dst[%d]=%v single-row %v (m=%d k=%d)", arch.name, i, gotA[i], w, m2, k)
+					}
+				}
+			}
+
+			// Segment leg: the floats as a centroid-major codebook of k
+			// centroids and sub-dimension d (1–9, as many as they fill), the
+			// last d floats as the query segment.
+			if d := min(1+int(raw[1])%9, 2*n/k); d > 0 {
+				seg, cbT := flat[2*n-d:], flat[:d*k]
+				got, want := make([]float32, k), make([]float32, k)
+				segToCentroidsArch(got, seg, cbT)
+				segToCentroidsScalar(want, seg, cbT)
+				for c := range want {
+					var mass float64
+					for j := 0; j < d; j++ {
+						diff := float64(seg[j]) - float64(cbT[j*k+c])
+						mass += diff * diff
+					}
+					if math.Abs(float64(got[c])-float64(want[c])) > reductionTol(d, mass) {
+						t.Fatalf("segToCentroids: centroid %d %s=%v scalar=%v (d=%d k=%d)", c, arch.name, got[c], want[c], d, k)
+					}
 				}
 			}
 		}

@@ -231,3 +231,219 @@ axtail1:
 axdone:
 	VZEROUPPER
 	RET
+
+// func segToCentroidsAVX2(dst, seg, cbT []float32)
+//
+// Segment-to-all-centroids: dst[c] = Σ_j (seg[j] − cbT[j*len(dst)+c])². Centroids are independent lanes: 32 at a time (four
+// accumulators), then 8, then one, each lane running the same chain —
+// broadcast seg[j], subtract the centroid-major row, FMA into the
+// accumulator, ascending j from zero. The scalar tail uses the same
+// subtract + FMA per step, so a centroid's bits do not depend on which
+// block width covered it, on len(dst) or on alignment. Contract (enforced
+// by the public wrapper): len(cbT) == len(seg)*len(dst).
+TEXT ·segToCentroidsAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX     // centroids left
+	MOVQ seg_base+24(FP), SI
+	MOVQ seg_len+32(FP), DX    // segment dims
+	MOVQ cbT_base+48(FP), R8   // column of the next centroid
+	MOVQ CX, R9
+	SHLQ $2, R9                // row stride in bytes
+seg32:
+	CMPQ CX, $32
+	JLT  seg8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ R8, R10
+	MOVQ SI, R11
+	MOVQ DX, BX
+	TESTQ BX, BX
+	JZ   seg32store
+seg32dim:
+	VBROADCASTSS (R11), Y4
+	VSUBPS (R10), Y4, Y5       // seg[j] − centroid coordinate
+	VSUBPS 32(R10), Y4, Y6
+	VSUBPS 64(R10), Y4, Y7
+	VSUBPS 96(R10), Y4, Y8
+	VFMADD231PS Y5, Y5, Y0
+	VFMADD231PS Y6, Y6, Y1
+	VFMADD231PS Y7, Y7, Y2
+	VFMADD231PS Y8, Y8, Y3
+	ADDQ R9, R10
+	ADDQ $4, R11
+	DECQ BX
+	JNZ  seg32dim
+seg32store:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, R8
+	SUBQ $32, CX
+	JMP  seg32
+seg8:
+	CMPQ CX, $8
+	JLT  seg1
+	VXORPS Y0, Y0, Y0
+	MOVQ R8, R10
+	MOVQ SI, R11
+	MOVQ DX, BX
+	TESTQ BX, BX
+	JZ   seg8store
+seg8dim:
+	VBROADCASTSS (R11), Y4
+	VSUBPS (R10), Y4, Y5
+	VFMADD231PS Y5, Y5, Y0
+	ADDQ R9, R10
+	ADDQ $4, R11
+	DECQ BX
+	JNZ  seg8dim
+seg8store:
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, R8
+	SUBQ $8, CX
+	JMP  seg8
+seg1:
+	TESTQ CX, CX
+	JZ   segdone
+	VXORPS X0, X0, X0
+	MOVQ R8, R10
+	MOVQ SI, R11
+	MOVQ DX, BX
+	TESTQ BX, BX
+	JZ   seg1store
+seg1dim:
+	VMOVSS (R11), X4
+	VSUBSS (R10), X4, X5
+	VFMADD231SS X5, X5, X0
+	ADDQ R9, R10
+	ADDQ $4, R11
+	DECQ BX
+	JNZ  seg1dim
+seg1store:
+	VMOVSS X0, (DI)
+	ADDQ $4, DI
+	ADDQ $4, R8
+	DECQ CX
+	JMP  seg1
+segdone:
+	VZEROUPPER
+	RET
+
+// func lutSumRowsAVX2(dst, lut []float32, k int, codes []uint8, m int, ids []int32)
+//
+// Multi-row ADC sum: dst[i] = Σ_s lut[s*k + codes[ids[i]*m + s]]. Rows go
+// through two at a time with their instruction streams interleaved, so two
+// rows' gathers are in flight and the horizontal reduction of one overlaps
+// the other's; an odd last row is paired with itself and stored once. Per
+// row the operation sequence is exactly lutSumAVX2's — one 8-lane
+// accumulator over 8-code blocks against the same offset ramp, the same
+// lane-ordered reduction, the same sequential scalar tail — so every dst[i]
+// is bit-equal to lutSumAVX2 on that row. The code row of the id four
+// positions ahead is prefetched: candidate ids of a probed bin are
+// scattered over the code buffer. One VZEROUPPER per call, not per row.
+// Contract (enforced by the public wrapper): len(dst) ≥ len(ids),
+// len(lut) == m*k, every row ids[i] inside codes, code bytes < k.
+TEXT ·lutSumRowsAVX2(SB), NOSPLIT, $0-112
+	MOVQ dst_base+0(FP), DI
+	MOVQ lut_base+24(FP), SI
+	MOVQ k+48(FP), DX
+	MOVQ codes_base+56(FP), R8
+	MOVQ ids_base+88(FP), R10
+	MOVQ ids_len+96(FP), R11   // rows left
+	MOVQ m+80(FP), R12
+	SHRQ $3, R12               // 8-code blocks per row
+	VMOVDQU lutsumLanes<>(SB), Y6
+	VPBROADCASTD k+48(FP), Y5  // low 32 bits of k (k ≤ 256)
+	VPMULLD Y5, Y6, Y6         // Y6 = [0,k,2k,...,7k]
+	VPSLLD $3, Y5, Y5          // Y5 = broadcast(8k)
+	SHLQ $2, DX                // table row stride in bytes
+rowpair:
+	TESTQ R11, R11
+	JLE  rowsdone
+	MOVLQSX (R10), BX
+	IMULQ m+80(FP), BX
+	ADDQ R8, BX                // BX = code row A
+	MOVQ BX, CX                // row B = row A unless a second id exists
+	CMPQ R11, $1
+	JEQ  rowsready
+	MOVLQSX 4(R10), CX
+	IMULQ m+80(FP), CX
+	ADDQ R8, CX                // CX = code row B
+	CMPQ R11, $5
+	JLE  rowsready
+	MOVLQSX 16(R10), AX
+	IMULQ m+80(FP), AX
+	PREFETCHT0 (R8)(AX*1)
+	MOVLQSX 20(R10), AX
+	IMULQ m+80(FP), AX
+	PREFETCHT0 (R8)(AX*1)
+rowsready:
+	VXORPS Y0, Y0, Y0          // accumulator A
+	VXORPS Y7, Y7, Y7          // accumulator B
+	MOVQ R12, R9
+	TESTQ R9, R9
+	JZ   rowsreduce
+	VMOVDQA Y6, Y1             // ramp restarts at table row 0
+rows8:
+	VPMOVZXBD (BX), Y2
+	VPMOVZXBD (CX), Y8
+	VPADDD Y1, Y2, Y2
+	VPADDD Y1, Y8, Y8
+	VPCMPEQD Y4, Y4, Y4        // gather consumes its mask; rebuild
+	VPCMPEQD Y9, Y9, Y9
+	VGATHERDPS Y4, (SI)(Y2*4), Y3
+	VGATHERDPS Y9, (SI)(Y8*4), Y10
+	VADDPS Y3, Y0, Y0
+	VADDPS Y10, Y7, Y7
+	VPADDD Y5, Y1, Y1          // ramp advances 8 table rows
+	ADDQ $8, BX
+	ADDQ $8, CX
+	DECQ R9
+	JNZ  rows8
+rowsreduce:
+	VEXTRACTF128 $1, Y0, X1
+	VEXTRACTF128 $1, Y7, X11
+	VADDPS X1, X0, X0
+	VADDPS X11, X7, X7
+	VSHUFPS $0xb1, X0, X0, X1
+	VSHUFPS $0xb1, X7, X7, X11
+	VADDPS X1, X0, X0
+	VADDPS X11, X7, X7
+	VSHUFPS $0x4e, X0, X0, X1
+	VSHUFPS $0x4e, X7, X7, X11
+	VADDSS X1, X0, X0
+	VADDSS X11, X7, X7
+	MOVQ m+80(FP), R13
+	ANDQ $7, R13               // codes past the last full block
+	JZ   rowsstore
+	MOVQ R12, AX
+	SHLQ $3, AX
+	IMULQ DX, AX
+	ADDQ SI, AX                // first tail table row
+rowstail:
+	MOVBQZX (BX), R9
+	VADDSS (AX)(R9*4), X0, X0
+	MOVBQZX (CX), R9
+	VADDSS (AX)(R9*4), X7, X7
+	ADDQ DX, AX
+	INCQ BX
+	INCQ CX
+	DECQ R13
+	JNZ  rowstail
+rowsstore:
+	VMOVSS X0, (DI)
+	CMPQ R11, $1
+	JEQ  rowsdone
+	VMOVSS X7, 4(DI)
+	ADDQ $8, DI
+	ADDQ $8, R10
+	SUBQ $2, R11
+	JMP  rowpair
+rowsdone:
+	VZEROUPPER
+	RET

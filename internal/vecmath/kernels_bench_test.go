@@ -103,5 +103,58 @@ func BenchmarkLUTSum(b *testing.B) {
 	}
 }
 
+// BenchmarkSegmentToCentroids times one ADC table row (or one subspace of
+// an encode): a sub-vector against all k centroids of a centroid-major
+// codebook, at the sub-dimensions 128-d vectors give for m = 32, 16 and 8.
+func BenchmarkSegmentToCentroids(b *testing.B) {
+	rng := rand.New(rand.NewSource(25))
+	for _, impl := range blockImpls() {
+		for _, shape := range []struct{ d, k int }{
+			{4, 256}, {8, 256}, {16, 256}, {4, 16}, {8, 16},
+		} {
+			seg, cbT := randVec(rng, shape.d), randVec(rng, shape.d*shape.k)
+			dst := make([]float32, shape.k)
+			b.Run(fmt.Sprintf("%s/d%dk%d", impl.name, shape.d, shape.k), func(b *testing.B) {
+				b.SetBytes(int64(4 * shape.d * shape.k))
+				for i := 0; i < b.N; i++ {
+					impl.seg(dst, seg, cbT)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shape.k), "ns/centroid")
+			})
+		}
+	}
+}
+
+// BenchmarkLUTSumRows times the block form of the ADC scan kernel: 256
+// candidate ids scattered over a 64k-row code buffer per call, as a probed
+// bin's ids are. Compare ns/row with BenchmarkLUTSum's ns/op.
+func BenchmarkLUTSumRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(26))
+	const rows, block = 1 << 16, 256
+	for _, impl := range blockImpls() {
+		for _, m := range []int{8, 16, 32, 64} {
+			for _, k := range []int{16, 256} {
+				lut := randVec(rng, m*k)
+				codes := make([]uint8, rows*m)
+				for i := range codes {
+					codes[i] = uint8(rng.Intn(k))
+				}
+				ids := make([]int32, block)
+				for i := range ids {
+					ids[i] = int32(rng.Intn(rows))
+				}
+				dst := make([]float32, block)
+				b.Run(fmt.Sprintf("%s/m%dk%d", impl.name, m, k), func(b *testing.B) {
+					b.SetBytes(int64(block * m * 5)) // 1 code byte + 1 gathered float per subspace
+					for i := 0; i < b.N; i++ {
+						impl.rows(dst, lut, k, codes, m, ids)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*block), "ns/row")
+				})
+			}
+		}
+	}
+}
+
 // sinkF32 defeats dead-code elimination of the benchmarked reductions.
 var sinkF32 float32

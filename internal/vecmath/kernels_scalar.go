@@ -72,3 +72,34 @@ func lutSumScalar(lut []float32, k int, code []uint8) float32 {
 	}
 	return s0 + s1 + s2 + s3
 }
+
+// segToCentroidsScalar scores one query segment against every centroid of
+// one subspace at once. cbT is the subspace's codebook centroid-major:
+// row j holds coordinate j of every centroid (cbT[j*len(dst)+c]), so the
+// inner loop streams one row while the distances accumulate in dst.
+// Accumulation-order contract shared with the assembly port: every dst[c]
+// is its own chain Σ_j (seg[j]−cbT[j*len(dst)+c])² taken in ascending j
+// from zero, so a centroid's result does not depend on len(dst), on its
+// position in the row or on slice alignment. Precondition enforced by the
+// public wrapper: len(cbT) == len(seg)*len(dst).
+func segToCentroidsScalar(dst, seg, cbT []float32) {
+	for c := range dst {
+		dst[c] = 0
+	}
+	for j, x := range seg {
+		row := cbT[j*len(dst):][:len(dst)]
+		for c, y := range row {
+			d := x - y
+			dst[c] += d * d
+		}
+	}
+}
+
+// lutSumRowsScalar scores a run of rows: dst[i] is lutSumScalar of row
+// ids[i] of the flat code buffer (row r at codes[r*m:(r+1)*m]).
+func lutSumRowsScalar(dst, lut []float32, k int, codes []uint8, m int, ids []int32) {
+	for i, id := range ids {
+		o := int(id) * m
+		dst[i] = lutSumScalar(lut, k, codes[o:o+m])
+	}
+}

@@ -2,7 +2,8 @@
 // the library is built on: distances, dot products, in-place BLAS-1 style
 // updates, and small utilities (argmax, top-k selection).
 //
-// The three hot kernels — Dot, SquaredL2 and AXPY — dispatch through a
+// The hot kernels — Dot, SquaredL2, AXPY, LUTSum and the two block kernels
+// of the quantized path, SegmentToCentroids and LUTSumRows — dispatch through a
 // kernel set selected once at package init: AVX2+FMA assembly on capable
 // amd64 CPUs, NEON assembly on arm64, and the portable 4-way-unrolled scalar
 // code everywhere else (see dispatch.go). Setting USP_FORCE_SCALAR in the
@@ -54,6 +55,46 @@ func SquaredL2Fused(q, x []float32, qNorm2, xNorm2 float32) float32 {
 func LUTSum(lut []float32, k int, code []uint8) float32 {
 	lut = lut[:len(code)*k] // single bounds check; kernels assume the shape
 	return active.lutSum(lut, k, code)
+}
+
+// LUTSumRows is the multi-row form of LUTSum, the inner loop of the ADC
+// candidate scan: for every i it stores in dst[i] the LUTSum of row ids[i]
+// of the flat row-major code buffer codes (row r at codes[r*m:(r+1)*m])
+// against the m×k table lut. Each dst[i] is bit-equal to
+// LUTSum(lut, k, codes[ids[i]*m:(ids[i]+1)*m]) under the same dispatch; the
+// block form only removes the per-row call and keeps several rows' gathers
+// in flight. len(dst) must be at least len(ids); an id whose row does not
+// lie inside codes panics, as slicing the row would. As for LUTSum, every
+// code byte must be below k.
+func LUTSumRows(dst, lut []float32, k int, codes []uint8, m int, ids []int32) {
+	dst = dst[:len(ids)]
+	lut = lut[:m*k]
+	for _, id := range ids {
+		_ = codes[int(id)*m+m-1] // the kernels read rows unchecked
+	}
+	if active.arch {
+		lutSumRowsArch(dst, lut, k, codes, m, ids)
+	} else {
+		lutSumRowsScalar(dst, lut, k, codes, m, ids)
+	}
+}
+
+// SegmentToCentroids stores in dst[c] the squared Euclidean distance between
+// seg and centroid c of one product-quantization subspace, for each of the
+// codebook's len(dst) centroids. cbT is that codebook laid out
+// centroid-major: row j (cbT[j*len(dst):(j+1)*len(dst)]) holds coordinate j
+// of every centroid, so one pass over len(seg) contiguous rows scores all
+// centroids — an ADC table row, or the distances an encoder takes the
+// argmin of — where the row-major layout needs one SquaredL2 call per
+// centroid. Every dst[c] is accumulated on its own in ascending coordinate
+// order, so it depends only on seg and on column c.
+func SegmentToCentroids(dst, seg, cbT []float32) {
+	cbT = cbT[:len(seg)*len(dst)] // single bounds check; kernels assume the shape
+	if active.arch {
+		segToCentroidsArch(dst, seg, cbT)
+	} else {
+		segToCentroidsScalar(dst, seg, cbT)
+	}
 }
 
 // L2 returns the Euclidean distance between a and b.

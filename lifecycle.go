@@ -191,6 +191,9 @@ func (ix *Index) Add(vec []float32) (int, error) {
 	if len(vec) != ix.dim {
 		return 0, fmt.Errorf("%w: vector dim %d, index dim %d", ErrInvalid, len(vec), ix.dim)
 	}
+	if err := ValidateVector(vec); err != nil {
+		return 0, err
+	}
 	// Route before taking the writer lock: the trained models are immutable,
 	// so the forward passes need no exclusivity. Only the appends (dataset
 	// row, spill slots) and the epoch publication run under the lock,

@@ -191,6 +191,41 @@ func TestSearcherADCAllocations(t *testing.T) {
 	}
 }
 
+// TestSearchBatchADCAllocations extends the gate to the batched quantized
+// path: one staged chunk of SearchBatch — batched routing, batched table
+// build, per-query block scan (its two block buffers must stay on the
+// stack) and re-rank — allocates nothing beyond the result arena the
+// caller pre-sized, with tombstones to filter and without. It drives the
+// chunk body on its own Searcher, as TestBatchRoutingAllocations does,
+// because the public call's pooled Searchers are dropped at random under
+// the race detector.
+func TestSearchBatchADCAllocations(t *testing.T) {
+	_, ix, vecs := buildQuantizedPair(t, 79, 600, 16, Quantization{Subspaces: 8, K: 64})
+	queries := vecs[:batchQuantChunk]
+	const k = 10
+	run := func(t *testing.T, opt SearchOptions) {
+		s := ix.NewSearcher()
+		ep := ix.live.Load()
+		out := make([][]Result, len(queries))
+		arena := make([]Result, 0, len(queries)*k)
+		s.searchChunk(ep, queries, k, opt, out, arena, nil) // warm every scratch buffer
+		allocs := testing.AllocsPerRun(50, func() {
+			s.searchChunk(ep, queries, k, opt, out, arena[:0], nil)
+		})
+		if allocs != 0 {
+			t.Fatalf("batched quantized chunk: %v allocs, want 0", allocs)
+		}
+	}
+	t.Run("rerank", func(t *testing.T) { run(t, SearchOptions{Probes: 2}) })
+	t.Run("adc-only", func(t *testing.T) { run(t, SearchOptions{Probes: 2, RerankK: -1}) })
+	for id := 0; id < 200; id += 3 {
+		if err := ix.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("tombstones", func(t *testing.T) { run(t, SearchOptions{Probes: 2}) })
+}
+
 // TestQuantizedDeleteHidesVector: tombstones must be honored by the ADC
 // phase (they are filtered there, before re-ranking ever sees the id).
 func TestQuantizedDeleteHidesVector(t *testing.T) {

@@ -87,6 +87,10 @@ func (s *Searcher) SearchInto(dst []Result, q []float32, k int, opt SearchOption
 		ix.tel.queryErrors.Inc()
 		return nil, fmt.Errorf("%w: query dim %d, index dim %d", ErrInvalid, len(q), ix.dim)
 	}
+	if err := ValidateVector(q); err != nil {
+		ix.tel.queryErrors.Inc()
+		return nil, err
+	}
 	probes := opt.Probes
 	if probes <= 0 {
 		probes = 1
@@ -242,6 +246,9 @@ func (ix *Index) searchBatch(queries [][]float32, k int, opt SearchOptions, scan
 	for i, q := range queries {
 		if len(q) != ix.dim {
 			return nil, fmt.Errorf("%w: query %d dim %d, index dim %d", ErrInvalid, i, len(q), ix.dim)
+		}
+		if err := ValidateVector(q); err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
 	}
 	out := make([][]Result, len(queries))

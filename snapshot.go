@@ -258,34 +258,37 @@ func readQuantSection(r io.Reader) (*quant.PQ, []uint8, error) {
 	if m == 0 || m > dim || k == 0 || k > 256 || dim > 1<<20 || rows > 1<<40 {
 		return nil, nil, fmt.Errorf("implausible quant shape m=%d k=%d dim=%d rows=%d", m, k, dim, rows)
 	}
-	pq := &quant.PQ{Dim: int(dim), Subspaces: int(m), K: int(k)}
-	pq.Bounds = make([]int, m+1)
+	bounds := make([]int, m+1)
 	var u4 [4]byte
-	for i := range pq.Bounds {
+	for i := range bounds {
 		if _, err := io.ReadFull(r, u4[:]); err != nil {
 			return nil, nil, fmt.Errorf("reading quant bounds: %w", err)
 		}
-		pq.Bounds[i] = int(binary.LittleEndian.Uint32(u4[:]))
+		bounds[i] = int(binary.LittleEndian.Uint32(u4[:]))
 	}
-	if pq.Bounds[0] != 0 || pq.Bounds[m] != int(dim) {
-		return nil, nil, fmt.Errorf("implausible quant bounds [%d..%d] for dim %d", pq.Bounds[0], pq.Bounds[m], dim)
+	if bounds[0] != 0 || bounds[m] != int(dim) {
+		return nil, nil, fmt.Errorf("implausible quant bounds [%d..%d] for dim %d", bounds[0], bounds[m], dim)
 	}
-	pq.Codebooks = make([]*dataset.Dataset, m)
+	codebooks := make([]*dataset.Dataset, m)
 	var cb8 [8]byte
-	for s := range pq.Codebooks {
+	for s := range codebooks {
 		if _, err := io.ReadFull(r, cb8[:]); err != nil {
 			return nil, nil, fmt.Errorf("reading quant codebook %d header: %w", s, err)
 		}
 		cn := binary.LittleEndian.Uint32(cb8[0:4])
 		cd := binary.LittleEndian.Uint32(cb8[4:8])
-		if cn == 0 || cn > k || int(cd) != pq.Bounds[s+1]-pq.Bounds[s] {
+		if cn == 0 || cn > k || int(cd) != bounds[s+1]-bounds[s] {
 			return nil, nil, fmt.Errorf("implausible quant codebook %d shape %dx%d", s, cn, cd)
 		}
 		data, err := readFloats(r, int(cn)*int(cd))
 		if err != nil {
 			return nil, nil, fmt.Errorf("reading quant codebook %d: %w", s, err)
 		}
-		pq.Codebooks[s] = &dataset.Dataset{N: int(cn), Dim: int(cd), Data: data}
+		codebooks[s] = &dataset.Dataset{N: int(cn), Dim: int(cd), Data: data}
+	}
+	pq, err := quant.FromCodebooks(int(dim), int(k), bounds, codebooks)
+	if err != nil {
+		return nil, nil, err
 	}
 	codes := make([]uint8, int(rows)*int(m))
 	if _, err := io.ReadFull(r, codes); err != nil {

@@ -49,6 +49,21 @@ import (
 // from a server fault worth retrying on a replica.
 var ErrInvalid = errors.New("usp: invalid argument")
 
+// ValidateVector returns an ErrInvalid error if v has a NaN or ±Inf
+// component, in one pass that allocates nothing for a finite vector. Build,
+// Add and every search entry point apply it: a non-finite coordinate makes
+// every distance to or from the vector NaN, and NaN compares false against
+// the top-k's worst retained distance, so the selection would admit every
+// candidate in arrival order.
+func ValidateVector(v []float32) error {
+	for i, x := range v {
+		if x-x != 0 { // NaN−NaN and Inf−Inf are NaN; NaN != 0
+			return fmt.Errorf("%w: component %d is %v", ErrInvalid, i, x)
+		}
+	}
+	return nil
+}
+
 // ErrNotFound marks errors about an id that does not exist (or no longer
 // exists) in the index, such as deleting an unknown or already-deleted id.
 var ErrNotFound = errors.New("usp: not found")
@@ -326,6 +341,11 @@ func Build(vectors [][]float32, opt Options) (*Index, error) {
 	if len(opt.Hierarchy) > 0 && opt.Ensemble > 1 {
 		return nil, errors.New("usp: Hierarchy and Ensemble > 1 are mutually exclusive")
 	}
+	for i, v := range vectors {
+		if err := ValidateVector(v); err != nil {
+			return nil, fmt.Errorf("vector %d: %w", i, err)
+		}
+	}
 	ds := dataset.FromRowsCopy(vectors)
 	// Cache per-row squared norms so the candidate scan can use the fused
 	// distance kernel; Append keeps the cache extended for Add.
@@ -427,6 +447,9 @@ func (ix *Index) Dim() int { return ix.dim }
 func (ix *Index) CandidateSet(q []float32, opt SearchOptions) ([]int, error) {
 	if len(q) != ix.dim {
 		return nil, fmt.Errorf("%w: query dim %d, index dim %d", ErrInvalid, len(q), ix.dim)
+	}
+	if err := ValidateVector(q); err != nil {
+		return nil, err
 	}
 	probes := opt.Probes
 	if probes <= 0 {

@@ -1,7 +1,9 @@
 package usp
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -241,6 +243,50 @@ func TestSearchBatchValidation(t *testing.T) {
 	empty, err := ix.SearchBatch(nil, 5, SearchOptions{})
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty batch: %v, %d results", err, len(empty))
+	}
+}
+
+// TestNonFiniteVectorsRejected: every entry point that takes a vector
+// refuses NaN and ±Inf with ErrInvalid, on the float and the quantized
+// scan alike, and a refused Add leaves the index as it was. Before the
+// check a NaN query filled the ADC table with NaN and the top-k admitted
+// every candidate in arrival order.
+func TestNonFiniteVectorsRejected(t *testing.T) {
+	plain, quantized, vecs := buildQuantizedPair(t, 57, 600, 16, Quantization{Subspaces: 4, K: 32})
+	for name, bad := range map[string]float32{
+		"NaN": float32(math.NaN()), "+Inf": float32(math.Inf(1)), "-Inf": float32(math.Inf(-1)),
+	} {
+		q := append([]float32(nil), vecs[5]...)
+		q[len(q)-1] = bad
+		batch := [][]float32{vecs[0], q, vecs[1]}
+		for ixName, ix := range map[string]*Index{"float": plain, "quantized": quantized} {
+			rows := ix.Len()
+			s := ix.NewSearcher()
+			for entry, call := range map[string]func() error{
+				"Add":          func() error { _, err := ix.Add(q); return err },
+				"Search":       func() error { _, err := ix.Search(q, 5, SearchOptions{}); return err },
+				"SearchInto":   func() error { _, err := s.SearchInto(nil, q, 5, SearchOptions{Probes: 2}); return err },
+				"SearchBatch":  func() error { _, err := ix.SearchBatch(batch, 5, SearchOptions{}); return err },
+				"CandidateSet": func() error { _, err := ix.CandidateSet(q, SearchOptions{}); return err },
+			} {
+				if err := call(); !errors.Is(err, ErrInvalid) {
+					t.Errorf("%s index, %s with a %s component: error %v, want ErrInvalid", ixName, entry, name, err)
+				}
+			}
+			if ix.Len() != rows {
+				t.Fatalf("%s index: a refused Add changed the row count %d -> %d", ixName, rows, ix.Len())
+			}
+		}
+		withBad := append(append([][]float32(nil), vecs[:8]...), q)
+		if _, err := Build(withBad, Options{Bins: 2, Epochs: 1}); !errors.Is(err, ErrInvalid) {
+			t.Errorf("Build with a %s component: error %v, want ErrInvalid", name, err)
+		}
+	}
+	if err := ValidateVector(vecs[0]); err != nil {
+		t.Fatalf("finite vector refused: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = ValidateVector(vecs[0]) }); allocs != 0 {
+		t.Fatalf("ValidateVector allocates %v per call on a finite vector", allocs)
 	}
 }
 
