@@ -4,11 +4,11 @@
 // — vector bits, k, probes, rerank_k — share one backend fan-out. The
 // first request becomes the leader and executes the fan-out under a
 // context detached from its own client (so a leader disconnect cannot
-// fail the followers); everyone waiting on the key receives the same
-// merged response struct, hence byte-identical bodies.
+// fail the followers); everyone waiting on the key is sent the same encoded
+// reply, hence byte-identical bodies.
 //
-// Caching: an optional LRU keyed by the same search key, enabled with
-// Config.CacheSize > 0. Entries are stamped with the front's cache
+// Caching: an optional LRU of encoded replies under the same search key,
+// enabled with Config.CacheSize > 0. Entries are stamped with the front's cache
 // generation at fill time and are valid only while the generation is
 // unchanged. The generation bumps whenever any backend's /healthz
 // reports a new snapshot generation or id offset, and on every write the
@@ -22,51 +22,51 @@ import (
 	"encoding/binary"
 	"math"
 	"sync"
-
-	"repro/internal/serve"
 )
 
-// searchKey builds the coalescing/cache identity of a search: the exact
-// float32 bit patterns of the vector plus every parameter that changes
-// the answer. Two requests with the same key are interchangeable.
-func searchKey(vec []float32, k, probes, rerankK int) string {
-	b := make([]byte, 12+4*len(vec))
-	binary.LittleEndian.PutUint32(b[0:], uint32(k))
-	binary.LittleEndian.PutUint32(b[4:], uint32(probes))
-	binary.LittleEndian.PutUint32(b[8:], uint32(rerankK))
-	for i, v := range vec {
-		binary.LittleEndian.PutUint32(b[12+4*i:], math.Float32bits(v))
+// appendSearchKey appends the coalescing/cache identity of a search to dst:
+// the exact float32 bit patterns of the vector plus every parameter that
+// changes the answer. Two requests with the same key are interchangeable.
+func appendSearchKey(dst []byte, vec []float32, k, probes, rerankK int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(k))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(probes))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rerankK))
+	for _, v := range vec {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
 	}
-	return string(b)
+	return dst
 }
 
 // flight is one in-progress fan-out shared by every request with the same
-// key. done closes after resp/err are set.
+// key. done closes after reply/err are set; reply is the encoded answer,
+// read-only from then on.
 type flight struct {
-	done chan struct{}
-	resp serve.SearchResponse
-	err  error
+	done  chan struct{}
+	key   string
+	reply []byte
+	err   error
 }
 
 // joinFlight returns the flight registered for key, creating it (leader
-// = true) if none is in progress.
-func (f *Front) joinFlight(key string) (*flight, bool) {
+// = true) if none is in progress. Only the leader's registration copies the
+// key out of the request's buffer.
+func (f *Front) joinFlight(key []byte) (*flight, bool) {
 	f.flightMu.Lock()
 	defer f.flightMu.Unlock()
-	if fl, ok := f.flights[key]; ok {
+	if fl, ok := f.flights[string(key)]; ok {
 		f.coalesced.Inc()
 		return fl, false
 	}
-	fl := &flight{done: make(chan struct{})}
-	f.flights[key] = fl
+	fl := &flight{done: make(chan struct{}), key: string(key)}
+	f.flights[fl.key] = fl
 	return fl, true
 }
 
 // finishFlight publishes the leader's outcome and wakes the followers.
-func (f *Front) finishFlight(key string, fl *flight, resp serve.SearchResponse, err error) {
-	fl.resp, fl.err = resp, err
+func (f *Front) finishFlight(fl *flight, reply []byte, err error) {
+	fl.reply, fl.err = reply, err
 	f.flightMu.Lock()
-	delete(f.flights, key)
+	delete(f.flights, fl.key)
 	f.flightMu.Unlock()
 	close(fl.done)
 }
@@ -74,12 +74,12 @@ func (f *Front) finishFlight(key string, fl *flight, resp serve.SearchResponse, 
 // cacheEntry is one cached merged answer, valid while gen matches the
 // front's current cache generation.
 type cacheEntry struct {
-	key  string
-	gen  uint64
-	resp serve.SearchResponse
+	key   string
+	gen   uint64
+	reply []byte
 }
 
-// resultCache is a mutex-guarded LRU over merged search responses.
+// resultCache is a mutex-guarded LRU over encoded merged replies.
 type resultCache struct {
 	mu  sync.Mutex
 	max int
@@ -91,37 +91,37 @@ func newResultCache(max int) *resultCache {
 	return &resultCache{max: max, ll: list.New(), m: make(map[string]*list.Element, max)}
 }
 
-// get returns the cached response for key if present and filled at the
+// get returns the cached reply for key if present and filled at the
 // current generation; a stale-generation entry is evicted on sight.
-func (c *resultCache) get(key string, gen uint64) (serve.SearchResponse, bool) {
+func (c *resultCache) get(key []byte, gen uint64) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[key]
+	el, ok := c.m[string(key)]
 	if !ok {
-		return serve.SearchResponse{}, false
+		return nil, false
 	}
 	e := el.Value.(*cacheEntry)
 	if e.gen != gen {
 		c.ll.Remove(el)
-		delete(c.m, key)
-		return serve.SearchResponse{}, false
+		delete(c.m, e.key)
+		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return e.resp, true
+	return e.reply, true
 }
 
-// put stores resp under key at generation gen, evicting the least
+// put stores reply under key at generation gen, evicting the least
 // recently used entry beyond capacity.
-func (c *resultCache) put(key string, gen uint64, resp serve.SearchResponse) {
+func (c *resultCache) put(key string, gen uint64, reply []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
 		e := el.Value.(*cacheEntry)
-		e.gen, e.resp = gen, resp
+		e.gen, e.reply = gen, reply
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, gen: gen, resp: resp})
+	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, gen: gen, reply: reply})
 	for c.ll.Len() > c.max {
 		el := c.ll.Back()
 		c.ll.Remove(el)

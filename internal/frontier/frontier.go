@@ -328,13 +328,14 @@ type httpError struct {
 
 func (e *httpError) Error() string { return fmt.Sprintf("HTTP %d: %s", e.status, e.body) }
 
-// callBackend POSTs body to one backend and decodes a JSON reply into out.
-func (f *Front) callBackend(ctx context.Context, b *backend, path string, body []byte, out any) error {
+// callBackend POSTs body to one backend and returns the bytes of its 200
+// reply, read into buf.
+func (f *Front) callBackend(ctx context.Context, b *backend, path string, body, buf []byte) ([]byte, error) {
 	cctx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(cctx, http.MethodPost, b.url+path, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return buf, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	start := time.Now()
@@ -344,7 +345,7 @@ func (f *Front) callBackend(ctx context.Context, b *backend, path string, body [
 	b.lat.ObserveDuration(time.Since(start))
 	if err != nil {
 		b.errs.Inc()
-		return err
+		return buf, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -352,19 +353,20 @@ func (f *Front) callBackend(ctx context.Context, b *backend, path string, body [
 		if resp.StatusCode >= 500 {
 			b.errs.Inc()
 		}
-		return &httpError{status: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
+		return buf, &httpError{status: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return serve.ReadBody(buf[:0], resp.Body, resp.ContentLength)
 }
 
-// askGroup sends one shard's request, retrying once against the next
-// sibling replica when the first attempt fails with a transport error or
-// a 5xx. 4xx replies are returned immediately: the backend judged the
+// askGroup sends one shard's search, single or batch, and decodes the reply
+// into reply with decode, retrying once against the next sibling replica
+// when an attempt fails with a transport error, a 5xx or a reply that does
+// not decode. 4xx replies are returned immediately: the backend judged the
 // request itself invalid, and a sibling would only repeat the verdict.
 // The id offset used for merging comes from the response body itself
 // (SearchResponse.IDOffset), never from cached health-probe state, so a
 // backend that reloads to a different shard mid-flight cannot skew ids.
-func (f *Front) askGroup(ctx context.Context, g *group, path string, body []byte, out any) error {
+func (f *Front) askGroup(ctx context.Context, g *group, path string, body []byte, reply *serve.Scratch, decode func(*serve.Scratch) error) error {
 	var order [4]*backend
 	candidates := g.pick(order[:0])
 	var lastErr error
@@ -375,7 +377,10 @@ func (f *Front) askGroup(ctx context.Context, g *group, path string, body []byte
 		if attempt > 0 {
 			f.retries.Inc()
 		}
-		err := f.callBackend(ctx, b, path, body, out)
+		var err error
+		if reply.Body, err = f.callBackend(ctx, b, path, body, reply.Body); err == nil {
+			err = decode(reply)
+		}
 		if err == nil {
 			return nil
 		}
@@ -417,10 +422,77 @@ func (f *Front) acquire(w http.ResponseWriter) bool {
 
 func (f *Front) release() { <-f.sem }
 
-// shardAnswer is one group's reply to a fanned-out /search.
-type shardAnswer struct {
-	resp serve.SearchResponse
-	err  error
+// fanScratch is the pooled memory of one fan-out beyond the request's own
+// serve.Scratch: a reply scratch and an outcome per shard group, and the
+// neighbor lists of one merge, resliced out of one flat array.
+type fanScratch struct {
+	replies []*serve.Scratch
+	errs    []error
+	flat    []vecmath.Neighbor
+	lists   [][]vecmath.Neighbor
+	merged  []vecmath.Neighbor
+}
+
+var fanPool = sync.Pool{New: func() any { return new(fanScratch) }}
+
+// getFan returns a fanScratch holding one reply scratch per group.
+func getFan(groups int) *fanScratch {
+	fs := fanPool.Get().(*fanScratch)
+	fs.replies, fs.errs, fs.flat, fs.lists = fs.replies[:0], fs.errs[:0], fs.flat[:0], fs.lists[:0]
+	for i := 0; i < groups; i++ {
+		fs.replies = append(fs.replies, serve.GetScratch())
+		fs.errs = append(fs.errs, nil)
+	}
+	return fs
+}
+
+// putFan hands the reply scratches back and pools fs, unless a huge k grew
+// its neighbor arrays past a megabyte.
+func putFan(fs *fanScratch) {
+	for i, sc := range fs.replies {
+		serve.PutScratch(sc)
+		fs.replies[i] = nil
+	}
+	if cap(fs.flat)+cap(fs.merged) <= (1<<20)/16 {
+		fanPool.Put(fs)
+	}
+}
+
+// ask sends body to every shard group at once and waits for all of them;
+// afterwards fs.replies[gi] holds group gi's decoded reply, or fs.errs[gi]
+// why there is none. The first group is asked on the caller's goroutine,
+// whose stack has long grown to what a backend call needs; every other group
+// pays for a goroutine that has to grow its own.
+func (f *Front) ask(ctx context.Context, fs *fanScratch, path string, body []byte, decode func(*serve.Scratch) error) {
+	var wg sync.WaitGroup
+	for gi, g := range f.groups[1:] {
+		wg.Add(1)
+		go func(gi int, g *group) {
+			defer wg.Done()
+			fs.errs[gi] = f.askGroup(ctx, g, path, body, fs.replies[gi], decode)
+		}(gi+1, g)
+	}
+	fs.errs[0] = f.askGroup(ctx, f.groups[0], path, body, fs.replies[0], decode)
+	wg.Wait()
+}
+
+// addList queues one shard's sorted answer, its ids shifted by the shard's
+// offset, for the next merge. A list keeps pointing at the memory it was
+// written to, so it stays intact if a later one makes fs.flat grow and move.
+func (fs *fanScratch) addList(offset int, ids []int, ds []float32) {
+	start := len(fs.flat)
+	for i, id := range ids {
+		fs.flat = append(fs.flat, vecmath.Neighbor{Index: offset + id, Dist: ds[i]})
+	}
+	fs.lists = append(fs.lists, fs.flat[start:len(fs.flat):len(fs.flat)])
+}
+
+// merge returns the global top k of the lists queued since the last merge;
+// the result is valid until the next one.
+func (fs *fanScratch) merge(k int) []vecmath.Neighbor {
+	fs.merged = vecmath.MergeSortedNeighbors(fs.merged[:0], k, fs.lists...)
+	fs.flat, fs.lists = fs.flat[:0], fs.lists[:0]
+	return fs.merged
 }
 
 func (f *Front) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -432,8 +504,18 @@ func (f *Front) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer f.release()
-	var req serve.SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	// The body gets memory of its own, not the pooled scratch: it is handed
+	// on to the shards as it is, and net/http's transport can still be
+	// sending it to a shard that answered without reading its request
+	// through after this handler has returned.
+	body, ok := serve.ReadRequest(w, r, nil)
+	if !ok {
+		return
+	}
+	sc := serve.GetScratch()
+	defer serve.PutScratch(sc)
+	req := &sc.Req
+	if err := serve.DecodeSearchRequest(req, body); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -443,18 +525,14 @@ func (f *Front) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
+	sc.Body = appendSearchKey(sc.Body[:0], req.Vector, req.K, req.Probes, req.RerankK)
+	key := sc.Body
 
-	key := searchKey(req.Vector, req.K, req.Probes, req.RerankK)
 	gen := f.cacheGen.Load()
 	if f.cache != nil {
-		if resp, ok := f.cache.get(key, gen); ok {
+		if reply, ok := f.cache.get(key, gen); ok {
 			f.cacheHits.Inc()
-			writeJSON(w, resp)
+			serve.WriteReply(w, reply)
 			return
 		}
 		f.cacheMisses.Inc()
@@ -469,7 +547,7 @@ func (f *Front) handleSearch(w http.ResponseWriter, r *http.Request) {
 				writeFanoutError(w, fl.err)
 				return
 			}
-			writeJSON(w, fl.resp)
+			serve.WriteReply(w, fl.reply)
 		case <-r.Context().Done():
 			http.Error(w, "client gone: "+r.Context().Err().Error(), http.StatusServiceUnavailable)
 		}
@@ -479,61 +557,65 @@ func (f *Front) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// Leader: run the fan-out detached from this request's context so a
 	// leader disconnect cannot fail the coalesced followers (callBackend
 	// still bounds every backend call with the configured timeout).
-	resp, err := f.fanoutSearch(context.WithoutCancel(r.Context()), body, req.K)
-	if err == nil && f.cache != nil && f.cacheGen.Load() == gen {
-		// Fill only if no reload/write invalidated the fleet while the
-		// fan-out ran; a racing bump makes this answer unsafe to keep.
-		f.cache.put(key, gen, resp)
-	}
-	f.finishFlight(key, fl, resp, err)
+	reply, err := f.leadFlight(context.WithoutCancel(r.Context()), fl, gen, body, req.K, sc)
 	if err != nil {
 		writeFanoutError(w, err)
 		return
 	}
-	writeJSON(w, resp)
+	serve.WriteReply(w, reply)
 }
 
-// fanoutSearch sends one validated, marshalled /search body to every
-// shard group and merges the per-shard top-k into the global answer.
-func (f *Front) fanoutSearch(ctx context.Context, body []byte, k int) (serve.SearchResponse, error) {
-	start := time.Now()
-	answers := make([]shardAnswer, len(f.groups))
-	var wg sync.WaitGroup
-	for gi, g := range f.groups {
-		wg.Add(1)
-		go func(gi int, g *group) {
-			defer wg.Done()
-			answers[gi].err = f.askGroup(ctx, g, "/search", body, &answers[gi].resp)
-		}(gi, g)
+// errFlightAborted is what followers receive when their leader's fan-out
+// ended without an outcome, which only a panic can cause.
+var errFlightAborted = errors.New("fan-out aborted")
+
+// leadFlight runs the leader's fan-out, fills the cache and publishes the
+// outcome to the followers. The publication is deferred so that it happens on
+// every way out: a flight left registered would block each later request for
+// the same key forever.
+func (f *Front) leadFlight(ctx context.Context, fl *flight, gen uint64, body []byte, k int, sc *serve.Scratch) (reply []byte, err error) {
+	err = errFlightAborted
+	defer func() { f.finishFlight(fl, reply, err) }()
+	reply, err = f.fanoutSearch(ctx, body, k, sc)
+	if err == nil && f.cache != nil && f.cacheGen.Load() == gen {
+		// Fill only if no reload/write invalidated the fleet while the
+		// fan-out ran; a racing bump makes this answer unsafe to keep.
+		f.cache.put(fl.key, gen, reply)
 	}
-	wg.Wait()
+	return reply, err
+}
+
+// fanoutSearch forwards one validated /search body, byte for byte as the
+// client sent it, to every shard group and merges the per-shard top-k into
+// the global answer. It returns the encoded reply in memory of its own:
+// followers and the cache outlive the pooled scratch it was built in.
+func (f *Front) fanoutSearch(ctx context.Context, body []byte, k int, sc *serve.Scratch) ([]byte, error) {
+	start := time.Now()
+	fs := getFan(len(f.groups))
+	defer putFan(fs)
+	f.ask(ctx, fs, "/search", body, (*serve.Scratch).DecodeSearchReply)
 
 	scanned := 0
-	lists := make([][]vecmath.Neighbor, len(answers))
-	for gi, a := range answers {
-		if a.err != nil {
-			return serve.SearchResponse{}, a.err
+	for gi, err := range fs.errs {
+		if err != nil {
+			return nil, err
 		}
-		scanned += a.resp.Scanned
-		ns := make([]vecmath.Neighbor, len(a.resp.IDs))
-		for i, id := range a.resp.IDs {
-			ns[i] = vecmath.Neighbor{Index: a.resp.IDOffset + id, Dist: a.resp.Distances[i]}
-		}
-		lists[gi] = ns
+		a := &fs.replies[gi].Resp
+		scanned += a.Scanned
+		fs.addList(a.IDOffset, a.IDs, a.Distances)
 	}
-	merged := vecmath.MergeSortedNeighbors(nil, k, lists...)
-	resp := serve.SearchResponse{Scanned: scanned, Elapsed: time.Since(start).String()}
+	merged := fs.merge(k)
+	resp := &sc.Resp
+	resp.Reset(len(merged))
+	resp.Scanned, resp.Elapsed = scanned, time.Since(start).String()
 	for _, n := range merged {
 		resp.IDs = append(resp.IDs, n.Index)
 		resp.Distances = append(resp.Distances, n.Dist)
 	}
-	return resp, nil
-}
-
-// batchAnswer is one group's reply to a fanned-out /search/batch.
-type batchAnswer struct {
-	resp serve.BatchSearchResponse
-	err  error
+	if err := sc.EncodeSearchReply(); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(sc.Out), nil
 }
 
 func (f *Front) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
@@ -545,8 +627,14 @@ func (f *Front) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer f.release()
-	var req serve.BatchSearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, ok := serve.ReadRequest(w, r, nil) // unpooled, as in handleSearch
+	if !ok {
+		return
+	}
+	sc := serve.GetScratch()
+	defer serve.PutScratch(sc)
+	req := &sc.Batch
+	if err := serve.DecodeBatchSearchRequest(req, body, &sc.In); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -554,59 +642,43 @@ func (f *Front) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 
 	start := time.Now()
-	answers := make([]batchAnswer, len(f.groups))
-	var wg sync.WaitGroup
-	for gi, g := range f.groups {
-		wg.Add(1)
-		go func(gi int, g *group) {
-			defer wg.Done()
-			answers[gi].err = f.askGroup(r.Context(), g, "/search/batch", body, &answers[gi].resp)
-		}(gi, g)
-	}
-	wg.Wait()
+	fs := getFan(len(f.groups))
+	defer putFan(fs)
+	f.ask(r.Context(), fs, "/search/batch", body, (*serve.Scratch).DecodeBatchReply)
 
 	nq := len(req.Vectors)
-	for _, a := range answers {
-		if a.err != nil {
-			writeFanoutError(w, a.err)
+	for gi, err := range fs.errs {
+		if err != nil {
+			writeFanoutError(w, err)
 			return
 		}
-		if len(a.resp.IDs) != nq {
-			http.Error(w, fmt.Sprintf("backend answered %d queries, want %d", len(a.resp.IDs), nq),
+		if got := len(fs.replies[gi].BatchResp.IDs); got != nq {
+			http.Error(w, fmt.Sprintf("backend answered %d queries, want %d", got, nq),
 				http.StatusBadGateway)
 			return
 		}
 	}
-	resp := serve.BatchSearchResponse{
-		IDs:       make([][]int, nq),
-		Distances: make([][]float32, nq),
-	}
-	lists := make([][]vecmath.Neighbor, len(answers))
+	resp := &sc.BatchResp
+	resp.Reset(&sc.Rows)
 	for qi := 0; qi < nq; qi++ {
-		for gi, a := range answers {
-			ns := make([]vecmath.Neighbor, len(a.resp.IDs[qi]))
-			for i, id := range a.resp.IDs[qi] {
-				ns[i] = vecmath.Neighbor{Index: a.resp.IDOffset + id, Dist: a.resp.Distances[qi][i]}
-			}
-			lists[gi] = ns
+		for _, reply := range fs.replies {
+			a := &reply.BatchResp
+			fs.addList(a.IDOffset, a.IDs[qi], a.Distances[qi])
 		}
-		merged := vecmath.MergeSortedNeighbors(nil, req.K, lists...)
-		ids := make([]int, len(merged))
-		ds := make([]float32, len(merged))
+		merged := fs.merge(req.K)
+		ids, ds := resp.AddRow(&sc.Rows, len(merged))
 		for i, n := range merged {
 			ids[i], ds[i] = n.Index, n.Dist
 		}
-		resp.IDs[qi], resp.Distances[qi] = ids, ds
 	}
 	resp.Elapsed = time.Since(start).String()
-	writeJSON(w, resp)
+	if err := sc.EncodeBatchReply(); err != nil {
+		http.Error(w, "backend failure: "+err.Error(), http.StatusBadGateway)
+		return
+	}
+	serve.WriteReply(w, sc.Out)
 }
 
 // FrontHealthz is the body of the front's GET /healthz.

@@ -182,6 +182,26 @@ func TestFrontValidation(t *testing.T) {
 			t.Fatalf("%s: HTTP %d, want 400", tc.name, resp.StatusCode)
 		}
 	}
+	// So are bodies that are more than one JSON value, or over the cap.
+	small := `{"vector":[0,0,0,0,0,0,0,0],"k":3}`
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"search trailing garbage", "/search", small + " trailing-garbage", 400},
+		{"batch trailing garbage", "/search/batch", `{"vectors":[[0,0,0,0,0,0,0,0]],"k":3}}`, 400},
+		{"search over the body cap", "/search", strings.Repeat(" ", serve.MaxBodyBytes) + small, 413},
+		{"batch over the body cap", "/search/batch", strings.Repeat(" ", serve.MaxBodyBytes) + small, 413},
+	} {
+		resp, err := http.Post(front.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s: HTTP %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
 	if f.fanout.Value() != before {
 		t.Fatalf("invalid requests reached backends: fanout %d -> %d", before, f.fanout.Value())
 	}
@@ -196,6 +216,140 @@ func TestFrontValidation(t *testing.T) {
 	if f.retries.Value() != 0 {
 		t.Fatalf("backend 400 was retried %d times", f.retries.Value())
 	}
+}
+
+// TestFrontForwardsClientBytes: each shard receives exactly the bytes the
+// client sent — the front validates them by decoding, and never re-encodes —
+// so the backend's verdict on a body is the front's.
+func TestFrontForwardsClientBytes(t *testing.T) {
+	vecs := corpusRows(t, 149, 300, 8)
+	shards, err := buildIndex(t, vecs).Shard(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	received := map[string][][]byte{}
+	var groups [][]string
+	for _, sh := range shards {
+		target := backendFor(t, sh)
+		rec := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodGet { // health probes
+				http.Redirect(w, r, target.URL+r.URL.Path, http.StatusTemporaryRedirect)
+				return
+			}
+			body, _ := io.ReadAll(r.Body)
+			mu.Lock()
+			received[r.URL.Path] = append(received[r.URL.Path], body)
+			mu.Unlock()
+			resp, err := http.Post(target.URL+r.URL.Path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadGateway)
+				return
+			}
+			defer resp.Body.Close()
+			w.WriteHeader(resp.StatusCode)
+			_, _ = io.Copy(w, resp.Body)
+		}))
+		t.Cleanup(rec.Close)
+		groups = append(groups, []string{rec.URL})
+	}
+	_, front := frontFor(t, Config{Shards: groups})
+
+	// Canonical, oddly spaced and reordered, and off the canonical grammar.
+	for path, bodies := range map[string][]string{
+		"/search": {
+			`{"vector":[0.5,1,1.5,2,2.5,3,3.5,4],"k":3,"probes":2,"rerank_k":0}`,
+			"{ \"k\" : 3,\n\t\"vector\" : [ 5E-1, 1.0, 1.5, 2, 2.5, 3, 3.5, 4.000 ] }\r\n",
+			`{"K":3,"vector":[0.5,1,1.5,2,2.5,3,3.5,4],"comment":"kept as sent"}`,
+		},
+		"/search/batch": {
+			`{"vectors":[[0.5,1,1.5,2,2.5,3,3.5,4],[4,3,2,1,0,1,2,3]],"k":3,"probes":2,"rerank_k":0}`,
+			` {"probes" :1, "k":2 ,"vectors": [ [0.5,1,1.5,2,2.5,3,3.5,4] ] } `,
+		},
+	} {
+		for _, body := range bodies {
+			mu.Lock()
+			clear(received)
+			mu.Unlock()
+			resp, err := http.Post(front.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply := readBody(t, resp)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %q: HTTP %d: %s", path, body, resp.StatusCode, reply)
+			}
+			mu.Lock()
+			got := received[path]
+			mu.Unlock()
+			if len(got) != len(groups) {
+				t.Fatalf("%s %q: %d backend requests, want %d", path, body, len(got), len(groups))
+			}
+			for _, b := range got {
+				if string(b) != body {
+					t.Fatalf("%s: backend received\n%q\nclient sent\n%q", path, b, body)
+				}
+			}
+		}
+	}
+}
+
+// TestLyingShardReplyIsRefused: a shard reply whose ids and distances do not
+// pair up is a 502 for that request, and must not wedge the front — the same
+// query, once the shard answers properly again, gets its answer instead of
+// waiting forever on the failed request's flight.
+func TestLyingShardReplyIsRefused(t *testing.T) {
+	vecs := corpusRows(t, 151, 300, 8)
+	good := backendFor(t, buildIndex(t, vecs))
+	var lying atomic.Bool
+	lying.Store(true)
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case !lying.Load() || r.URL.Path == "/healthz":
+			http.Redirect(w, r, good.URL+r.URL.Path, http.StatusTemporaryRedirect)
+		case r.URL.Path == "/search":
+			_, _ = io.WriteString(w, `{"ids":[4,5,6],"distances":[0,1],"id_offset":0,"scanned":3,"elapsed":"1µs"}`)
+		default:
+			_, _ = io.WriteString(w, `{"ids":[[4,5],[6]],"distances":[[0,1],[]],"id_offset":0,"elapsed":"1µs"}`)
+		}
+	}))
+	defer shard.Close()
+	_, front := frontFor(t, Config{Shards: [][]string{{shard.URL}}})
+	client := &http.Client{Timeout: 10 * time.Second}
+
+	search := mustJSON(t, serve.SearchRequest{Vector: vecs[0], K: 3, Probes: 2})
+	batch := mustJSON(t, serve.BatchSearchRequest{Vectors: vecs[:2], K: 3, Probes: 2})
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := client.Post(front.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post("/search", search); code != http.StatusBadGateway {
+		t.Fatalf("/search over a lying shard: HTTP %d, want 502", code)
+	}
+	if code := post("/search/batch", batch); code != http.StatusBadGateway {
+		t.Fatalf("/search/batch over a lying shard: HTTP %d, want 502", code)
+	}
+	lying.Store(false)
+	if code := post("/search", search); code != http.StatusOK {
+		t.Fatalf("the same /search once the shard recovered: HTTP %d, want 200", code)
+	}
+	if code := post("/search/batch", batch); code != http.StatusOK {
+		t.Fatalf("the same /search/batch once the shard recovered: HTTP %d, want 200", code)
+	}
+}
+
+func mustJSON(t testing.TB, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // flakyProxy forwards to target but fails the first n requests with 503.

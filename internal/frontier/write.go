@@ -27,12 +27,22 @@
 package frontier
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 
 	"repro/internal/serve"
 )
+
+// callJSON POSTs body to one backend and decodes its JSON reply into out.
+func (f *Front) callJSON(ctx context.Context, b *backend, path string, body []byte, out any) error {
+	reply, err := f.callBackend(ctx, b, path, body, nil)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(reply, out)
+}
 
 // rows is the group's best-known row count: the largest /healthz-reported
 // count among its replicas (they agree when in sync), plus the adds this
@@ -126,7 +136,7 @@ func (f *Front) handleAdd(w http.ResponseWriter, r *http.Request) {
 	var first serve.AddResponse
 	for i, b := range target.backends {
 		var ar serve.AddResponse
-		if err := f.callBackend(r.Context(), b, "/add", body, &ar); err != nil {
+		if err := f.callJSON(r.Context(), b, "/add", body, &ar); err != nil {
 			writeFanoutError(w, err)
 			return
 		}
@@ -187,7 +197,7 @@ func (f *Front) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var first serve.DeleteResponse
 	for i, b := range target.backends {
 		var dr serve.DeleteResponse
-		if err := f.callBackend(r.Context(), b, "/delete", body, &dr); err != nil {
+		if err := f.callJSON(r.Context(), b, "/delete", body, &dr); err != nil {
 			writeFanoutError(w, err)
 			return
 		}

@@ -338,8 +338,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	sc := GetScratch()
+	defer PutScratch(sc)
+	var ok bool
+	if sc.Body, ok = ReadRequest(w, r, sc.Body[:0]); !ok {
+		return
+	}
+	req := &sc.Req
+	if err := DecodeSearchRequest(req, sc.Body); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -353,12 +359,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	resp := SearchResponse{IDOffset: idOffset, Scanned: scanned, Elapsed: time.Since(start).String()}
+	resp := &sc.Resp
+	resp.Reset(len(res))
+	resp.IDOffset, resp.Scanned, resp.Elapsed = idOffset, scanned, time.Since(start).String()
 	for _, n := range res {
 		resp.IDs = append(resp.IDs, n.ID)
 		resp.Distances = append(resp.Distances, n.Distance)
 	}
-	writeJSON(w, resp)
+	if err := sc.EncodeSearchReply(); err != nil {
+		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	WriteReply(w, sc.Out)
 }
 
 // searchOne executes one search through the micro-batching policy: with the
@@ -409,8 +421,14 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var req BatchSearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	sc := GetScratch()
+	defer PutScratch(sc)
+	var ok bool
+	if sc.Body, ok = ReadRequest(w, r, sc.Body[:0]); !ok {
+		return
+	}
+	req := &sc.Batch
+	if err := DecodeBatchSearchRequest(req, sc.Body, &sc.In); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -425,21 +443,21 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	resp := BatchSearchResponse{
-		IDs:       make([][]int, len(results)),
-		Distances: make([][]float32, len(results)),
-		IDOffset:  eng.ix.IDOffset(),
-	}
-	for i, res := range results {
-		ids := make([]int, len(res))
-		ds := make([]float32, len(res))
+	resp := &sc.BatchResp
+	resp.Reset(&sc.Rows)
+	resp.IDOffset = eng.ix.IDOffset()
+	for _, res := range results {
+		ids, ds := resp.AddRow(&sc.Rows, len(res))
 		for j, n := range res {
 			ids[j], ds[j] = n.ID, n.Distance
 		}
-		resp.IDs[i], resp.Distances[i] = ids, ds
 	}
 	resp.Elapsed = time.Since(start).String()
-	writeJSON(w, resp)
+	if err := sc.EncodeBatchReply(); err != nil {
+		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	WriteReply(w, sc.Out)
 }
 
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
@@ -452,12 +470,15 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	id, err := s.eng.Load().ix.Add(req.Vector)
+	// One engine for the id and its offset: a /reload between two loads
+	// would pair an id minted by the old engine with the new one's offset.
+	ix := s.eng.Load().ix
+	id, err := ix.Add(req.Vector)
 	if err != nil {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	writeJSON(w, AddResponse{ID: id, IDOffset: s.eng.Load().ix.IDOffset()})
+	writeJSON(w, AddResponse{ID: id, IDOffset: ix.IDOffset()})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {

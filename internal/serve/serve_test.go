@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,6 +128,33 @@ func TestEndpointValidation(t *testing.T) {
 		}
 	}
 
+	// A search body is one JSON value and nothing else, of bounded size; a
+	// shape off the codec's canonical grammar that encoding/json accepts is
+	// still accepted.
+	small := `{"vector":[0,0,0,0,0,0,0,0],"k":3}`
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"search trailing garbage", "/search", small + " trailing-garbage", 400},
+		{"search second value", "/search", small + small, 400},
+		{"search trailing space", "/search", small + " \r\n\t", 200},
+		{"batch trailing garbage", "/search/batch", `{"vectors":[[0,0,0,0,0,0,0,0]],"k":3}]`, 400},
+		{"search non-canonical", "/search", `{"K":3,"note":{"a":[1,null]},"v\u0065ctor":[0,0,0,0,0,0,0,0]}`, 200},
+		{"batch non-canonical", "/search/batch", `{"vectors":[[0,0,0,0,0,0,0,0]],"k":3,"probes":null}`, 200},
+		{"search over the body cap", "/search", strings.Repeat(" ", MaxBodyBytes) + small, 413},
+		{"batch over the body cap", "/search/batch", strings.Repeat(" ", MaxBodyBytes) + small, 413},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s: HTTP %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+
 	// Non-finite vectors are 400 on every endpoint that takes one. JSON has
 	// no NaN/Inf literal, so over the wire the only non-finite input is a
 	// number beyond float32 range, refused at decode; a caller of the
@@ -177,6 +205,108 @@ func TestEndpointValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /search: HTTP %d, want 405", resp.StatusCode)
 	}
+}
+
+// TestSearchRepliesAreEncodingJSONBytes: over the wire a reply is exactly
+// what json.Encoder wrote for the same struct, with its length announced.
+func TestSearchRepliesAreEncodingJSONBytes(t *testing.T) {
+	corpus := testCorpus(t, 67, 400, 8)
+	srv := New(testIndex(t, corpus), Config{DataDir: t.TempDir()})
+	ts := httptest.NewServer(srv.Mux())
+	defer ts.Close()
+
+	check := func(path string, body, into any) {
+		t.Helper()
+		resp := post(t, ts, path, body)
+		raw := []byte(readAll(t, resp))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", path, resp.StatusCode, raw)
+		}
+		if resp.ContentLength != int64(len(raw)) || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("%s: Content-Length %d for %d bytes, Content-Type %q", path, resp.ContentLength, len(raw), resp.Header.Get("Content-Type"))
+		}
+		if err := json.Unmarshal(raw, into); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(into); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, want.Bytes()) {
+			t.Fatalf("%s reply\n got %q\nwant %q", path, raw, want.Bytes())
+		}
+	}
+	var sr SearchResponse
+	check("/search", SearchRequest{Vector: corpus.Row(3), K: 5, Probes: 2}, &sr)
+	if len(sr.IDs) != 5 {
+		t.Fatalf("search returned %d ids", len(sr.IDs))
+	}
+	rows := make([][]float32, 300) // large enough that net/http would chunk it
+	for i := range rows {
+		rows[i] = corpus.Row(i)
+	}
+	var br BatchSearchResponse
+	check("/search/batch", BatchSearchRequest{Vectors: rows, K: 5, Probes: 2}, &br)
+	check("/search/batch", BatchSearchRequest{Vectors: [][]float32{}, K: 5}, &br)
+	if br.IDs == nil || br.Distances == nil {
+		t.Fatalf("a batch of no queries answered null: %+v", br)
+	}
+}
+
+// TestAddReportsTheMintingEnginesOffset: the id and the id_offset of an /add
+// reply come from one engine even when /reload swaps engines in between.
+// The two engines here mint disjoint ids (from 400 up, and 200 to 349), so a reply
+// pairing one's id with the other's offset is recognisable.
+func TestAddReportsTheMintingEnginesOffset(t *testing.T) {
+	corpus := testCorpus(t, 71, 400, 8)
+	whole := testIndex(t, corpus)
+	shards, err := whole.Shard(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := shards[1]
+	const adds = 150
+	if tail.IDOffset() == 0 || tail.Len()+adds > corpus.N {
+		t.Fatalf("tail shard: offset %d, %d rows", tail.IDOffset(), tail.Len())
+	}
+	srv := New(whole, Config{DataDir: t.TempDir()})
+	mux := srv.Mux()
+	engines := [2]*engine{srv.eng.Load(), newEngine(tail)}
+
+	stop := make(chan struct{})
+	var swapper sync.WaitGroup
+	swapper.Add(1)
+	go func() {
+		defer swapper.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				srv.eng.Store(engines[i%2])
+				runtime.Gosched()
+			}
+		}
+	}()
+	body, err := json.Marshal(AddRequest{Vector: corpus.Row(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < adds; i++ {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/add", bytes.NewReader(body)))
+		var ar AddResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &ar) != nil {
+			t.Fatalf("add %d: HTTP %d: %s", i, rec.Code, rec.Body)
+		}
+		if mintedByWhole := ar.ID >= corpus.N; mintedByWhole != (ar.IDOffset == 0) {
+			close(stop)
+			swapper.Wait()
+			t.Fatalf("add %d: id %d reported with id_offset %d — id and offset come from different engines", i, ar.ID, ar.IDOffset)
+		}
+	}
+	close(stop)
+	swapper.Wait()
 }
 
 // TestSearchProbesDefaulting pins the one remaining defaulted parameter:
