@@ -173,7 +173,7 @@ func TestBlockADCScanMatchesPerRowScan(t *testing.T) {
 	tk := vecmath.NewTopK(1)
 	for _, buf := range [][]uint8{codes, tied} {
 		for _, sk := range []*bitset.Set{nil, skip} {
-			for _, n := range []int{0, 1, 2, adcBlock - 1, adcBlock, adcBlock + 1, 2*adcBlock + 37} {
+			for _, n := range []int{0, 1, 2, scanBlock - 1, scanBlock, scanBlock + 1, 2*scanBlock + 37} {
 				subset := make([]int32, n)
 				for i := range subset {
 					subset[i] = int32(rng.Intn(base.N))

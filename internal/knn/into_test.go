@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -183,5 +184,83 @@ func TestSearchSubsetIntoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("SearchSubsetInto allocates %v per run", allocs)
+	}
+}
+
+// perRowFloatScan is the scan the block form replaced, kept as the
+// reference: one distance call and one Push per live candidate, in subset
+// order — SquaredL2Fused against the norm cache when base has one,
+// SquaredL2 otherwise.
+func perRowFloatScan(base *dataset.Dataset, subset []int32, q []float32, k int, skip *bitset.Set) ([]vecmath.Neighbor, int) {
+	tk := vecmath.NewTopK(k)
+	qNorm := vecmath.Dot(q, q)
+	skipped := 0
+	for _, i := range subset {
+		if skip.Has(int(i)) {
+			skipped++
+			continue
+		}
+		if base.SqNorms != nil {
+			tk.Push(int(i), vecmath.SquaredL2Fused(q, base.Row(int(i)), qNorm, base.SqNorms[i]))
+		} else {
+			tk.Push(int(i), vecmath.SquaredL2(q, base.Row(int(i))))
+		}
+	}
+	return tk.AppendSorted(nil), skipped
+}
+
+// TestBlockFloatScanMatchesPerRowScan: ids, distance bits and the skipped
+// count equal the per-row reference for subsets on either side of every
+// block boundary, with and without tombstones, with and without the norm
+// cache, for k up to beyond the subset, for a dimension with a scalar tail,
+// and for a dataset holding only three distinct rows — there nearly every
+// candidate ties with the worst retained distance, so which ids survive at
+// the cut is decided by arrival order alone.
+func TestBlockFloatScanMatchesPerRowScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	const n, dim = 700, 19
+	real := dataset.Uniform(n, dim, rng)
+	tied := dataset.New(n, dim)
+	for i := 0; i < n; i++ {
+		copy(tied.Row(i), real.Row(i%3))
+	}
+	var skip *bitset.Set
+	for i := 0; i < n; i++ {
+		if rng.Float64() < 0.3 {
+			skip = skip.With(i)
+		}
+	}
+	tk := vecmath.NewTopK(1)
+	for _, base := range []*dataset.Dataset{real, tied} {
+		for _, withNorms := range []bool{true, false} {
+			base.SqNorms = nil
+			if withNorms {
+				base.EnsureSqNorms(true)
+			}
+			for _, sk := range []*bitset.Set{nil, skip} {
+				for _, ns := range []int{0, 1, 2, scanBlock - 1, scanBlock, scanBlock + 1, 2*scanBlock + 37} {
+					subset := make([]int32, ns)
+					for i := range subset {
+						subset[i] = int32(rng.Intn(n))
+					}
+					q := real.Row(rng.Intn(n)) // a stored row: one candidate may be at distance 0
+					for _, k := range []int{1, 10, 100, ns + 5} {
+						got, gotSkipped := SearchSubsetIntoCounted(nil, base, subset, q, k, tk, sk)
+						want, wantSkipped := perRowFloatScan(base, subset, q, k, sk)
+						if gotSkipped != wantSkipped {
+							t.Fatalf("norms=%v n=%d k=%d: skipped %d, per-row scan %d", withNorms, ns, k, gotSkipped, wantSkipped)
+						}
+						if len(got) != len(want) {
+							t.Fatalf("norms=%v n=%d k=%d: %d results, per-row scan %d", withNorms, ns, k, len(got), len(want))
+						}
+						for i := range want {
+							if got[i].Index != want[i].Index || math.Float32bits(got[i].Dist) != math.Float32bits(want[i].Dist) {
+								t.Fatalf("norms=%v n=%d k=%d result[%d]: %+v, per-row scan %+v", withNorms, ns, k, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -40,8 +40,9 @@ func SearchSubset(base *dataset.Dataset, subset []int, query []float32, k int) [
 // query engine: it scans the rows listed in subset, retains the k nearest in
 // the caller's TopK selector, and appends them (ascending distance) to dst.
 // When base carries a squared-norm cache (dataset.EnsureSqNorms), each row
-// costs one fused dot product (‖x‖² − 2q·x + ‖q‖²) instead of a
-// subtract-square pass; otherwise it falls back to the direct kernel.
+// costs one dot product (‖x‖² − 2q·x + ‖q‖²) instead of a subtract-square
+// pass, taken a block of rows at a time; otherwise it falls back to the
+// direct kernel, row by row.
 // Ids present in skip (the epoch's tombstone set; nil when no deletes are
 // pending) are excluded from the result — candidate gathering stays
 // branch-free and the filter costs one bit test per candidate, only on
@@ -52,40 +53,73 @@ func SearchSubsetInto(dst []vecmath.Neighbor, base *dataset.Dataset, subset []in
 	return dst
 }
 
+// scanBlock is how many candidate ids one block-kernel call scores
+// (vecmath.DotRows in the float scan, vecmath.LUTSumRows in the ADC scan).
+// The two per-block buffers live on the scan's stack (2 KB together).
+const scanBlock = 256
+
+// Both scans below have one shape. Up to scanBlock ids — tombstoned ones
+// dropped into a stack buffer first, when the epoch has any — are scored by
+// one block-kernel call into a second stack buffer, and an entry reaches
+// TopK.Push only if Push would retain it: the test is Push's own rejection,
+// read against the current worst retained distance, so the retained set and
+// the tie rule are those of pushing every candidate in subset order.
+
+// dropTombstoned copies the ids of a block that are not in skip to live,
+// in order, and returns them with the number dropped.
+func dropTombstoned(live *[scanBlock]int32, ids []int32, skip *bitset.Set) ([]int32, int) {
+	n := 0
+	for _, id := range ids {
+		if !skip.Has(int(id)) {
+			live[n] = id
+			n++
+		}
+	}
+	return live[:n], len(ids) - n
+}
+
 // SearchSubsetIntoCounted is SearchSubsetInto plus accounting: it also
 // returns how many candidate ids the tombstone filter dropped — the waste
 // metric telemetry tracks to decide when pending deletes warrant a
-// compaction. The count costs one increment on the (already-branching)
-// skip path only; the tombstone-free fast paths are unchanged.
+// compaction.
+//
+// With a norm cache each distance is vecmath.SquaredL2FromDot of the
+// block's dot product, the expression vecmath.SquaredL2Fused evaluates, so
+// the distances are those of a per-row SquaredL2Fused scan bit for bit.
 func SearchSubsetIntoCounted(dst []vecmath.Neighbor, base *dataset.Dataset, subset []int32, query []float32, k int, tk *vecmath.TopK, skip *bitset.Set) ([]vecmath.Neighbor, int) {
 	tk.SetK(k)
 	skipped := 0
-	switch {
-	case base.SqNorms != nil && skip.Count() > 0:
-		qNorm := vecmath.Dot(query, query)
+	tombs := skip.Count() > 0
+	if base.SqNorms == nil {
 		for _, i := range subset {
-			if skip.Has(int(i)) {
-				skipped++
-				continue
-			}
-			tk.Push(int(i), vecmath.SquaredL2Fused(query, base.Row(int(i)), qNorm, base.SqNorms[i]))
-		}
-	case base.SqNorms != nil:
-		qNorm := vecmath.Dot(query, query)
-		for _, i := range subset {
-			tk.Push(int(i), vecmath.SquaredL2Fused(query, base.Row(int(i)), qNorm, base.SqNorms[i]))
-		}
-	case skip.Count() > 0:
-		for _, i := range subset {
-			if skip.Has(int(i)) {
+			if tombs && skip.Has(int(i)) {
 				skipped++
 				continue
 			}
 			tk.Push(int(i), vecmath.SquaredL2(query, base.Row(int(i))))
 		}
-	default:
-		for _, i := range subset {
-			tk.Push(int(i), vecmath.SquaredL2(query, base.Row(int(i))))
+		return tk.AppendSorted(dst), skipped
+	}
+	qNorm, norms := vecmath.Dot(query, query), base.SqNorms
+	var live [scanBlock]int32
+	var buf [scanBlock]float32
+	for len(subset) > 0 {
+		ids := subset[:min(scanBlock, len(subset))]
+		subset = subset[len(ids):]
+		if tombs {
+			var dropped int
+			ids, dropped = dropTombstoned(&live, ids, skip)
+			skipped += dropped
+		}
+		dots := buf[:len(ids)]
+		vecmath.DotRows(dots, query, base.Data, base.Dim, ids)
+		worst, full := tk.Worst()
+		for i, dot := range dots {
+			id := ids[i]
+			if d := vecmath.SquaredL2FromDot(dot, qNorm, norms[id]); !full || !(d >= worst) {
+				tk.Push(int(id), d)
+				worst, full = tk.Worst()
+			}
 		}
 	}
 	return tk.AppendSorted(dst), skipped
@@ -102,42 +136,24 @@ func SearchSubsetADCInto(dst []vecmath.Neighbor, codes []uint8, m, kTab int, lut
 	return dst
 }
 
-// adcBlock is how many candidate ids one LUTSumRows call scores. The two
-// per-block buffers live on the scan's stack (2 KB together).
-const adcBlock = 256
-
 // SearchSubsetADCIntoCounted is SearchSubsetADCInto plus the same
 // skipped-tombstone accounting as SearchSubsetIntoCounted. codes is the
 // flat row-major code buffer (row i at codes[i*m:(i+1)*m]); it must cover
 // every id in subset. Steady-state the call allocates nothing beyond
 // growth of dst.
-//
-// The scan runs in blocks: up to adcBlock ids (tombstoned ones dropped
-// first, when the epoch has any) are scored by one vecmath.LUTSumRows call
-// into a stack buffer, and an entry reaches TopK.Push only if Push would
-// retain it — the test below is Push's own rejection, read against the
-// current worst retained distance — so the retained set and the tie rule
-// are those of pushing every candidate in subset order.
 func SearchSubsetADCIntoCounted(dst []vecmath.Neighbor, codes []uint8, m, kTab int, lut []float32, subset []int32, k int, tk *vecmath.TopK, skip *bitset.Set) ([]vecmath.Neighbor, int) {
 	tk.SetK(k)
 	skipped := 0
 	tombs := skip.Count() > 0
-	var live [adcBlock]int32
-	var dist [adcBlock]float32
+	var live [scanBlock]int32
+	var dist [scanBlock]float32
 	for len(subset) > 0 {
-		ids := subset[:min(adcBlock, len(subset))]
+		ids := subset[:min(scanBlock, len(subset))]
 		subset = subset[len(ids):]
 		if tombs {
-			n := 0
-			for _, id := range ids {
-				if skip.Has(int(id)) {
-					skipped++
-					continue
-				}
-				live[n] = id
-				n++
-			}
-			ids = live[:n]
+			var dropped int
+			ids, dropped = dropTombstoned(&live, ids, skip)
+			skipped += dropped
 		}
 		vecmath.LUTSumRows(dist[:], lut, kTab, codes, m, ids)
 		worst, full := tk.Worst()

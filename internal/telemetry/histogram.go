@@ -91,6 +91,15 @@ func (h *Histogram) Observe(v uint64) {
 	h.sum.Add(v)
 }
 
+// ObserveN records the value v n times: the state Observe(v) called n
+// times leaves, for three atomic adds instead of 3n. A batch that charges
+// each of its queries the same amortized latency records them in one call.
+func (h *Histogram) ObserveN(v, n uint64) {
+	h.buckets[bucketIndex(v)].Add(n)
+	h.count.Add(n)
+	h.sum.Add(v * n)
+}
+
 // ObserveDuration records a duration in nanoseconds (negative clamps to 0).
 func (h *Histogram) ObserveDuration(d time.Duration) {
 	if d < 0 {

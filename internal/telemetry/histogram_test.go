@@ -128,6 +128,36 @@ func TestObserveDurationClampsNegative(t *testing.T) {
 	}
 }
 
+// TestObserveNEqualsRepeatedObserve: one ObserveN(v, n) leaves the
+// histogram exactly as n calls of Observe(v) do — count, sum, every bucket
+// and so every quantile — including n = 0.
+func TestObserveNEqualsRepeatedObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	bulk := NewHistogram("t", "", "", 1)
+	loop := NewHistogram("t", "", "", 1)
+	for i := 0; i < 300; i++ {
+		v, n := uint64(rng.Int63n(1<<uint(1+rng.Intn(40)))), uint64(rng.Intn(300))
+		bulk.ObserveN(v, n)
+		for j := uint64(0); j < n; j++ {
+			loop.Observe(v)
+		}
+	}
+	if bulk.Count() != loop.Count() || bulk.Sum() != loop.Sum() {
+		t.Fatalf("ObserveN count/sum %d/%d != looped Observe %d/%d",
+			bulk.Count(), bulk.Sum(), loop.Count(), loop.Sum())
+	}
+	for i := range bulk.buckets {
+		if b, l := bulk.buckets[i].Load(), loop.buckets[i].Load(); b != l {
+			t.Fatalf("bucket %d: ObserveN %d != looped Observe %d", i, b, l)
+		}
+	}
+	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
+		if b, l := bulk.Quantile(q), loop.Quantile(q); b != l {
+			t.Fatalf("q=%v: ObserveN %v != looped Observe %v", q, b, l)
+		}
+	}
+}
+
 // TestMerge: merging per-worker histograms must equal recording everything
 // into one, bucket for bucket.
 func TestMerge(t *testing.T) {

@@ -24,6 +24,9 @@ func TestRecordingAllocatesNothing(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() { h.Observe(123_456) }); a != 0 {
 		t.Errorf("Histogram.Observe allocates %v/op", a)
 	}
+	if a := testing.AllocsPerRun(1000, func() { h.ObserveN(123_456, 256) }); a != 0 {
+		t.Errorf("Histogram.ObserveN allocates %v/op", a)
+	}
 	if a := testing.AllocsPerRun(1000, func() { h.ObserveDuration(time.Since(start)) }); a != 0 {
 		t.Errorf("Histogram.ObserveDuration allocates %v/op", a)
 	}

@@ -9,12 +9,13 @@ import "os"
 // batch vs single-row inference), so the choice is deliberately not mutable
 // at runtime.
 //
-// The two block kernels of the quantized path (SegmentToCentroids,
-// LUTSumRows) write into buffers their callers keep on the stack. An
-// indirect call would force those buffers to the heap, so the table holds
-// only a flag for them: arch selects the per-architecture pair
-// (segToCentroidsArch, lutSumRowsArch in dispatch_<arch>.go) over the
-// portable pair, and the public wrappers call either one directly.
+// The three block kernels (SegmentToCentroids and LUTSumRows of the
+// quantized path, DotRows of the float scan) write into buffers their
+// callers keep on the stack. An indirect call would force those buffers to
+// the heap, so the table holds only a flag for them: arch selects the
+// per-architecture set (segToCentroidsArch, lutSumRowsArch, dotRowsArch in
+// dispatch_<arch>.go) over the portable set, and the public wrappers call
+// either one directly.
 type kernels struct {
 	name   string
 	dot    func(a, b []float32) float32

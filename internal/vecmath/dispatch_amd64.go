@@ -35,6 +35,9 @@ func segToCentroidsAVX2(dst, seg, cbT []float32)
 //go:noescape
 func lutSumRowsAVX2(dst, lut []float32, k int, codes []uint8, m int, ids []int32)
 
+//go:noescape
+func dotRowsAVX2(dst, q, data []float32, dim int, ids []int32)
+
 var avx2Kernels = kernels{
 	name:   "avx2-fma",
 	dot:    dotAVX2,
@@ -53,6 +56,10 @@ func segToCentroidsArch(dst, seg, cbT []float32) {
 
 func lutSumRowsArch(dst, lut []float32, k int, codes []uint8, m int, ids []int32) {
 	lutSumRowsAVX2(dst, lut, k, codes, m, ids)
+}
+
+func dotRowsArch(dst, q, data []float32, dim int, ids []int32) {
+	dotRowsAVX2(dst, q, data, dim, ids)
 }
 
 // archKernels returns the best kernel set this CPU supports.

@@ -31,8 +31,9 @@ var neonKernels = kernels{
 }
 
 // The block kernels have no NEON port yet. The segment kernel runs the
-// portable code; the multi-row sum loops over the NEON single-row kernel,
-// which keeps every row bit-equal to LUTSum under this dispatch.
+// portable code; the multi-row sum and the multi-row dot product loop over
+// the NEON single-row kernels, which keeps every row bit-equal to LUTSum
+// and Dot under this dispatch.
 
 func segToCentroidsArch(dst, seg, cbT []float32) {
 	segToCentroidsScalar(dst, seg, cbT)
@@ -42,6 +43,13 @@ func lutSumRowsArch(dst, lut []float32, k int, codes []uint8, m int, ids []int32
 	for i, id := range ids {
 		o := int(id) * m
 		dst[i] = lutSumNEON(lut, k, codes[o:o+m])
+	}
+}
+
+func dotRowsArch(dst, q, data []float32, dim int, ids []int32) {
+	for i, id := range ids {
+		o := int(id) * dim
+		dst[i] = dotNEON(q, data[o:o+dim])
 	}
 }
 

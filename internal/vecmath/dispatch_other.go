@@ -18,3 +18,7 @@ func segToCentroidsArch(dst, seg, cbT []float32) {
 func lutSumRowsArch(dst, lut []float32, k int, codes []uint8, m int, ids []int32) {
 	lutSumRowsScalar(dst, lut, k, codes, m, ids)
 }
+
+func dotRowsArch(dst, q, data []float32, dim int, ids []int32) {
+	dotRowsScalar(dst, q, data, dim, ids)
+}

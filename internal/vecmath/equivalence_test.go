@@ -297,22 +297,32 @@ func TestPublicKernelsUseActiveImpl(t *testing.T) {
 			t.Fatalf("LUTSumRows diverges from the %s kernel at %d", pair.name, i)
 		}
 	}
+	DotRows(got[:3], a[:43], b, 43, ids)
+	pair.dots(want[:3], a[:43], b, 43, ids)
+	for i := range ids {
+		if got[i] != want[i] {
+			t.Fatalf("DotRows diverges from the %s kernel at %d", pair.name, i)
+		}
+	}
 }
 
-// blockKernels is one implementation of the two block kernels, which are
-// called directly and so are not entries of the kernels table.
+// blockKernels is one implementation of the three block kernels, which are
+// called directly and so are not entries of the kernels table, beside the
+// table of the same implementation — the single-row kernels the multi-row
+// ones are pinned to.
 type blockKernels struct {
-	name string
+	kernels
 	seg  func(dst, seg, cbT []float32)
 	rows func(dst, lut []float32, k int, codes []uint8, m int, ids []int32)
+	dots func(dst, q, data []float32, dim int, ids []int32)
 }
 
-// blockImpls lists the portable pair and, when this machine can run it,
-// the architecture pair.
+// blockImpls lists the portable set and, when this machine can run it,
+// the architecture set.
 func blockImpls() []blockKernels {
-	impls := []blockKernels{{"scalar", segToCentroidsScalar, lutSumRowsScalar}}
+	impls := []blockKernels{{scalarKernels, segToCentroidsScalar, lutSumRowsScalar, dotRowsScalar}}
 	if arch, ok := archKernels(); ok {
-		impls = append(impls, blockKernels{arch.name, segToCentroidsArch, lutSumRowsArch})
+		impls = append(impls, blockKernels{arch, segToCentroidsArch, lutSumRowsArch, dotRowsArch})
 	}
 	return impls
 }
@@ -403,10 +413,6 @@ func lutRowsFixture(rng *rand.Rand, m, k, rows, n int) (lut []float32, codes []u
 // for bit: subspace counts across every 8-code block boundary, all table
 // widths, id runs of every parity including empty, misaligned buffers.
 func TestLUTSumRowsBitEqualsLUTSum(t *testing.T) {
-	single := map[string]func(lut []float32, k int, code []uint8) float32{"scalar": lutSumScalar}
-	if arch, ok := archKernels(); ok {
-		single[arch.name] = arch.lutSum
-	}
 	rng := rand.New(rand.NewSource(33))
 	for _, impl := range blockImpls() {
 		for _, m := range []int{1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65} {
@@ -418,7 +424,7 @@ func TestLUTSumRowsBitEqualsLUTSum(t *testing.T) {
 					dst := make([]float32, n+off)[off:]
 					impl.rows(dst, lut, k, codes, m, ids)
 					for i, id := range ids {
-						want := single[impl.name](lut, k, codes[int(id)*m:(int(id)+1)*m])
+						want := impl.lutSum(lut, k, codes[int(id)*m:(int(id)+1)*m])
 						if math.Float32bits(dst[i]) != math.Float32bits(want) {
 							t.Fatalf("%s m=%d k=%d n=%d: dst[%d]=%v, single-row kernel %v", impl.name, m, k, n, i, dst[i], want)
 						}
@@ -455,6 +461,79 @@ func TestLUTSumRowsPublic(t *testing.T) {
 				}
 			}()
 			LUTSumRows(dst, lut, k, codes, m, []int32{0, bad})
+		}()
+	}
+}
+
+// TestDotRowsBitEqualsDot pins the multi-row dot product of every
+// implementation to the single-row kernel of the same implementation, bit
+// for bit: dimensions on both sides of the 8- and 16-element blocks, id
+// runs of every remainder mod 4 including empty, repeated ids, and query,
+// row buffer and destination all starting off any 32-byte boundary.
+func TestDotRowsBitEqualsDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	const rows = 61
+	for _, impl := range blockImpls() {
+		for _, dim := range []int{1, 7, 8, 15, 16, 17, 64, 128, 129, 512} {
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1003} {
+				off := 1 + rng.Intn(7)
+				q := skewedVec(rng, dim+off)[off:]
+				data := skewedVec(rng, rows*dim+off)[off:]
+				ids := make([]int32, n+off)[off:]
+				for i := range ids {
+					ids[i] = int32(rng.Intn(rows))
+				}
+				if n >= 2 {
+					ids[n-1] = ids[0]
+				}
+				dst := make([]float32, n+off)[off:]
+				impl.dots(dst, q, data, dim, ids)
+				for i, id := range ids {
+					want := impl.dot(q, data[int(id)*dim:(int(id)+1)*dim])
+					if math.Float32bits(dst[i]) != math.Float32bits(want) {
+						t.Fatalf("%s dim=%d n=%d: dst[%d]=%v, single-row kernel %v", impl.name, dim, n, i, dst[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDotRowsPublic: the wrapper agrees with Dot per row under the active
+// dispatch, leaves dst beyond len(ids) alone, scores zero-length rows as 0
+// and refuses an id whose row is outside the buffer instead of reading
+// past it.
+func TestDotRowsPublic(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	const dim, rows = 19, 50
+	q, data := skewedVec(rng, dim), skewedVec(rng, rows*dim)
+	ids := make([]int32, 41)
+	for i := range ids {
+		ids[i] = int32(rng.Intn(rows))
+	}
+	dst := make([]float32, len(ids)+1)
+	dst[len(ids)] = -1
+	DotRows(dst, q, data, dim, ids)
+	for i, id := range ids {
+		if want := Dot(q, data[int(id)*dim:(int(id)+1)*dim]); math.Float32bits(dst[i]) != math.Float32bits(want) {
+			t.Fatalf("dst[%d]=%v, Dot %v", i, dst[i], want)
+		}
+	}
+	if dst[len(ids)] != -1 {
+		t.Fatal("DotRows wrote past len(ids)")
+	}
+	DotRows(dst, q, data, 0, ids[:3])
+	if dst[0] != 0 || dst[1] != 0 || dst[2] != 0 {
+		t.Fatalf("zero-length rows scored %v", dst[:3])
+	}
+	for _, bad := range []int32{rows, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("id %d outside the row buffer did not panic", bad)
+				}
+			}()
+			DotRows(dst, q, data, dim, []int32{0, bad})
 		}()
 	}
 }

@@ -127,6 +127,39 @@ func FuzzKernelEquivalence(f *testing.F) {
 				}
 			}
 
+			// Multi-row dot leg: a's head is the query, b a row buffer of
+			// dimension dim (1–150, whatever the input length leaves as a
+			// tail), ids (repeats, any order, possibly none) from the raw
+			// bytes. Each implementation's block kernel must reproduce its
+			// own single-row kernel bit for bit, and the two implementations
+			// agree per row inside the reduction tolerance.
+			if dim := min(n, 1+int(raw[1])%150); dim > 0 {
+				q, rows := a[:dim], n/dim
+				ids := make([]int32, len(raw)%11)
+				for i := range ids {
+					ids[i] = int32(int(raw[(i*5+3)%len(raw)]) % rows)
+				}
+				gotS, gotA := make([]float32, len(ids)), make([]float32, len(ids))
+				dotRowsScalar(gotS, q, b, dim, ids)
+				dotRowsArch(gotA, q, b, dim, ids)
+				for i, id := range ids {
+					row := b[int(id)*dim : (int(id)+1)*dim]
+					if w := dotScalar(q, row); math.Float32bits(gotS[i]) != math.Float32bits(w) {
+						t.Fatalf("dotRows scalar: dst[%d]=%v single-row %v (dim=%d)", i, gotS[i], w, dim)
+					}
+					if w := arch.dot(q, row); math.Float32bits(gotA[i]) != math.Float32bits(w) {
+						t.Fatalf("dotRows %s: dst[%d]=%v single-row %v (dim=%d)", arch.name, i, gotA[i], w, dim)
+					}
+					var mass float64
+					for j := range row {
+						mass += math.Abs(float64(q[j]) * float64(row[j]))
+					}
+					if math.Abs(float64(gotA[i])-float64(gotS[i])) > reductionTol(dim, mass) {
+						t.Fatalf("dotRows: row %d %s=%v scalar=%v (dim=%d)", id, arch.name, gotA[i], gotS[i], dim)
+					}
+				}
+			}
+
 			// Segment leg: the floats as a centroid-major codebook of k
 			// centroids and sub-dimension d (1–9, as many as they fill), the
 			// last d floats as the query segment.

@@ -447,3 +447,177 @@ rowsstore:
 rowsdone:
 	VZEROUPPER
 	RET
+
+// func dotRowsAVX2(dst, q, data []float32, dim int, ids []int32)
+//
+// Multi-row dot product: dst[i] = q · data[ids[i]*dim:(ids[i]+1)*dim]. Rows
+// go through four at a time, each with its own pair of 8-lane accumulators
+// (Y0/Y1, Y2/Y3, Y4/Y5, Y6/Y7), so a 16-element query block is loaded once
+// per four rows and eight independent FMA chains are in flight where
+// dotAVX2 has two — the single-row kernel waits on FMA latency, this one on
+// load throughput. Per row the operation sequence is exactly dotAVX2's with
+// a = q and b = the row: the same 16-element blocking into the same two
+// accumulators, the same 8-lane block, the same lane-ordered horizontal
+// sum, the same sequential scalar-FMA tail — so every dst[i] is bit-equal
+// to dotAVX2(q, row). A last group of fewer than four rows fills its spare
+// slots with its first row and stores only the rows it has. The heads of
+// the next group's rows are prefetched: candidate ids of a probed bin are
+// scattered over the row buffer. One VZEROUPPER per call, not per row.
+// Contract (enforced by the public wrapper): len(dst) ≥ len(ids),
+// len(q) == dim, every row ids[i] inside data.
+TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-104
+	MOVQ dst_base+0(FP), DI
+	MOVQ q_base+24(FP), SI
+	MOVQ data_base+48(FP), R8
+	MOVQ dim+72(FP), DX
+	MOVQ ids_base+80(FP), R10
+	MOVQ ids_len+88(FP), R11   // rows left
+drgroup:
+	TESTQ R11, R11
+	JLE  drdone
+	MOVLQSX (R10), R9
+	IMULQ DX, R9
+	LEAQ (R8)(R9*4), R9        // R9 = row A
+	MOVQ R9, R12               // rows B, C, D = row A unless they exist
+	MOVQ R9, R13
+	MOVQ R9, BX
+	CMPQ R11, $2
+	JLT  drready
+	MOVLQSX 4(R10), R12
+	IMULQ DX, R12
+	LEAQ (R8)(R12*4), R12      // R12 = row B
+	CMPQ R11, $3
+	JLT  drready
+	MOVLQSX 8(R10), R13
+	IMULQ DX, R13
+	LEAQ (R8)(R13*4), R13      // R13 = row C
+	CMPQ R11, $4
+	JLT  drready
+	MOVLQSX 12(R10), BX
+	IMULQ DX, BX
+	LEAQ (R8)(BX*4), BX        // BX = row D
+	CMPQ R11, $8
+	JLT  drready
+	MOVLQSX 16(R10), CX
+	IMULQ DX, CX
+	PREFETCHT0 (R8)(CX*4)
+	MOVLQSX 20(R10), CX
+	IMULQ DX, CX
+	PREFETCHT0 (R8)(CX*4)
+	MOVLQSX 24(R10), CX
+	IMULQ DX, CX
+	PREFETCHT0 (R8)(CX*4)
+	MOVLQSX 28(R10), CX
+	IMULQ DX, CX
+	PREFETCHT0 (R8)(CX*4)
+drready:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ SI, AX                // query cursor
+	MOVQ DX, CX
+	SHRQ $4, CX                // 16-element blocks
+	JZ   dr8
+dr16:
+	VMOVUPS (AX), Y8
+	VMOVUPS 32(AX), Y9
+	VFMADD231PS (R9), Y8, Y0
+	VFMADD231PS 32(R9), Y9, Y1
+	VFMADD231PS (R12), Y8, Y2
+	VFMADD231PS 32(R12), Y9, Y3
+	VFMADD231PS (R13), Y8, Y4
+	VFMADD231PS 32(R13), Y9, Y5
+	VFMADD231PS (BX), Y8, Y6
+	VFMADD231PS 32(BX), Y9, Y7
+	ADDQ $64, AX
+	ADDQ $64, R9
+	ADDQ $64, R12
+	ADDQ $64, R13
+	ADDQ $64, BX
+	DECQ CX
+	JNZ  dr16
+dr8:
+	TESTQ $8, DX
+	JZ    drreduce
+	VMOVUPS (AX), Y8
+	VFMADD231PS (R9), Y8, Y0
+	VFMADD231PS (R12), Y8, Y2
+	VFMADD231PS (R13), Y8, Y4
+	VFMADD231PS (BX), Y8, Y6
+	ADDQ $32, AX
+	ADDQ $32, R9
+	ADDQ $32, R12
+	ADDQ $32, R13
+	ADDQ $32, BX
+drreduce:
+	VADDPS Y1, Y0, Y0
+	VADDPS Y3, Y2, Y2
+	VADDPS Y5, Y4, Y4
+	VADDPS Y7, Y6, Y6
+	VEXTRACTF128 $1, Y0, X1
+	VEXTRACTF128 $1, Y2, X3
+	VEXTRACTF128 $1, Y4, X5
+	VEXTRACTF128 $1, Y6, X7
+	VADDPS X1, X0, X0          // 4 lanes per row
+	VADDPS X3, X2, X2
+	VADDPS X5, X4, X4
+	VADDPS X7, X6, X6
+	VSHUFPS $0xb1, X0, X0, X1  // [1 0 3 2]
+	VSHUFPS $0xb1, X2, X2, X3
+	VSHUFPS $0xb1, X4, X4, X5
+	VSHUFPS $0xb1, X6, X6, X7
+	VADDPS X1, X0, X0
+	VADDPS X3, X2, X2
+	VADDPS X5, X4, X4
+	VADDPS X7, X6, X6
+	VSHUFPS $0x4e, X0, X0, X1  // [2 3 0 1]
+	VSHUFPS $0x4e, X2, X2, X3
+	VSHUFPS $0x4e, X4, X4, X5
+	VSHUFPS $0x4e, X6, X6, X7
+	VADDSS X1, X0, X0          // lane 0 = row total
+	VADDSS X3, X2, X2
+	VADDSS X5, X4, X4
+	VADDSS X7, X6, X6
+	MOVQ DX, CX
+	ANDQ $7, CX
+	JZ   drstore
+drtail:
+	VMOVSS (AX), X8
+	VMOVSS (R9), X9
+	VMOVSS (R12), X10
+	VMOVSS (R13), X11
+	VMOVSS (BX), X12
+	VFMADD231SS X9, X8, X0
+	VFMADD231SS X10, X8, X2
+	VFMADD231SS X11, X8, X4
+	VFMADD231SS X12, X8, X6
+	ADDQ $4, AX
+	ADDQ $4, R9
+	ADDQ $4, R12
+	ADDQ $4, R13
+	ADDQ $4, BX
+	DECQ CX
+	JNZ  drtail
+drstore:
+	VMOVSS X0, (DI)
+	CMPQ R11, $2
+	JLT  drdone
+	VMOVSS X2, 4(DI)
+	CMPQ R11, $3
+	JLT  drdone
+	VMOVSS X4, 8(DI)
+	CMPQ R11, $4
+	JLT  drdone
+	VMOVSS X6, 12(DI)
+	ADDQ $16, DI
+	ADDQ $16, R10
+	SUBQ $4, R11
+	JMP  drgroup
+drdone:
+	VZEROUPPER
+	RET

@@ -156,5 +156,44 @@ func BenchmarkLUTSumRows(b *testing.B) {
 	}
 }
 
+// BenchmarkDotRows times the block form of the float scan kernel on the
+// float_small shape: 1000 candidate ids gathered from an 8000-row buffer per
+// call, as a probed bin's ids are. The looped sub-benchmark scores the same
+// ids with one single-row dot call per row, through a function value as the
+// kernel table dispatches it — the loop the block kernel replaced.
+func BenchmarkDotRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(27))
+	const rows, n = 8000, 1000
+	for _, impl := range blockImpls() {
+		for _, dim := range []int{64, 128, 512} {
+			q, data := randVec(rng, dim), randVec(rng, rows*dim)
+			ids := make([]int32, n)
+			for i := range ids {
+				ids[i] = int32(rng.Intn(rows))
+			}
+			dst := make([]float32, n)
+			nsPerRow := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+			}
+			b.Run(fmt.Sprintf("%s/dim%d/block", impl.name, dim), func(b *testing.B) {
+				b.SetBytes(int64(n * dim * 4))
+				for i := 0; i < b.N; i++ {
+					impl.dots(dst, q, data, dim, ids)
+				}
+				nsPerRow(b)
+			})
+			b.Run(fmt.Sprintf("%s/dim%d/looped", impl.name, dim), func(b *testing.B) {
+				b.SetBytes(int64(n * dim * 4))
+				for i := 0; i < b.N; i++ {
+					for j, id := range ids {
+						dst[j] = impl.dot(q, data[int(id)*dim:(int(id)+1)*dim])
+					}
+				}
+				nsPerRow(b)
+			})
+		}
+	}
+}
+
 // sinkF32 defeats dead-code elimination of the benchmarked reductions.
 var sinkF32 float32

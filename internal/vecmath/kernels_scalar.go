@@ -103,3 +103,12 @@ func lutSumRowsScalar(dst, lut []float32, k int, codes []uint8, m int, ids []int
 		dst[i] = lutSumScalar(lut, k, codes[o:o+m])
 	}
 }
+
+// dotRowsScalar scores a run of rows: dst[i] is dotScalar of q against row
+// ids[i] of the flat row buffer (row r at data[r*dim:(r+1)*dim]).
+func dotRowsScalar(dst, q, data []float32, dim int, ids []int32) {
+	for i, id := range ids {
+		o := int(id) * dim
+		dst[i] = dotScalar(q, data[o:o+dim])
+	}
+}

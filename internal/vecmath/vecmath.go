@@ -2,14 +2,15 @@
 // the library is built on: distances, dot products, in-place BLAS-1 style
 // updates, and small utilities (argmax, top-k selection).
 //
-// The hot kernels — Dot, SquaredL2, AXPY, LUTSum and the two block kernels
-// of the quantized path, SegmentToCentroids and LUTSumRows — dispatch through a
-// kernel set selected once at package init: AVX2+FMA assembly on capable
-// amd64 CPUs, NEON assembly on arm64, and the portable 4-way-unrolled scalar
-// code everywhere else (see dispatch.go). Setting USP_FORCE_SCALAR in the
-// environment pins the scalar kernels regardless of CPU features. All other
-// helpers are pure Go; float64 accumulation variants are provided where
-// reduction precision matters.
+// The hot kernels — Dot, SquaredL2, AXPY, LUTSum and the three block
+// kernels, DotRows of the float candidate scan and SegmentToCentroids and
+// LUTSumRows of the quantized path — dispatch through a kernel set selected
+// once at package init: AVX2+FMA assembly on capable amd64 CPUs, NEON
+// assembly on arm64, and the portable 4-way-unrolled scalar code everywhere
+// else (see dispatch.go). Setting USP_FORCE_SCALAR in the environment pins
+// the scalar kernels regardless of CPU features. All other helpers are pure
+// Go; float64 accumulation variants are provided where reduction precision
+// matters.
 package vecmath
 
 import "math"
@@ -37,11 +38,42 @@ func SquaredL2(a, b []float32) float32 {
 // the expansion can go slightly negative under float32 cancellation when q
 // and x nearly coincide.
 func SquaredL2Fused(q, x []float32, qNorm2, xNorm2 float32) float32 {
-	d := xNorm2 + qNorm2 - 2*Dot(q, x)
+	return SquaredL2FromDot(Dot(q, x), qNorm2, xNorm2)
+}
+
+// SquaredL2FromDot finishes a fused distance from an inner product already
+// in hand: ‖x‖² + ‖q‖² − 2·dot, clamped at zero. It is the one place the
+// expansion is written, so the block scan (DotRows, then this per row) and
+// SquaredL2Fused produce the same bits.
+func SquaredL2FromDot(dot, qNorm2, xNorm2 float32) float32 {
+	d := xNorm2 + qNorm2 - 2*dot
 	if d < 0 {
 		return 0
 	}
 	return d
+}
+
+// DotRows is the multi-row form of Dot, the inner loop of the float
+// candidate scan: for every i it stores in dst[i] the inner product of q
+// with row ids[i] of the flat row-major buffer data (row r at
+// data[r*dim:(r+1)*dim]). Each dst[i] is bit-equal to
+// Dot(q, data[ids[i]*dim:(ids[i]+1)*dim]) under the same dispatch; the
+// block form only removes the per-row call, loads the query once per group
+// of rows and keeps several rows' accumulation chains in flight. len(q)
+// must be at least dim and len(dst) at least len(ids); an id whose row does
+// not lie inside data panics, as slicing the row would.
+func DotRows(dst, q, data []float32, dim int, ids []int32) {
+	dst = dst[:len(ids)]
+	q = q[:dim]
+	for _, id := range ids {
+		o := int(id) * dim
+		_ = data[o : o+dim : len(data)] // the kernels read rows unchecked
+	}
+	if active.arch {
+		dotRowsArch(dst, q, data, dim, ids)
+	} else {
+		dotRowsScalar(dst, q, data, dim, ids)
+	}
 }
 
 // LUTSum evaluates a product-quantization asymmetric distance: it gathers

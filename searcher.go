@@ -240,16 +240,9 @@ func (ix *Index) SearchBatchScanned(queries [][]float32, k int, opt SearchOption
 }
 
 func (ix *Index) searchBatch(queries [][]float32, k int, opt SearchOptions, scanned []int) ([][]Result, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: k must be positive", ErrInvalid)
-	}
-	for i, q := range queries {
-		if len(q) != ix.dim {
-			return nil, fmt.Errorf("%w: query %d dim %d, index dim %d", ErrInvalid, i, len(q), ix.dim)
-		}
-		if err := ValidateVector(q); err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
-		}
+	if err := ix.validateBatch(queries, k); err != nil {
+		ix.tel.queryErrors.Inc() // one per rejected call, as SearchInto counts
+		return nil, err
 	}
 	out := make([][]Result, len(queries))
 	par.ForChunksMin(len(queries), 1, func(lo, hi int) {
@@ -274,6 +267,21 @@ func (ix *Index) searchBatch(queries [][]float32, k int, opt SearchOptions, scan
 		}
 	})
 	return out, nil
+}
+
+func (ix *Index) validateBatch(queries [][]float32, k int) error {
+	if k <= 0 {
+		return fmt.Errorf("%w: k must be positive", ErrInvalid)
+	}
+	for i, q := range queries {
+		if len(q) != ix.dim {
+			return fmt.Errorf("%w: query %d dim %d, index dim %d", ErrInvalid, i, len(q), ix.dim)
+		}
+		if err := ValidateVector(q); err != nil {
+			return fmt.Errorf("query %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 func scannedTail(scanned []int, lo, hi int) []int {
@@ -352,8 +360,6 @@ func (s *Searcher) searchChunk(ep *epoch, queries [][]float32, k int, opt Search
 	// share of the chunk, keeping usp_query_latency's count aligned with
 	// usp_queries_total while reflecting the batch's amortization.
 	per := time.Since(start) / time.Duration(len(queries))
-	for range queries {
-		m.queryLatency.ObserveDuration(per)
-	}
+	m.queryLatency.ObserveN(uint64(max(per, 0)), uint64(len(queries)))
 	return arena
 }

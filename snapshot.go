@@ -19,9 +19,10 @@ package usp
 //
 // Sections: options (gob), model (kind byte + the core gob payload with
 // spill lists merged in), dataset (row count, dim, raw float32 rows),
-// sqnorms (raw float32 cache), tombstones and the compacted dead set
-// (bitmap words). Readers skip unknown section ids, so the format can
-// grow without a version bump; offsets are explicit so future writers
+// sqnorms (raw float32 cache; written for older readers, skipped by Load,
+// which recomputes the norms from the rows), tombstones and the compacted
+// dead set (bitmap words). Readers skip unknown section ids, so the format
+// can grow without a version bump; offsets are explicit so future writers
 // may reorder or align sections.
 //
 // Save streams: small sections are staged in memory, but the dataset — the
@@ -389,7 +390,6 @@ func Load(r io.Reader) (*Index, error) {
 		ens     *core.Ensemble
 		hier    *core.Hierarchy
 		ds      *dataset.Dataset
-		norms   []float32
 		tombs   *bitset.Set
 		deadSet *bitset.Set
 		pq      *quant.PQ
@@ -413,8 +413,6 @@ func Load(r io.Reader) (*Index, error) {
 			ens, hier, err = readModelSection(lr)
 		case secDataset:
 			ds, err = readDatasetSection(lr)
-		case secSqNorms:
-			norms, err = readNormsSection(lr)
 		case secTombstones:
 			tombs, err = readBitmapSection(lr)
 		case secDeadSet:
@@ -434,11 +432,12 @@ func Load(r io.Reader) (*Index, error) {
 	if so == nil || ds == nil || (ens == nil && hier == nil) {
 		return nil, fmt.Errorf("usp: snapshot missing a required section (options/model/dataset)")
 	}
-	if len(norms) == int(ds.N) {
-		ds.SqNorms = norms
-	} else {
-		ds.EnsureSqNorms(true)
-	}
+	// The norm cache is derived data and the file carries no checksum, so
+	// the stored copy (section 4) is not trusted: a cache that is not
+	// Dot(x, x) of this process's kernels — a file written under another
+	// kernel set, or a corrupted one — would make exact-match distances
+	// nonzero and answers differ from the index that was saved.
+	ds.EnsureSqNorms(true)
 
 	if deadSet.Count() != so.Dead {
 		return nil, fmt.Errorf("usp: dead-set section (%d ids) disagrees with options (%d)",
@@ -526,18 +525,6 @@ func readDatasetSection(r io.Reader) (*dataset.Dataset, error) {
 		return nil, fmt.Errorf("reading rows: %w", err)
 	}
 	return &dataset.Dataset{N: int(n), Dim: int(dim), Data: data}, nil
-}
-
-func readNormsSection(r io.Reader) ([]float32, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("reading norm header: %w", err)
-	}
-	n := binary.LittleEndian.Uint64(hdr[:])
-	if n > 1<<40 {
-		return nil, fmt.Errorf("implausible norm count %d", n)
-	}
-	return readFloats(r, int(n))
 }
 
 func readBitmapSection(r io.Reader) (*bitset.Set, error) {

@@ -2,6 +2,7 @@ package usp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -187,6 +188,53 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if IsSnapshotFile(filepath.Join(t.TempDir(), "missing")) {
 		t.Fatal("missing file reported as snapshot")
+	}
+}
+
+// TestLoadRecomputesNormCache: the norm section of a snapshot is derived
+// data with no checksum, so Load must not serve from it. With every stored
+// norm overwritten the loaded index still answers exactly like the index
+// that was saved, and a stored row is still at distance exactly 0 from
+// itself.
+func TestLoadRecomputesNormCache(t *testing.T) {
+	vecs, _ := clusteredVectors(127, 600, 8, 4)
+	ix, err := Build(vecs, Options{Bins: 4, Epochs: 10, Hidden: []int{8}, Seed: 17, CompactAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	corrupted := false
+	for i := 0; i < int(binary.LittleEndian.Uint32(file[12:16])); i++ {
+		e := file[snapHeaderFixed+i*snapSectionEntry:]
+		if binary.LittleEndian.Uint32(e[0:4]) != secSqNorms {
+			continue
+		}
+		off, n := binary.LittleEndian.Uint64(e[8:16]), binary.LittleEndian.Uint64(e[16:24])
+		for j := off + 8; j < off+n; j++ { // past the count, every norm byte
+			file[j] ^= 0x5a
+		}
+		corrupted = true
+	}
+	if !corrupted {
+		t.Fatal("snapshot has no norm section to corrupt")
+	}
+	loaded, err := Load(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, ix, loaded, vecs[:200], "corrupted norms")
+	for _, id := range []int{0, 7, 599} {
+		res, err := loaded.Search(vecs[id], 1, SearchOptions{Probes: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 1 || res[0].Distance != 0 {
+			t.Fatalf("self query %d on the loaded index: %+v, want distance exactly 0", id, res)
+		}
 	}
 }
 

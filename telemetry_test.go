@@ -1,6 +1,8 @@
 package usp
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -214,5 +216,32 @@ func TestSearchBatchTelemetry(t *testing.T) {
 	lat := telemetry.JSONSnapshot(ix.Telemetry())["usp_query_latency_seconds"].(map[string]any)
 	if lat["count"].(uint64) != 50 {
 		t.Errorf("latency samples after batch = %v, want 50", lat["count"])
+	}
+
+	// A rejected batch is one error, whichever entry point and whichever
+	// check refused it, and no query.
+	nan := append([]float32(nil), queries[1]...)
+	nan[0] = float32(math.NaN())
+	for _, bad := range []struct {
+		name    string
+		queries [][]float32
+		k       int
+	}{
+		{"k=0", queries, 0},
+		{"short row", [][]float32{queries[0], queries[1][:3]}, 5},
+		{"NaN row", [][]float32{queries[0], nan}, 5},
+	} {
+		if _, err := ix.SearchBatch(bad.queries, bad.k, SearchOptions{}); !errors.Is(err, ErrInvalid) {
+			t.Fatalf("SearchBatch %s: err = %v, want ErrInvalid", bad.name, err)
+		}
+	}
+	if _, _, err := ix.SearchBatchScanned(queries, -1, SearchOptions{}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("SearchBatchScanned k=-1: err = %v, want ErrInvalid", err)
+	}
+	if got := counterValue(t, ix, "usp_query_errors_total"); got != 4 {
+		t.Errorf("usp_query_errors_total after 4 rejected batches = %d, want 4", got)
+	}
+	if got := counterValue(t, ix, "usp_queries_total"); got != 50 {
+		t.Errorf("usp_queries_total after rejected batches = %d, want 50", got)
 	}
 }
