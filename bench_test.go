@@ -125,10 +125,11 @@ func BenchmarkQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix := &core.Index{Data: ds, Source: core.EnsembleSource{Ensemble: ens, Mode: core.BestConfidence}}
+	var qs core.QueryScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Search(ds.Row(i%ds.N), 10, 2)
+		q := ds.Row(i % ds.N)
+		knn.SearchSubset(ds, ens.CandidatesWith(&qs, q, 2, core.BestConfidence), q, 10)
 	}
 }
 

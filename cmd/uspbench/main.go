@@ -8,7 +8,8 @@
 //	uspbench -exp all                   # everything
 //	uspbench -exp fig5a -sift-n 20000   # scale the SIFT stand-in up
 //	uspbench -list                      # list experiment ids
-//	uspbench -bench-json BENCH_1.json   # serving benchmark → JSON report
+//
+// The serving benchmark of record is the harness in bench/ (go run ./bench).
 package main
 
 import (
@@ -23,20 +24,15 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "experiment id, or 'all'")
-		benchJSON = flag.String("bench-json", "", "run the serving benchmark and write a JSON report to this path")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		siftN     = flag.Int("sift-n", 0, "override SIFT-like dataset size")
-		mnistN    = flag.Int("mnist-n", 0, "override MNIST-like dataset size")
-		queries   = flag.Int("queries", 0, "override query count")
-		epochs    = flag.Int("epochs", 0, "override training epochs")
-		ensemble  = flag.Int("ensemble", 0, "override USP ensemble size")
-		seed      = flag.Int64("seed", 0, "override RNG seed")
-		quantized = flag.Bool("quantized", false, "with -bench-json: also run the quantized (ADC) serving benchmark")
-		quantN    = flag.Int("quant-n", 0, "quantized benchmark row count (default 1000000)")
-		rerankK   = flag.Int("rerank-k", 0, "quantized benchmark re-rank depth (0 = engine default, -1 = ADC only)")
-		fanout    = flag.Int("fanout", 0, "with -bench-json: also benchmark the sharded serving tier over this many shards (>= 2)")
-		verbose   = flag.Bool("v", false, "log per-step progress")
+		exp      = flag.String("exp", "", "experiment id, or 'all'")
+		list     = flag.Bool("list", false, "list experiment ids and exit")
+		siftN    = flag.Int("sift-n", 0, "override SIFT-like dataset size")
+		mnistN   = flag.Int("mnist-n", 0, "override MNIST-like dataset size")
+		queries  = flag.Int("queries", 0, "override query count")
+		epochs   = flag.Int("epochs", 0, "override training epochs")
+		ensemble = flag.Int("ensemble", 0, "override USP ensemble size")
+		seed     = flag.Int64("seed", 0, "override RNG seed")
+		verbose  = flag.Bool("v", false, "log per-step progress")
 	)
 	flag.Parse()
 
@@ -45,24 +41,6 @@ func main() {
 			fmt.Println(id)
 		}
 		return
-	}
-	if *benchJSON != "" {
-		logf := func(string, ...any) {}
-		if *verbose {
-			logf = log.Printf
-		}
-		cfg := servingBenchConfig{
-			N: *siftN, Queries: *queries, Epochs: *epochs,
-			Ensemble: *ensemble, Seed: *seed,
-			Quantized: *quantized, QuantN: *quantN, RerankK: *rerankK,
-			Fanout: *fanout,
-		}
-		if err := runServingBench(*benchJSON, cfg, logf); err != nil {
-			log.Fatalf("serving benchmark: %v", err)
-		}
-		if *exp == "" {
-			return
-		}
 	}
 	if *exp == "" {
 		flag.Usage()

@@ -2,13 +2,9 @@
 // cmd/usptrain. Queries come from an fvecs file; results are printed one
 // line per query as "id:distance" pairs.
 //
-// Self-contained snapshots (usptrain's default output) serve on their own;
-// legacy model-only files additionally need the original dataset via -data.
-//
 // Usage:
 //
 //	uspquery -index index.usps -queries q.fvecs -k 10 -probes 2
-//	uspquery -index index.usp -data sift.fvecs -queries q.fvecs -k 10
 package main
 
 import (
@@ -19,16 +15,13 @@ import (
 	"time"
 
 	usp "repro"
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/knn"
 	"repro/internal/telemetry"
 )
 
 func main() {
 	var (
 		indexPath = flag.String("index", "", "index file from usptrain (required)")
-		dataPath  = flag.String("data", "", "fvecs dataset (required for legacy model-only indexes)")
 		queryPath = flag.String("queries", "", "fvecs query file (required)")
 		k         = flag.Int("k", 10, "neighbors to return")
 		probes    = flag.Int("probes", 1, "bins to probe (m')")
@@ -40,19 +33,16 @@ func main() {
 		os.Exit(2)
 	}
 
+	if !usp.IsSnapshotFile(*indexPath) {
+		fmt.Fprintf(os.Stderr, "%s: not a USPSNAP1 snapshot — re-train with usptrain\n", *indexPath)
+		os.Exit(2)
+	}
+
 	queries, err := dataset.LoadFvecsFile(*queryPath)
 	if err != nil {
 		log.Fatalf("loading queries: %v", err)
 	}
-
-	if usp.IsSnapshotFile(*indexPath) {
-		serveSnapshot(*indexPath, queries, *k, *probes, *union)
-		return
-	}
-	if *dataPath == "" {
-		log.Fatalf("%s is a legacy model-only index: pass the dataset it was built on via -data", *indexPath)
-	}
-	serveLegacy(*indexPath, *dataPath, queries, *k, *probes, *union)
+	serveSnapshot(*indexPath, queries, *k, *probes, *union)
 }
 
 // serveSnapshot runs the query file through a loaded self-contained
@@ -96,50 +86,6 @@ func serveSnapshot(path string, queries *dataset.Dataset, k, probes int, union b
 		fmt.Fprintf(os.Stderr, "tombstones skipped: %d (%.1f/query) — compaction would reclaim this scan work\n",
 			totalSkipped, float64(totalSkipped)/float64(queries.N))
 	}
-}
-
-// serveLegacy preserves the original pipeline for model-only index files.
-func serveLegacy(indexPath, dataPath string, queries *dataset.Dataset, k, probes int, union bool) {
-	ens, hier, err := core.LoadIndexFile(indexPath)
-	if err != nil {
-		log.Fatalf("loading index: %v", err)
-	}
-	ds, err := dataset.LoadFvecsFile(dataPath)
-	if err != nil {
-		log.Fatalf("loading dataset: %v", err)
-	}
-	if queries.Dim != ds.Dim {
-		log.Fatalf("query dim %d != dataset dim %d", queries.Dim, ds.Dim)
-	}
-
-	mode := core.BestConfidence
-	if union {
-		mode = core.UnionProbe
-	}
-	var qs core.QueryScratch // one scratch across the whole query file
-	candidates := func(q []float32) []int {
-		if hier != nil {
-			return hier.CandidatesWith(&qs, q, probes)
-		}
-		return ens.CandidatesWith(&qs, q, probes, mode)
-	}
-	lat := newLatencyHist()
-	start := time.Now()
-	totalCands := 0
-	for qi := 0; qi < queries.N; qi++ {
-		q := queries.Row(qi)
-		qStart := time.Now()
-		cands := candidates(q)
-		totalCands += len(cands)
-		ns := knn.SearchSubset(ds, cands, q, k)
-		lat.ObserveDuration(time.Since(qStart))
-		fmt.Printf("q%d:", qi)
-		for _, n := range ns {
-			fmt.Printf(" %d:%.4f", n.Index, n.Dist)
-		}
-		fmt.Println()
-	}
-	reportTiming(queries.N, totalCands, time.Since(start), lat)
 }
 
 func newLatencyHist() *telemetry.Histogram {

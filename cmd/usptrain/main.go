@@ -1,16 +1,14 @@
 // Command usptrain trains a USP partitioning index over an fvecs dataset
 // and writes it to disk for cmd/uspquery or cmd/uspserve to serve.
 //
-// By default it writes a self-contained versioned snapshot (models, lookup
-// tables, dataset rows, norm cache, tombstones — see DESIGN.md) that serves
-// queries on its own. -legacy writes the old model-only format, which needs
-// the original dataset file alongside it at query time.
+// The output is a self-contained versioned snapshot (models, lookup tables,
+// dataset rows, norm cache, tombstones — see DESIGN.md) that serves queries
+// on its own.
 //
 // Usage:
 //
 //	usptrain -data sift.fvecs -bins 16 -ensemble 3 -o index.usps
 //	usptrain -data sift.fvecs -hierarchy 16,16 -o index.usps
-//	usptrain -data sift.fvecs -legacy -o index.usp
 package main
 
 import (
@@ -23,9 +21,7 @@ import (
 	"time"
 
 	usp "repro"
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/knn"
 )
 
 func main() {
@@ -40,7 +36,6 @@ func main() {
 		epochs   = flag.Int("epochs", 60, "training epochs")
 		hidden   = flag.Int("hidden", 128, "hidden width (0 = logistic regression)")
 		seed     = flag.Int64("seed", 1, "RNG seed")
-		legacy   = flag.Bool("legacy", false, "write the legacy model-only format instead of a full snapshot")
 		verbose  = flag.Bool("v", false, "log per-epoch losses")
 	)
 	flag.Parse()
@@ -64,11 +59,6 @@ func main() {
 			}
 			levels = append(levels, v)
 		}
-	}
-
-	if *legacy {
-		trainLegacy(ds, levels, *bins, *ensemble, *kPrime, *eta, *epochs, *hidden, *seed, *verbose, *out)
-		return
 	}
 
 	opt := usp.Options{
@@ -100,56 +90,4 @@ func main() {
 	} else {
 		fmt.Printf("wrote self-contained snapshot to %s\n", *out)
 	}
-}
-
-// trainLegacy preserves the original model-only pipeline for users with
-// existing uspquery -data workflows.
-func trainLegacy(ds *dataset.Dataset, levels []int, bins, ensemble, kPrime int,
-	eta float64, epochs, hidden int, seed int64, verbose bool, out string) {
-
-	kp := kPrime
-	if kp >= ds.N {
-		kp = ds.N - 1
-	}
-	cfg := core.Config{
-		Bins: bins, KPrime: kp, Eta: eta, Epochs: epochs, Seed: seed,
-	}
-	if hidden > 0 {
-		cfg.Hidden = []int{hidden}
-		cfg.Dropout = 0.1
-	}
-	if verbose {
-		cfg.Logf = log.Printf
-	}
-
-	if len(levels) > 0 {
-		start := time.Now()
-		h, stats, err := core.TrainHierarchy(ds, levels, cfg)
-		if err != nil {
-			log.Fatalf("training hierarchy: %v", err)
-		}
-		fmt.Printf("trained hierarchy of %d models (%d leaf bins, %d params) in %s\n",
-			len(stats), h.NumBins, h.TotalParams(), time.Since(start).Round(time.Millisecond))
-		if err := core.SaveIndexFile(out, nil, h); err != nil {
-			log.Fatalf("writing index: %v", err)
-		}
-		fmt.Printf("wrote legacy hierarchical index to %s\n", out)
-		return
-	}
-
-	start := time.Now()
-	mat := knn.BuildMatrix(ds, kp)
-	fmt.Printf("k'-NN matrix (k'=%d) built in %s\n", kp, time.Since(start).Round(time.Millisecond))
-
-	start = time.Now()
-	ens, stats, err := core.TrainEnsemble(ds, mat, cfg, ensemble)
-	if err != nil {
-		log.Fatalf("training: %v", err)
-	}
-	fmt.Printf("trained %d model(s), %d params total, in %s\n",
-		ens.Size(), stats.TotalParams(), time.Since(start).Round(time.Millisecond))
-	if err := core.SaveIndexFile(out, ens, nil); err != nil {
-		log.Fatalf("writing index: %v", err)
-	}
-	fmt.Printf("wrote legacy index to %s\n", out)
 }

@@ -57,7 +57,7 @@ func (p *Partitioner) Rebuild(n, member int, extra ExtraBins, drop *bitset.Set) 
 // merged lookup tables (see Partitioner.Rebuild). Members are rebuilt in
 // parallel — compaction is pure id-list surgery, so it scales with cores and
 // never touches vector data.
-func (e *Ensemble) Rebuild(n int, extra ExtraBins, drop *bitset.Set) *Ensemble {
+func (e *Ensemble) Rebuild(n int, extra ExtraBins, drop *bitset.Set) Router {
 	ne := &Ensemble{Parts: make([]*Partitioner, len(e.Parts))}
 	par.For(len(e.Parts), func(m int) {
 		ne.Parts[m] = e.Parts[m].Rebuild(n, m, extra, drop)
@@ -67,8 +67,9 @@ func (e *Ensemble) Rebuild(n int, extra ExtraBins, drop *bitset.Set) *Ensemble {
 
 // Rebuild returns a hierarchy sharing h's trained tree but owning a freshly
 // merged global leaf table: per leaf, h's frozen list with drop-marked ids
-// removed, followed by the leaf's extra ids (minus drops).
-func (h *Hierarchy) Rebuild(extra ExtraBins, drop *bitset.Set) *Hierarchy {
+// removed, followed by the leaf's extra ids (minus drops). The leaf table
+// carries no per-point array, so the id universe n goes unused.
+func (h *Hierarchy) Rebuild(_ int, extra ExtraBins, drop *bitset.Set) Router {
 	nh := &Hierarchy{
 		Levels: h.Levels, NumBins: h.NumBins, ProbeTemp: h.ProbeTemp, root: h.root,
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/knn"
+	"repro/internal/vecmath"
 )
 
 // testData builds a small clustered dataset plus its k'-NN matrix.
@@ -26,6 +27,18 @@ func smallCfg(bins int) Config {
 		BatchSize: 128, Hidden: []int{16}, Dropout: 0.1, Seed: 42,
 	}
 }
+
+// searchWithStats answers a k-NN query the way the offline callers do: the
+// best-confidence candidate set of the mPrime most probable bins through the
+// []int adapter, scanned by brute force. It also reports |C(q)|.
+func searchWithStats(ds *dataset.Dataset, e *Ensemble, qs *QueryScratch, q []float32, k, mPrime int) ([]vecmath.Neighbor, int) {
+	cands := e.CandidatesWith(qs, q, mPrime, BestConfidence)
+	return knn.SearchSubset(ds, cands, q, k), len(cands)
+}
+
+// single wraps one partitioner as an ensemble of one — the form the
+// candidate path takes.
+func single(p *Partitioner) *Ensemble { return &Ensemble{Parts: []*Partitioner{p}} }
 
 func TestTrainPartitionInvariants(t *testing.T) {
 	ds, mat := testData(t, 600, 8, 4, 1)
@@ -101,7 +114,8 @@ func TestIndexSearchBeatsRandomCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := &Index{Data: ds, Source: p}
+	ens := single(p)
+	var qs QueryScratch
 	rng := rand.New(rand.NewSource(9))
 	queries := dataset.GaussianMixture(dataset.GaussianMixtureConfig{
 		N: 40, Dim: 8, Clusters: 4, ClusterStd: 0.15, CenterBox: 4,
@@ -112,7 +126,7 @@ func TestIndexSearchBeatsRandomCandidates(t *testing.T) {
 	var candTotal int
 	for qi := 0; qi < queries.N; qi++ {
 		q := queries.Row(qi)
-		ns, c := ix.SearchWithStats(q, 10, 1)
+		ns, c := searchWithStats(ds, ens, &qs, q, 10, 1)
 		uspRecall += knn.RecallNeighbors(ns, gt[qi])
 		candTotal += c
 		// Random candidate set of the same size.
@@ -134,13 +148,14 @@ func TestMoreProbesMoreRecall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := &Index{Data: ds, Source: p}
+	ens := single(p)
+	var qs QueryScratch
 	gt := knn.GroundTruth(ds, ds, 10)
 	var r1, rAll float64
 	for qi := 0; qi < 50; qi++ {
 		q := ds.Row(qi)
-		n1, _ := ix.SearchWithStats(q, 10, 1)
-		nAll, cAll := ix.SearchWithStats(q, 10, 4)
+		n1, _ := searchWithStats(ds, ens, &qs, q, 10, 1)
+		nAll, cAll := searchWithStats(ds, ens, &qs, q, 10, 4)
 		r1 += knn.RecallNeighbors(n1, gt[qi])
 		rAll += knn.RecallNeighbors(nAll, gt[qi])
 		if cAll != ds.N {
@@ -218,8 +233,9 @@ func TestEnsembleTrainingAndProbing(t *testing.T) {
 		t.Fatal("TotalParams mismatch")
 	}
 	q := ds.Row(0)
-	best := ens.Candidates(q, 1, BestConfidence)
-	union := ens.Candidates(q, 1, UnionProbe)
+	var qs QueryScratch
+	best := ens.CandidatesWith(&qs, q, 1, BestConfidence)
+	union := ens.CandidatesWith(&qs, q, 1, UnionProbe)
 	if len(best) == 0 || len(union) < len(best) {
 		t.Fatalf("|best|=%d |union|=%d", len(best), len(union))
 	}
@@ -230,12 +246,6 @@ func TestEnsembleTrainingAndProbing(t *testing.T) {
 			t.Fatalf("duplicate candidate %d in union", i)
 		}
 		seen[i] = true
-	}
-	// EnsembleSource adapter must agree with direct call.
-	src := EnsembleSource{Ensemble: ens, Mode: BestConfidence}
-	got := src.Candidates(q, 1)
-	if len(got) != len(best) {
-		t.Fatal("EnsembleSource adapter mismatch")
 	}
 }
 
@@ -252,10 +262,10 @@ func TestEnsembleImprovesRecallAtFixedProbes(t *testing.T) {
 	}
 	gt := knn.GroundTruth(ds, ds, 10)
 	recall := func(e *Ensemble) float64 {
-		ix := &Index{Data: ds, Source: EnsembleSource{e, BestConfidence}}
+		var qs QueryScratch
 		var r float64
 		for qi := 0; qi < 100; qi++ {
-			ns := ix.Search(ds.Row(qi), 10, 1)
+			ns, _ := searchWithStats(ds, e, &qs, ds.Row(qi), 10, 1)
 			r += knn.RecallNeighbors(ns, gt[qi])
 		}
 		return r / 100
@@ -300,7 +310,8 @@ func TestHierarchyInvariants(t *testing.T) {
 		}
 	}
 	// Leaf probabilities sum to 1 (product of distributions over a tree).
-	probs := h.LeafProbabilities(ds.Row(0))
+	var qs QueryScratch
+	probs := h.LeafProbabilitiesInto(nil, ds.Row(0), &qs)
 	var sum float64
 	for _, p := range probs {
 		if p < 0 {
@@ -312,7 +323,7 @@ func TestHierarchyInvariants(t *testing.T) {
 		t.Fatalf("leaf probabilities sum to %v", sum)
 	}
 	// Probing all leaf bins covers the whole dataset.
-	if c := h.Candidates(ds.Row(0), h.NumBins); len(c) != ds.N {
+	if c := h.CandidatesWith(&qs, ds.Row(0), h.NumBins); len(c) != ds.N {
 		t.Fatalf("full probe |C| = %d, want %d", len(c), ds.N)
 	}
 	if h.TotalParams() == 0 {
@@ -345,7 +356,8 @@ func TestHierarchyProbeTempKeepsDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.ProbeTemp = 4
-	probs := h.LeafProbabilities(ds.Row(0))
+	var qs QueryScratch
+	probs := h.LeafProbabilitiesInto(nil, ds.Row(0), &qs)
 	var sum float64
 	for _, p := range probs {
 		if p < 0 {
@@ -357,7 +369,7 @@ func TestHierarchyProbeTempKeepsDistribution(t *testing.T) {
 		t.Fatalf("softened leaf probs sum to %v", sum)
 	}
 	// Softening must not break coverage semantics.
-	if c := h.Candidates(ds.Row(0), h.NumBins); len(c) != ds.N {
+	if c := h.CandidatesWith(&qs, ds.Row(0), h.NumBins); len(c) != ds.N {
 		t.Fatalf("full probe |C| = %d", len(c))
 	}
 }

@@ -93,52 +93,84 @@ const (
 	UnionProbe
 )
 
-// AppendCandidates appends the ensemble's candidate set for q to dst,
-// probing the mPrime most probable bins of the selected model(s). All
-// intermediates live in qs, so a warmed scratch makes the call allocation-
-// free beyond growth of dst.
-func (e *Ensemble) AppendCandidates(dst []int32, q []float32, mPrime int, mode ProbeMode, qs *QueryScratch) []int32 {
-	return e.AppendCandidatesExtra(dst, q, mPrime, mode, qs, len(e.Parts[0].Assign), nil)
+// Route runs every member's forward pass for q through the single-row
+// kernel, leaving each member's distribution in row 0 of its scratch buffer.
+func (e *Ensemble) Route(qs *QueryScratch, q []float32, mode ProbeMode) {
+	for m, p := range e.Parts {
+		probs := p.ProbabilitiesInto(qs.memberBuf(m), q, &qs.Infer)
+		qs.memberProbs[m] = probs // retain the grown buffer
+	}
+	e.selectMembers(qs, 1, mode)
 }
 
-// AppendCandidatesExtra is AppendCandidates for epoch-snapshotted indexes:
-// after each probed bin's CSR range it appends the bin's post-epoch inserts
-// from extra (nil when the epoch has none), and the union-probe dedup set is
-// sized to n — the epoch's total id universe — rather than to the CSR
-// tables, which lag behind pending inserts. Passing a non-nil extra through
-// the interface costs no allocation (the usp layer hands in a pointer).
-func (e *Ensemble) AppendCandidatesExtra(dst []int32, q []float32, mPrime int, mode ProbeMode, qs *QueryScratch, n int, extra ExtraBins) []int32 {
-	switch mode {
-	case BestConfidence:
-		// Algorithm 4: the single candidate set of the model whose top bin
-		// probability is highest. bestIdx/qs.best start at a safe default:
-		// if every comparison fails (all-NaN probabilities from an
-		// overflowing query) the empty distribution selects no bins and the
-		// candidate set is empty, matching the pre-scratch behavior.
-		bestIdx := 0
+// RouteBatch runs every member's forward pass over the staged batch — the
+// whole chunk's routing inference in len(Parts) dispatched batched passes
+// (one MatMul per Dense layer instead of a row of AXPY loops per query).
+func (e *Ensemble) RouteBatch(qs *QueryScratch, mode ProbeMode) {
+	for m, p := range e.Parts {
+		probs := p.Model.PredictBatchInto(qs.memberBuf(m), &qs.q, &qs.batch)
+		qs.memberProbs[m] = probs
+	}
+	e.selectMembers(qs, qs.q.Rows, mode)
+}
+
+// selectMembers records, in best-confidence mode, each routed row's member
+// per Algorithm 4: the one whose top bin probability is highest, first
+// member winning ties. A row whose distributions are all NaN (an
+// overflowing query) fails every comparison and selects no member, so its
+// candidate set is empty.
+func (e *Ensemble) selectMembers(qs *QueryScratch, n int, mode ProbeMode) {
+	if mode != BestConfidence {
+		return
+	}
+	if cap(qs.bestIdx) < n {
+		qs.bestIdx = make([]int, n)
+	}
+	qs.bestIdx = qs.bestIdx[:n]
+	for i := 0; i < n; i++ {
+		bestIdx := -1
 		bestConf := float32(-1)
-		qs.best = qs.best[:0]
 		for m, p := range e.Parts {
-			qs.probs = p.ProbabilitiesInto(qs.probs, q, &qs.Infer)
-			if c := qs.probs[vecmath.ArgMax(qs.probs)]; c > bestConf {
+			row := qs.memberProbs[m][i*p.M : (i+1)*p.M]
+			if c := row[vecmath.ArgMax(row)]; c > bestConf {
 				bestConf = c
 				bestIdx = m
-				qs.best = append(qs.best[:0], qs.probs...)
 			}
 		}
-		qs.bins = vecmath.TopKIndicesInto(qs.bins, qs.best, mPrime)
+		qs.bestIdx[i] = bestIdx
+	}
+}
+
+// AppendCandidatesRow appends routed row i's candidate set to dst: the ids
+// in the mPrime most probable bins of the selected member (best-confidence)
+// or of every member, first occurrences only (union). After each probed
+// bin's CSR range and spill it appends the bin's post-epoch inserts from
+// extra (nil when the epoch has none); passing a non-nil extra through the
+// interface costs no allocation (the usp layer hands in a pointer). The
+// union dedup set is sized to n — the epoch's total id universe — rather
+// than to the CSR tables, which lag behind pending inserts.
+func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, mode ProbeMode, qs *QueryScratch, n int, extra ExtraBins) []int32 {
+	switch mode {
+	case BestConfidence:
+		m := qs.bestIdx[i]
+		if m < 0 {
+			return dst
+		}
+		p := e.Parts[m]
+		row := qs.memberProbs[m][i*p.M : (i+1)*p.M]
+		qs.bins = vecmath.TopKIndicesInto(qs.bins, row, mPrime)
 		for _, b := range qs.bins {
-			dst = e.Parts[bestIdx].AppendBin(dst, b)
+			dst = p.AppendBin(dst, b)
 			if extra != nil {
-				dst = extra.AppendExtra(dst, bestIdx, b)
+				dst = extra.AppendExtra(dst, m, b)
 			}
 		}
 		return dst
 	case UnionProbe:
 		gen := qs.beginSeen(n)
 		for m, p := range e.Parts {
-			qs.probs = p.ProbabilitiesInto(qs.probs, q, &qs.Infer)
-			qs.bins = vecmath.TopKIndicesInto(qs.bins, qs.probs, mPrime)
+			row := qs.memberProbs[m][i*p.M : (i+1)*p.M]
+			qs.bins = vecmath.TopKIndicesInto(qs.bins, row, mPrime)
 			for _, b := range qs.bins {
 				mark := len(dst)
 				dst = p.AppendBin(dst, b)
@@ -164,22 +196,18 @@ func (e *Ensemble) AppendCandidatesExtra(dst []int32, q []float32, mPrime int, m
 }
 
 // CandidatesWith returns the ensemble's candidate set for q as a fresh
-// []int while reusing the caller's scratch. Per-query offline callers (the
-// experiment sweeps, cmd/uspquery) should hold one QueryScratch across
-// queries: UnionProbe's dedup array is sized to the dataset, so a fresh
-// scratch per query would re-allocate and re-zero O(n) every call.
+// []int — the adapter the offline callers (experiment sweeps, eval) use.
+// Hold one QueryScratch across queries: UnionProbe's dedup array is sized
+// to the dataset, so a fresh scratch per query would re-allocate and
+// re-zero O(n) every call.
 func (e *Ensemble) CandidatesWith(qs *QueryScratch, q []float32, mPrime int, mode ProbeMode) []int {
-	qs.cands = e.AppendCandidates(qs.cands[:0], q, mPrime, mode, qs)
+	e.Route(qs, q, mode)
+	qs.cands = e.AppendCandidatesRow(qs.cands[:0], 0, mPrime, mode, qs, len(e.Parts[0].Assign), nil)
 	return ToInts(qs.cands)
 }
 
-// Candidates returns the ensemble's candidate set for q as a fresh []int —
-// a thin allocating wrapper over AppendCandidates kept for one-shot
-// callers; loops should prefer CandidatesWith.
-func (e *Ensemble) Candidates(q []float32, mPrime int, mode ProbeMode) []int {
-	var qs QueryScratch
-	return e.CandidatesWith(&qs, q, mPrime, mode)
-}
+// Shape implements Router.
+func (e *Ensemble) Shape() (members, slots int) { return len(e.Parts), e.Parts[0].M }
 
 // Size returns the number of models in the ensemble.
 func (e *Ensemble) Size() int { return len(e.Parts) }

@@ -141,18 +141,10 @@ func trainNode(ds *dataset.Dataset, idx []int32, levels []int, cfg Config,
 	return node, nil
 }
 
-// LeafProbabilities returns the query's probability for every global leaf
-// bin: the product of (temperature-softened) model outputs along each
-// root→leaf path.
-func (h *Hierarchy) LeafProbabilities(q []float32) []float32 {
-	var qs QueryScratch
-	return h.LeafProbabilitiesInto(nil, q, &qs)
-}
-
-// LeafProbabilitiesInto is the allocation-free LeafProbabilities: the leaf
-// distribution is written into dst (grown as needed) and every node's
-// forward pass runs through the scratch's per-depth buffers. Results are
-// bit-identical to LeafProbabilities.
+// LeafProbabilitiesInto writes the query's probability for every global
+// leaf bin — the product of (temperature-softened) model outputs along each
+// root→leaf path — into dst (grown as needed), running every node's forward
+// pass through the scratch's per-depth buffers.
 func (h *Hierarchy) LeafProbabilitiesInto(dst []float32, q []float32, qs *QueryScratch) []float32 {
 	if cap(dst) < h.NumBins {
 		dst = make([]float32, h.NumBins)
@@ -167,7 +159,7 @@ func (h *Hierarchy) LeafProbabilitiesInto(dst []float32, q []float32, qs *QueryS
 // children recurse, but siblings at the same depth can share.
 func (h *Hierarchy) walkNode(out []float32, n *hnode, depth int, prob float32, q []float32, qs *QueryScratch) {
 	probs := n.part.Model.PredictVecInto(qs.nodeBuf(depth), q, &qs.Infer)
-	qs.nodeProbs[depth] = probs // retain the grown buffer
+	qs.nodeProb[depth] = probs // retain the grown buffer
 	if h.ProbeTemp > 1 {
 		soften(probs, h.ProbeTemp)
 	}
@@ -182,26 +174,70 @@ func (h *Hierarchy) walkNode(out []float32, n *hnode, depth int, prob float32, q
 	}
 }
 
-// QueryBins returns the mPrime globally most probable leaf bins.
-func (h *Hierarchy) QueryBins(q []float32, mPrime int) []int {
-	return vecmath.TopKIndices(h.LeafProbabilities(q), mPrime)
-}
-
-// AppendCandidates appends the union of the lookup lists of the mPrime most
-// probable leaf bins to dst. Leaf bins are disjoint, so no dedup is needed;
-// each bin contributes one contiguous copy. With a warmed scratch the call
-// allocates nothing beyond growth of dst.
-func (h *Hierarchy) AppendCandidates(dst []int32, q []float32, mPrime int, qs *QueryScratch) []int32 {
-	return h.AppendCandidatesExtra(dst, q, mPrime, qs, nil)
-}
-
-// AppendCandidatesExtra is AppendCandidates for epoch-snapshotted indexes:
-// after each probed leaf's frozen list it appends the leaf's post-epoch
-// inserts from extra (nil when the epoch has none). The hierarchy is a
-// single router, so extra is addressed with member 0 and bin = global leaf.
-func (h *Hierarchy) AppendCandidatesExtra(dst []int32, q []float32, mPrime int, qs *QueryScratch, extra ExtraBins) []int32 {
+// Route walks the tree for q through the single-row kernel, leaving the
+// leaf distribution in row 0 of the scratch. The hierarchy is one router,
+// so the probe mode does not apply.
+func (h *Hierarchy) Route(qs *QueryScratch, q []float32, _ ProbeMode) {
 	qs.leaf = h.LeafProbabilitiesInto(qs.leaf, q, qs)
-	qs.bins = vecmath.TopKIndicesInto(qs.bins, qs.leaf, mPrime)
+}
+
+// RouteBatch walks the tree once for the whole staged batch: each node's
+// model runs a single batched forward pass, and the per-row root→leaf
+// probability products accumulate through per-depth buffers in the same
+// multiplication order as the single-row walk, filling the rows×NumBins
+// leaf distribution.
+func (h *Hierarchy) RouteBatch(qs *QueryScratch, _ ProbeMode) {
+	n := qs.q.Rows
+	qs.leaf = growFloats(qs.leaf, n*h.NumBins)
+	root := qs.pathBuf(0, n)
+	for i := range root {
+		root[i] = 1
+	}
+	h.walkNodeBatch(qs, h.root, 0, n)
+}
+
+// walkNodeBatch is walkNode over a staged batch. Each depth owns one node
+// buffer and one path buffer: a parent's distribution and path products
+// stay live while its children recurse, but siblings at the same depth can
+// share — the same per-depth discipline as the single-row walk.
+func (h *Hierarchy) walkNodeBatch(qs *QueryScratch, nd *hnode, depth, n int) {
+	w := nd.part.M
+	probs := nd.part.Model.PredictBatchInto(qs.nodeBuf(depth), &qs.q, &qs.batch)
+	qs.nodeProb[depth] = probs // retain the grown buffer
+	if h.ProbeTemp > 1 {
+		for i := 0; i < n; i++ {
+			soften(probs[i*w:(i+1)*w], h.ProbeTemp)
+		}
+	}
+	path := qs.pathProb[depth]
+	if nd.children == nil {
+		for i := 0; i < n; i++ {
+			row := probs[i*w : (i+1)*w]
+			out := qs.leaf[i*h.NumBins+nd.leafBase:]
+			pi := path[i]
+			for b, pb := range row {
+				out[b] = pi * pb
+			}
+		}
+		return
+	}
+	for b, child := range nd.children {
+		cp := qs.pathBuf(depth+1, n)
+		for i := 0; i < n; i++ {
+			cp[i] = path[i] * probs[i*w+b]
+		}
+		h.walkNodeBatch(qs, child, depth+1, n)
+	}
+}
+
+// AppendCandidatesRow appends routed row i's candidate set to dst: the
+// lookup lists of its mPrime most probable leaf bins, each followed by the
+// leaf's post-epoch inserts from extra (nil when the epoch has none). Leaf
+// bins are disjoint, so no dedup is needed and mode and n go unused; extra
+// is addressed with member 0 and bin = global leaf.
+func (h *Hierarchy) AppendCandidatesRow(dst []int32, i, mPrime int, _ ProbeMode, qs *QueryScratch, _ int, extra ExtraBins) []int32 {
+	row := qs.leaf[i*h.NumBins : (i+1)*h.NumBins]
+	qs.bins = vecmath.TopKIndicesInto(qs.bins, row, mPrime)
 	for _, b := range qs.bins {
 		dst = append(dst, h.Bins[b]...)
 		if extra != nil {
@@ -211,21 +247,17 @@ func (h *Hierarchy) AppendCandidatesExtra(dst []int32, q []float32, mPrime int, 
 	return dst
 }
 
-// CandidatesWith returns the candidate set for q as a fresh []int while
-// reusing the caller's scratch across queries (tree-walk and selection
-// buffers stay warm).
+// CandidatesWith returns the candidate set for q as a fresh []int — the
+// adapter the offline callers use — reusing the caller's scratch across
+// queries (tree-walk and selection buffers stay warm).
 func (h *Hierarchy) CandidatesWith(qs *QueryScratch, q []float32, mPrime int) []int {
-	qs.cands = h.AppendCandidates(qs.cands[:0], q, mPrime, qs)
+	h.Route(qs, q, BestConfidence)
+	qs.cands = h.AppendCandidatesRow(qs.cands[:0], 0, mPrime, BestConfidence, qs, 0, nil)
 	return ToInts(qs.cands)
 }
 
-// Candidates returns the union of the lookup lists of the mPrime most
-// probable leaf bins — a thin allocating wrapper over AppendCandidates for
-// one-shot callers; loops should prefer CandidatesWith.
-func (h *Hierarchy) Candidates(q []float32, mPrime int) []int {
-	var qs QueryScratch
-	return h.CandidatesWith(&qs, q, mPrime)
-}
+// Shape implements Router: one member whose slots are the global leaves.
+func (h *Hierarchy) Shape() (members, slots int) { return 1, h.NumBins }
 
 // soften raises probabilities to the power 1/temp and renormalizes
 // (equivalent to dividing the logits by temp).

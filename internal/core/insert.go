@@ -14,19 +14,6 @@ import "repro/internal/vecmath"
 // decision outside their critical section: the trained models are immutable,
 // only the append needs exclusivity.
 
-// RouteBinWith returns the bin the trained model routes vec to, running the
-// forward pass through the caller's scratch (allocation-free when warm).
-func (p *Partitioner) RouteBinWith(qs *QueryScratch, vec []float32) int {
-	qs.probs = p.ProbabilitiesInto(qs.probs, vec, &qs.Infer)
-	return vecmath.ArgMax(qs.probs)
-}
-
-// RouteBin returns the bin the trained model routes vec to.
-func (p *Partitioner) RouteBin(vec []float32) int {
-	var qs QueryScratch
-	return p.RouteBinWith(&qs, vec)
-}
-
 // InsertAt appends a point (with the given dataset id) to bin b. The CSR
 // table is immutable after build, so routed points land in per-bin spill
 // lists that candidate probes scan after the contiguous range.
@@ -38,58 +25,39 @@ func (p *Partitioner) InsertAt(id, b int) {
 	p.spill[b] = append(p.spill[b], int32(id))
 }
 
-// Insert routes a new point (with the given dataset id) into the partition.
-func (p *Partitioner) Insert(id int, vec []float32) {
-	p.InsertAt(id, p.RouteBin(vec))
-}
-
 // RouteBinsWith appends each member partition's routing decision for vec to
-// dst, reusing the caller's scratch for every forward pass.
+// dst, running the forward passes through the caller's scratch
+// (allocation-free when warm).
 func (e *Ensemble) RouteBinsWith(qs *QueryScratch, vec []float32, dst []int) []int {
-	for _, p := range e.Parts {
-		dst = append(dst, p.RouteBinWith(qs, vec))
+	e.Route(qs, vec, UnionProbe) // every member's row, no member selection
+	for m := range e.Parts {
+		dst = append(dst, vecmath.ArgMax(qs.memberProbs[m]))
 	}
 	return dst
 }
 
-// RouteBins returns each member partition's routing decision for vec.
-func (e *Ensemble) RouteBins(vec []float32) []int {
-	var qs QueryScratch
-	return e.RouteBinsWith(&qs, vec, make([]int, 0, len(e.Parts)))
-}
-
 // InsertRouted appends a point to every member partition at the bins
-// RouteBins chose for it.
+// RouteBinsWith chose for it.
 func (e *Ensemble) InsertRouted(id int, bins []int) {
 	for j, p := range e.Parts {
 		p.InsertAt(id, bins[j])
 	}
 }
 
-// Insert routes a new point into every member partition.
-func (e *Ensemble) Insert(id int, vec []float32) {
-	e.InsertRouted(id, e.RouteBins(vec))
-}
-
 // RouteLeafWith returns the global leaf bin the tree routes vec to, running
 // the tree walk through the caller's scratch.
 func (h *Hierarchy) RouteLeafWith(qs *QueryScratch, vec []float32) int {
-	qs.leaf = h.LeafProbabilitiesInto(qs.leaf, vec, qs)
+	h.Route(qs, vec, BestConfidence)
 	return vecmath.ArgMax(qs.leaf)
 }
 
-// RouteLeaf returns the global leaf bin the tree routes vec to.
-func (h *Hierarchy) RouteLeaf(vec []float32) int {
-	var qs QueryScratch
-	return h.RouteLeafWith(&qs, vec)
+// RouteBinsWith implements Router: the hierarchy is one member whose bin is
+// the global leaf.
+func (h *Hierarchy) RouteBinsWith(qs *QueryScratch, vec []float32, dst []int) []int {
+	return append(dst, h.RouteLeafWith(qs, vec))
 }
 
 // InsertRouted appends a point to the given global leaf bin.
 func (h *Hierarchy) InsertRouted(id, g int) {
 	h.Bins[g] = append(h.Bins[g], int32(id))
-}
-
-// Insert routes a new point to its most probable leaf bin.
-func (h *Hierarchy) Insert(id int, vec []float32) {
-	h.InsertRouted(id, h.RouteLeaf(vec))
 }

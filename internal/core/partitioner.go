@@ -19,7 +19,7 @@ import (
 // offsets — instead of a [][]int32 slice-of-slices: probing a bin appends one
 // contiguous range (a single memmove) rather than chasing a pointer per bin,
 // and the whole table lives in two allocations regardless of m. Points routed
-// in by Insert after the table is built land in small per-bin spill lists
+// in by InsertAt after the table is built land in small per-bin spill lists
 // that are scanned after the CSR range.
 type Partitioner struct {
 	Model *nn.Sequential
@@ -31,7 +31,7 @@ type Partitioner struct {
 	// binIDs[binOff[b]:binOff[b+1]]. binOff has length M+1.
 	binIDs []int32
 	binOff []int32
-	// spill[b] lists ids Insert routed to bin b since the CSR table was
+	// spill[b] lists ids InsertAt routed to bin b since the CSR table was
 	// built (nil until the first insert).
 	spill [][]int32
 }
@@ -262,6 +262,31 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config, weights []float3
 	return p, stats, nil
 }
 
+// ClusterLabels trains a single USP model with m = k bins and returns each
+// point's bin as a cluster label — the paper's §5.5 use of the partitioner
+// as a general clustering method.
+func ClusterLabels(ds *dataset.Dataset, k int, cfg Config) ([]int, error) {
+	cfg.Bins = k
+	kp := cfg.KPrime
+	if kp <= 0 {
+		kp = 10
+	}
+	if kp >= ds.N {
+		kp = ds.N - 1
+	}
+	cfg.KPrime = kp
+	mat := knn.BuildMatrix(ds, kp)
+	p, _, err := Train(ds, mat, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	labels := make([]int, ds.N)
+	for i, b := range p.Assign {
+		labels[i] = int(b)
+	}
+	return labels, nil
+}
+
 // buildLookup runs inference over the whole dataset and fills Assign and the
 // CSR lookup table (Algorithm 1, step 3).
 func (p *Partitioner) buildLookup(ds *dataset.Dataset) {
@@ -299,39 +324,6 @@ func (p *Partitioner) Probabilities(q []float32) []float32 {
 // Results are bit-identical to Probabilities.
 func (p *Partitioner) ProbabilitiesInto(dst []float32, q []float32, sc *nn.InferScratch) []float32 {
 	return p.Model.PredictVecInto(dst, q, sc)
-}
-
-// QueryBins returns the mPrime most probable bins for q (Alg. 2, step 2).
-func (p *Partitioner) QueryBins(q []float32, mPrime int) []int {
-	return vecmath.TopKIndices(p.Probabilities(q), mPrime)
-}
-
-// AppendCandidates appends the candidate set C(q) — the ids in the mPrime
-// most probable bins — to dst, using qs for every intermediate. Steady-state
-// it allocates nothing beyond growth of dst.
-func (p *Partitioner) AppendCandidates(dst []int32, q []float32, mPrime int, qs *QueryScratch) []int32 {
-	qs.probs = p.ProbabilitiesInto(qs.probs, q, &qs.Infer)
-	qs.bins = vecmath.TopKIndicesInto(qs.bins, qs.probs, mPrime)
-	for _, b := range qs.bins {
-		dst = p.AppendBin(dst, b)
-	}
-	return dst
-}
-
-// CandidatesWith returns the candidate set C(q) as a fresh []int while
-// reusing the caller's scratch across queries.
-func (p *Partitioner) CandidatesWith(qs *QueryScratch, q []float32, mPrime int) []int {
-	qs.cands = p.AppendCandidates(qs.cands[:0], q, mPrime, qs)
-	return ToInts(qs.cands)
-}
-
-// Candidates returns the candidate set C(q): the union of the lookup-table
-// lists of the mPrime most probable bins. It is a thin allocating wrapper
-// over AppendCandidates kept for one-shot offline callers; loops should
-// prefer CandidatesWith.
-func (p *Partitioner) Candidates(q []float32, mPrime int) []int {
-	var qs QueryScratch
-	return p.CandidatesWith(&qs, q, mPrime)
 }
 
 // BinSizes returns the number of points per bin (partition balance

@@ -1,43 +1,69 @@
 package core
 
-import "repro/internal/nn"
+import (
+	"repro/internal/nn"
+	"repro/internal/tensor"
+)
 
 // QueryScratch owns every intermediate buffer the online phase needs for one
-// query: the model forward-pass buffers, a probability row, the best-model
-// probability row of Algorithm 4, the selected-bin list, the hierarchy's
-// per-depth node distributions and leaf distribution, and a generation-
-// stamped visited set for union probing. One scratch serves one goroutine;
-// after warm-up a query performs no allocation through any of the
-// AppendCandidates entry points.
+// goroutine: the model forward-pass buffers, the per-member (or per-tree-
+// depth) probability rows, the selected-bin list, and a generation-stamped
+// visited set for union probing. A router fills the probability rows —
+// Route for one query (row 0), RouteBatch for a staged chunk — and
+// AppendCandidatesRow reads them, so everything after routing is one code
+// path whatever the number of rows. After warm-up, routing and gathering
+// perform no allocation beyond growth of the caller's candidate slice.
 //
 // The zero value is ready to use. Buffers grow on demand and are retained.
 type QueryScratch struct {
 	// Infer backs single-row model inference (nn.PredictVecInto).
 	Infer nn.InferScratch
+	// batch backs batched model inference (nn.PredictBatchInto).
+	batch nn.BatchInferScratch
 
-	probs []float32 // current model's bin distribution
-	best  []float32 // best-confidence model's distribution (Algorithm 4)
-	bins  []int     // selected top-m′ bin indices
-	cands []int32   // candidate staging for the []int-returning wrappers
+	q tensor.Matrix // staged query rows (filled by the caller via Stage)
 
-	leaf      []float32   // hierarchy leaf-bin distribution
-	nodeProbs [][]float32 // per-depth node distributions for the tree walk
+	memberProbs [][]float32 // per ensemble member: rows×M distributions, flat row-major
+	bestIdx     []int       // best-confidence member per row (-1: none selected)
+
+	leaf     []float32   // hierarchy: rows×NumBins leaf distributions, flat
+	nodeProb [][]float32 // hierarchy: per-depth node distributions, flat rows×m
+	pathProb [][]float32 // hierarchy: per-depth per-row accumulated path products (batched walk)
+
+	bins  []int   // selected top-m′ bins for the row being appended
+	cands []int32 // candidate staging for the []int-returning CandidatesWith
 
 	// seen/gen implement an O(1)-reset visited set for UnionProbe dedup:
-	// seen[i] == gen marks id i as already emitted for the current query.
+	// seen[i] == gen marks id i as already emitted for the current row.
 	seen []uint32
 	gen  uint32
 }
 
 // ToInts materializes an []int32 id list as a fresh []int — the conversion
-// every []int-returning candidate wrapper performs at the boundary between
-// the int32 engine and the seed-era []int APIs.
+// CandidatesWith performs at the boundary between the int32 engine and the
+// seed-era []int APIs.
 func ToInts(ids []int32) []int {
 	out := make([]int, len(ids))
 	for i, id := range ids {
 		out[i] = int(id)
 	}
 	return out
+}
+
+func growFloats(buf []float32, n int) []float32 {
+	if cap(buf) < n {
+		return make([]float32, n)
+	}
+	return buf[:n]
+}
+
+// Stage prepares the scratch for a batch of n queries of width dim and
+// returns the row-major backing buffer (n*dim floats) for the caller to
+// fill before calling RouteBatch.
+func (qs *QueryScratch) Stage(n, dim int) []float32 {
+	qs.q.Rows, qs.q.Cols = n, dim
+	qs.q.Data = growFloats(qs.q.Data, n*dim)
+	return qs.q.Data
 }
 
 // beginSeen prepares the visited set for a dataset of n points and returns
@@ -57,11 +83,30 @@ func (qs *QueryScratch) beginSeen(n int) uint32 {
 	return qs.gen
 }
 
-// nodeBuf returns the probability buffer for tree depth d, creating the
-// depth slot on first use.
-func (qs *QueryScratch) nodeBuf(d int) []float32 {
-	for len(qs.nodeProbs) <= d {
-		qs.nodeProbs = append(qs.nodeProbs, nil)
+// memberBuf returns the probability buffer of ensemble member m, creating
+// the slot on first use.
+func (qs *QueryScratch) memberBuf(m int) []float32 {
+	for len(qs.memberProbs) <= m {
+		qs.memberProbs = append(qs.memberProbs, nil)
 	}
-	return qs.nodeProbs[d]
+	return qs.memberProbs[m]
+}
+
+// nodeBuf returns the node-distribution buffer for tree depth d, creating
+// the depth slot on first use.
+func (qs *QueryScratch) nodeBuf(d int) []float32 {
+	for len(qs.nodeProb) <= d {
+		qs.nodeProb = append(qs.nodeProb, nil)
+	}
+	return qs.nodeProb[d]
+}
+
+// pathBuf returns the per-row path-product buffer for tree depth d, sized
+// to n rows.
+func (qs *QueryScratch) pathBuf(d, n int) []float32 {
+	for len(qs.pathProb) <= d {
+		qs.pathProb = append(qs.pathProb, nil)
+	}
+	qs.pathProb[d] = growFloats(qs.pathProb[d], n)
+	return qs.pathProb[d]
 }

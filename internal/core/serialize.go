@@ -1,13 +1,11 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 
 	"repro/internal/nn"
 )
@@ -25,16 +23,11 @@ type partSpec struct {
 	Bins   [][]int32
 }
 
-// SaveEnsemble writes a trained ensemble (models and lookup tables) to w.
-func SaveEnsemble(w io.Writer, e *Ensemble) error {
-	return SaveEnsembleWith(w, e, len(e.Parts[0].Assign), nil)
-}
-
-// SaveEnsembleWith is SaveEnsemble for epoch-snapshotted indexes: each bin
-// list is written as its CSR range followed by the bin's post-epoch inserts
-// from extra (nil when none are pending) — the same merge order the live
-// read path and the compactor use — and Assign is extended to n entries with
-// the extra ids' routed bins, so a reloaded index serves results
+// SaveEnsembleWith writes an ensemble (models and lookup tables) to w. Each
+// bin list is written as its CSR range followed by the bin's post-epoch
+// inserts from extra (nil when none are pending) — the same merge order the
+// live read path and the compactor use — and Assign is extended to n entries
+// with the extra ids' routed bins, so a reloaded index serves results
 // bit-identical to the live one without a compaction first.
 func SaveEnsembleWith(w io.Writer, e *Ensemble, n int, extra ExtraBins) error {
 	var spec ensembleSpec
@@ -88,68 +81,6 @@ func mergedAssign(assign []int32, n, member, m int, extra ExtraBins) []int32 {
 	return out
 }
 
-// Index files written by cmd/usptrain start with a magic line identifying
-// the index kind, followed by the gob payload.
-const (
-	magicEnsemble  = "usp-index:ensemble\n"
-	magicHierarchy = "usp-index:hierarchy\n"
-)
-
-// SaveIndexFile writes either an ensemble or a hierarchy (exactly one must
-// be non-nil) to path with a kind header for LoadIndexFile. The file is
-// closed exactly once; a close error (the write path for buffered data on
-// many filesystems) surfaces through the returned error when no earlier
-// write failed.
-func SaveIndexFile(path string, ens *Ensemble, hier *Hierarchy) (err error) {
-	if (ens == nil) == (hier == nil) {
-		return fmt.Errorf("core: SaveIndexFile needs exactly one of ensemble/hierarchy")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	if ens != nil {
-		if _, err := io.WriteString(f, magicEnsemble); err != nil {
-			return err
-		}
-		return SaveEnsemble(f, ens)
-	}
-	if _, err := io.WriteString(f, magicHierarchy); err != nil {
-		return err
-	}
-	return SaveHierarchy(f, hier)
-}
-
-// LoadIndexFile reads an index written by SaveIndexFile; exactly one of the
-// returned pointers is non-nil.
-func LoadIndexFile(path string) (*Ensemble, *Hierarchy, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	magic, err := br.ReadString('\n')
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: reading index header: %w", err)
-	}
-	switch magic {
-	case magicEnsemble:
-		ens, err := LoadEnsemble(br)
-		return ens, nil, err
-	case magicHierarchy:
-		hier, err := LoadHierarchy(br)
-		return nil, hier, err
-	default:
-		return nil, nil, fmt.Errorf("core: unrecognized index header %q", magic)
-	}
-}
-
 // hierSpec snapshots a Hierarchy: the node tree with serialized models plus
 // the global leaf table.
 type hierSpec struct {
@@ -169,15 +100,10 @@ type hnodeSpec struct {
 	Children []hnodeSpec
 }
 
-// SaveHierarchy writes a trained hierarchy to w.
-func SaveHierarchy(w io.Writer, h *Hierarchy) error {
-	return SaveHierarchyWith(w, h, nil)
-}
-
-// SaveHierarchyWith is SaveHierarchy for epoch-snapshotted indexes: each
-// global leaf list is written as its frozen range followed by the leaf's
-// post-epoch inserts from extra (nil when none are pending), matching the
-// live read order so reloaded indexes serve bit-identical results.
+// SaveHierarchyWith writes a hierarchy to w. Each global leaf list is
+// written as its frozen range followed by the leaf's post-epoch inserts from
+// extra (nil when none are pending), matching the live read order so
+// reloaded indexes serve bit-identical results.
 func SaveHierarchyWith(w io.Writer, h *Hierarchy, extra ExtraBins) error {
 	bins := h.Bins
 	if extra != nil {
@@ -216,7 +142,7 @@ func SaveHierarchyWith(w io.Writer, h *Hierarchy, extra ExtraBins) error {
 	return gob.NewEncoder(w).Encode(spec)
 }
 
-// LoadHierarchy reads a hierarchy previously written by SaveHierarchy.
+// LoadHierarchy reads a hierarchy previously written by SaveHierarchyWith.
 func LoadHierarchy(r io.Reader) (*Hierarchy, error) {
 	var spec hierSpec
 	if err := gob.NewDecoder(r).Decode(&spec); err != nil {
@@ -253,7 +179,7 @@ func LoadHierarchy(r io.Reader) (*Hierarchy, error) {
 	}, nil
 }
 
-// LoadEnsemble reads an ensemble previously written by SaveEnsemble.
+// LoadEnsemble reads an ensemble previously written by SaveEnsembleWith.
 func LoadEnsemble(r io.Reader) (*Ensemble, error) {
 	var spec ensembleSpec
 	if err := gob.NewDecoder(r).Decode(&spec); err != nil {

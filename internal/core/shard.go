@@ -37,7 +37,7 @@ func (p *Partitioner) FilterRemap(lo, hi int) *Partitioner {
 // FilterRemap returns an ensemble whose members share e's models but carry
 // per-shard lookup tables (see Partitioner.FilterRemap). Members are
 // filtered in parallel — like Rebuild, this is pure id-list surgery.
-func (e *Ensemble) FilterRemap(lo, hi int) *Ensemble {
+func (e *Ensemble) FilterRemap(lo, hi int) Router {
 	ne := &Ensemble{Parts: make([]*Partitioner, len(e.Parts))}
 	par.For(len(e.Parts), func(m int) {
 		ne.Parts[m] = e.Parts[m].FilterRemap(lo, hi)
@@ -48,7 +48,7 @@ func (e *Ensemble) FilterRemap(lo, hi int) *Ensemble {
 // FilterRemap returns a hierarchy sharing h's trained tree but owning a
 // global leaf table restricted to the ids in [lo, hi), renumbered to id−lo.
 // h must carry no pending spill (callers Rebuild first).
-func (h *Hierarchy) FilterRemap(lo, hi int) *Hierarchy {
+func (h *Hierarchy) FilterRemap(lo, hi int) Router {
 	nh := &Hierarchy{
 		Levels: h.Levels, NumBins: h.NumBins, ProbeTemp: h.ProbeTemp, root: h.root,
 	}

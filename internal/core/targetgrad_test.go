@@ -64,7 +64,7 @@ func TestEnsembleSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveEnsemble(&buf, ens); err != nil {
+	if err := SaveEnsembleWith(&buf, ens, ds.N, nil); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadEnsemble(&buf)
@@ -75,9 +75,10 @@ func TestEnsembleSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("size %d", loaded.Size())
 	}
 	// Candidate sets must be identical before and after the round trip.
+	var qs QueryScratch
 	for qi := 0; qi < 20; qi++ {
-		a := ens.Candidates(ds.Row(qi), 1, BestConfidence)
-		b := loaded.Candidates(ds.Row(qi), 1, BestConfidence)
+		a := ens.CandidatesWith(&qs, ds.Row(qi), 1, BestConfidence)
+		b := loaded.CandidatesWith(&qs, ds.Row(qi), 1, BestConfidence)
 		if len(a) != len(b) {
 			t.Fatalf("query %d: candidate sizes %d vs %d", qi, len(a), len(b))
 		}
@@ -98,7 +99,7 @@ func TestHierarchySaveLoadRoundTrip(t *testing.T) {
 	}
 	h.ProbeTemp = 3
 	var buf bytes.Buffer
-	if err := SaveHierarchy(&buf, h); err != nil {
+	if err := SaveHierarchyWith(&buf, h, nil); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadHierarchy(&buf)
@@ -108,9 +109,10 @@ func TestHierarchySaveLoadRoundTrip(t *testing.T) {
 	if loaded.NumBins != h.NumBins || loaded.ProbeTemp != h.ProbeTemp {
 		t.Fatalf("metadata mismatch: %d/%v", loaded.NumBins, loaded.ProbeTemp)
 	}
+	var qs QueryScratch
 	for qi := 0; qi < 20; qi++ {
-		a := h.Candidates(ds.Row(qi), 2)
-		b := loaded.Candidates(ds.Row(qi), 2)
+		a := h.CandidatesWith(&qs, ds.Row(qi), 2)
+		b := loaded.CandidatesWith(&qs, ds.Row(qi), 2)
 		if len(a) != len(b) {
 			t.Fatalf("query %d: sizes %d vs %d", qi, len(a), len(b))
 		}

@@ -34,9 +34,12 @@ func fig5(sc Scale, logf logfn, ds string, bins int) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
+		var qs core.QueryScratch
 		series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, k, eval.Method{
-			Name:       fmt.Sprintf("USP (ours, hier 16x%d)", bins/16),
-			Candidates: h.Candidates,
+			Name: fmt.Sprintf("USP (ours, hier 16x%d)", bins/16),
+			Candidates: func(q []float32, p int) []int {
+				return h.CandidatesWith(&qs, q, p)
+			},
 		}, probes))
 	} else {
 		logf("fig5 %s/%d: training USP ensemble of %d", ds, bins, sc.Ensemble)

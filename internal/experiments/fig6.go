@@ -36,8 +36,12 @@ func fig6(sc Scale, logf logfn, ds string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	var qs core.QueryScratch
 	series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, k, eval.Method{
-		Name: "USP (ours, logistic)", Candidates: h.Candidates,
+		Name: "USP (ours, logistic)",
+		Candidates: func(q []float32, p int) []int {
+			return h.CandidatesWith(&qs, q, p)
+		},
 	}, probes))
 
 	// --- Regression LSH. ---

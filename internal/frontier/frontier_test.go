@@ -216,6 +216,25 @@ func TestFrontValidation(t *testing.T) {
 	if f.retries.Value() != 0 {
 		t.Fatalf("backend 400 was retried %d times", f.retries.Value())
 	}
+
+	// k and rerank_k have no upper bound on the wire: the engine clamps them
+	// to its row count, so an absurd value is answered with at most that
+	// many results, and the tier keeps answering afterwards.
+	for _, req := range []serve.SearchRequest{
+		{Vector: vecs[0], K: 1 << 40, Probes: 2, RerankK: 1 << 40},
+		{Vector: vecs[0], K: 5, Probes: 2},
+	} {
+		resp := postJSON(t, front.URL+"/search", req)
+		var out serve.SearchResponse
+		err := json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("k=%d: HTTP %d, decode error %v", req.K, resp.StatusCode, err)
+		}
+		if len(out.IDs) == 0 || len(out.IDs) > len(vecs) || len(out.IDs) > req.K {
+			t.Fatalf("k=%d: %d results from %d rows", req.K, len(out.IDs), len(vecs))
+		}
+	}
 }
 
 // TestFrontForwardsClientBytes: each shard receives exactly the bytes the

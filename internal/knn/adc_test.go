@@ -53,7 +53,7 @@ func TestSearchSubsetADCIntoMatchesLUTScan(t *testing.T) {
 			subset = append(subset, int32(i))
 		}
 		k := 1 + rng.Intn(12)
-		dst = SearchSubsetADCInto(dst[:0], codes, pq.Subspaces, pq.K, lut, subset, k, tk, nil)
+		dst, _ = SearchSubsetADCIntoCounted(dst[:0], codes, pq.Subspaces, pq.K, lut, subset, k, tk, nil)
 
 		ref.SetK(k)
 		for _, i := range subset {
@@ -126,12 +126,12 @@ func TestSearchSubsetADCIntoAllocs(t *testing.T) {
 	}
 	tk := vecmath.NewTopK(10)
 	dst := make([]vecmath.Neighbor, 0, 10)
-	dst = SearchSubsetADCInto(dst[:0], codes, pq.Subspaces, pq.K, lut, subset, 10, tk, nil) // warm up
+	dst, _ = SearchSubsetADCIntoCounted(dst[:0], codes, pq.Subspaces, pq.K, lut, subset, 10, tk, nil) // warm up
 	allocs := testing.AllocsPerRun(100, func() {
-		dst = SearchSubsetADCInto(dst[:0], codes, pq.Subspaces, pq.K, lut, subset, 10, tk, nil)
+		dst, _ = SearchSubsetADCIntoCounted(dst[:0], codes, pq.Subspaces, pq.K, lut, subset, 10, tk, nil)
 	})
 	if allocs != 0 {
-		t.Fatalf("SearchSubsetADCInto allocates %v per run", allocs)
+		t.Fatalf("SearchSubsetADCIntoCounted allocates %v per run", allocs)
 	}
 }
 

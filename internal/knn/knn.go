@@ -125,22 +125,15 @@ func SearchSubsetIntoCounted(dst []vecmath.Neighbor, base *dataset.Dataset, subs
 	return tk.AppendSorted(dst), skipped
 }
 
-// SearchSubsetADCInto is the quantized counterpart of SearchSubsetInto:
-// instead of streaming float rows it scores each candidate from its
-// m-byte PQ code via the per-query flat lookup table lut (m rows of kTab
-// floats; see vecmath.LUTSum), retaining the k best approximate distances
-// in the caller's TopK selector and appending them (ascending) to dst.
-// The tombstone skip hook behaves identically to the float scan.
-func SearchSubsetADCInto(dst []vecmath.Neighbor, codes []uint8, m, kTab int, lut []float32, subset []int32, k int, tk *vecmath.TopK, skip *bitset.Set) []vecmath.Neighbor {
-	dst, _ = SearchSubsetADCIntoCounted(dst, codes, m, kTab, lut, subset, k, tk, skip)
-	return dst
-}
-
-// SearchSubsetADCIntoCounted is SearchSubsetADCInto plus the same
-// skipped-tombstone accounting as SearchSubsetIntoCounted. codes is the
-// flat row-major code buffer (row i at codes[i*m:(i+1)*m]); it must cover
-// every id in subset. Steady-state the call allocates nothing beyond
-// growth of dst.
+// SearchSubsetADCIntoCounted is the quantized counterpart of
+// SearchSubsetIntoCounted: instead of streaming float rows it scores each
+// candidate from its m-byte PQ code via the per-query flat lookup table lut
+// (m rows of kTab floats; see vecmath.LUTSum), retaining the k best
+// approximate distances in the caller's TopK selector and appending them
+// (ascending) to dst. The tombstone skip hook and its skipped count behave
+// identically to the float scan. codes is the flat row-major code buffer
+// (row i at codes[i*m:(i+1)*m]); it must cover every id in subset.
+// Steady-state the call allocates nothing beyond growth of dst.
 func SearchSubsetADCIntoCounted(dst []vecmath.Neighbor, codes []uint8, m, kTab int, lut []float32, subset []int32, k int, tk *vecmath.TopK, skip *bitset.Set) ([]vecmath.Neighbor, int) {
 	tk.SetK(k)
 	skipped := 0

@@ -88,6 +88,11 @@ func TestEndpointValidation(t *testing.T) {
 		{"search rerank adc-only", "/search", SearchRequest{Vector: q, K: 5, RerankK: -1}, 200},
 		{"search rerank positive", "/search", SearchRequest{Vector: q, K: 5, RerankK: 40}, 200},
 		{"search rerank invalid", "/search", SearchRequest{Vector: q, K: 5, RerankK: -2}, 400},
+		// k and rerank_k have no upper bound on the wire; the engine clamps
+		// them to its row count instead of sizing buffers from them. The
+		// rows after this one show the server still answers.
+		{"search k and rerank unbounded", "/search", SearchRequest{Vector: q, K: 1 << 40, Probes: 2, RerankK: 1 << 40}, 200},
+		{"batch k and rerank unbounded", "/search/batch", BatchSearchRequest{Vectors: [][]float32{q, corpus.Row(7)}, K: 1 << 40, RerankK: 1 << 40}, 200},
 		{"search dim mismatch", "/search", SearchRequest{Vector: short, K: 5}, 400},
 		{"search empty vector", "/search", SearchRequest{K: 5}, 400},
 		{"batch ok", "/search/batch", BatchSearchRequest{Vectors: [][]float32{q, corpus.Row(7)}, K: 3, Probes: 2}, 200},
@@ -114,6 +119,12 @@ func TestEndpointValidation(t *testing.T) {
 				t.Fatalf("%s %s: HTTP %d, want %d", tc.path, tc.name, resp.StatusCode, tc.want)
 			}
 		})
+	}
+
+	// An unbounded k is answered with at most one result per row.
+	out := decode[SearchResponse](t, post(t, ts, "/search", SearchRequest{Vector: q, K: 1 << 40, Probes: 2}))
+	if n := len(out.IDs); n == 0 || n > corpus.N+1 { // the table added one row
+		t.Fatalf("k=1<<40 returned %d results from %d rows", n, corpus.N+1)
 	}
 
 	// Malformed JSON is 400 on every POST endpoint.

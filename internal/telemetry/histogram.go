@@ -70,7 +70,7 @@ type Histogram struct {
 }
 
 // NewHistogram returns an unregistered histogram — for callers that want
-// percentile tracking without exposition (uspbench, uspquery). scale is
+// percentile tracking without exposition (uspquery). scale is
 // only used if the histogram is later exposed; NanosToSeconds fits
 // duration recording.
 func NewHistogram(name, labels, help string, scale float64) *Histogram {

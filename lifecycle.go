@@ -45,8 +45,9 @@ import (
 type epoch struct {
 	seq  uint64
 	data *dataset.Dataset // length-capped view of the row storage
-	ens  *core.Ensemble   // exactly one of ens/hier is non-nil
-	hier *core.Hierarchy
+	// router is the trained partition family (*core.Ensemble or
+	// *core.Hierarchy) with its frozen lookup tables.
+	router core.Router
 	// spill holds ids routed in by Add since the tables above were built
 	// (nil when none are pending); probes scan it after the CSR ranges.
 	spill *spillSet
@@ -116,24 +117,20 @@ func (ep *epoch) extra() core.ExtraBins {
 // publishes its first epoch. seq/tombs/deadSet restore a snapshot's
 // lifecycle state; Build passes 0/nil/nil. pq/codes carry the quantized
 // state (nil/nil for float-only indexes).
-func newIndex(ds *dataset.Dataset, ens *core.Ensemble, hier *core.Hierarchy,
+func newIndex(ds *dataset.Dataset, router core.Router,
 	opt Options, stats BuildStats, seq uint64, tombs, deadSet *bitset.Set,
 	pq *quant.PQ, codes []uint8) *Index {
 
 	ix := &Index{dim: ds.Dim, opt: opt, stats: stats, data: ds,
 		pq: pq, codes: codes, qTrainedN: ds.N}
-	if hier != nil {
-		ix.members, ix.slotsPerMember = 1, hier.NumBins
-	} else {
-		ix.members, ix.slotsPerMember = ens.Size(), ens.Parts[0].M
-	}
+	ix.members, ix.slotsPerMember = router.Shape()
 	ix.shards = make([]spillShard, opt.Shards)
 	for i := range ix.shards {
 		ix.shards[i].slots = make([][]int32, ix.members*ix.slotsPerMember)
 	}
 	ix.tel = newIndexMetrics(ix)
 	ix.publish(&epoch{
-		seq: seq, data: ix.frozenView(), ens: ens, hier: hier,
+		seq: seq, data: ix.frozenView(), router: router,
 		tombs: tombs, deadSet: deadSet, quant: ix.quantSnapshot(ds.N),
 	})
 	return ix
@@ -206,12 +203,7 @@ func (ix *Index) Add(vec []float32) (int, error) {
 	if prev.quant != nil && prev.quant.tight {
 		return 0, errors.New("usp: Add is unavailable in memory-tight mode (float rows were dropped)")
 	}
-	var leaf int
-	if prev.hier != nil {
-		leaf = prev.hier.RouteLeafWith(&s.qs, vec)
-	} else {
-		s.routeBins = prev.ens.RouteBinsWith(&s.qs, vec, s.routeBins[:0])
-	}
+	s.routeBins = prev.router.RouteBinsWith(&s.qs, vec, s.routeBins[:0])
 	// Encode outside the lock too: the code depends only on the codebooks,
 	// not the assigned id. If a compaction retrains the codebooks between
 	// here and the locked append (rare), re-encode under the lock.
@@ -242,13 +234,9 @@ func (ix *Index) Add(vec []float32) (int, error) {
 	sh := id % len(ix.shards)
 	slots := make([][]int32, len(ix.shards[sh].slots))
 	copy(slots, ix.shards[sh].slots)
-	if prev.hier != nil {
-		slots[leaf] = append(slots[leaf], int32(id))
-	} else {
-		for m, b := range s.routeBins {
-			slot := m*ix.slotsPerMember + b
-			slots[slot] = append(slots[slot], int32(id))
-		}
+	for m, b := range s.routeBins {
+		slot := m*ix.slotsPerMember + b
+		slots[slot] = append(slots[slot], int32(id))
 	}
 	ix.shards[sh] = spillShard{slots: slots}
 
@@ -257,7 +245,7 @@ func (ix *Index) Add(vec []float32) (int, error) {
 		total = prev.spill.total
 	}
 	ix.publish(&epoch{
-		seq: prev.seq + 1, data: ix.frozenView(), ens: prev.ens, hier: prev.hier,
+		seq: prev.seq + 1, data: ix.frozenView(), router: prev.router,
 		spill: ix.spillSnapshot(total + 1), tombs: prev.tombs, deadSet: prev.deadSet,
 		quant: ix.quantSnapshot(ix.data.N),
 	})
@@ -287,7 +275,7 @@ func (ix *Index) Delete(id int) error {
 		return fmt.Errorf("%w: id %d already deleted", ErrNotFound, id)
 	}
 	ix.publish(&epoch{
-		seq: prev.seq + 1, data: prev.data, ens: prev.ens, hier: prev.hier,
+		seq: prev.seq + 1, data: prev.data, router: prev.router,
 		spill: prev.spill, tombs: prev.tombs.With(id), deadSet: prev.deadSet,
 		quant: prev.quant,
 	})
@@ -325,13 +313,7 @@ func (ix *Index) compactOnce() {
 	// into fresh tables. The snapshot is immutable, so concurrent Add and
 	// Delete cannot disturb the merge; their effects are carried over in
 	// the swap phase below.
-	var mergedEns *core.Ensemble
-	var mergedHier *core.Hierarchy
-	if snap.hier != nil {
-		mergedHier = snap.hier.Rebuild(snap.extra(), snap.tombs)
-	} else {
-		mergedEns = snap.ens.Rebuild(snap.data.N, snap.extra(), snap.tombs)
-	}
+	merged := snap.router.Rebuild(snap.data.N, snap.extra(), snap.tombs)
 	// Retrain codebooks in the same lock-free phase when the dataset has
 	// grown enough that build-time centroids misrepresent the data. Only
 	// compactOnce ever writes pq/qTrainedN (compactMu is held), so reading
@@ -373,7 +355,7 @@ func (ix *Index) compactOnce() {
 	remTombs := bitset.Diff(cur.tombs, snap.tombs)
 	ix.pendingOps.Store(int64(remAdds + remTombs.Count()))
 	ix.publish(&epoch{
-		seq: cur.seq + 1, data: ix.frozenView(), ens: mergedEns, hier: mergedHier,
+		seq: cur.seq + 1, data: ix.frozenView(), router: merged,
 		spill: ix.spillSnapshot(remAdds), tombs: remTombs,
 		deadSet: bitset.Union(cur.deadSet, snap.tombs),
 		quant:   ix.quantSnapshot(ix.data.N),
@@ -431,7 +413,7 @@ func (ix *Index) DropFloats() error {
 	ix.data.SqNorms = nil
 	prev := ix.live.Load()
 	ix.publish(&epoch{
-		seq: prev.seq + 1, data: ix.frozenView(), ens: prev.ens, hier: prev.hier,
+		seq: prev.seq + 1, data: ix.frozenView(), router: prev.router,
 		spill: prev.spill, tombs: prev.tombs, deadSet: prev.deadSet,
 		quant: ix.quantSnapshot(ix.data.N),
 	})

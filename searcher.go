@@ -30,17 +30,14 @@ type Searcher struct {
 	// routeBins stages Add's per-member routing decisions (Index.Add
 	// borrows a pooled Searcher for its pre-lock forward passes).
 	routeBins []int
-	// Quantized-path scratch: the per-query flat ADC lookup table, the
-	// ADC pass's top-rerankK survivors, the id list handed to the exact
-	// re-rank, and Add's staged row code.
-	lut     []float32
-	adc     []vecmath.Neighbor
-	rerank  []int32
-	codeBuf []uint8
-	// Batched-path scratch: the staged-chunk routing buffers and the flat
-	// per-chunk ADC table arena of the quantized batch path.
-	bs       core.BatchScratch
-	lutArena []float32
+	// Quantized-path scratch: the flat ADC lookup tables of the queries
+	// being answered (one per staged row), the ADC pass's top-depth
+	// survivors, their id list handed to the exact re-rank, and Add's
+	// staged row code.
+	luts      []float32
+	adc       []vecmath.Neighbor
+	survivors []int32
+	codeBuf   []uint8
 }
 
 // NewSearcher returns a fresh query context for the index. Buffers grow on
@@ -49,34 +46,158 @@ func (ix *Index) NewSearcher() *Searcher {
 	return &Searcher{ix: ix, tk: vecmath.NewTopK(1)}
 }
 
-// gatherCandidates fills s.cands for q against the given epoch: per probed
-// bin, the frozen CSR range followed by the epoch's spill entries. The
-// candidate list may still contain tombstoned ids — the scan filters them,
-// so gathering stays branch-free.
-func (s *Searcher) gatherCandidates(ep *epoch, q []float32, probes int, union bool) {
-	s.cands = s.cands[:0]
-	if ep.hier != nil {
-		s.cands = ep.hier.AppendCandidatesExtra(s.cands, q, probes, &s.qs, ep.extra())
+// queryPlan is a request's options resolved against one epoch — what every
+// query of a call shares, worked out once per call (or staged chunk).
+type queryPlan struct {
+	probes int
+	mode   core.ProbeMode
+	// k is the requested k clamped to the epoch's row count: a top-k over
+	// at most N rows cannot hold more than N, so every answer for k ≤ N is
+	// unchanged while no buffer is sized from an unbounded request field.
+	k int
+	// rerank is the number of ADC survivors the exact re-rank re-scores
+	// (clamped like k), or 0 when the scan's own top-k is the answer: a
+	// float-only epoch, RerankK < 0, or memory-tight mode (no float rows).
+	rerank int
+	// binsProbed is the number of partition bins the query scans:
+	// best-confidence probes min(probes, bins) bins of one model, union
+	// mode that many in every ensemble member (a hierarchy is one member,
+	// so the modes coincide there).
+	binsProbed uint64
+}
+
+func (ix *Index) plan(ep *epoch, k int, opt SearchOptions) queryPlan {
+	// No index this package builds is empty, but a loaded file can be; the
+	// selectors need k ≥ 1 even then.
+	rows := max(ep.data.N, 1)
+	p := queryPlan{probes: max(opt.Probes, 1), k: min(k, rows)}
+	bins := min(p.probes, ix.slotsPerMember)
+	if opt.UnionEnsemble {
+		p.mode = core.UnionProbe
+		bins *= ix.members
+	}
+	p.binsProbed = uint64(bins)
+	if qv := ep.quant; qv != nil && !qv.tight && opt.RerankK >= 0 {
+		p.rerank = opt.RerankK
+		if p.rerank == 0 {
+			p.rerank = 4 * p.k
+		}
+		p.rerank = min(max(p.rerank, p.k), rows)
+	}
+	return p
+}
+
+// The stages of a query. SearchInto and searchChunk run route and lut once
+// for their one query or staged chunk, then answer per query, which runs
+// gather, scan and rerank. All scratch lives on s, so steady-state no stage
+// allocates.
+
+// route fills the scratch's probability rows for queries. One query takes
+// the single-row forward pass; more are staged into one matrix and take one
+// batched pass per model. The rows hold the same bits either way.
+func (s *Searcher) route(ep *epoch, queries [][]float32, mode core.ProbeMode) {
+	if len(queries) == 1 {
+		ep.router.Route(&s.qs, queries[0], mode)
 		return
 	}
-	mode := core.BestConfidence
-	if union {
-		mode = core.UnionProbe
+	dim := s.ix.dim
+	buf := s.qs.Stage(len(queries), dim)
+	for i, q := range queries {
+		copy(buf[i*dim:(i+1)*dim], q)
 	}
-	s.cands = ep.ens.AppendCandidatesExtra(s.cands, q, probes, mode, &s.qs, ep.data.N, ep.extra())
+	ep.router.RouteBatch(&s.qs, mode)
+}
+
+// lut builds the queries' ADC lookup tables back to back into s.luts — on
+// a quantized epoch; a float-only one needs none — and returns the stride
+// from one query's table to the next.
+func (s *Searcher) lut(ep *epoch, queries [][]float32) int {
+	qv := ep.quant
+	if qv == nil {
+		return 0
+	}
+	s.luts = qv.pq.AppendLUTBatch(s.luts[:0], queries)
+	return qv.pq.Subspaces * qv.pq.K
+}
+
+// gather fills s.cands with routed row i's candidate set: per probed bin,
+// the frozen CSR range followed by the epoch's spill entries. The list may
+// still contain tombstoned ids — the scan filters them, so gathering stays
+// branch-free.
+func (s *Searcher) gather(ep *epoch, i, probes int, mode core.ProbeMode) {
+	s.cands = ep.router.AppendCandidatesRow(s.cands[:0], i, probes, mode, &s.qs, ep.data.N, ep.extra())
+}
+
+// scan scores the gathered candidates, dropping tombstoned ones (counted in
+// s.skipped). A float-only epoch scans the float rows into s.nbrs. A
+// quantized one scores every candidate from its PQ code via the query's
+// table (asymmetric distance — approximate, monotone in the true distance
+// only up to quantization error), keeping the plan's k best in s.nbrs, or
+// its rerank best in s.adc when an exact re-rank follows.
+func (s *Searcher) scan(ep *epoch, p *queryPlan, q, lut []float32) {
+	qv := ep.quant
+	switch {
+	case qv == nil:
+		s.nbrs, s.skipped = knn.SearchSubsetIntoCounted(s.nbrs[:0], ep.data, s.cands, q, p.k, s.tk, ep.tombs)
+	case p.rerank == 0:
+		s.nbrs, s.skipped = knn.SearchSubsetADCIntoCounted(s.nbrs[:0], qv.codes, qv.pq.Subspaces, qv.pq.K, lut, s.cands, p.k, s.tk, ep.tombs)
+	default:
+		s.adc, s.skipped = knn.SearchSubsetADCIntoCounted(s.adc[:0], qv.codes, qv.pq.Subspaces, qv.pq.K, lut, s.cands, p.rerank, s.tk, ep.tombs)
+	}
+}
+
+// rerank exactly re-scores the ADC survivors from the float rows, keeping
+// the k best in s.nbrs, and returns how many it re-scored.
+func (s *Searcher) rerank(ep *epoch, q []float32, k int) int {
+	s.survivors = s.survivors[:0]
+	for _, nb := range s.adc {
+		s.survivors = append(s.survivors, int32(nb.Index))
+	}
+	// Tombstones were already filtered by the scan, so the exact pass
+	// passes skip=nil and cannot double-count.
+	s.nbrs = knn.SearchSubsetInto(s.nbrs[:0], ep.data, s.survivors, q, k, s.tk, nil)
+	return len(s.survivors)
+}
+
+// answer is the per-query body: everything after "row i's probabilities
+// are in the scratch". It appends q's results to dst and counts the query.
+func (s *Searcher) answer(dst []Result, ep *epoch, p *queryPlan, i int, q, lut []float32) []Result {
+	s.gather(ep, i, p.probes, p.mode)
+	s.scan(ep, p, q, lut)
+	reranked := 0
+	if p.rerank > 0 {
+		reranked = s.rerank(ep, q, p.k)
+	}
+	for _, n := range s.nbrs {
+		dst = append(dst, Result{ID: n.Index, Distance: n.Dist})
+	}
+	// A query's telemetry is a handful of uncontended atomic adds —
+	// allocation-free, so the engine's 0 allocs/op steady state survives
+	// instrumentation (benchmark-asserted in CI).
+	m := s.ix.tel
+	m.queries.Inc()
+	m.candidates.Add(uint64(len(s.cands)))
+	m.binsProbed.Add(p.binsProbed)
+	m.tombstonesSkipped.Add(uint64(s.skipped))
+	if ep.quant != nil {
+		m.adcQueries.Inc()
+		m.rerankCandidates.Add(uint64(reranked))
+	}
+	return dst
 }
 
 // Search returns the k approximate nearest neighbors of q. Steady-state it
 // performs a single allocation: the returned result slice. Use SearchInto
 // with a recycled slice to eliminate that too.
 func (s *Searcher) Search(q []float32, k int, opt SearchOptions) ([]Result, error) {
-	return s.SearchInto(make([]Result, 0, k), q, k, opt)
+	return s.SearchInto(nil, q, k, opt)
 }
 
-// SearchInto appends the k approximate nearest neighbors of q to dst and
-// returns it. With a recycled dst it allocates nothing steady-state. The
-// query runs entirely against one epoch snapshot: it never blocks on
-// writers and observes either all or none of any concurrent mutation.
+// SearchInto appends the k approximate nearest neighbors of q to dst (a nil
+// dst is allocated at its final size) and returns it. With a recycled dst
+// it allocates nothing steady-state. The query runs entirely against one
+// epoch snapshot: it never blocks on writers and observes either all or
+// none of any concurrent mutation.
 func (s *Searcher) SearchInto(dst []Result, q []float32, k int, opt SearchOptions) ([]Result, error) {
 	ix := s.ix
 	if k <= 0 {
@@ -91,93 +212,18 @@ func (s *Searcher) SearchInto(dst []Result, q []float32, k int, opt SearchOption
 		ix.tel.queryErrors.Inc()
 		return nil, err
 	}
-	probes := opt.Probes
-	if probes <= 0 {
-		probes = 1
-	}
 	start := time.Now()
 	ep := ix.live.Load()
-	s.gatherCandidates(ep, q, probes, opt.UnionEnsemble)
-	rerankDepth := 0
-	if qv := ep.quant; qv != nil {
-		rerankDepth = s.scanQuantized(ep, q, k, opt.RerankK)
-	} else {
-		s.nbrs, s.skipped = knn.SearchSubsetIntoCounted(s.nbrs[:0], ep.data, s.cands, q, k, s.tk, ep.tombs)
+	p := ix.plan(ep, k, opt)
+	if dst == nil {
+		dst = make([]Result, 0, p.k)
 	}
-	for _, n := range s.nbrs {
-		dst = append(dst, Result{ID: n.Index, Distance: n.Dist})
-	}
-	// A query's telemetry is a handful of uncontended atomic adds plus two
-	// clock reads — allocation-free, so the engine's 0 allocs/op steady
-	// state survives instrumentation (benchmark-asserted in CI).
-	m := ix.tel
-	m.queries.Inc()
-	m.candidates.Add(uint64(len(s.cands)))
-	m.binsProbed.Add(uint64(ix.probedBins(probes, opt.UnionEnsemble)))
-	m.tombstonesSkipped.Add(uint64(s.skipped))
-	if ep.quant != nil {
-		m.adcQueries.Inc()
-		m.rerankCandidates.Add(uint64(rerankDepth))
-	}
-	m.queryLatency.ObserveDuration(time.Since(start))
+	queries := [][]float32{q}
+	s.route(ep, queries, p.mode)
+	s.lut(ep, queries)
+	dst = s.answer(dst, ep, &p, 0, q, s.luts)
+	ix.tel.queryLatency.ObserveDuration(time.Since(start))
 	return dst, nil
-}
-
-// scanQuantized runs the two-phase quantized scan against one epoch:
-// phase 1 scores every gathered candidate from its PQ code via a per-query
-// lookup table (asymmetric distance) and keeps the rerankK best; phase 2
-// exactly re-scores those survivors from the float rows and keeps the k
-// best. It fills s.nbrs and s.skipped like the float scan and returns the
-// re-rank depth (0 when re-ranking was skipped). With rerankK < 0, or in
-// memory-tight mode (no float rows), phase 2 is skipped and the ADC
-// distances are returned directly — approximate, monotone in the true
-// distance only up to quantization error. All scratch lives on s, so
-// steady-state the scan allocates nothing.
-func (s *Searcher) scanQuantized(ep *epoch, q []float32, k, rerankK int) int {
-	s.lut = ep.quant.pq.AppendLUT(s.lut[:0], q)
-	return s.scanQuantizedLUT(ep, q, k, rerankK, s.lut)
-}
-
-// scanQuantizedLUT is scanQuantized with a caller-provided ADC table — the
-// batched path builds the whole chunk's tables in one AppendLUTBatch call
-// and hands each query its slice of the arena. The table bits are identical
-// either way, so the scan result is too.
-func (s *Searcher) scanQuantizedLUT(ep *epoch, q []float32, k, rerankK int, lut []float32) int {
-	qv := ep.quant
-	m, kTab := qv.pq.Subspaces, qv.pq.K
-	if rerankK < 0 || qv.tight {
-		s.nbrs, s.skipped = knn.SearchSubsetADCIntoCounted(s.nbrs[:0], qv.codes, m, kTab, lut, s.cands, k, s.tk, ep.tombs)
-		return 0
-	}
-	if rerankK == 0 {
-		rerankK = 4 * k
-	}
-	if rerankK < k {
-		rerankK = k
-	}
-	s.adc, s.skipped = knn.SearchSubsetADCIntoCounted(s.adc[:0], qv.codes, m, kTab, lut, s.cands, rerankK, s.tk, ep.tombs)
-	s.rerank = s.rerank[:0]
-	for _, nb := range s.adc {
-		s.rerank = append(s.rerank, int32(nb.Index))
-	}
-	// Tombstones were already filtered in phase 1, so the exact pass
-	// passes skip=nil and cannot double-count.
-	s.nbrs = knn.SearchSubsetInto(s.nbrs[:0], ep.data, s.rerank, q, k, s.tk, nil)
-	return len(s.rerank)
-}
-
-// probedBins is the number of partition bins a query with these options
-// scans: best-confidence probes min(probes, bins) bins of one model, union
-// mode probes that many in every ensemble member (members is 1 for a
-// hierarchy, so the modes coincide there).
-func (ix *Index) probedBins(probes int, union bool) int {
-	if probes > ix.slotsPerMember {
-		probes = ix.slotsPerMember
-	}
-	if union {
-		return probes * ix.members
-	}
-	return probes
 }
 
 // Scanned reports the size of the candidate set |C(q)| of the most recent
@@ -249,9 +295,10 @@ func (ix *Index) searchBatch(queries [][]float32, k int, opt SearchOptions, scan
 		s := ix.getSearcher()
 		defer ix.putSearcher(s)
 		// One flat result arena per worker, resliced into the output rows:
-		// each query appends at most k results, so the arena never regrows
-		// and the batch path performs no per-query allocation.
-		arena := make([]Result, 0, (hi-lo)*k)
+		// each query appends at most min(k, rows) results, so the arena
+		// regrows only if an Add races the batch while k exceeds the row
+		// count, and the batch path performs no per-query allocation.
+		arena := make([]Result, 0, (hi-lo)*min(k, ix.live.Load().data.N))
 		for clo := lo; clo < hi; {
 			ep := s.ix.live.Load()
 			step := batchForwardChunk
@@ -292,74 +339,26 @@ func scannedTail(scanned []int, lo, hi int) []int {
 }
 
 // searchChunk runs the staged pipeline for one chunk against one epoch
-// snapshot: stage the chunk's rows into the scratch matrix, run the batched
-// routing forward pass (and, quantized, the batched ADC-table build), then
-// gather + scan each query with the single-query scratch, appending results
-// to the arena and reslicing out[i] from it.
+// snapshot: route the whole chunk (and, quantized, build its ADC tables),
+// then answer each query, appending results to the arena and reslicing
+// out[i] from it.
 func (s *Searcher) searchChunk(ep *epoch, queries [][]float32, k int, opt SearchOptions, out [][]Result, arena []Result, scanned []int) []Result {
-	ix := s.ix
-	probes := opt.Probes
-	if probes <= 0 {
-		probes = 1
-	}
-	mode := core.BestConfidence
-	if opt.UnionEnsemble {
-		mode = core.UnionProbe
-	}
 	start := time.Now()
-
-	// Stage the chunk and run the whole chunk's routing inference at once.
-	buf := s.bs.Stage(len(queries), ix.dim)
+	p := s.ix.plan(ep, k, opt)
+	s.route(ep, queries, p.mode)
+	stride := s.lut(ep, queries)
 	for i, q := range queries {
-		copy(buf[i*ix.dim:(i+1)*ix.dim], q)
-	}
-	if ep.hier != nil {
-		ep.hier.RouteBatch(&s.bs)
-	} else {
-		ep.ens.RouteBatch(&s.bs, mode)
-	}
-	lutStride := 0
-	if qv := ep.quant; qv != nil {
-		lutStride = qv.pq.Subspaces * qv.pq.K
-		s.lutArena = qv.pq.AppendLUTBatch(s.lutArena[:0], queries)
-	}
-
-	m := ix.tel
-	binsProbed := uint64(ix.probedBins(probes, opt.UnionEnsemble))
-	for i, q := range queries {
-		s.cands = s.cands[:0]
-		if ep.hier != nil {
-			s.cands = ep.hier.AppendCandidatesRowBatch(s.cands, i, probes, &s.bs, ep.extra())
-		} else {
-			s.cands = ep.ens.AppendCandidatesRowBatch(s.cands, i, probes, mode, &s.bs, ep.data.N, ep.extra())
-		}
-		rerankDepth := 0
-		if ep.quant != nil {
-			rerankDepth = s.scanQuantizedLUT(ep, q, k, opt.RerankK, s.lutArena[i*lutStride:(i+1)*lutStride])
-		} else {
-			s.nbrs, s.skipped = knn.SearchSubsetIntoCounted(s.nbrs[:0], ep.data, s.cands, q, k, s.tk, ep.tombs)
-		}
 		mark := len(arena)
-		for _, n := range s.nbrs {
-			arena = append(arena, Result{ID: n.Index, Distance: n.Dist})
-		}
+		arena = s.answer(arena, ep, &p, i, q, s.luts[i*stride:(i+1)*stride])
 		out[i] = arena[mark:len(arena):len(arena)]
 		if scanned != nil {
 			scanned[i] = len(s.cands)
-		}
-		m.queries.Inc()
-		m.candidates.Add(uint64(len(s.cands)))
-		m.binsProbed.Add(binsProbed)
-		m.tombstonesSkipped.Add(uint64(s.skipped))
-		if ep.quant != nil {
-			m.adcQueries.Inc()
-			m.rerankCandidates.Add(uint64(rerankDepth))
 		}
 	}
 	// Latency telemetry: each query's recorded latency is its amortized
 	// share of the chunk, keeping usp_query_latency's count aligned with
 	// usp_queries_total while reflecting the batch's amortization.
 	per := time.Since(start) / time.Duration(len(queries))
-	m.queryLatency.ObserveN(uint64(max(per, 0)), uint64(len(queries)))
+	s.ix.tel.queryLatency.ObserveN(uint64(max(per, 0)), uint64(len(queries)))
 	return arena
 }

@@ -27,7 +27,6 @@ import (
 	"fmt"
 
 	"repro/internal/bitset"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/quant"
 )
@@ -65,13 +64,7 @@ func (ix *Index) Shard(m int) ([]*Index, error) {
 
 	// Fold the epoch's pending spill and tombstones into clean merged tables
 	// (the compaction merge, run privately — nothing is published).
-	var ens *core.Ensemble
-	var hier *core.Hierarchy
-	if ep.hier != nil {
-		hier = ep.hier.Rebuild(ep.extra(), ep.tombs)
-	} else {
-		ens = ep.ens.Rebuild(n, ep.extra(), ep.tombs)
-	}
+	merged := ep.router.Rebuild(n, ep.extra(), ep.tombs)
 	dead := bitset.Union(ep.deadSet, ep.tombs)
 
 	out := make([]*Index, m)
@@ -87,14 +80,6 @@ func (ix *Index) Shard(m int) ([]*Index, error) {
 			ds.EnsureSqNorms(false)
 		}
 
-		var sens *core.Ensemble
-		var shier *core.Hierarchy
-		if hier != nil {
-			shier = hier.FilterRemap(lo, hi)
-		} else {
-			sens = ens.FilterRemap(lo, hi)
-		}
-
 		var pq *quant.PQ
 		var codes []uint8
 		if qv := ep.quant; qv != nil {
@@ -103,7 +88,7 @@ func (ix *Index) Shard(m int) ([]*Index, error) {
 			codes = append([]uint8(nil), qv.codes[lo*sub:hi*sub]...)
 		}
 
-		six := newIndex(ds, sens, shier, ix.opt, ix.stats, 0, nil, dead.Slice(lo, hi), pq, codes)
+		six := newIndex(ds, merged.FilterRemap(lo, hi), ix.opt, ix.stats, 0, nil, dead.Slice(lo, hi), pq, codes)
 		six.idOffset = ix.idOffset + lo
 		out[s] = six
 	}

@@ -113,14 +113,15 @@ func (ix *Index) Save(w io.Writer) error {
 	// loaded index starts with clean CSR state yet serves candidates in
 	// exactly the order the live spill-aware read path does.
 	var modelBuf bytes.Buffer
-	if ep.hier != nil {
+	switch r := ep.router.(type) {
+	case *core.Hierarchy:
 		modelBuf.WriteByte(modelKindHierarchy)
-		if err := core.SaveHierarchyWith(&modelBuf, ep.hier, ep.extra()); err != nil {
+		if err := core.SaveHierarchyWith(&modelBuf, r, ep.extra()); err != nil {
 			return err
 		}
-	} else {
+	case *core.Ensemble:
 		modelBuf.WriteByte(modelKindEnsemble)
-		if err := core.SaveEnsembleWith(&modelBuf, ep.ens, ep.data.N, ep.extra()); err != nil {
+		if err := core.SaveEnsembleWith(&modelBuf, r, ep.data.N, ep.extra()); err != nil {
 			return err
 		}
 	}
@@ -387,8 +388,7 @@ func Load(r io.Reader) (*Index, error) {
 
 	var (
 		so      *snapOptions
-		ens     *core.Ensemble
-		hier    *core.Hierarchy
+		router  core.Router
 		ds      *dataset.Dataset
 		tombs   *bitset.Set
 		deadSet *bitset.Set
@@ -410,7 +410,7 @@ func Load(r io.Reader) (*Index, error) {
 			so = &snapOptions{}
 			err = gob.NewDecoder(lr).Decode(so)
 		case secModel:
-			ens, hier, err = readModelSection(lr)
+			router, err = readModelSection(lr)
 		case secDataset:
 			ds, err = readDatasetSection(lr)
 		case secTombstones:
@@ -429,7 +429,7 @@ func Load(r io.Reader) (*Index, error) {
 		pos = e.off + e.len
 	}
 
-	if so == nil || ds == nil || (ens == nil && hier == nil) {
+	if so == nil || ds == nil || router == nil {
 		return nil, fmt.Errorf("usp: snapshot missing a required section (options/model/dataset)")
 	}
 	// The norm cache is derived data and the file carries no checksum, so
@@ -462,7 +462,7 @@ func Load(r io.Reader) (*Index, error) {
 	if pq == nil {
 		opt.Quantize.Enabled = false
 	}
-	ix := newIndex(ds, ens, hier, opt, so.Stats, so.Epoch, tombs, deadSet, pq, codes)
+	ix := newIndex(ds, router, opt, so.Stats, so.Epoch, tombs, deadSet, pq, codes)
 	ix.idOffset = so.IDOffset
 	return ix, nil
 }
@@ -477,9 +477,8 @@ func LoadFile(path string) (*Index, error) {
 	return Load(f)
 }
 
-// IsSnapshotFile sniffs whether path starts with the snapshot magic —
-// how cmd/uspquery distinguishes self-contained snapshots from legacy
-// model-only index files.
+// IsSnapshotFile sniffs whether path starts with the snapshot magic — how
+// cmd/uspquery tells a snapshot from any other file before loading it.
 func IsSnapshotFile(path string) bool {
 	f, err := os.Open(path)
 	if err != nil {
@@ -493,20 +492,28 @@ func IsSnapshotFile(path string) bool {
 	return string(m[:]) == snapMagic
 }
 
-func readModelSection(r io.Reader) (*core.Ensemble, *core.Hierarchy, error) {
+func readModelSection(r io.Reader) (core.Router, error) {
 	var kind [1]byte
 	if _, err := io.ReadFull(r, kind[:]); err != nil {
-		return nil, nil, fmt.Errorf("reading model kind: %w", err)
+		return nil, fmt.Errorf("reading model kind: %w", err)
 	}
+	// A failed load returns a nil interface, never a typed nil pointer
+	// wrapped in a Router (which would compare unequal to nil).
 	switch kind[0] {
 	case modelKindEnsemble:
 		ens, err := core.LoadEnsemble(r)
-		return ens, nil, err
+		if err != nil {
+			return nil, err
+		}
+		return ens, nil
 	case modelKindHierarchy:
 		hier, err := core.LoadHierarchy(r)
-		return nil, hier, err
+		if err != nil {
+			return nil, err
+		}
+		return hier, nil
 	default:
-		return nil, nil, fmt.Errorf("unknown model kind %d", kind[0])
+		return nil, fmt.Errorf("unknown model kind %d", kind[0])
 	}
 }
 

@@ -3,12 +3,11 @@ package usp
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // churn applies adds and deletes so an index carries live spill lists and
@@ -189,6 +188,19 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if IsSnapshotFile(filepath.Join(t.TempDir(), "missing")) {
 		t.Fatal("missing file reported as snapshot")
 	}
+	// A file of any other format — here the header of the retired
+	// model-only format — is not sniffed as a snapshot and fails to load
+	// with an error that says so.
+	other := filepath.Join(t.TempDir(), "legacy.usp")
+	if err := os.WriteFile(other, []byte("usp-index:ensemble\n\x00\x01\x02 model bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if IsSnapshotFile(other) {
+		t.Fatal("non-snapshot file misdetected as snapshot")
+	}
+	if _, err := LoadFile(other); err == nil || !strings.Contains(err.Error(), "not a snapshot file") {
+		t.Fatalf("non-snapshot file: err = %v, want a not-a-snapshot error", err)
+	}
 }
 
 // TestLoadRecomputesNormCache: the norm section of a snapshot is derived
@@ -341,40 +353,5 @@ func TestSaveDuringConcurrentMutation(t *testing.T) {
 	close(stop)
 	if err := <-done; err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestLegacySaveIndexFileStillWorks covers the retained model-only format
-// (and its close-once fix): an ensemble written through SaveIndexFile must
-// reload through LoadIndexFile.
-func TestLegacySaveIndexFileStillWorks(t *testing.T) {
-	// The legacy path lives in internal/core; exercised through usptrain's
-	// -legacy mode equivalent. Covered here via the snapshot sniffing
-	// boundary: a legacy file must NOT be detected as a snapshot.
-	vecs, _ := clusteredVectors(131, 300, 6, 3)
-	ix, err := Build(vecs, Options{Bins: 3, Epochs: 10, Hidden: []int{8}, Seed: 19})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "legacy.usp")
-	ep := ix.live.Load()
-	if err := core.SaveIndexFile(path, ep.ens, ep.hier); err != nil {
-		t.Fatal(err)
-	}
-	ens, hier, err := core.LoadIndexFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ens == nil || hier != nil {
-		t.Fatalf("legacy reload wrong: ens=%v hier=%v", ens != nil, hier != nil)
-	}
-	if got, want := len(ens.Parts), len(ep.ens.Parts); got != want {
-		t.Fatalf("legacy reload lost members: %d vs %d", got, want)
-	}
-	if IsSnapshotFile(path) {
-		t.Fatal("legacy file misdetected as snapshot")
-	}
-	if _, err := Load(bytes.NewReader([]byte(fmt.Sprintf("%d", 42)))); err == nil {
-		t.Fatal("non-snapshot stream must fail to load")
 	}
 }

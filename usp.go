@@ -354,15 +354,14 @@ func Build(vectors [][]float32, opt Options) (*Index, error) {
 
 	cfg := opt.coreConfig()
 
-	var ens *core.Ensemble
-	var hier *core.Hierarchy
+	var router core.Router
 	var bs BuildStats
 	if len(opt.Hierarchy) > 0 {
 		h, stats, err := core.TrainHierarchy(ds, opt.Hierarchy, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("usp: %w", err)
 		}
-		hier = h
+		router = h
 		bs = BuildStats{Bins: h.NumBins, Models: len(stats), Params: h.TotalParams()}
 	} else {
 		kp := cfg.KPrime
@@ -375,7 +374,7 @@ func Build(vectors [][]float32, opt Options) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("usp: %w", err)
 		}
-		ens = e
+		router = e
 		bs = BuildStats{Bins: opt.Bins, Models: e.Size(), Params: stats.TotalParams()}
 	}
 
@@ -388,7 +387,7 @@ func Build(vectors [][]float32, opt Options) (*Index, error) {
 			return nil, fmt.Errorf("usp: %w", err)
 		}
 	}
-	ix := newIndex(ds, ens, hier, opt, bs, 0, nil, nil, pq, codes)
+	ix := newIndex(ds, router, opt, bs, 0, nil, nil, pq, codes)
 	if opt.Quantize.MemoryTight {
 		if err := ix.DropFloats(); err != nil {
 			return nil, fmt.Errorf("usp: %w", err)
@@ -451,14 +450,12 @@ func (ix *Index) CandidateSet(q []float32, opt SearchOptions) ([]int, error) {
 	if err := ValidateVector(q); err != nil {
 		return nil, err
 	}
-	probes := opt.Probes
-	if probes <= 0 {
-		probes = 1
-	}
 	s := ix.getSearcher()
 	defer ix.putSearcher(s)
 	ep := ix.live.Load()
-	s.gatherCandidates(ep, q, probes, opt.UnionEnsemble)
+	p := ix.plan(ep, 1, opt)
+	s.route(ep, [][]float32{q}, p.mode)
+	s.gather(ep, 0, p.probes, p.mode)
 	out := make([]int, 0, len(s.cands))
 	for _, id := range s.cands {
 		if !ep.tombs.Has(int(id)) {

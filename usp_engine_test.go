@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -251,6 +252,53 @@ func TestSearchBatchValidation(t *testing.T) {
 // scan alike, and a refused Add leaves the index as it was. Before the
 // check a NaN query filled the ADC table with NaN and the top-k admitted
 // every candidate in arrival order.
+// TestUnboundedKIsClampedToRowCount: k and RerankK reach the engine from the
+// wire with no upper bound, and the engine sizes its result slice, top-k
+// selectors and batch arena from them. A top-k over at most N rows cannot
+// hold more than N, so every entry point must answer k = 1<<40 (and
+// RerankK = 1<<40) exactly like k = N — float and quantized — instead of
+// asking the runtime for terabytes.
+func TestUnboundedKIsClampedToRowCount(t *testing.T) {
+	const huge = 1 << 40
+	plain, quantized, vecs := buildQuantizedPair(t, 141, 600, 16, Quantization{Subspaces: 4, K: 32})
+	queries := vecs[:6]
+	for name, ix := range map[string]*Index{"float": plain, "quantized": quantized} {
+		n := ix.Lifecycle().Rows
+		for _, rerank := range []int{0, -1, huge} {
+			opt := SearchOptions{Probes: 2, RerankK: rerank}
+			atN := SearchOptions{Probes: 2, RerankK: min(rerank, n)}
+			batch, err := ix.SearchBatch(queries, huge, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := ix.NewSearcher()
+			for qi, q := range queries {
+				want, err := ix.Search(q, n, atN)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want) == 0 || len(want) > n {
+					t.Fatalf("%s rerank=%d q%d: k=N returned %d results from %d rows", name, rerank, qi, len(want), n)
+				}
+				search, err := ix.Search(q, huge, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				into, err := s.SearchInto(make([]Result, 0, 8), q, huge, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for form, got := range map[string][]Result{"Search": search, "SearchInto": into, "SearchBatch": batch[qi]} {
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s rerank=%d q%d: %s(k=1<<40) differs from k=%d (%d vs %d results)",
+							name, rerank, qi, form, n, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestNonFiniteVectorsRejected(t *testing.T) {
 	plain, quantized, vecs := buildQuantizedPair(t, 57, 600, 16, Quantization{Subspaces: 4, K: 32})
 	for name, bad := range map[string]float32{
