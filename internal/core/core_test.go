@@ -47,10 +47,10 @@ func TestTrainPartitionInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every point appears in exactly one bin and Assign agrees with the
-	// CSR lookup table.
+	// lookup table.
 	seen := make([]int, ds.N)
 	for b := 0; b < p.M; b++ {
-		for _, i := range p.BinList(b) {
+		for _, i := range p.Bins[b] {
 			seen[i]++
 			if p.Assign[i] != int32(b) {
 				t.Fatalf("point %d: Assign=%d but in bin %d", i, p.Assign[i], b)

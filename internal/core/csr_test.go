@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/vecmath"
 )
 
 // referenceBins rebuilds the old [][]int32 lookup-table form straight from
-// Assign — the layout the seed implementation stored — so CSR probing can be
+// Assign — the layout the seed implementation stored — so table probing can be
 // checked against it exactly.
 func referenceBins(assign []int32, m int) [][]int32 {
 	bins := make([][]int32, m)
@@ -24,8 +27,9 @@ func TestCSRMatchesReferenceLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := referenceBins(p.Assign, p.M)
+	sizes := p.BinSizes()
 	for b := 0; b < p.M; b++ {
-		got := p.BinList(b)
+		got := p.Bins[b]
 		if len(got) != len(ref[b]) {
 			t.Fatalf("bin %d: %d ids, want %d", b, len(got), len(ref[b]))
 		}
@@ -34,8 +38,8 @@ func TestCSRMatchesReferenceLayout(t *testing.T) {
 				t.Fatalf("bin %d[%d]: id %d, want %d", b, i, got[i], ref[b][i])
 			}
 		}
-		if p.BinLen(b) != len(ref[b]) {
-			t.Fatalf("BinLen(%d) = %d, want %d", b, p.BinLen(b), len(ref[b]))
+		if sizes[b] != len(ref[b]) {
+			t.Fatalf("BinSizes()[%d] = %d, want %d", b, sizes[b], len(ref[b]))
 		}
 	}
 }
@@ -46,47 +50,149 @@ func TestCSRSurvivesInserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Route a few new points in; the reference built from the extended
-	// Assign must still match (CSR range followed by spill).
-	ens := single(p)
+	// Route a few new points in, in place (InsertRouted, on a private copy)
+	// and copy-on-write (With, from p); the reference built from the
+	// extended Assign must match both: the trained ids, then the inserts.
+	owned := single(&Partitioner{Model: p.Model, M: p.M, Assign: append([]int32(nil), p.Assign...), Bins: mergeTable(p.Bins, nil)})
+	var shared Router = single(p)
 	var qs QueryScratch
 	for j := 0; j < 10; j++ {
-		vec := ds.Row(j % ds.N)
-		ens.InsertRouted(ds.N+j, ens.RouteBinsWith(&qs, vec, nil))
+		bins := owned.RouteBinsWith(&qs, ds.Row(j%ds.N), nil)
+		owned.InsertRouted(ds.N+j, bins)
+		shared = shared.With(ds.N+j, bins)
 	}
-	ref := referenceBins(p.Assign, p.M)
-	total := 0
-	for b := 0; b < p.M; b++ {
-		got := p.BinList(b)
-		if len(got) != len(ref[b]) {
-			t.Fatalf("bin %d after inserts: %d ids, want %d", b, len(got), len(ref[b]))
+	ref := referenceBins(owned.Parts[0].Assign, p.M)
+	for name, part := range map[string]*Partitioner{"InsertRouted": owned.Parts[0], "With": shared.(*Ensemble).Parts[0]} {
+		total := 0
+		for b := 0; b < p.M; b++ {
+			got := part.AppendBin(nil, b)
+			if len(got) != len(ref[b]) {
+				t.Fatalf("%s: bin %d after inserts: %d ids, want %d", name, b, len(got), len(ref[b]))
+			}
+			for i := range got {
+				if got[i] != ref[b][i] {
+					t.Fatalf("%s: bin %d[%d] after inserts: id %d, want %d", name, b, i, got[i], ref[b][i])
+				}
+			}
+			total += part.BinSizes()[b]
 		}
-		for i := range got {
-			if got[i] != ref[b][i] {
-				t.Fatalf("bin %d[%d] after inserts: id %d, want %d", b, i, got[i], ref[b][i])
+		if total != ds.N+10 {
+			t.Fatalf("%s: bins hold %d ids, want %d", name, total, ds.N+10)
+		}
+		// The serialized Assign (a scatter of the table) covers the inserts.
+		if got, want := assignOf(part.Bins, ds.N+10), owned.Parts[0].Assign; !slices.Equal(got, want) {
+			t.Fatalf("%s: scattered Assign differs from the in-place one", name)
+		}
+	}
+	// The partitioner With started from still holds the trained ids alone.
+	total := 0
+	for _, n := range p.BinSizes() {
+		total += n
+	}
+	if total != ds.N {
+		t.Fatalf("With changed its receiver: %d ids, want %d", total, ds.N)
+	}
+}
+
+// TestTablesArePacked pins what makes in-place appends safe for readers of
+// older tables: after train, merge, filter and load, every bin is a view
+// with no spare capacity, so its first append reallocates instead of
+// writing into a neighbouring bin or into ids an older table can see.
+func TestTablesArePacked(t *testing.T) {
+	ds, mat := testData(t, 400, 8, 4, 38)
+	ens, _, err := TrainEnsemble(ds, mat, smallCfg(4), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, _, err := TrainHierarchy(ds, []int{2, 2}, Config{KPrime: 5, Eta: 5, Epochs: 5, Hidden: []int{8}, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveEnsemble(&buf, ens, ds.N); err != nil {
+		t.Fatal(err)
+	}
+	loadedEns, err := LoadEnsemble(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveHierarchy(&buf, h); err != nil {
+		t.Fatal(err)
+	}
+	loadedHier, err := LoadHierarchy(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop := bitset.FromWords([]uint64{0x5555})
+	for name, r := range map[string]Router{
+		"ensemble/train":   ens,
+		"ensemble/merge":   ens.With(ds.N, []int{0, 1}).Rebuild(ds.N+1, drop),
+		"ensemble/filter":  ens.FilterRemap(100, 300),
+		"ensemble/load":    loadedEns,
+		"hierarchy/train":  h,
+		"hierarchy/merge":  h.With(ds.N, []int{2}).Rebuild(ds.N+1, drop),
+		"hierarchy/filter": h.FilterRemap(100, 300),
+		"hierarchy/load":   loadedHier,
+	} {
+		for m, table := range r.Tables() {
+			for b, ids := range table {
+				if cap(ids) != len(ids) {
+					t.Fatalf("%s: member %d bin %d has len %d cap %d", name, m, b, len(ids), cap(ids))
+				}
 			}
 		}
-		total += p.BinLen(b)
 	}
-	if total != ds.N+10 {
-		t.Fatalf("bins hold %d ids, want %d", total, ds.N+10)
+}
+
+// TestValidateRejectsMismatchedTables: a decoded router whose table
+// addresses rows the dataset lacks, or whose shape disagrees with its
+// models, is an error rather than a query-time panic.
+func TestValidateRejectsMismatchedTables(t *testing.T) {
+	ds, mat := testData(t, 300, 8, 4, 39)
+	ens, _, err := TrainEnsemble(ds, mat, smallCfg(4), 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// BinLists (serialization form) must also include spill ids.
-	lists := p.BinLists()
-	count := 0
-	for _, l := range lists {
-		count += len(l)
+	h, _, err := TrainHierarchy(ds, []int{2, 2}, Config{KPrime: 5, Eta: 5, Epochs: 5, Hidden: []int{8}, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if count != ds.N+10 {
-		t.Fatalf("BinLists holds %d ids, want %d", count, ds.N+10)
+	for _, r := range []Router{ens, h} {
+		if err := r.Validate(ds.N, ds.Dim); err != nil {
+			t.Fatalf("trained router rejected: %v", err)
+		}
+		if err := r.Validate(ds.N-1, ds.Dim); err == nil {
+			t.Fatal("table addressing a missing row accepted")
+		}
+		if err := r.Validate(ds.N, ds.Dim+1); err == nil {
+			t.Fatal("model of the wrong input width accepted")
+		}
+	}
+	narrow := *ens.Parts[1]
+	narrow.Bins = narrow.Bins[:narrow.M-1]
+	if err := (&Ensemble{Parts: []*Partitioner{ens.Parts[0], &narrow}}).Validate(ds.N, ds.Dim); err == nil {
+		t.Fatal("table narrower than its model accepted")
+	}
+	shifted := *h
+	root := *h.root
+	root.children = []*hnode{h.root.children[1], h.root.children[0]}
+	shifted.root = &root
+	if err := shifted.Validate(ds.N, ds.Dim); err == nil {
+		t.Fatal("hierarchy with out-of-order leaf bases accepted")
+	}
+	shifted = *h
+	shifted.NumBins++
+	shifted.Bins = append(h.Bins[:len(h.Bins):len(h.Bins)], nil)
+	if err := shifted.Validate(ds.N, ds.Dim); err == nil {
+		t.Fatal("hierarchy whose leaves do not cover NumBins accepted")
 	}
 }
 
 // appendCandidates is the single-query form of the candidate path: route q
 // through the single-row kernel, then gather row 0.
-func appendCandidates(r Router, dst []int32, q []float32, mPrime int, mode ProbeMode, qs *QueryScratch, n int, extra ExtraBins) []int32 {
+func appendCandidates(r Router, dst []int32, q []float32, mPrime int, mode ProbeMode, qs *QueryScratch, n int) []int32 {
 	r.Route(qs, q, mode)
-	return r.AppendCandidatesRow(dst, 0, mPrime, mode, qs, n, extra)
+	return r.AppendCandidatesRow(dst, 0, mPrime, mode, qs, n)
 }
 
 // TestAppendCandidatesMatchesLegacyPipeline recomputes the seed's candidate
@@ -121,7 +227,7 @@ func TestAppendCandidatesMatchesLegacyPipeline(t *testing.T) {
 				want = append(want, ref[b]...)
 			}
 
-			dst = appendCandidates(ens, dst[:0], q, mPrime, BestConfidence, &qs, ds.N, nil)
+			dst = appendCandidates(ens, dst[:0], q, mPrime, BestConfidence, &qs, ds.N)
 			if len(dst) != len(want) {
 				t.Fatalf("q%d m'=%d: %d candidates, want %d", qi, mPrime, len(dst), len(want))
 			}
@@ -133,7 +239,7 @@ func TestAppendCandidatesMatchesLegacyPipeline(t *testing.T) {
 
 			// Union mode must agree with the allocating wrapper.
 			union := ens.CandidatesWith(new(QueryScratch), q, mPrime, UnionProbe)
-			dst = appendCandidates(ens, dst[:0], q, mPrime, UnionProbe, &qs, ds.N, nil)
+			dst = appendCandidates(ens, dst[:0], q, mPrime, UnionProbe, &qs, ds.N)
 			if len(dst) != len(union) {
 				t.Fatalf("q%d m'=%d union: %d vs %d", qi, mPrime, len(dst), len(union))
 			}
@@ -159,7 +265,7 @@ func TestHierarchyAppendCandidatesMatchesCandidates(t *testing.T) {
 		q := ds.Row(qi)
 		for _, mPrime := range []int{1, 2, 4} {
 			want := h.CandidatesWith(new(QueryScratch), q, mPrime)
-			dst = appendCandidates(h, dst[:0], q, mPrime, BestConfidence, &qs, ds.N, nil)
+			dst = appendCandidates(h, dst[:0], q, mPrime, BestConfidence, &qs, ds.N)
 			if len(dst) != len(want) {
 				t.Fatalf("q%d m'=%d: %d vs %d candidates", qi, mPrime, len(dst), len(want))
 			}
@@ -186,7 +292,7 @@ func TestAppendCandidatesNaNQueryDegradesGracefully(t *testing.T) {
 	var qs QueryScratch
 	// Warm the scratch with a normal query first so it holds a real
 	// distribution and member selection the NaN query must not inherit.
-	warm := appendCandidates(ens, nil, ds.Row(0), 2, BestConfidence, &qs, ds.N, nil)
+	warm := appendCandidates(ens, nil, ds.Row(0), 2, BestConfidence, &qs, ds.N)
 	if len(warm) == 0 {
 		t.Fatal("warm query returned no candidates")
 	}
@@ -194,7 +300,7 @@ func TestAppendCandidatesNaNQueryDegradesGracefully(t *testing.T) {
 	for i := range huge {
 		huge[i] = 3e38
 	}
-	got := appendCandidates(ens, nil, huge, 2, BestConfidence, &qs, ds.N, nil)
+	got := appendCandidates(ens, nil, huge, 2, BestConfidence, &qs, ds.N)
 	if len(got) != 0 {
 		t.Fatalf("NaN-probability query returned %d candidates, want 0", len(got))
 	}
@@ -203,7 +309,7 @@ func TestAppendCandidatesNaNQueryDegradesGracefully(t *testing.T) {
 		t.Fatalf("adapter returned %d candidates, want 0", len(c))
 	}
 	// And the scratch must still work for normal queries afterwards.
-	after := appendCandidates(ens, nil, ds.Row(0), 2, BestConfidence, &qs, ds.N, nil)
+	after := appendCandidates(ens, nil, ds.Row(0), 2, BestConfidence, &qs, ds.N)
 	if len(after) != len(warm) {
 		t.Fatalf("scratch damaged by NaN query: %d vs %d candidates", len(after), len(warm))
 	}
@@ -224,12 +330,9 @@ func TestQueryScratchSeenGenerationWrap(t *testing.T) {
 	}
 }
 
-// slotExtra is a test ExtraBins: post-epoch inserts keyed by (member, bin).
+// slotExtra records inserts routed in after training, keyed by (member,
+// bin) — the reference's view of what With appended.
 type slotExtra map[[2]int][]int32
-
-func (x slotExtra) AppendExtra(dst []int32, member, bin int) []int32 {
-	return append(dst, x[[2]int{member, bin}]...)
-}
 
 // referenceLeafProbs recomputes a hierarchy's leaf distribution with the
 // allocating Probabilities, multiplying down the tree in the walk's order.
@@ -237,7 +340,7 @@ func referenceLeafProbs(h *Hierarchy, q []float32) []float32 {
 	out := make([]float32, h.NumBins)
 	var walk func(n *hnode, prob float32)
 	walk = func(n *hnode, prob float32) {
-		probs := n.part.Probabilities(q)
+		probs := n.model.PredictVec(q)
 		for b, pb := range probs {
 			if n.children == nil {
 				out[n.leafBase+b] = prob * pb
@@ -269,18 +372,22 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Ten post-epoch inserts, routed the way Add routes them.
+	// Ten inserts after training, routed and appended the way Add does it.
 	const inserts = 10
 	n := ds.N + inserts
 	var qs QueryScratch
 	ensExtra, hierExtra := slotExtra{}, slotExtra{}
+	var ensWith, hierWith Router = ens, h
 	for j := 0; j < inserts; j++ {
-		id := int32(ds.N + j)
-		for m, b := range ens.RouteBinsWith(&qs, ds.Row(j), nil) {
-			ensExtra[[2]int{m, b}] = append(ensExtra[[2]int{m, b}], id)
+		id := ds.N + j
+		bins := ens.RouteBinsWith(&qs, ds.Row(j), nil)
+		for m, b := range bins {
+			ensExtra[[2]int{m, b}] = append(ensExtra[[2]int{m, b}], int32(id))
 		}
+		ensWith = ensWith.With(id, bins)
 		leaf := h.RouteLeafWith(&qs, ds.Row(j))
-		hierExtra[[2]int{0, leaf}] = append(hierExtra[[2]int{0, leaf}], id)
+		hierExtra[[2]int{0, leaf}] = append(hierExtra[[2]int{0, leaf}], int32(id))
+		hierWith = hierWith.With(id, []int{leaf})
 	}
 
 	// Finite queries with one all-NaN row (an overflowing forward pass) in
@@ -346,21 +453,21 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 	cases := []struct {
 		name      string
 		router    Router
+		inserted  Router // router after the inserts
 		mode      ProbeMode
 		extra     slotExtra
 		reference func(q []float32, mPrime int, extra slotExtra) []int32
 	}{
-		{"best-confidence", ens, BestConfidence, ensExtra, referenceBest},
-		{"union", ens, UnionProbe, ensExtra, referenceUnion},
-		{"hierarchy", h, BestConfidence, hierExtra, referenceHier},
+		{"best-confidence", ens, ensWith, BestConfidence, ensExtra, referenceBest},
+		{"union", ens, ensWith, UnionProbe, ensExtra, referenceUnion},
+		{"hierarchy", h, hierWith, BestConfidence, hierExtra, referenceHier},
 	}
 	for _, tc := range cases {
 		for _, spill := range []bool{false, true} {
-			name, universe := tc.name, ds.N
-			var extra ExtraBins // a nil interface when nothing is pending
-			var refExtra slotExtra
+			name, universe, router := tc.name, ds.N, tc.router
+			var refExtra slotExtra // nil: no inserts
 			if spill {
-				name, universe, extra, refExtra = name+"/spill", n, tc.extra, tc.extra
+				name, universe, router, refExtra = name+"/spill", n, tc.inserted, tc.extra
 			}
 			t.Run(name, func(t *testing.T) {
 				var qsSingle, qsBatch QueryScratch
@@ -369,12 +476,12 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 				for i, q := range queries {
 					copy(buf[i*dim:(i+1)*dim], q)
 				}
-				tc.router.RouteBatch(&qsBatch, tc.mode)
+				router.RouteBatch(&qsBatch, tc.mode)
 				for _, mPrime := range []int{1, 2, 4} {
 					for i, q := range queries {
 						want := tc.reference(q, mPrime, refExtra)
-						one := appendCandidates(tc.router, nil, q, mPrime, tc.mode, &qsSingle, universe, extra)
-						row := tc.router.AppendCandidatesRow(nil, i, mPrime, tc.mode, &qsBatch, universe, extra)
+						one := appendCandidates(router, nil, q, mPrime, tc.mode, &qsSingle, universe)
+						row := router.AppendCandidatesRow(nil, i, mPrime, tc.mode, &qsBatch, universe)
 						for form, got := range map[string][]int32{"Route": one, "RouteBatch": row} {
 							if len(got) != len(want) {
 								t.Fatalf("q%d m'=%d %s: %d candidates, want %d", i, mPrime, form, len(got), len(want))

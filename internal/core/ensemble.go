@@ -97,8 +97,7 @@ const (
 // kernel, leaving each member's distribution in row 0 of its scratch buffer.
 func (e *Ensemble) Route(qs *QueryScratch, q []float32, mode ProbeMode) {
 	for m, p := range e.Parts {
-		probs := p.ProbabilitiesInto(qs.memberBuf(m), q, &qs.Infer)
-		qs.memberProbs[m] = probs // retain the grown buffer
+		qs.predict(&qs.memberProbs, m, p.Model, q)
 	}
 	e.selectMembers(qs, 1, mode)
 }
@@ -108,8 +107,7 @@ func (e *Ensemble) Route(qs *QueryScratch, q []float32, mode ProbeMode) {
 // (one MatMul per Dense layer instead of a row of AXPY loops per query).
 func (e *Ensemble) RouteBatch(qs *QueryScratch, mode ProbeMode) {
 	for m, p := range e.Parts {
-		probs := p.Model.PredictBatchInto(qs.memberBuf(m), &qs.q, &qs.batch)
-		qs.memberProbs[m] = probs
+		qs.predict(&qs.memberProbs, m, p.Model, nil)
 	}
 	e.selectMembers(qs, qs.q.Rows, mode)
 }
@@ -143,13 +141,9 @@ func (e *Ensemble) selectMembers(qs *QueryScratch, n int, mode ProbeMode) {
 
 // AppendCandidatesRow appends routed row i's candidate set to dst: the ids
 // in the mPrime most probable bins of the selected member (best-confidence)
-// or of every member, first occurrences only (union). After each probed
-// bin's CSR range and spill it appends the bin's post-epoch inserts from
-// extra (nil when the epoch has none); passing a non-nil extra through the
-// interface costs no allocation (the usp layer hands in a pointer). The
-// union dedup set is sized to n — the epoch's total id universe — rather
-// than to the CSR tables, which lag behind pending inserts.
-func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, mode ProbeMode, qs *QueryScratch, n int, extra ExtraBins) []int32 {
+// or of every member, first occurrences only (union). The union dedup set is
+// sized to n, the id universe.
+func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, mode ProbeMode, qs *QueryScratch, n int) []int32 {
 	switch mode {
 	case BestConfidence:
 		m := qs.bestIdx[i]
@@ -160,10 +154,7 @@ func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, mode ProbeMod
 		row := qs.memberProbs[m][i*p.M : (i+1)*p.M]
 		qs.bins = vecmath.TopKIndicesInto(qs.bins, row, mPrime)
 		for _, b := range qs.bins {
-			dst = p.AppendBin(dst, b)
-			if extra != nil {
-				dst = extra.AppendExtra(dst, m, b)
-			}
+			dst = append(dst, p.Bins[b]...)
 		}
 		return dst
 	case UnionProbe:
@@ -173,10 +164,7 @@ func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, mode ProbeMod
 			qs.bins = vecmath.TopKIndicesInto(qs.bins, row, mPrime)
 			for _, b := range qs.bins {
 				mark := len(dst)
-				dst = p.AppendBin(dst, b)
-				if extra != nil {
-					dst = extra.AppendExtra(dst, m, b)
-				}
+				dst = append(dst, p.Bins[b]...)
 				// Compact in place, keeping first occurrences only.
 				w := mark
 				for _, id := range dst[mark:] {
@@ -202,12 +190,9 @@ func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, mode ProbeMod
 // re-zero O(n) every call.
 func (e *Ensemble) CandidatesWith(qs *QueryScratch, q []float32, mPrime int, mode ProbeMode) []int {
 	e.Route(qs, q, mode)
-	qs.cands = e.AppendCandidatesRow(qs.cands[:0], 0, mPrime, mode, qs, len(e.Parts[0].Assign), nil)
+	qs.cands = e.AppendCandidatesRow(qs.cands[:0], 0, mPrime, mode, qs, len(e.Parts[0].Assign))
 	return ToInts(qs.cands)
 }
-
-// Shape implements Router.
-func (e *Ensemble) Shape() (members, slots int) { return len(e.Parts), e.Parts[0].M }
 
 // Size returns the number of models in the ensemble.
 func (e *Ensemble) Size() int { return len(e.Parts) }

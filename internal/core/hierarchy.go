@@ -19,8 +19,9 @@ import (
 type Hierarchy struct {
 	Levels  []int
 	NumBins int
-	// Bins is the global leaf lookup table: Bins[g] lists dataset point
-	// indices in leaf bin g (DFS / mixed-radix order).
+	// Bins is the global leaf lookup table: Bins[g] lists the ids in leaf
+	// bin g in insertion order (see table.go). Leaves are numbered depth
+	// first (mixed radix).
 	Bins [][]int32
 	// ProbeTemp softens node probabilities (p_b ∝ p_b^{1/T}) before they
 	// are multiplied down the tree. Cross-entropy-trained nodes become
@@ -31,8 +32,10 @@ type Hierarchy struct {
 	root      *hnode
 }
 
+// hnode is one model of the tree. Only the leaf table holds ids: inner and
+// leaf models alike just route (§4.4.2).
 type hnode struct {
-	part     *Partitioner
+	model    *nn.Sequential
 	children []*hnode // nil at the last level
 	leafBase int      // first global leaf-bin id under this node
 }
@@ -66,6 +69,7 @@ func TrainHierarchy(ds *dataset.Dataset, levels []int, cfg Config) (*Hierarchy, 
 	if err != nil {
 		return nil, nil, err
 	}
+	h.Bins = mergeTable(h.Bins, nil)
 	return h, stats, nil
 }
 
@@ -99,19 +103,16 @@ func trainNode(ds *dataset.Dataset, idx []int32, levels []int, cfg Config,
 			return nil, fmt.Errorf("core: hierarchy node: %w", err)
 		}
 		*stats = append(*stats, st)
-		node.part = p
-		localBins = p.BinLists()
+		node.model = p.Model
+		localBins = p.Bins
 	} else {
 		// Degenerate subset: untrained router, round-robin assignment.
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(*nextLeaf)))
-		p := &Partitioner{Model: nn.NewLogistic(ds.Dim, m, rng), M: m}
-		p.Assign = make([]int32, sub.N)
+		node.model = nn.NewLogistic(ds.Dim, m, rng)
+		localBins = make([][]int32, m)
 		for i := 0; i < sub.N; i++ {
-			p.Assign[i] = int32(i % m)
+			localBins[i%m] = append(localBins[i%m], int32(i))
 		}
-		p.buildCSRFromAssign()
-		node.part = p
-		localBins = p.BinLists()
 	}
 
 	if len(levels) == 1 {
@@ -158,8 +159,7 @@ func (h *Hierarchy) LeafProbabilitiesInto(dst []float32, q []float32, qs *QueryS
 // owns one scratch buffer: a parent's distribution stays live while its
 // children recurse, but siblings at the same depth can share.
 func (h *Hierarchy) walkNode(out []float32, n *hnode, depth int, prob float32, q []float32, qs *QueryScratch) {
-	probs := n.part.Model.PredictVecInto(qs.nodeBuf(depth), q, &qs.Infer)
-	qs.nodeProb[depth] = probs // retain the grown buffer
+	probs := qs.predict(&qs.nodeProb, depth, n.model, q)
 	if h.ProbeTemp > 1 {
 		soften(probs, h.ProbeTemp)
 	}
@@ -201,9 +201,8 @@ func (h *Hierarchy) RouteBatch(qs *QueryScratch, _ ProbeMode) {
 // stay live while its children recurse, but siblings at the same depth can
 // share — the same per-depth discipline as the single-row walk.
 func (h *Hierarchy) walkNodeBatch(qs *QueryScratch, nd *hnode, depth, n int) {
-	w := nd.part.M
-	probs := nd.part.Model.PredictBatchInto(qs.nodeBuf(depth), &qs.q, &qs.batch)
-	qs.nodeProb[depth] = probs // retain the grown buffer
+	probs := qs.predict(&qs.nodeProb, depth, nd.model, nil)
+	w := nd.model.OutDim()
 	if h.ProbeTemp > 1 {
 		for i := 0; i < n; i++ {
 			soften(probs[i*w:(i+1)*w], h.ProbeTemp)
@@ -231,18 +230,13 @@ func (h *Hierarchy) walkNodeBatch(qs *QueryScratch, nd *hnode, depth, n int) {
 }
 
 // AppendCandidatesRow appends routed row i's candidate set to dst: the
-// lookup lists of its mPrime most probable leaf bins, each followed by the
-// leaf's post-epoch inserts from extra (nil when the epoch has none). Leaf
-// bins are disjoint, so no dedup is needed and mode and n go unused; extra
-// is addressed with member 0 and bin = global leaf.
-func (h *Hierarchy) AppendCandidatesRow(dst []int32, i, mPrime int, _ ProbeMode, qs *QueryScratch, _ int, extra ExtraBins) []int32 {
+// lookup lists of its mPrime most probable leaf bins. Leaf bins are
+// disjoint, so no dedup is needed and mode and n go unused.
+func (h *Hierarchy) AppendCandidatesRow(dst []int32, i, mPrime int, _ ProbeMode, qs *QueryScratch, _ int) []int32 {
 	row := qs.leaf[i*h.NumBins : (i+1)*h.NumBins]
 	qs.bins = vecmath.TopKIndicesInto(qs.bins, row, mPrime)
 	for _, b := range qs.bins {
 		dst = append(dst, h.Bins[b]...)
-		if extra != nil {
-			dst = extra.AppendExtra(dst, 0, b)
-		}
 	}
 	return dst
 }
@@ -252,12 +246,9 @@ func (h *Hierarchy) AppendCandidatesRow(dst []int32, i, mPrime int, _ ProbeMode,
 // queries (tree-walk and selection buffers stay warm).
 func (h *Hierarchy) CandidatesWith(qs *QueryScratch, q []float32, mPrime int) []int {
 	h.Route(qs, q, BestConfidence)
-	qs.cands = h.AppendCandidatesRow(qs.cands[:0], 0, mPrime, BestConfidence, qs, 0, nil)
+	qs.cands = h.AppendCandidatesRow(qs.cands[:0], 0, mPrime, BestConfidence, qs, 0)
 	return ToInts(qs.cands)
 }
-
-// Shape implements Router: one member whose slots are the global leaves.
-func (h *Hierarchy) Shape() (members, slots int) { return 1, h.NumBins }
 
 // soften raises probabilities to the power 1/temp and renormalizes
 // (equivalent to dividing the logits by temp).
@@ -274,16 +265,9 @@ func soften(p []float32, temp float64) {
 	}
 }
 
-// Assignments returns each point's global leaf bin.
-func (h *Hierarchy) Assignments(n int) []int32 {
-	out := make([]int32, n)
-	for g, pts := range h.Bins {
-		for _, i := range pts {
-			out[i] = int32(g)
-		}
-	}
-	return out
-}
+// Assignments returns each point's global leaf bin (−1: in none) over an id
+// universe of n.
+func (h *Hierarchy) Assignments(n int) []int32 { return assignOf(h.Bins, n) }
 
 // BinSizes returns the number of points per global leaf bin.
 func (h *Hierarchy) BinSizes() []int {
@@ -299,7 +283,7 @@ func (h *Hierarchy) TotalParams() int {
 	total := 0
 	var walk func(n *hnode)
 	walk = func(n *hnode) {
-		total += n.part.Model.NumParams()
+		total += n.model.NumParams()
 		for _, c := range n.children {
 			walk(c)
 		}

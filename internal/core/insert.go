@@ -12,18 +12,9 @@ import "repro/internal/vecmath"
 // Routing (the model forward pass) and table mutation are split so callers
 // serializing inserts against concurrent queries can compute the routing
 // decision outside their critical section: the trained models are immutable,
-// only the append needs exclusivity.
-
-// InsertAt appends a point (with the given dataset id) to bin b. The CSR
-// table is immutable after build, so routed points land in per-bin spill
-// lists that candidate probes scan after the contiguous range.
-func (p *Partitioner) InsertAt(id, b int) {
-	p.Assign = append(p.Assign, int32(b))
-	if p.spill == nil {
-		p.spill = make([][]int32, p.M)
-	}
-	p.spill[b] = append(p.spill[b], int32(id))
-}
+// only the append needs exclusivity. A router shared with concurrent readers
+// takes inserts through Router.With; InsertRouted appends in place, for a
+// router its caller owns alone.
 
 // RouteBinsWith appends each member partition's routing decision for vec to
 // dst, running the forward passes through the caller's scratch
@@ -37,10 +28,15 @@ func (e *Ensemble) RouteBinsWith(qs *QueryScratch, vec []float32, dst []int) []i
 }
 
 // InsertRouted appends a point to every member partition at the bins
-// RouteBinsWith chose for it.
+// RouteBinsWith chose for it, recording them in Assign.
 func (e *Ensemble) InsertRouted(id int, bins []int) {
 	for j, p := range e.Parts {
-		p.InsertAt(id, bins[j])
+		b := bins[j]
+		p.Bins[b] = append(p.Bins[b], int32(id))
+		for len(p.Assign) <= id {
+			p.Assign = append(p.Assign, -1)
+		}
+		p.Assign[id] = int32(b)
 	}
 }
 

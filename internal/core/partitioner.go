@@ -14,102 +14,21 @@ import (
 // Partitioner is one trained USP model together with the lookup table of
 // Algorithm 1 step 3: for every bin, the indices of the dataset points
 // assigned to it.
-//
-// The lookup table is stored in CSR form — one flat id array plus per-bin
-// offsets — instead of a [][]int32 slice-of-slices: probing a bin appends one
-// contiguous range (a single memmove) rather than chasing a pointer per bin,
-// and the whole table lives in two allocations regardless of m. Points routed
-// in by InsertAt after the table is built land in small per-bin spill lists
-// that are scanned after the CSR range.
 type Partitioner struct {
 	Model *nn.Sequential
 	M     int
-	// Assign maps point index → bin.
+	// Assign maps point index → bin (−1: in no bin) for the ids the table
+	// held when it was built, merged, filtered or loaded, plus those
+	// InsertRouted added; ids With added since are in Bins only.
 	Assign []int32
-
-	// binIDs holds the point ids of every bin back to back; bin b occupies
-	// binIDs[binOff[b]:binOff[b+1]]. binOff has length M+1.
-	binIDs []int32
-	binOff []int32
-	// spill[b] lists ids InsertAt routed to bin b since the CSR table was
-	// built (nil until the first insert).
-	spill [][]int32
+	// Bins[b] lists the ids in bin b in insertion order (see table.go).
+	Bins [][]int32
 }
 
-// setBinLists builds the CSR table from explicit per-bin id lists, clearing
-// any spill state. It is the bridge from the [][]int32 form used by
-// serialization snapshots and offline training code.
-func (p *Partitioner) setBinLists(lists [][]int32) {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	p.binIDs = make([]int32, 0, total)
-	p.binOff = make([]int32, len(lists)+1)
-	for b, l := range lists {
-		p.binIDs = append(p.binIDs, l...)
-		p.binOff[b+1] = int32(len(p.binIDs))
-	}
-	p.spill = nil
-}
-
-// buildCSRFromAssign fills the CSR table from Assign by counting sort,
-// preserving ascending id order within each bin.
-func (p *Partitioner) buildCSRFromAssign() {
-	p.binOff = make([]int32, p.M+1)
-	for _, b := range p.Assign {
-		p.binOff[b+1]++
-	}
-	for b := 0; b < p.M; b++ {
-		p.binOff[b+1] += p.binOff[b]
-	}
-	p.binIDs = make([]int32, len(p.Assign))
-	cursor := make([]int32, p.M)
-	copy(cursor, p.binOff[:p.M])
-	for i, b := range p.Assign {
-		p.binIDs[cursor[b]] = int32(i)
-		cursor[b]++
-	}
-	p.spill = nil
-}
-
-// BinLen returns the number of points in bin b (CSR range plus spill).
-func (p *Partitioner) BinLen(b int) int {
-	n := int(p.binOff[b+1] - p.binOff[b])
-	if p.spill != nil {
-		n += len(p.spill[b])
-	}
-	return n
-}
-
-// AppendBin appends the ids of bin b to dst: the contiguous CSR range first,
-// then any inserted spill ids. It allocates only when dst must grow.
+// AppendBin appends the ids of bin b to dst. It allocates only when dst
+// must grow.
 func (p *Partitioner) AppendBin(dst []int32, b int) []int32 {
-	dst = append(dst, p.binIDs[p.binOff[b]:p.binOff[b+1]]...)
-	if p.spill != nil {
-		dst = append(dst, p.spill[b]...)
-	}
-	return dst
-}
-
-// BinList returns the ids of bin b. When no inserts are pending this is a
-// zero-copy view of the CSR range; otherwise a fresh concatenation.
-func (p *Partitioner) BinList(b int) []int32 {
-	csr := p.binIDs[p.binOff[b]:p.binOff[b+1]:p.binOff[b+1]]
-	if p.spill == nil || len(p.spill[b]) == 0 {
-		return csr
-	}
-	return append(append(make([]int32, 0, len(csr)+len(p.spill[b])), csr...), p.spill[b]...)
-}
-
-// BinLists materializes the lookup table as per-bin id lists (the
-// serialization snapshot form). The returned lists are freshly allocated.
-func (p *Partitioner) BinLists() [][]int32 {
-	out := make([][]int32, p.M)
-	for b := 0; b < p.M; b++ {
-		out[b] = append(make([]int32, 0, p.BinLen(b)), p.BinList(b)...)
-	}
-	return out
+	return append(dst, p.Bins[b]...)
 }
 
 // TrainStats reports offline-phase metrics (the quantities of Tables 2–3).
@@ -288,14 +207,17 @@ func ClusterLabels(ds *dataset.Dataset, k int, cfg Config) ([]int, error) {
 }
 
 // buildLookup runs inference over the whole dataset and fills Assign and the
-// CSR lookup table (Algorithm 1, step 3).
+// lookup table (Algorithm 1, step 3), each bin in ascending id order.
 func (p *Partitioner) buildLookup(ds *dataset.Dataset) {
 	probs := predictBatched(p.Model, ds, 4096)
 	p.Assign = make([]int32, ds.N)
+	lists := make([][]int32, p.M)
 	for i := 0; i < ds.N; i++ {
-		p.Assign[i] = int32(vecmath.ArgMax(probs.Row(i)))
+		b := vecmath.ArgMax(probs.Row(i))
+		p.Assign[i] = int32(b)
+		lists[b] = append(lists[b], int32(i))
 	}
-	p.buildCSRFromAssign()
+	p.Bins = mergeTable(lists, nil)
 }
 
 // predictBatched evaluates the model on every row of ds in chunks, returning
@@ -330,8 +252,8 @@ func (p *Partitioner) ProbabilitiesInto(dst []float32, q []float32, sc *nn.Infer
 // diagnostics).
 func (p *Partitioner) BinSizes() []int {
 	out := make([]int, p.M)
-	for b := range out {
-		out[b] = p.BinLen(b)
+	for b, ids := range p.Bins {
+		out[b] = len(ids)
 	}
 	return out
 }

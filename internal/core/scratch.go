@@ -83,22 +83,20 @@ func (qs *QueryScratch) beginSeen(n int) uint32 {
 	return qs.gen
 }
 
-// memberBuf returns the probability buffer of ensemble member m, creating
-// the slot on first use.
-func (qs *QueryScratch) memberBuf(m int) []float32 {
-	for len(qs.memberProbs) <= m {
-		qs.memberProbs = append(qs.memberProbs, nil)
+// predict runs model's forward pass into the probability buffer (*bufs)[i]
+// — through the single-row kernel for q, or over the staged batch when q is
+// nil — keeps the grown buffer there for the next call, and returns it.
+// Ensembles keep one buffer per member, hierarchies one per tree depth.
+func (qs *QueryScratch) predict(bufs *[][]float32, i int, model *nn.Sequential, q []float32) []float32 {
+	for len(*bufs) <= i {
+		*bufs = append(*bufs, nil)
 	}
-	return qs.memberProbs[m]
-}
-
-// nodeBuf returns the node-distribution buffer for tree depth d, creating
-// the depth slot on first use.
-func (qs *QueryScratch) nodeBuf(d int) []float32 {
-	for len(qs.nodeProb) <= d {
-		qs.nodeProb = append(qs.nodeProb, nil)
+	if q != nil {
+		(*bufs)[i] = model.PredictVecInto((*bufs)[i], q, &qs.Infer)
+	} else {
+		(*bufs)[i] = model.PredictBatchInto((*bufs)[i], &qs.q, &qs.batch)
 	}
-	return qs.nodeProb[d]
+	return (*bufs)[i]
 }
 
 // pathBuf returns the per-row path-product buffer for tree depth d, sized

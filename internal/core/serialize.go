@@ -23,66 +23,27 @@ type partSpec struct {
 	Bins   [][]int32
 }
 
-// SaveEnsembleWith writes an ensemble (models and lookup tables) to w. Each
-// bin list is written as its CSR range followed by the bin's post-epoch
-// inserts from extra (nil when none are pending) — the same merge order the
-// live read path and the compactor use — and Assign is extended to n entries
-// with the extra ids' routed bins, so a reloaded index serves results
-// bit-identical to the live one without a compaction first.
-func SaveEnsembleWith(w io.Writer, e *Ensemble, n int, extra ExtraBins) error {
+// SaveEnsemble writes an ensemble (models and lookup tables) to w. Each bin
+// is written in its own order — the order the read path scans it in — and
+// Assign is the tables scattered over an id universe of n, so a reloaded
+// index serves results bit-identical to the live one.
+func SaveEnsemble(w io.Writer, e *Ensemble, n int) error {
 	var spec ensembleSpec
-	for m, p := range e.Parts {
+	for _, p := range e.Parts {
 		var buf bytes.Buffer
 		if err := p.Model.Save(&buf); err != nil {
 			return fmt.Errorf("core: serializing model: %w", err)
 		}
 		spec.Parts = append(spec.Parts, partSpec{
-			Model: buf.Bytes(), M: p.M,
-			Assign: mergedAssign(p.Assign, n, m, p.M, extra),
-			Bins:   mergedBinLists(p, n, m, extra),
+			Model: buf.Bytes(), M: p.M, Assign: assignOf(p.Bins, n), Bins: p.Bins,
 		})
 	}
 	return gob.NewEncoder(w).Encode(spec)
 }
 
-// mergedBinLists materializes per-bin id lists as CSR range + extra inserts.
-func mergedBinLists(p *Partitioner, n, member int, extra ExtraBins) [][]int32 {
-	out := make([][]int32, p.M)
-	for b := 0; b < p.M; b++ {
-		list := p.AppendBin(make([]int32, 0, p.BinLen(b)), b)
-		if extra != nil {
-			list = extra.AppendExtra(list, member, b)
-		}
-		out[b] = list
-	}
-	return out
-}
-
-// mergedAssign extends assign to n entries, scattering the extra ids' routed
-// bins; ids with no assignment (possible only transiently) are marked -1.
-func mergedAssign(assign []int32, n, member, m int, extra ExtraBins) []int32 {
-	if extra == nil && len(assign) == n {
-		return assign
-	}
-	out := make([]int32, n)
-	copy(out, assign)
-	for i := len(assign); i < n; i++ {
-		out[i] = -1
-	}
-	if extra != nil {
-		var scratch []int32
-		for b := 0; b < m; b++ {
-			scratch = extra.AppendExtra(scratch[:0], member, b)
-			for _, id := range scratch {
-				out[id] = int32(b)
-			}
-		}
-	}
-	return out
-}
-
 // hierSpec snapshots a Hierarchy: the node tree with serialized models plus
-// the global leaf table.
+// the global leaf table. Snapshots written before nodes held models only
+// also carry a per-node Assign and Bins; gob skips them.
 type hierSpec struct {
 	Levels    []int
 	NumBins   int
@@ -93,38 +54,20 @@ type hierSpec struct {
 
 type hnodeSpec struct {
 	Model    []byte
-	M        int
-	Assign   []int32
-	Bins     [][]int32
 	LeafBase int
 	Children []hnodeSpec
 }
 
-// SaveHierarchyWith writes a hierarchy to w. Each global leaf list is
-// written as its frozen range followed by the leaf's post-epoch inserts from
-// extra (nil when none are pending), matching the live read order so
-// reloaded indexes serve bit-identical results.
-func SaveHierarchyWith(w io.Writer, h *Hierarchy, extra ExtraBins) error {
-	bins := h.Bins
-	if extra != nil {
-		bins = make([][]int32, h.NumBins)
-		for g := range bins {
-			bins[g] = extra.AppendExtra(append([]int32(nil), h.Bins[g]...), 0, g)
-		}
-	}
-	spec := hierSpec{
-		Levels: h.Levels, NumBins: h.NumBins, Bins: bins, ProbeTemp: h.ProbeTemp,
-	}
+// SaveHierarchy writes a hierarchy to w, each global leaf in its own order,
+// so a reloaded index serves results bit-identical to the live one.
+func SaveHierarchy(w io.Writer, h *Hierarchy) error {
 	var snap func(n *hnode) (hnodeSpec, error)
 	snap = func(n *hnode) (hnodeSpec, error) {
 		var buf bytes.Buffer
-		if err := n.part.Model.Save(&buf); err != nil {
+		if err := n.model.Save(&buf); err != nil {
 			return hnodeSpec{}, fmt.Errorf("core: serializing hierarchy model: %w", err)
 		}
-		ns := hnodeSpec{
-			Model: buf.Bytes(), M: n.part.M,
-			Assign: n.part.Assign, Bins: n.part.BinLists(), LeafBase: n.leafBase,
-		}
+		ns := hnodeSpec{Model: buf.Bytes(), LeafBase: n.leafBase}
 		for _, c := range n.children {
 			cs, err := snap(c)
 			if err != nil {
@@ -138,11 +81,13 @@ func SaveHierarchyWith(w io.Writer, h *Hierarchy, extra ExtraBins) error {
 	if err != nil {
 		return err
 	}
-	spec.Root = root
-	return gob.NewEncoder(w).Encode(spec)
+	return gob.NewEncoder(w).Encode(hierSpec{
+		Levels: h.Levels, NumBins: h.NumBins, Bins: h.Bins, ProbeTemp: h.ProbeTemp, Root: root,
+	})
 }
 
-// LoadHierarchy reads a hierarchy previously written by SaveHierarchyWith.
+// LoadHierarchy reads a hierarchy previously written by SaveHierarchy. The
+// result is not checked against any dataset; see Router.Validate.
 func LoadHierarchy(r io.Reader) (*Hierarchy, error) {
 	var spec hierSpec
 	if err := gob.NewDecoder(r).Decode(&spec); err != nil {
@@ -151,17 +96,15 @@ func LoadHierarchy(r io.Reader) (*Hierarchy, error) {
 	if spec.NumBins == 0 {
 		return nil, fmt.Errorf("core: hierarchy snapshot is empty")
 	}
-	var restore func(ns hnodeSpec, depth int) (*hnode, error)
-	restore = func(ns hnodeSpec, depth int) (*hnode, error) {
+	var restore func(ns hnodeSpec) (*hnode, error)
+	restore = func(ns hnodeSpec) (*hnode, error) {
 		model, err := nn.Load(bytes.NewReader(ns.Model), rand.New(rand.NewSource(int64(ns.LeafBase))))
 		if err != nil {
 			return nil, fmt.Errorf("core: decoding hierarchy model: %w", err)
 		}
-		part := &Partitioner{Model: model, M: ns.M, Assign: ns.Assign}
-		part.setBinLists(ns.Bins)
-		n := &hnode{part: part, leafBase: ns.LeafBase}
+		n := &hnode{model: model, leafBase: ns.LeafBase}
 		for _, cs := range ns.Children {
-			c, err := restore(cs, depth+1)
+			c, err := restore(cs)
 			if err != nil {
 				return nil, err
 			}
@@ -169,17 +112,18 @@ func LoadHierarchy(r io.Reader) (*Hierarchy, error) {
 		}
 		return n, nil
 	}
-	root, err := restore(spec.Root, 0)
+	root, err := restore(spec.Root)
 	if err != nil {
 		return nil, err
 	}
 	return &Hierarchy{
-		Levels: spec.Levels, NumBins: spec.NumBins, Bins: spec.Bins,
+		Levels: spec.Levels, NumBins: spec.NumBins, Bins: mergeTable(spec.Bins, nil),
 		ProbeTemp: spec.ProbeTemp, root: root,
 	}, nil
 }
 
-// LoadEnsemble reads an ensemble previously written by SaveEnsembleWith.
+// LoadEnsemble reads an ensemble previously written by SaveEnsemble. The
+// result is not checked against any dataset; see Router.Validate.
 func LoadEnsemble(r io.Reader) (*Ensemble, error) {
 	var spec ensembleSpec
 	if err := gob.NewDecoder(r).Decode(&spec); err != nil {
@@ -194,9 +138,7 @@ func LoadEnsemble(r io.Reader) (*Ensemble, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: decoding model %d: %w", i, err)
 		}
-		p := &Partitioner{Model: model, M: ps.M, Assign: ps.Assign}
-		p.setBinLists(ps.Bins)
-		e.Parts = append(e.Parts, p)
+		e.Parts = append(e.Parts, &Partitioner{Model: model, M: ps.M, Assign: ps.Assign, Bins: mergeTable(ps.Bins, nil)})
 	}
 	return e, nil
 }

@@ -20,7 +20,7 @@ func TestTargetGradModeTrains(t *testing.T) {
 	// Partition invariants hold in this mode too.
 	seen := make([]int, ds.N)
 	for b := 0; b < p.M; b++ {
-		for _, i := range p.BinList(b) {
+		for _, i := range p.Bins[b] {
 			seen[i]++
 			if p.Assign[i] != int32(b) {
 				t.Fatal("assign/bin mismatch")
@@ -64,7 +64,7 @@ func TestEnsembleSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveEnsembleWith(&buf, ens, ds.N, nil); err != nil {
+	if err := SaveEnsemble(&buf, ens, ds.N); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadEnsemble(&buf)
@@ -99,7 +99,7 @@ func TestHierarchySaveLoadRoundTrip(t *testing.T) {
 	}
 	h.ProbeTemp = 3
 	var buf bytes.Buffer
-	if err := SaveHierarchyWith(&buf, h, nil); err != nil {
+	if err := SaveHierarchy(&buf, h); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadHierarchy(&buf)

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -272,6 +273,47 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a model")), nil); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestLoadRejectsMisshapenLayers: a decodable model whose layers do not
+// chain, or whose stored weights do not fill them, is an error at load
+// rather than a panic at load or on the first input.
+func TestLoadRejectsMisshapenLayers(t *testing.T) {
+	good := modelSpec{InDim: 3, Layers: []layerSpec{
+		{Kind: "dense", In: 3, Out: 2, W: make([]float32, 6), B: make([]float32, 2)},
+		{Kind: "batchnorm", Dim: 2, Gamma: make([]float32, 2), Beta: make([]float32, 2), RunMean: make([]float32, 2), RunVar: make([]float32, 2)},
+		{Kind: "relu"},
+		{Kind: "dropout", P: 0.1},
+		{Kind: "dense", In: 2, Out: 4, W: make([]float32, 8), B: make([]float32, 4)},
+	}}
+	encode := func(s modelSpec) *bytes.Buffer {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	if m, err := Load(encode(good), nil); err != nil || m.OutDim() != 4 {
+		t.Fatalf("well-formed model: %v", err)
+	}
+	for name, edit := range map[string]func(s *modelSpec){
+		"no input":        func(s *modelSpec) { s.InDim = 0 },
+		"dense input":     func(s *modelSpec) { s.Layers[4].In = 3 },
+		"dense weights":   func(s *modelSpec) { s.Layers[0].W = s.Layers[0].W[:5] },
+		"dense bias":      func(s *modelSpec) { s.Layers[4].B = nil },
+		"dense no output": func(s *modelSpec) { s.Layers[0].Out, s.Layers[0].W, s.Layers[0].B = 0, nil, nil },
+		"batchnorm width": func(s *modelSpec) { s.Layers[1].Dim = 3 },
+		"batchnorm stats": func(s *modelSpec) { s.Layers[1].RunVar = s.Layers[1].RunVar[:1] },
+		"dropout range":   func(s *modelSpec) { s.Layers[3].P = 1 },
+		"dropout NaN":     func(s *modelSpec) { s.Layers[3].P = math.NaN() },
+	} {
+		s := good
+		s.Layers = append([]layerSpec(nil), good.Layers...)
+		edit(&s)
+		if _, err := Load(encode(s), nil); err == nil {
+			t.Fatalf("%s: misshapen model loaded", name)
+		}
 	}
 }
 

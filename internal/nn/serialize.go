@@ -65,14 +65,30 @@ func (s *Sequential) Save(w io.Writer) error {
 
 // Load reconstructs a model previously written by Save. rng seeds any
 // stochastic layers (dropout); it may be nil if the model will only be used
-// for inference.
+// for inference. Every layer's shape must chain from InDim and match the
+// weights stored for it, so a model that loads cannot index out of range
+// on an InDim-wide input.
 func Load(r io.Reader, rng *rand.Rand) (*Sequential, error) {
 	var spec modelSpec
 	if err := gob.NewDecoder(r).Decode(&spec); err != nil {
 		return nil, fmt.Errorf("nn: decoding model: %w", err)
 	}
+	if spec.InDim < 1 {
+		return nil, fmt.Errorf("nn: model input width %d", spec.InDim)
+	}
 	model := &Sequential{InDim: spec.InDim}
-	for _, ls := range spec.Layers {
+	width := spec.InDim
+	for i, ls := range spec.Layers {
+		switch {
+		case ls.Kind == "dense" && (ls.In != width || ls.Out < 1 || len(ls.W)/ls.Out != ls.In ||
+			len(ls.W)%ls.Out != 0 || len(ls.B) != ls.Out),
+			ls.Kind == "batchnorm" && (ls.Dim != width || len(ls.Gamma) != width || len(ls.Beta) != width ||
+				len(ls.RunMean) != width || len(ls.RunVar) != width),
+			ls.Kind == "dropout" && !(ls.P >= 0 && ls.P < 1):
+			return nil, fmt.Errorf("nn: layer %d (%s) does not fit a %d-wide input", i, ls.Kind, width)
+		case ls.Kind == "dense":
+			width = ls.Out
+		}
 		switch ls.Kind {
 		case "dense":
 			d := &Dense{W: newParam("W", ls.In, ls.Out), B: newParam("b", 1, ls.Out)}

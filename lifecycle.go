@@ -1,32 +1,30 @@
 package usp
 
-// The index lifecycle: epoch-snapshotted reads, sharded mutation staging,
+// The index lifecycle: epoch-snapshotted reads, copy-on-write inserts,
 // tombstoned deletes, and background compaction.
 //
 // Every query resolves one *epoch — an immutable bundle of (dataset view,
-// lookup tables, pending-insert spill lists, tombstone bitmap) — via a
-// single atomic pointer load, and touches nothing else. Writers construct a
-// successor epoch that shares all unchanged storage with its predecessor
-// (copy-on-write at the slice-header level) and publish it with an atomic
-// store; the store's release ordering makes every byte the writer staged
-// visible to readers that load the new epoch, while readers still holding
-// an older epoch keep a consistent historical view. That is the whole
-// synchronization story for the read path: no RWMutex, no reader-side
-// atomics beyond the one load, full snapshot isolation.
+// lookup tables, tombstone bitmap) — via a single atomic pointer load, and
+// touches nothing else. Writers construct a successor epoch that shares all
+// unchanged storage with its predecessor (copy-on-write at the slice-header
+// level) and publish it with an atomic store; the store's release ordering
+// makes every byte the writer staged visible to readers that load the new
+// epoch, while readers still holding an older epoch keep a consistent
+// historical view. That is the whole synchronization story for the read
+// path: no RWMutex, no reader-side atomics beyond the one load, full
+// snapshot isolation.
 //
-// Mutation state is sharded: pending inserts land in the spill slot table
-// of shard id%S, so publishing after Add copies only that shard's slot
-// headers (the other S−1 shards are shared structurally) and the compactor
-// can treat shards as independent merge inputs. The dataset itself grows
-// in place — epochs hold length-capped views, so rows appended after an
-// epoch was published are invisible to it even when the backing array is
-// shared.
+// Add appends the new id to its bins through Router.With: the successor
+// router copies the touched members' bin headers and appends in place past
+// every length an older epoch holds. The dataset grows the same way —
+// epochs hold length-capped views, so rows appended after an epoch was
+// published are invisible to it even when the backing array is shared.
 //
-// Compaction folds the spill lists and tombstones of a snapshot back into
-// contiguous CSR tables. The merge runs against the immutable snapshot with
-// no locks held — it is pure id-list surgery and never touches vector
-// data — and only the final swap (carrying over mutations that raced the
-// merge) briefly takes the writer lock.
+// Compaction folds a snapshot's tombstones out of its tables and packs them
+// again (see internal/core/table.go). The merge runs against the immutable
+// snapshot with no locks held — it is pure id-list surgery and never
+// touches vector data — and only the final swap (carrying over mutations
+// that raced the merge) briefly takes the writer lock.
 
 import (
 	"errors"
@@ -46,11 +44,11 @@ type epoch struct {
 	seq  uint64
 	data *dataset.Dataset // length-capped view of the row storage
 	// router is the trained partition family (*core.Ensemble or
-	// *core.Hierarchy) with its frozen lookup tables.
+	// *core.Hierarchy) with its lookup tables.
 	router core.Router
-	// spill holds ids routed in by Add since the tables above were built
-	// (nil when none are pending); probes scan it after the CSR ranges.
-	spill *spillSet
+	// packed is the row count the tables were packed at (by build, load or
+	// compaction); the rows after it were added since, and are pending.
+	packed int
 	// tombs marks ids deleted since the last compaction (nil when none).
 	// Candidate scans filter against it; compaction folds it away.
 	tombs *bitset.Set
@@ -78,41 +76,6 @@ type quantView struct {
 // dead counts rows removed from the lookup tables by past compactions.
 func (ep *epoch) dead() int { return ep.deadSet.Count() }
 
-// spillSet is an epoch's view of the per-shard pending-insert state. It
-// implements core.ExtraBins: slot (member, bin) of every shard is scanned
-// after the bin's CSR range, in shard order — the same order compaction
-// and serialization merge in, which keeps all three views bit-identical.
-type spillSet struct {
-	perMember int
-	shards    []spillShard
-	total     int // pending inserts (each id occupies one slot per member)
-}
-
-// spillShard is one shard's slot table: slots[member*perMember+bin] lists
-// the ids this shard staged for that bin, in insertion order.
-type spillShard struct {
-	slots [][]int32
-}
-
-// AppendExtra implements core.ExtraBins.
-func (sp *spillSet) AppendExtra(dst []int32, member, bin int) []int32 {
-	slot := member*sp.perMember + bin
-	for i := range sp.shards {
-		dst = append(dst, sp.shards[i].slots[slot]...)
-	}
-	return dst
-}
-
-// extra returns the epoch's spill as a core.ExtraBins, or a nil interface
-// when nothing is pending (a typed-nil interface would defeat the == nil
-// fast path in core).
-func (ep *epoch) extra() core.ExtraBins {
-	if ep.spill == nil {
-		return nil
-	}
-	return ep.spill
-}
-
 // newIndex assembles a servable Index around trained structures and
 // publishes its first epoch. seq/tombs/deadSet restore a snapshot's
 // lifecycle state; Build passes 0/nil/nil. pq/codes carry the quantized
@@ -123,14 +86,11 @@ func newIndex(ds *dataset.Dataset, router core.Router,
 
 	ix := &Index{dim: ds.Dim, opt: opt, stats: stats, data: ds,
 		pq: pq, codes: codes, qTrainedN: ds.N}
-	ix.members, ix.slotsPerMember = router.Shape()
-	ix.shards = make([]spillShard, opt.Shards)
-	for i := range ix.shards {
-		ix.shards[i].slots = make([][]int32, ix.members*ix.slotsPerMember)
-	}
+	tables := router.Tables()
+	ix.members, ix.slotsPerMember = len(tables), len(tables[0])
 	ix.tel = newIndexMetrics(ix)
 	ix.publish(&epoch{
-		seq: seq, data: ix.frozenView(), router: router,
+		seq: seq, data: ix.frozenView(), router: router, packed: ds.N,
 		tombs: tombs, deadSet: deadSet, quant: ix.quantSnapshot(ds.N),
 	})
 	return ix
@@ -166,17 +126,6 @@ func (ix *Index) quantSnapshot(n int) *quantView {
 	return &quantView{pq: ix.pq, codes: ix.codes[: n*m : n*m], tight: ix.qtight}
 }
 
-// spillSnapshot freezes the current per-shard spill state for publication.
-// Callers must hold wmu.
-func (ix *Index) spillSnapshot(total int) *spillSet {
-	if total == 0 {
-		return nil
-	}
-	shards := make([]spillShard, len(ix.shards))
-	copy(shards, ix.shards)
-	return &spillSet{perMember: ix.slotsPerMember, shards: shards, total: total}
-}
-
 // Add inserts a new vector into the index without retraining: the trained
 // model routes it to its most probable bin(s), the same decision rule
 // queries use, so it is immediately findable — the publishing store makes
@@ -193,7 +142,7 @@ func (ix *Index) Add(vec []float32) (int, error) {
 	}
 	// Route before taking the writer lock: the trained models are immutable,
 	// so the forward passes need no exclusivity. Only the appends (dataset
-	// row, spill slots) and the epoch publication run under the lock,
+	// row, bin ids) and the epoch publication run under the lock,
 	// keeping concurrent mutators unblocked during inference. A pooled
 	// Searcher's scratch backs the forward passes, so a sustained Add
 	// stream allocates only the appended storage and the epoch header.
@@ -227,26 +176,9 @@ func (ix *Index) Add(vec []float32) (int, error) {
 		}
 		ix.codes = append(ix.codes, s.codeBuf...)
 	}
-
-	// Copy-on-write the touched shard's slot table; published epochs keep
-	// the old headers. Appending to an inner slice is safe even when it
-	// grows in place: older epochs hold shorter length caps.
-	sh := id % len(ix.shards)
-	slots := make([][]int32, len(ix.shards[sh].slots))
-	copy(slots, ix.shards[sh].slots)
-	for m, b := range s.routeBins {
-		slot := m*ix.slotsPerMember + b
-		slots[slot] = append(slots[slot], int32(id))
-	}
-	ix.shards[sh] = spillShard{slots: slots}
-
-	total := 0
-	if prev.spill != nil {
-		total = prev.spill.total
-	}
 	ix.publish(&epoch{
-		seq: prev.seq + 1, data: ix.frozenView(), router: prev.router,
-		spill: ix.spillSnapshot(total + 1), tombs: prev.tombs, deadSet: prev.deadSet,
+		seq: prev.seq + 1, data: ix.frozenView(), router: prev.router.With(id, s.routeBins),
+		packed: prev.packed, tombs: prev.tombs, deadSet: prev.deadSet,
 		quant: ix.quantSnapshot(ix.data.N),
 	})
 	ix.pendingOps.Add(1)
@@ -276,7 +208,7 @@ func (ix *Index) Delete(id int) error {
 	}
 	ix.publish(&epoch{
 		seq: prev.seq + 1, data: prev.data, router: prev.router,
-		spill: prev.spill, tombs: prev.tombs.With(id), deadSet: prev.deadSet,
+		packed: prev.packed, tombs: prev.tombs.With(id), deadSet: prev.deadSet,
 		quant: prev.quant,
 	})
 	ix.pendingOps.Add(1)
@@ -287,8 +219,8 @@ func (ix *Index) Delete(id int) error {
 	return nil
 }
 
-// Compact synchronously folds pending inserts and tombstones into fresh
-// contiguous CSR tables and publishes the compacted epoch. Queries and
+// Compact synchronously folds pending inserts and tombstones into freshly
+// packed tables and publishes the compacted epoch. Queries and
 // mutations proceed concurrently throughout: the merge works on an
 // immutable snapshot with no locks held, and only the final bookkeeping
 // (carrying over mutations that raced the merge) runs under the writer
@@ -304,16 +236,16 @@ func (ix *Index) Compact() {
 func (ix *Index) compactOnce() {
 	start := time.Now()
 	snap := ix.live.Load()
-	if snap.spill == nil && snap.tombs.Count() == 0 {
+	if snap.data.N == snap.packed && snap.tombs.Count() == 0 {
 		ix.tel.compactionNoops.Inc()
 		return
 	}
 
-	// Heavy phase, lock-free: merge the snapshot's spill and tombstones
-	// into fresh tables. The snapshot is immutable, so concurrent Add and
-	// Delete cannot disturb the merge; their effects are carried over in
-	// the swap phase below.
-	merged := snap.router.Rebuild(snap.data.N, snap.extra(), snap.tombs)
+	// Heavy phase, lock-free: merge the snapshot's tables minus its
+	// tombstones into fresh packed ones. The snapshot is immutable, so
+	// concurrent Add and Delete cannot disturb the merge; their effects are
+	// carried over in the swap phase below.
+	merged := snap.router.Rebuild(snap.data.N, snap.tombs)
 	// Retrain codebooks in the same lock-free phase when the dataset has
 	// grown enough that build-time centroids misrepresent the data. Only
 	// compactOnce ever writes pq/qTrainedN (compactMu is held), so reading
@@ -331,32 +263,23 @@ func (ix *Index) compactOnce() {
 		}
 		ix.pq, ix.codes, ix.qTrainedN = newPQ, newCodes, snap.data.N
 	}
-	// Spill entries staged after the snapshot stay pending: slice each
-	// slot past the snapshot's length. The remainders share backing arrays
-	// with the live slots, which is safe — writers only ever append past
-	// every published length cap.
-	shards := make([]spillShard, len(ix.shards))
-	for si := range ix.shards {
-		curSlots := ix.shards[si].slots
-		slots := make([][]int32, len(curSlots))
-		for slot := range curSlots {
-			snapLen := 0
-			if snap.spill != nil {
-				snapLen = len(snap.spill.shards[si].slots[slot])
-			}
-			if rem := curSlots[slot][snapLen:]; len(rem) > 0 {
-				slots[slot] = rem
-			}
+	// Inserts that reached cur after the snapshot stay pending: append each
+	// bin's tail — the ids cur holds past the snapshot's length — onto the
+	// merged table, in order. cur grew from the snapshot by With alone (only
+	// compaction replaces tables, and compactMu is held), so the snapshot's
+	// bins are prefixes of cur's.
+	mt, ct, st := merged.Tables(), cur.router.Tables(), snap.router.Tables()
+	for m := range mt {
+		for b, ids := range ct[m] {
+			mt[m][b] = append(mt[m][b], ids[len(st[m][b]):]...)
 		}
-		shards[si] = spillShard{slots: slots}
 	}
-	ix.shards = shards
 	remAdds := cur.data.N - snap.data.N // every id ≥ snap rows arrived mid-merge
 	remTombs := bitset.Diff(cur.tombs, snap.tombs)
 	ix.pendingOps.Store(int64(remAdds + remTombs.Count()))
 	ix.publish(&epoch{
 		seq: cur.seq + 1, data: ix.frozenView(), router: merged,
-		spill: ix.spillSnapshot(remAdds), tombs: remTombs,
+		packed: snap.data.N, tombs: remTombs,
 		deadSet: bitset.Union(cur.deadSet, snap.tombs),
 		quant:   ix.quantSnapshot(ix.data.N),
 	})
@@ -414,7 +337,7 @@ func (ix *Index) DropFloats() error {
 	prev := ix.live.Load()
 	ix.publish(&epoch{
 		seq: prev.seq + 1, data: ix.frozenView(), router: prev.router,
-		spill: prev.spill, tombs: prev.tombs, deadSet: prev.deadSet,
+		packed: prev.packed, tombs: prev.tombs, deadSet: prev.deadSet,
 		quant: ix.quantSnapshot(ix.data.N),
 	})
 	return nil
@@ -447,8 +370,8 @@ type LifecycleStats struct {
 	Rows int `json:"rows"`
 	// Live is Rows minus every deletion — the Len of the index.
 	Live int `json:"live"`
-	// PendingInserts counts ids still served from spill lists (not yet
-	// folded into the CSR tables).
+	// PendingInserts counts ids added since the tables were last packed
+	// (by build, load or compaction).
 	PendingInserts int `json:"pending_inserts"`
 	// Tombstones counts deletions not yet folded away by compaction.
 	Tombstones int `json:"tombstones"`
@@ -460,15 +383,11 @@ type LifecycleStats struct {
 // Lock-free.
 func (ix *Index) Lifecycle() LifecycleStats {
 	ep := ix.live.Load()
-	pending := 0
-	if ep.spill != nil {
-		pending = ep.spill.total
-	}
 	return LifecycleStats{
 		Epoch:          ep.seq,
 		Rows:           ep.data.N,
 		Live:           ep.data.N - ep.dead() - ep.tombs.Count(),
-		PendingInserts: pending,
+		PendingInserts: ep.data.N - ep.packed,
 		Tombstones:     ep.tombs.Count(),
 		Dead:           ep.dead(),
 	}

@@ -3,8 +3,11 @@ package usp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // searchIDs returns the result ids of a fresh search.
@@ -387,7 +390,7 @@ func TestOptionsWithDefaultsPreservesExplicitZeros(t *testing.T) {
 	if *d.Dropout != 0.1 {
 		t.Fatalf("default Dropout = %v, want 0.1 (MLP default)", *d.Dropout)
 	}
-	if d.Shards != 8 || d.CompactAfter != 1024 {
+	if d.CompactAfter != 1024 {
 		t.Fatalf("lifecycle defaults wrong: %+v", d)
 	}
 
@@ -411,5 +414,104 @@ func TestOptionsWithDefaultsPreservesExplicitZeros(t *testing.T) {
 	// build succeeds and the config carries η = 0.
 	if cfg := z.coreConfig(); cfg.Eta != 0 || cfg.Dropout != 0 {
 		t.Fatalf("coreConfig lost explicit zeros: %+v", cfg)
+	}
+}
+
+// TestHeldEpochNeverSeesLaterInserts pins the invariant the in-place bin
+// appends rest on: an epoch's tables are frozen at their lengths, so a
+// reader holding it gathers the same candidates however many inserts land in
+// the same bins afterwards — through compactions that repack them, racing
+// the inserts, and the appends that follow. The gathers race the writers,
+// for -race; at the end every row must sit in exactly one bin per member,
+// so no insert that raced a compaction was lost.
+func TestHeldEpochNeverSeesLaterInserts(t *testing.T) {
+	vecs, _ := clusteredVectors(151, 400, 8, 4)
+	ix, err := Build(vecs, Options{Bins: 4, Ensemble: 2, Epochs: 10, Hidden: []int{8}, Seed: 152, CompactAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Some inserts pending first, so the held tables already carry grown bins.
+	for i := 0; i < 30; i++ {
+		if _, err := ix.Add(vecs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := ix.live.Load()
+	queries := vecs[:50]
+	modes := []core.ProbeMode{core.BestConfidence, core.UnionProbe}
+	gatherAll := func(s *Searcher) [][]int32 {
+		var out [][]int32
+		for _, mode := range modes {
+			for _, q := range queries {
+				s.route(held, [][]float32{q}, mode)
+				s.gather(held, 0, 2, mode)
+				out = append(out, append([]int32(nil), s.cands...))
+			}
+		}
+		return out
+	}
+	want := gatherAll(ix.NewSearcher())
+
+	var wg sync.WaitGroup
+	adding := make(chan struct{})
+	wg.Add(2)
+	go func() { // writer: inserts near the queries, so into the bins they probe
+		defer wg.Done()
+		defer close(adding)
+		rng := rand.New(rand.NewSource(153))
+		add := func(n int) {
+			for i := 0; i < n; i++ {
+				nv := append([]float32(nil), queries[rng.Intn(len(queries))]...)
+				nv[0] += float32(rng.NormFloat64()) * 0.01
+				if _, err := ix.Add(nv); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+		add(2000)
+		ix.Compact()
+		add(500)
+	}()
+	go func() { // compactions racing the inserts
+		defer wg.Done()
+		for {
+			select {
+			case <-adding:
+				return
+			default:
+				ix.Compact()
+			}
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	s := ix.NewSearcher()
+	for finished := false; !finished; { // one more round after the writes end
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		for i, got := range gatherAll(s) {
+			if !slices.Equal(got, want[i]) {
+				<-done // the writers report to t; let them finish first
+				t.Fatalf("gather %d at the held epoch changed: %d ids, held %d", i, len(got), len(want[i]))
+			}
+		}
+	}
+	ep := ix.live.Load()
+	for m, table := range ep.router.Tables() {
+		seen := make([]int, ep.data.N)
+		for _, ids := range table {
+			for _, id := range ids {
+				seen[id]++
+			}
+		}
+		for id, c := range seen {
+			if c != 1 {
+				t.Fatalf("member %d: row %d of %d is in %d bins", m, id, ep.data.N, c)
+			}
+		}
 	}
 }

@@ -86,12 +86,10 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 		"Live (searchable) vectors.",
 		func() float64 { return float64(ix.Len()) })
 	reg.GaugeFunc("usp_pending_inserts", "",
-		"Spill occupancy: inserts still served from spill lists, not yet compacted into the CSR tables.",
+		"Inserts added since the lookup tables were last packed (by build, load or compaction).",
 		func() float64 {
-			if sp := ix.live.Load().spill; sp != nil {
-				return float64(sp.total)
-			}
-			return 0
+			ep := ix.live.Load()
+			return float64(ep.data.N - ep.packed)
 		})
 	reg.GaugeFunc("usp_tombstones", "",
 		"Deletions not yet folded away by compaction.",

@@ -120,12 +120,11 @@ func (s *Searcher) lut(ep *epoch, queries [][]float32) int {
 	return qv.pq.Subspaces * qv.pq.K
 }
 
-// gather fills s.cands with routed row i's candidate set: per probed bin,
-// the frozen CSR range followed by the epoch's spill entries. The list may
-// still contain tombstoned ids — the scan filters them, so gathering stays
-// branch-free.
+// gather fills s.cands with routed row i's candidate set: the ids of each
+// probed bin, in the bin's order. The list may still contain tombstoned ids
+// — the scan filters them, so gathering stays branch-free.
 func (s *Searcher) gather(ep *epoch, i, probes int, mode core.ProbeMode) {
-	s.cands = ep.router.AppendCandidatesRow(s.cands[:0], i, probes, mode, &s.qs, ep.data.N, ep.extra())
+	s.cands = ep.router.AppendCandidatesRow(s.cands[:0], i, probes, mode, &s.qs, ep.data.N)
 }
 
 // scan scores the gathered candidates, dropping tombstoned ones (counted in

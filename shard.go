@@ -62,9 +62,9 @@ func (ix *Index) Shard(m int) ([]*Index, error) {
 		return nil, errors.New("usp: cannot shard a memory-tight index (float rows were dropped)")
 	}
 
-	// Fold the epoch's pending spill and tombstones into clean merged tables
-	// (the compaction merge, run privately — nothing is published).
-	merged := ep.router.Rebuild(n, ep.extra(), ep.tombs)
+	// Fold the epoch's tombstones out of its tables (the compaction merge,
+	// run privately — nothing is published).
+	merged := ep.router.Rebuild(n, ep.tombs)
 	dead := bitset.Union(ep.deadSet, ep.tombs)
 
 	out := make([]*Index, m)

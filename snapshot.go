@@ -6,8 +6,8 @@ package usp
 // self-contained: one file holds everything needed to serve — options,
 // models, merged lookup tables, dataset rows, the squared-norm cache, and
 // tombstones — and a loaded index returns bit-identical results to the
-// live one it was saved from, including results involving vectors that
-// were still in spill lists or already tombstoned at save time.
+// live one it was saved from, including results involving vectors added
+// since the last compaction or already tombstoned at save time.
 //
 // Layout (all integers little-endian):
 //
@@ -17,11 +17,11 @@ package usp
 //	per section: [4] id  [4] reserved  [8] offset  [8] length
 //	section payloads, in ascending offset order
 //
-// Sections: options (gob), model (kind byte + the core gob payload with
-// spill lists merged in), dataset (row count, dim, raw float32 rows),
-// sqnorms (raw float32 cache; written for older readers, skipped by Load,
-// which recomputes the norms from the rows), tombstones and the compacted
-// dead set (bitmap words). Readers skip unknown section ids, so the format
+// Sections: options (gob), model (kind byte + the core gob payload: models
+// and every bin's ids in the order the read path scans them), dataset (row
+// count, dim, raw float32 rows), sqnorms (raw float32 cache; written for
+// older readers, skipped by Load, which recomputes the norms from the
+// rows), tombstones and the compacted dead set (bitmap words). Readers skip unknown section ids, so the format
 // can grow without a version bump; offsets are explicit so future writers
 // may reorder or align sections.
 //
@@ -75,7 +75,7 @@ type snapOptions struct {
 	Logistic                                  bool
 	Hierarchy                                 []int
 	Seed                                      int64
-	Shards, CompactAfter                      int
+	CompactAfter                              int
 	Stats                                     BuildStats
 	Dead                                      int
 	Epoch                                     uint64
@@ -100,8 +100,7 @@ func (ix *Index) Save(w io.Writer) error {
 	so := snapOptions{
 		Bins: o.Bins, KPrime: o.KPrime, Epochs: o.Epochs, BatchSize: o.BatchSize,
 		Ensemble: o.Ensemble, Eta: *o.Eta, Dropout: *o.Dropout, Hidden: o.Hidden,
-		Logistic: o.Logistic, Hierarchy: o.Hierarchy, Seed: o.Seed,
-		Shards: o.Shards, CompactAfter: o.CompactAfter,
+		Logistic: o.Logistic, Hierarchy: o.Hierarchy, Seed: o.Seed, CompactAfter: o.CompactAfter,
 		Stats: ix.stats, Dead: ep.dead(), Epoch: ep.seq,
 		Quant: o.Quantize, IDOffset: ix.idOffset,
 	}
@@ -109,19 +108,19 @@ func (ix *Index) Save(w io.Writer) error {
 		return fmt.Errorf("usp: encoding options: %w", err)
 	}
 
-	// Models with the epoch's spill lists merged into the bin tables: the
-	// loaded index starts with clean CSR state yet serves candidates in
-	// exactly the order the live spill-aware read path does.
+	// Models and tables, each bin in the order the read path scans it: the
+	// loaded index packs the tables again and serves candidates in exactly
+	// the live order.
 	var modelBuf bytes.Buffer
 	switch r := ep.router.(type) {
 	case *core.Hierarchy:
 		modelBuf.WriteByte(modelKindHierarchy)
-		if err := core.SaveHierarchyWith(&modelBuf, r, ep.extra()); err != nil {
+		if err := core.SaveHierarchy(&modelBuf, r); err != nil {
 			return err
 		}
 	case *core.Ensemble:
 		modelBuf.WriteByte(modelKindEnsemble)
-		if err := core.SaveEnsembleWith(&modelBuf, r, ep.data.N, ep.extra()); err != nil {
+		if err := core.SaveEnsemble(&modelBuf, r, ep.data.N); err != nil {
 			return err
 		}
 	}
@@ -432,6 +431,12 @@ func Load(r io.Reader) (*Index, error) {
 	if so == nil || ds == nil || router == nil {
 		return nil, fmt.Errorf("usp: snapshot missing a required section (options/model/dataset)")
 	}
+	// The tables and models are untrusted too: an id past the rows or a
+	// shape that disagrees with its model would panic in the first query
+	// that probes it, on a goroutine nothing recovers.
+	if err := router.Validate(ds.N, ds.Dim); err != nil {
+		return nil, fmt.Errorf("usp: model section: %w", err)
+	}
 	// The norm cache is derived data and the file carries no checksum, so
 	// the stored copy (section 4) is not trusted: a cache that is not
 	// Dot(x, x) of this process's kernels — a file written under another
@@ -453,7 +458,7 @@ func Load(r io.Reader) (*Index, error) {
 		Bins: so.Bins, KPrime: so.KPrime, Epochs: so.Epochs, BatchSize: so.BatchSize,
 		Ensemble: so.Ensemble, Eta: Float(so.Eta), Dropout: Float(so.Dropout),
 		Hidden: so.Hidden, Logistic: so.Logistic, Hierarchy: so.Hierarchy,
-		Seed: so.Seed, Shards: so.Shards, CompactAfter: so.CompactAfter,
+		Seed: so.Seed, CompactAfter: so.CompactAfter,
 	}.withDefaults()
 	opt.Quantize = so.Quant
 	// A snapshot whose quant section was dropped (or written by a future

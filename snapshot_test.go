@@ -3,11 +3,17 @@ package usp
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/nn"
+	"repro/internal/vecmath"
 )
 
 // churn applies adds and deletes so an index carries live spill lists and
@@ -353,5 +359,179 @@ func TestSaveDuringConcurrentMutation(t *testing.T) {
 	close(stop)
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// legacyFixture is a snapshot written by an earlier version of this
+// package (testdata/legacy/README.md) with the answers that version gave
+// after loading it, per kernel set: distances differ in their last bits
+// between kernel sets, so each set is held to its own.
+type legacyFixture struct {
+	K       int                     `json:"k"`
+	Options []SearchOptions         `json:"options"`
+	Queries [][]float32             `json:"queries"`
+	Answers map[string][][][]Result `json:"answers"`
+}
+
+// TestLegacySnapshotsLoad: snapshots written before tables were one packed
+// form — an ensemble saved with pending inserts and tombstones, and a [4,4]
+// hierarchy whose node tables the file still carries — load and answer
+// bit-identically to the version that wrote them.
+func TestLegacySnapshotsLoad(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		tombstones int
+	}{{"ensemble", 20}, {"hierarchy", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, err := LoadFile(filepath.Join("testdata", "legacy", tc.name+".usps"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lc := ix.Lifecycle(); lc.PendingInserts != 0 || lc.Tombstones != tc.tombstones {
+				t.Fatalf("lifecycle %+v", lc)
+			}
+			raw, err := os.ReadFile(filepath.Join("testdata", "legacy", tc.name+".answers.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var f legacyFixture
+			if err := json.Unmarshal(raw, &f); err != nil {
+				t.Fatal(err)
+			}
+			want, ok := f.Answers[vecmath.Impl()]
+			if !ok {
+				t.Skipf("no answers recorded for the %s kernels", vecmath.Impl())
+			}
+			for oi, opt := range f.Options {
+				for qi, q := range f.Queries {
+					got, err := ix.Search(q, f.K, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want[oi][qi]) {
+						t.Fatalf("%+v q%d: %v, recorded %v", opt, qi, got, want[oi][qi])
+					}
+				}
+			}
+		})
+	}
+}
+
+// The model section's gob payload, mirrored field by field so a test can
+// write a file the package's own saver never would.
+type (
+	filePart struct {
+		Model  []byte
+		M      int
+		Assign []int32
+		Bins   [][]int32
+	}
+	fileEnsemble struct{ Parts []filePart }
+	fileNode     struct {
+		Model    []byte
+		LeafBase int
+		Children []fileNode
+	}
+	fileHierarchy struct {
+		Levels    []int
+		NumBins   int
+		Bins      [][]int32
+		ProbeTemp float64
+		Root      fileNode
+	}
+)
+
+// rewriteModel returns file with its model section's gob payload (after the
+// kind byte) decoded into spec, passed through edit, and encoded back, every
+// later section moved to fit.
+func rewriteModel[S any](t *testing.T, file []byte, edit func(*S)) []byte {
+	t.Helper()
+	count := int(binary.LittleEndian.Uint32(file[12:16]))
+	var payloads [][]byte
+	for i := 0; i < count; i++ {
+		e := file[snapHeaderFixed+i*snapSectionEntry:]
+		off, n := binary.LittleEndian.Uint64(e[8:16]), binary.LittleEndian.Uint64(e[16:24])
+		p := file[off : off+n]
+		if binary.LittleEndian.Uint32(e[0:4]) == secModel {
+			var spec S
+			if err := gob.NewDecoder(bytes.NewReader(p[1:])).Decode(&spec); err != nil {
+				t.Fatal(err)
+			}
+			edit(&spec)
+			var buf bytes.Buffer
+			buf.WriteByte(p[0])
+			if err := gob.NewEncoder(&buf).Encode(spec); err != nil {
+				t.Fatal(err)
+			}
+			p = buf.Bytes()
+		}
+		payloads = append(payloads, p)
+	}
+	out := append([]byte(nil), file[:snapHeaderFixed+count*snapSectionEntry]...)
+	for i, p := range payloads {
+		e := out[snapHeaderFixed+i*snapSectionEntry:]
+		binary.LittleEndian.PutUint64(e[8:16], uint64(len(out)))
+		binary.LittleEndian.PutUint64(e[16:24], uint64(len(p)))
+		out = append(out, p...)
+	}
+	return out
+}
+
+// TestLoadRejectsMismatchedTables: a snapshot whose tables address rows the
+// dataset lacks, or whose tables and models disagree in shape, used to load
+// and then panic in the first query that probed the bad bin — on a batch
+// worker or the server's batcher, which nothing recovers. Load must refuse
+// it instead, and a well-formed rewrite must still load.
+func TestLoadRejectsMismatchedTables(t *testing.T) {
+	vecs, _ := clusteredVectors(157, 300, 8, 4)
+	save := func(opts Options) []byte {
+		ix, err := Build(vecs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ix.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	ens := save(Options{Bins: 4, Ensemble: 2, Epochs: 5, Hidden: []int{8}, Seed: 158})
+	hier := save(Options{Hierarchy: []int{2, 2}, Epochs: 5, Hidden: []int{8}, Seed: 158})
+	var wide bytes.Buffer // a model for 9-dim rows with the ensemble's 4 outputs
+	if err := nn.NewLogistic(9, 4, rand.New(rand.NewSource(159))).Save(&wide); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, file := range [][]byte{
+		rewriteModel(t, ens, func(*fileEnsemble) {}),
+		rewriteModel(t, hier, func(*fileHierarchy) {}),
+	} {
+		if _, err := Load(bytes.NewReader(file)); err != nil {
+			t.Fatalf("unchanged rewrite: %v", err)
+		}
+	}
+	for name, file := range map[string][]byte{
+		"ensemble/id past the rows": rewriteModel(t, ens, func(s *fileEnsemble) {
+			s.Parts[1].Bins[2] = append(s.Parts[1].Bins[2], 300)
+		}),
+		"ensemble/table narrower than its model": rewriteModel(t, ens, func(s *fileEnsemble) {
+			s.Parts[0].Bins = s.Parts[0].Bins[:3]
+		}),
+		"ensemble/model of another row width": rewriteModel(t, ens, func(s *fileEnsemble) {
+			s.Parts[1].Model = wide.Bytes()
+		}),
+		"hierarchy/id past the rows": rewriteModel(t, hier, func(s *fileHierarchy) {
+			s.Bins[3] = append(s.Bins[3], 1<<20)
+		}),
+		"hierarchy/leaf base past NumBins": rewriteModel(t, hier, func(s *fileHierarchy) {
+			s.Root.Children[1].LeafBase = 3
+		}),
+		"hierarchy/NumBins below the leaves": rewriteModel(t, hier, func(s *fileHierarchy) {
+			s.NumBins, s.Bins = 3, s.Bins[:3]
+		}),
+	} {
+		if _, err := Load(bytes.NewReader(file)); err == nil {
+			t.Fatalf("%s: loaded", name)
+		}
 	}
 }

@@ -100,11 +100,6 @@ type Options struct {
 	Hierarchy []int
 	// Seed makes the build reproducible.
 	Seed int64
-	// Shards is the number of write shards pending mutations are striped
-	// across (default 8). Shards bound the copy cost of publishing an
-	// epoch after Add and let the compactor merge independent spill state;
-	// they are also the unit a future multi-node split would distribute.
-	Shards int
 	// CompactAfter is the number of pending mutations (inserts plus
 	// deletes since the last compaction) that triggers a background
 	// compaction (default 1024). Negative disables automatic compaction;
@@ -211,9 +206,6 @@ func (o Options) withDefaults() Options {
 	if o.Ensemble == 0 {
 		o.Ensemble = 1
 	}
-	if o.Shards <= 0 {
-		o.Shards = 8
-	}
 	if o.CompactAfter == 0 {
 		o.CompactAfter = 1024
 	}
@@ -272,8 +264,8 @@ type SearchOptions struct {
 //
 // Concurrency: queries (Search, SearchBatch, CandidateSet, Searcher entry
 // points) are lock-free — each resolves the atomically published epoch,
-// an immutable snapshot of the dataset view, lookup tables, pending-insert
-// spill lists, and tombstones — so they may run concurrently with each
+// an immutable snapshot of the dataset view, lookup tables and tombstones —
+// so they may run concurrently with each
 // other, with Add/Delete, and with compaction, and each query observes one
 // consistent point-in-time state. Mutators serialize behind a short writer
 // lock that never blocks readers; the heavy parts of Add (model routing)
@@ -287,8 +279,8 @@ type Index struct {
 	// with an atomic store; readers load it once per query.
 	live atomic.Pointer[epoch]
 
-	// wmu serializes mutators: id assignment, dataset growth, spill
-	// staging, tombstone derivation, and epoch publication.
+	// wmu serializes mutators: id assignment, dataset growth, bin appends,
+	// tombstone derivation, and epoch publication.
 	wmu  sync.Mutex
 	data *dataset.Dataset // canonical growing storage (writer-owned)
 	// Quantization state (writer-owned, guarded by wmu; epochs publish
@@ -297,14 +289,10 @@ type Index struct {
 	// records that the float rows were dropped (memory-tight mode);
 	// qTrainedN is the row count when codebooks were last trained, read
 	// by the compaction retrain heuristic.
-	pq        *quant.PQ
-	codes     []uint8
-	qtight    bool
-	qTrainedN int
-	// shards is the latest published per-shard spill state. Writers copy
-	// a shard's slot table before changing it (copy-on-write), so slices
-	// reachable from published epochs are never mutated.
-	shards         []spillShard
+	pq             *quant.PQ
+	codes          []uint8
+	qtight         bool
+	qTrainedN      int
 	members        int          // ensemble size, or 1 for a hierarchy
 	slotsPerMember int          // bins per member, or the hierarchy leaf count
 	pendingOps     atomic.Int64 // inserts+deletes since last compaction
