@@ -15,11 +15,10 @@
 // declares two shards: the first served by two replicas, the second by
 // one. The front learns each shard's id offset from its /healthz.
 //
-// Identical in-flight queries are coalesced into one backend fan-out,
-// and -cache-size enables a small LRU over merged answers, invalidated
-// whenever any backend reloads or a write is routed. Writes route too:
-// /add goes to the least-loaded shard (every replica of it), /delete to
-// the shard whose id range owns the global id.
+// Identical in-flight queries are coalesced into one backend fan-out; the
+// front keeps no answers beyond that. Writes route too: /add goes to the
+// least-loaded shard (every replica of it), /delete to the shard whose id
+// range owns the global id.
 package main
 
 import (
@@ -59,7 +58,6 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Second, "per-backend request timeout")
 	maxInFlight := flag.Int("max-in-flight", 256, "concurrent front requests before shedding with 429")
 	healthEvery := flag.Duration("health-interval", 2*time.Second, "backend health probe period")
-	cacheSize := flag.Int("cache-size", 0, "LRU result-cache capacity in merged answers (0 disables; invalidated on any backend reload or routed write)")
 	flag.Parse()
 
 	groups := parseTopology(*backends)
@@ -72,7 +70,6 @@ func main() {
 		Timeout:        *timeout,
 		MaxInFlight:    *maxInFlight,
 		HealthInterval: *healthEvery,
-		CacheSize:      *cacheSize,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -2,16 +2,31 @@ package core
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 
 	"repro/internal/bitset"
 	"repro/internal/vecmath"
 )
 
-// referenceBins rebuilds the old [][]int32 lookup-table form straight from
-// Assign — the layout the seed implementation stored — so table probing can be
-// checked against it exactly.
+// scatter maps each of n ids to the bin of t holding it (−1: in none) — the
+// point → bin map the seed implementation stored beside its tables.
+func scatter(t [][]int32, n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = -1
+	}
+	for b, ids := range t {
+		for _, id := range ids {
+			out[id] = int32(b)
+		}
+	}
+	return out
+}
+
+// referenceBins rebuilds the old [][]int32 lookup-table form straight from a
+// point → bin map, each bin in ascending id order — the layout the seed
+// implementation stored — so table probing can be checked against it
+// exactly.
 func referenceBins(assign []int32, m int) [][]int32 {
 	bins := make([][]int32, m)
 	for i, b := range assign {
@@ -26,7 +41,7 @@ func TestCSRMatchesReferenceLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := referenceBins(p.Assign, p.M)
+	ref := referenceBins(scatter(p.Bins, ds.N), p.M)
 	sizes := p.BinSizes()
 	for b := 0; b < p.M; b++ {
 		got := p.Bins[b]
@@ -51,17 +66,18 @@ func TestCSRSurvivesInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Route a few new points in, in place (InsertRouted, on a private copy)
-	// and copy-on-write (With, from p); the reference built from the
-	// extended Assign must match both: the trained ids, then the inserts.
-	owned := single(&Partitioner{Model: p.Model, M: p.M, Assign: append([]int32(nil), p.Assign...), Bins: mergeTable(p.Bins, nil)})
+	// and copy-on-write (With, from p); both must match the reference: the
+	// trained ids, then the inserts.
+	owned := single(&Partitioner{Model: p.Model, M: p.M, Bins: mergeTable(p.Bins, nil)})
 	var shared Router = single(p)
+	ref := referenceBins(scatter(p.Bins, ds.N), p.M)
 	var qs QueryScratch
 	for j := 0; j < 10; j++ {
 		bins := owned.RouteBinsWith(&qs, ds.Row(j%ds.N), nil)
 		owned.InsertRouted(ds.N+j, bins)
 		shared = shared.With(ds.N+j, bins)
+		ref[bins[0]] = append(ref[bins[0]], int32(ds.N+j))
 	}
-	ref := referenceBins(owned.Parts[0].Assign, p.M)
 	for name, part := range map[string]*Partitioner{"InsertRouted": owned.Parts[0], "With": shared.(*Ensemble).Parts[0]} {
 		total := 0
 		for b := 0; b < p.M; b++ {
@@ -78,10 +94,6 @@ func TestCSRSurvivesInserts(t *testing.T) {
 		}
 		if total != ds.N+10 {
 			t.Fatalf("%s: bins hold %d ids, want %d", name, total, ds.N+10)
-		}
-		// The serialized Assign (a scatter of the table) covers the inserts.
-		if got, want := assignOf(part.Bins, ds.N+10), owned.Parts[0].Assign; !slices.Equal(got, want) {
-			t.Fatalf("%s: scattered Assign differs from the in-place one", name)
 		}
 	}
 	// The partitioner With started from still holds the trained ids alone.
@@ -109,7 +121,7 @@ func TestTablesArePacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveEnsemble(&buf, ens, ds.N); err != nil {
+	if err := SaveEnsemble(&buf, ens); err != nil {
 		t.Fatal(err)
 	}
 	loadedEns, err := LoadEnsemble(&buf)
@@ -126,11 +138,11 @@ func TestTablesArePacked(t *testing.T) {
 	drop := bitset.FromWords([]uint64{0x5555})
 	for name, r := range map[string]Router{
 		"ensemble/train":   ens,
-		"ensemble/merge":   ens.With(ds.N, []int{0, 1}).Rebuild(ds.N+1, drop),
+		"ensemble/merge":   ens.With(ds.N, []int{0, 1}).Rebuild(drop),
 		"ensemble/filter":  ens.FilterRemap(100, 300),
 		"ensemble/load":    loadedEns,
 		"hierarchy/train":  h,
-		"hierarchy/merge":  h.With(ds.N, []int{2}).Rebuild(ds.N+1, drop),
+		"hierarchy/merge":  h.With(ds.N, []int{2}).Rebuild(drop),
 		"hierarchy/filter": h.FilterRemap(100, 300),
 		"hierarchy/load":   loadedHier,
 	} {
@@ -190,9 +202,9 @@ func TestValidateRejectsMismatchedTables(t *testing.T) {
 
 // appendCandidates is the single-query form of the candidate path: route q
 // through the single-row kernel, then gather row 0.
-func appendCandidates(r Router, dst []int32, q []float32, mPrime int, mode ProbeMode, qs *QueryScratch, n int) []int32 {
+func appendCandidates(r Router, dst []int32, q []float32, mPrime int, mode ProbeMode, qs *QueryScratch) []int32 {
 	r.Route(qs, q, mode)
-	return r.AppendCandidatesRow(dst, 0, mPrime, mode, qs, n)
+	return r.AppendCandidatesRow(dst, 0, mPrime, mode, qs)
 }
 
 // TestAppendCandidatesMatchesLegacyPipeline recomputes the seed's candidate
@@ -221,13 +233,13 @@ func TestAppendCandidatesMatchesLegacyPipeline(t *testing.T) {
 					bestConf, bestProbs, bestPart = c, probs, p
 				}
 			}
-			ref := referenceBins(bestPart.Assign, bestPart.M)
+			ref := referenceBins(scatter(bestPart.Bins, ds.N), bestPart.M)
 			var want []int32
 			for _, b := range vecmath.TopKIndices(bestProbs, mPrime) {
 				want = append(want, ref[b]...)
 			}
 
-			dst = appendCandidates(ens, dst[:0], q, mPrime, BestConfidence, &qs, ds.N)
+			dst = appendCandidates(ens, dst[:0], q, mPrime, BestConfidence, &qs)
 			if len(dst) != len(want) {
 				t.Fatalf("q%d m'=%d: %d candidates, want %d", qi, mPrime, len(dst), len(want))
 			}
@@ -239,7 +251,7 @@ func TestAppendCandidatesMatchesLegacyPipeline(t *testing.T) {
 
 			// Union mode must agree with the allocating wrapper.
 			union := ens.CandidatesWith(new(QueryScratch), q, mPrime, UnionProbe)
-			dst = appendCandidates(ens, dst[:0], q, mPrime, UnionProbe, &qs, ds.N)
+			dst = appendCandidates(ens, dst[:0], q, mPrime, UnionProbe, &qs)
 			if len(dst) != len(union) {
 				t.Fatalf("q%d m'=%d union: %d vs %d", qi, mPrime, len(dst), len(union))
 			}
@@ -265,7 +277,7 @@ func TestHierarchyAppendCandidatesMatchesCandidates(t *testing.T) {
 		q := ds.Row(qi)
 		for _, mPrime := range []int{1, 2, 4} {
 			want := h.CandidatesWith(new(QueryScratch), q, mPrime)
-			dst = appendCandidates(h, dst[:0], q, mPrime, BestConfidence, &qs, ds.N)
+			dst = appendCandidates(h, dst[:0], q, mPrime, BestConfidence, &qs)
 			if len(dst) != len(want) {
 				t.Fatalf("q%d m'=%d: %d vs %d candidates", qi, mPrime, len(dst), len(want))
 			}
@@ -292,7 +304,7 @@ func TestAppendCandidatesNaNQueryDegradesGracefully(t *testing.T) {
 	var qs QueryScratch
 	// Warm the scratch with a normal query first so it holds a real
 	// distribution and member selection the NaN query must not inherit.
-	warm := appendCandidates(ens, nil, ds.Row(0), 2, BestConfidence, &qs, ds.N)
+	warm := appendCandidates(ens, nil, ds.Row(0), 2, BestConfidence, &qs)
 	if len(warm) == 0 {
 		t.Fatal("warm query returned no candidates")
 	}
@@ -300,7 +312,7 @@ func TestAppendCandidatesNaNQueryDegradesGracefully(t *testing.T) {
 	for i := range huge {
 		huge[i] = 3e38
 	}
-	got := appendCandidates(ens, nil, huge, 2, BestConfidence, &qs, ds.N)
+	got := appendCandidates(ens, nil, huge, 2, BestConfidence, &qs)
 	if len(got) != 0 {
 		t.Fatalf("NaN-probability query returned %d candidates, want 0", len(got))
 	}
@@ -309,7 +321,7 @@ func TestAppendCandidatesNaNQueryDegradesGracefully(t *testing.T) {
 		t.Fatalf("adapter returned %d candidates, want 0", len(c))
 	}
 	// And the scratch must still work for normal queries afterwards.
-	after := appendCandidates(ens, nil, ds.Row(0), 2, BestConfidence, &qs, ds.N)
+	after := appendCandidates(ens, nil, ds.Row(0), 2, BestConfidence, &qs)
 	if len(after) != len(warm) {
 		t.Fatalf("scratch damaged by NaN query: %d vs %d candidates", len(after), len(warm))
 	}
@@ -319,9 +331,9 @@ func TestQueryScratchSeenGenerationWrap(t *testing.T) {
 	var qs QueryScratch
 	qs.seen = make([]uint32, 4)
 	qs.gen = ^uint32(0) - 1
-	g1 := qs.beginSeen(4)
+	g1 := qs.beginSeen()
 	qs.seen[2] = g1
-	g2 := qs.beginSeen(4) // wraps to 0 → must reset stamps and restart at 1
+	g2 := qs.beginSeen() // wraps to 0 → must reset stamps and restart at 1
 	if g2 == 0 {
 		t.Fatal("generation 0 must never be handed out")
 	}
@@ -374,7 +386,6 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 
 	// Ten inserts after training, routed and appended the way Add does it.
 	const inserts = 10
-	n := ds.N + inserts
 	var qs QueryScratch
 	ensExtra, hierExtra := slotExtra{}, slotExtra{}
 	var ensWith, hierWith Router = ens, h
@@ -404,9 +415,9 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 
 	ensRefs := make([][][]int32, len(ens.Parts))
 	for m, p := range ens.Parts {
-		ensRefs[m] = referenceBins(p.Assign, p.M)
+		ensRefs[m] = referenceBins(scatter(p.Bins, ds.N), p.M)
 	}
-	hierRef := referenceBins(h.Assignments(ds.N), h.NumBins)
+	hierRef := referenceBins(scatter(h.Bins, ds.N), h.NumBins)
 
 	referenceBest := func(q []float32, mPrime int, extra slotExtra) []int32 {
 		best, bestConf := -1, float32(-1)
@@ -464,10 +475,10 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, spill := range []bool{false, true} {
-			name, universe, router := tc.name, ds.N, tc.router
+			name, router := tc.name, tc.router
 			var refExtra slotExtra // nil: no inserts
 			if spill {
-				name, universe, router, refExtra = name+"/spill", n, tc.inserted, tc.extra
+				name, router, refExtra = name+"/spill", tc.inserted, tc.extra
 			}
 			t.Run(name, func(t *testing.T) {
 				var qsSingle, qsBatch QueryScratch
@@ -480,8 +491,8 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 				for _, mPrime := range []int{1, 2, 4} {
 					for i, q := range queries {
 						want := tc.reference(q, mPrime, refExtra)
-						one := appendCandidates(router, nil, q, mPrime, tc.mode, &qsSingle, universe)
-						row := router.AppendCandidatesRow(nil, i, mPrime, tc.mode, &qsBatch, universe)
+						one := appendCandidates(router, nil, q, mPrime, tc.mode, &qsSingle)
+						row := router.AppendCandidatesRow(nil, i, mPrime, tc.mode, &qsBatch)
 						for form, got := range map[string][]int32{"Route": one, "RouteBatch": row} {
 							if len(got) != len(want) {
 								t.Fatalf("q%d m'=%d %s: %d candidates, want %d", i, mPrime, form, len(got), len(want))

@@ -141,9 +141,8 @@ func (e *Ensemble) selectMembers(qs *QueryScratch, n int, mode ProbeMode) {
 
 // AppendCandidatesRow appends routed row i's candidate set to dst: the ids
 // in the mPrime most probable bins of the selected member (best-confidence)
-// or of every member, first occurrences only (union). The union dedup set is
-// sized to n, the id universe.
-func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, mode ProbeMode, qs *QueryScratch, n int) []int32 {
+// or of every member, first occurrences only (union).
+func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, mode ProbeMode, qs *QueryScratch) []int32 {
 	switch mode {
 	case BestConfidence:
 		m := qs.bestIdx[i]
@@ -158,7 +157,7 @@ func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, mode ProbeMod
 		}
 		return dst
 	case UnionProbe:
-		gen := qs.beginSeen(n)
+		gen := qs.beginSeen()
 		for m, p := range e.Parts {
 			row := qs.memberProbs[m][i*p.M : (i+1)*p.M]
 			qs.bins = vecmath.TopKIndicesInto(qs.bins, row, mPrime)
@@ -168,6 +167,9 @@ func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, mode ProbeMod
 				// Compact in place, keeping first occurrences only.
 				w := mark
 				for _, id := range dst[mark:] {
+					if int(id) >= len(qs.seen) {
+						qs.growSeen(id)
+					}
 					if qs.seen[id] != gen {
 						qs.seen[id] = gen
 						dst[w] = id
@@ -185,12 +187,12 @@ func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, mode ProbeMod
 
 // CandidatesWith returns the ensemble's candidate set for q as a fresh
 // []int — the adapter the offline callers (experiment sweeps, eval) use.
-// Hold one QueryScratch across queries: UnionProbe's dedup array is sized
-// to the dataset, so a fresh scratch per query would re-allocate and
-// re-zero O(n) every call.
+// Hold one QueryScratch across queries: UnionProbe's dedup array grows to
+// the largest id it meets, so a fresh scratch per query would re-allocate
+// and re-zero O(n) every call.
 func (e *Ensemble) CandidatesWith(qs *QueryScratch, q []float32, mPrime int, mode ProbeMode) []int {
 	e.Route(qs, q, mode)
-	qs.cands = e.AppendCandidatesRow(qs.cands[:0], 0, mPrime, mode, qs, len(e.Parts[0].Assign))
+	qs.cands = e.AppendCandidatesRow(qs.cands[:0], 0, mPrime, mode, qs)
 	return ToInts(qs.cands)
 }
 

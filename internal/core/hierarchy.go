@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/dataset"
@@ -17,19 +16,12 @@ import (
 // query's leaf-bin probability is the product of the model probabilities
 // along the root→leaf path.
 type Hierarchy struct {
-	Levels  []int
 	NumBins int
 	// Bins is the global leaf lookup table: Bins[g] lists the ids in leaf
 	// bin g in insertion order (see table.go). Leaves are numbered depth
 	// first (mixed radix).
 	Bins [][]int32
-	// ProbeTemp softens node probabilities (p_b ∝ p_b^{1/T}) before they
-	// are multiplied down the tree. Cross-entropy-trained nodes become
-	// overconfident as weights grow, which collapses the product ranking
-	// deep trees rely on for multi-probe; T in the 2–8 range restores a
-	// usable ordering. 0 or 1 disables softening.
-	ProbeTemp float64
-	root      *hnode
+	root *hnode
 }
 
 // hnode is one model of the tree. Only the leaf table holds ids: inner and
@@ -57,7 +49,7 @@ func TrainHierarchy(ds *dataset.Dataset, levels []int, cfg Config) (*Hierarchy, 
 		}
 		numBins *= m
 	}
-	h := &Hierarchy{Levels: levels, NumBins: numBins, Bins: make([][]int32, numBins)}
+	h := &Hierarchy{NumBins: numBins, Bins: make([][]int32, numBins)}
 	all := make([]int32, ds.N)
 	for i := range all {
 		all[i] = int32(i)
@@ -143,9 +135,9 @@ func trainNode(ds *dataset.Dataset, idx []int32, levels []int, cfg Config,
 }
 
 // LeafProbabilitiesInto writes the query's probability for every global
-// leaf bin — the product of (temperature-softened) model outputs along each
-// root→leaf path — into dst (grown as needed), running every node's forward
-// pass through the scratch's per-depth buffers.
+// leaf bin — the product of model outputs along each root→leaf path — into
+// dst (grown as needed), running every node's forward pass through the
+// scratch's per-depth buffers.
 func (h *Hierarchy) LeafProbabilitiesInto(dst []float32, q []float32, qs *QueryScratch) []float32 {
 	if cap(dst) < h.NumBins {
 		dst = make([]float32, h.NumBins)
@@ -160,9 +152,6 @@ func (h *Hierarchy) LeafProbabilitiesInto(dst []float32, q []float32, qs *QueryS
 // children recurse, but siblings at the same depth can share.
 func (h *Hierarchy) walkNode(out []float32, n *hnode, depth int, prob float32, q []float32, qs *QueryScratch) {
 	probs := qs.predict(&qs.nodeProb, depth, n.model, q)
-	if h.ProbeTemp > 1 {
-		soften(probs, h.ProbeTemp)
-	}
 	if n.children == nil {
 		for b, pb := range probs {
 			out[n.leafBase+b] = prob * pb
@@ -203,11 +192,6 @@ func (h *Hierarchy) RouteBatch(qs *QueryScratch, _ ProbeMode) {
 func (h *Hierarchy) walkNodeBatch(qs *QueryScratch, nd *hnode, depth, n int) {
 	probs := qs.predict(&qs.nodeProb, depth, nd.model, nil)
 	w := nd.model.OutDim()
-	if h.ProbeTemp > 1 {
-		for i := 0; i < n; i++ {
-			soften(probs[i*w:(i+1)*w], h.ProbeTemp)
-		}
-	}
 	path := qs.pathProb[depth]
 	if nd.children == nil {
 		for i := 0; i < n; i++ {
@@ -231,8 +215,8 @@ func (h *Hierarchy) walkNodeBatch(qs *QueryScratch, nd *hnode, depth, n int) {
 
 // AppendCandidatesRow appends routed row i's candidate set to dst: the
 // lookup lists of its mPrime most probable leaf bins. Leaf bins are
-// disjoint, so no dedup is needed and mode and n go unused.
-func (h *Hierarchy) AppendCandidatesRow(dst []int32, i, mPrime int, _ ProbeMode, qs *QueryScratch, _ int) []int32 {
+// disjoint, so no dedup is needed and mode goes unused.
+func (h *Hierarchy) AppendCandidatesRow(dst []int32, i, mPrime int, _ ProbeMode, qs *QueryScratch) []int32 {
 	row := qs.leaf[i*h.NumBins : (i+1)*h.NumBins]
 	qs.bins = vecmath.TopKIndicesInto(qs.bins, row, mPrime)
 	for _, b := range qs.bins {
@@ -246,28 +230,9 @@ func (h *Hierarchy) AppendCandidatesRow(dst []int32, i, mPrime int, _ ProbeMode,
 // queries (tree-walk and selection buffers stay warm).
 func (h *Hierarchy) CandidatesWith(qs *QueryScratch, q []float32, mPrime int) []int {
 	h.Route(qs, q, BestConfidence)
-	qs.cands = h.AppendCandidatesRow(qs.cands[:0], 0, mPrime, BestConfidence, qs, 0)
+	qs.cands = h.AppendCandidatesRow(qs.cands[:0], 0, mPrime, BestConfidence, qs)
 	return ToInts(qs.cands)
 }
-
-// soften raises probabilities to the power 1/temp and renormalizes
-// (equivalent to dividing the logits by temp).
-func soften(p []float32, temp float64) {
-	var sum float64
-	for i, v := range p {
-		s := math.Pow(float64(v)+1e-12, 1/temp)
-		p[i] = float32(s)
-		sum += s
-	}
-	inv := float32(1 / sum)
-	for i := range p {
-		p[i] *= inv
-	}
-}
-
-// Assignments returns each point's global leaf bin (−1: in none) over an id
-// universe of n.
-func (h *Hierarchy) Assignments(n int) []int32 { return assignOf(h.Bins, n) }
 
 // BinSizes returns the number of points per global leaf bin.
 func (h *Hierarchy) BinSizes() []int {

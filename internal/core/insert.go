@@ -28,15 +28,10 @@ func (e *Ensemble) RouteBinsWith(qs *QueryScratch, vec []float32, dst []int) []i
 }
 
 // InsertRouted appends a point to every member partition at the bins
-// RouteBinsWith chose for it, recording them in Assign.
+// RouteBinsWith chose for it.
 func (e *Ensemble) InsertRouted(id int, bins []int) {
 	for j, p := range e.Parts {
-		b := bins[j]
-		p.Bins[b] = append(p.Bins[b], int32(id))
-		for len(p.Assign) <= id {
-			p.Assign = append(p.Assign, -1)
-		}
-		p.Assign[id] = int32(b)
+		p.Bins[bins[j]] = append(p.Bins[bins[j]], int32(id))
 	}
 }
 

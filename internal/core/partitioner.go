@@ -17,10 +17,6 @@ import (
 type Partitioner struct {
 	Model *nn.Sequential
 	M     int
-	// Assign maps point index → bin (−1: in no bin) for the ids the table
-	// held when it was built, merged, filtered or loaded, plus those
-	// InsertRouted added; ids With added since are in Bins only.
-	Assign []int32
 	// Bins[b] lists the ids in bin b in insertion order (see table.go).
 	Bins [][]int32
 }
@@ -200,21 +196,21 @@ func ClusterLabels(ds *dataset.Dataset, k int, cfg Config) ([]int, error) {
 		return nil, err
 	}
 	labels := make([]int, ds.N)
-	for i, b := range p.Assign {
-		labels[i] = int(b)
+	for b, ids := range p.Bins {
+		for _, id := range ids {
+			labels[id] = b
+		}
 	}
 	return labels, nil
 }
 
-// buildLookup runs inference over the whole dataset and fills Assign and the
-// lookup table (Algorithm 1, step 3), each bin in ascending id order.
+// buildLookup runs inference over the whole dataset and fills the lookup
+// table (Algorithm 1, step 3), each bin in ascending id order.
 func (p *Partitioner) buildLookup(ds *dataset.Dataset) {
 	probs := predictBatched(p.Model, ds, 4096)
-	p.Assign = make([]int32, ds.N)
 	lists := make([][]int32, p.M)
 	for i := 0; i < ds.N; i++ {
 		b := vecmath.ArgMax(probs.Row(i))
-		p.Assign[i] = int32(b)
 		lists[b] = append(lists[b], int32(i))
 	}
 	p.Bins = mergeTable(lists, nil)
@@ -258,18 +254,25 @@ func (p *Partitioner) BinSizes() []int {
 	return out
 }
 
-// SeparatedNeighbors returns, for every point i, the number of its first
-// kPrime neighbors assigned to a different bin than i — the per-point
-// quality cost of Eq. 2 and the raw ensemble weight update of Algorithm 3.
+// SeparatedNeighbors returns, for every point i of the dataset knnMat was
+// built on, the number of its first kPrime neighbors assigned to a different
+// bin than i — the per-point quality cost of Eq. 2 and the raw ensemble
+// weight update of Algorithm 3.
 func (p *Partitioner) SeparatedNeighbors(knnMat *knn.Matrix, kPrime int) []int {
 	if kPrime > knnMat.K {
 		kPrime = knnMat.K
 	}
-	out := make([]int, len(p.Assign))
-	for i := range p.Assign {
+	bin := make([]int32, len(knnMat.Neighbors))
+	for b, ids := range p.Bins {
+		for _, id := range ids {
+			bin[id] = int32(b)
+		}
+	}
+	out := make([]int, len(bin))
+	for i := range bin {
 		cnt := 0
 		for _, nj := range knnMat.Neighbors[i][:kPrime] {
-			if p.Assign[nj] != p.Assign[i] {
+			if bin[nj] != bin[i] {
 				cnt++
 			}
 		}

@@ -22,9 +22,8 @@ type Router interface {
 	// order.
 	RouteBatch(qs *QueryScratch, mode ProbeMode)
 	// AppendCandidatesRow appends routed row i's candidate set to dst: the
-	// ids of each selected bin, in the bin's order. n is the id universe,
-	// which sizes the union-probe dedup set.
-	AppendCandidatesRow(dst []int32, i, probes int, mode ProbeMode, qs *QueryScratch, n int) []int32
+	// ids of each selected bin, in the bin's order.
+	AppendCandidatesRow(dst []int32, i, probes int, mode ProbeMode, qs *QueryScratch) []int32
 	// RouteBinsWith appends, per member, the bin an inserted vector is
 	// routed to — its most probable one, the rule queries use.
 	RouteBinsWith(qs *QueryScratch, vec []float32, dst []int) []int
@@ -38,8 +37,8 @@ type Router interface {
 	// its global leaves. The headers are the router's own.
 	Tables() [][][]int32
 	// Rebuild returns a router whose tables are the receiver's minus the ids
-	// in drop, packed, over an id universe of n.
-	Rebuild(n int, drop *bitset.Set) Router
+	// in drop, packed.
+	Rebuild(drop *bitset.Set) Router
 	// FilterRemap returns a router whose tables are restricted to the ids in
 	// [lo, hi), renumbered to id−lo, packed.
 	FilterRemap(lo, hi int) Router

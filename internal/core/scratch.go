@@ -66,21 +66,23 @@ func (qs *QueryScratch) Stage(n, dim int) []float32 {
 	return qs.q.Data
 }
 
-// beginSeen prepares the visited set for a dataset of n points and returns
-// the generation stamp to mark ids with.
-func (qs *QueryScratch) beginSeen(n int) uint32 {
-	if len(qs.seen) < n {
-		qs.seen = make([]uint32, n)
-		qs.gen = 0
-	}
+// beginSeen starts a new row of the visited set and returns the generation
+// stamp to mark ids with.
+func (qs *QueryScratch) beginSeen() uint32 {
 	qs.gen++
 	if qs.gen == 0 { // wrapped: stamps from 2^32 queries ago could collide
-		for i := range qs.seen {
-			qs.seen[i] = 0
-		}
+		clear(qs.seen)
 		qs.gen = 1
 	}
 	return qs.gen
+}
+
+// growSeen extends the visited set to cover id. It takes the whole capacity
+// append grew, so ids climbing one at a time regrow it O(log n) times. The
+// ids it adds are unmarked: no stamp is 0.
+func (qs *QueryScratch) growSeen(id int32) {
+	qs.seen = append(qs.seen, make([]uint32, int(id)+1-len(qs.seen))...)
+	qs.seen = qs.seen[:cap(qs.seen)]
 }
 
 // predict runs model's forward pass into the probability buffer (*bufs)[i]

@@ -16,40 +16,37 @@ type ensembleSpec struct {
 	Parts []partSpec
 }
 
+// partSpec is one member. Files written before the point → bin map left the
+// partitioner also carry each member's Assign; gob skips it.
 type partSpec struct {
-	Model  []byte
-	M      int
-	Assign []int32
-	Bins   [][]int32
+	Model []byte
+	M     int
+	Bins  [][]int32
 }
 
 // SaveEnsemble writes an ensemble (models and lookup tables) to w. Each bin
-// is written in its own order — the order the read path scans it in — and
-// Assign is the tables scattered over an id universe of n, so a reloaded
-// index serves results bit-identical to the live one.
-func SaveEnsemble(w io.Writer, e *Ensemble, n int) error {
+// is written in its own order — the order the read path scans it in — so a
+// reloaded index serves results bit-identical to the live one.
+func SaveEnsemble(w io.Writer, e *Ensemble) error {
 	var spec ensembleSpec
 	for _, p := range e.Parts {
 		var buf bytes.Buffer
 		if err := p.Model.Save(&buf); err != nil {
 			return fmt.Errorf("core: serializing model: %w", err)
 		}
-		spec.Parts = append(spec.Parts, partSpec{
-			Model: buf.Bytes(), M: p.M, Assign: assignOf(p.Bins, n), Bins: p.Bins,
-		})
+		spec.Parts = append(spec.Parts, partSpec{Model: buf.Bytes(), M: p.M, Bins: p.Bins})
 	}
 	return gob.NewEncoder(w).Encode(spec)
 }
 
 // hierSpec snapshots a Hierarchy: the node tree with serialized models plus
-// the global leaf table. Snapshots written before nodes held models only
-// also carry a per-node Assign and Bins; gob skips them.
+// the global leaf table. Older snapshots also carry the branching factors
+// (Levels), a probe temperature no writer set (ProbeTemp), and, before
+// nodes held models only, a per-node Assign and Bins; gob skips them all.
 type hierSpec struct {
-	Levels    []int
-	NumBins   int
-	Bins      [][]int32
-	ProbeTemp float64
-	Root      hnodeSpec
+	NumBins int
+	Bins    [][]int32
+	Root    hnodeSpec
 }
 
 type hnodeSpec struct {
@@ -81,9 +78,7 @@ func SaveHierarchy(w io.Writer, h *Hierarchy) error {
 	if err != nil {
 		return err
 	}
-	return gob.NewEncoder(w).Encode(hierSpec{
-		Levels: h.Levels, NumBins: h.NumBins, Bins: h.Bins, ProbeTemp: h.ProbeTemp, Root: root,
-	})
+	return gob.NewEncoder(w).Encode(hierSpec{NumBins: h.NumBins, Bins: h.Bins, Root: root})
 }
 
 // LoadHierarchy reads a hierarchy previously written by SaveHierarchy. The
@@ -116,10 +111,7 @@ func LoadHierarchy(r io.Reader) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Hierarchy{
-		Levels: spec.Levels, NumBins: spec.NumBins, Bins: mergeTable(spec.Bins, nil),
-		ProbeTemp: spec.ProbeTemp, root: root,
-	}, nil
+	return &Hierarchy{NumBins: spec.NumBins, Bins: mergeTable(spec.Bins, nil), root: root}, nil
 }
 
 // LoadEnsemble reads an ensemble previously written by SaveEnsemble. The
@@ -138,7 +130,7 @@ func LoadEnsemble(r io.Reader) (*Ensemble, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: decoding model %d: %w", i, err)
 		}
-		e.Parts = append(e.Parts, &Partitioner{Model: model, M: ps.M, Assign: ps.Assign, Bins: mergeTable(ps.Bins, nil)})
+		e.Parts = append(e.Parts, &Partitioner{Model: model, M: ps.M, Bins: mergeTable(ps.Bins, nil)})
 	}
 	return e, nil
 }

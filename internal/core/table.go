@@ -66,25 +66,10 @@ func filterTable(t [][]int32, lo, hi int) [][]int32 {
 	return out
 }
 
-// assignOf scatters t into a per-id bin map over an id universe of n: the
-// bin holding each id, −1 for ids in no bin.
-func assignOf(t [][]int32, n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = -1
-	}
-	for b, ids := range t {
-		for _, id := range ids {
-			out[id] = int32(b)
-		}
-	}
-	return out
-}
-
-// withID returns a copy of t's bin headers with id appended to bin b; the
-// id lists themselves stay shared with t.
-func withID(t [][]int32, b, id int) [][]int32 {
-	nt := make([][]int32, len(t))
+// withID copies t's bin headers into nt, which has len(t) entries, and
+// appends id to bin b of the copy; the id lists themselves stay shared with
+// t.
+func withID(nt, t [][]int32, b, id int) [][]int32 {
 	copy(nt, t)
 	nt[b] = append(nt[b], int32(id))
 	return nt
@@ -107,33 +92,31 @@ func validateTable(t [][]int32, width, rows int) error {
 }
 
 // withTables returns an ensemble sharing e's models whose member tables are
-// table(member), with Assign scattered over an id universe of n. Members are
-// built in parallel: this is pure id-list surgery and never touches vectors.
-func (e *Ensemble) withTables(n int, table func(p *Partitioner) [][]int32) *Ensemble {
+// table(member). Members are built in parallel: this is pure id-list surgery
+// and never touches vectors.
+func (e *Ensemble) withTables(table func(p *Partitioner) [][]int32) *Ensemble {
 	ne := &Ensemble{Parts: make([]*Partitioner, len(e.Parts))}
 	par.For(len(e.Parts), func(m int) {
 		p := e.Parts[m]
-		bins := table(p)
-		ne.Parts[m] = &Partitioner{Model: p.Model, M: p.M, Assign: assignOf(bins, n), Bins: bins}
+		ne.Parts[m] = &Partitioner{Model: p.Model, M: p.M, Bins: table(p)}
 	})
 	return ne
 }
 
 // Rebuild implements Router.
-func (e *Ensemble) Rebuild(n int, drop *bitset.Set) Router {
-	return e.withTables(n, func(p *Partitioner) [][]int32 { return mergeTable(p.Bins, drop) })
+func (e *Ensemble) Rebuild(drop *bitset.Set) Router {
+	return e.withTables(func(p *Partitioner) [][]int32 { return mergeTable(p.Bins, drop) })
 }
 
 // FilterRemap implements Router. Because the models are shared, every shard
 // routes a query to the same bins as the parent, so the union of the shards'
 // candidate sets at equal probe settings is exactly the parent's.
 func (e *Ensemble) FilterRemap(lo, hi int) Router {
-	return e.withTables(hi-lo, func(p *Partitioner) [][]int32 { return filterTable(p.Bins, lo, hi) })
+	return e.withTables(func(p *Partitioner) [][]int32 { return filterTable(p.Bins, lo, hi) })
 }
 
-// Rebuild implements Router. The leaf table carries no per-id array, so the
-// id universe n goes unused.
-func (h *Hierarchy) Rebuild(_ int, drop *bitset.Set) Router {
+// Rebuild implements Router.
+func (h *Hierarchy) Rebuild(drop *bitset.Set) Router {
 	nh := *h
 	nh.Bins = mergeTable(h.Bins, drop)
 	return &nh
@@ -147,13 +130,21 @@ func (h *Hierarchy) FilterRemap(lo, hi int) Router {
 }
 
 // With implements Router: every member's header array is copied, since an
-// ensemble routes each insert into one bin of every member.
+// ensemble routes each insert into one bin of every member. The copies are
+// consecutive ranges of one array.
 func (e *Ensemble) With(id int, bins []int) Router {
 	ne := &Ensemble{Parts: make([]*Partitioner, len(e.Parts))}
 	parts := make([]Partitioner, len(e.Parts))
+	total := 0
+	for _, p := range e.Parts {
+		total += len(p.Bins)
+	}
+	headers := make([][]int32, total)
 	for m, p := range e.Parts {
+		w := len(p.Bins)
 		parts[m] = *p
-		parts[m].Bins = withID(p.Bins, bins[m], id)
+		parts[m].Bins = withID(headers[:w:w], p.Bins, bins[m], id)
+		headers = headers[w:]
 		ne.Parts[m] = &parts[m]
 	}
 	return ne
@@ -162,7 +153,7 @@ func (e *Ensemble) With(id int, bins []int) Router {
 // With implements Router.
 func (h *Hierarchy) With(id int, bins []int) Router {
 	nh := *h
-	nh.Bins = withID(h.Bins, bins[0], id)
+	nh.Bins = withID(make([][]int32, len(h.Bins)), h.Bins, bins[0], id)
 	return &nh
 }
 

@@ -18,20 +18,7 @@ func TestTargetGradModeTrains(t *testing.T) {
 		t.Fatalf("stats %+v", stats)
 	}
 	// Partition invariants hold in this mode too.
-	seen := make([]int, ds.N)
-	for b := 0; b < p.M; b++ {
-		for _, i := range p.Bins[b] {
-			seen[i]++
-			if p.Assign[i] != int32(b) {
-				t.Fatal("assign/bin mismatch")
-			}
-		}
-	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("point %d in %d bins", i, c)
-		}
-	}
+	requireRoutedPartition(t, p, ds)
 	// Quality on separated clusters: most neighborhoods kept together.
 	sep := p.SeparatedNeighbors(mat, 5)
 	total := 0
@@ -64,7 +51,7 @@ func TestEnsembleSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveEnsemble(&buf, ens, ds.N); err != nil {
+	if err := SaveEnsemble(&buf, ens); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadEnsemble(&buf)
@@ -97,7 +84,6 @@ func TestHierarchySaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.ProbeTemp = 3
 	var buf bytes.Buffer
 	if err := SaveHierarchy(&buf, h); err != nil {
 		t.Fatal(err)
@@ -106,8 +92,8 @@ func TestHierarchySaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.NumBins != h.NumBins || loaded.ProbeTemp != h.ProbeTemp {
-		t.Fatalf("metadata mismatch: %d/%v", loaded.NumBins, loaded.ProbeTemp)
+	if loaded.NumBins != h.NumBins {
+		t.Fatalf("NumBins %d, want %d", loaded.NumBins, h.NumBins)
 	}
 	var qs QueryScratch
 	for qi := 0; qi < 20; qi++ {

@@ -1,30 +1,19 @@
-// In-flight coalescing and result caching for the front's /search.
-//
-// Coalescing (singleflight): concurrent requests with the same search key
-// — vector bits, k, probes, rerank_k — share one backend fan-out. The
-// first request becomes the leader and executes the fan-out under a
-// context detached from its own client (so a leader disconnect cannot
-// fail the followers); everyone waiting on the key is sent the same encoded
-// reply, hence byte-identical bodies.
-//
-// Caching: an optional LRU of encoded replies under the same search key,
-// enabled with Config.CacheSize > 0. Entries are stamped with the front's cache
-// generation at fill time and are valid only while the generation is
-// unchanged. The generation bumps whenever any backend's /healthz
-// reports a new snapshot generation or id offset, and on every write the
-// front itself routes — so a /reload, /add, or /delete anywhere in the
-// fleet invalidates the whole cache at the cost of one atomic increment,
-// with stale entries evicted lazily on lookup.
+// In-flight coalescing for the front's /search (singleflight): concurrent
+// requests with the same search key — vector bits, k, probes, rerank_k —
+// share one backend fan-out. The first request becomes the leader and
+// executes the fan-out under a context detached from its own client (so a
+// leader disconnect cannot fail the followers); everyone waiting on the key
+// is sent the same encoded reply, hence byte-identical bodies. Nothing
+// outlives the fan-out: a request that arrives after it finished fans out
+// anew, so it sees every write the backends have applied by then.
 package frontier
 
 import (
-	"container/list"
 	"encoding/binary"
 	"math"
-	"sync"
 )
 
-// appendSearchKey appends the coalescing/cache identity of a search to dst:
+// appendSearchKey appends the coalescing identity of a search to dst:
 // the exact float32 bit patterns of the vector plus every parameter that
 // changes the answer. Two requests with the same key are interchangeable.
 func appendSearchKey(dst []byte, vec []float32, k, probes, rerankK int) []byte {
@@ -69,70 +58,4 @@ func (f *Front) finishFlight(fl *flight, reply []byte, err error) {
 	delete(f.flights, fl.key)
 	f.flightMu.Unlock()
 	close(fl.done)
-}
-
-// cacheEntry is one cached merged answer, valid while gen matches the
-// front's current cache generation.
-type cacheEntry struct {
-	key   string
-	gen   uint64
-	reply []byte
-}
-
-// resultCache is a mutex-guarded LRU over encoded merged replies.
-type resultCache struct {
-	mu  sync.Mutex
-	max int
-	ll  *list.List // front = most recently used
-	m   map[string]*list.Element
-}
-
-func newResultCache(max int) *resultCache {
-	return &resultCache{max: max, ll: list.New(), m: make(map[string]*list.Element, max)}
-}
-
-// get returns the cached reply for key if present and filled at the
-// current generation; a stale-generation entry is evicted on sight.
-func (c *resultCache) get(key []byte, gen uint64) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[string(key)]
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if e.gen != gen {
-		c.ll.Remove(el)
-		delete(c.m, e.key)
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return e.reply, true
-}
-
-// put stores reply under key at generation gen, evicting the least
-// recently used entry beyond capacity.
-func (c *resultCache) put(key string, gen uint64, reply []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.gen, e.reply = gen, reply
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, gen: gen, reply: reply})
-	for c.ll.Len() > c.max {
-		el := c.ll.Back()
-		c.ll.Remove(el)
-		delete(c.m, el.Value.(*cacheEntry).key)
-	}
-}
-
-// len reports the number of resident entries (stale ones included until
-// their lazy eviction). Intended for tests.
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

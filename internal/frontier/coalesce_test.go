@@ -6,7 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,90 +146,44 @@ func TestCoalescingSingleFanout(t *testing.T) {
 	}
 }
 
-// TestCacheHitAndInvalidation pins the result cache's whole lifecycle:
-// a repeat query is served without backend traffic, a backend /reload
-// (generation bump seen by the next health probe) drops every entry, and
-// a write routed through the front does too.
-func TestCacheHitAndInvalidation(t *testing.T) {
+// TestDeletesReachEveryFront: a /delete that reaches a backend without
+// passing through this front — sent straight to it, as a second front or an
+// operator would — hides the id from this front's answers at once, and
+// still after a health probe: the front keeps no answers of its own to go
+// stale.
+func TestDeletesReachEveryFront(t *testing.T) {
 	vecs := corpusRows(t, 139, 300, 8)
 	ix := buildIndex(t, vecs)
 	backend := backendFor(t, ix)
-	proxy := newCountProxy(backend, false)
-	pts := httptest.NewServer(proxy)
-	defer pts.Close()
-	f, front := frontFor(t, Config{Shards: [][]string{{pts.URL}}, CacheSize: 8})
+	f, front := frontFor(t, Config{Shards: [][]string{{backend.URL}}})
 
 	req := serve.SearchRequest{Vector: vecs[0], K: 5, Probes: 2}
-	status, body1 := rawPost(t, front.URL+"/search", req)
-	if status != http.StatusOK {
-		t.Fatalf("HTTP %d: %s", status, body1)
-	}
-	if n := proxy.searches.Load(); n != 1 {
-		t.Fatalf("first query: %d backend searches, want 1", n)
-	}
-
-	// Hit: same query, zero new backend traffic, byte-identical body.
-	status, body2 := rawPost(t, front.URL+"/search", req)
-	if status != http.StatusOK {
-		t.Fatalf("HTTP %d: %s", status, body2)
-	}
-	if n := proxy.searches.Load(); n != 1 {
-		t.Fatalf("cached query still reached the backend (%d searches)", n)
-	}
-	if !bytes.Equal(body1, body2) {
-		t.Fatalf("cache hit body differs:\n%s\nvs\n%s", body1, body2)
-	}
-	if f.cacheHits.Value() != 1 || f.cacheMisses.Value() != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", f.cacheHits.Value(), f.cacheMisses.Value())
-	}
-
-	// /reload bumps the backend generation; the next health probe must
-	// invalidate the cache even though ids and data are unchanged.
-	resp := postJSON(t, backend.URL+"/save", serve.SaveRequest{Path: "snap.usp"})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("save: HTTP %d", resp.StatusCode)
-	}
-	resp = postJSON(t, backend.URL+"/reload", serve.ReloadRequest{Path: "snap.usp"})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("reload: HTTP %d", resp.StatusCode)
-	}
-	genBefore := f.cacheGen.Load()
-	f.ProbeHealth(context.Background())
-	if f.cacheGen.Load() == genBefore {
-		t.Fatal("health probe did not observe the reload's generation bump")
-	}
-	status, _ = rawPost(t, front.URL+"/search", req)
-	if status != http.StatusOK {
-		t.Fatalf("HTTP %d after reload", status)
-	}
-	if n := proxy.searches.Load(); n != 2 {
-		t.Fatalf("post-reload query: %d backend searches, want 2 (cache must miss)", n)
-	}
-
-	// A routed /add invalidates immediately — no probe needed.
-	status, addBody := rawPost(t, front.URL+"/add", serve.AddRequest{Vector: vecs[1]})
-	if status != http.StatusOK {
-		t.Fatalf("routed add: HTTP %d: %s", status, addBody)
-	}
-	status, _ = rawPost(t, front.URL+"/search", req)
-	if status != http.StatusOK {
-		t.Fatalf("HTTP %d after add", status)
-	}
-	if n := proxy.searches.Load(); n != 3 {
-		t.Fatalf("post-add query: %d backend searches, want 3 (cache must miss)", n)
-	}
-
-	// The new series are exposed on the front's scrape.
-	body := readBody(t, mustGet(t, front.URL+"/metrics"))
-	for _, series := range []string{
-		"front_cache_hits_total 1",
-		"front_coalesced_total",
-	} {
-		if !strings.Contains(body, series) {
-			t.Fatalf("series %q missing from scrape:\n%s", series, body)
+	answer := func(when string) []int {
+		t.Helper()
+		status, body := rawPost(t, front.URL+"/search", req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", when, status, body)
 		}
+		var out serve.SearchResponse
+		if err := serve.DecodeSearchResponse(&out, body); err != nil {
+			t.Fatal(err)
+		}
+		return out.IDs
+	}
+	if ids := answer("before the delete"); len(ids) == 0 || ids[0] != 0 {
+		t.Fatalf("self query answered %v, want row 0 first", ids)
+	}
+	resp := postJSON(t, backend.URL+"/delete", serve.DeleteRequest{ID: 0})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete at the backend: HTTP %d", resp.StatusCode)
+	}
+	if ids := answer("after the delete"); slices.Contains(ids, 0) {
+		t.Fatalf("front answered %v after id 0 was deleted", ids)
+	}
+	f.ProbeHealth(context.Background())
+	if ids := answer("after a health probe"); slices.Contains(ids, 0) {
+		t.Fatalf("front answered %v after id 0 was deleted and a probe ran", ids)
 	}
 }
 

@@ -54,11 +54,6 @@ type Config struct {
 	MaxInFlight int
 	// HealthInterval is the background health-probe period (default 2s).
 	HealthInterval time.Duration
-	// CacheSize enables the front's LRU result cache with room for that
-	// many merged answers (0 disables it). Entries are invalidated in
-	// bulk whenever any backend's snapshot generation or id offset
-	// changes, or when this front routes a write — see coalesce.go.
-	CacheSize int
 	// Client issues backend requests. The default keeps up to MaxInFlight
 	// idle connections per backend, so that a front at its admission limit
 	// still reuses every backend connection (net/http's own default of two
@@ -72,12 +67,8 @@ type backend struct {
 	healthy atomic.Bool
 	// idOffset is the backend's global id base as last reported by
 	// /healthz. Merging always uses the offset carried on each search
-	// response (which cannot go stale); the probed value routes /delete
-	// and keys cache invalidation.
+	// response (which cannot go stale); the probed value routes /delete.
 	idOffset atomic.Int64
-	// generation is the backend's snapshot generation as last probed; a
-	// change means the backend reloaded and cached answers may be stale.
-	generation atomic.Uint64
 	// vectors is the backend's live row count as last probed, advanced
 	// optimistically by routed adds; it drives least-rows add placement.
 	vectors atomic.Int64
@@ -135,16 +126,10 @@ type Front struct {
 	retries  *telemetry.Counter
 	rejected *telemetry.Counter
 
-	// Coalescing + caching state (see coalesce.go). cacheGen is the
-	// front-wide cache generation: bumped whenever any backend reloads
-	// or this front routes a write, invalidating every cache entry.
-	flightMu    sync.Mutex
-	flights     map[string]*flight
-	cache       *resultCache // nil when Config.CacheSize == 0
-	cacheGen    atomic.Uint64
-	coalesced   *telemetry.Counter
-	cacheHits   *telemetry.Counter
-	cacheMisses *telemetry.Counter
+	// In-flight coalescing state (see coalesce.go).
+	flightMu  sync.Mutex
+	flights   map[string]*flight
+	coalesced *telemetry.Counter
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -184,9 +169,6 @@ func New(cfg Config) (*Front, error) {
 		f.transport.MaxIdleConns = 0 // the per-host cap is the bound
 		f.client = &http.Client{Transport: f.transport}
 	}
-	if cfg.CacheSize > 0 {
-		f.cache = newResultCache(cfg.CacheSize)
-	}
 	f.fanout = f.reg.Counter("front_fanout_total", "",
 		"Backend requests fanned out, across all shard groups.")
 	f.retries = f.reg.Counter("front_retries_total", "",
@@ -195,10 +177,6 @@ func New(cfg Config) (*Front, error) {
 		"Front requests shed with 429 because the in-flight limit was reached.")
 	f.coalesced = f.reg.Counter("front_coalesced_total", "",
 		"Search requests that joined an identical in-flight request instead of fanning out.")
-	f.cacheHits = f.reg.Counter("front_cache_hits_total", "",
-		"Search requests answered from the front's result cache.")
-	f.cacheMisses = f.reg.Counter("front_cache_misses_total", "",
-		"Cache-enabled search requests that missed and fanned out.")
 	healthy := 0
 	for _, urls := range cfg.Shards {
 		g := &group{}
@@ -288,14 +266,7 @@ func (f *Front) ProbeHealth(ctx context.Context) {
 					b.healthy.Store(false)
 					return
 				}
-				// A new snapshot generation or id offset means the
-				// backend's answers may have changed: invalidate the
-				// front's result cache by bumping the generation.
-				genChanged := b.generation.Swap(hz.Generation) != hz.Generation
-				offChanged := b.idOffset.Swap(int64(hz.IDOffset)) != int64(hz.IDOffset)
-				if genChanged || offChanged {
-					f.cacheGen.Add(1)
-				}
+				b.idOffset.Store(int64(hz.IDOffset))
 				b.vectors.Store(int64(hz.Vectors))
 				b.rows.Store(int64(hz.Rows))
 				b.healthy.Store(true)
@@ -526,19 +497,7 @@ func (f *Front) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc.Body = appendSearchKey(sc.Body[:0], req.Vector, req.K, req.Probes, req.RerankK)
-	key := sc.Body
-
-	gen := f.cacheGen.Load()
-	if f.cache != nil {
-		if reply, ok := f.cache.get(key, gen); ok {
-			f.cacheHits.Inc()
-			serve.WriteReply(w, reply)
-			return
-		}
-		f.cacheMisses.Inc()
-	}
-
-	fl, leader := f.joinFlight(key)
+	fl, leader := f.joinFlight(sc.Body)
 	if !leader {
 		// An identical request is already fanning out; share its answer.
 		select {
@@ -557,7 +516,7 @@ func (f *Front) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// Leader: run the fan-out detached from this request's context so a
 	// leader disconnect cannot fail the coalesced followers (callBackend
 	// still bounds every backend call with the configured timeout).
-	reply, err := f.leadFlight(context.WithoutCancel(r.Context()), fl, gen, body, req.K, sc)
+	reply, err := f.leadFlight(context.WithoutCancel(r.Context()), fl, body, req.K, sc)
 	if err != nil {
 		writeFanoutError(w, err)
 		return
@@ -569,26 +528,20 @@ func (f *Front) handleSearch(w http.ResponseWriter, r *http.Request) {
 // ended without an outcome, which only a panic can cause.
 var errFlightAborted = errors.New("fan-out aborted")
 
-// leadFlight runs the leader's fan-out, fills the cache and publishes the
-// outcome to the followers. The publication is deferred so that it happens on
-// every way out: a flight left registered would block each later request for
-// the same key forever.
-func (f *Front) leadFlight(ctx context.Context, fl *flight, gen uint64, body []byte, k int, sc *serve.Scratch) (reply []byte, err error) {
+// leadFlight runs the leader's fan-out and publishes the outcome to the
+// followers. The publication is deferred so that it happens on every way
+// out: a flight left registered would block each later request for the same
+// key forever.
+func (f *Front) leadFlight(ctx context.Context, fl *flight, body []byte, k int, sc *serve.Scratch) (reply []byte, err error) {
 	err = errFlightAborted
 	defer func() { f.finishFlight(fl, reply, err) }()
-	reply, err = f.fanoutSearch(ctx, body, k, sc)
-	if err == nil && f.cache != nil && f.cacheGen.Load() == gen {
-		// Fill only if no reload/write invalidated the fleet while the
-		// fan-out ran; a racing bump makes this answer unsafe to keep.
-		f.cache.put(fl.key, gen, reply)
-	}
-	return reply, err
+	return f.fanoutSearch(ctx, body, k, sc)
 }
 
 // fanoutSearch forwards one validated /search body, byte for byte as the
 // client sent it, to every shard group and merges the per-shard top-k into
 // the global answer. It returns the encoded reply in memory of its own:
-// followers and the cache outlive the pooled scratch it was built in.
+// coalesced followers outlive the pooled scratch it was built in.
 func (f *Front) fanoutSearch(ctx context.Context, body []byte, k int, sc *serve.Scratch) ([]byte, error) {
 	start := time.Now()
 	fs := getFan(len(f.groups))

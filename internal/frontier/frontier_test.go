@@ -677,6 +677,7 @@ func TestFrontMetrics(t *testing.T) {
 		"front_healthy_backends 2",
 		"front_rejected_total 0",
 		"front_retries_total 0",
+		"front_coalesced_total 0",
 		`http_requests_total{endpoint="/search"} 1`,
 	} {
 		if !strings.Contains(body, series) {

@@ -22,8 +22,7 @@
 // Error policy matches the query path: a backend 4xx verdict passes
 // through verbatim (the write itself is invalid — same verdict on every
 // sibling), anything else is a 502. Writes are never retried: a replayed
-// add would assign a second id. Every routed write bumps the cache
-// generation, invalidating the front's result cache.
+// add would assign a second id.
 package frontier
 
 import (
@@ -152,7 +151,6 @@ func (f *Front) handleAdd(w http.ResponseWriter, r *http.Request) {
 		b.vectors.Add(1)
 		b.rows.Add(1)
 	}
-	f.cacheGen.Add(1)
 	writeJSON(w, first)
 }
 
@@ -205,6 +203,5 @@ func (f *Front) handleDelete(w http.ResponseWriter, r *http.Request) {
 			first = dr
 		}
 	}
-	f.cacheGen.Add(1)
 	writeJSON(w, first)
 }

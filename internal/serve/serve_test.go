@@ -2,12 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -38,6 +40,17 @@ func testIndex(t testing.TB, corpus *dataset.Labeled) *usp.Index {
 	return ix
 }
 
+// oneSection is a snapshot file holding the one section id with payload.
+func oneSection(id uint32, payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte("USPSNAP1"), 1) // version
+	b = binary.LittleEndian.AppendUint32(b, 1)                   // section count
+	b = binary.LittleEndian.AppendUint32(b, id)
+	b = binary.LittleEndian.AppendUint32(b, 0)  // reserved
+	b = binary.LittleEndian.AppendUint64(b, 40) // offset: right after this table
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
+	return append(b, payload...)
+}
+
 func post(t testing.TB, ts *httptest.Server, path string, body any) *http.Response {
 	t.Helper()
 	b, err := json.Marshal(body)
@@ -66,9 +79,24 @@ func decode[T any](t testing.TB, resp *http.Response) T {
 // status class the fan-out front keys its retry decision on.
 func TestEndpointValidation(t *testing.T) {
 	corpus := testCorpus(t, 41, 400, 8)
-	srv := New(testIndex(t, corpus), Config{DataDir: t.TempDir()})
+	dir := t.TempDir()
+	srv := New(testIndex(t, corpus), Config{DataDir: dir})
 	ts := httptest.NewServer(srv.Mux())
 	defer ts.Close()
+	// Two snapshots of a few dozen bytes whose one section claims 128 GiB:
+	// 2^28 rows of 128 floats, and 2^34 tombstone words. Loading either used
+	// to end the process out of memory.
+	rows := binary.LittleEndian.AppendUint64(nil, 1<<28)
+	rows = binary.LittleEndian.AppendUint32(rows, 128)
+	rows = binary.LittleEndian.AppendUint32(rows, 0)
+	for name, file := range map[string][]byte{
+		"rows.usps":  oneSection(3, rows),
+		"tombs.usps": oneSection(5, binary.LittleEndian.AppendUint64(nil, 1<<34)),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	q := corpus.Row(3)
 	short := q[:4]
@@ -111,6 +139,8 @@ func TestEndpointValidation(t *testing.T) {
 		{"reload escape", "/reload", ReloadRequest{Path: "../../etc/passwd"}, 400},
 		{"reload missing", "/reload", ReloadRequest{Path: "nope.usps"}, 404},
 		{"reload empty", "/reload", ReloadRequest{}, 400},
+		{"reload oversized rows", "/reload", ReloadRequest{Path: "rows.usps"}, 400},
+		{"reload oversized tombstones", "/reload", ReloadRequest{Path: "tombs.usps"}, 400},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp := post(t, ts, tc.path, tc.body)

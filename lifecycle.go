@@ -245,7 +245,7 @@ func (ix *Index) compactOnce() {
 	// tombstones into fresh packed ones. The snapshot is immutable, so
 	// concurrent Add and Delete cannot disturb the merge; their effects are
 	// carried over in the swap phase below.
-	merged := snap.router.Rebuild(snap.data.N, snap.tombs)
+	merged := snap.router.Rebuild(snap.tombs)
 	// Retrain codebooks in the same lock-free phase when the dataset has
 	// grown enough that build-time centroids misrepresent the data. Only
 	// compactOnce ever writes pq/qTrainedN (compactMu is held), so reading

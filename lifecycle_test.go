@@ -515,3 +515,37 @@ func TestHeldEpochNeverSeesLaterInserts(t *testing.T) {
 		}
 	}
 }
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestAddAllocations pins what a steady-state Add on a 2-member ensemble
+// allocates: the epoch and its dataset view, and Router.With's ensemble, its
+// member array, its partitioners and one bin-header array shared by both
+// members. Growth of the rows and of the appended-to bins is amortized below
+// one allocation per Add.
+func TestAddAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("Add borrows a pooled Searcher, and -race makes sync.Pool drop items")
+	}
+	vecs, _ := clusteredVectors(161, 400, 8, 4)
+	ix, err := Build(vecs, Options{Bins: 4, Ensemble: 2, Epochs: 5, Hidden: []int{8}, Seed: 162, CompactAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ { // every bin past its first, reallocating append
+		if _, err := ix.Add(vecs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := ix.Add(vecs[i%len(vecs)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 6 {
+		t.Fatalf("Index.Add: %v allocs, want 6", allocs)
+	}
+}

@@ -124,7 +124,7 @@ func (s *Searcher) lut(ep *epoch, queries [][]float32) int {
 // probed bin, in the bin's order. The list may still contain tombstoned ids
 // — the scan filters them, so gathering stays branch-free.
 func (s *Searcher) gather(ep *epoch, i, probes int, mode core.ProbeMode) {
-	s.cands = ep.router.AppendCandidatesRow(s.cands[:0], i, probes, mode, &s.qs, ep.data.N)
+	s.cands = ep.router.AppendCandidatesRow(s.cands[:0], i, probes, mode, &s.qs)
 }
 
 // scan scores the gathered candidates, dropping tombstoned ones (counted in

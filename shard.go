@@ -64,7 +64,7 @@ func (ix *Index) Shard(m int) ([]*Index, error) {
 
 	// Fold the epoch's tombstones out of its tables (the compaction merge,
 	// run privately — nothing is published).
-	merged := ep.router.Rebuild(n, ep.tombs)
+	merged := ep.router.Rebuild(ep.tombs)
 	dead := bitset.Union(ep.deadSet, ep.tombs)
 
 	out := make([]*Index, m)

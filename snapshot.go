@@ -4,10 +4,10 @@ package usp
 // files of internal/core (which persist models and bin tables but not the
 // vectors, so a loaded index cannot serve queries), a snapshot is fully
 // self-contained: one file holds everything needed to serve — options,
-// models, merged lookup tables, dataset rows, the squared-norm cache, and
-// tombstones — and a loaded index returns bit-identical results to the
-// live one it was saved from, including results involving vectors added
-// since the last compaction or already tombstoned at save time.
+// models, merged lookup tables, dataset rows and tombstones — and a loaded
+// index returns bit-identical results to the live one it was saved from,
+// including results involving vectors added since the last compaction or
+// already tombstoned at save time.
 //
 // Layout (all integers little-endian):
 //
@@ -19,11 +19,12 @@ package usp
 //
 // Sections: options (gob), model (kind byte + the core gob payload: models
 // and every bin's ids in the order the read path scans them), dataset (row
-// count, dim, raw float32 rows), sqnorms (raw float32 cache; written for
-// older readers, skipped by Load, which recomputes the norms from the
-// rows), tombstones and the compacted dead set (bitmap words). Readers skip unknown section ids, so the format
-// can grow without a version bump; offsets are explicit so future writers
-// may reorder or align sections.
+// count, dim, raw float32 rows), tombstones and the compacted dead set
+// (bitmap words), and the optional quant section. Id 4 is retired: older
+// files carry the norm cache there, which Load skips and recomputes from the
+// rows. Readers skip unknown section ids, so the format can grow without a
+// version bump; offsets are explicit so future writers may reorder or align
+// sections.
 //
 // Save streams: small sections are staged in memory, but the dataset — the
 // dominant payload — is written straight from the epoch's row storage
@@ -54,7 +55,7 @@ const (
 	secOptions    = 1
 	secModel      = 2
 	secDataset    = 3
-	secSqNorms    = 4
+	secSqNorms    = 4 // retired: no longer written; skipped in older files
 	secTombstones = 5
 	secDeadSet    = 6
 	secQuant      = 7
@@ -120,7 +121,7 @@ func (ix *Index) Save(w io.Writer) error {
 		}
 	case *core.Ensemble:
 		modelBuf.WriteByte(modelKindEnsemble)
-		if err := core.SaveEnsemble(&modelBuf, r, ep.data.N); err != nil {
+		if err := core.SaveEnsemble(&modelBuf, r); err != nil {
 			return err
 		}
 	}
@@ -137,7 +138,6 @@ func (ix *Index) Save(w io.Writer) error {
 		{secOptions, uint64(optBuf.Len())},
 		{secModel, uint64(modelBuf.Len())},
 		{secDataset, uint64(16 + 4*n*ix.dim)},
-		{secSqNorms, uint64(8 + 4*n)},
 		{secTombstones, uint64(tombBuf.Len())},
 		{secDeadSet, uint64(deadBuf.Len())},
 	}
@@ -186,12 +186,6 @@ func (ix *Index) Save(w io.Writer) error {
 	binary.LittleEndian.PutUint32(u4[:], 0)
 	bw.Write(u4[:])
 	if err := writeFloats(bw, ep.data.Data); err != nil {
-		return err
-	}
-
-	binary.LittleEndian.PutUint64(u8[:], uint64(n))
-	bw.Write(u8[:])
-	if err := writeFloats(bw, ep.data.SqNorms); err != nil {
 		return err
 	}
 
@@ -247,7 +241,7 @@ func encodeQuantHeader(pq *quant.PQ, rows int) *bytes.Buffer {
 }
 
 // readQuantSection parses the payload encodeQuantHeader + codes wrote.
-func readQuantSection(r io.Reader) (*quant.PQ, []uint8, error) {
+func readQuantSection(r *io.LimitedReader) (*quant.PQ, []uint8, error) {
 	var hdr [24]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, nil, fmt.Errorf("reading quant header: %w", err)
@@ -258,6 +252,9 @@ func readQuantSection(r io.Reader) (*quant.PQ, []uint8, error) {
 	rows := binary.LittleEndian.Uint64(hdr[16:24])
 	if m == 0 || m > dim || k == 0 || k > 256 || dim > 1<<20 || rows > 1<<40 {
 		return nil, nil, fmt.Errorf("implausible quant shape m=%d k=%d dim=%d rows=%d", m, k, dim, rows)
+	}
+	if err := fits(r, 4*uint64(m+1), "quant bounds"); err != nil {
+		return nil, nil, err
 	}
 	bounds := make([]int, m+1)
 	var u4 [4]byte
@@ -281,6 +278,9 @@ func readQuantSection(r io.Reader) (*quant.PQ, []uint8, error) {
 		if cn == 0 || cn > k || int(cd) != bounds[s+1]-bounds[s] {
 			return nil, nil, fmt.Errorf("implausible quant codebook %d shape %dx%d", s, cn, cd)
 		}
+		if err := fits(r, 4*uint64(cn)*uint64(cd), "quant codebook floats"); err != nil {
+			return nil, nil, err
+		}
 		data, err := readFloats(r, int(cn)*int(cd))
 		if err != nil {
 			return nil, nil, fmt.Errorf("reading quant codebook %d: %w", s, err)
@@ -289,6 +289,9 @@ func readQuantSection(r io.Reader) (*quant.PQ, []uint8, error) {
 	}
 	pq, err := quant.FromCodebooks(int(dim), int(k), bounds, codebooks)
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := fits(r, rows*uint64(m), "quant codes"); err != nil {
 		return nil, nil, err
 	}
 	codes := make([]uint8, int(rows)*int(m))
@@ -351,7 +354,10 @@ func (ix *Index) SaveFile(path string) (err error) {
 
 // Load reads a snapshot written by Save and returns a servable index. The
 // stream is consumed strictly forward (sections are stored in offset
-// order; unknown sections are skipped), so r needs no seeking.
+// order; unknown sections are skipped), so r needs no seeking. No count in
+// a section sizes an allocation past the section's length; when r reports
+// its Size, as LoadFile's reader does, no section length passes the end of
+// the input either.
 func Load(r io.Reader) (*Index, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [snapHeaderFixed]byte
@@ -368,6 +374,13 @@ func Load(r io.Reader) (*Index, error) {
 	if count == 0 || count > 1024 {
 		return nil, fmt.Errorf("usp: implausible section count %d", count)
 	}
+	// A reader that knows its size (a file through LoadFile, a bytes.Reader)
+	// bounds every section by it, so a section length read from the file
+	// cannot claim more bytes than the input holds.
+	size := int64(-1)
+	if s, ok := r.(interface{ Size() int64 }); ok {
+		size = s.Size()
+	}
 	type entry struct {
 		id       uint32
 		off, len uint64
@@ -378,11 +391,15 @@ func Load(r io.Reader) (*Index, error) {
 		if _, err := io.ReadFull(br, eb[:]); err != nil {
 			return nil, fmt.Errorf("usp: reading section table: %w", err)
 		}
-		entries[i] = entry{
+		e := entry{
 			id:  binary.LittleEndian.Uint32(eb[0:4]),
 			off: binary.LittleEndian.Uint64(eb[8:16]),
 			len: binary.LittleEndian.Uint64(eb[16:24]),
 		}
+		if size >= 0 && (e.off > uint64(size) || e.len > uint64(size)-e.off) {
+			return nil, fmt.Errorf("usp: section %d (%d bytes at %d) runs past the %d-byte input", e.id, e.len, e.off, size)
+		}
+		entries[i] = e
 	}
 
 	var (
@@ -402,7 +419,7 @@ func Load(r io.Reader) (*Index, error) {
 		if _, err := io.CopyN(io.Discard, br, int64(e.off-pos)); err != nil {
 			return nil, fmt.Errorf("usp: seeking section %d: %w", e.id, err)
 		}
-		lr := io.LimitReader(br, int64(e.len))
+		lr := &io.LimitedReader{R: br, N: int64(e.len)}
 		var err error
 		switch e.id {
 		case secOptions:
@@ -437,12 +454,11 @@ func Load(r io.Reader) (*Index, error) {
 	if err := router.Validate(ds.N, ds.Dim); err != nil {
 		return nil, fmt.Errorf("usp: model section: %w", err)
 	}
-	// The norm cache is derived data and the file carries no checksum, so
-	// the stored copy (section 4) is not trusted: a cache that is not
-	// Dot(x, x) of this process's kernels — a file written under another
-	// kernel set, or a corrupted one — would make exact-match distances
-	// nonzero and answers differ from the index that was saved.
-	ds.EnsureSqNorms(true)
+	// The norm cache is derived data, computed here and never read from the
+	// file: a cache that is not Dot(x, x) of this process's kernels — one
+	// written under another kernel set, or corrupted, as older files carry
+	// in the retired section 4 — would make exact-match distances nonzero.
+	ds.EnsureSqNorms(false)
 
 	if deadSet.Count() != so.Dead {
 		return nil, fmt.Errorf("usp: dead-set section (%d ids) disagrees with options (%d)",
@@ -479,7 +495,11 @@ func LoadFile(path string) (*Index, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return Load(io.NewSectionReader(f, 0, fi.Size()))
 }
 
 // IsSnapshotFile sniffs whether path starts with the snapshot magic — how
@@ -522,7 +542,17 @@ func readModelSection(r io.Reader) (core.Router, error) {
 	}
 }
 
-func readDatasetSection(r io.Reader) (*dataset.Dataset, error) {
+// fits returns an error unless the section has n more bytes: every count a
+// section declares is checked against the section's length before anything
+// is sized from it, so a few bytes cannot claim gigabytes.
+func fits(r *io.LimitedReader, n uint64, what string) error {
+	if left := max(r.N, 0); n > uint64(left) {
+		return fmt.Errorf("%s need %d bytes, %d left in the section", what, n, left)
+	}
+	return nil
+}
+
+func readDatasetSection(r *io.LimitedReader) (*dataset.Dataset, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("reading dataset header: %w", err)
@@ -532,6 +562,9 @@ func readDatasetSection(r io.Reader) (*dataset.Dataset, error) {
 	if dim == 0 || dim > 1<<20 || n > 1<<40 {
 		return nil, fmt.Errorf("implausible dataset shape n=%d dim=%d", n, dim)
 	}
+	if err := fits(r, 4*n*uint64(dim), "dataset rows"); err != nil {
+		return nil, err
+	}
 	data, err := readFloats(r, int(n)*int(dim))
 	if err != nil {
 		return nil, fmt.Errorf("reading rows: %w", err)
@@ -539,7 +572,7 @@ func readDatasetSection(r io.Reader) (*dataset.Dataset, error) {
 	return &dataset.Dataset{N: int(n), Dim: int(dim), Data: data}, nil
 }
 
-func readBitmapSection(r io.Reader) (*bitset.Set, error) {
+func readBitmapSection(r *io.LimitedReader) (*bitset.Set, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("reading bitmap header: %w", err)
@@ -547,6 +580,9 @@ func readBitmapSection(r io.Reader) (*bitset.Set, error) {
 	nw := binary.LittleEndian.Uint64(hdr[:])
 	if nw > 1<<34 {
 		return nil, fmt.Errorf("implausible bitmap word count %d", nw)
+	}
+	if err := fits(r, 8*nw, "bitmap words"); err != nil {
+		return nil, err
 	}
 	words := make([]uint64, nw)
 	buf := make([]byte, 1<<14)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -209,10 +210,11 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadRecomputesNormCache: the norm section of a snapshot is derived
-// data with no checksum, so Load must not serve from it. With every stored
-// norm overwritten the loaded index still answers exactly like the index
-// that was saved, and a stored row is still at distance exactly 0 from
+// TestLoadRecomputesNormCache: Save no longer writes the norm section, and
+// the copy older files carry is derived data with no checksum, so Load must
+// not serve from it. With a norm section of corrupted norms injected where
+// older writers put it, the loaded index still answers exactly like the
+// index that was saved, and a stored row is still at distance exactly 0 from
 // itself.
 func TestLoadRecomputesNormCache(t *testing.T) {
 	vecs, _ := clusteredVectors(127, 600, 8, 4)
@@ -224,22 +226,16 @@ func TestLoadRecomputesNormCache(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	file := buf.Bytes()
-	corrupted := false
-	for i := 0; i < int(binary.LittleEndian.Uint32(file[12:16])); i++ {
-		e := file[snapHeaderFixed+i*snapSectionEntry:]
-		if binary.LittleEndian.Uint32(e[0:4]) != secSqNorms {
-			continue
-		}
-		off, n := binary.LittleEndian.Uint64(e[8:16]), binary.LittleEndian.Uint64(e[16:24])
-		for j := off + 8; j < off+n; j++ { // past the count, every norm byte
-			file[j] ^= 0x5a
-		}
-		corrupted = true
+	secs := splitSections(buf.Bytes())
+	at := slices.IndexFunc(secs, func(s section) bool { return s.id == secDataset })
+	if at < 0 || slices.ContainsFunc(secs, func(s section) bool { return s.id == secSqNorms }) {
+		t.Fatal("saved file lacks a dataset section or still carries a norm section")
 	}
-	if !corrupted {
-		t.Fatal("snapshot has no norm section to corrupt")
+	norms := binary.LittleEndian.AppendUint64(nil, uint64(len(vecs)))
+	for _, v := range vecs {
+		norms = binary.LittleEndian.AppendUint32(norms, math.Float32bits(vecmath.Dot(v, v))^0x5a5a5a5a)
 	}
+	file := joinSections(slices.Insert(secs, at+1, section{secSqNorms, norms}))
 	loaded, err := Load(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
@@ -421,10 +417,9 @@ func TestLegacySnapshotsLoad(t *testing.T) {
 // write a file the package's own saver never would.
 type (
 	filePart struct {
-		Model  []byte
-		M      int
-		Assign []int32
-		Bins   [][]int32
+		Model []byte
+		M     int
+		Bins  [][]int32
 	}
 	fileEnsemble struct{ Parts []filePart }
 	fileNode     struct {
@@ -433,48 +428,68 @@ type (
 		Children []fileNode
 	}
 	fileHierarchy struct {
-		Levels    []int
-		NumBins   int
-		Bins      [][]int32
-		ProbeTemp float64
-		Root      fileNode
+		NumBins int
+		Bins    [][]int32
+		Root    fileNode
 	}
 )
+
+// section is one entry of a snapshot's section table with its payload.
+type section struct {
+	id      uint32
+	payload []byte
+}
+
+// splitSections returns file's sections in table order.
+func splitSections(file []byte) []section {
+	var out []section
+	for i := 0; i < int(binary.LittleEndian.Uint32(file[12:16])); i++ {
+		e := file[snapHeaderFixed+i*snapSectionEntry:]
+		off, n := binary.LittleEndian.Uint64(e[8:16]), binary.LittleEndian.Uint64(e[16:24])
+		out = append(out, section{binary.LittleEndian.Uint32(e[0:4]), file[off : off+n]})
+	}
+	return out
+}
+
+// joinSections lays secs out as a snapshot file: the header, a section
+// table in the order given, and the payloads back to back.
+func joinSections(secs []section) []byte {
+	out := append([]byte(snapMagic), make([]byte, 8+snapSectionEntry*len(secs))...)
+	binary.LittleEndian.PutUint32(out[8:], snapVersion)
+	binary.LittleEndian.PutUint32(out[12:], uint32(len(secs)))
+	for i, s := range secs {
+		e := out[snapHeaderFixed+i*snapSectionEntry:]
+		binary.LittleEndian.PutUint32(e[0:4], s.id)
+		binary.LittleEndian.PutUint64(e[8:16], uint64(len(out)))
+		binary.LittleEndian.PutUint64(e[16:24], uint64(len(s.payload)))
+		out = append(out, s.payload...)
+	}
+	return out
+}
 
 // rewriteModel returns file with its model section's gob payload (after the
 // kind byte) decoded into spec, passed through edit, and encoded back, every
 // later section moved to fit.
 func rewriteModel[S any](t *testing.T, file []byte, edit func(*S)) []byte {
 	t.Helper()
-	count := int(binary.LittleEndian.Uint32(file[12:16]))
-	var payloads [][]byte
-	for i := 0; i < count; i++ {
-		e := file[snapHeaderFixed+i*snapSectionEntry:]
-		off, n := binary.LittleEndian.Uint64(e[8:16]), binary.LittleEndian.Uint64(e[16:24])
-		p := file[off : off+n]
-		if binary.LittleEndian.Uint32(e[0:4]) == secModel {
-			var spec S
-			if err := gob.NewDecoder(bytes.NewReader(p[1:])).Decode(&spec); err != nil {
-				t.Fatal(err)
-			}
-			edit(&spec)
-			var buf bytes.Buffer
-			buf.WriteByte(p[0])
-			if err := gob.NewEncoder(&buf).Encode(spec); err != nil {
-				t.Fatal(err)
-			}
-			p = buf.Bytes()
+	secs := splitSections(file)
+	for i, s := range secs {
+		if s.id != secModel {
+			continue
 		}
-		payloads = append(payloads, p)
+		var spec S
+		if err := gob.NewDecoder(bytes.NewReader(s.payload[1:])).Decode(&spec); err != nil {
+			t.Fatal(err)
+		}
+		edit(&spec)
+		var buf bytes.Buffer
+		buf.WriteByte(s.payload[0])
+		if err := gob.NewEncoder(&buf).Encode(spec); err != nil {
+			t.Fatal(err)
+		}
+		secs[i].payload = buf.Bytes()
 	}
-	out := append([]byte(nil), file[:snapHeaderFixed+count*snapSectionEntry]...)
-	for i, p := range payloads {
-		e := out[snapHeaderFixed+i*snapSectionEntry:]
-		binary.LittleEndian.PutUint64(e[8:16], uint64(len(out)))
-		binary.LittleEndian.PutUint64(e[16:24], uint64(len(p)))
-		out = append(out, p...)
-	}
-	return out
+	return joinSections(secs)
 }
 
 // TestLoadRejectsMismatchedTables: a snapshot whose tables address rows the
@@ -532,6 +547,49 @@ func TestLoadRejectsMismatchedTables(t *testing.T) {
 	} {
 		if _, err := Load(bytes.NewReader(file)); err == nil {
 			t.Fatalf("%s: loaded", name)
+		}
+	}
+}
+
+// TestLoadRejectsOversizedSections: a section's header declares how much it
+// holds, and Load used to allocate that much before reading any of it — a
+// 56-byte file claiming 2^28 rows of 128 floats, or a 48-byte one claiming
+// 2^34 tombstone words, ended the process out of memory, which nothing
+// recovers. Each is an error now, and so are a quant section claiming 2^40
+// rows of codes and a section table claiming more bytes than the file holds.
+func TestLoadRejectsOversizedSections(t *testing.T) {
+	vecs, _ := clusteredVectors(163, 300, 8, 4)
+	ix, err := Build(vecs, Options{Bins: 4, Epochs: 5, Hidden: []int{8}, Seed: 164,
+		Quantize: Quantization{Enabled: true, Subspaces: 4, K: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	quantRows := splitSections(buf.Bytes())
+	for i, s := range quantRows {
+		if s.id == secQuant {
+			p := slices.Clone(s.payload)
+			binary.LittleEndian.PutUint64(p[16:24], 1<<40) // the header's row count
+			quantRows[i].payload = p
+		}
+	}
+	rows := binary.LittleEndian.AppendUint64(nil, 1<<28)
+	rows = binary.LittleEndian.AppendUint32(rows, 128)
+	rows = binary.LittleEndian.AppendUint32(rows, 0)
+	pastEnd := joinSections([]section{{secDataset, rows}})
+	binary.LittleEndian.PutUint64(pastEnd[snapHeaderFixed+16:], 1<<40) // the table's section length
+
+	for name, file := range map[string][]byte{
+		"dataset rows":    joinSections([]section{{secDataset, rows}}),
+		"tombstone words": joinSections([]section{{secTombstones, binary.LittleEndian.AppendUint64(nil, 1<<34)}}),
+		"quant codes":     joinSections(quantRows),
+		"past the end":    pastEnd,
+	} {
+		if _, err := Load(bytes.NewReader(file)); err == nil {
+			t.Fatalf("%s: %d-byte file loaded", name, len(file))
 		}
 	}
 }
