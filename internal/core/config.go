@@ -41,10 +41,6 @@ type Config struct {
 	Dropout float64
 	// Seed drives all randomness (init, shuffling, dropout).
 	Seed int64
-	// SoftTargets switches the quality-loss target from the hard argmax
-	// histogram of Eq. 9 to the mean of the neighbors' probability rows
-	// (an ablation; the paper uses hard histograms).
-	SoftTargets bool
 	// EntropyBalance replaces the paper's top-window computational cost
 	// (Eqs. 12–13) with the batch-mean entropy regularizer of
 	// nn.USPLossEntropy — a design-choice ablation (see DESIGN.md and the

@@ -214,16 +214,6 @@ func TestTrainLogisticModel(t *testing.T) {
 	}
 }
 
-func TestSoftTargetsMode(t *testing.T) {
-	ds, mat := testData(t, 300, 4, 2, 8)
-	cfg := smallCfg(2)
-	cfg.SoftTargets = true
-	cfg.Epochs = 10
-	if _, _, err := Train(ds, mat, cfg, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEnsembleTrainingAndProbing(t *testing.T) {
 	ds, mat := testData(t, 600, 8, 4, 9)
 	ens, stats, err := TrainEnsemble(ds, mat, smallCfg(4), 3)

@@ -85,15 +85,11 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config, weights []float3
 	n, m := ds.N, cfg.Bins
 
 	var last nn.LossResult
-	snapshot := make([]int32, n)       // bin assignment of every point, refreshed per epoch
-	probsSnap := (*tensor.Matrix)(nil) // soft-target mode keeps full probability rows
+	snapshot := make([]int32, n) // bin assignment of every point, refreshed per epoch
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		// Refresh the assignment snapshot used for quality targets.
 		probs := predictBatched(model, ds, 4096)
-		if cfg.SoftTargets {
-			probsSnap = probs
-		}
 		for i := 0; i < n; i++ {
 			snapshot[i] = int32(vecmath.ArgMax(probs.Row(i)))
 		}
@@ -124,17 +120,8 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config, weights []float3
 				}
 				trow := targets.Row(bi)
 				nbrs := knnMat.Neighbors[pi][:cfg.KPrime]
-				if cfg.SoftTargets {
-					for _, nj := range nbrs {
-						prow := probsSnap.Row(int(nj))
-						for j := range trow {
-							trow[j] += prow[j]
-						}
-					}
-				} else {
-					for _, nj := range nbrs {
-						trow[snapshot[nj]]++
-					}
+				for _, nj := range nbrs {
+					trow[snapshot[nj]]++
 				}
 				inv := 1 / float32(len(nbrs))
 				for j := range trow {
@@ -143,7 +130,7 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config, weights []float3
 			}
 
 			model.ZeroGrads()
-			logits := model.Forward(x, true)
+			logits := model.Forward(x)
 			var res nn.LossResult
 			if cfg.EntropyBalance {
 				res = nn.USPLossEntropy(logits, targets, w, cfg.Eta)
@@ -216,18 +203,19 @@ func (p *Partitioner) buildLookup(ds *dataset.Dataset) {
 	p.Bins = mergeTable(lists, nil)
 }
 
-// predictBatched evaluates the model on every row of ds in chunks, returning
-// the n×m probability matrix.
+// predictBatched evaluates the model on every row of ds in chunks through
+// the batched inference kernel and one reused scratch, writing each chunk
+// straight into the returned n×m probability matrix.
 func predictBatched(model *nn.Sequential, ds *dataset.Dataset, chunk int) *tensor.Matrix {
 	out := tensor.New(ds.N, model.OutDim())
+	var sc nn.BatchInferScratch
 	for lo := 0; lo < ds.N; lo += chunk {
 		hi := lo + chunk
 		if hi > ds.N {
 			hi = ds.N
 		}
 		x := tensor.FromSlice(hi-lo, ds.Dim, ds.Data[lo*ds.Dim:hi*ds.Dim])
-		p := model.Predict(x)
-		copy(out.Data[lo*out.Cols:hi*out.Cols], p.Data)
+		model.PredictBatchInto(out.Data[lo*out.Cols:hi*out.Cols], x, &sc)
 	}
 	return out
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/knn"
 	"repro/internal/nn"
 	"repro/internal/tensor"
-	"repro/internal/vecmath"
 )
 
 // trainTargetGrad is the Eq. 8 training path: each mini-batch forwards the
@@ -23,7 +22,7 @@ import (
 // so neighborhoods drag each other toward shared bins. The balance term of
 // Eqs. 12–13 is computed over all forwarded rows.
 func trainTargetGrad(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config,
-	weights []float32, model *nn.Sequential, opt nn.Optimizer, rng *rand.Rand) error {
+	weights []float32, model *nn.Sequential, opt *nn.Adam, rng *rand.Rand) error {
 
 	n, m := ds.N, cfg.Bins
 	kp := cfg.KPrime
@@ -78,7 +77,7 @@ func trainTargetGrad(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config,
 				copy(x.Row(r), ds.Row(int(id)))
 			}
 			model.ZeroGrads()
-			logits := model.Forward(x, true)
+			logits := model.Forward(x)
 			probs := logits.Clone()
 			nn.SoftmaxRows(probs)
 
@@ -110,55 +109,11 @@ func trainTargetGrad(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config,
 
 			// Balance term over every forwarded row.
 			if cfg.Eta != 0 {
-				addBalanceGrad(probs, grad, cfg.Eta)
+				nn.AddWindowBalance(probs, grad, cfg.Eta)
 			}
 			model.Backward(grad)
 			opt.Step(model.Params())
 		}
 	}
 	return nil
-}
-
-// addBalanceGrad accumulates the gradient of η·S(R) (Eqs. 12–13) over the
-// probability matrix into grad (both R×m), chaining through softmax.
-func addBalanceGrad(probs, grad *tensor.Matrix, eta float64) {
-	rows, m := probs.Rows, probs.Cols
-	win := rows / m
-	if win < 1 {
-		win = 1
-	}
-	dP := tensor.New(rows, m)
-	col := make([]float32, rows)
-	for j := 0; j < m; j++ {
-		for i := 0; i < rows; i++ {
-			col[i] = probs.At(i, j)
-		}
-		tau := vecmath.SelectKthLargest(col, win)
-		remaining := win
-		for i := 0; i < rows && remaining > 0; i++ {
-			if col[i] > tau {
-				dP.Set(i, j, -1)
-				remaining--
-			}
-		}
-		for i := 0; i < rows && remaining > 0; i++ {
-			if col[i] == tau {
-				dP.Set(i, j, -1)
-				remaining--
-			}
-		}
-	}
-	invR := float32(1.0 / float64(rows))
-	scale := float32(eta)
-	for i := 0; i < rows; i++ {
-		prow, dprow, grow := probs.Row(i), dP.Row(i), grad.Row(i)
-		var dot float32
-		for b := range prow {
-			dprow[b] *= invR
-			dot += dprow[b] * prow[b]
-		}
-		for b := range grow {
-			grow[b] += scale * prow[b] * (dprow[b] - dot)
-		}
-	}
 }

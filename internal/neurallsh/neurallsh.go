@@ -124,6 +124,9 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config) (*Model, Stats, 
 				hi = ds.N
 			}
 			idx := perm[lo:hi]
+			if len(idx) < 2 {
+				continue // batch norm needs two rows, as in core.Train
+			}
 			x := tensor.New(len(idx), ds.Dim)
 			y := make([]int, len(idx))
 			for bi, pi := range idx {
@@ -131,7 +134,7 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config) (*Model, Stats, 
 				y[bi] = labels[pi]
 			}
 			net.ZeroGrads()
-			logits := net.Forward(x, true)
+			logits := net.Forward(x)
 			_, grad := nn.CrossEntropy(logits, y)
 			net.Backward(grad)
 			opt.Step(net.Params())

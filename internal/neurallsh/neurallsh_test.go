@@ -84,6 +84,20 @@ func TestTrainValidation(t *testing.T) {
 	}
 }
 
+// TestTrainSkipsOneRowBatch: 65 points in batches of 64 leave a last batch
+// of one row, whose batch statistics are undefined; training skips it
+// rather than panicking in batch norm.
+func TestTrainSkipsOneRowBatch(t *testing.T) {
+	ds := dataset.SIFTLike(65, rand.New(rand.NewSource(8)))
+	m, _, err := Train(ds, knn.BuildMatrix(ds, 10), Config{Bins: 4, Hidden: []int{8}, Epochs: 3, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Probabilities(ds.Row(0))) != 4 {
+		t.Fatal("probabilities width")
+	}
+}
+
 func TestLogisticRouterVariant(t *testing.T) {
 	l, mat := blobs(6, 300, 4, 2)
 	m, stats, err := Train(l.Dataset, mat, Config{Bins: 2, Epochs: 30, Seed: 7})

@@ -105,7 +105,7 @@ func (f RegressionFitter) Fit(ds *dataset.Dataset, idx []int32, rng *rand.Rand) 
 	x := tensor.FromSlice(sub.N, sub.Dim, sub.Data)
 	for e := 0; e < epochs; e++ {
 		model.ZeroGrads()
-		logits := model.Forward(x, true)
+		logits := model.Forward(x)
 		_, grad := nn.CrossEntropy(logits, labels)
 		model.Backward(grad)
 		opt.Step(model.Params())

@@ -45,28 +45,17 @@ func NewBatchNorm(dim int) *BatchNorm {
 	return bn
 }
 
-// Forward implements Layer.
-func (bn *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+// Forward implements Layer. Batch statistics need at least two rows, so a
+// one-row batch panics; callers skip such batches.
+func (bn *BatchNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 	dim := bn.Gamma.Value.Cols
 	if x.Cols != dim {
 		panic("nn: BatchNorm width mismatch")
 	}
-	y := tensor.New(x.Rows, x.Cols)
-	if !train || x.Rows == 1 {
-		// Inference path (also taken for singleton batches, where batch
-		// variance is degenerate): use running statistics.
-		for j := 0; j < dim; j++ {
-			mean := float64(bn.RunningMean.Data[j])
-			invStd := 1 / math.Sqrt(float64(bn.RunningVar.Data[j])+bn.Eps)
-			g, b := float64(bn.Gamma.Value.Data[j]), float64(bn.Beta.Value.Data[j])
-			for i := 0; i < x.Rows; i++ {
-				v := (float64(x.At(i, j)) - mean) * invStd
-				y.Set(i, j, float32(v*g+b))
-			}
-		}
-		return y
+	if x.Rows < 2 {
+		panic("nn: BatchNorm.Forward needs a batch of at least 2 rows")
 	}
-
+	y := tensor.New(x.Rows, x.Cols)
 	n := float64(x.Rows)
 	bn.batchSz = x.Rows
 	bn.xhat = tensor.New(x.Rows, x.Cols)
@@ -98,10 +87,7 @@ func (bn *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		}
 
 		// Update running statistics (unbiased variance, as PyTorch does).
-		unbiased := variance
-		if x.Rows > 1 {
-			unbiased = variance * n / (n - 1)
-		}
+		unbiased := variance * n / (n - 1)
 		m := bn.Momentum
 		bn.RunningMean.Data[j] = float32((1-m)*float64(bn.RunningMean.Data[j]) + m*mean)
 		bn.RunningVar.Data[j] = float32((1-m)*float64(bn.RunningVar.Data[j]) + m*unbiased)
@@ -115,7 +101,7 @@ func (bn *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 //	dx_i = invStd/n * (n*dxhat_i - Σdxhat - xhat_i * Σ(dxhat·xhat))
 func (bn *BatchNorm) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	if bn.xhat == nil {
-		panic("nn: BatchNorm.Backward before Forward(train=true)")
+		panic("nn: BatchNorm.Backward before Forward")
 	}
 	dim := bn.Gamma.Value.Cols
 	n := float64(bn.batchSz)

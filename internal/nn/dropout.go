@@ -26,8 +26,8 @@ func NewDropout(p float64, rng *rand.Rand) *Dropout {
 }
 
 // Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if !train || d.P == 0 {
+func (d *Dropout) Forward(x *tensor.Matrix) *tensor.Matrix {
+	if d.P == 0 {
 		return x
 	}
 	y := tensor.New(x.Rows, x.Cols)

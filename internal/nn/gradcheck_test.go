@@ -64,13 +64,13 @@ func checkModelGrads(t *testing.T, model *Sequential, x *tensor.Matrix,
 	}
 	lossFn := func() float64 {
 		defer restore()
-		logits := model.Forward(x, true)
+		logits := model.Forward(x)
 		l, _ := loss(logits)
 		return l
 	}
 
 	model.ZeroGrads()
-	logits := model.Forward(x, true)
+	logits := model.Forward(x)
 	_, grad := loss(logits)
 	model.Backward(grad)
 	restore()

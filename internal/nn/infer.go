@@ -1,18 +1,16 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
-	"repro/internal/tensor"
 	"repro/internal/vecmath"
 )
 
 // Single-row, allocation-free inference. The online query path evaluates the
-// model on one vector at a time; the generic Forward pipeline allocates a
-// fresh tensor per layer per call, which dominates query cost for the small
-// models the paper uses. PredictVecInto runs the same arithmetic through a
-// caller-owned scratch, producing bit-identical probabilities (each layer's
-// eval path mirrors the accumulation order of its batch Forward).
+// model on one vector at a time; PredictVecInto runs the eval arithmetic
+// (running batch-norm statistics, dropout off) through a caller-owned
+// scratch, bit-identical to the matching row of PredictBatchInto.
 
 // InferScratch holds the reusable buffers for PredictVecInto. The zero value
 // is ready to use; buffers grow on demand and are retained between calls, so
@@ -29,13 +27,9 @@ func growF32(buf []float32, n int) []float32 {
 }
 
 // PredictVecInto computes the model's bin probability distribution for a
-// single vector into dst (grown as needed) and returns it. It is the
-// allocation-free equivalent of PredictVec: eval mode, running batch-norm
-// statistics, dropout disabled. Results are bit-identical to PredictVec.
-//
-// The fast path covers the layer types the paper's architectures use
-// (Dense, BatchNorm, ReLU, Dropout); a model containing any other layer
-// falls back to the allocating pipeline.
+// single vector into dst (grown as needed) and returns it: eval mode,
+// running batch-norm statistics, dropout disabled. PredictVec is its
+// allocating form.
 func (s *Sequential) PredictVecInto(dst []float32, v []float32, sc *InferScratch) []float32 {
 	sc.cur = growF32(sc.cur, len(v))
 	copy(sc.cur, v)
@@ -56,11 +50,7 @@ func (s *Sequential) PredictVecInto(dst []float32, v []float32, sc *InferScratch
 		case *Dropout:
 			// Identity at inference.
 		default:
-			// Unknown layer: fall back to the generic (allocating) path for
-			// the whole model to keep semantics exact.
-			out := s.Predict(tensor.FromSlice(1, len(v), v)).Row(0)
-			dst = append(dst[:0], out...)
-			return dst
+			panic(fmt.Sprintf("nn: no inference kernel for %T", l))
 		}
 	}
 	softmaxRow(sc.cur)
@@ -89,8 +79,7 @@ func (d *Dense) inferRow(dst, x []float32) {
 	}
 }
 
-// inferRow standardizes a single row in place with the running statistics,
-// matching BatchNorm.Forward's inference branch arithmetic exactly.
+// inferRow standardizes a single row in place with the running statistics.
 func (bn *BatchNorm) inferRow(x []float32) {
 	dim := bn.Gamma.Value.Cols
 	for j := 0; j < dim; j++ {
@@ -99,26 +88,5 @@ func (bn *BatchNorm) inferRow(x []float32) {
 		g, b := float64(bn.Gamma.Value.Data[j]), float64(bn.Beta.Value.Data[j])
 		v := (float64(x[j]) - mean) * invStd
 		x[j] = float32(v*g + b)
-	}
-}
-
-// softmaxRow is SoftmaxRows for a single row without the parallel dispatch,
-// with identical arithmetic (max-subtraction, float64 sum).
-func softmaxRow(row []float32) {
-	maxv := row[0]
-	for _, v := range row[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	for j, v := range row {
-		e := math.Exp(float64(v - maxv))
-		row[j] = float32(e)
-		sum += e
-	}
-	inv := float32(1 / sum)
-	for j := range row {
-		row[j] *= inv
 	}
 }

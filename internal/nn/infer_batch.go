@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"fmt"
+
 	"repro/internal/tensor"
 )
 
@@ -11,17 +13,14 @@ import (
 // the same dispatched vecmath.AXPY microkernel (including the zero-input
 // skip), every row of the batched result is bit-identical to the single-row
 // PredictVecInto path — the equality the engine's batch≡single pinning tests
-// rely on.
+// rely on. Predict, and through it offline training's per-epoch assignment
+// snapshot and lookup-table build, run on this kernel too.
 
 // BatchInferScratch holds the reusable buffers for PredictBatchInto. The
 // zero value is ready to use; buffers grow on demand and are retained, so
 // steady-state batched inference performs no allocation.
 type BatchInferScratch struct {
 	cur, nxt tensor.Matrix
-	// row backs the per-row fallback taken when the model contains a layer
-	// type the batched fast path does not know.
-	row    InferScratch
-	rowBuf []float32
 }
 
 // setCur stages src as the current activation matrix, copying so the
@@ -33,20 +32,6 @@ func (sc *BatchInferScratch) setCur(src *tensor.Matrix) {
 	copy(sc.cur.Data, src.Data[:n])
 }
 
-// batchFastPath reports whether every layer is handled by the batched
-// kernel loop (the architectures the paper uses: Dense, BatchNorm, ReLU,
-// Dropout).
-func (s *Sequential) batchFastPath() bool {
-	for _, l := range s.Layers {
-		switch l.(type) {
-		case *Dense, *BatchNorm, *ReLU, *Dropout:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // PredictBatchInto computes the model's bin probability distribution for
 // every row of X into dst (grown as needed; row-major X.Rows×OutDim) and
 // returns it. It is the batched PredictVecInto: eval mode, running
@@ -54,22 +39,12 @@ func (s *Sequential) batchFastPath() bool {
 // layer. Row i of the result is bit-identical to
 // PredictVecInto(nil, X.Row(i), ...) — batch and single-row inference share
 // the same dispatched microkernels and accumulation order (see package
-// comment in internal/tensor).
-//
-// Models containing layer types outside the fast path fall back to the
-// exact single-row pipeline per row, preserving the equality.
+// comment in internal/tensor). Predict is its allocating form.
 func (s *Sequential) PredictBatchInto(dst []float32, X *tensor.Matrix, sc *BatchInferScratch) []float32 {
 	b := X.Rows
 	out := s.OutDim()
 	dst = growF32(dst, b*out)
 	if b == 0 {
-		return dst
-	}
-	if !s.batchFastPath() {
-		for i := 0; i < b; i++ {
-			sc.rowBuf = s.PredictVecInto(sc.rowBuf, X.Row(i), &sc.row)
-			copy(dst[i*out:(i+1)*out], sc.rowBuf)
-		}
 		return dst
 	}
 	sc.setCur(X)
@@ -94,6 +69,8 @@ func (s *Sequential) PredictBatchInto(dst []float32, X *tensor.Matrix, sc *Batch
 			}
 		case *Dropout:
 			// Identity at inference.
+		default:
+			panic(fmt.Sprintf("nn: no inference kernel for %T", l))
 		}
 	}
 	for i := 0; i < b; i++ {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 // trainedMLP returns a small MLP whose batch-norm running statistics have
 // been moved off their initial values by a few training steps, so the
-// inference fast path is exercised against non-trivial state.
+// inference kernels are exercised against non-trivial state.
 func trainedMLP(t *testing.T, inDim, outDim int) *Sequential {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
@@ -29,7 +30,7 @@ func trainedMLP(t *testing.T, inDim, outDim int) *Sequential {
 			row[rng.Intn(outDim)] = 1
 		}
 		model.ZeroGrads()
-		logits := model.Forward(x, true)
+		logits := model.Forward(x)
 		res := USPLoss(logits, targets, nil, 1)
 		model.Backward(res.Grad)
 		opt.Step(model.Params())
@@ -37,32 +38,108 @@ func trainedMLP(t *testing.T, inDim, outDim int) *Sequential {
 	return model
 }
 
-func TestPredictVecIntoMatchesPredictVec(t *testing.T) {
+// referencePredict is an independent eval pass the inference kernels are
+// pinned to: one fresh matrix per layer, Dense as MatMul plus bias,
+// BatchNorm column by column on the running statistics, ReLU as max(0, x),
+// Dropout as the identity, then a row softmax with the max-subtraction trick
+// and a float64 sum.
+func referencePredict(t *testing.T, s *Sequential, x *tensor.Matrix) *tensor.Matrix {
+	t.Helper()
+	for _, l := range s.Layers {
+		switch ly := l.(type) {
+		case *Dense:
+			y := tensor.New(x.Rows, ly.W.Value.Cols)
+			tensor.MatMul(y, x, ly.W.Value)
+			tensor.AddRowVector(y, ly.B.Value.Data)
+			x = y
+		case *BatchNorm:
+			y := tensor.New(x.Rows, x.Cols)
+			for j := 0; j < x.Cols; j++ {
+				mean := float64(ly.RunningMean.Data[j])
+				invStd := 1 / math.Sqrt(float64(ly.RunningVar.Data[j])+ly.Eps)
+				g, b := float64(ly.Gamma.Value.Data[j]), float64(ly.Beta.Value.Data[j])
+				for i := 0; i < x.Rows; i++ {
+					v := (float64(x.At(i, j)) - mean) * invStd
+					y.Set(i, j, float32(v*g+b))
+				}
+			}
+			x = y
+		case *ReLU:
+			y := tensor.New(x.Rows, x.Cols)
+			for i, v := range x.Data {
+				if v > 0 {
+					y.Data[i] = v
+				}
+			}
+			x = y
+		case *Dropout:
+		default:
+			t.Fatalf("reference has no eval pass for %T", l)
+		}
+	}
+	out := x.Clone()
+	for i := 0; i < out.Rows; i++ {
+		row := out.Row(i)
+		maxv := row[0]
+		for _, v := range row[1:] {
+			if v > maxv {
+				maxv = v
+			}
+		}
+		var sum float64
+		for j, v := range row {
+			e := math.Exp(float64(v - maxv))
+			row[j] = float32(e)
+			sum += e
+		}
+		inv := float32(1 / sum)
+		for j := range row {
+			row[j] *= inv
+		}
+	}
+	return out
+}
+
+// TestPredictKernelsMatchReference pins PredictVecInto, every row of
+// PredictBatchInto, and Predict bit for bit to referencePredict, on a
+// trained MLP and a logistic model, with zero inputs and an all-zero row in
+// the batch, at a small batch and at one large enough for the parallel
+// MatMul.
+func TestPredictKernelsMatchReference(t *testing.T) {
+	const in, out = 11, 5
 	rng := rand.New(rand.NewSource(4))
-	for _, build := range []func() *Sequential{
-		func() *Sequential { return trainedMLP(t, 11, 5) },
-		func() *Sequential { return NewLogistic(11, 5, rand.New(rand.NewSource(5))) },
+	for _, tc := range []struct {
+		name  string
+		model *Sequential
+		rows  int
+	}{
+		{"mlp", trainedMLP(t, in, out), 50},
+		{"mlp-large", trainedMLP(t, in, out), 1100},
+		{"logistic", NewLogistic(in, out, rand.New(rand.NewSource(5))), 50},
 	} {
-		model := build()
+		x := randInput(rng, tc.rows, in)
+		for i := 0; i < x.Rows; i += 7 {
+			x.Set(i, i%in, 0) // exercise MatMul's zero-input skip
+		}
+		clear(x.Row(1))
+		want := referencePredict(t, tc.model, x)
+
+		var bsc BatchInferScratch
+		batch := tc.model.PredictBatchInto(nil, x, &bsc)
+		pred := tc.model.Predict(x)
 		var sc InferScratch
-		var dst []float32
-		for trial := 0; trial < 50; trial++ {
-			v := make([]float32, 11)
-			for i := range v {
-				v[i] = float32(rng.NormFloat64())
-			}
-			if trial%7 == 0 {
-				v[trial%11] = 0 // exercise MatMul's zero-input skip
-			}
-			want := model.PredictVec(v)
-			dst = model.PredictVecInto(dst, v, &sc)
-			if len(want) != len(dst) {
-				t.Fatalf("width %d vs %d", len(dst), len(want))
-			}
-			for j := range want {
-				if want[j] != dst[j] {
-					t.Fatalf("trial %d: prob[%d] = %v, want %v (must be bit-identical)",
-						trial, j, dst[j], want[j])
+		var vec []float32
+		for i := 0; i < x.Rows; i++ {
+			vec = tc.model.PredictVecInto(vec, x.Row(i), &sc)
+			for j, w := range want.Row(i) {
+				for _, f := range [...]struct {
+					form string
+					got  float32
+				}{{"PredictVecInto", vec[j]}, {"PredictBatchInto", batch[i*out+j]}, {"Predict", pred.At(i, j)}} {
+					if math.Float32bits(f.got) != math.Float32bits(w) {
+						t.Fatalf("%s: %s row %d prob[%d] = %v, want %v (must be bit-identical)",
+							tc.name, f.form, i, j, f.got, w)
+					}
 				}
 			}
 		}
@@ -83,5 +160,18 @@ func TestPredictVecIntoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("PredictVecInto allocates %v per run", allocs)
+	}
+}
+
+func TestPredictBatchIntoAllocs(t *testing.T) {
+	model := trainedMLP(t, 16, 8)
+	x := randInput(rand.New(rand.NewSource(6)), 64, 16)
+	var sc BatchInferScratch
+	dst := model.PredictBatchInto(nil, x, &sc) // warm the scratch
+	allocs := testing.AllocsPerRun(100, func() {
+		dst = model.PredictBatchInto(dst, x, &sc)
+	})
+	if allocs != 0 {
+		t.Fatalf("PredictBatchInto allocates %v per run", allocs)
 	}
 }

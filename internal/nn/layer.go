@@ -1,12 +1,14 @@
 // Package nn is a from-scratch, CPU-only deep-learning stack: dense layers,
 // batch normalization, dropout, ReLU, softmax utilities, cross-entropy and
-// the paper's unsupervised partitioning loss, Glorot initialization, and SGD
-// and Adam optimizers, with binary serialization.
+// the paper's unsupervised partitioning loss, Glorot initialization, and the
+// Adam optimizer, with binary serialization.
 //
 // It substitutes for the PyTorch dependency of the reference implementation
 // (see DESIGN.md). Differentiation is layer-wise reverse mode over a static
 // sequential graph: each Layer implements Forward and Backward with analytic
 // gradients, verified against numeric differentiation in gradcheck_test.go.
+// Inference does not go through Forward: it runs on two allocation-free
+// kernels, PredictVecInto for one row and PredictBatchInto for a matrix.
 //
 // All matrices are row-major with one sample per row (batch×features).
 package nn
@@ -20,7 +22,7 @@ import (
 )
 
 // Param is a trainable parameter tensor together with its gradient
-// accumulator. Optimizers update Value in place from Grad.
+// accumulator. Adam.Step updates Value in place from Grad.
 type Param struct {
 	Name  string
 	Value *tensor.Matrix
@@ -36,15 +38,16 @@ func (p *Param) Size() int { return p.Value.Rows * p.Value.Cols }
 
 // Layer is one differentiable stage of a sequential model.
 //
-// Forward consumes the previous layer's output; when train is true the layer
-// may cache activations needed by Backward and must apply training-only
-// behaviour (dropout masking, batch statistics). Backward consumes the
-// gradient of the loss with respect to this layer's output and returns the
-// gradient with respect to its input, accumulating parameter gradients as a
-// side effect. A Backward call must follow a Forward call with train=true on
-// the same batch.
+// Forward consumes the previous layer's output in training mode: it caches
+// the activations Backward needs and applies training-only behaviour
+// (dropout masking, batch statistics). Backward consumes the gradient of the
+// loss with respect to this layer's output and returns the gradient with
+// respect to its input, accumulating parameter gradients as a side effect. A
+// Backward call must follow a Forward call on the same batch. Evaluation
+// (running statistics, no dropout) is the inference kernels' job; they know
+// this package's four layer kinds, Dense, BatchNorm, ReLU and Dropout.
 type Layer interface {
-	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
+	Forward(x *tensor.Matrix) *tensor.Matrix
 	Backward(gradOut *tensor.Matrix) *tensor.Matrix
 	Params() []*Param
 	// OutDim reports the layer's output width given its input width
@@ -69,13 +72,11 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 }
 
 // Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != d.W.Value.Rows {
 		panic(fmt.Sprintf("nn: Dense input width %d, want %d", x.Cols, d.W.Value.Rows))
 	}
-	if train {
-		d.x = x
-	}
+	d.x = x
 	y := tensor.New(x.Rows, d.W.Value.Cols)
 	tensor.MatMul(y, x, d.W.Value)
 	tensor.AddRowVector(y, d.B.Value.Data)
@@ -85,7 +86,7 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 // Backward implements Layer.
 func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	if d.x == nil {
-		panic("nn: Dense.Backward before Forward(train=true)")
+		panic("nn: Dense.Backward before Forward")
 	}
 	// dW += xᵀ·dY, accumulated into the grad buffer.
 	dW := tensor.New(d.W.Value.Rows, d.W.Value.Cols)
@@ -121,22 +122,16 @@ type ReLU struct {
 func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	y := tensor.New(x.Rows, x.Cols)
-	if train {
-		if cap(r.mask) < len(x.Data) {
-			r.mask = make([]bool, len(x.Data))
-		}
-		r.mask = r.mask[:len(x.Data)]
+	if cap(r.mask) < len(x.Data) {
+		r.mask = make([]bool, len(x.Data))
 	}
+	r.mask = r.mask[:len(x.Data)]
 	for i, v := range x.Data {
+		r.mask[i] = v > 0
 		if v > 0 {
 			y.Data[i] = v
-			if train {
-				r.mask[i] = true
-			}
-		} else if train {
-			r.mask[i] = false
 		}
 	}
 	return y

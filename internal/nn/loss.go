@@ -25,11 +25,8 @@ type LossResult struct {
 //     cross-entropies.
 //   - eta: the balance parameter η.
 //
-// The balance term follows Eqs. 12–13: with window size win = max(1, B/m),
-// the win largest probabilities of each bin column are summed and negated,
-// normalized by B so the term is batch-size invariant. Its gradient
-// (−η/B routed to the selected entries) is chained through the softmax
-// Jacobian analytically together with the cross-entropy gradient.
+// The balance term is AddWindowBalance's (Eqs. 12–13), added to the
+// cross-entropy gradient.
 func USPLoss(logits, targets *tensor.Matrix, weights []float32, eta float64) LossResult {
 	b, m := logits.Rows, logits.Cols
 	if targets.Rows != b || targets.Cols != m {
@@ -91,54 +88,7 @@ func USPLoss(logits, targets *tensor.Matrix, weights []float32, eta float64) Los
 	// ---- Balance term (only when eta != 0). ----
 	var balance float64
 	if eta != 0 {
-		win := b / m
-		if win < 1 {
-			win = 1
-		}
-		// dS/dP has −1/B at the selected window entries. We materialize
-		// dP then chain through the softmax Jacobian per row:
-		// dZ_i = P_i ⊙ (dP_i − <dP_i, P_i>).
-		dP := tensor.New(b, m)
-		col := make([]float32, b)
-		var winSum float64
-		for j := 0; j < m; j++ {
-			for i := 0; i < b; i++ {
-				col[i] = probs.At(i, j)
-			}
-			tau := vecmath.SelectKthLargest(col, win)
-			// Select entries > tau, then == tau until win entries total,
-			// in row order for determinism under ties.
-			remaining := win
-			for i := 0; i < b && remaining > 0; i++ {
-				if col[i] > tau {
-					winSum += float64(col[i])
-					dP.Set(i, j, -1)
-					remaining--
-				}
-			}
-			for i := 0; i < b && remaining > 0; i++ {
-				if col[i] == tau {
-					winSum += float64(col[i])
-					dP.Set(i, j, -1)
-					remaining--
-				}
-			}
-		}
-		balance = -winSum / float64(b)
-
-		invB := float32(1.0 / float64(b))
-		scale := float32(eta)
-		for i := 0; i < b; i++ {
-			prow, dprow, grow := probs.Row(i), dP.Row(i), grad.Row(i)
-			var dot float32
-			for j := range prow {
-				dprow[j] *= invB
-				dot += dprow[j] * prow[j]
-			}
-			for j := range grow {
-				grow[j] += scale * prow[j] * (dprow[j] - dot)
-			}
-		}
+		balance = AddWindowBalance(probs, grad, eta)
 	}
 
 	return LossResult{

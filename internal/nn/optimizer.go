@@ -6,49 +6,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Optimizer updates model parameters in place from their accumulated
-// gradients. Step consumes the gradients (the caller is expected to call
-// ZeroGrads before the next accumulation).
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	velocity map[*Param]*tensor.Matrix
-}
-
-// NewSGD constructs an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param]*tensor.Matrix)}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if o.Momentum == 0 {
-			lr := float32(o.LR)
-			for i, g := range p.Grad.Data {
-				p.Value.Data[i] -= lr * g
-			}
-			continue
-		}
-		v := o.velocity[p]
-		if v == nil {
-			v = tensor.New(p.Value.Rows, p.Value.Cols)
-			o.velocity[p] = v
-		}
-		mu, lr := float32(o.Momentum), float32(o.LR)
-		for i, g := range p.Grad.Data {
-			v.Data[i] = mu*v.Data[i] + g
-			p.Value.Data[i] -= lr * v.Data[i]
-		}
-	}
-}
-
 // Adam implements Kingma & Ba (2017) with bias correction; it is the
 // optimizer the paper uses for both model architectures.
 type Adam struct {
@@ -69,7 +26,9 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step updates params in place from their accumulated gradients. It
+// consumes the gradients: the caller calls ZeroGrads before the next
+// accumulation.
 func (o *Adam) Step(params []*Param) {
 	o.t++
 	c1 := 1 - math.Pow(o.Beta1, float64(o.t))

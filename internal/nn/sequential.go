@@ -58,12 +58,12 @@ func (s *Sequential) OutDim() int {
 	return d
 }
 
-// Forward runs the model on a batch, returning logits. When train is true,
-// layers cache activations for a subsequent Backward and apply
-// training-only behaviour (dropout, batch statistics).
-func (s *Sequential) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+// Forward runs the model on a training batch, returning logits: layers
+// cache activations for a subsequent Backward and apply training-only
+// behaviour (dropout, batch statistics).
+func (s *Sequential) Forward(x *tensor.Matrix) *tensor.Matrix {
 	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+		x = l.Forward(x)
 	}
 	return x
 }
@@ -103,46 +103,49 @@ func (s *Sequential) ZeroGrads() {
 	}
 }
 
-// Predict runs inference on a batch and returns bin probabilities
-// (softmax over logits). The input is consumed in eval mode, so running
-// batch-norm statistics are used and dropout is disabled.
+// Predict returns the bin probabilities of every row of x: the allocating
+// form of PredictBatchInto (running batch-norm statistics, dropout off).
 func (s *Sequential) Predict(x *tensor.Matrix) *tensor.Matrix {
-	logits := s.Forward(x, false)
-	SoftmaxRows(logits)
-	return logits
+	var sc BatchInferScratch
+	return tensor.FromSlice(x.Rows, s.OutDim(), s.PredictBatchInto(nil, x, &sc))
 }
 
-// PredictVec runs inference on a single vector and returns its bin
-// probability distribution.
+// PredictVec returns the bin probabilities of one vector: the allocating
+// form of PredictVecInto.
 func (s *Sequential) PredictVec(v []float32) []float32 {
-	x := tensor.FromSlice(1, len(v), v)
-	return s.Predict(x).Row(0)
+	var sc InferScratch
+	return s.PredictVecInto(nil, v, &sc)
 }
 
 // SoftmaxRows converts each row of logits to a probability distribution in
-// place using the max-subtraction trick for stability.
+// place (see softmaxRow).
 func SoftmaxRows(m *tensor.Matrix) {
 	par.ForChunks(m.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			row := m.Row(i)
-			maxv := row[0]
-			for _, v := range row[1:] {
-				if v > maxv {
-					maxv = v
-				}
-			}
-			var sum float64
-			for j, v := range row {
-				e := math.Exp(float64(v - maxv))
-				row[j] = float32(e)
-				sum += e
-			}
-			inv := float32(1 / sum)
-			for j := range row {
-				row[j] *= inv
-			}
+			softmaxRow(m.Row(i))
 		}
 	})
+}
+
+// softmaxRow converts one row of logits to a probability distribution in
+// place using the max-subtraction trick for stability (float64 sum).
+func softmaxRow(row []float32) {
+	maxv := row[0]
+	for _, v := range row[1:] {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	var sum float64
+	for j, v := range row {
+		e := math.Exp(float64(v - maxv))
+		row[j] = float32(e)
+		sum += e
+	}
+	inv := float32(1 / sum)
+	for j := range row {
+		row[j] *= inv
+	}
 }
 
 // LogSoftmaxRow computes log-softmax of one logits row into dst (float64 for

@@ -82,13 +82,16 @@ type batcher struct {
 	flushDrain  *telemetry.Counter
 }
 
-func newBatcher(srv *Server, max, queueLen int, window time.Duration) *batcher {
+// newBatcher starts a scheduler of batches of up to max requests. Its
+// admission queue holds four batches, so a burst can queue while the
+// collector flushes; past that, requests execute directly.
+func newBatcher(srv *Server, max int, window time.Duration) *batcher {
 	reg := srv.reg
 	b := &batcher{
 		srv:    srv,
 		max:    max,
 		window: window,
-		queue:  make(chan *batchItem, queueLen),
+		queue:  make(chan *batchItem, 4*max),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 		batchSize: reg.Histogram("usp_batch_size", "",

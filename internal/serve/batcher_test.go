@@ -149,7 +149,8 @@ func TestMicrobatchedSearchBitIdentical(t *testing.T) {
 func TestBatcherQueueFullFallsBackDirect(t *testing.T) {
 	corpus := testCorpus(t, 13, 300, 8)
 	ix := testIndex(t, corpus)
-	s := New(ix, Config{BatchWindow: time.Millisecond, BatchMax: 2, BatchQueue: 1})
+	// BatchMax 1 leaves a 4-request queue for 16 clients.
+	s := New(ix, Config{BatchWindow: time.Millisecond, BatchMax: 1})
 	defer s.Close()
 	queries := corpus.Rows()[:32]
 	var wg sync.WaitGroup

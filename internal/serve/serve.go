@@ -173,12 +173,10 @@ type Config struct {
 	// flushed immediately — it never waits the window — so enabling
 	// batching leaves single-client latency essentially unchanged.
 	BatchWindow time.Duration
-	// BatchMax caps requests per micro-batch (0 = 64).
+	// BatchMax caps requests per micro-batch (0 = 64). The admission queue
+	// holds 4×BatchMax requests; one arriving while it is full falls back
+	// to direct execution rather than erroring.
 	BatchMax int
-	// BatchQueue bounds the admission queue (0 = 4×BatchMax). Requests
-	// arriving while it is full fall back to direct execution rather than
-	// erroring.
-	BatchQueue int
 }
 
 // engine bundles an index with its searcher pool. It is published as a
@@ -227,11 +225,7 @@ func New(ix *usp.Index, cfg Config) *Server {
 		if max <= 0 {
 			max = 64
 		}
-		queueLen := cfg.BatchQueue
-		if queueLen <= 0 {
-			queueLen = 4 * max
-		}
-		s.batch = newBatcher(s, max, queueLen, cfg.BatchWindow)
+		s.batch = newBatcher(s, max, cfg.BatchWindow)
 	}
 	return s
 }

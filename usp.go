@@ -64,6 +64,25 @@ func ValidateVector(v []float32) error {
 	return nil
 }
 
+// validateCorpus returns an ErrInvalid error unless the vectors Build or
+// Cluster trains on are non-empty, share one nonzero width, and pass
+// ValidateVector.
+func validateCorpus(vectors [][]float32) error {
+	if len(vectors) == 0 || len(vectors[0]) == 0 {
+		return fmt.Errorf("%w: empty corpus or zero-width vectors", ErrInvalid)
+	}
+	dim := len(vectors[0])
+	for i, v := range vectors {
+		if len(v) != dim {
+			return fmt.Errorf("%w: vector %d has dim %d, vector 0 has %d", ErrInvalid, i, len(v), dim)
+		}
+		if err := ValidateVector(v); err != nil {
+			return fmt.Errorf("vector %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // ErrNotFound marks errors about an id that does not exist (or no longer
 // exists) in the index, such as deleting an unknown or already-deleted id.
 var ErrNotFound = errors.New("usp: not found")
@@ -329,10 +348,8 @@ func Build(vectors [][]float32, opt Options) (*Index, error) {
 	if len(opt.Hierarchy) > 0 && opt.Ensemble > 1 {
 		return nil, errors.New("usp: Hierarchy and Ensemble > 1 are mutually exclusive")
 	}
-	for i, v := range vectors {
-		if err := ValidateVector(v); err != nil {
-			return nil, fmt.Errorf("vector %d: %w", i, err)
-		}
+	if err := validateCorpus(vectors); err != nil {
+		return nil, err
 	}
 	ds := dataset.FromRowsCopy(vectors)
 	// Cache per-row squared norms so the candidate scan can use the fused
@@ -469,6 +486,9 @@ func (ix *Index) Search(q []float32, k int, opt SearchOptions) ([]Result, error)
 func Cluster(vectors [][]float32, k int, opt Options) ([]int, error) {
 	if len(vectors) < k {
 		return nil, fmt.Errorf("usp: %d vectors cannot form %d clusters", len(vectors), k)
+	}
+	if err := validateCorpus(vectors); err != nil {
+		return nil, err
 	}
 	opt = opt.withDefaults()
 	ds := dataset.FromRowsCopy(vectors)

@@ -1,6 +1,8 @@
 package usp
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -229,5 +231,39 @@ func TestClusterFacade(t *testing.T) {
 	}
 	if _, err := Cluster(vecs[:2], 3, Options{}); err == nil {
 		t.Fatal("k>n should fail")
+	}
+}
+
+// TestCorpusValidation: Build and Cluster refuse ragged, zero-width and
+// non-finite corpora with ErrInvalid instead of panicking in the dataset
+// constructor or clustering NaN rows. (Build's NaN case is in
+// TestNonFiniteVectorsRejected.)
+func TestCorpusValidation(t *testing.T) {
+	vecs, _ := clusteredVectors(15, 8, 4, 2)
+	ragged := append([][]float32(nil), vecs...)
+	ragged[5] = ragged[5][:3]
+	zeroWidth := make([][]float32, 8)
+	for i := range zeroWidth {
+		zeroWidth[i] = []float32{}
+	}
+	withNaN := append([][]float32(nil), vecs...)
+	withNaN[3] = append([]float32(nil), vecs[3]...)
+	withNaN[3][1] = float32(math.NaN())
+	build := func(v [][]float32) error { _, err := Build(v, Options{Bins: 2, Epochs: 1}); return err }
+	cluster := func(v [][]float32) error { _, err := Cluster(v, 2, Options{Epochs: 1}); return err }
+	for _, tc := range []struct {
+		name   string
+		call   func([][]float32) error
+		corpus [][]float32
+	}{
+		{"Build ragged", build, ragged},
+		{"Cluster ragged", cluster, ragged},
+		{"Build zero-width", build, zeroWidth},
+		{"Cluster zero-width", cluster, zeroWidth},
+		{"Cluster NaN", cluster, withNaN},
+	} {
+		if err := tc.call(tc.corpus); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: error %v, want ErrInvalid", tc.name, err)
+		}
 	}
 }
