@@ -6,7 +6,10 @@ package usp
 // sets of equal size on clustered data).
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -81,6 +84,45 @@ func TestSeededBuildIsDeterministic(t *testing.T) {
 				t.Fatalf("query %d: candidates diverge at %d", qi, i)
 			}
 		}
+	}
+
+	// A build depends on the data, the options and the seed, not on how many
+	// cores trained it: hierarchy subtrees, PQ subspaces and the router
+	// beside the codebooks run concurrently at GOMAXPROCS 2 and one after
+	// another at 1, and the snapshots must be the same bytes. Logf is set so
+	// the race detector sees the concurrent training loops call it.
+	var lines atomic.Int64
+	logf := func(string, ...any) { lines.Add(1) }
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"quantized [4,4] hierarchy", Options{Hierarchy: []int{4, 4}, Epochs: 5, Hidden: []int{16}, Seed: 9,
+			Quantize: Quantization{Enabled: true, Subspaces: 4, K: 16}, Logf: logf}},
+		{"2-member ensemble", Options{Bins: 4, Ensemble: 2, Epochs: 5, Hidden: []int{16}, Seed: 9, Logf: logf}},
+	} {
+		save := func(procs int) []byte {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			ix, err := Build(vecs, tc.opt)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			var buf bytes.Buffer
+			if err := ix.Save(&buf); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			return buf.Bytes()
+		}
+		one, two, again := save(1), save(2), save(2)
+		if !bytes.Equal(one, two) {
+			t.Errorf("%s: snapshot at GOMAXPROCS 1 differs from GOMAXPROCS 2", tc.name)
+		}
+		if !bytes.Equal(two, again) {
+			t.Errorf("%s: two builds at GOMAXPROCS 2 differ", tc.name)
+		}
+	}
+	if lines.Load() == 0 {
+		t.Error("Logf was never called")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/knn"
 	"repro/internal/nn"
+	"repro/internal/par"
 	"repro/internal/vecmath"
 )
 
@@ -38,6 +39,13 @@ type hnode struct {
 // ignored (overridden per level). Subsets too small to train a model are
 // split round-robin by an untrained model, which only arises at depths where
 // candidate sets are already tiny.
+//
+// Once a node has trained, its children train concurrently: each subtree
+// reads only its own subset of ds, takes its seed and leaf range from its
+// position in the tree, and writes only its own leaves of the table, so the
+// models and table are those a depth-first serial walk would train. The
+// returned stats are in that walk's order (pre-order). cfg.Logf may be
+// called from several goroutines at once.
 func TrainHierarchy(ds *dataset.Dataset, levels []int, cfg Config) (*Hierarchy, []TrainStats, error) {
 	if len(levels) == 0 {
 		return nil, nil, fmt.Errorf("core: hierarchy needs at least one level")
@@ -54,24 +62,24 @@ func TrainHierarchy(ds *dataset.Dataset, levels []int, cfg Config) (*Hierarchy, 
 	for i := range all {
 		all[i] = int32(i)
 	}
-	var stats []TrainStats
-	var err error
-	nextLeaf := 0
-	h.root, err = trainNode(ds, all, levels, cfg, &nextLeaf, h, &stats)
+	root, stats, err := trainNode(ds, all, levels, cfg, 0, h)
 	if err != nil {
 		return nil, nil, err
 	}
+	h.root = root
 	h.Bins = mergeTable(h.Bins, nil)
 	return h, stats, nil
 }
 
-// trainNode trains the model for one subset and recurses. idx holds global
-// dataset indices of the subset.
+// trainNode trains the model for one subset and recurses, returning the
+// subtree's stats in pre-order. idx holds global dataset indices of the
+// subset; leafBase is the subtree's first global leaf bin, which also seeds
+// the node.
 func trainNode(ds *dataset.Dataset, idx []int32, levels []int, cfg Config,
-	nextLeaf *int, h *Hierarchy, stats *[]TrainStats) (*hnode, error) {
+	leafBase int, h *Hierarchy) (*hnode, []TrainStats, error) {
 
 	m := levels[0]
-	node := &hnode{leafBase: *nextLeaf}
+	node := &hnode{leafBase: leafBase}
 	local := make([]int, len(idx))
 	for i, g := range idx {
 		local[i] = int(g)
@@ -80,10 +88,11 @@ func trainNode(ds *dataset.Dataset, idx []int32, levels []int, cfg Config,
 
 	// localBins[b] lists positions within idx assigned to bin b.
 	var localBins [][]int32
+	var stats []TrainStats
 	if sub.N >= 2*m && sub.N > cfg.KPrime && sub.N >= 4 {
 		ncfg := cfg
 		ncfg.Bins = m
-		ncfg.Seed = cfg.Seed + int64(*nextLeaf)*104729
+		ncfg.Seed = cfg.Seed + int64(leafBase)*104729
 		kp := ncfg.KPrime
 		if kp >= sub.N {
 			kp = sub.N - 1
@@ -92,14 +101,14 @@ func trainNode(ds *dataset.Dataset, idx []int32, levels []int, cfg Config,
 		ncfg.KPrime = kp
 		p, st, err := Train(sub, mat, ncfg, nil)
 		if err != nil {
-			return nil, fmt.Errorf("core: hierarchy node: %w", err)
+			return nil, nil, fmt.Errorf("core: hierarchy node: %w", err)
 		}
-		*stats = append(*stats, st)
+		stats = append(stats, st)
 		node.model = p.Model
 		localBins = p.Bins
 	} else {
 		// Degenerate subset: untrained router, round-robin assignment.
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(*nextLeaf)))
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(leafBase)))
 		node.model = nn.NewLogistic(ds.Dim, m, rng)
 		localBins = make([][]int32, m)
 		for i := 0; i < sub.N; i++ {
@@ -110,28 +119,39 @@ func trainNode(ds *dataset.Dataset, idx []int32, levels []int, cfg Config,
 	if len(levels) == 1 {
 		// Leaf level: local bins become consecutive global leaf bins.
 		for b := 0; b < m; b++ {
-			g := *nextLeaf + b
+			g := leafBase + b
 			for _, li := range localBins[b] {
 				h.Bins[g] = append(h.Bins[g], idx[li])
 			}
 		}
-		*nextLeaf += m
-		return node, nil
+		return node, stats, nil
 	}
 
-	node.children = make([]*hnode, m)
-	for b := 0; b < m; b++ {
-		childIdx := make([]int32, len(localBins[b]))
-		for i, li := range localBins[b] {
-			childIdx[i] = idx[li]
-		}
-		child, err := trainNode(ds, childIdx, levels[1:], cfg, nextLeaf, h, stats)
-		if err != nil {
-			return nil, err
-		}
-		node.children[b] = child
+	// Child b's subtree holds the ∏levels[1:] leaves after its elder
+	// siblings'.
+	span := 1
+	for _, c := range levels[1:] {
+		span *= c
 	}
-	return node, nil
+	node.children = make([]*hnode, m)
+	childStats := make([][]TrainStats, m)
+	errs := make([]error, m)
+	par.ForChunksMin(m, 1, func(first, end int) {
+		for b := first; b < end; b++ {
+			childIdx := make([]int32, len(localBins[b]))
+			for i, li := range localBins[b] {
+				childIdx[i] = idx[li]
+			}
+			node.children[b], childStats[b], errs[b] = trainNode(ds, childIdx, levels[1:], cfg, leafBase+b*span, h)
+		}
+	})
+	for b, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+		stats = append(stats, childStats[b]...)
+	}
+	return node, stats, nil
 }
 
 // LeafProbabilitiesInto writes the query's probability for every global

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/bitset"
-	"repro/internal/par"
 )
 
 // The lookup table of Algorithm 1 step 3 has one form for both router
@@ -92,14 +91,13 @@ func validateTable(t [][]int32, width, rows int) error {
 }
 
 // withTables returns an ensemble sharing e's models whose member tables are
-// table(member). Members are built in parallel: this is pure id-list surgery
-// and never touches vectors.
+// table(member), built one member after another: this is pure id-list
+// surgery and never touches vectors.
 func (e *Ensemble) withTables(table func(p *Partitioner) [][]int32) *Ensemble {
 	ne := &Ensemble{Parts: make([]*Partitioner, len(e.Parts))}
-	par.For(len(e.Parts), func(m int) {
-		p := e.Parts[m]
+	for m, p := range e.Parts {
 		ne.Parts[m] = &Partitioner{Model: p.Model, M: p.M, Bins: table(p)}
-	})
+	}
 	return ne
 }
 

@@ -56,6 +56,20 @@ func (d *Dataset) Subset(indices []int) *Dataset {
 	return out
 }
 
+// Transposed returns rows [lo, hi) as one dimension-major array: coordinate
+// j of row lo+r at [j*(hi-lo)+r]. It is the layout vecmath.SegmentToCentroids
+// reads, a codebook's (or a block of rows') "centroid-major" copy.
+func (d *Dataset) Transposed(lo, hi int) []float32 {
+	n := hi - lo
+	t := make([]float32, n*d.Dim)
+	for r := 0; r < n; r++ {
+		for j, v := range d.Row(lo + r) {
+			t[j*n+r] = v
+		}
+	}
+	return t
+}
+
 // Clone returns a deep copy.
 func (d *Dataset) Clone() *Dataset {
 	out := New(d.N, d.Dim)

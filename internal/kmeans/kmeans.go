@@ -94,14 +94,36 @@ func Run(ds *dataset.Dataset, k int, opt Options) (*Result, error) {
 }
 
 // seedPlusPlus performs k-means++ initialization (Arthur & Vassilvitskii).
+// Each new centroid is scored against every row by vecmath.SegmentToCentroids
+// over dimension-major blocks of the rows (the rows playing the centroids'
+// part), with the bits of SquaredL2 up to 4 dimensions (7 under avx2-fma),
+// as in assignAll.
 func seedPlusPlus(ds *dataset.Dataset, k int, rng *rand.Rand) *dataset.Dataset {
 	cents := dataset.New(k, ds.Dim)
 	first := rng.Intn(ds.N)
 	copy(cents.Row(0), ds.Row(first))
-	d2 := make([]float64, ds.N)
-	for i := range d2 {
-		d2[i] = float64(vecmath.SquaredL2(ds.Row(i), cents.Row(0)))
+	blocks := make([][]float32, (ds.N+seedBlock-1)/seedBlock)
+	for b := range blocks {
+		blocks[b] = ds.Transposed(b*seedBlock, min((b+1)*seedBlock, ds.N))
 	}
+	d2 := make([]float64, ds.N)
+	dist := make([]float32, ds.N)
+	// score lowers d2 to the distance to centroid c (sets it, for c = 0).
+	score := func(c int) {
+		par.ForChunksMin(len(blocks), 2, func(lo, hi int) {
+			for b := lo; b < hi; b++ {
+				r0 := b * seedBlock
+				d := dist[r0:min(r0+seedBlock, ds.N)]
+				vecmath.SegmentToCentroids(d, cents.Row(c), blocks[b])
+				for i, v := range d {
+					if f := float64(v); c == 0 || f < d2[r0+i] {
+						d2[r0+i] = f
+					}
+				}
+			}
+		})
+	}
+	score(0)
 	for c := 1; c < k; c++ {
 		var total float64
 		for _, d := range d2 {
@@ -121,35 +143,55 @@ func seedPlusPlus(ds *dataset.Dataset, k int, rng *rand.Rand) *dataset.Dataset {
 			}
 		}
 		copy(cents.Row(c), ds.Row(pick))
-		par.ForChunks(ds.N, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if d := float64(vecmath.SquaredL2(ds.Row(i), cents.Row(c))); d < d2[i] {
-					d2[i] = d
-				}
-			}
-		})
+		score(c)
 	}
 	return cents
 }
 
+// seedBlock is the number of rows per dimension-major block seedPlusPlus
+// scores in one kernel call; blocks are what it splits across workers.
+const seedBlock = 1024
+
 // assignAll assigns each point to its nearest centroid and returns the
-// objective.
+// objective. A row is scored against every centroid by one
+// vecmath.SegmentToCentroids call over a centroid-major copy of cents, then
+// vecmath.ArgMin picks the first nearest — the PQ encoder's kernel pair.
+// Each distance is accumulated in coordinate order like SquaredL2's, and up
+// to 4 dimensions (7 under avx2-fma) it has SquaredL2's bits, so there the
+// assignment is the one the per-centroid SquaredL2 loop makes. Wider rows
+// differ from that loop by float rounding only.
 func assignAll(ds *dataset.Dataset, cents *dataset.Dataset, assign []int32) float64 {
+	cbT := cents.Transposed(0, cents.N)
 	return par.MapReduce(ds.N, func(lo, hi int) float64 {
 		var local float64
+		dist := make([]float32, cents.N)
 		for i := lo; i < hi; i++ {
-			row := ds.Row(i)
-			best, bi := float32(math.MaxFloat32), 0
-			for c := 0; c < cents.N; c++ {
-				if d := vecmath.SquaredL2(row, cents.Row(c)); d < best {
-					best, bi = d, c
-				}
+			vecmath.SegmentToCentroids(dist, ds.Row(i), cbT)
+			bi := vecmath.ArgMin(dist)
+			best := dist[bi]
+			if !(best < math.MaxFloat32) {
+				// Nothing below the loop's starting bound (or a NaN first
+				// distance): take the loop's own answer.
+				best, bi = firstBelowMax(dist)
 			}
 			assign[i] = int32(bi)
 			local += float64(best)
 		}
 		return local
 	}, func(a, b float64) float64 { return a + b })
+}
+
+// firstBelowMax is the assignment loop the kernels replace: the first index
+// of the smallest distance below math.MaxFloat32, or index 0 at that bound
+// when there is none.
+func firstBelowMax(dist []float32) (float32, int) {
+	best, bi := float32(math.MaxFloat32), 0
+	for c, d := range dist {
+		if d < best {
+			best, bi = d, c
+		}
+	}
+	return best, bi
 }
 
 // updateCentroids recomputes centroids as the means of their members;

@@ -85,6 +85,17 @@ func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward implements Layer.
 func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+	d.accumulateGrads(gradOut)
+	// dX = dY·Wᵀ.
+	dX := tensor.New(gradOut.Rows, d.W.Value.Rows)
+	tensor.MatMulABT(dX, gradOut, d.W.Value)
+	return dX
+}
+
+// accumulateGrads is Backward without the input gradient: it adds the
+// batch's weight and bias gradients into the grad buffers. Sequential calls
+// it for a first layer, whose input gradient nothing reads.
+func (d *Dense) accumulateGrads(gradOut *tensor.Matrix) {
 	if d.x == nil {
 		panic("nn: Dense.Backward before Forward")
 	}
@@ -100,11 +111,7 @@ func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	for i, v := range colSums {
 		d.B.Grad.Data[i] += v
 	}
-	// dX = dY·Wᵀ.
-	dX := tensor.New(gradOut.Rows, d.W.Value.Rows)
-	tensor.MatMulABT(dX, gradOut, d.W.Value)
 	d.x = nil
-	return dX
 }
 
 // Params implements Layer.

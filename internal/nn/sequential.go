@@ -69,12 +69,19 @@ func (s *Sequential) Forward(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // Backward propagates the gradient of the loss with respect to the logits
-// back through the model, accumulating parameter gradients.
+// back through the model, accumulating parameter gradients. The gradient
+// with respect to the model's input is not formed: a Dense first layer (as
+// every model NewMLP and NewLogistic build has) only accumulates its own.
 func (s *Sequential) Backward(gradLogits *tensor.Matrix) {
 	g := gradLogits
-	for i := len(s.Layers) - 1; i >= 0; i-- {
+	for i := len(s.Layers) - 1; i > 0; i-- {
 		g = s.Layers[i].Backward(g)
 	}
+	if d, ok := s.Layers[0].(*Dense); ok {
+		d.accumulateGrads(g)
+		return
+	}
+	s.Layers[0].Backward(g)
 }
 
 // Params returns all trainable parameters in layer order.

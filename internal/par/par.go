@@ -1,9 +1,12 @@
 // Package par provides small parallel-execution helpers used across the
-// library: chunked parallel-for over index ranges and a bounded worker pool.
+// library: chunked parallel-for over index ranges, a parallel map-reduce and
+// a run-side-by-side helper.
 //
-// All helpers degrade gracefully to sequential execution when GOMAXPROCS is 1
-// or the range is small, so hot paths pay no goroutine overhead on tiny
-// inputs.
+// All helpers degrade gracefully to sequential execution when GOMAXPROCS is
+// 1. For, ForChunks and MapReduce also run any range shorter than 1024
+// items inline on the calling goroutine, so hot paths pay no goroutine
+// overhead on tiny inputs; a handful of expensive items (models, codebooks,
+// subspaces) needs ForChunksMin with a small minimum span, or Do.
 package par
 
 import (

@@ -97,13 +97,7 @@ func FromCodebooks(dim, k int, bounds []int, codebooks []*dataset.Dataset) (*PQ,
 func (pq *PQ) buildMirror() {
 	pq.mirror = make([][]float32, pq.Subspaces)
 	for s, cb := range pq.Codebooks {
-		t := make([]float32, len(cb.Data))
-		for c := 0; c < cb.N; c++ {
-			for j, v := range cb.Row(c) {
-				t[j*cb.N+c] = v
-			}
-		}
-		pq.mirror[s] = t
+		pq.mirror[s] = cb.Transposed(0, cb.N)
 	}
 }
 
@@ -142,27 +136,39 @@ func Train(ds *dataset.Dataset, cfg Config) (*PQ, error) {
 	}
 	pq.Bounds[cfg.Subspaces] = ds.Dim // last block absorbs the remainder
 
+	// Subspaces are independent k-means problems, each seeded by its own
+	// index, so they train concurrently and every codebook is the one a
+	// serial loop would fit.
 	pq.Codebooks = make([]*dataset.Dataset, cfg.Subspaces)
-	for s := 0; s < cfg.Subspaces; s++ {
-		lo, hi := pq.Bounds[s], pq.Bounds[s+1]
-		sub := dataset.New(ds.N, hi-lo)
-		for i := 0; i < ds.N; i++ {
-			copy(sub.Row(i), ds.Row(i)[lo:hi])
+	errs := make([]error, cfg.Subspaces)
+	par.ForChunksMin(cfg.Subspaces, 1, func(first, end int) {
+		for s := first; s < end; s++ {
+			pq.Codebooks[s], errs[s] = trainSubspace(ds, pq.Bounds[s], pq.Bounds[s+1], cfg, cfg.Seed+int64(s))
 		}
-		res, err := kmeans.Run(sub, cfg.K, kmeans.Options{
-			Seed: cfg.Seed + int64(s), MaxIters: cfg.Iters,
-		})
+	})
+	for s, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("quant: subspace %d: %w", s, err)
 		}
-		cents := res.Centroids
-		if cfg.Anisotropic {
-			cents = anisotropicRefine(sub, cents, cfg, cfg.Seed+int64(s))
-		}
-		pq.Codebooks[s] = cents
 	}
 	pq.buildMirror()
 	return pq, nil
+}
+
+// trainSubspace fits the codebook of the dimensions [lo, hi) of ds.
+func trainSubspace(ds *dataset.Dataset, lo, hi int, cfg Config, seed int64) (*dataset.Dataset, error) {
+	sub := dataset.New(ds.N, hi-lo)
+	for i := 0; i < ds.N; i++ {
+		copy(sub.Row(i), ds.Row(i)[lo:hi])
+	}
+	res, err := kmeans.Run(sub, cfg.K, kmeans.Options{Seed: seed, MaxIters: cfg.Iters})
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Anisotropic {
+		return anisotropicRefine(sub, res.Centroids, cfg, seed), nil
+	}
+	return res.Centroids, nil
 }
 
 // Encode quantizes every row of ds into Subspaces byte codes.

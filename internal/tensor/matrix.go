@@ -150,6 +150,17 @@ func matMulRows(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
+// trainSplitRows is the output-row count from which the gradient products
+// MatMulATB and MatMulABT split across workers, given the multiply-adds one
+// output row costs: enough rows for two workers to get minSplitWork each.
+// A training batch's products split (a 320-row batch through a 128→64 layer
+// is 2.6M multiply-adds) where par's 1024-row default never would; a row
+// owns its output, so the split does not change a bit.
+func trainSplitRows(perRow int) int {
+	const minSplitWork = 1 << 16
+	return 2 * (minSplitWork/max(perRow, 1) + 1)
+}
+
 // MatMulATB computes dst = aᵀ · b without materializing the transpose.
 // Shapes: a is n×r, b is n×c, dst is r×c. Used for weight gradients
 // (dW = Xᵀ·dY).
@@ -159,7 +170,7 @@ func MatMulATB(dst, a, b *Matrix) {
 	}
 	// Parallelize over the rows of dst (columns of a): each worker owns a
 	// disjoint slice of output rows, so no synchronization is needed.
-	par.ForChunks(dst.Rows, func(lo, hi int) {
+	par.ForChunksMin(dst.Rows, trainSplitRows(a.Rows*b.Cols), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			drow := dst.Row(r)
 			for x := range drow {
@@ -184,7 +195,7 @@ func MatMulABT(dst, a, b *Matrix) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("tensor: MatMulABT shape mismatch")
 	}
-	par.ForChunks(a.Rows, func(lo, hi int) {
+	par.ForChunksMin(a.Rows, trainSplitRows(a.Cols*b.Rows), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
 			drow := dst.Row(i)

@@ -38,6 +38,9 @@ func lutSumRowsAVX2(dst, lut []float32, k int, codes []uint8, m int, ids []int32
 //go:noescape
 func dotRowsAVX2(dst, q, data []float32, dim int, ids []int32)
 
+//go:noescape
+func argMinAVX2(x []float32) int
+
 var avx2Kernels = kernels{
 	name:   "avx2-fma",
 	dot:    dotAVX2,
@@ -47,8 +50,8 @@ var avx2Kernels = kernels{
 	arch:   true,
 }
 
-// The block kernels the wrappers call directly when avx2Kernels is active
-// (see the kernels type for why they are not table entries).
+// The kernels the wrappers call directly when avx2Kernels is active (see
+// the kernels type for why they are not table entries).
 
 func segToCentroidsArch(dst, seg, cbT []float32) {
 	segToCentroidsAVX2(dst, seg, cbT)
@@ -60,6 +63,10 @@ func lutSumRowsArch(dst, lut []float32, k int, codes []uint8, m int, ids []int32
 
 func dotRowsArch(dst, q, data []float32, dim int, ids []int32) {
 	dotRowsAVX2(dst, q, data, dim, ids)
+}
+
+func argMinArch(x []float32) int {
+	return argMinAVX2(x)
 }
 
 // archKernels returns the best kernel set this CPU supports.

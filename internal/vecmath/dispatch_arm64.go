@@ -30,13 +30,17 @@ var neonKernels = kernels{
 	arch:   true,
 }
 
-// The block kernels have no NEON port yet. The segment kernel runs the
-// portable code; the multi-row sum and the multi-row dot product loop over
-// the NEON single-row kernels, which keeps every row bit-equal to LUTSum
-// and Dot under this dispatch.
+// The block kernels and ArgMin have no NEON port yet. The segment kernel
+// and ArgMin run the portable code; the multi-row sum and the multi-row dot
+// product loop over the NEON single-row kernels, which keeps every row
+// bit-equal to LUTSum and Dot under this dispatch.
 
 func segToCentroidsArch(dst, seg, cbT []float32) {
 	segToCentroidsScalar(dst, seg, cbT)
+}
+
+func argMinArch(x []float32) int {
+	return argMinScalar(x)
 }
 
 func lutSumRowsArch(dst, lut []float32, k int, codes []uint8, m int, ids []int32) {

@@ -22,3 +22,7 @@ func lutSumRowsArch(dst, lut []float32, k int, codes []uint8, m int, ids []int32
 func dotRowsArch(dst, q, data []float32, dim int, ids []int32) {
 	dotRowsScalar(dst, q, data, dim, ids)
 }
+
+func argMinArch(x []float32) int {
+	return argMinScalar(x)
+}

@@ -304,25 +304,29 @@ func TestPublicKernelsUseActiveImpl(t *testing.T) {
 			t.Fatalf("DotRows diverges from the %s kernel at %d", pair.name, i)
 		}
 	}
+	if got, want := ArgMin(a), pair.argMin(a); got != want {
+		t.Fatalf("ArgMin = %d, the %s kernel gives %d", got, pair.name, want)
+	}
 }
 
-// blockKernels is one implementation of the three block kernels, which are
-// called directly and so are not entries of the kernels table, beside the
-// table of the same implementation — the single-row kernels the multi-row
-// ones are pinned to.
+// blockKernels is one implementation of the three block kernels and
+// ArgMin, which are called directly and so are not entries of the kernels
+// table, beside the table of the same implementation — the single-row
+// kernels the multi-row ones are pinned to.
 type blockKernels struct {
 	kernels
-	seg  func(dst, seg, cbT []float32)
-	rows func(dst, lut []float32, k int, codes []uint8, m int, ids []int32)
-	dots func(dst, q, data []float32, dim int, ids []int32)
+	seg    func(dst, seg, cbT []float32)
+	rows   func(dst, lut []float32, k int, codes []uint8, m int, ids []int32)
+	dots   func(dst, q, data []float32, dim int, ids []int32)
+	argMin func(x []float32) int
 }
 
 // blockImpls lists the portable set and, when this machine can run it,
 // the architecture set.
 func blockImpls() []blockKernels {
-	impls := []blockKernels{{scalarKernels, segToCentroidsScalar, lutSumRowsScalar, dotRowsScalar}}
+	impls := []blockKernels{{scalarKernels, segToCentroidsScalar, lutSumRowsScalar, dotRowsScalar, argMinScalar}}
 	if arch, ok := archKernels(); ok {
-		impls = append(impls, blockKernels{arch, segToCentroidsArch, lutSumRowsArch, dotRowsArch})
+		impls = append(impls, blockKernels{arch, segToCentroidsArch, lutSumRowsArch, dotRowsArch, argMinArch})
 	}
 	return impls
 }
@@ -535,5 +539,76 @@ func TestDotRowsPublic(t *testing.T) {
 			}()
 			DotRows(dst, q, data, dim, []int32{0, bad})
 		}()
+	}
+}
+
+// argMinSpecials are the values whose ordering the ArgMin kernels must
+// reproduce exactly: signed zeros (which tie), infinities, NaN, the extremes
+// of the finite range and the smallest subnormal.
+var argMinSpecials = []float32{
+	0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+	float32(math.NaN()), math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32, 1, -1,
+}
+
+// checkArgMin fails unless every implementation returns the portable
+// kernel's index for x, and the public wrapper the active one's.
+func checkArgMin(t *testing.T, x []float32, what string) {
+	t.Helper()
+	want := argMinScalar(x)
+	for _, impl := range blockImpls() {
+		if got := impl.argMin(x); got != want {
+			t.Fatalf("%s, n=%d: %s ArgMin = %d, scalar = %d (x=%v)", what, len(x), impl.name, got, want, x)
+		}
+	}
+	if got := ArgMin(x); got != want {
+		t.Fatalf("%s, n=%d: ArgMin = %d, scalar = %d", what, len(x), got, want)
+	}
+}
+
+// TestArgMinMatchesScalar holds every ArgMin implementation to the index of
+// the portable loop at lengths 0–300, from every float offset of a buffer
+// (so the 32- and 8-wide blocks start misaligned): on random values, on
+// values drawn from three (ties everywhere), on mixes of the special values,
+// and with a NaN, −Inf, +Inf, −0 or a unique minimum planted at every
+// position.
+func TestArgMinMatchesScalar(t *testing.T) {
+	if ArgMin(nil) != -1 {
+		t.Fatal("ArgMin of an empty slice must be -1")
+	}
+	rng := rand.New(rand.NewSource(33))
+	nan, negZero := float32(math.NaN()), float32(math.Copysign(0, -1))
+	for n := 1; n <= 300; n++ {
+		off := n % 8
+		buf := make([]float32, n+off)
+		x := buf[off:]
+		copy(x, skewedVec(rng, n))
+		checkArgMin(t, x, "random")
+		for i := range x {
+			x[i] = float32(rng.Intn(3))
+		}
+		checkArgMin(t, x, "ties")
+		for i := range x {
+			x[i] = argMinSpecials[rng.Intn(len(argMinSpecials))]
+		}
+		checkArgMin(t, x, "specials")
+		base := skewedVec(rng, n)
+		for p := 0; p < n; p++ {
+			for _, v := range []float32{nan, float32(math.Inf(-1)), float32(math.Inf(1)), negZero, -1e30} {
+				copy(x, base)
+				x[p] = v
+				checkArgMin(t, x, "planted")
+			}
+		}
+		for i := range x {
+			x[i] = nan
+		}
+		checkArgMin(t, x, "all NaN")
+		for i := range x {
+			x[i] = 0
+			if rng.Intn(2) == 0 {
+				x[i] = negZero
+			}
+		}
+		checkArgMin(t, x, "signed zeros")
 	}
 }

@@ -8,7 +8,8 @@ import (
 
 // FuzzKernelEquivalence feeds arbitrary byte strings to every SIMD kernel
 // and checks agreement with the scalar reference under the same forward
-// error bound the deterministic equivalence tests use. The raw bytes decode
+// error bound the deterministic equivalence tests use (ArgMin, on the raw
+// bits, must return the same index). The raw bytes decode
 // into two equal-length float32 vectors (so lengths 0, 1 and every odd tail
 // arise naturally from the input length); non-finite and extreme values are
 // squashed to keep the error bound meaningful — NaN/Inf propagation is
@@ -35,6 +36,17 @@ func FuzzKernelEquivalence(f *testing.F) {
 		arch, ok := archKernels()
 		if !ok {
 			t.Skip("no SIMD kernels on this architecture")
+		}
+		// ArgMin leg, on the raw bits: NaN, ±Inf and ±0 included, since an
+		// index has no tolerance to make vacuous.
+		if len(raw) >= 4 {
+			x := make([]float32, len(raw)/4)
+			for i := range x {
+				x[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
+			}
+			if got, want := argMinArch(x), argMinScalar(x); got != want {
+				t.Fatalf("argMin: %s=%d scalar=%d (n=%d)", arch.name, got, want, len(x))
+			}
 		}
 		n := len(raw) / 8
 		a := make([]float32, n)

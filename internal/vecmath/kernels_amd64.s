@@ -621,3 +621,111 @@ drstore:
 drdone:
 	VZEROUPPER
 	RET
+
+// func argMinAVX2(x []float32) int
+//
+// Index of the first minimum, as the scalar loop best := x[0]; if x[i] <
+// best { best, i } defines it: a NaN x[0] is index 0 (nothing compares below
+// it), a later NaN is never taken, and −0 and +0 tie. Two passes. The first
+// takes the minimum of the non-NaN elements with VMINPS, whose operand order
+// (new < acc ? new : acc) leaves the accumulator in place when the new
+// element is NaN; the accumulators start at x[0], known not to be NaN. The
+// second returns the first index whose element compares equal to that
+// minimum (EQ_OQ: false on NaN, true for ±0 against ∓0), which is the index
+// the scalar loop stops its last update at. Contract (enforced by the public
+// wrapper): len(x) ≥ 1.
+TEXT ·argMinAVX2(SB), NOSPLIT, $0-32
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	XORQ AX, AX
+	VMOVSS (SI), X0
+	VUCOMISS X0, X0
+	JPS  amdone                // x[0] is NaN: nothing compares below it
+	VBROADCASTSS X0, Y0        // four 8-lane minima, all starting at x[0]
+	VMOVAPS Y0, Y1
+	VMOVAPS Y0, Y2
+	VMOVAPS Y0, Y3
+	MOVQ SI, DI
+	MOVQ CX, BX
+	SHRQ $5, BX                // 32-element blocks
+	JZ   amfold
+ammin32:
+	VMOVUPS (DI), Y4
+	VMOVUPS 32(DI), Y5
+	VMOVUPS 64(DI), Y6
+	VMOVUPS 96(DI), Y7
+	VMINPS Y0, Y4, Y0          // Y0 = Y4 < Y0 ? Y4 : Y0
+	VMINPS Y1, Y5, Y1
+	VMINPS Y2, Y6, Y2
+	VMINPS Y3, Y7, Y3
+	ADDQ $128, DI
+	DECQ BX
+	JNZ  ammin32
+amfold:
+	VMINPS Y1, Y0, Y0
+	VMINPS Y3, Y2, Y2
+	VMINPS Y2, Y0, Y0
+	MOVQ CX, BX
+	ANDQ $31, BX
+	SHRQ $3, BX                // 8-element blocks left
+	JZ   amreduce
+ammin8:
+	VMOVUPS (DI), Y4
+	VMINPS Y0, Y4, Y0
+	ADDQ $32, DI
+	DECQ BX
+	JNZ  ammin8
+amreduce:
+	VEXTRACTF128 $1, Y0, X1
+	VMINPS X1, X0, X0          // 4 lanes
+	VSHUFPS $0xb1, X0, X0, X1  // [1 0 3 2]
+	VMINPS X1, X0, X0
+	VSHUFPS $0x4e, X0, X0, X1  // [2 3 0 1]
+	VMINPS X1, X0, X0          // lane 0 = minimum of the blocks
+	MOVQ CX, BX
+	ANDQ $7, BX
+	JZ   amfind
+ammintail:
+	VMOVSS (DI), X4
+	VMINSS X0, X4, X0          // lane 0 = x[i] < min ? x[i] : min
+	ADDQ $4, DI
+	DECQ BX
+	JNZ  ammintail
+amfind:
+	VBROADCASTSS X0, Y0        // the minimum in every lane
+	MOVQ SI, DI
+	MOVQ CX, BX
+	SHRQ $3, BX
+	JZ   amfindtail
+amfind8:
+	VCMPPS $0, (DI), Y0, Y1    // EQ_OQ
+	VMOVMSKPS Y1, DX
+	TESTL DX, DX
+	JNZ  amfound
+	ADDQ $32, DI
+	ADDQ $8, AX
+	DECQ BX
+	JNZ  amfind8
+amfindtail:
+	MOVQ CX, BX
+	ANDQ $7, BX
+	JZ   amnone
+amtail:
+	VUCOMISS (DI), X0
+	JNE  amnext
+	JPC  amdone                // equal and ordered
+amnext:
+	ADDQ $4, DI
+	INCQ AX
+	DECQ BX
+	JNZ  amtail
+amnone:
+	XORQ AX, AX                // unreachable: the minimum is an element
+	JMP  amdone
+amfound:
+	BSFL DX, DX
+	ADDQ DX, AX
+amdone:
+	VZEROUPPER
+	MOVQ AX, ret+24(FP)
+	RET

@@ -195,5 +195,28 @@ func BenchmarkDotRows(b *testing.B) {
 	}
 }
 
-// sinkF32 defeats dead-code elimination of the benchmarked reductions.
-var sinkF32 float32
+// BenchmarkArgMin times the encoder's per-subspace argmin: the index of the
+// nearest of k centroid distances, at the codebook sizes PQ uses.
+func BenchmarkArgMin(b *testing.B) {
+	rng := rand.New(rand.NewSource(28))
+	for _, impl := range blockImpls() {
+		for _, k := range []int{16, 256} {
+			x := randVec(rng, k)
+			b.Run(fmt.Sprintf("%s/k%d", impl.name, k), func(b *testing.B) {
+				b.SetBytes(int64(4 * k))
+				s := 0
+				for i := 0; i < b.N; i++ {
+					s += impl.argMin(x)
+				}
+				sinkInt = s
+			})
+		}
+	}
+}
+
+// sinkF32 and sinkInt defeat dead-code elimination of the benchmarked
+// reductions.
+var (
+	sinkF32 float32
+	sinkInt int
+)

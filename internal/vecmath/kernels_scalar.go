@@ -112,3 +112,17 @@ func dotRowsScalar(dst, q, data []float32, dim int, ids []int32) {
 		dst[i] = dotScalar(q, data[o:o+dim])
 	}
 }
+
+// argMinScalar is ArgMin's portable kernel and the definition the assembly
+// port reproduces: the first index at which x reaches its minimum under <,
+// so a NaN x[0] is index 0, a later NaN is never taken and −0 ties +0.
+// Precondition enforced by the public wrapper: len(x) ≥ 1.
+func argMinScalar(x []float32) int {
+	best, bi := x[0], 0
+	for i := 1; i < len(x); i++ {
+		if x[i] < best {
+			best, bi = x[i], i
+		}
+	}
+	return bi
+}

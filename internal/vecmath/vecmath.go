@@ -2,9 +2,9 @@
 // the library is built on: distances, dot products, in-place BLAS-1 style
 // updates, and small utilities (argmax, top-k selection).
 //
-// The hot kernels — Dot, SquaredL2, AXPY, LUTSum and the three block
-// kernels, DotRows of the float candidate scan and SegmentToCentroids and
-// LUTSumRows of the quantized path — dispatch through a kernel set selected
+// The hot kernels — Dot, SquaredL2, AXPY, LUTSum, ArgMin and the three
+// block kernels, DotRows of the float candidate scan and SegmentToCentroids
+// and LUTSumRows of the quantized path — dispatch through a kernel set selected
 // once at package init: AVX2+FMA assembly on capable amd64 CPUs, NEON
 // assembly on arm64, and the portable 4-way-unrolled scalar code everywhere
 // else (see dispatch.go). Setting USP_FORCE_SCALAR in the environment pins
@@ -239,18 +239,18 @@ func ArgMax(x []float32) int {
 }
 
 // ArgMin returns the index of the smallest element of x, breaking ties toward
-// the smallest index. It returns -1 for an empty slice.
+// the smallest index. It returns -1 for an empty slice. Every dispatch
+// returns the index of the scalar loop "if x[i] < best": −0 and +0 tie, a NaN
+// after the first element is never taken, and a NaN first element is index
+// 0. The PQ encoder and k-means take it over a row's centroid distances.
 func ArgMin(x []float32) int {
 	if len(x) == 0 {
 		return -1
 	}
-	best, bi := x[0], 0
-	for i := 1; i < len(x); i++ {
-		if x[i] < best {
-			best, bi = x[i], i
-		}
+	if active.arch {
+		return argMinArch(x)
 	}
-	return bi
+	return argMinScalar(x)
 }
 
 // Sum64 returns the sum of x accumulated in float64.

@@ -39,6 +39,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/knn"
+	"repro/internal/par"
 	"repro/internal/quant"
 )
 
@@ -127,7 +128,9 @@ type Options struct {
 	// Quantize configures the optional product-quantized (ADC) serving
 	// path; the zero value leaves the index float-only.
 	Quantize Quantization
-	// Logf receives progress lines when set.
+	// Logf receives progress lines when set. Build trains independent
+	// models side by side, so it may be called from several goroutines at
+	// once.
 	Logf func(format string, args ...any)
 }
 
@@ -340,57 +343,37 @@ type Index struct {
 }
 
 // Build trains a USP index over the given vectors (all of equal length).
+// Options no build can satisfy are an ErrInvalid error before any training
+// starts. With Quantize enabled, the router and the PQ codebooks train
+// concurrently: neither reads the other.
 func Build(vectors [][]float32, opt Options) (*Index, error) {
-	if len(vectors) < 4 {
-		return nil, errors.New("usp: need at least 4 vectors")
+	if err := validateCorpus(vectors); err != nil {
+		return nil, err
 	}
 	opt = opt.withDefaults()
-	if len(opt.Hierarchy) > 0 && opt.Ensemble > 1 {
-		return nil, errors.New("usp: Hierarchy and Ensemble > 1 are mutually exclusive")
-	}
-	if err := validateCorpus(vectors); err != nil {
+	opt.Quantize = opt.Quantize.withDefaults(len(vectors[0]))
+	if err := opt.validate(len(vectors), len(vectors[0])); err != nil {
 		return nil, err
 	}
 	ds := dataset.FromRowsCopy(vectors)
 	// Cache per-row squared norms so the candidate scan can use the fused
 	// distance kernel; Append keeps the cache extended for Add.
 	ds.EnsureSqNorms(false)
-	opt.Quantize = opt.Quantize.withDefaults(ds.Dim)
 
-	cfg := opt.coreConfig()
-
-	var router core.Router
-	var bs BuildStats
-	if len(opt.Hierarchy) > 0 {
-		h, stats, err := core.TrainHierarchy(ds, opt.Hierarchy, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("usp: %w", err)
-		}
-		router = h
-		bs = BuildStats{Bins: h.NumBins, Models: len(stats), Params: h.TotalParams()}
-	} else {
-		kp := cfg.KPrime
-		if kp >= ds.N {
-			kp = ds.N - 1
-			cfg.KPrime = kp
-		}
-		mat := knn.BuildMatrix(ds, kp)
-		e, stats, err := core.TrainEnsemble(ds, mat, cfg, opt.Ensemble)
-		if err != nil {
-			return nil, fmt.Errorf("usp: %w", err)
-		}
-		router = e
-		bs = BuildStats{Bins: opt.Bins, Models: e.Size(), Params: stats.TotalParams()}
-	}
-
-	var pq *quant.PQ
-	var codes []uint8
+	var (
+		router     core.Router
+		bs         BuildStats
+		pq         *quant.PQ
+		codes      []uint8
+		rErr, qErr error
+	)
+	jobs := []func(){func() { router, bs, rErr = trainRouter(ds, opt) }}
 	if opt.Quantize.Enabled {
-		var err error
-		pq, codes, err = trainQuantizer(ds, opt.Quantize, opt.Seed, opt.Logf)
-		if err != nil {
-			return nil, fmt.Errorf("usp: %w", err)
-		}
+		jobs = append(jobs, func() { pq, codes, qErr = trainQuantizer(ds, opt.Quantize, opt.Seed, opt.Logf) })
+	}
+	par.Do(jobs...)
+	if err := errors.Join(rErr, qErr); err != nil {
+		return nil, fmt.Errorf("usp: %w", err)
 	}
 	ix := newIndex(ds, router, opt, bs, 0, nil, nil, pq, codes)
 	if opt.Quantize.MemoryTight {
@@ -399,6 +382,89 @@ func Build(vectors [][]float32, opt Options) (*Index, error) {
 		}
 	}
 	return ix, nil
+}
+
+// trainRouter trains the hierarchy or the ensemble opt asks for on ds.
+func trainRouter(ds *dataset.Dataset, opt Options) (core.Router, BuildStats, error) {
+	cfg := opt.coreConfig()
+	if len(opt.Hierarchy) > 0 {
+		h, stats, err := core.TrainHierarchy(ds, opt.Hierarchy, cfg)
+		if err != nil {
+			return nil, BuildStats{}, err
+		}
+		return h, BuildStats{Bins: h.NumBins, Models: len(stats), Params: h.TotalParams()}, nil
+	}
+	if cfg.KPrime >= ds.N {
+		cfg.KPrime = ds.N - 1
+	}
+	mat := knn.BuildMatrix(ds, cfg.KPrime)
+	e, stats, err := core.TrainEnsemble(ds, mat, cfg, opt.Ensemble)
+	if err != nil {
+		return nil, BuildStats{}, err
+	}
+	return e, BuildStats{Bins: opt.Bins, Models: e.Size(), Params: stats.TotalParams()}, nil
+}
+
+// validate returns an ErrInvalid error naming the first of the resolved
+// options that no build over n vectors of width dim can satisfy. Build runs
+// it before training anything.
+func (o Options) validate(n, dim int) error {
+	if n < 4 {
+		return fmt.Errorf("%w: need at least 4 vectors, have %d", ErrInvalid, n)
+	}
+	if err := o.validateTraining(); err != nil {
+		return err
+	}
+	if len(o.Hierarchy) > 0 {
+		if o.Ensemble > 1 {
+			return fmt.Errorf("%w: Hierarchy and Ensemble > 1 are mutually exclusive", ErrInvalid)
+		}
+		for _, m := range o.Hierarchy {
+			if m < 2 {
+				return fmt.Errorf("%w: Hierarchy branching factors must be ≥ 2, got %v", ErrInvalid, o.Hierarchy)
+			}
+		}
+	} else if o.Bins < 2 || o.Bins > n {
+		return fmt.Errorf("%w: Bins=%d outside [2, %d vectors]", ErrInvalid, o.Bins, n)
+	}
+	if o.Ensemble < 1 {
+		return fmt.Errorf("%w: Ensemble must be ≥ 1, got %d", ErrInvalid, o.Ensemble)
+	}
+	if q := o.Quantize; q.Enabled {
+		if q.Subspaces < 1 || dim%q.Subspaces != 0 {
+			return fmt.Errorf("%w: Quantize.Subspaces=%d does not divide dim %d", ErrInvalid, q.Subspaces, dim)
+		}
+		if q.K < 1 || q.K > 256 {
+			return fmt.Errorf("%w: Quantize.K=%d outside [1, 256]", ErrInvalid, q.K)
+		}
+		if q.Iters < 0 {
+			return fmt.Errorf("%w: Quantize.Iters must be ≥ 0, got %d", ErrInvalid, q.Iters)
+		}
+	}
+	return nil
+}
+
+// validateTraining checks the resolved options every model's training
+// reads, for Build and Cluster alike.
+func (o Options) validateTraining() error {
+	switch {
+	case o.Epochs < 1:
+		return fmt.Errorf("%w: Epochs must be ≥ 1, got %d", ErrInvalid, o.Epochs)
+	case o.KPrime < 1:
+		return fmt.Errorf("%w: KPrime must be ≥ 1, got %d", ErrInvalid, o.KPrime)
+	case o.BatchSize < 0:
+		return fmt.Errorf("%w: BatchSize must be ≥ 0, got %d", ErrInvalid, o.BatchSize)
+	case !(*o.Eta >= 0):
+		return fmt.Errorf("%w: Eta must be ≥ 0, got %g", ErrInvalid, *o.Eta)
+	case !(*o.Dropout >= 0 && *o.Dropout < 1):
+		return fmt.Errorf("%w: Dropout must be in [0, 1), got %g", ErrInvalid, *o.Dropout)
+	}
+	for _, w := range o.Hidden {
+		if w < 1 {
+			return fmt.Errorf("%w: Hidden widths must be ≥ 1, got %v", ErrInvalid, o.Hidden)
+		}
+	}
+	return nil
 }
 
 // trainQuantizer fits PQ codebooks on (a sample of) ds and encodes every
@@ -484,13 +550,16 @@ func (ix *Index) Search(q []float32, k int, opt SearchOptions) ([]Result, error)
 // per vector — the paper's use of the partitioner as an unsupervised
 // clustering method (§5.5).
 func Cluster(vectors [][]float32, k int, opt Options) ([]int, error) {
-	if len(vectors) < k {
-		return nil, fmt.Errorf("usp: %d vectors cannot form %d clusters", len(vectors), k)
-	}
 	if err := validateCorpus(vectors); err != nil {
 		return nil, err
 	}
+	if k < 2 || k > len(vectors) {
+		return nil, fmt.Errorf("%w: %d vectors cannot form %d clusters", ErrInvalid, len(vectors), k)
+	}
 	opt = opt.withDefaults()
+	if err := opt.validateTraining(); err != nil {
+		return nil, err
+	}
 	ds := dataset.FromRowsCopy(vectors)
 	cfg := opt.coreConfig()
 	cfg.Bins = 0 // ClusterLabels sets Bins = k

@@ -267,3 +267,48 @@ func TestCorpusValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestOptionValidation: every caller mistake in Options (or in Cluster's k)
+// is an ErrInvalid error returned before any model or codebook trains —
+// Logf, which every training epoch and the codebook trainer write to, is
+// never called.
+func TestOptionValidation(t *testing.T) {
+	vecs, _ := clusteredVectors(16, 64, 128, 4)
+	quant := func(q Quantization) Options {
+		q.Enabled = true
+		return Options{Bins: 2, Epochs: 1, Quantize: q}
+	}
+	for _, tc := range []struct {
+		name    string
+		vectors [][]float32
+		opt     Options
+		k       int // > 0: Cluster(vectors, k, opt) instead of Build
+	}{
+		{"fewer than 4 vectors", vecs[:3], Options{Bins: 2}, 0},
+		{"Hierarchy with Ensemble > 1", vecs, Options{Hierarchy: []int{2, 2}, Ensemble: 2}, 0},
+		{"branching factor 1", vecs, Options{Hierarchy: []int{4, 1}}, 0},
+		{"Epochs -1", vecs, Options{Bins: 2, Epochs: -1}, 0},
+		{"Bins 1", vecs, Options{Bins: 1}, 0},
+		{"Eta -1", vecs, Options{Bins: 2, Eta: Float(-1)}, 0},
+		{"Ensemble -1", vecs, Options{Bins: 2, Ensemble: -1}, 0},
+		{"Subspaces 3 on 128-d", vecs, quant(Quantization{Subspaces: 3}), 0},
+		{"K 300", vecs, quant(Quantization{K: 300}), 0},
+		{"Cluster k > n", vecs[:8], Options{}, 9},
+		{"Cluster k = 1", vecs, Options{}, 1},
+	} {
+		logged := false
+		tc.opt.Logf = func(string, ...any) { logged = true }
+		var err error
+		if tc.k > 0 {
+			_, err = Cluster(tc.vectors, tc.k, tc.opt)
+		} else {
+			_, err = Build(tc.vectors, tc.opt)
+		}
+		if !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: error %v, want ErrInvalid", tc.name, err)
+		}
+		if logged {
+			t.Errorf("%s: training started before the options were refused", tc.name)
+		}
+	}
+}
