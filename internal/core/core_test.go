@@ -36,10 +36,6 @@ func searchWithStats(ds *dataset.Dataset, e *Ensemble, qs *QueryScratch, q []flo
 	return knn.SearchSubset(ds, cands, q, k), len(cands)
 }
 
-// single wraps one partitioner as an ensemble of one — the form the
-// candidate path takes.
-func single(p *Partitioner) *Ensemble { return &Ensemble{Parts: []*Partitioner{p}} }
-
 // requireRoutedPartition checks that p's table holds every point of ds
 // exactly once, in the bin its model routes the point to.
 func requireRoutedPartition(t *testing.T, p *Partitioner, ds *dataset.Dataset) {
@@ -118,7 +114,7 @@ func TestIndexSearchBeatsRandomCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ens := single(p)
+	ens := OneTree(p)
 	var qs QueryScratch
 	rng := rand.New(rand.NewSource(9))
 	queries := dataset.GaussianMixture(dataset.GaussianMixtureConfig{
@@ -152,7 +148,7 @@ func TestMoreProbesMoreRecall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ens := single(p)
+	ens := OneTree(p)
 	var qs QueryScratch
 	gt := knn.GroundTruth(ds, ds, 10)
 	var r1, rAll float64
@@ -285,8 +281,8 @@ func TestHierarchyInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.NumBins != 4 || len(h.Bins) != 4 {
-		t.Fatalf("NumBins = %d", h.NumBins)
+	if h.M != 4 || len(h.Bins) != 4 {
+		t.Fatalf("M = %d", h.M)
 	}
 	if len(stats) == 0 {
 		t.Fatal("no training stats")
@@ -317,7 +313,7 @@ func TestHierarchyInvariants(t *testing.T) {
 		t.Fatalf("leaf probabilities sum to %v", sum)
 	}
 	// Probing all leaf bins covers the whole dataset.
-	if c := h.CandidatesWith(&qs, ds.Row(0), h.NumBins); len(c) != ds.N {
+	if c := OneTree(h).CandidatesWith(&qs, ds.Row(0), h.M, BestConfidence); len(c) != ds.N {
 		t.Fatalf("full probe |C| = %d, want %d", len(c), ds.N)
 	}
 	if h.TotalParams() == 0 {
@@ -341,8 +337,8 @@ func TestHierarchyDeepBinaryTreeOnTinyData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.NumBins != 32 {
-		t.Fatalf("NumBins = %d", h.NumBins)
+	if h.M != 32 {
+		t.Fatalf("M = %d", h.M)
 	}
 	seen := make([]int, ds.N)
 	for _, pts := range h.Bins {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -68,8 +70,8 @@ func TestCSRSurvivesInserts(t *testing.T) {
 	// Route a few new points in, in place (InsertRouted, on a private copy)
 	// and copy-on-write (With, from p); both must match the reference: the
 	// trained ids, then the inserts.
-	owned := single(&Partitioner{Model: p.Model, M: p.M, Bins: mergeTable(p.Bins, nil)})
-	var shared Router = single(p)
+	owned := OneTree(&Partitioner{node: p.node, M: p.M, Bins: mergeTable(p.Bins, nil)})
+	shared := OneTree(p)
 	ref := referenceBins(scatter(p.Bins, ds.N), p.M)
 	var qs QueryScratch
 	for j := 0; j < 10; j++ {
@@ -78,7 +80,7 @@ func TestCSRSurvivesInserts(t *testing.T) {
 		shared = shared.With(ds.N+j, bins)
 		ref[bins[0]] = append(ref[bins[0]], int32(ds.N+j))
 	}
-	for name, part := range map[string]*Partitioner{"InsertRouted": owned.Parts[0], "With": shared.(*Ensemble).Parts[0]} {
+	for name, part := range map[string]*Partitioner{"InsertRouted": owned.Parts[0], "With": shared.Parts[0]} {
 		total := 0
 		for b := 0; b < p.M; b++ {
 			got := part.AppendBin(nil, b)
@@ -135,19 +137,20 @@ func TestTablesArePacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tree := OneTree(h)
 	drop := bitset.FromWords([]uint64{0x5555})
-	for name, r := range map[string]Router{
+	for name, r := range map[string]*Ensemble{
 		"ensemble/train":   ens,
 		"ensemble/merge":   ens.With(ds.N, []int{0, 1}).Rebuild(drop),
 		"ensemble/filter":  ens.FilterRemap(100, 300),
 		"ensemble/load":    loadedEns,
-		"hierarchy/train":  h,
-		"hierarchy/merge":  h.With(ds.N, []int{2}).Rebuild(drop),
-		"hierarchy/filter": h.FilterRemap(100, 300),
-		"hierarchy/load":   loadedHier,
+		"hierarchy/train":  tree,
+		"hierarchy/merge":  tree.With(ds.N, []int{2}).Rebuild(drop),
+		"hierarchy/filter": tree.FilterRemap(100, 300),
+		"hierarchy/load":   OneTree(loadedHier),
 	} {
-		for m, table := range r.Tables() {
-			for b, ids := range table {
+		for m, p := range r.Parts {
+			for b, ids := range p.Bins {
 				if cap(ids) != len(ids) {
 					t.Fatalf("%s: member %d bin %d has len %d cap %d", name, m, b, len(ids), cap(ids))
 				}
@@ -169,7 +172,7 @@ func TestValidateRejectsMismatchedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []Router{ens, h} {
+	for _, r := range []*Ensemble{ens, OneTree(h)} {
 		if err := r.Validate(ds.N, ds.Dim); err != nil {
 			t.Fatalf("trained router rejected: %v", err)
 		}
@@ -186,23 +189,27 @@ func TestValidateRejectsMismatchedTables(t *testing.T) {
 		t.Fatal("table narrower than its model accepted")
 	}
 	shifted := *h
-	root := *h.root
-	root.children = []*hnode{h.root.children[1], h.root.children[0]}
-	shifted.root = &root
-	if err := shifted.Validate(ds.N, ds.Dim); err == nil {
+	shifted.children = []node{h.children[1], h.children[0]}
+	if err := OneTree(&shifted).Validate(ds.N, ds.Dim); err == nil {
 		t.Fatal("hierarchy with out-of-order leaf bases accepted")
 	}
 	shifted = *h
-	shifted.NumBins++
+	shifted.M++
 	shifted.Bins = append(h.Bins[:len(h.Bins):len(h.Bins)], nil)
-	if err := shifted.Validate(ds.N, ds.Dim); err == nil {
-		t.Fatal("hierarchy whose leaves do not cover NumBins accepted")
+	if err := OneTree(&shifted).Validate(ds.N, ds.Dim); err == nil {
+		t.Fatal("hierarchy whose leaves do not cover M accepted")
+	}
+	flat := *ens.Parts[0]
+	flat.M++
+	flat.Bins = append(flat.Bins[:len(flat.Bins):len(flat.Bins)], nil)
+	if err := OneTree(&flat).Validate(ds.N, ds.Dim); err == nil {
+		t.Fatal("flat member whose model does not cover M accepted")
 	}
 }
 
 // appendCandidates is the single-query form of the candidate path: route q
 // through the single-row kernel, then gather row 0.
-func appendCandidates(r Router, dst []int32, q []float32, mPrime int, mode ProbeMode, qs *QueryScratch) []int32 {
+func appendCandidates(r *Ensemble, dst []int32, q []float32, mPrime int, mode ProbeMode, qs *QueryScratch) []int32 {
 	r.Route(qs, q, mode)
 	return r.AppendCandidatesRow(dst, 0, mPrime, mode, qs)
 }
@@ -228,7 +235,7 @@ func TestAppendCandidatesMatchesLegacyPipeline(t *testing.T) {
 			var bestProbs []float32
 			var bestPart *Partitioner
 			for _, p := range ens.Parts {
-				probs := p.Probabilities(q)
+				probs := p.Model.PredictVec(q)
 				if c := probs[vecmath.ArgMax(probs)]; c > bestConf {
 					bestConf, bestProbs, bestPart = c, probs, p
 				}
@@ -264,6 +271,11 @@ func TestAppendCandidatesMatchesLegacyPipeline(t *testing.T) {
 	}
 }
 
+// TestHierarchyAppendCandidatesMatchesCandidates: a hierarchy served as an
+// ensemble of one tree gives, in both probe modes, the candidates of its m′
+// most probable leaves straight from the allocating reference walk — the
+// leaves are disjoint, so union mode's dedup drops nothing and keeps the
+// order.
 func TestHierarchyAppendCandidatesMatchesCandidates(t *testing.T) {
 	ds, _ := testData(t, 400, 8, 4, 34)
 	cfg := Config{KPrime: 5, Eta: 5, Epochs: 10, BatchSize: 128, Hidden: []int{8}, Seed: 3}
@@ -271,19 +283,20 @@ func TestHierarchyAppendCandidatesMatchesCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tree := OneTree(h)
 	var qs QueryScratch
 	var dst []int32
 	for qi := 0; qi < 30; qi++ {
 		q := ds.Row(qi)
 		for _, mPrime := range []int{1, 2, 4} {
-			want := h.CandidatesWith(new(QueryScratch), q, mPrime)
-			dst = appendCandidates(h, dst[:0], q, mPrime, BestConfidence, &qs)
-			if len(dst) != len(want) {
-				t.Fatalf("q%d m'=%d: %d vs %d candidates", qi, mPrime, len(dst), len(want))
+			var want []int32
+			for _, b := range vecmath.TopKIndices(referenceLeafProbs(h, q), mPrime) {
+				want = append(want, h.Bins[b]...)
 			}
-			for i := range want {
-				if int(dst[i]) != want[i] {
-					t.Fatalf("q%d m'=%d: candidate[%d] = %d, want %d", qi, mPrime, i, dst[i], want[i])
+			for _, mode := range []ProbeMode{BestConfidence, UnionProbe} {
+				dst = appendCandidates(tree, dst[:0], q, mPrime, mode, &qs)
+				if !slices.Equal(dst, want) {
+					t.Fatalf("q%d m'=%d mode %d: candidates %v, want %v", qi, mPrime, mode, dst, want)
 				}
 			}
 		}
@@ -346,32 +359,33 @@ func TestQueryScratchSeenGenerationWrap(t *testing.T) {
 // bin) — the reference's view of what With appended.
 type slotExtra map[[2]int][]int32
 
-// referenceLeafProbs recomputes a hierarchy's leaf distribution with the
-// allocating Probabilities, multiplying down the tree in the walk's order.
-func referenceLeafProbs(h *Hierarchy, q []float32) []float32 {
-	out := make([]float32, h.NumBins)
-	var walk func(n *hnode, prob float32)
-	walk = func(n *hnode, prob float32) {
-		probs := n.model.PredictVec(q)
+// referenceLeafProbs recomputes a tree's leaf distribution with the
+// allocating PredictVec, multiplying down the tree in the walk's order.
+func referenceLeafProbs(h *Partitioner, q []float32) []float32 {
+	out := make([]float32, h.M)
+	var walk func(n *node, prob float32)
+	walk = func(n *node, prob float32) {
+		probs := n.Model.PredictVec(q)
 		for b, pb := range probs {
 			if n.children == nil {
 				out[n.leafBase+b] = prob * pb
 			} else {
-				walk(n.children[b], prob*pb)
+				walk(&n.children[b], prob*pb)
 			}
 		}
 	}
-	walk(h.root, 1)
+	walk(&h.node, 1)
 	return out
 }
 
 // TestRouteFormsAgreeWithReference pins the one select-and-gather body where
-// the single and batched copies used to be: for every family and mode, with
-// and without post-epoch inserts, on finite and all-NaN queries,
-// Route + AppendCandidatesRow(0) ≡ RouteBatch + AppendCandidatesRow(i) ≡ an
-// allocating reference built from Probabilities, TopKIndices and
-// referenceBins. (An all-NaN row compares false everywhere; with these small
-// bin counts TopKIndices' sort leaves it in index order, as
+// the single and batched copies used to be: for flat members and a tree, in
+// both modes, with and without post-epoch inserts, on finite and all-NaN
+// queries, Route + AppendCandidatesRow(0) ≡ RouteBatch +
+// AppendCandidatesRow(i) ≡ an allocating reference built from PredictVec,
+// TopKIndices and referenceBins. (An all-NaN row compares false everywhere:
+// best-confidence selects no member and probes nothing; in union mode, with
+// these small bin counts, TopKIndices' sort leaves it in index order, as
 // TopKIndicesInto's scan does.)
 func TestRouteFormsAgreeWithReference(t *testing.T) {
 	ds, mat := testData(t, 500, 8, 4, 37)
@@ -388,7 +402,8 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 	const inserts = 10
 	var qs QueryScratch
 	ensExtra, hierExtra := slotExtra{}, slotExtra{}
-	var ensWith, hierWith Router = ens, h
+	tree := OneTree(h)
+	ensWith, hierWith := ens, tree
 	for j := 0; j < inserts; j++ {
 		id := ds.N + j
 		bins := ens.RouteBinsWith(&qs, ds.Row(j), nil)
@@ -399,6 +414,9 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 		leaf := h.RouteLeafWith(&qs, ds.Row(j))
 		hierExtra[[2]int{0, leaf}] = append(hierExtra[[2]int{0, leaf}], int32(id))
 		hierWith = hierWith.With(id, []int{leaf})
+		if got := tree.RouteBinsWith(&qs, ds.Row(j), nil); got[0] != leaf {
+			t.Fatalf("insert %d: RouteBinsWith leaf %d, RouteLeafWith %d", j, got[0], leaf)
+		}
 	}
 
 	// Finite queries with one all-NaN row (an overflowing forward pass) in
@@ -417,13 +435,13 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 	for m, p := range ens.Parts {
 		ensRefs[m] = referenceBins(scatter(p.Bins, ds.N), p.M)
 	}
-	hierRef := referenceBins(scatter(h.Bins, ds.N), h.NumBins)
+	hierRef := referenceBins(scatter(h.Bins, ds.N), h.M)
 
 	referenceBest := func(q []float32, mPrime int, extra slotExtra) []int32 {
 		best, bestConf := -1, float32(-1)
 		var bestProbs []float32
 		for m, p := range ens.Parts {
-			probs := p.Probabilities(q)
+			probs := p.Model.PredictVec(q)
 			if c := probs[vecmath.ArgMax(probs)]; c > bestConf {
 				best, bestConf, bestProbs = m, c, probs
 			}
@@ -439,7 +457,7 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 		seen := map[int32]bool{}
 		var want []int32
 		for m, p := range ens.Parts {
-			for _, b := range vecmath.TopKIndices(p.Probabilities(q), mPrime) {
+			for _, b := range vecmath.TopKIndices(p.Model.PredictVec(q), mPrime) {
 				for _, ids := range [][]int32{ensRefs[m][b], extra[[2]int{m, b}]} {
 					for _, id := range ids {
 						if !seen[id] {
@@ -453,8 +471,12 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 		return want
 	}
 	referenceHier := func(q []float32, mPrime int, extra slotExtra) []int32 {
+		probs := referenceLeafProbs(h, q)
+		if c := probs[vecmath.ArgMax(probs)]; c != c {
+			return nil // a NaN confidence selects no member
+		}
 		var want []int32
-		for _, b := range vecmath.TopKIndices(referenceLeafProbs(h, q), mPrime) {
+		for _, b := range vecmath.TopKIndices(probs, mPrime) {
 			want = append(want, hierRef[b]...)
 			want = append(want, extra[[2]int{0, b}]...)
 		}
@@ -463,15 +485,15 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 
 	cases := []struct {
 		name      string
-		router    Router
-		inserted  Router // router after the inserts
+		router    *Ensemble
+		inserted  *Ensemble // router after the inserts
 		mode      ProbeMode
 		extra     slotExtra
 		reference func(q []float32, mPrime int, extra slotExtra) []int32
 	}{
 		{"best-confidence", ens, ensWith, BestConfidence, ensExtra, referenceBest},
 		{"union", ens, ensWith, UnionProbe, ensExtra, referenceUnion},
-		{"hierarchy", h, hierWith, BestConfidence, hierExtra, referenceHier},
+		{"hierarchy", tree, hierWith, BestConfidence, hierExtra, referenceHier},
 	}
 	for _, tc := range cases {
 		for _, spill := range []bool{false, true} {
@@ -506,6 +528,129 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// routeRows routes queries[0] through the single-row form or, batched, all
+// of queries through one RouteBatch, leaving every member's rows in qs.
+func routeRows(r *Ensemble, queries [][]float32, mode ProbeMode, batched bool, qs *QueryScratch) {
+	if !batched {
+		r.Route(qs, queries[0], mode)
+		return
+	}
+	dim := len(queries[0])
+	buf := qs.Stage(len(queries), dim)
+	for i, q := range queries {
+		copy(buf[i*dim:(i+1)*dim], q)
+	}
+	r.RouteBatch(qs, mode)
+}
+
+// TestNaNConfidenceSelectsNoMember pins the one rule a hierarchy changed by
+// becoming an ensemble of one tree: when a row's chosen confidence — its
+// most probable leaf's probability, as ArgMax picks it — is NaN,
+// best-confidence selects no member and the candidate set is empty, in the
+// single-row and the batched form. Union mode does not select and still
+// probes the leaves TopKIndicesInto picks. A tree whose NaN leaves are not
+// the chosen one is served as usual.
+func TestNaNConfidenceSelectsNoMember(t *testing.T) {
+	ds, _ := testData(t, 300, 8, 4, 40)
+	train := func() *Partitioner {
+		h, _, err := TrainHierarchy(ds, []int{2, 2}, Config{KPrime: 5, Eta: 5, Epochs: 5, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	poison := func(nd *node) {
+		for _, p := range nd.Model.Params() {
+			for i := range p.Value.Data {
+				p.Value.Data[i] = float32(math.NaN())
+			}
+		}
+	}
+	first, second := train(), train()
+	poison(&first.children[0])  // leaves 0 and 1: ArgMax keeps leaf 0, NaN
+	poison(&second.children[1]) // leaves 2 and 3: ArgMax skips them
+	queries := [][]float32{ds.Row(0), ds.Row(1), ds.Row(2)}
+	for _, batched := range []bool{false, true} {
+		var qs QueryScratch
+		n := 1
+		if batched {
+			n = len(queries)
+		}
+		routeRows(OneTree(first), queries, BestConfidence, batched, &qs)
+		for i := 0; i < n; i++ {
+			row := qs.probs[0][i*4 : (i+1)*4]
+			if c := row[vecmath.ArgMax(row)]; c == c {
+				t.Fatalf("batched=%t row %d: chosen confidence %v, want NaN", batched, i, c)
+			}
+			if got := OneTree(first).AppendCandidatesRow(nil, i, 2, BestConfidence, &qs); len(got) != 0 {
+				t.Fatalf("batched=%t row %d: NaN confidence gave %d candidates, want none", batched, i, len(got))
+			}
+		}
+		routeRows(OneTree(first), queries, UnionProbe, batched, &qs)
+		if got := OneTree(first).AppendCandidatesRow(nil, 0, 2, UnionProbe, &qs); len(got) == 0 {
+			t.Fatalf("batched=%t: union mode probed nothing", batched)
+		}
+		routeRows(OneTree(second), queries, BestConfidence, batched, &qs)
+		for i := 0; i < n; i++ {
+			row := qs.probs[0][i*4 : (i+1)*4]
+			var want []int32
+			for _, b := range vecmath.TopKIndices(row, 1) {
+				want = append(want, second.Bins[b]...)
+			}
+			if b := vecmath.ArgMax(row); b > 1 || row[b] != row[b] {
+				t.Fatalf("batched=%t row %d: chose leaf %d (%v), want a finite one of 0, 1", batched, i, b, row[b])
+			}
+			if got := OneTree(second).AppendCandidatesRow(nil, i, 1, BestConfidence, &qs); !slices.Equal(got, want) {
+				t.Fatalf("batched=%t row %d: %d candidates, want leaf %v's %d", batched, i, len(got), vecmath.TopKIndices(row, 1), len(want))
+			}
+		}
+	}
+}
+
+// TestRouterRowsSumToOne: every member row the ensemble writes — a flat
+// member's model output or a tree's products down its paths — is a
+// distribution over the member's leaves, summing to 1 within 1e-5, in the
+// single-row and the batched form.
+func TestRouterRowsSumToOne(t *testing.T) {
+	ds, mat := testData(t, 400, 8, 4, 41)
+	ens, _, err := TrainEnsemble(ds, mat, smallCfg(4), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, _, err := TrainHierarchy(ds, []int{2, 3, 2}, Config{KPrime: 5, Eta: 5, Epochs: 5, Hidden: []int{8}, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queries [][]float32
+	for i := 0; i < 20; i++ {
+		queries = append(queries, ds.Row(i*7))
+	}
+	for name, r := range map[string]*Ensemble{"ensemble": ens, "tree": OneTree(tree)} {
+		for _, batched := range []bool{false, true} {
+			var qs QueryScratch
+			routeRows(r, queries, UnionProbe, batched, &qs)
+			n := 1
+			if batched {
+				n = len(queries)
+			}
+			for m, p := range r.Parts {
+				if len(qs.probs[m]) != n*p.M {
+					t.Fatalf("%s batched=%t member %d: %d probabilities, want %d", name, batched, m, len(qs.probs[m]), n*p.M)
+				}
+				for i := 0; i < n; i++ {
+					var sum float64
+					for _, v := range qs.probs[m][i*p.M : (i+1)*p.M] {
+						sum += float64(v)
+					}
+					if math.Abs(sum-1) > 1e-5 {
+						t.Fatalf("%s batched=%t member %d row %d sums to %v", name, batched, m, i, sum)
+					}
+				}
+			}
 		}
 	}
 }

@@ -8,12 +8,25 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Ensemble is a sequence of complementary partitioners trained with the
-// boosting scheme of Algorithm 3: each model's quality loss re-weights
-// points by how badly all previous models separated their neighborhoods.
+// Ensemble is the router the serving engine holds: one or more partitioners,
+// each a tree of models with its own lookup table. TrainEnsemble's members
+// are flat, complementary partitioners trained with the boosting scheme of
+// Algorithm 3 (each model's quality loss re-weights points by how badly all
+// previous models separated their neighborhoods); a trained hierarchy
+// serves as an ensemble of one tree.
+//
+// The online phase is two calls: a routing pass that fills the scratch's
+// probability rows (Route for one query, RouteBatch for a staged chunk),
+// then AppendCandidatesRow per row. Every method that changes a table
+// (table.go) returns a new ensemble sharing the trained models and leaves
+// the receiver untouched, so it may keep serving readers of an older epoch.
 type Ensemble struct {
 	Parts []*Partitioner
 }
+
+// OneTree returns the ensemble whose one member is p — how a trained
+// hierarchy serves.
+func OneTree(p *Partitioner) *Ensemble { return &Ensemble{Parts: []*Partitioner{p}} }
 
 // EnsembleStats aggregates per-model training stats.
 type EnsembleStats struct {
@@ -93,30 +106,38 @@ const (
 	UnionProbe
 )
 
-// Route runs every member's forward pass for q through the single-row
-// kernel, leaving each member's distribution in row 0 of its scratch buffer.
+// Route runs every member's routing pass for q through the single-row
+// kernel, leaving each member's leaf distribution in row 0 of its
+// probability row.
 func (e *Ensemble) Route(qs *QueryScratch, q []float32, mode ProbeMode) {
 	for m, p := range e.Parts {
-		qs.predict(&qs.memberProbs, m, p.Model, q)
+		buf := slot(&qs.probs, m)
+		*buf = p.leafProbs(*buf, q, qs)
 	}
 	e.selectMembers(qs, 1, mode)
 }
 
-// RouteBatch runs every member's forward pass over the staged batch — the
-// whole chunk's routing inference in len(Parts) dispatched batched passes
-// (one MatMul per Dense layer instead of a row of AXPY loops per query).
+// RouteBatch runs every member's routing pass over the rows staged with
+// qs.Stage — one batched forward pass per model (one MatMul per Dense layer
+// instead of a row of AXPY loops per query). Every row's distributions are
+// bit-identical to Route's on the same query: batch and single-row inference
+// share the same dispatched microkernels and accumulation order, and the
+// tree walk multiplies path products in the same order.
 func (e *Ensemble) RouteBatch(qs *QueryScratch, mode ProbeMode) {
 	for m, p := range e.Parts {
-		qs.predict(&qs.memberProbs, m, p.Model, nil)
+		buf := slot(&qs.probs, m)
+		*buf = p.leafProbs(*buf, nil, qs)
 	}
 	e.selectMembers(qs, qs.q.Rows, mode)
 }
 
 // selectMembers records, in best-confidence mode, each routed row's member
-// per Algorithm 4: the one whose top bin probability is highest, first
-// member winning ties. A row whose distributions are all NaN (an
-// overflowing query) fails every comparison and selects no member, so its
-// candidate set is empty.
+// per Algorithm 4: the one whose top leaf probability is highest, first
+// member winning ties. A member whose chosen confidence is NaN (an
+// overflowing forward pass) fails every comparison and is never selected;
+// a row where no member is selected has an empty candidate set. This holds
+// for an ensemble of one tree too: a hierarchy row whose top leaf
+// probability is NaN probes nothing.
 func (e *Ensemble) selectMembers(qs *QueryScratch, n int, mode ProbeMode) {
 	if mode != BestConfidence {
 		return
@@ -129,7 +150,7 @@ func (e *Ensemble) selectMembers(qs *QueryScratch, n int, mode ProbeMode) {
 		bestIdx := -1
 		bestConf := float32(-1)
 		for m, p := range e.Parts {
-			row := qs.memberProbs[m][i*p.M : (i+1)*p.M]
+			row := qs.probs[m][i*p.M : (i+1)*p.M]
 			if c := row[vecmath.ArgMax(row)]; c > bestConf {
 				bestConf = c
 				bestIdx = m
@@ -141,7 +162,9 @@ func (e *Ensemble) selectMembers(qs *QueryScratch, n int, mode ProbeMode) {
 
 // AppendCandidatesRow appends routed row i's candidate set to dst: the ids
 // in the mPrime most probable bins of the selected member (best-confidence)
-// or of every member, first occurrences only (union).
+// or of every member, first occurrences only (union), each bin in its own
+// order. A tree's leaves are disjoint, so with one member both modes emit
+// the same ids in the same order.
 func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, mode ProbeMode, qs *QueryScratch) []int32 {
 	switch mode {
 	case BestConfidence:
@@ -150,7 +173,7 @@ func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, mode ProbeMod
 			return dst
 		}
 		p := e.Parts[m]
-		row := qs.memberProbs[m][i*p.M : (i+1)*p.M]
+		row := qs.probs[m][i*p.M : (i+1)*p.M]
 		qs.bins = vecmath.TopKIndicesInto(qs.bins, row, mPrime)
 		for _, b := range qs.bins {
 			dst = append(dst, p.Bins[b]...)
@@ -159,7 +182,7 @@ func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, mode ProbeMod
 	case UnionProbe:
 		gen := qs.beginSeen()
 		for m, p := range e.Parts {
-			row := qs.memberProbs[m][i*p.M : (i+1)*p.M]
+			row := qs.probs[m][i*p.M : (i+1)*p.M]
 			qs.bins = vecmath.TopKIndicesInto(qs.bins, row, mPrime)
 			for _, b := range qs.bins {
 				mark := len(dst)
@@ -186,14 +209,18 @@ func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, mode ProbeMod
 }
 
 // CandidatesWith returns the ensemble's candidate set for q as a fresh
-// []int — the adapter the offline callers (experiment sweeps, eval) use.
+// []int — the adapter the offline callers (experiment sweeps, tests) use.
 // Hold one QueryScratch across queries: UnionProbe's dedup array grows to
 // the largest id it meets, so a fresh scratch per query would re-allocate
 // and re-zero O(n) every call.
 func (e *Ensemble) CandidatesWith(qs *QueryScratch, q []float32, mPrime int, mode ProbeMode) []int {
 	e.Route(qs, q, mode)
 	qs.cands = e.AppendCandidatesRow(qs.cands[:0], 0, mPrime, mode, qs)
-	return ToInts(qs.cands)
+	out := make([]int, len(qs.cands))
+	for i, id := range qs.cands {
+		out[i] = int(id)
+	}
+	return out
 }
 
 // Size returns the number of models in the ensemble.

@@ -8,30 +8,14 @@ import (
 	"repro/internal/knn"
 	"repro/internal/nn"
 	"repro/internal/par"
-	"repro/internal/vecmath"
 )
 
-// Hierarchy implements the recursive partitioning of §4.4.2: a root model
-// splits the dataset into levels[0] bins, a child model per bin splits its
-// subset into levels[1] bins, and so on, yielding ∏levels leaf bins. A
-// query's leaf-bin probability is the product of the model probabilities
-// along the root→leaf path.
-type Hierarchy struct {
-	NumBins int
-	// Bins is the global leaf lookup table: Bins[g] lists the ids in leaf
-	// bin g in insertion order (see table.go). Leaves are numbered depth
-	// first (mixed radix).
-	Bins [][]int32
-	root *hnode
-}
-
-// hnode is one model of the tree. Only the leaf table holds ids: inner and
-// leaf models alike just route (§4.4.2).
-type hnode struct {
-	model    *nn.Sequential
-	children []*hnode // nil at the last level
-	leafBase int      // first global leaf-bin id under this node
-}
+// Hierarchy is a Partitioner trained by TrainHierarchy: the recursive
+// partitioning of §4.4.2, a root model splitting the dataset into levels[0]
+// bins, a child model per bin splitting its subset into levels[1] bins, and
+// so on, yielding ∏levels leaf bins. The name is kept only for the stage rig
+// (bench/rig.go) and goes with the rig (ROADMAP 1(c)).
+type Hierarchy = Partitioner
 
 // TrainHierarchy trains the tree of models. levels gives the branching
 // factor per level (the paper's 256-bin configuration is levels = [16, 16];
@@ -46,7 +30,7 @@ type hnode struct {
 // models and table are those a depth-first serial walk would train. The
 // returned stats are in that walk's order (pre-order). cfg.Logf may be
 // called from several goroutines at once.
-func TrainHierarchy(ds *dataset.Dataset, levels []int, cfg Config) (*Hierarchy, []TrainStats, error) {
+func TrainHierarchy(ds *dataset.Dataset, levels []int, cfg Config) (*Partitioner, []TrainStats, error) {
 	if len(levels) == 0 {
 		return nil, nil, fmt.Errorf("core: hierarchy needs at least one level")
 	}
@@ -57,29 +41,26 @@ func TrainHierarchy(ds *dataset.Dataset, levels []int, cfg Config) (*Hierarchy, 
 		}
 		numBins *= m
 	}
-	h := &Hierarchy{NumBins: numBins, Bins: make([][]int32, numBins)}
+	h := &Partitioner{M: numBins, Bins: make([][]int32, numBins)}
 	all := make([]int32, ds.N)
 	for i := range all {
 		all[i] = int32(i)
 	}
-	root, stats, err := trainNode(ds, all, levels, cfg, 0, h)
+	stats, err := trainNode(&h.node, ds, all, levels, cfg, h.Bins)
 	if err != nil {
 		return nil, nil, err
 	}
-	h.root = root
 	h.Bins = mergeTable(h.Bins, nil)
 	return h, stats, nil
 }
 
-// trainNode trains the model for one subset and recurses, returning the
+// trainNode trains nd's model for one subset and recurses, returning the
 // subtree's stats in pre-order. idx holds global dataset indices of the
-// subset; leafBase is the subtree's first global leaf bin, which also seeds
-// the node.
-func trainNode(ds *dataset.Dataset, idx []int32, levels []int, cfg Config,
-	leafBase int, h *Hierarchy) (*hnode, []TrainStats, error) {
-
+// subset; nd.leafBase is the subtree's first leaf bin, which also seeds the
+// node. The subtree's ids go to its leaves of bins.
+func trainNode(nd *node, ds *dataset.Dataset, idx []int32, levels []int, cfg Config, bins [][]int32) ([]TrainStats, error) {
 	m := levels[0]
-	node := &hnode{leafBase: leafBase}
+	leafBase := nd.leafBase
 	local := make([]int, len(idx))
 	for i, g := range idx {
 		local[i] = int(g)
@@ -101,15 +82,15 @@ func trainNode(ds *dataset.Dataset, idx []int32, levels []int, cfg Config,
 		ncfg.KPrime = kp
 		p, st, err := Train(sub, mat, ncfg, nil)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: hierarchy node: %w", err)
+			return nil, fmt.Errorf("core: hierarchy node: %w", err)
 		}
 		stats = append(stats, st)
-		node.model = p.Model
+		nd.Model = p.Model
 		localBins = p.Bins
 	} else {
 		// Degenerate subset: untrained router, round-robin assignment.
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(leafBase)))
-		node.model = nn.NewLogistic(ds.Dim, m, rng)
+		nd.Model = nn.NewLogistic(ds.Dim, m, rng)
 		localBins = make([][]int32, m)
 		for i := 0; i < sub.N; i++ {
 			localBins[i%m] = append(localBins[i%m], int32(i))
@@ -121,10 +102,10 @@ func trainNode(ds *dataset.Dataset, idx []int32, levels []int, cfg Config,
 		for b := 0; b < m; b++ {
 			g := leafBase + b
 			for _, li := range localBins[b] {
-				h.Bins[g] = append(h.Bins[g], idx[li])
+				bins[g] = append(bins[g], idx[li])
 			}
 		}
-		return node, stats, nil
+		return stats, nil
 	}
 
 	// Child b's subtree holds the ∏levels[1:] leaves after its elder
@@ -133,7 +114,7 @@ func trainNode(ds *dataset.Dataset, idx []int32, levels []int, cfg Config,
 	for _, c := range levels[1:] {
 		span *= c
 	}
-	node.children = make([]*hnode, m)
+	nd.children = make([]node, m)
 	childStats := make([][]TrainStats, m)
 	errs := make([]error, m)
 	par.ForChunksMin(m, 1, func(first, end int) {
@@ -142,137 +123,90 @@ func trainNode(ds *dataset.Dataset, idx []int32, levels []int, cfg Config,
 			for i, li := range localBins[b] {
 				childIdx[i] = idx[li]
 			}
-			node.children[b], childStats[b], errs[b] = trainNode(ds, childIdx, levels[1:], cfg, leafBase+b*span, h)
+			child := &nd.children[b]
+			child.leafBase = leafBase + b*span
+			childStats[b], errs[b] = trainNode(child, ds, childIdx, levels[1:], cfg, bins)
 		}
 	})
 	for b, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		stats = append(stats, childStats[b]...)
 	}
-	return node, stats, nil
+	return stats, nil
 }
 
-// LeafProbabilitiesInto writes the query's probability for every global
-// leaf bin — the product of model outputs along each root→leaf path — into
-// dst (grown as needed), running every node's forward pass through the
-// scratch's per-depth buffers.
-func (h *Hierarchy) LeafProbabilitiesInto(dst []float32, q []float32, qs *QueryScratch) []float32 {
-	if cap(dst) < h.NumBins {
-		dst = make([]float32, h.NumBins)
+// LeafProbabilitiesInto writes q's probability for every leaf bin into dst
+// (grown as needed) through the scratch's buffers. The engine routes through
+// Ensemble.Route; only the stage rig (bench/rig.go) calls this, and it goes
+// with the rig (ROADMAP 1(c)).
+func (p *Partitioner) LeafProbabilitiesInto(dst []float32, q []float32, qs *QueryScratch) []float32 {
+	return p.leafProbs(dst, q, qs)
+}
+
+// leafProbs writes the leaf distributions of the routed rows into dst,
+// rows×M row-major, grown as needed: q through the single-row kernel, or the
+// rows staged with qs.Stage when q is nil. A flat partitioner's is its
+// model's output, written in place. A tree's is the product of the model
+// outputs along each root→leaf path, multiplied from the root down; at
+// depth 1 that would be 1·p, which is p exactly, so both forms give the same
+// bits.
+func (p *Partitioner) leafProbs(dst, q []float32, qs *QueryScratch) []float32 {
+	if p.children == nil {
+		return qs.predictInto(dst, p.Model, q)
 	}
-	dst = dst[:h.NumBins]
-	h.walkNode(dst, h.root, 0, 1, q, qs)
+	n := 1
+	if q == nil {
+		n = qs.q.Rows
+	}
+	dst = growFloats(dst, n*p.M)
+	path := qs.pathBuf(0, n)
+	for i := range path {
+		path[i] = 1
+	}
+	p.walk(dst, &p.node, 0, n, q, qs)
 	return dst
 }
 
-// walkNode multiplies node distributions down the tree into out. Each depth
-// owns one scratch buffer: a parent's distribution stays live while its
-// children recurse, but siblings at the same depth can share.
-func (h *Hierarchy) walkNode(out []float32, n *hnode, depth int, prob float32, q []float32, qs *QueryScratch) {
-	probs := qs.predict(&qs.nodeProb, depth, n.model, q)
-	if n.children == nil {
-		for b, pb := range probs {
-			out[n.leafBase+b] = prob * pb
-		}
-		return
-	}
-	for b, child := range n.children {
-		h.walkNode(out, child, depth+1, prob*probs[b], q, qs)
-	}
-}
-
-// Route walks the tree for q through the single-row kernel, leaving the
-// leaf distribution in row 0 of the scratch. The hierarchy is one router,
-// so the probe mode does not apply.
-func (h *Hierarchy) Route(qs *QueryScratch, q []float32, _ ProbeMode) {
-	qs.leaf = h.LeafProbabilitiesInto(qs.leaf, q, qs)
-}
-
-// RouteBatch walks the tree once for the whole staged batch: each node's
-// model runs a single batched forward pass, and the per-row root→leaf
-// probability products accumulate through per-depth buffers in the same
-// multiplication order as the single-row walk, filling the rows×NumBins
-// leaf distribution.
-func (h *Hierarchy) RouteBatch(qs *QueryScratch, _ ProbeMode) {
-	n := qs.q.Rows
-	qs.leaf = growFloats(qs.leaf, n*h.NumBins)
-	root := qs.pathBuf(0, n)
-	for i := range root {
-		root[i] = 1
-	}
-	h.walkNodeBatch(qs, h.root, 0, n)
-}
-
-// walkNodeBatch is walkNode over a staged batch. Each depth owns one node
-// buffer and one path buffer: a parent's distribution and path products
-// stay live while its children recurse, but siblings at the same depth can
-// share — the same per-depth discipline as the single-row walk.
-func (h *Hierarchy) walkNodeBatch(qs *QueryScratch, nd *hnode, depth, n int) {
-	probs := qs.predict(&qs.nodeProb, depth, nd.model, nil)
-	w := nd.model.OutDim()
+// walk runs nd's model over the routed rows and multiplies each row's path
+// product down to nd's leaves of out. Each depth owns one node buffer and
+// one path buffer: a parent's distribution and path products stay live
+// while its children recurse, but siblings at the same depth can share.
+func (p *Partitioner) walk(out []float32, nd *node, depth, n int, q []float32, qs *QueryScratch) {
+	buf := slot(&qs.nodeProb, depth)
+	*buf = qs.predictInto(*buf, nd.Model, q)
+	probs := *buf
+	w := nd.Model.OutDim()
 	path := qs.pathProb[depth]
 	if nd.children == nil {
 		for i := 0; i < n; i++ {
 			row := probs[i*w : (i+1)*w]
-			out := qs.leaf[i*h.NumBins+nd.leafBase:]
-			pi := path[i]
+			leaves := out[i*p.M+nd.leafBase:]
 			for b, pb := range row {
-				out[b] = pi * pb
+				leaves[b] = path[i] * pb
 			}
 		}
 		return
 	}
-	for b, child := range nd.children {
+	for b := range nd.children {
 		cp := qs.pathBuf(depth+1, n)
 		for i := 0; i < n; i++ {
 			cp[i] = path[i] * probs[i*w+b]
 		}
-		h.walkNodeBatch(qs, child, depth+1, n)
+		p.walk(out, &nd.children[b], depth+1, n, q, qs)
 	}
 }
 
-// AppendCandidatesRow appends routed row i's candidate set to dst: the
-// lookup lists of its mPrime most probable leaf bins. Leaf bins are
-// disjoint, so no dedup is needed and mode goes unused.
-func (h *Hierarchy) AppendCandidatesRow(dst []int32, i, mPrime int, _ ProbeMode, qs *QueryScratch) []int32 {
-	row := qs.leaf[i*h.NumBins : (i+1)*h.NumBins]
-	qs.bins = vecmath.TopKIndicesInto(qs.bins, row, mPrime)
-	for _, b := range qs.bins {
-		dst = append(dst, h.Bins[b]...)
-	}
-	return dst
-}
-
-// CandidatesWith returns the candidate set for q as a fresh []int — the
-// adapter the offline callers use — reusing the caller's scratch across
-// queries (tree-walk and selection buffers stay warm).
-func (h *Hierarchy) CandidatesWith(qs *QueryScratch, q []float32, mPrime int) []int {
-	h.Route(qs, q, BestConfidence)
-	qs.cands = h.AppendCandidatesRow(qs.cands[:0], 0, mPrime, BestConfidence, qs)
-	return ToInts(qs.cands)
-}
-
-// BinSizes returns the number of points per global leaf bin.
-func (h *Hierarchy) BinSizes() []int {
-	out := make([]int, h.NumBins)
-	for g, pts := range h.Bins {
-		out[g] = len(pts)
-	}
-	return out
-}
-
-// TotalParams sums learnable parameters over all models in the tree.
-func (h *Hierarchy) TotalParams() int {
-	total := 0
-	var walk func(n *hnode)
-	walk = func(n *hnode) {
-		total += n.model.NumParams()
-		for _, c := range n.children {
-			walk(c)
+// TotalParams sums learnable parameters over every model of the tree.
+func (p *Partitioner) TotalParams() int {
+	var count func(nd *node) int
+	count = func(nd *node) int {
+		total := nd.Model.NumParams()
+		for i := range nd.children {
+			total += count(&nd.children[i])
 		}
+		return total
 	}
-	walk(h.root)
-	return total
+	return count(&p.node)
 }

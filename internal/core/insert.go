@@ -12,43 +12,41 @@ import "repro/internal/vecmath"
 // Routing (the model forward pass) and table mutation are split so callers
 // serializing inserts against concurrent queries can compute the routing
 // decision outside their critical section: the trained models are immutable,
-// only the append needs exclusivity. A router shared with concurrent readers
-// takes inserts through Router.With; InsertRouted appends in place, for a
-// router its caller owns alone.
+// only the append needs exclusivity. An ensemble shared with concurrent
+// readers takes inserts through With; InsertRouted appends in place, for an
+// ensemble its caller owns alone.
 
-// RouteBinsWith appends each member partition's routing decision for vec to
-// dst, running the forward passes through the caller's scratch
-// (allocation-free when warm).
+// RouteBinsWith appends each member's routing decision for vec — its most
+// probable leaf bin, the rule queries use — to dst, running the routing
+// passes through the caller's scratch (allocation-free when warm).
 func (e *Ensemble) RouteBinsWith(qs *QueryScratch, vec []float32, dst []int) []int {
 	e.Route(qs, vec, UnionProbe) // every member's row, no member selection
 	for m := range e.Parts {
-		dst = append(dst, vecmath.ArgMax(qs.memberProbs[m]))
+		dst = append(dst, vecmath.ArgMax(qs.probs[m]))
 	}
 	return dst
 }
 
-// InsertRouted appends a point to every member partition at the bins
-// RouteBinsWith chose for it.
+// InsertRouted appends a point to every member at the bins RouteBinsWith
+// chose for it. Only the stage rig (bench/rig.go) and tests call it; it goes
+// with the rig (ROADMAP 1(c)).
 func (e *Ensemble) InsertRouted(id int, bins []int) {
-	for j, p := range e.Parts {
-		p.Bins[bins[j]] = append(p.Bins[bins[j]], int32(id))
+	for m, p := range e.Parts {
+		p.InsertRouted(id, bins[m])
 	}
 }
 
-// RouteLeafWith returns the global leaf bin the tree routes vec to, running
-// the tree walk through the caller's scratch.
-func (h *Hierarchy) RouteLeafWith(qs *QueryScratch, vec []float32) int {
-	h.Route(qs, vec, BestConfidence)
-	return vecmath.ArgMax(qs.leaf)
+// RouteLeafWith returns the leaf bin p routes vec to, running the routing
+// pass through the caller's scratch. Only the stage rig (bench/rig.go) and
+// tests call it; it goes with the rig (ROADMAP 1(c)).
+func (p *Partitioner) RouteLeafWith(qs *QueryScratch, vec []float32) int {
+	buf := slot(&qs.probs, 0)
+	*buf = p.leafProbs(*buf, vec, qs)
+	return vecmath.ArgMax(*buf)
 }
 
-// RouteBinsWith implements Router: the hierarchy is one member whose bin is
-// the global leaf.
-func (h *Hierarchy) RouteBinsWith(qs *QueryScratch, vec []float32, dst []int) []int {
-	return append(dst, h.RouteLeafWith(qs, vec))
-}
-
-// InsertRouted appends a point to the given global leaf bin.
-func (h *Hierarchy) InsertRouted(id, g int) {
-	h.Bins[g] = append(h.Bins[g], int32(id))
+// InsertRouted appends a point to leaf bin g, in place. Only the stage rig
+// (bench/rig.go) calls it directly; it goes with the rig (ROADMAP 1(c)).
+func (p *Partitioner) InsertRouted(id, g int) {
+	p.Bins[g] = append(p.Bins[g], int32(id))
 }

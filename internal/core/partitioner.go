@@ -11,18 +11,32 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Partitioner is one trained USP model together with the lookup table of
-// Algorithm 1 step 3: for every bin, the indices of the dataset points
-// assigned to it.
+// Partitioner is one trained USP router together with the lookup table of
+// Algorithm 1 step 3. It is a tree of models (§4.4.2): the root model splits
+// the space into its outputs, and an inner node hands each output to a child
+// that splits it further. The leaves are the bins, numbered depth first; a
+// query's leaf probability is the product of the model outputs along the
+// root→leaf path. A flat partitioner — what Train returns, and every
+// ensemble member — is a tree of depth 1, whose bins are its model's outputs.
 type Partitioner struct {
-	Model *nn.Sequential
-	M     int
-	// Bins[b] lists the ids in bin b in insertion order (see table.go).
+	node // the root; its Model is the partitioner's model
+	// M is the number of leaf bins.
+	M int
+	// Bins[b] lists the ids in leaf bin b in insertion order (see table.go).
 	Bins [][]int32
 }
 
+// node is one model of the tree. Only the leaf table holds ids: inner and
+// leaf models alike just route.
+type node struct {
+	Model    *nn.Sequential
+	children []node // nil at the last level
+	leafBase int    // first leaf bin under this node
+}
+
 // AppendBin appends the ids of bin b to dst. It allocates only when dst
-// must grow.
+// must grow. Only the stage rig (bench/rig.go) calls it; it goes with the
+// rig (ROADMAP 1(c)).
 func (p *Partitioner) AppendBin(dst []int32, b int) []int32 {
 	return append(dst, p.Bins[b]...)
 }
@@ -75,7 +89,7 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config, weights []float3
 		if err := trainTargetGrad(ds, knnMat, cfg, weights, model, opt, rng); err != nil {
 			return nil, TrainStats{}, err
 		}
-		p := &Partitioner{Model: model, M: cfg.Bins}
+		p := &Partitioner{node: node{Model: model}, M: cfg.Bins}
 		p.buildLookup(ds)
 		return p, TrainStats{
 			Duration: time.Since(start),
@@ -152,7 +166,7 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config, weights []float3
 		}
 	}
 
-	p := &Partitioner{Model: model, M: m}
+	p := &Partitioner{node: node{Model: model}, M: m}
 	p.buildLookup(ds)
 	stats := TrainStats{
 		Duration:  time.Since(start),
@@ -220,19 +234,15 @@ func predictBatched(model *nn.Sequential, ds *dataset.Dataset, chunk int) *tenso
 	return out
 }
 
-// Probabilities returns the model's bin distribution for a query point.
-func (p *Partitioner) Probabilities(q []float32) []float32 {
-	return p.Model.PredictVec(q)
-}
-
-// ProbabilitiesInto is the allocation-free Probabilities: the distribution is
-// written into dst (grown as needed) through the scratch's inference buffers.
-// Results are bit-identical to Probabilities.
+// ProbabilitiesInto writes the root model's bin distribution for q into dst
+// (grown as needed) through the inference scratch — for a flat partitioner,
+// its leaf distribution. Only the stage rig (bench/rig.go) calls it; it goes
+// with the rig (ROADMAP 1(c)).
 func (p *Partitioner) ProbabilitiesInto(dst []float32, q []float32, sc *nn.InferScratch) []float32 {
 	return p.Model.PredictVecInto(dst, q, sc)
 }
 
-// BinSizes returns the number of points per bin (partition balance
+// BinSizes returns the number of points per leaf bin (partition balance
 // diagnostics).
 func (p *Partitioner) BinSizes() []int {
 	out := make([]int, p.M)

@@ -6,13 +6,14 @@ import (
 )
 
 // QueryScratch owns every intermediate buffer the online phase needs for one
-// goroutine: the model forward-pass buffers, the per-member (or per-tree-
-// depth) probability rows, the selected-bin list, and a generation-stamped
-// visited set for union probing. A router fills the probability rows —
-// Route for one query (row 0), RouteBatch for a staged chunk — and
-// AppendCandidatesRow reads them, so everything after routing is one code
-// path whatever the number of rows. After warm-up, routing and gathering
-// perform no allocation beyond growth of the caller's candidate slice.
+// goroutine: the model forward-pass buffers, the per-member leaf probability
+// rows, the tree walk's per-depth buffers, the selected-bin list, and a
+// generation-stamped visited set for union probing. The ensemble fills the
+// probability rows — Route for one query (row 0), RouteBatch for a staged
+// chunk — and AppendCandidatesRow reads them, so everything after routing is
+// one code path whatever the number of rows. After warm-up, routing and
+// gathering perform no allocation beyond growth of the caller's candidate
+// slice.
 //
 // The zero value is ready to use. Buffers grow on demand and are retained.
 type QueryScratch struct {
@@ -23,12 +24,11 @@ type QueryScratch struct {
 
 	q tensor.Matrix // staged query rows (filled by the caller via Stage)
 
-	memberProbs [][]float32 // per ensemble member: rows×M distributions, flat row-major
-	bestIdx     []int       // best-confidence member per row (-1: none selected)
+	probs   [][]float32 // per ensemble member: rows×M leaf distributions, flat row-major
+	bestIdx []int       // best-confidence member per row (-1: none selected)
 
-	leaf     []float32   // hierarchy: rows×NumBins leaf distributions, flat
-	nodeProb [][]float32 // hierarchy: per-depth node distributions, flat rows×m
-	pathProb [][]float32 // hierarchy: per-depth per-row accumulated path products (batched walk)
+	nodeProb [][]float32 // tree walk: per-depth node distributions, flat rows×width
+	pathProb [][]float32 // tree walk: per-depth per-row accumulated path products
 
 	bins  []int   // selected top-m′ bins for the row being appended
 	cands []int32 // candidate staging for the []int-returning CandidatesWith
@@ -37,17 +37,6 @@ type QueryScratch struct {
 	// seen[i] == gen marks id i as already emitted for the current row.
 	seen []uint32
 	gen  uint32
-}
-
-// ToInts materializes an []int32 id list as a fresh []int — the conversion
-// CandidatesWith performs at the boundary between the int32 engine and the
-// seed-era []int APIs.
-func ToInts(ids []int32) []int {
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		out[i] = int(id)
-	}
-	return out
 }
 
 func growFloats(buf []float32, n int) []float32 {
@@ -85,28 +74,28 @@ func (qs *QueryScratch) growSeen(id int32) {
 	qs.seen = qs.seen[:cap(qs.seen)]
 }
 
-// predict runs model's forward pass into the probability buffer (*bufs)[i]
-// — through the single-row kernel for q, or over the staged batch when q is
-// nil — keeps the grown buffer there for the next call, and returns it.
-// Ensembles keep one buffer per member, hierarchies one per tree depth.
-func (qs *QueryScratch) predict(bufs *[][]float32, i int, model *nn.Sequential, q []float32) []float32 {
+// predictInto runs model's forward pass into dst (grown as needed): q
+// through the single-row kernel, or the staged batch when q is nil.
+func (qs *QueryScratch) predictInto(dst []float32, model *nn.Sequential, q []float32) []float32 {
+	if q != nil {
+		return model.PredictVecInto(dst, q, &qs.Infer)
+	}
+	return model.PredictBatchInto(dst, &qs.q, &qs.batch)
+}
+
+// slot returns the address of (*bufs)[i], growing *bufs as needed, so a
+// buffer regrown there is kept for the next call.
+func slot(bufs *[][]float32, i int) *[]float32 {
 	for len(*bufs) <= i {
 		*bufs = append(*bufs, nil)
 	}
-	if q != nil {
-		(*bufs)[i] = model.PredictVecInto((*bufs)[i], q, &qs.Infer)
-	} else {
-		(*bufs)[i] = model.PredictBatchInto((*bufs)[i], &qs.q, &qs.batch)
-	}
-	return (*bufs)[i]
+	return &(*bufs)[i]
 }
 
 // pathBuf returns the per-row path-product buffer for tree depth d, sized
 // to n rows.
 func (qs *QueryScratch) pathBuf(d, n int) []float32 {
-	for len(qs.pathProb) <= d {
-		qs.pathProb = append(qs.pathProb, nil)
-	}
-	qs.pathProb[d] = growFloats(qs.pathProb[d], n)
-	return qs.pathProb[d]
+	buf := slot(&qs.pathProb, d)
+	*buf = growFloats(*buf, n)
+	return *buf
 }

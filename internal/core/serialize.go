@@ -24,12 +24,17 @@ type partSpec struct {
 	Bins  [][]int32
 }
 
-// SaveEnsemble writes an ensemble (models and lookup tables) to w. Each bin
-// is written in its own order — the order the read path scans it in — so a
-// reloaded index serves results bit-identical to the live one.
+// SaveEnsemble writes an ensemble of flat members (models and lookup
+// tables) to w. Each bin is written in its own order — the order the read
+// path scans it in — so a reloaded index serves results bit-identical to the
+// live one. A member with children has no place in the format; see
+// SaveHierarchy.
 func SaveEnsemble(w io.Writer, e *Ensemble) error {
 	var spec ensembleSpec
-	for _, p := range e.Parts {
+	for m, p := range e.Parts {
+		if p.children != nil {
+			return fmt.Errorf("core: ensemble member %d is a tree; save it with SaveHierarchy", m)
+		}
 		var buf bytes.Buffer
 		if err := p.Model.Save(&buf); err != nil {
 			return fmt.Errorf("core: serializing model: %w", err)
@@ -39,8 +44,8 @@ func SaveEnsemble(w io.Writer, e *Ensemble) error {
 	return gob.NewEncoder(w).Encode(spec)
 }
 
-// hierSpec snapshots a Hierarchy: the node tree with serialized models plus
-// the global leaf table. Older snapshots also carry the branching factors
+// hierSpec snapshots one tree: the node tree with serialized models plus
+// the leaf table. Older snapshots also carry the branching factors
 // (Levels), a probe temperature no writer set (ProbeTemp), and, before
 // nodes held models only, a per-node Assign and Bins; gob skips them all.
 type hierSpec struct {
@@ -55,18 +60,20 @@ type hnodeSpec struct {
 	Children []hnodeSpec
 }
 
-// SaveHierarchy writes a hierarchy to w, each global leaf in its own order,
-// so a reloaded index serves results bit-identical to the live one.
-func SaveHierarchy(w io.Writer, h *Hierarchy) error {
-	var snap func(n *hnode) (hnodeSpec, error)
-	snap = func(n *hnode) (hnodeSpec, error) {
+// SaveHierarchy writes one tree — the model of every node and the leaf
+// table, each leaf in its own order — to w, so a reloaded index serves
+// results bit-identical to the live one. A flat partitioner is written as a
+// tree of one node.
+func SaveHierarchy(w io.Writer, p *Partitioner) error {
+	var snap func(nd *node) (hnodeSpec, error)
+	snap = func(nd *node) (hnodeSpec, error) {
 		var buf bytes.Buffer
-		if err := n.model.Save(&buf); err != nil {
+		if err := nd.Model.Save(&buf); err != nil {
 			return hnodeSpec{}, fmt.Errorf("core: serializing hierarchy model: %w", err)
 		}
-		ns := hnodeSpec{Model: buf.Bytes(), LeafBase: n.leafBase}
-		for _, c := range n.children {
-			cs, err := snap(c)
+		ns := hnodeSpec{Model: buf.Bytes(), LeafBase: nd.leafBase}
+		for i := range nd.children {
+			cs, err := snap(&nd.children[i])
 			if err != nil {
 				return hnodeSpec{}, err
 			}
@@ -74,16 +81,16 @@ func SaveHierarchy(w io.Writer, h *Hierarchy) error {
 		}
 		return ns, nil
 	}
-	root, err := snap(h.root)
+	root, err := snap(&p.node)
 	if err != nil {
 		return err
 	}
-	return gob.NewEncoder(w).Encode(hierSpec{NumBins: h.NumBins, Bins: h.Bins, Root: root})
+	return gob.NewEncoder(w).Encode(hierSpec{NumBins: p.M, Bins: p.Bins, Root: root})
 }
 
-// LoadHierarchy reads a hierarchy previously written by SaveHierarchy. The
-// result is not checked against any dataset; see Router.Validate.
-func LoadHierarchy(r io.Reader) (*Hierarchy, error) {
+// LoadHierarchy reads a tree previously written by SaveHierarchy. The result
+// is not checked against any dataset; see Ensemble.Validate.
+func LoadHierarchy(r io.Reader) (*Partitioner, error) {
 	var spec hierSpec
 	if err := gob.NewDecoder(r).Decode(&spec); err != nil {
 		return nil, fmt.Errorf("core: decoding hierarchy: %w", err)
@@ -91,31 +98,32 @@ func LoadHierarchy(r io.Reader) (*Hierarchy, error) {
 	if spec.NumBins == 0 {
 		return nil, fmt.Errorf("core: hierarchy snapshot is empty")
 	}
-	var restore func(ns hnodeSpec) (*hnode, error)
-	restore = func(ns hnodeSpec) (*hnode, error) {
+	var restore func(nd *node, ns hnodeSpec) error
+	restore = func(nd *node, ns hnodeSpec) error {
 		model, err := nn.Load(bytes.NewReader(ns.Model), rand.New(rand.NewSource(int64(ns.LeafBase))))
 		if err != nil {
-			return nil, fmt.Errorf("core: decoding hierarchy model: %w", err)
+			return fmt.Errorf("core: decoding hierarchy model: %w", err)
 		}
-		n := &hnode{model: model, leafBase: ns.LeafBase}
-		for _, cs := range ns.Children {
-			c, err := restore(cs)
-			if err != nil {
-				return nil, err
+		nd.Model, nd.leafBase = model, ns.LeafBase
+		if len(ns.Children) > 0 {
+			nd.children = make([]node, len(ns.Children))
+		}
+		for i, cs := range ns.Children {
+			if err := restore(&nd.children[i], cs); err != nil {
+				return err
 			}
-			n.children = append(n.children, c)
 		}
-		return n, nil
+		return nil
 	}
-	root, err := restore(spec.Root)
-	if err != nil {
+	p := &Partitioner{M: spec.NumBins, Bins: mergeTable(spec.Bins, nil)}
+	if err := restore(&p.node, spec.Root); err != nil {
 		return nil, err
 	}
-	return &Hierarchy{NumBins: spec.NumBins, Bins: mergeTable(spec.Bins, nil), root: root}, nil
+	return p, nil
 }
 
 // LoadEnsemble reads an ensemble previously written by SaveEnsemble. The
-// result is not checked against any dataset; see Router.Validate.
+// result is not checked against any dataset; see Ensemble.Validate.
 func LoadEnsemble(r io.Reader) (*Ensemble, error) {
 	var spec ensembleSpec
 	if err := gob.NewDecoder(r).Decode(&spec); err != nil {
@@ -130,7 +138,7 @@ func LoadEnsemble(r io.Reader) (*Ensemble, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: decoding model %d: %w", i, err)
 		}
-		e.Parts = append(e.Parts, &Partitioner{Model: model, M: ps.M, Bins: mergeTable(ps.Bins, nil)})
+		e.Parts = append(e.Parts, &Partitioner{node: node{Model: model}, M: ps.M, Bins: mergeTable(ps.Bins, nil)})
 	}
 	return e, nil
 }

@@ -6,9 +6,8 @@ import (
 	"repro/internal/bitset"
 )
 
-// The lookup table of Algorithm 1 step 3 has one form for both router
-// families: a [][]int32 whose entry b lists the ids in bin b in insertion
-// order — a partitioner's Bins, or a hierarchy's global leaf Bins.
+// The lookup table of Algorithm 1 step 3 is a partitioner's Bins: a
+// [][]int32 whose entry b lists the ids in leaf bin b in insertion order.
 //
 // Whenever a table is built, merged, filtered or loaded it is packed: every
 // bin is a capacity-capped view into one flat backing array, so the table
@@ -96,41 +95,32 @@ func validateTable(t [][]int32, width, rows int) error {
 func (e *Ensemble) withTables(table func(p *Partitioner) [][]int32) *Ensemble {
 	ne := &Ensemble{Parts: make([]*Partitioner, len(e.Parts))}
 	for m, p := range e.Parts {
-		ne.Parts[m] = &Partitioner{Model: p.Model, M: p.M, Bins: table(p)}
+		ne.Parts[m] = &Partitioner{node: p.node, M: p.M, Bins: table(p)}
 	}
 	return ne
 }
 
-// Rebuild implements Router.
-func (e *Ensemble) Rebuild(drop *bitset.Set) Router {
+// Rebuild returns an ensemble whose tables are e's minus the ids in drop,
+// packed.
+func (e *Ensemble) Rebuild(drop *bitset.Set) *Ensemble {
 	return e.withTables(func(p *Partitioner) [][]int32 { return mergeTable(p.Bins, drop) })
 }
 
-// FilterRemap implements Router. Because the models are shared, every shard
-// routes a query to the same bins as the parent, so the union of the shards'
-// candidate sets at equal probe settings is exactly the parent's.
-func (e *Ensemble) FilterRemap(lo, hi int) Router {
+// FilterRemap returns an ensemble whose tables are restricted to the ids in
+// [lo, hi), renumbered to id−lo, packed. Because the models are shared,
+// every shard routes a query to the same bins as the parent, so the union of
+// the shards' candidate sets at equal probe settings is exactly the
+// parent's.
+func (e *Ensemble) FilterRemap(lo, hi int) *Ensemble {
 	return e.withTables(func(p *Partitioner) [][]int32 { return filterTable(p.Bins, lo, hi) })
 }
 
-// Rebuild implements Router.
-func (h *Hierarchy) Rebuild(drop *bitset.Set) Router {
-	nh := *h
-	nh.Bins = mergeTable(h.Bins, drop)
-	return &nh
-}
-
-// FilterRemap implements Router.
-func (h *Hierarchy) FilterRemap(lo, hi int) Router {
-	nh := *h
-	nh.Bins = filterTable(h.Bins, lo, hi)
-	return &nh
-}
-
-// With implements Router: every member's header array is copied, since an
-// ensemble routes each insert into one bin of every member. The copies are
-// consecutive ranges of one array.
-func (e *Ensemble) With(id int, bins []int) Router {
+// With returns an ensemble whose member m's bin bins[m] also holds id,
+// appended last. Every member's header array is copied, since each insert
+// lands in one bin of every member; the copies are consecutive ranges of one
+// array. The id lists stay shared, which is safe because readers of the
+// receiver never read past their own lengths.
+func (e *Ensemble) With(id int, bins []int) *Ensemble {
 	ne := &Ensemble{Parts: make([]*Partitioner, len(e.Parts))}
 	parts := make([]Partitioner, len(e.Parts))
 	total := 0
@@ -148,78 +138,50 @@ func (e *Ensemble) With(id int, bins []int) Router {
 	return ne
 }
 
-// With implements Router.
-func (h *Hierarchy) With(id int, bins []int) Router {
-	nh := *h
-	nh.Bins = withID(make([][]int32, len(h.Bins)), h.Bins, bins[0], id)
-	return &nh
-}
-
-// Tables implements Router.
-func (e *Ensemble) Tables() [][][]int32 {
-	out := make([][][]int32, len(e.Parts))
-	for m, p := range e.Parts {
-		out[m] = p.Bins
-	}
-	return out
-}
-
-// Tables implements Router.
-func (h *Hierarchy) Tables() [][][]int32 { return [][][]int32{h.Bins} }
-
-// Validate implements Router.
+// Validate checks a decoded ensemble against the dataset it will serve: rows
+// of width dim. In every member, each model reads dim-wide rows, an inner
+// node has one child per output, the leaves cover [0, M) in depth-first
+// order with no gap or overlap, and the leaf table addresses rows rows. An
+// ensemble that passes cannot make a query index out of range.
 func (e *Ensemble) Validate(rows, dim int) error {
 	for m, p := range e.Parts {
-		if in := p.Model.InDim; in != dim {
-			return fmt.Errorf("core: model %d takes %d-dim input, rows are %d-dim", m, in, dim)
-		}
-		if out := p.Model.OutDim(); out != p.M {
-			return fmt.Errorf("core: model %d outputs %d bins, table declares %d", m, out, p.M)
-		}
-		if err := validateTable(p.Bins, p.M, rows); err != nil {
-			return fmt.Errorf("core: model %d: %w", m, err)
+		if err := p.validate(rows, dim); err != nil {
+			return fmt.Errorf("core: member %d: %w", m, err)
 		}
 	}
 	return nil
 }
 
-// Validate implements Router: every node model reads dim-wide rows, an
-// inner node has one child per output, leaves cover the global bins in
-// depth-first order with no gap or overlap, and the leaf table addresses
-// rows rows.
-func (h *Hierarchy) Validate(rows, dim int) error {
+func (p *Partitioner) validate(rows, dim int) error {
 	next := 0
-	var walk func(n *hnode) error
-	walk = func(n *hnode) error {
-		if in := n.model.InDim; in != dim {
-			return fmt.Errorf("core: hierarchy node takes %d-dim input, rows are %d-dim", in, dim)
+	var walk func(nd *node) error
+	walk = func(nd *node) error {
+		if in := nd.Model.InDim; in != dim {
+			return fmt.Errorf("model takes %d-dim input, rows are %d-dim", in, dim)
 		}
-		w := n.model.OutDim()
-		if n.children == nil {
-			if n.leafBase != next {
-				return fmt.Errorf("core: hierarchy leaf node starts at bin %d, want %d", n.leafBase, next)
+		w := nd.Model.OutDim()
+		if nd.children == nil {
+			if nd.leafBase != next {
+				return fmt.Errorf("leaf model starts at bin %d, want %d", nd.leafBase, next)
 			}
 			next += w
 			return nil
 		}
-		if len(n.children) != w {
-			return fmt.Errorf("core: hierarchy node outputs %d bins but has %d children", w, len(n.children))
+		if len(nd.children) != w {
+			return fmt.Errorf("model outputs %d bins but has %d children", w, len(nd.children))
 		}
-		for _, c := range n.children {
-			if err := walk(c); err != nil {
+		for i := range nd.children {
+			if err := walk(&nd.children[i]); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(h.root); err != nil {
+	if err := walk(&p.node); err != nil {
 		return err
 	}
-	if next != h.NumBins {
-		return fmt.Errorf("core: hierarchy leaves cover %d bins, NumBins is %d", next, h.NumBins)
+	if next != p.M {
+		return fmt.Errorf("leaves cover %d bins, table declares %d", next, p.M)
 	}
-	if err := validateTable(h.Bins, h.NumBins, rows); err != nil {
-		return fmt.Errorf("core: hierarchy: %w", err)
-	}
-	return nil
+	return validateTable(p.Bins, p.M, rows)
 }

@@ -92,13 +92,13 @@ func TestHierarchySaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.NumBins != h.NumBins {
-		t.Fatalf("NumBins %d, want %d", loaded.NumBins, h.NumBins)
+	if loaded.M != h.M {
+		t.Fatalf("M %d, want %d", loaded.M, h.M)
 	}
 	var qs QueryScratch
 	for qi := 0; qi < 20; qi++ {
-		a := h.CandidatesWith(&qs, ds.Row(qi), 2)
-		b := loaded.CandidatesWith(&qs, ds.Row(qi), 2)
+		a := OneTree(h).CandidatesWith(&qs, ds.Row(qi), 2, BestConfidence)
+		b := OneTree(loaded).CandidatesWith(&qs, ds.Row(qi), 2, BestConfidence)
 		if len(a) != len(b) {
 			t.Fatalf("query %d: sizes %d vs %d", qi, len(a), len(b))
 		}

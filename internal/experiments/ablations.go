@@ -19,13 +19,7 @@ func ablationRow(b *bench, cfg core.Config, ensemble int, label string) (eval.Se
 	if err != nil {
 		return eval.Series{}, err
 	}
-	var qs core.QueryScratch // sweeps are sequential: one scratch serves every query
-	return eval.SweepCandidates(b.base, b.queries, b.gt, 10, eval.Method{
-		Name: label,
-		Candidates: func(q []float32, p int) []int {
-			return ens.CandidatesWith(&qs, q, p, core.BestConfidence)
-		},
-	}, []int{1, 2, 4}), nil
+	return eval.SweepCandidates(b.base, b.queries, b.gt, 10, uspMethod(label, ens, core.BestConfidence), []int{1, 2, 4}), nil
 }
 
 func baseCfg(sc Scale) core.Config {
@@ -93,13 +87,8 @@ func ablationEnsemble(sc Scale, logf logfn) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var qs core.QueryScratch // reuse the O(n) union-dedup array across the sweep
-	series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, 10, eval.Method{
-		Name: "e=3 (union probe)",
-		Candidates: func(q []float32, p int) []int {
-			return ens.CandidatesWith(&qs, q, p, core.UnionProbe)
-		},
-	}, []int{1, 2, 4}))
+	series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, 10,
+		uspMethod("e=3 (union probe)", ens, core.UnionProbe), []int{1, 2, 4}))
 	return renderAblation("ablation_ensemble", "Ablation: ensemble size (SIFT-like, 16 bins)", series), nil
 }
 
@@ -184,13 +173,7 @@ func ablationArch(sc Scale, logf logfn) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		var qs core.QueryScratch
-		s := eval.SweepCandidates(b.base, b.queries, b.gt, 10, eval.Method{
-			Name: a.label,
-			Candidates: func(q []float32, p int) []int {
-				return ens.CandidatesWith(&qs, q, p, core.BestConfidence)
-			},
-		}, []int{1, 2, 4})
+		s := eval.SweepCandidates(b.base, b.queries, b.gt, 10, uspMethod(a.label, ens, core.BestConfidence), []int{1, 2, 4})
 		series = append(series, s)
 		fmt.Fprintf(&b2, "%-14s params=%d\n", a.label, stats.TotalParams())
 	}

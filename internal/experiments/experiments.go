@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/knn"
@@ -177,4 +178,15 @@ func etaFor(name string, bins int) float64 {
 	default:
 		return 7
 	}
+}
+
+// uspMethod adapts a trained USP router to the candidate sweeps: its
+// candidate set per probe count, through one scratch that serves every query
+// of the sequential sweep (union probing's dedup array grows to the largest
+// id once, not per query).
+func uspMethod(name string, ens *core.Ensemble, mode core.ProbeMode) eval.Method {
+	var qs core.QueryScratch
+	return eval.Method{Name: name, Candidates: func(q []float32, p int) []int {
+		return ens.CandidatesWith(&qs, q, p, mode)
+	}}
 }

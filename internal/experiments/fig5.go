@@ -34,26 +34,16 @@ func fig5(sc Scale, logf logfn, ds string, bins int) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		var qs core.QueryScratch
-		series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, k, eval.Method{
-			Name: fmt.Sprintf("USP (ours, hier 16x%d)", bins/16),
-			Candidates: func(q []float32, p int) []int {
-				return h.CandidatesWith(&qs, q, p)
-			},
-		}, probes))
+		series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, k,
+			uspMethod(fmt.Sprintf("USP (ours, hier 16x%d)", bins/16), core.OneTree(h), core.BestConfidence), probes))
 	} else {
 		logf("fig5 %s/%d: training USP ensemble of %d", ds, bins, sc.Ensemble)
 		ens, _, err := core.TrainEnsemble(b.base, b.mat, cfg, sc.Ensemble)
 		if err != nil {
 			return nil, err
 		}
-		var qs core.QueryScratch
-		series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, k, eval.Method{
-			Name: fmt.Sprintf("USP (ours, e=%d)", sc.Ensemble),
-			Candidates: func(q []float32, p int) []int {
-				return ens.CandidatesWith(&qs, q, p, core.BestConfidence)
-			},
-		}, probes))
+		series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, k,
+			uspMethod(fmt.Sprintf("USP (ours, e=%d)", sc.Ensemble), ens, core.BestConfidence), probes))
 	}
 
 	// --- Neural LSH. ---

@@ -36,13 +36,8 @@ func fig6(sc Scale, logf logfn, ds string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var qs core.QueryScratch
-	series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, k, eval.Method{
-		Name: "USP (ours, logistic)",
-		Candidates: func(q []float32, p int) []int {
-			return h.CandidatesWith(&qs, q, p)
-		},
-	}, probes))
+	series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, k,
+		uspMethod("USP (ours, logistic)", core.OneTree(h), core.BestConfidence), probes))
 
 	// --- Regression LSH. ---
 	logf("fig6 %s: Regression LSH", ds)

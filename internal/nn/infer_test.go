@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/tensor"
+	"repro/internal/vecmath"
 )
 
 // trainedMLP returns a small MLP whose batch-norm running statistics have
@@ -39,11 +40,37 @@ func trainedMLP(t *testing.T, inDim, outDim int) *Sequential {
 }
 
 // referencePredict is an independent eval pass the inference kernels are
-// pinned to: one fresh matrix per layer, Dense as MatMul plus bias,
-// BatchNorm column by column on the running statistics, ReLU as max(0, x),
-// Dropout as the identity, then a row softmax with the max-subtraction trick
-// and a float64 sum.
+// pinned to: referenceLogits, then a row softmax with the max-subtraction
+// trick and a float64 sum.
 func referencePredict(t *testing.T, s *Sequential, x *tensor.Matrix) *tensor.Matrix {
+	t.Helper()
+	out := referenceLogits(t, s, x)
+	for i := 0; i < out.Rows; i++ {
+		row := out.Row(i)
+		maxv := row[0]
+		for _, v := range row[1:] {
+			if v > maxv {
+				maxv = v
+			}
+		}
+		var sum float64
+		for j, v := range row {
+			e := math.Exp(float64(v - maxv))
+			row[j] = float32(e)
+			sum += e
+		}
+		inv := float32(1 / sum)
+		for j := range row {
+			row[j] *= inv
+		}
+	}
+	return out
+}
+
+// referenceLogits is the eval pass up to the softmax: one fresh matrix per
+// layer, Dense as MatMul plus bias, BatchNorm column by column on the
+// running statistics, ReLU as max(0, x), Dropout as the identity.
+func referenceLogits(t *testing.T, s *Sequential, x *tensor.Matrix) *tensor.Matrix {
 	t.Helper()
 	for _, l := range s.Layers {
 		switch ly := l.(type) {
@@ -77,27 +104,7 @@ func referencePredict(t *testing.T, s *Sequential, x *tensor.Matrix) *tensor.Mat
 			t.Fatalf("reference has no eval pass for %T", l)
 		}
 	}
-	out := x.Clone()
-	for i := 0; i < out.Rows; i++ {
-		row := out.Row(i)
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(float64(v - maxv))
-			row[j] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
-		for j := range row {
-			row[j] *= inv
-		}
-	}
-	return out
+	return x.Clone()
 }
 
 // TestPredictKernelsMatchReference pins PredictVecInto, every row of
@@ -142,6 +149,78 @@ func TestPredictKernelsMatchReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// probSumTol bounds |Σp − 1| for one distribution: each probability is a
+// float32 exp scaled by a float32 reciprocal, a few ulps (2^-24 each) off,
+// so a row of up to a few hundred bins stays far inside it.
+const probSumTol = 1e-5
+
+// TestProbabilityInvariants holds every inference form — PredictVecInto,
+// each row of PredictBatchInto, and Predict — to what a distribution over
+// bins must be, under whichever kernel set the process dispatched (CI runs
+// both): each row sums to 1 within probSumTol, its argmax is the logits'
+// argmax, and every probability is finite and in [0, 1], also at extreme
+// finite logits (±1e30, through a constructed Dense), where an exp taken
+// without subtracting the row maximum overflows.
+func TestProbabilityInvariants(t *testing.T) {
+	const in, out = 6, 7
+	rng := rand.New(rand.NewSource(6))
+	extreme := NewLogistic(in, out, rand.New(rand.NewSource(7)))
+	for _, p := range extreme.Params() {
+		for i := range p.Value.Data {
+			p.Value.Data[i] = float32(rng.Float64()*2-1) * 1e30
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		model *Sequential
+		scale float64
+	}{
+		{"mlp", trainedMLP(t, in, out), 1},
+		{"mlp-wide-inputs", trainedMLP(t, in, out), 1e4},
+		{"logistic", NewLogistic(in, out, rand.New(rand.NewSource(8))), 1},
+		{"extreme-logits", extreme, 1},
+	} {
+		x := randInput(rng, 40, in)
+		for i := range x.Data {
+			x.Data[i] *= float32(tc.scale)
+		}
+		logits := referenceLogits(t, tc.model, x)
+		var bsc BatchInferScratch
+		batch := tc.model.PredictBatchInto(nil, x, &bsc)
+		pred := tc.model.Predict(x)
+		var sc InferScratch
+		var vec []float32
+		maxLogit := 0.0
+		for i := 0; i < x.Rows; i++ {
+			vec = tc.model.PredictVecInto(vec, x.Row(i), &sc)
+			want := vecmath.ArgMax(logits.Row(i))
+			for _, l := range logits.Row(i) {
+				maxLogit = max(maxLogit, math.Abs(float64(l)))
+			}
+			for form, row := range map[string][]float32{
+				"PredictVecInto": vec, "PredictBatchInto": batch[i*out : (i+1)*out], "Predict": pred.Row(i),
+			} {
+				var sum float64
+				for j, p := range row {
+					if !(p >= 0 && p <= 1) {
+						t.Fatalf("%s: %s row %d prob[%d] = %v", tc.name, form, i, j, p)
+					}
+					sum += float64(p)
+				}
+				if math.Abs(sum-1) > probSumTol {
+					t.Fatalf("%s: %s row %d sums to %v", tc.name, form, i, sum)
+				}
+				if got := vecmath.ArgMax(row); got != want {
+					t.Fatalf("%s: %s row %d argmax %d, logits' argmax %d", tc.name, form, i, got, want)
+				}
+			}
+		}
+		if tc.name == "extreme-logits" && maxLogit < 1e29 {
+			t.Fatalf("constructed Dense reached logits of only %g", maxLogit)
 		}
 	}
 }

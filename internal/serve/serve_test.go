@@ -100,6 +100,13 @@ func TestEndpointValidation(t *testing.T) {
 
 	q := corpus.Row(3)
 	short := q[:4]
+	// Finite, but their squared norms overflow float32: the engine refuses
+	// them, where it used to answer with +Inf or NaN distances that the
+	// reply encoder then failed on (a 500).
+	big, huge := make([]float32, len(q)), make([]float32, len(q))
+	for i := range q {
+		big[i], huge[i] = 1e20, 3e37
+	}
 
 	for _, tc := range []struct {
 		name string
@@ -123,6 +130,9 @@ func TestEndpointValidation(t *testing.T) {
 		{"batch k and rerank unbounded", "/search/batch", BatchSearchRequest{Vectors: [][]float32{q, corpus.Row(7)}, K: 1 << 40, RerankK: 1 << 40}, 200},
 		{"search dim mismatch", "/search", SearchRequest{Vector: short, K: 5}, 400},
 		{"search empty vector", "/search", SearchRequest{K: 5}, 400},
+		{"search overflowing norm", "/search", SearchRequest{Vector: huge, K: 5}, 400},
+		{"batch overflowing norm", "/search/batch", BatchSearchRequest{Vectors: [][]float32{q, huge}, K: 3}, 400},
+		{"add overflowing norm", "/add", AddRequest{Vector: big}, 400},
 		{"batch ok", "/search/batch", BatchSearchRequest{Vectors: [][]float32{q, corpus.Row(7)}, K: 3, Probes: 2}, 200},
 		{"batch k zero", "/search/batch", BatchSearchRequest{Vectors: [][]float32{q}}, 400},
 		{"batch probes negative", "/search/batch", BatchSearchRequest{Vectors: [][]float32{q}, K: 3, Probes: -2}, 400},

@@ -14,9 +14,9 @@ package usp
 // path: no RWMutex, no reader-side atomics beyond the one load, full
 // snapshot isolation.
 //
-// Add appends the new id to its bins through Router.With: the successor
-// router copies the touched members' bin headers and appends in place past
-// every length an older epoch holds. The dataset grows the same way —
+// Add appends the new id to its bins through Ensemble.With: the successor
+// router copies the members' bin headers and appends in place past every
+// length an older epoch holds. The dataset grows the same way —
 // epochs hold length-capped views, so rows appended after an epoch was
 // published are invisible to it even when the backing array is shared.
 //
@@ -43,9 +43,9 @@ import (
 type epoch struct {
 	seq  uint64
 	data *dataset.Dataset // length-capped view of the row storage
-	// router is the trained partition family (*core.Ensemble or
-	// *core.Hierarchy) with its lookup tables.
-	router core.Router
+	// router holds the trained partitioners with their lookup tables: the
+	// ensemble's members, or the hierarchy as an ensemble of one tree.
+	router *core.Ensemble
 	// packed is the row count the tables were packed at (by build, load or
 	// compaction); the rows after it were added since, and are pending.
 	packed int
@@ -80,14 +80,12 @@ func (ep *epoch) dead() int { return ep.deadSet.Count() }
 // publishes its first epoch. seq/tombs/deadSet restore a snapshot's
 // lifecycle state; Build passes 0/nil/nil. pq/codes carry the quantized
 // state (nil/nil for float-only indexes).
-func newIndex(ds *dataset.Dataset, router core.Router,
+func newIndex(ds *dataset.Dataset, router *core.Ensemble,
 	opt Options, stats BuildStats, seq uint64, tombs, deadSet *bitset.Set,
 	pq *quant.PQ, codes []uint8) *Index {
 
 	ix := &Index{dim: ds.Dim, opt: opt, stats: stats, data: ds,
 		pq: pq, codes: codes, qTrainedN: ds.N}
-	tables := router.Tables()
-	ix.members, ix.slotsPerMember = len(tables), len(tables[0])
 	ix.tel = newIndexMetrics(ix)
 	ix.publish(&epoch{
 		seq: seq, data: ix.frozenView(), router: router, packed: ds.N,
@@ -268,10 +266,9 @@ func (ix *Index) compactOnce() {
 	// merged table, in order. cur grew from the snapshot by With alone (only
 	// compaction replaces tables, and compactMu is held), so the snapshot's
 	// bins are prefixes of cur's.
-	mt, ct, st := merged.Tables(), cur.router.Tables(), snap.router.Tables()
-	for m := range mt {
-		for b, ids := range ct[m] {
-			mt[m][b] = append(mt[m][b], ids[len(st[m][b]):]...)
+	for m, p := range merged.Parts {
+		for b, ids := range cur.router.Parts[m].Bins {
+			p.Bins[b] = append(p.Bins[b], ids[len(snap.router.Parts[m].Bins[b]):]...)
 		}
 	}
 	remAdds := cur.data.N - snap.data.N // every id ≥ snap rows arrived mid-merge

@@ -501,9 +501,9 @@ func TestHeldEpochNeverSeesLaterInserts(t *testing.T) {
 		}
 	}
 	ep := ix.live.Load()
-	for m, table := range ep.router.Tables() {
+	for m, p := range ep.router.Parts {
 		seen := make([]int, ep.data.N)
-		for _, ids := range table {
+		for _, ids := range p.Bins {
 			for _, id := range ids {
 				seen[id]++
 			}
@@ -520,7 +520,7 @@ func TestHeldEpochNeverSeesLaterInserts(t *testing.T) {
 var raceEnabled bool
 
 // TestAddAllocations pins what a steady-state Add on a 2-member ensemble
-// allocates: the epoch and its dataset view, and Router.With's ensemble, its
+// allocates: the epoch and its dataset view, and Ensemble.With's ensemble, its
 // member array, its partitioners and one bin-header array shared by both
 // members. Growth of the rows and of the appended-to bins is amortized below
 // one allocation per Add.

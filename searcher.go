@@ -60,9 +60,9 @@ type queryPlan struct {
 	// float-only epoch, RerankK < 0, or memory-tight mode (no float rows).
 	rerank int
 	// binsProbed is the number of partition bins the query scans:
-	// best-confidence probes min(probes, bins) bins of one model, union
-	// mode that many in every ensemble member (a hierarchy is one member,
-	// so the modes coincide there).
+	// best-confidence probes min(probes, bins) bins of one member, union
+	// mode that many in every member (a hierarchy is one member, so the
+	// modes coincide there).
 	binsProbed uint64
 }
 
@@ -71,10 +71,11 @@ func (ix *Index) plan(ep *epoch, k int, opt SearchOptions) queryPlan {
 	// selectors need k ≥ 1 even then.
 	rows := max(ep.data.N, 1)
 	p := queryPlan{probes: max(opt.Probes, 1), k: min(k, rows)}
-	bins := min(p.probes, ix.slotsPerMember)
+	parts := ep.router.Parts
+	bins := min(p.probes, parts[0].M)
 	if opt.UnionEnsemble {
 		p.mode = core.UnionProbe
-		bins *= ix.members
+		bins *= len(parts)
 	}
 	p.binsProbed = uint64(bins)
 	if qv := ep.quant; qv != nil && !qv.tight && opt.RerankK >= 0 {

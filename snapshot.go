@@ -111,19 +111,19 @@ func (ix *Index) Save(w io.Writer) error {
 
 	// Models and tables, each bin in the order the read path scans it: the
 	// loaded index packs the tables again and serves candidates in exactly
-	// the live order.
+	// the live order. A hierarchy index — one tree, whatever its depth — is
+	// written as a hierarchy spec, anything else as an ensemble spec.
 	var modelBuf bytes.Buffer
-	switch r := ep.router.(type) {
-	case *core.Hierarchy:
+	var err error
+	if len(o.Hierarchy) > 0 {
 		modelBuf.WriteByte(modelKindHierarchy)
-		if err := core.SaveHierarchy(&modelBuf, r); err != nil {
-			return err
-		}
-	case *core.Ensemble:
+		err = core.SaveHierarchy(&modelBuf, ep.router.Parts[0])
+	} else {
 		modelBuf.WriteByte(modelKindEnsemble)
-		if err := core.SaveEnsemble(&modelBuf, r); err != nil {
-			return err
-		}
+		err = core.SaveEnsemble(&modelBuf, ep.router)
+	}
+	if err != nil {
+		return err
 	}
 
 	tombBuf := encodeBitmap(ep.tombs)
@@ -404,7 +404,8 @@ func Load(r io.Reader) (*Index, error) {
 
 	var (
 		so      *snapOptions
-		router  core.Router
+		router  *core.Ensemble
+		tree    bool // the model section holds a hierarchy spec
 		ds      *dataset.Dataset
 		tombs   *bitset.Set
 		deadSet *bitset.Set
@@ -426,7 +427,7 @@ func Load(r io.Reader) (*Index, error) {
 			so = &snapOptions{}
 			err = gob.NewDecoder(lr).Decode(so)
 		case secModel:
-			router, err = readModelSection(lr)
+			router, tree, err = readModelSection(lr)
 		case secDataset:
 			ds, err = readDatasetSection(lr)
 		case secTombstones:
@@ -447,6 +448,11 @@ func Load(r io.Reader) (*Index, error) {
 
 	if so == nil || ds == nil || router == nil {
 		return nil, fmt.Errorf("usp: snapshot missing a required section (options/model/dataset)")
+	}
+	// Save picks the spec from the options, so a file whose two disagree
+	// could not be written back faithfully.
+	if tree != (len(so.Hierarchy) > 0) {
+		return nil, fmt.Errorf("usp: model section (hierarchy spec: %t) disagrees with options (hierarchy %v)", tree, so.Hierarchy)
 	}
 	// The tables and models are untrusted too: an id past the rows or a
 	// shape that disagrees with its model would panic in the first query
@@ -517,28 +523,25 @@ func IsSnapshotFile(path string) bool {
 	return string(m[:]) == snapMagic
 }
 
-func readModelSection(r io.Reader) (core.Router, error) {
+// readModelSection decodes either spec into the one router type, and
+// reports whether it was a hierarchy spec.
+func readModelSection(r io.Reader) (*core.Ensemble, bool, error) {
 	var kind [1]byte
 	if _, err := io.ReadFull(r, kind[:]); err != nil {
-		return nil, fmt.Errorf("reading model kind: %w", err)
+		return nil, false, fmt.Errorf("reading model kind: %w", err)
 	}
-	// A failed load returns a nil interface, never a typed nil pointer
-	// wrapped in a Router (which would compare unequal to nil).
 	switch kind[0] {
 	case modelKindEnsemble:
 		ens, err := core.LoadEnsemble(r)
-		if err != nil {
-			return nil, err
-		}
-		return ens, nil
+		return ens, false, err
 	case modelKindHierarchy:
-		hier, err := core.LoadHierarchy(r)
+		h, err := core.LoadHierarchy(r)
 		if err != nil {
-			return nil, err
+			return nil, true, err
 		}
-		return hier, nil
+		return core.OneTree(h), true, nil
 	default:
-		return nil, fmt.Errorf("unknown model kind %d", kind[0])
+		return nil, false, fmt.Errorf("unknown model kind %d", kind[0])
 	}
 }
 
@@ -568,6 +571,13 @@ func readDatasetSection(r *io.LimitedReader) (*dataset.Dataset, error) {
 	data, err := readFloats(r, int(n)*int(dim))
 	if err != nil {
 		return nil, fmt.Errorf("reading rows: %w", err)
+	}
+	// The rows are untrusted like every other section: one Add would have
+	// refused must not be served either.
+	for i := 0; i < int(n); i++ {
+		if err := ValidateVector(data[i*int(dim) : (i+1)*int(dim)]); err != nil {
+			return nil, fmt.Errorf("row %d: %w", i, err)
+		}
 	}
 	return &dataset.Dataset{N: int(n), Dim: int(dim), Data: data}, nil
 }

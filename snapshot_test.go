@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -492,6 +493,29 @@ func rewriteModel[S any](t *testing.T, file []byte, edit func(*S)) []byte {
 	return joinSections(secs)
 }
 
+// rewriteOptions returns file with its options section decoded, passed
+// through edit, and encoded back, every later section moved to fit.
+func rewriteOptions(t *testing.T, file []byte, edit func(*snapOptions)) []byte {
+	t.Helper()
+	secs := splitSections(file)
+	for i, s := range secs {
+		if s.id != secOptions {
+			continue
+		}
+		var so snapOptions
+		if err := gob.NewDecoder(bytes.NewReader(s.payload)).Decode(&so); err != nil {
+			t.Fatal(err)
+		}
+		edit(&so)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(so); err != nil {
+			t.Fatal(err)
+		}
+		secs[i].payload = buf.Bytes()
+	}
+	return joinSections(secs)
+}
+
 // TestLoadRejectsMismatchedTables: a snapshot whose tables address rows the
 // dataset lacks, or whose tables and models disagree in shape, used to load
 // and then panic in the first query that probed the bad bin — on a batch
@@ -520,6 +544,7 @@ func TestLoadRejectsMismatchedTables(t *testing.T) {
 	for _, file := range [][]byte{
 		rewriteModel(t, ens, func(*fileEnsemble) {}),
 		rewriteModel(t, hier, func(*fileHierarchy) {}),
+		rewriteOptions(t, hier, func(*snapOptions) {}),
 	} {
 		if _, err := Load(bytes.NewReader(file)); err != nil {
 			t.Fatalf("unchanged rewrite: %v", err)
@@ -543,6 +568,14 @@ func TestLoadRejectsMismatchedTables(t *testing.T) {
 		}),
 		"hierarchy/NumBins below the leaves": rewriteModel(t, hier, func(s *fileHierarchy) {
 			s.NumBins, s.Bins = 3, s.Bins[:3]
+		}),
+		// Save picks the model spec from the options, so a file whose two
+		// disagree would not be written back as it was read.
+		"hierarchy spec under ensemble options": rewriteOptions(t, hier, func(so *snapOptions) {
+			so.Hierarchy = nil
+		}),
+		"ensemble spec under hierarchy options": rewriteOptions(t, ens, func(so *snapOptions) {
+			so.Hierarchy, so.Ensemble = []int{2, 2}, 1
 		}),
 	} {
 		if _, err := Load(bytes.NewReader(file)); err == nil {
@@ -590,6 +623,50 @@ func TestLoadRejectsOversizedSections(t *testing.T) {
 	} {
 		if _, err := Load(bytes.NewReader(file)); err == nil {
 			t.Fatalf("%s: %d-byte file loaded", name, len(file))
+		}
+	}
+}
+
+// TestLoadRejectsNonFiniteRows: the dataset section is untrusted bytes like
+// every other. A row holding NaN or ±Inf, or one whose squared norm
+// overflows, is one Add would refuse; Load used to serve it. It is an
+// ErrInvalid error now, and the unpatched file still loads.
+func TestLoadRejectsNonFiniteRows(t *testing.T) {
+	vecs, _ := clusteredVectors(163, 200, 8, 4)
+	ix, err := Build(vecs, Options{Bins: 4, Epochs: 5, Hidden: []int{8}, Seed: 164})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("unpatched file: %v", err)
+	}
+	patch := func(row int, vals ...float32) []byte {
+		secs := splitSections(buf.Bytes())
+		for i, s := range secs {
+			if s.id != secDataset {
+				continue
+			}
+			p := append([]byte(nil), s.payload...)
+			for j, v := range vals {
+				binary.LittleEndian.PutUint32(p[16+4*(row*8+j):], math.Float32bits(v))
+			}
+			secs[i].payload = p
+		}
+		return joinSections(secs)
+	}
+	for name, file := range map[string][]byte{
+		"NaN":        patch(17, float32(math.NaN())),
+		"+Inf":       patch(0, float32(math.Inf(1))),
+		"-Inf":       patch(199, 0, 0, 0, 0, 0, 0, 0, float32(math.Inf(-1))),
+		"overflow":   patch(42, 1e20, 1e20, 1e20, 1e20, 1e20, 1e20, 1e20, 1e20),
+		"single big": patch(3, 3e37),
+	} {
+		if _, err := Load(bytes.NewReader(file)); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s row: Load error %v, want ErrInvalid", name, err)
 		}
 	}
 }

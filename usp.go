@@ -32,6 +32,7 @@ package usp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -50,19 +51,42 @@ import (
 // from a server fault worth retrying on a replica.
 var ErrInvalid = errors.New("usp: invalid argument")
 
+// maxSqNorm is the largest squared norm ValidateVector admits.
+const maxSqNorm = math.MaxFloat32 / 8
+
 // ValidateVector returns an ErrInvalid error if v has a NaN or ±Inf
-// component, in one pass that allocates nothing for a finite vector. Build,
-// Add and every search entry point apply it: a non-finite coordinate makes
-// every distance to or from the vector NaN, and NaN compares false against
-// the top-k's worst retained distance, so the selection would admit every
-// candidate in arrival order.
+// component, or a squared norm above MaxFloat32/8, in one pass that
+// allocates nothing for a vector it admits. Build, Add, every search entry
+// point and Load apply it.
+//
+// A non-finite coordinate makes every distance to or from the vector NaN,
+// and NaN compares false against the top-k's worst retained distance, so
+// the selection would admit every candidate in arrival order. A finite
+// vector can overflow all the same: a row of 1e20s has a squared norm of
+// 8e40 in float32, which is +Inf. The bound B = MaxFloat32/8 rules that
+// out. The norm is summed in float64, where no float32 input overflows it.
+// For two admitted vectors a and b, the triangle inequality gives
+// ‖a−b‖² ≤ (‖a‖+‖b‖)² ≤ 4B, and Cauchy–Schwarz bounds |a·b| by B, so every
+// partial sum of the kernels' float32 forms — Σ(aᵢ−bᵢ)², and
+// ‖a‖² + ‖b‖² − 2a·b — stays within 4B = MaxFloat32/2 in exact arithmetic.
+// The remaining factor 2 covers float32 rounding, which over the 2^20 terms
+// of the widest row a snapshot admits grows a sum by less than
+// (1+2^-24)^(2^20) < 1.07. So every squared distance between two admitted
+// vectors is finite.
 func ValidateVector(v []float32) error {
+	var sq float64
+	for _, x := range v {
+		sq += float64(x) * float64(x)
+	}
+	if sq <= maxSqNorm { // false for NaN
+		return nil
+	}
 	for i, x := range v {
 		if x-x != 0 { // NaN−NaN and Inf−Inf are NaN; NaN != 0
 			return fmt.Errorf("%w: component %d is %v", ErrInvalid, i, x)
 		}
 	}
-	return nil
+	return fmt.Errorf("%w: squared norm %.3g exceeds %.3g", ErrInvalid, sq, maxSqNorm)
 }
 
 // validateCorpus returns an ErrInvalid error unless the vectors Build or
@@ -311,13 +335,11 @@ type Index struct {
 	// records that the float rows were dropped (memory-tight mode);
 	// qTrainedN is the row count when codebooks were last trained, read
 	// by the compaction retrain heuristic.
-	pq             *quant.PQ
-	codes          []uint8
-	qtight         bool
-	qTrainedN      int
-	members        int          // ensemble size, or 1 for a hierarchy
-	slotsPerMember int          // bins per member, or the hierarchy leaf count
-	pendingOps     atomic.Int64 // inserts+deletes since last compaction
+	pq         *quant.PQ
+	codes      []uint8
+	qtight     bool
+	qTrainedN  int
+	pendingOps atomic.Int64 // inserts+deletes since last compaction
 
 	// compactMu serializes compactions; compactQueued collapses redundant
 	// background triggers while one is already pending.
@@ -361,7 +383,7 @@ func Build(vectors [][]float32, opt Options) (*Index, error) {
 	ds.EnsureSqNorms(false)
 
 	var (
-		router     core.Router
+		router     *core.Ensemble
 		bs         BuildStats
 		pq         *quant.PQ
 		codes      []uint8
@@ -384,15 +406,16 @@ func Build(vectors [][]float32, opt Options) (*Index, error) {
 	return ix, nil
 }
 
-// trainRouter trains the hierarchy or the ensemble opt asks for on ds.
-func trainRouter(ds *dataset.Dataset, opt Options) (core.Router, BuildStats, error) {
+// trainRouter trains the hierarchy or the ensemble opt asks for on ds. A
+// hierarchy serves as an ensemble of one tree.
+func trainRouter(ds *dataset.Dataset, opt Options) (*core.Ensemble, BuildStats, error) {
 	cfg := opt.coreConfig()
 	if len(opt.Hierarchy) > 0 {
 		h, stats, err := core.TrainHierarchy(ds, opt.Hierarchy, cfg)
 		if err != nil {
 			return nil, BuildStats{}, err
 		}
-		return h, BuildStats{Bins: h.NumBins, Models: len(stats), Params: h.TotalParams()}, nil
+		return core.OneTree(h), BuildStats{Bins: h.M, Models: len(stats), Params: h.TotalParams()}, nil
 	}
 	if cfg.KPrime >= ds.N {
 		cfg.KPrime = ds.N - 1

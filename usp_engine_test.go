@@ -422,3 +422,63 @@ func TestConcurrentSearchAndAdd(t *testing.T) {
 		t.Fatalf("post-churn search: %v, %d results", err, len(res))
 	}
 }
+
+// TestOverflowingVectorsRejected: a finite vector whose squared norm
+// overflows float32 used to be admitted. An Add of a row of 1e20s
+// succeeded, and a search for that very row then returned other ids at +Inf
+// instead of the row itself at 0; a finite query of 3e37s got NaN
+// distances. ValidateVector refuses both now, on every entry point, while a
+// vector just inside its bound is still served with finite distances and
+// found at distance 0.
+func TestOverflowingVectorsRejected(t *testing.T) {
+	plain, quantized, vecs := buildQuantizedPair(t, 61, 400, 8, Quantization{Subspaces: 4, K: 32})
+	fill := func(x float32) []float32 {
+		v := make([]float32, 8)
+		for i := range v {
+			v[i] = x
+		}
+		return v
+	}
+	for name, v := range map[string][]float32{"1e20s": fill(1e20), "3e37s": fill(3e37)} {
+		for ixName, ix := range map[string]*Index{"float": plain, "quantized": quantized} {
+			rows := ix.Len()
+			s := ix.NewSearcher()
+			for entry, call := range map[string]func() error{
+				"Add":          func() error { _, err := ix.Add(v); return err },
+				"Search":       func() error { _, err := ix.Search(v, 3, SearchOptions{}); return err },
+				"SearchInto":   func() error { _, err := s.SearchInto(nil, v, 3, SearchOptions{Probes: 2}); return err },
+				"SearchBatch":  func() error { _, err := ix.SearchBatch([][]float32{vecs[0], v}, 3, SearchOptions{}); return err },
+				"CandidateSet": func() error { _, err := ix.CandidateSet(v, SearchOptions{}); return err },
+			} {
+				if err := call(); !errors.Is(err, ErrInvalid) {
+					t.Errorf("%s index, %s of %s: error %v, want ErrInvalid", ixName, entry, name, err)
+				}
+			}
+			if ix.Len() != rows {
+				t.Fatalf("%s index: a refused Add changed the row count %d -> %d", ixName, rows, ix.Len())
+			}
+		}
+		if _, err := Build(append(vecs[:8:8], v), Options{Bins: 2, Epochs: 1}); !errors.Is(err, ErrInvalid) {
+			t.Errorf("Build with a row of %s: error %v, want ErrInvalid", name, err)
+		}
+	}
+
+	// Just inside the bound: admitted, found at 0, every distance finite.
+	edge := fill(float32(math.Sqrt(0.99 * maxSqNorm / 8)))
+	id, err := plain.Add(edge)
+	if err != nil {
+		t.Fatalf("vector inside the bound refused: %v", err)
+	}
+	res, err := plain.Search(edge, 5, SearchOptions{Probes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) == 0 || res[0].ID != id || res[0].Distance != 0 {
+		t.Fatalf("self-search of the edge vector: %v, want id %d at 0 first", res, id)
+	}
+	for _, r := range res {
+		if math.IsInf(float64(r.Distance), 0) || math.IsNaN(float64(r.Distance)) {
+			t.Fatalf("edge vector search returned distance %v", r.Distance)
+		}
+	}
+}
