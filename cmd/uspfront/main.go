@@ -15,10 +15,9 @@
 // declares two shards: the first served by two replicas, the second by
 // one. The front learns each shard's id offset from its /healthz.
 //
-// Identical in-flight queries are coalesced into one backend fan-out; the
-// front keeps no answers beyond that. Writes route too: /add goes to the
-// least-loaded shard (every replica of it), /delete to the shard whose id
-// range owns the global id.
+// Every query fans out anew, and the front keeps no answers. Writes route
+// too: /add goes to the least-loaded shard (every replica of it), /delete to
+// the shard whose id range owns the global id.
 package main
 
 import (

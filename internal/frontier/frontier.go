@@ -20,6 +20,10 @@
 // backend classified as the caller's fault stays failed), health checks
 // that eject dead backends from rotation, and a concurrent-request limit
 // that sheds excess load with 429 instead of queueing without bound.
+//
+// Every backend call runs under the client's own request context, on every
+// endpoint: a client that leaves cancels its fan-out, takes no retry, and is
+// not counted as a backend failure.
 package frontier
 
 import (
@@ -126,11 +130,6 @@ type Front struct {
 	retries  *telemetry.Counter
 	rejected *telemetry.Counter
 
-	// In-flight coalescing state (see coalesce.go).
-	flightMu  sync.Mutex
-	flights   map[string]*flight
-	coalesced *telemetry.Counter
-
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -156,12 +155,11 @@ func New(cfg Config) (*Front, error) {
 		cfg.HealthInterval = 2 * time.Second
 	}
 	f := &Front{
-		cfg:     cfg,
-		client:  cfg.Client,
-		sem:     make(chan struct{}, cfg.MaxInFlight),
-		reg:     telemetry.NewRegistry(),
-		flights: make(map[string]*flight),
-		stop:    make(chan struct{}),
+		cfg:    cfg,
+		client: cfg.Client,
+		sem:    make(chan struct{}, cfg.MaxInFlight),
+		reg:    telemetry.NewRegistry(),
+		stop:   make(chan struct{}),
 	}
 	if f.client == nil {
 		f.transport = http.DefaultTransport.(*http.Transport).Clone()
@@ -175,8 +173,6 @@ func New(cfg Config) (*Front, error) {
 		"Backend requests retried against a sibling replica after a 5xx or transport failure.")
 	f.rejected = f.reg.Counter("front_rejected_total", "",
 		"Front requests shed with 429 because the in-flight limit was reached.")
-	f.coalesced = f.reg.Counter("front_coalesced_total", "",
-		"Search requests that joined an identical in-flight request instead of fanning out.")
 	healthy := 0
 	for _, urls := range cfg.Shards {
 		g := &group{}
@@ -300,7 +296,7 @@ type httpError struct {
 func (e *httpError) Error() string { return fmt.Sprintf("HTTP %d: %s", e.status, e.body) }
 
 // callBackend POSTs body to one backend and returns the bytes of its 200
-// reply, read into buf.
+// reply, read into buf. A call that ctx ended is not the backend's failure.
 func (f *Front) callBackend(ctx context.Context, b *backend, path string, body, buf []byte) ([]byte, error) {
 	cctx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
 	defer cancel()
@@ -315,13 +311,15 @@ func (f *Front) callBackend(ctx context.Context, b *backend, path string, body, 
 	resp, err := f.client.Do(req)
 	b.lat.ObserveDuration(time.Since(start))
 	if err != nil {
-		b.errs.Inc()
+		if ctx.Err() == nil {
+			b.errs.Inc()
+		}
 		return buf, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		if resp.StatusCode >= 500 {
+		if resp.StatusCode >= 500 && ctx.Err() == nil {
 			b.errs.Inc()
 		}
 		return buf, &httpError{status: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
@@ -333,7 +331,8 @@ func (f *Front) callBackend(ctx context.Context, b *backend, path string, body, 
 // into reply with decode, retrying once against the next sibling replica
 // when an attempt fails with a transport error, a 5xx or a reply that does
 // not decode. 4xx replies are returned immediately: the backend judged the
-// request itself invalid, and a sibling would only repeat the verdict.
+// request itself invalid, and a sibling would only repeat the verdict. Once
+// ctx is done it returns ctx.Err() at once: a client that left gets no retry.
 // The id offset used for merging comes from the response body itself
 // (SearchResponse.IDOffset), never from cached health-probe state, so a
 // backend that reloads to a different shard mid-flight cannot skew ids.
@@ -355,6 +354,9 @@ func (f *Front) askGroup(ctx context.Context, g *group, path string, body []byte
 		if err == nil {
 			return nil
 		}
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
 		var he *httpError
 		if errors.As(err, &he) && he.status < 500 {
 			return err // caller's fault; do not retry
@@ -365,13 +367,15 @@ func (f *Front) askGroup(ctx context.Context, g *group, path string, body []byte
 }
 
 // writeFanoutError classifies a fan-out failure for the client: backend
-// 4xx verdicts pass through verbatim, deadline expiry is 504, and any
-// other backend failure surfaces as 502.
+// 4xx verdicts pass through verbatim, a client that left is 503, deadline
+// expiry is 504, and any other backend failure surfaces as 502.
 func writeFanoutError(w http.ResponseWriter, err error) {
 	var he *httpError
 	switch {
 	case errors.As(err, &he) && he.status < 500:
 		http.Error(w, he.body, he.status)
+	case errors.Is(err, context.Canceled):
+		http.Error(w, "client gone: "+err.Error(), http.StatusServiceUnavailable)
 	case errors.Is(err, context.DeadlineExceeded):
 		http.Error(w, "backend timeout: "+err.Error(), http.StatusGatewayTimeout)
 	default:
@@ -496,53 +500,17 @@ func (f *Front) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	sc.Body = appendSearchKey(sc.Body[:0], req.Vector, req.K, req.Probes, req.RerankK)
-	fl, leader := f.joinFlight(sc.Body)
-	if !leader {
-		// An identical request is already fanning out; share its answer.
-		select {
-		case <-fl.done:
-			if fl.err != nil {
-				writeFanoutError(w, fl.err)
-				return
-			}
-			serve.WriteReply(w, fl.reply)
-		case <-r.Context().Done():
-			http.Error(w, "client gone: "+r.Context().Err().Error(), http.StatusServiceUnavailable)
-		}
-		return
-	}
-
-	// Leader: run the fan-out detached from this request's context so a
-	// leader disconnect cannot fail the coalesced followers (callBackend
-	// still bounds every backend call with the configured timeout).
-	reply, err := f.leadFlight(context.WithoutCancel(r.Context()), fl, body, req.K, sc)
-	if err != nil {
+	if err := f.fanoutSearch(r.Context(), body, req.K, sc); err != nil {
 		writeFanoutError(w, err)
 		return
 	}
-	serve.WriteReply(w, reply)
-}
-
-// errFlightAborted is what followers receive when their leader's fan-out
-// ended without an outcome, which only a panic can cause.
-var errFlightAborted = errors.New("fan-out aborted")
-
-// leadFlight runs the leader's fan-out and publishes the outcome to the
-// followers. The publication is deferred so that it happens on every way
-// out: a flight left registered would block each later request for the same
-// key forever.
-func (f *Front) leadFlight(ctx context.Context, fl *flight, body []byte, k int, sc *serve.Scratch) (reply []byte, err error) {
-	err = errFlightAborted
-	defer func() { f.finishFlight(fl, reply, err) }()
-	return f.fanoutSearch(ctx, body, k, sc)
+	serve.WriteReply(w, sc.Out)
 }
 
 // fanoutSearch forwards one validated /search body, byte for byte as the
 // client sent it, to every shard group and merges the per-shard top-k into
-// the global answer. It returns the encoded reply in memory of its own:
-// coalesced followers outlive the pooled scratch it was built in.
-func (f *Front) fanoutSearch(ctx context.Context, body []byte, k int, sc *serve.Scratch) ([]byte, error) {
+// the global answer, encoded into sc.Out.
+func (f *Front) fanoutSearch(ctx context.Context, body []byte, k int, sc *serve.Scratch) error {
 	start := time.Now()
 	fs := getFan(len(f.groups))
 	defer putFan(fs)
@@ -551,7 +519,7 @@ func (f *Front) fanoutSearch(ctx context.Context, body []byte, k int, sc *serve.
 	scanned := 0
 	for gi, err := range fs.errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 		a := &fs.replies[gi].Resp
 		scanned += a.Scanned
@@ -565,10 +533,7 @@ func (f *Front) fanoutSearch(ctx context.Context, body []byte, k int, sc *serve.
 		resp.IDs = append(resp.IDs, n.Index)
 		resp.Distances = append(resp.Distances, n.Dist)
 	}
-	if err := sc.EncodeSearchReply(); err != nil {
-		return nil, err
-	}
-	return bytes.Clone(sc.Out), nil
+	return sc.EncodeSearchReply()
 }
 
 func (f *Front) handleSearchBatch(w http.ResponseWriter, r *http.Request) {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -315,8 +316,8 @@ func TestFrontForwardsClientBytes(t *testing.T) {
 
 // TestLyingShardReplyIsRefused: a shard reply whose ids and distances do not
 // pair up is a 502 for that request, and must not wedge the front — the same
-// query, once the shard answers properly again, gets its answer instead of
-// waiting forever on the failed request's flight.
+// query, once the shard answers properly again, gets its answer: the failed
+// request leaves nothing behind that a later one could wait on.
 func TestLyingShardReplyIsRefused(t *testing.T) {
 	vecs := corpusRows(t, 151, 300, 8)
 	good := backendFor(t, buildIndex(t, vecs))
@@ -455,6 +456,86 @@ func TestAllReplicasDown(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("HTTP %d, want 502", resp.StatusCode)
+	}
+}
+
+// TestClientGoneCancelsFanout: a client that leaves while its search waits on
+// a backend cancels that backend request, on /search and /search/batch alike,
+// and is charged to no backend — no backend error, no sibling retry — and the
+// front answers 503.
+func TestClientGoneCancelsFanout(t *testing.T) {
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/search", serve.SearchRequest{Vector: []float32{1, 2}, K: 1}},
+		{"/search/batch", serve.BatchSearchRequest{Vectors: [][]float32{{1, 2}}, K: 1}},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/"), func(t *testing.T) {
+			// Each replica reads the body, then waits 3 s or until its request
+			// is cancelled, then answers 500.
+			var arrivals, cancelled, ended atomic.Int64
+			arrived := make(chan struct{}, 2)
+			slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/healthz" {
+					_ = json.NewEncoder(w).Encode(serve.HealthzResponse{Status: "ok", IndexLoaded: true})
+					return
+				}
+				_, _ = io.Copy(io.Discard, r.Body)
+				arrivals.Add(1)
+				arrived <- struct{}{}
+				select {
+				case <-r.Context().Done():
+					cancelled.Add(1)
+				case <-time.After(3 * time.Second):
+				}
+				http.Error(w, "slow replica", http.StatusInternalServerError)
+				ended.Add(1)
+			})
+			a, b := httptest.NewServer(slow), httptest.NewServer(slow)
+			defer a.Close()
+			defer b.Close()
+			f, _ := frontFor(t, Config{Shards: [][]string{{a.URL, b.URL}}, Timeout: 10 * time.Second})
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			req := httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(mustJSON(t, tc.body))).WithContext(ctx)
+			rec := httptest.NewRecorder()
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				f.Mux().ServeHTTP(rec, req)
+			}()
+			select {
+			case <-arrived:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the request never reached a backend")
+			}
+			cancel()
+			<-served
+			deadline := time.Now().Add(5 * time.Second)
+			for ended.Load() < arrivals.Load() && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+
+			if n, c := arrivals.Load(), cancelled.Load(); c != n {
+				t.Errorf("%d of %d backend requests were cancelled", c, n)
+			}
+			for _, be := range f.groups[0].backends {
+				if n := be.errs.Value(); n != 0 {
+					t.Errorf("backend %s charged %d errors for a client that left", be.url, n)
+				}
+			}
+			if n := f.retries.Value(); n != 0 {
+				t.Errorf("%d retries for a client that left, want 0", n)
+			}
+			if n := f.fanout.Value(); n != 1 {
+				t.Errorf("fanout %d, want 1", n)
+			}
+			if rec.Code != http.StatusServiceUnavailable {
+				t.Errorf("HTTP %d, want 503: %s", rec.Code, rec.Body)
+			}
+		})
 	}
 }
 
@@ -626,7 +707,7 @@ func TestDefaultClientReusesBackendConnections(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for wave := 0; wave < waves; wave++ {
-				// A distinct vector per request, or the front coalesces them.
+				// A distinct vector per request, as distinct clients send.
 				body, _ := json.Marshal(serve.SearchRequest{Vector: []float32{float32(c), float32(wave)}, K: 1})
 				rec := httptest.NewRecorder()
 				mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(body)))
@@ -677,7 +758,6 @@ func TestFrontMetrics(t *testing.T) {
 		"front_healthy_backends 2",
 		"front_rejected_total 0",
 		"front_retries_total 0",
-		"front_coalesced_total 0",
 		`http_requests_total{endpoint="/search"} 1`,
 	} {
 		if !strings.Contains(body, series) {
@@ -696,4 +776,68 @@ func mustGet(t testing.TB, url string) *http.Response {
 		t.Fatalf("GET %s: HTTP %d", url, resp.StatusCode)
 	}
 	return resp
+}
+
+// rawPost returns the status and the raw response bytes, so bodies can be
+// compared byte for byte.
+func rawPost(t testing.TB, url string, body any) (int, []byte) {
+	t.Helper()
+	resp := postJSON(t, url, body)
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, b
+}
+
+// TestDeletesReachEveryFront: a /delete that reaches a backend without
+// passing through this front — sent straight to it, as a second front or an
+// operator would — hides the id from this front's answers at once, and
+// still after a health probe: the front keeps no answers of its own to go
+// stale.
+func TestDeletesReachEveryFront(t *testing.T) {
+	vecs := corpusRows(t, 139, 300, 8)
+	ix := buildIndex(t, vecs)
+	backend := backendFor(t, ix)
+	f, front := frontFor(t, Config{Shards: [][]string{{backend.URL}}})
+
+	req := serve.SearchRequest{Vector: vecs[0], K: 5, Probes: 2}
+	answer := func(when string) []int {
+		t.Helper()
+		status, body := rawPost(t, front.URL+"/search", req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", when, status, body)
+		}
+		var out serve.SearchResponse
+		if err := serve.DecodeSearchResponse(&out, body); err != nil {
+			t.Fatal(err)
+		}
+		return out.IDs
+	}
+	if ids := answer("before the delete"); len(ids) == 0 || ids[0] != 0 {
+		t.Fatalf("self query answered %v, want row 0 first", ids)
+	}
+	resp := postJSON(t, backend.URL+"/delete", serve.DeleteRequest{ID: 0})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete at the backend: HTTP %d", resp.StatusCode)
+	}
+	if ids := answer("after the delete"); slices.Contains(ids, 0) {
+		t.Fatalf("front answered %v after id 0 was deleted", ids)
+	}
+	f.ProbeHealth(context.Background())
+	if ids := answer("after a health probe"); slices.Contains(ids, 0) {
+		t.Fatalf("front answered %v after id 0 was deleted and a probe ran", ids)
+	}
+}
+
+func readBody(t testing.TB, resp *http.Response) string {
+	t.Helper()
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
