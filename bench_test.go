@@ -129,7 +129,7 @@ func BenchmarkQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := ds.Row(i % ds.N)
-		knn.SearchSubset(ds, ens.CandidatesWith(&qs, q, 2, core.BestConfidence), q, 10)
+		knn.SearchSubset(ds, ens.CandidatesWith(&qs, q, 2), q, 10)
 	}
 }
 

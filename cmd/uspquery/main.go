@@ -1,6 +1,8 @@
 // Command uspquery answers k-NN queries against an index written by
 // cmd/usptrain. Queries come from an fvecs file; results are printed one
-// line per query as "id:distance" pairs.
+// line per query as "id:distance" pairs. The index is loaded first: a file
+// that does not load as a snapshot is reported with its load error and a
+// hint to re-train, and the command exits 2.
 //
 // Usage:
 //
@@ -25,7 +27,6 @@ func main() {
 		queryPath = flag.String("queries", "", "fvecs query file (required)")
 		k         = flag.Int("k", 10, "neighbors to return")
 		probes    = flag.Int("probes", 1, "bins to probe (m')")
-		union     = flag.Bool("union", false, "union ensemble candidates instead of best-confidence")
 	)
 	flag.Parse()
 	if *indexPath == "" || *queryPath == "" {
@@ -33,38 +34,35 @@ func main() {
 		os.Exit(2)
 	}
 
-	if !usp.IsSnapshotFile(*indexPath) {
-		fmt.Fprintf(os.Stderr, "%s: not a USPSNAP1 snapshot — re-train with usptrain\n", *indexPath)
+	start := time.Now()
+	ix, err := usp.LoadFile(*indexPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v — re-train with usptrain\n", *indexPath, err)
 		os.Exit(2)
 	}
-
+	fmt.Fprintf(os.Stderr, "loaded snapshot: %d live vectors, dim %d, %d models (%s)\n",
+		ix.Len(), ix.Dim(), ix.Stats().Models, time.Since(start).Round(time.Millisecond))
 	queries, err := dataset.LoadFvecsFile(*queryPath)
 	if err != nil {
 		log.Fatalf("loading queries: %v", err)
 	}
-	serveSnapshot(*indexPath, queries, *k, *probes, *union)
+	serveSnapshot(ix, queries, *k, *probes)
 }
 
 // serveSnapshot runs the query file through a loaded self-contained
 // snapshot using the zero-allocation engine.
-func serveSnapshot(path string, queries *dataset.Dataset, k, probes int, union bool) {
-	start := time.Now()
-	ix, err := usp.LoadFile(path)
-	if err != nil {
-		log.Fatalf("loading snapshot: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "loaded snapshot: %d live vectors, dim %d, %d models (%s)\n",
-		ix.Len(), ix.Dim(), ix.Stats().Models, time.Since(start).Round(time.Millisecond))
+func serveSnapshot(ix *usp.Index, queries *dataset.Dataset, k, probes int) {
 	if queries.Dim != ix.Dim() {
 		log.Fatalf("query dim %d != index dim %d", queries.Dim, ix.Dim())
 	}
 
-	opt := usp.SearchOptions{Probes: probes, UnionEnsemble: union}
+	opt := usp.SearchOptions{Probes: probes}
 	s := ix.NewSearcher()
 	dst := make([]usp.Result, 0, k)
 	lat := newLatencyHist()
-	start = time.Now()
+	start := time.Now()
 	totalCands, totalSkipped := 0, 0
+	var err error
 	for qi := 0; qi < queries.N; qi++ {
 		q := queries.Row(qi)
 		qStart := time.Now()

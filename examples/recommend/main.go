@@ -68,7 +68,6 @@ func main() {
 	fmt.Println("\nprobes=1 (smallest candidate sets):")
 	measure("single model", single, usp.SearchOptions{Probes: 1})
 	measure("ensemble (best confidence)", triple, usp.SearchOptions{Probes: 1})
-	measure("ensemble (union)", triple, usp.SearchOptions{Probes: 1, UnionEnsemble: true})
 
 	fmt.Println("\nprobes=2:")
 	measure("single model", single, usp.SearchOptions{Probes: 2})

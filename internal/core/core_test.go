@@ -32,7 +32,7 @@ func smallCfg(bins int) Config {
 // best-confidence candidate set of the mPrime most probable bins through the
 // []int adapter, scanned by brute force. It also reports |C(q)|.
 func searchWithStats(ds *dataset.Dataset, e *Ensemble, qs *QueryScratch, q []float32, k, mPrime int) ([]vecmath.Neighbor, int) {
-	cands := e.CandidatesWith(qs, q, mPrime, BestConfidence)
+	cands := e.CandidatesWith(qs, q, mPrime)
 	return knn.SearchSubset(ds, cands, q, k), len(cands)
 }
 
@@ -224,18 +224,8 @@ func TestEnsembleTrainingAndProbing(t *testing.T) {
 	}
 	q := ds.Row(0)
 	var qs QueryScratch
-	best := ens.CandidatesWith(&qs, q, 1, BestConfidence)
-	union := ens.CandidatesWith(&qs, q, 1, UnionProbe)
-	if len(best) == 0 || len(union) < len(best) {
-		t.Fatalf("|best|=%d |union|=%d", len(best), len(union))
-	}
-	// Union must be duplicate-free.
-	seen := map[int]bool{}
-	for _, i := range union {
-		if seen[i] {
-			t.Fatalf("duplicate candidate %d in union", i)
-		}
-		seen[i] = true
+	if best := ens.CandidatesWith(&qs, q, 1); len(best) == 0 {
+		t.Fatal("best-confidence probe found no candidates")
 	}
 }
 
@@ -313,7 +303,7 @@ func TestHierarchyInvariants(t *testing.T) {
 		t.Fatalf("leaf probabilities sum to %v", sum)
 	}
 	// Probing all leaf bins covers the whole dataset.
-	if c := OneTree(h).CandidatesWith(&qs, ds.Row(0), h.M, BestConfidence); len(c) != ds.N {
+	if c := OneTree(h).CandidatesWith(&qs, ds.Row(0), h.M); len(c) != ds.N {
 		t.Fatalf("full probe |C| = %d, want %d", len(c), ds.N)
 	}
 	if h.TotalParams() == 0 {

@@ -209,9 +209,9 @@ func TestValidateRejectsMismatchedTables(t *testing.T) {
 
 // appendCandidates is the single-query form of the candidate path: route q
 // through the single-row kernel, then gather row 0.
-func appendCandidates(r *Ensemble, dst []int32, q []float32, mPrime int, mode ProbeMode, qs *QueryScratch) []int32 {
-	r.Route(qs, q, mode)
-	return r.AppendCandidatesRow(dst, 0, mPrime, mode, qs)
+func appendCandidates(r *Ensemble, dst []int32, q []float32, mPrime int, qs *QueryScratch) []int32 {
+	r.Route(qs, q)
+	return r.AppendCandidatesRow(dst, 0, mPrime, qs)
 }
 
 // TestAppendCandidatesMatchesLegacyPipeline recomputes the seed's candidate
@@ -246,7 +246,7 @@ func TestAppendCandidatesMatchesLegacyPipeline(t *testing.T) {
 				want = append(want, ref[b]...)
 			}
 
-			dst = appendCandidates(ens, dst[:0], q, mPrime, BestConfidence, &qs)
+			dst = appendCandidates(ens, dst[:0], q, mPrime, &qs)
 			if len(dst) != len(want) {
 				t.Fatalf("q%d m'=%d: %d candidates, want %d", qi, mPrime, len(dst), len(want))
 			}
@@ -256,15 +256,14 @@ func TestAppendCandidatesMatchesLegacyPipeline(t *testing.T) {
 				}
 			}
 
-			// Union mode must agree with the allocating wrapper.
-			union := ens.CandidatesWith(new(QueryScratch), q, mPrime, UnionProbe)
-			dst = appendCandidates(ens, dst[:0], q, mPrime, UnionProbe, &qs)
-			if len(dst) != len(union) {
-				t.Fatalf("q%d m'=%d union: %d vs %d", qi, mPrime, len(dst), len(union))
+			// The allocating wrapper must agree, from a fresh scratch.
+			fresh := ens.CandidatesWith(new(QueryScratch), q, mPrime)
+			if len(fresh) != len(want) {
+				t.Fatalf("q%d m'=%d CandidatesWith: %d vs %d", qi, mPrime, len(fresh), len(want))
 			}
-			for i := range union {
-				if int(dst[i]) != union[i] {
-					t.Fatalf("q%d m'=%d union[%d]: %d vs %d", qi, mPrime, i, dst[i], union[i])
+			for i := range want {
+				if fresh[i] != int(want[i]) {
+					t.Fatalf("q%d m'=%d CandidatesWith[%d]: %d vs %d", qi, mPrime, i, fresh[i], want[i])
 				}
 			}
 		}
@@ -272,10 +271,8 @@ func TestAppendCandidatesMatchesLegacyPipeline(t *testing.T) {
 }
 
 // TestHierarchyAppendCandidatesMatchesCandidates: a hierarchy served as an
-// ensemble of one tree gives, in both probe modes, the candidates of its m′
-// most probable leaves straight from the allocating reference walk — the
-// leaves are disjoint, so union mode's dedup drops nothing and keeps the
-// order.
+// ensemble of one tree gives the candidates of its m′ most probable leaves
+// straight from the allocating reference walk.
 func TestHierarchyAppendCandidatesMatchesCandidates(t *testing.T) {
 	ds, _ := testData(t, 400, 8, 4, 34)
 	cfg := Config{KPrime: 5, Eta: 5, Epochs: 10, BatchSize: 128, Hidden: []int{8}, Seed: 3}
@@ -293,11 +290,9 @@ func TestHierarchyAppendCandidatesMatchesCandidates(t *testing.T) {
 			for _, b := range vecmath.TopKIndices(referenceLeafProbs(h, q), mPrime) {
 				want = append(want, h.Bins[b]...)
 			}
-			for _, mode := range []ProbeMode{BestConfidence, UnionProbe} {
-				dst = appendCandidates(tree, dst[:0], q, mPrime, mode, &qs)
-				if !slices.Equal(dst, want) {
-					t.Fatalf("q%d m'=%d mode %d: candidates %v, want %v", qi, mPrime, mode, dst, want)
-				}
+			dst = appendCandidates(tree, dst[:0], q, mPrime, &qs)
+			if !slices.Equal(dst, want) {
+				t.Fatalf("q%d m'=%d: candidates %v, want %v", qi, mPrime, dst, want)
 			}
 		}
 	}
@@ -317,7 +312,7 @@ func TestAppendCandidatesNaNQueryDegradesGracefully(t *testing.T) {
 	var qs QueryScratch
 	// Warm the scratch with a normal query first so it holds a real
 	// distribution and member selection the NaN query must not inherit.
-	warm := appendCandidates(ens, nil, ds.Row(0), 2, BestConfidence, &qs)
+	warm := appendCandidates(ens, nil, ds.Row(0), 2, &qs)
 	if len(warm) == 0 {
 		t.Fatal("warm query returned no candidates")
 	}
@@ -325,33 +320,18 @@ func TestAppendCandidatesNaNQueryDegradesGracefully(t *testing.T) {
 	for i := range huge {
 		huge[i] = 3e38
 	}
-	got := appendCandidates(ens, nil, huge, 2, BestConfidence, &qs)
+	got := appendCandidates(ens, nil, huge, 2, &qs)
 	if len(got) != 0 {
 		t.Fatalf("NaN-probability query returned %d candidates, want 0", len(got))
 	}
 	// The []int adapter must agree.
-	if c := ens.CandidatesWith(new(QueryScratch), huge, 2, BestConfidence); len(c) != 0 {
+	if c := ens.CandidatesWith(new(QueryScratch), huge, 2); len(c) != 0 {
 		t.Fatalf("adapter returned %d candidates, want 0", len(c))
 	}
 	// And the scratch must still work for normal queries afterwards.
-	after := appendCandidates(ens, nil, ds.Row(0), 2, BestConfidence, &qs)
+	after := appendCandidates(ens, nil, ds.Row(0), 2, &qs)
 	if len(after) != len(warm) {
 		t.Fatalf("scratch damaged by NaN query: %d vs %d candidates", len(after), len(warm))
-	}
-}
-
-func TestQueryScratchSeenGenerationWrap(t *testing.T) {
-	var qs QueryScratch
-	qs.seen = make([]uint32, 4)
-	qs.gen = ^uint32(0) - 1
-	g1 := qs.beginSeen()
-	qs.seen[2] = g1
-	g2 := qs.beginSeen() // wraps to 0 → must reset stamps and restart at 1
-	if g2 == 0 {
-		t.Fatal("generation 0 must never be handed out")
-	}
-	if qs.seen[2] == g2 {
-		t.Fatal("stale stamp survived generation wrap")
 	}
 }
 
@@ -379,14 +359,12 @@ func referenceLeafProbs(h *Partitioner, q []float32) []float32 {
 }
 
 // TestRouteFormsAgreeWithReference pins the one select-and-gather body where
-// the single and batched copies used to be: for flat members and a tree, in
-// both modes, with and without post-epoch inserts, on finite and all-NaN
-// queries, Route + AppendCandidatesRow(0) ≡ RouteBatch +
-// AppendCandidatesRow(i) ≡ an allocating reference built from PredictVec,
-// TopKIndices and referenceBins. (An all-NaN row compares false everywhere:
-// best-confidence selects no member and probes nothing; in union mode, with
-// these small bin counts, TopKIndices' sort leaves it in index order, as
-// TopKIndicesInto's scan does.)
+// the single and batched copies used to be: for flat members and a tree,
+// with and without post-epoch inserts, on finite and all-NaN queries,
+// Route + AppendCandidatesRow(0) ≡ RouteBatch + AppendCandidatesRow(i) ≡ an
+// allocating reference built from PredictVec, TopKIndices and referenceBins.
+// (An all-NaN row compares false everywhere: best-confidence selects no
+// member and probes nothing.)
 func TestRouteFormsAgreeWithReference(t *testing.T) {
 	ds, mat := testData(t, 500, 8, 4, 37)
 	ens, _, err := TrainEnsemble(ds, mat, smallCfg(4), 3)
@@ -453,23 +431,6 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 		}
 		return want
 	}
-	referenceUnion := func(q []float32, mPrime int, extra slotExtra) []int32 {
-		seen := map[int32]bool{}
-		var want []int32
-		for m, p := range ens.Parts {
-			for _, b := range vecmath.TopKIndices(p.Model.PredictVec(q), mPrime) {
-				for _, ids := range [][]int32{ensRefs[m][b], extra[[2]int{m, b}]} {
-					for _, id := range ids {
-						if !seen[id] {
-							seen[id] = true
-							want = append(want, id)
-						}
-					}
-				}
-			}
-		}
-		return want
-	}
 	referenceHier := func(q []float32, mPrime int, extra slotExtra) []int32 {
 		probs := referenceLeafProbs(h, q)
 		if c := probs[vecmath.ArgMax(probs)]; c != c {
@@ -487,13 +448,11 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 		name      string
 		router    *Ensemble
 		inserted  *Ensemble // router after the inserts
-		mode      ProbeMode
 		extra     slotExtra
 		reference func(q []float32, mPrime int, extra slotExtra) []int32
 	}{
-		{"best-confidence", ens, ensWith, BestConfidence, ensExtra, referenceBest},
-		{"union", ens, ensWith, UnionProbe, ensExtra, referenceUnion},
-		{"hierarchy", tree, hierWith, BestConfidence, hierExtra, referenceHier},
+		{"best-confidence", ens, ensWith, ensExtra, referenceBest},
+		{"hierarchy", tree, hierWith, hierExtra, referenceHier},
 	}
 	for _, tc := range cases {
 		for _, spill := range []bool{false, true} {
@@ -509,12 +468,12 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 				for i, q := range queries {
 					copy(buf[i*dim:(i+1)*dim], q)
 				}
-				router.RouteBatch(&qsBatch, tc.mode)
+				router.RouteBatch(&qsBatch)
 				for _, mPrime := range []int{1, 2, 4} {
 					for i, q := range queries {
 						want := tc.reference(q, mPrime, refExtra)
-						one := appendCandidates(router, nil, q, mPrime, tc.mode, &qsSingle)
-						row := router.AppendCandidatesRow(nil, i, mPrime, tc.mode, &qsBatch)
+						one := appendCandidates(router, nil, q, mPrime, &qsSingle)
+						row := router.AppendCandidatesRow(nil, i, mPrime, &qsBatch)
 						for form, got := range map[string][]int32{"Route": one, "RouteBatch": row} {
 							if len(got) != len(want) {
 								t.Fatalf("q%d m'=%d %s: %d candidates, want %d", i, mPrime, form, len(got), len(want))
@@ -534,9 +493,9 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 
 // routeRows routes queries[0] through the single-row form or, batched, all
 // of queries through one RouteBatch, leaving every member's rows in qs.
-func routeRows(r *Ensemble, queries [][]float32, mode ProbeMode, batched bool, qs *QueryScratch) {
+func routeRows(r *Ensemble, queries [][]float32, batched bool, qs *QueryScratch) {
 	if !batched {
-		r.Route(qs, queries[0], mode)
+		r.Route(qs, queries[0])
 		return
 	}
 	dim := len(queries[0])
@@ -544,16 +503,15 @@ func routeRows(r *Ensemble, queries [][]float32, mode ProbeMode, batched bool, q
 	for i, q := range queries {
 		copy(buf[i*dim:(i+1)*dim], q)
 	}
-	r.RouteBatch(qs, mode)
+	r.RouteBatch(qs)
 }
 
 // TestNaNConfidenceSelectsNoMember pins the one rule a hierarchy changed by
 // becoming an ensemble of one tree: when a row's chosen confidence — its
 // most probable leaf's probability, as ArgMax picks it — is NaN,
 // best-confidence selects no member and the candidate set is empty, in the
-// single-row and the batched form. Union mode does not select and still
-// probes the leaves TopKIndicesInto picks. A tree whose NaN leaves are not
-// the chosen one is served as usual.
+// single-row and the batched form. A tree whose NaN leaves are not the
+// chosen one is served as usual.
 func TestNaNConfidenceSelectsNoMember(t *testing.T) {
 	ds, _ := testData(t, 300, 8, 4, 40)
 	train := func() *Partitioner {
@@ -580,21 +538,17 @@ func TestNaNConfidenceSelectsNoMember(t *testing.T) {
 		if batched {
 			n = len(queries)
 		}
-		routeRows(OneTree(first), queries, BestConfidence, batched, &qs)
+		routeRows(OneTree(first), queries, batched, &qs)
 		for i := 0; i < n; i++ {
 			row := qs.probs[0][i*4 : (i+1)*4]
 			if c := row[vecmath.ArgMax(row)]; c == c {
 				t.Fatalf("batched=%t row %d: chosen confidence %v, want NaN", batched, i, c)
 			}
-			if got := OneTree(first).AppendCandidatesRow(nil, i, 2, BestConfidence, &qs); len(got) != 0 {
+			if got := OneTree(first).AppendCandidatesRow(nil, i, 2, &qs); len(got) != 0 {
 				t.Fatalf("batched=%t row %d: NaN confidence gave %d candidates, want none", batched, i, len(got))
 			}
 		}
-		routeRows(OneTree(first), queries, UnionProbe, batched, &qs)
-		if got := OneTree(first).AppendCandidatesRow(nil, 0, 2, UnionProbe, &qs); len(got) == 0 {
-			t.Fatalf("batched=%t: union mode probed nothing", batched)
-		}
-		routeRows(OneTree(second), queries, BestConfidence, batched, &qs)
+		routeRows(OneTree(second), queries, batched, &qs)
 		for i := 0; i < n; i++ {
 			row := qs.probs[0][i*4 : (i+1)*4]
 			var want []int32
@@ -604,7 +558,7 @@ func TestNaNConfidenceSelectsNoMember(t *testing.T) {
 			if b := vecmath.ArgMax(row); b > 1 || row[b] != row[b] {
 				t.Fatalf("batched=%t row %d: chose leaf %d (%v), want a finite one of 0, 1", batched, i, b, row[b])
 			}
-			if got := OneTree(second).AppendCandidatesRow(nil, i, 1, BestConfidence, &qs); !slices.Equal(got, want) {
+			if got := OneTree(second).AppendCandidatesRow(nil, i, 1, &qs); !slices.Equal(got, want) {
 				t.Fatalf("batched=%t row %d: %d candidates, want leaf %v's %d", batched, i, len(got), vecmath.TopKIndices(row, 1), len(want))
 			}
 		}
@@ -632,7 +586,7 @@ func TestRouterRowsSumToOne(t *testing.T) {
 	for name, r := range map[string]*Ensemble{"ensemble": ens, "tree": OneTree(tree)} {
 		for _, batched := range []bool{false, true} {
 			var qs QueryScratch
-			routeRows(r, queries, UnionProbe, batched, &qs)
+			routeRows(r, queries, batched, &qs)
 			n := 1
 			if batched {
 				n = len(queries)

@@ -16,10 +16,12 @@ import (
 // serves as an ensemble of one tree.
 //
 // The online phase is two calls: a routing pass that fills the scratch's
-// probability rows (Route for one query, RouteBatch for a staged chunk),
-// then AppendCandidatesRow per row. Every method that changes a table
-// (table.go) returns a new ensemble sharing the trained models and leaves
-// the receiver untouched, so it may keep serving readers of an older epoch.
+// probability rows and selects each row's most confident member (Route for
+// one query, RouteBatch for a staged chunk), then AppendCandidatesRow per
+// row, which gathers that one member's probed bins (Algorithm 4). Every
+// method that changes a table (table.go) returns a new ensemble sharing the
+// trained models and leaves the receiver untouched, so it may keep serving
+// readers of an older epoch.
 type Ensemble struct {
 	Parts []*Partitioner
 }
@@ -93,55 +95,42 @@ func TrainEnsemble(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config, e int) (
 	return ens, stats, nil
 }
 
-// ProbeMode selects how the ensemble combines its models' candidate sets at
-// query time.
-type ProbeMode int
-
-const (
-	// BestConfidence implements Algorithm 4: the single candidate set of
-	// the model whose top bin probability is highest.
-	BestConfidence ProbeMode = iota
-	// UnionProbe unions every model's candidate set (an enhancement we
-	// ablate; it trades larger |C| for higher recall).
-	UnionProbe
-)
-
 // Route runs every member's routing pass for q through the single-row
 // kernel, leaving each member's leaf distribution in row 0 of its
-// probability row.
-func (e *Ensemble) Route(qs *QueryScratch, q []float32, mode ProbeMode) {
-	for m, p := range e.Parts {
-		buf := slot(&qs.probs, m)
-		*buf = p.leafProbs(*buf, q, qs)
-	}
-	e.selectMembers(qs, 1, mode)
+// probability row, and selects row 0's member.
+func (e *Ensemble) Route(qs *QueryScratch, q []float32) {
+	e.routeMembers(qs, q)
+	e.selectMembers(qs, 1)
 }
 
 // RouteBatch runs every member's routing pass over the rows staged with
 // qs.Stage — one batched forward pass per model (one MatMul per Dense layer
-// instead of a row of AXPY loops per query). Every row's distributions are
-// bit-identical to Route's on the same query: batch and single-row inference
-// share the same dispatched microkernels and accumulation order, and the
-// tree walk multiplies path products in the same order.
-func (e *Ensemble) RouteBatch(qs *QueryScratch, mode ProbeMode) {
-	for m, p := range e.Parts {
-		buf := slot(&qs.probs, m)
-		*buf = p.leafProbs(*buf, nil, qs)
-	}
-	e.selectMembers(qs, qs.q.Rows, mode)
+// instead of a row of AXPY loops per query) — and selects each row's member.
+// Every row's distributions are bit-identical to Route's on the same query:
+// batch and single-row inference share the same dispatched microkernels and
+// accumulation order, and the tree walk multiplies path products in the same
+// order.
+func (e *Ensemble) RouteBatch(qs *QueryScratch) {
+	e.routeMembers(qs, nil)
+	e.selectMembers(qs, qs.q.Rows)
 }
 
-// selectMembers records, in best-confidence mode, each routed row's member
-// per Algorithm 4: the one whose top leaf probability is highest, first
-// member winning ties. A member whose chosen confidence is NaN (an
-// overflowing forward pass) fails every comparison and is never selected;
-// a row where no member is selected has an empty candidate set. This holds
-// for an ensemble of one tree too: a hierarchy row whose top leaf
-// probability is NaN probes nothing.
-func (e *Ensemble) selectMembers(qs *QueryScratch, n int, mode ProbeMode) {
-	if mode != BestConfidence {
-		return
+// routeMembers fills every member's probability rows: q through the
+// single-row kernel, or the staged rows when q is nil.
+func (e *Ensemble) routeMembers(qs *QueryScratch, q []float32) {
+	for m, p := range e.Parts {
+		buf := slot(&qs.probs, m)
+		*buf = p.leafProbs(*buf, q, qs)
 	}
+}
+
+// selectMembers records each routed row's member per Algorithm 4: the one
+// whose top leaf probability is highest, first member winning ties. A member
+// whose chosen confidence is NaN (an overflowing forward pass) fails every
+// comparison and is never selected; a row where no member is selected has an
+// empty candidate set. This holds for an ensemble of one tree too: a
+// hierarchy row whose top leaf probability is NaN probes nothing.
+func (e *Ensemble) selectMembers(qs *QueryScratch, n int) {
 	if cap(qs.bestIdx) < n {
 		qs.bestIdx = make([]int, n)
 	}
@@ -161,61 +150,27 @@ func (e *Ensemble) selectMembers(qs *QueryScratch, n int, mode ProbeMode) {
 }
 
 // AppendCandidatesRow appends routed row i's candidate set to dst: the ids
-// in the mPrime most probable bins of the selected member (best-confidence)
-// or of every member, first occurrences only (union), each bin in its own
-// order. A tree's leaves are disjoint, so with one member both modes emit
-// the same ids in the same order.
-func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, mode ProbeMode, qs *QueryScratch) []int32 {
-	switch mode {
-	case BestConfidence:
-		m := qs.bestIdx[i]
-		if m < 0 {
-			return dst
-		}
-		p := e.Parts[m]
-		row := qs.probs[m][i*p.M : (i+1)*p.M]
-		qs.bins = vecmath.TopKIndicesInto(qs.bins, row, mPrime)
-		for _, b := range qs.bins {
-			dst = append(dst, p.Bins[b]...)
-		}
+// in the mPrime most probable bins of the row's selected member, each bin in
+// its own order.
+func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, qs *QueryScratch) []int32 {
+	m := qs.bestIdx[i]
+	if m < 0 {
 		return dst
-	case UnionProbe:
-		gen := qs.beginSeen()
-		for m, p := range e.Parts {
-			row := qs.probs[m][i*p.M : (i+1)*p.M]
-			qs.bins = vecmath.TopKIndicesInto(qs.bins, row, mPrime)
-			for _, b := range qs.bins {
-				mark := len(dst)
-				dst = append(dst, p.Bins[b]...)
-				// Compact in place, keeping first occurrences only.
-				w := mark
-				for _, id := range dst[mark:] {
-					if int(id) >= len(qs.seen) {
-						qs.growSeen(id)
-					}
-					if qs.seen[id] != gen {
-						qs.seen[id] = gen
-						dst[w] = id
-						w++
-					}
-				}
-				dst = dst[:w]
-			}
-		}
-		return dst
-	default:
-		panic(fmt.Sprintf("core: unknown probe mode %d", mode))
 	}
+	p := e.Parts[m]
+	row := qs.probs[m][i*p.M : (i+1)*p.M]
+	qs.bins = vecmath.TopKIndicesInto(qs.bins, row, mPrime)
+	for _, b := range qs.bins {
+		dst = append(dst, p.Bins[b]...)
+	}
+	return dst
 }
 
 // CandidatesWith returns the ensemble's candidate set for q as a fresh
 // []int — the adapter the offline callers (experiment sweeps, tests) use.
-// Hold one QueryScratch across queries: UnionProbe's dedup array grows to
-// the largest id it meets, so a fresh scratch per query would re-allocate
-// and re-zero O(n) every call.
-func (e *Ensemble) CandidatesWith(qs *QueryScratch, q []float32, mPrime int, mode ProbeMode) []int {
-	e.Route(qs, q, mode)
-	qs.cands = e.AppendCandidatesRow(qs.cands[:0], 0, mPrime, mode, qs)
+func (e *Ensemble) CandidatesWith(qs *QueryScratch, q []float32, mPrime int) []int {
+	e.Route(qs, q)
+	qs.cands = e.AppendCandidatesRow(qs.cands[:0], 0, mPrime, qs)
 	out := make([]int, len(qs.cands))
 	for i, id := range qs.cands {
 		out[i] = int(id)

@@ -20,7 +20,7 @@ import "repro/internal/vecmath"
 // probable leaf bin, the rule queries use — to dst, running the routing
 // passes through the caller's scratch (allocation-free when warm).
 func (e *Ensemble) RouteBinsWith(qs *QueryScratch, vec []float32, dst []int) []int {
-	e.Route(qs, vec, UnionProbe) // every member's row, no member selection
+	e.routeMembers(qs, vec)
 	for m := range e.Parts {
 		dst = append(dst, vecmath.ArgMax(qs.probs[m]))
 	}

@@ -7,9 +7,9 @@ import (
 
 // QueryScratch owns every intermediate buffer the online phase needs for one
 // goroutine: the model forward-pass buffers, the per-member leaf probability
-// rows, the tree walk's per-depth buffers, the selected-bin list, and a
-// generation-stamped visited set for union probing. The ensemble fills the
-// probability rows — Route for one query (row 0), RouteBatch for a staged
+// rows and each row's selected member, the tree walk's per-depth buffers,
+// and the selected-bin list. The ensemble fills the probability rows and
+// selects the members — Route for one query (row 0), RouteBatch for a staged
 // chunk — and AppendCandidatesRow reads them, so everything after routing is
 // one code path whatever the number of rows. After warm-up, routing and
 // gathering perform no allocation beyond growth of the caller's candidate
@@ -32,11 +32,6 @@ type QueryScratch struct {
 
 	bins  []int   // selected top-m′ bins for the row being appended
 	cands []int32 // candidate staging for the []int-returning CandidatesWith
-
-	// seen/gen implement an O(1)-reset visited set for UnionProbe dedup:
-	// seen[i] == gen marks id i as already emitted for the current row.
-	seen []uint32
-	gen  uint32
 }
 
 func growFloats(buf []float32, n int) []float32 {
@@ -53,25 +48,6 @@ func (qs *QueryScratch) Stage(n, dim int) []float32 {
 	qs.q.Rows, qs.q.Cols = n, dim
 	qs.q.Data = growFloats(qs.q.Data, n*dim)
 	return qs.q.Data
-}
-
-// beginSeen starts a new row of the visited set and returns the generation
-// stamp to mark ids with.
-func (qs *QueryScratch) beginSeen() uint32 {
-	qs.gen++
-	if qs.gen == 0 { // wrapped: stamps from 2^32 queries ago could collide
-		clear(qs.seen)
-		qs.gen = 1
-	}
-	return qs.gen
-}
-
-// growSeen extends the visited set to cover id. It takes the whole capacity
-// append grew, so ids climbing one at a time regrow it O(log n) times. The
-// ids it adds are unmarked: no stamp is 0.
-func (qs *QueryScratch) growSeen(id int32) {
-	qs.seen = append(qs.seen, make([]uint32, int(id)+1-len(qs.seen))...)
-	qs.seen = qs.seen[:cap(qs.seen)]
 }
 
 // predictInto runs model's forward pass into dst (grown as needed): q

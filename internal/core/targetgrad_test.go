@@ -64,8 +64,8 @@ func TestEnsembleSaveLoadRoundTrip(t *testing.T) {
 	// Candidate sets must be identical before and after the round trip.
 	var qs QueryScratch
 	for qi := 0; qi < 20; qi++ {
-		a := ens.CandidatesWith(&qs, ds.Row(qi), 1, BestConfidence)
-		b := loaded.CandidatesWith(&qs, ds.Row(qi), 1, BestConfidence)
+		a := ens.CandidatesWith(&qs, ds.Row(qi), 1)
+		b := loaded.CandidatesWith(&qs, ds.Row(qi), 1)
 		if len(a) != len(b) {
 			t.Fatalf("query %d: candidate sizes %d vs %d", qi, len(a), len(b))
 		}
@@ -97,8 +97,8 @@ func TestHierarchySaveLoadRoundTrip(t *testing.T) {
 	}
 	var qs QueryScratch
 	for qi := 0; qi < 20; qi++ {
-		a := OneTree(h).CandidatesWith(&qs, ds.Row(qi), 2, BestConfidence)
-		b := OneTree(loaded).CandidatesWith(&qs, ds.Row(qi), 2, BestConfidence)
+		a := OneTree(h).CandidatesWith(&qs, ds.Row(qi), 2)
+		b := OneTree(loaded).CandidatesWith(&qs, ds.Row(qi), 2)
 		if len(a) != len(b) {
 			t.Fatalf("query %d: sizes %d vs %d", qi, len(a), len(b))
 		}

@@ -96,7 +96,8 @@ func (d *Dataset) EnsureSqNorms(rebuild bool) {
 	if d.SqNorms != nil && !rebuild && len(d.SqNorms) == d.N {
 		return
 	}
-	if cap(d.SqNorms) < d.N {
+	// A cache of no rows is still built (non-nil), so Append extends it.
+	if d.SqNorms == nil || cap(d.SqNorms) < d.N {
 		d.SqNorms = make([]float32, d.N)
 	}
 	d.SqNorms = d.SqNorms[:d.N]

@@ -138,17 +138,3 @@ func RenderSeries(title string, series []Series) string {
 	}
 	return b.String()
 }
-
-// RenderCSV renders series as CSV (method,probes,candidates,recall,us).
-func RenderCSV(series []Series) string {
-	var b strings.Builder
-	b.WriteString("method,probes,avg_candidates,recall,us_per_query\n")
-	for _, s := range series {
-		for _, p := range s.Points {
-			fmt.Fprintf(&b, "%s,%d,%.2f,%.5f,%.2f\n",
-				s.Name, p.Probes, p.AvgCandidates, p.Recall,
-				float64(p.AvgQueryTime.Nanoseconds())/1e3)
-		}
-	}
-	return b.String()
-}

@@ -101,10 +101,6 @@ func TestRenderers(t *testing.T) {
 	if !strings.Contains(txt, "title") || !strings.Contains(txt, "m1") {
 		t.Fatalf("render: %s", txt)
 	}
-	csv := RenderCSV(s)
-	if !strings.HasPrefix(csv, "method,") || !strings.Contains(csv, "m1,1,10.00,0.50000") {
-		t.Fatalf("csv: %s", csv)
-	}
 }
 
 func TestNeighborIDs(t *testing.T) {

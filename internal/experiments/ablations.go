@@ -19,7 +19,7 @@ func ablationRow(b *bench, cfg core.Config, ensemble int, label string) (eval.Se
 	if err != nil {
 		return eval.Series{}, err
 	}
-	return eval.SweepCandidates(b.base, b.queries, b.gt, 10, uspMethod(label, ens, core.BestConfidence), []int{1, 2, 4}), nil
+	return eval.SweepCandidates(b.base, b.queries, b.gt, 10, uspMethod(label, ens), []int{1, 2, 4}), nil
 }
 
 func baseCfg(sc Scale) core.Config {
@@ -82,13 +82,6 @@ func ablationEnsemble(sc Scale, logf logfn) (*Report, error) {
 		}
 		series = append(series, s)
 	}
-	// Also report the union-probe enhancement at e=3.
-	ens, _, err := core.TrainEnsemble(b.base, b.mat, baseCfg(sc), 3)
-	if err != nil {
-		return nil, err
-	}
-	series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, 10,
-		uspMethod("e=3 (union probe)", ens, core.UnionProbe), []int{1, 2, 4}))
 	return renderAblation("ablation_ensemble", "Ablation: ensemble size (SIFT-like, 16 bins)", series), nil
 }
 
@@ -173,7 +166,7 @@ func ablationArch(sc Scale, logf logfn) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := eval.SweepCandidates(b.base, b.queries, b.gt, 10, uspMethod(a.label, ens, core.BestConfidence), []int{1, 2, 4})
+		s := eval.SweepCandidates(b.base, b.queries, b.gt, 10, uspMethod(a.label, ens), []int{1, 2, 4})
 		series = append(series, s)
 		fmt.Fprintf(&b2, "%-14s params=%d\n", a.label, stats.TotalParams())
 	}

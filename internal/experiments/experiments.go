@@ -182,11 +182,10 @@ func etaFor(name string, bins int) float64 {
 
 // uspMethod adapts a trained USP router to the candidate sweeps: its
 // candidate set per probe count, through one scratch that serves every query
-// of the sequential sweep (union probing's dedup array grows to the largest
-// id once, not per query).
-func uspMethod(name string, ens *core.Ensemble, mode core.ProbeMode) eval.Method {
+// of the sequential sweep.
+func uspMethod(name string, ens *core.Ensemble) eval.Method {
 	var qs core.QueryScratch
 	return eval.Method{Name: name, Candidates: func(q []float32, p int) []int {
-		return ens.CandidatesWith(&qs, q, p, mode)
+		return ens.CandidatesWith(&qs, q, p)
 	}}
 }

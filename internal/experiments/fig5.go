@@ -35,7 +35,7 @@ func fig5(sc Scale, logf logfn, ds string, bins int) (*Report, error) {
 			return nil, err
 		}
 		series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, k,
-			uspMethod(fmt.Sprintf("USP (ours, hier 16x%d)", bins/16), core.OneTree(h), core.BestConfidence), probes))
+			uspMethod(fmt.Sprintf("USP (ours, hier 16x%d)", bins/16), core.OneTree(h)), probes))
 	} else {
 		logf("fig5 %s/%d: training USP ensemble of %d", ds, bins, sc.Ensemble)
 		ens, _, err := core.TrainEnsemble(b.base, b.mat, cfg, sc.Ensemble)
@@ -43,7 +43,7 @@ func fig5(sc Scale, logf logfn, ds string, bins int) (*Report, error) {
 			return nil, err
 		}
 		series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, k,
-			uspMethod(fmt.Sprintf("USP (ours, e=%d)", sc.Ensemble), ens, core.BestConfidence), probes))
+			uspMethod(fmt.Sprintf("USP (ours, e=%d)", sc.Ensemble), ens), probes))
 	}
 
 	// --- Neural LSH. ---

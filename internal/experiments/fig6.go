@@ -37,7 +37,7 @@ func fig6(sc Scale, logf logfn, ds string) (*Report, error) {
 		return nil, err
 	}
 	series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, k,
-		uspMethod("USP (ours, logistic)", core.OneTree(h), core.BestConfidence), probes))
+		uspMethod("USP (ours, logistic)", core.OneTree(h)), probes))
 
 	// --- Regression LSH. ---
 	logf("fig6 %s: Regression LSH", ds)

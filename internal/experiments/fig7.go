@@ -53,7 +53,7 @@ func fig7(sc Scale, logf logfn, ds string) (*Report, error) {
 	series = append(series, eval.SweepSearch(b.queries, b.gt, k, eval.SearchMethod{
 		Name: "USP + ScaNN (ours)",
 		Search: func(q []float32, k, p int) ([]int, int) {
-			cands := ens.CandidatesWith(&qs, q, p, core.BestConfidence)
+			cands := ens.CandidatesWith(&qs, q, p)
 			return eval.NeighborIDs(scann.Search(q, k, cands)), len(cands)
 		},
 	}, probes))

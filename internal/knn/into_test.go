@@ -16,42 +16,36 @@ func TestSearchSubsetIntoMatchesSearchSubset(t *testing.T) {
 		N: 400, Dim: 16, Clusters: 8, ClusterStd: 0.5, CenterBox: 3,
 	}, rng).Dataset
 
-	for _, withNorms := range []bool{false, true} {
-		if withNorms {
-			base.EnsureSqNorms(true)
-		} else {
-			base.SqNorms = nil
+	base.EnsureSqNorms(true)
+	tk := vecmath.NewTopK(1)
+	var dst []vecmath.Neighbor
+	for trial := 0; trial < 50; trial++ {
+		q := base.Row(rng.Intn(base.N))
+		nsub := 1 + rng.Intn(base.N)
+		subset := make([]int, 0, nsub)
+		subset32 := make([]int32, 0, nsub)
+		for _, i := range rng.Perm(base.N)[:nsub] {
+			subset = append(subset, i)
+			subset32 = append(subset32, int32(i))
 		}
-		tk := vecmath.NewTopK(1)
-		var dst []vecmath.Neighbor
-		for trial := 0; trial < 50; trial++ {
-			q := base.Row(rng.Intn(base.N))
-			nsub := 1 + rng.Intn(base.N)
-			subset := make([]int, 0, nsub)
-			subset32 := make([]int32, 0, nsub)
-			for _, i := range rng.Perm(base.N)[:nsub] {
-				subset = append(subset, i)
-				subset32 = append(subset32, int32(i))
+		k := 1 + rng.Intn(12)
+		want := SearchSubset(base, subset, q, k)
+		dst = SearchSubsetInto(dst[:0], base, subset32, q, k, tk, nil)
+		if len(want) != len(dst) {
+			t.Fatalf("trial %d: %d vs %d results", trial, len(dst), len(want))
+		}
+		for i := range want {
+			if want[i].Index != dst[i].Index {
+				t.Fatalf("trial %d: result[%d] id %d, want %d",
+					trial, i, dst[i].Index, want[i].Index)
 			}
-			k := 1 + rng.Intn(12)
-			want := SearchSubset(base, subset, q, k)
-			dst = SearchSubsetInto(dst[:0], base, subset32, q, k, tk, nil)
-			if len(want) != len(dst) {
-				t.Fatalf("norms=%v trial %d: %d vs %d results", withNorms, trial, len(dst), len(want))
+			diff := float64(want[i].Dist - dst[i].Dist)
+			if diff < 0 {
+				diff = -diff
 			}
-			for i := range want {
-				if want[i].Index != dst[i].Index {
-					t.Fatalf("norms=%v trial %d: result[%d] id %d, want %d",
-						withNorms, trial, i, dst[i].Index, want[i].Index)
-				}
-				diff := float64(want[i].Dist - dst[i].Dist)
-				if diff < 0 {
-					diff = -diff
-				}
-				if diff > 1e-3*float64(want[i].Dist)+1e-4 {
-					t.Fatalf("norms=%v trial %d: result[%d] dist %v, want %v",
-						withNorms, trial, i, dst[i].Dist, want[i].Dist)
-				}
+			if diff > 1e-3*float64(want[i].Dist)+1e-4 {
+				t.Fatalf("trial %d: result[%d] dist %v, want %v",
+					trial, i, dst[i].Dist, want[i].Dist)
 			}
 		}
 	}
@@ -76,47 +70,40 @@ func TestSearchSubsetIntoSelfQueryIsExactZero(t *testing.T) {
 
 // TestSearchSubsetIntoSkipsTombstones checks the epoch-lifecycle contract:
 // ids in the skip set never appear in results, the survivors match a scan of
-// the manually filtered subset, and both kernel paths (fused-norm and
-// direct) honor the filter identically.
+// the manually filtered subset.
 func TestSearchSubsetIntoSkipsTombstones(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	base := dataset.Uniform(300, 8, rng)
-	for _, withNorms := range []bool{false, true} {
-		if withNorms {
-			base.EnsureSqNorms(true)
-		} else {
-			base.SqNorms = nil
+	base.EnsureSqNorms(true)
+	tk := vecmath.NewTopK(1)
+	var dst []vecmath.Neighbor
+	for trial := 0; trial < 30; trial++ {
+		var skip *bitset.Set
+		kept := make([]int32, 0, base.N)
+		for i := 0; i < base.N; i++ {
+			if rng.Float64() < 0.3 {
+				skip = skip.With(i)
+			} else {
+				kept = append(kept, int32(i))
+			}
 		}
-		tk := vecmath.NewTopK(1)
-		var dst []vecmath.Neighbor
-		for trial := 0; trial < 30; trial++ {
-			var skip *bitset.Set
-			kept := make([]int32, 0, base.N)
-			for i := 0; i < base.N; i++ {
-				if rng.Float64() < 0.3 {
-					skip = skip.With(i)
-				} else {
-					kept = append(kept, int32(i))
-				}
+		all := make([]int32, base.N)
+		for i := range all {
+			all[i] = int32(i)
+		}
+		q := base.Row(rng.Intn(base.N))
+		dst = SearchSubsetInto(dst[:0], base, all, q, 10, tk, skip)
+		want := SearchSubsetInto(nil, base, kept, q, 10, tk, nil)
+		if len(dst) != len(want) {
+			t.Fatalf("trial %d: %d vs %d results", trial, len(dst), len(want))
+		}
+		for i := range want {
+			if dst[i] != want[i] {
+				t.Fatalf("trial %d: result[%d] %+v, want %+v",
+					trial, i, dst[i], want[i])
 			}
-			all := make([]int32, base.N)
-			for i := range all {
-				all[i] = int32(i)
-			}
-			q := base.Row(rng.Intn(base.N))
-			dst = SearchSubsetInto(dst[:0], base, all, q, 10, tk, skip)
-			want := SearchSubsetInto(nil, base, kept, q, 10, tk, nil)
-			if len(dst) != len(want) {
-				t.Fatalf("norms=%v trial %d: %d vs %d results", withNorms, trial, len(dst), len(want))
-			}
-			for i := range want {
-				if dst[i] != want[i] {
-					t.Fatalf("norms=%v trial %d: result[%d] %+v, want %+v",
-						withNorms, trial, i, dst[i], want[i])
-				}
-				if skip.Has(dst[i].Index) {
-					t.Fatalf("tombstoned id %d returned", dst[i].Index)
-				}
+			if skip.Has(dst[i].Index) {
+				t.Fatalf("tombstoned id %d returned", dst[i].Index)
 			}
 		}
 	}
@@ -124,45 +111,38 @@ func TestSearchSubsetIntoSkipsTombstones(t *testing.T) {
 
 // TestSearchSubsetIntoCountedSkipAccounting: the counted variant must
 // report exactly the number of subset entries present in the skip set
-// (duplicates counted per occurrence), on both kernel paths, and zero when
-// no skip set is given.
+// (duplicates counted per occurrence), and zero when no skip set is given.
 func TestSearchSubsetIntoCountedSkipAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	base := dataset.Uniform(200, 8, rng)
-	for _, withNorms := range []bool{false, true} {
-		if withNorms {
-			base.EnsureSqNorms(true)
-		} else {
-			base.SqNorms = nil
+	base.EnsureSqNorms(true)
+	tk := vecmath.NewTopK(1)
+	for trial := 0; trial < 20; trial++ {
+		var skip *bitset.Set
+		for i := 0; i < base.N; i++ {
+			if rng.Float64() < 0.25 {
+				skip = skip.With(i)
+			}
 		}
-		tk := vecmath.NewTopK(1)
-		for trial := 0; trial < 20; trial++ {
-			var skip *bitset.Set
-			for i := 0; i < base.N; i++ {
-				if rng.Float64() < 0.25 {
-					skip = skip.With(i)
-				}
+		// Subset with duplicates: each occurrence of a tombstoned id is
+		// separately gathered work, so each occurrence counts.
+		subset := make([]int32, 0, 300)
+		wantSkipped := 0
+		for j := 0; j < 300; j++ {
+			id := rng.Intn(base.N)
+			subset = append(subset, int32(id))
+			if skip.Has(id) {
+				wantSkipped++
 			}
-			// Subset with duplicates: each occurrence of a tombstoned id is
-			// separately gathered work, so each occurrence counts.
-			subset := make([]int32, 0, 300)
-			wantSkipped := 0
-			for j := 0; j < 300; j++ {
-				id := rng.Intn(base.N)
-				subset = append(subset, int32(id))
-				if skip.Has(id) {
-					wantSkipped++
-				}
-			}
-			q := base.Row(rng.Intn(base.N))
-			_, skipped := SearchSubsetIntoCounted(nil, base, subset, q, 5, tk, skip)
-			if skipped != wantSkipped {
-				t.Fatalf("norms=%v trial %d: skipped %d, want %d", withNorms, trial, skipped, wantSkipped)
-			}
-			_, skipped = SearchSubsetIntoCounted(nil, base, subset, q, 5, tk, nil)
-			if skipped != 0 {
-				t.Fatalf("norms=%v trial %d: nil skip set reported %d skipped", withNorms, trial, skipped)
-			}
+		}
+		q := base.Row(rng.Intn(base.N))
+		_, skipped := SearchSubsetIntoCounted(nil, base, subset, q, 5, tk, skip)
+		if skipped != wantSkipped {
+			t.Fatalf("trial %d: skipped %d, want %d", trial, skipped, wantSkipped)
+		}
+		_, skipped = SearchSubsetIntoCounted(nil, base, subset, q, 5, tk, nil)
+		if skipped != 0 {
+			t.Fatalf("trial %d: nil skip set reported %d skipped", trial, skipped)
 		}
 	}
 }
@@ -189,8 +169,7 @@ func TestSearchSubsetIntoAllocs(t *testing.T) {
 
 // perRowFloatScan is the scan the block form replaced, kept as the
 // reference: one distance call and one Push per live candidate, in subset
-// order — SquaredL2Fused against the norm cache when base has one,
-// SquaredL2 otherwise.
+// order — SquaredL2Fused against the norm cache.
 func perRowFloatScan(base *dataset.Dataset, subset []int32, q []float32, k int, skip *bitset.Set) ([]vecmath.Neighbor, int) {
 	tk := vecmath.NewTopK(k)
 	qNorm := vecmath.Dot(q, q)
@@ -200,19 +179,14 @@ func perRowFloatScan(base *dataset.Dataset, subset []int32, q []float32, k int, 
 			skipped++
 			continue
 		}
-		if base.SqNorms != nil {
-			tk.Push(int(i), vecmath.SquaredL2Fused(q, base.Row(int(i)), qNorm, base.SqNorms[i]))
-		} else {
-			tk.Push(int(i), vecmath.SquaredL2(q, base.Row(int(i))))
-		}
+		tk.Push(int(i), vecmath.SquaredL2Fused(q, base.Row(int(i)), qNorm, base.SqNorms[i]))
 	}
 	return tk.AppendSorted(nil), skipped
 }
 
 // TestBlockFloatScanMatchesPerRowScan: ids, distance bits and the skipped
 // count equal the per-row reference for subsets on either side of every
-// block boundary, with and without tombstones, with and without the norm
-// cache, for k up to beyond the subset, for a dimension with a scalar tail,
+// block boundary, with and without tombstones, for k up to beyond the subset, for a dimension with a scalar tail,
 // and for a dataset holding only three distinct rows — there nearly every
 // candidate ties with the worst retained distance, so which ids survive at
 // the cut is decided by arrival order alone.
@@ -232,31 +206,26 @@ func TestBlockFloatScanMatchesPerRowScan(t *testing.T) {
 	}
 	tk := vecmath.NewTopK(1)
 	for _, base := range []*dataset.Dataset{real, tied} {
-		for _, withNorms := range []bool{true, false} {
-			base.SqNorms = nil
-			if withNorms {
-				base.EnsureSqNorms(true)
-			}
-			for _, sk := range []*bitset.Set{nil, skip} {
-				for _, ns := range []int{0, 1, 2, scanBlock - 1, scanBlock, scanBlock + 1, 2*scanBlock + 37} {
-					subset := make([]int32, ns)
-					for i := range subset {
-						subset[i] = int32(rng.Intn(n))
+		base.EnsureSqNorms(true)
+		for _, sk := range []*bitset.Set{nil, skip} {
+			for _, ns := range []int{0, 1, 2, scanBlock - 1, scanBlock, scanBlock + 1, 2*scanBlock + 37} {
+				subset := make([]int32, ns)
+				for i := range subset {
+					subset[i] = int32(rng.Intn(n))
+				}
+				q := real.Row(rng.Intn(n)) // a stored row: one candidate may be at distance 0
+				for _, k := range []int{1, 10, 100, ns + 5} {
+					got, gotSkipped := SearchSubsetIntoCounted(nil, base, subset, q, k, tk, sk)
+					want, wantSkipped := perRowFloatScan(base, subset, q, k, sk)
+					if gotSkipped != wantSkipped {
+						t.Fatalf("n=%d k=%d: skipped %d, per-row scan %d", ns, k, gotSkipped, wantSkipped)
 					}
-					q := real.Row(rng.Intn(n)) // a stored row: one candidate may be at distance 0
-					for _, k := range []int{1, 10, 100, ns + 5} {
-						got, gotSkipped := SearchSubsetIntoCounted(nil, base, subset, q, k, tk, sk)
-						want, wantSkipped := perRowFloatScan(base, subset, q, k, sk)
-						if gotSkipped != wantSkipped {
-							t.Fatalf("norms=%v n=%d k=%d: skipped %d, per-row scan %d", withNorms, ns, k, gotSkipped, wantSkipped)
-						}
-						if len(got) != len(want) {
-							t.Fatalf("norms=%v n=%d k=%d: %d results, per-row scan %d", withNorms, ns, k, len(got), len(want))
-						}
-						for i := range want {
-							if got[i].Index != want[i].Index || math.Float32bits(got[i].Dist) != math.Float32bits(want[i].Dist) {
-								t.Fatalf("norms=%v n=%d k=%d result[%d]: %+v, per-row scan %+v", withNorms, ns, k, i, got[i], want[i])
-							}
+					if len(got) != len(want) {
+						t.Fatalf("n=%d k=%d: %d results, per-row scan %d", ns, k, len(got), len(want))
+					}
+					for i := range want {
+						if got[i].Index != want[i].Index || math.Float32bits(got[i].Dist) != math.Float32bits(want[i].Dist) {
+							t.Fatalf("n=%d k=%d result[%d]: %+v, per-row scan %+v", ns, k, i, got[i], want[i])
 						}
 					}
 				}

@@ -39,10 +39,9 @@ func SearchSubset(base *dataset.Dataset, subset []int, query []float32, k int) [
 // SearchSubsetInto is the zero-allocation candidate scan of the batched
 // query engine: it scans the rows listed in subset, retains the k nearest in
 // the caller's TopK selector, and appends them (ascending distance) to dst.
-// When base carries a squared-norm cache (dataset.EnsureSqNorms), each row
-// costs one dot product (‖x‖² − 2q·x + ‖q‖²) instead of a subtract-square
-// pass, taken a block of rows at a time; otherwise it falls back to the
-// direct kernel, row by row.
+// base must carry its squared-norm cache (dataset.EnsureSqNorms; Append keeps
+// it extended): each row costs one dot product (‖x‖² − 2q·x + ‖q‖²) instead
+// of a subtract-square pass, taken a block of rows at a time.
 // Ids present in skip (the epoch's tombstone set; nil when no deletes are
 // pending) are excluded from the result — candidate gathering stays
 // branch-free and the filter costs one bit test per candidate, only on
@@ -83,23 +82,14 @@ func dropTombstoned(live *[scanBlock]int32, ids []int32, skip *bitset.Set) ([]in
 // metric telemetry tracks to decide when pending deletes warrant a
 // compaction.
 //
-// With a norm cache each distance is vecmath.SquaredL2FromDot of the
-// block's dot product, the expression vecmath.SquaredL2Fused evaluates, so
-// the distances are those of a per-row SquaredL2Fused scan bit for bit.
+// Like SearchSubsetInto, it requires base's norm cache. Each distance is
+// vecmath.SquaredL2FromDot of the block's dot product, the expression
+// vecmath.SquaredL2Fused evaluates, so the distances are those of a per-row
+// SquaredL2Fused scan bit for bit.
 func SearchSubsetIntoCounted(dst []vecmath.Neighbor, base *dataset.Dataset, subset []int32, query []float32, k int, tk *vecmath.TopK, skip *bitset.Set) ([]vecmath.Neighbor, int) {
 	tk.SetK(k)
 	skipped := 0
 	tombs := skip.Count() > 0
-	if base.SqNorms == nil {
-		for _, i := range subset {
-			if tombs && skip.Has(int(i)) {
-				skipped++
-				continue
-			}
-			tk.Push(int(i), vecmath.SquaredL2(query, base.Row(int(i))))
-		}
-		return tk.AppendSorted(dst), skipped
-	}
 	qNorm, norms := vecmath.Dot(query, query), base.SqNorms
 	var live [scanBlock]int32
 	var buf [scanBlock]float32

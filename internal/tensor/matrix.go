@@ -84,14 +84,6 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// CopyFrom copies src's contents into m; shapes must match.
-func (m *Matrix) CopyFrom(src *Matrix) {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
-		panic("tensor: CopyFrom shape mismatch")
-	}
-	copy(m.Data, src.Data)
-}
-
 // T returns a newly allocated transpose of m.
 func (m *Matrix) T() *Matrix {
 	t := New(m.Cols, m.Rows)
@@ -245,15 +237,6 @@ func ColSums(dst []float32, m *Matrix) {
 	for j := range dst {
 		dst[j] = float32(acc[j])
 	}
-}
-
-// Col extracts column j into a new slice.
-func (m *Matrix) Col(j int) []float32 {
-	out := make([]float32, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
 }
 
 // Equalish reports whether a and b have identical shape and all elements

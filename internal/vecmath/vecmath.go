@@ -139,27 +139,6 @@ func Norm(a []float32) float32 {
 	return float32(math.Sqrt(float64(Dot(a, a))))
 }
 
-// Cosine returns the cosine distance 1 - <a,b>/(|a||b|). Zero vectors are
-// treated as maximally distant (distance 1). All three reductions run
-// through the dispatched Dot kernel, and the result is clamped into the
-// mathematical range [0, 2]: float32 cancellation can push the raw value
-// marginally outside it for (anti-)parallel inputs, which would otherwise
-// leak tiny negative distances to callers.
-func Cosine(a, b []float32) float32 {
-	na2, nb2 := Dot(a, a), Dot(b, b)
-	if na2 == 0 || nb2 == 0 {
-		return 1
-	}
-	d := 1 - Dot(a, b)/float32(math.Sqrt(float64(na2)*float64(nb2)))
-	if d < 0 {
-		return 0
-	}
-	if d > 2 {
-		return 2
-	}
-	return d
-}
-
 // AXPY computes y += alpha*x in place.
 func AXPY(alpha float32, x, y []float32) {
 	y = y[:len(x)]
@@ -202,27 +181,6 @@ func Normalize(x []float32) bool {
 	return true
 }
 
-// Mean computes the arithmetic mean of the rows (each a []float32 of equal
-// length) into dst using float64 accumulation. dst must have the row length.
-func Mean(dst []float32, rows [][]float32) {
-	if len(rows) == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	acc := make([]float64, len(dst))
-	for _, r := range rows {
-		for i, v := range r {
-			acc[i] += float64(v)
-		}
-	}
-	inv := 1 / float64(len(rows))
-	for i := range dst {
-		dst[i] = float32(acc[i] * inv)
-	}
-}
-
 // ArgMax returns the index of the largest element of x, breaking ties toward
 // the smallest index. It returns -1 for an empty slice.
 func ArgMax(x []float32) int {
@@ -251,13 +209,4 @@ func ArgMin(x []float32) int {
 		return argMinArch(x)
 	}
 	return argMinScalar(x)
-}
-
-// Sum64 returns the sum of x accumulated in float64.
-func Sum64(x []float32) float64 {
-	var s float64
-	for _, v := range x {
-		s += float64(v)
-	}
-	return s
 }

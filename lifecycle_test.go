@@ -6,8 +6,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // searchIDs returns the result ids of a fresh search.
@@ -40,7 +38,6 @@ func TestDeleteHidesVector(t *testing.T) {
 	}
 	for _, opt := range []SearchOptions{
 		{Probes: 4},
-		{Probes: 4, UnionEnsemble: true},
 	} {
 		for _, id := range searchIDs(t, ix, vecs[3], 10, opt) {
 			if id == 3 {
@@ -263,7 +260,7 @@ func TestConcurrentLifecycle(t *testing.T) {
 						return
 					}
 				default:
-					if _, err := ix.CandidateSet(q, SearchOptions{Probes: 1, UnionEnsemble: true}); err != nil {
+					if _, err := ix.CandidateSet(q, SearchOptions{Probes: 1}); err != nil {
 						errs <- err
 						return
 					}
@@ -438,15 +435,12 @@ func TestHeldEpochNeverSeesLaterInserts(t *testing.T) {
 	}
 	held := ix.live.Load()
 	queries := vecs[:50]
-	modes := []core.ProbeMode{core.BestConfidence, core.UnionProbe}
 	gatherAll := func(s *Searcher) [][]int32 {
 		var out [][]int32
-		for _, mode := range modes {
-			for _, q := range queries {
-				s.route(held, [][]float32{q}, mode)
-				s.gather(held, 0, 2, mode)
-				out = append(out, append([]int32(nil), s.cands...))
-			}
+		for _, q := range queries {
+			s.route(held, [][]float32{q})
+			s.gather(held, 0, 2)
+			out = append(out, append([]int32(nil), s.cands...))
 		}
 		return out
 	}

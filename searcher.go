@@ -50,7 +50,6 @@ func (ix *Index) NewSearcher() *Searcher {
 // query of a call shares, worked out once per call (or staged chunk).
 type queryPlan struct {
 	probes int
-	mode   core.ProbeMode
 	// k is the requested k clamped to the epoch's row count: a top-k over
 	// at most N rows cannot hold more than N, so every answer for k ≤ N is
 	// unchanged while no buffer is sized from an unbounded request field.
@@ -60,9 +59,7 @@ type queryPlan struct {
 	// float-only epoch, RerankK < 0, or memory-tight mode (no float rows).
 	rerank int
 	// binsProbed is the number of partition bins the query scans:
-	// best-confidence probes min(probes, bins) bins of one member, union
-	// mode that many in every member (a hierarchy is one member, so the
-	// modes coincide there).
+	// min(probes, bins) bins of its one selected member.
 	binsProbed uint64
 }
 
@@ -71,13 +68,7 @@ func (ix *Index) plan(ep *epoch, k int, opt SearchOptions) queryPlan {
 	// selectors need k ≥ 1 even then.
 	rows := max(ep.data.N, 1)
 	p := queryPlan{probes: max(opt.Probes, 1), k: min(k, rows)}
-	parts := ep.router.Parts
-	bins := min(p.probes, parts[0].M)
-	if opt.UnionEnsemble {
-		p.mode = core.UnionProbe
-		bins *= len(parts)
-	}
-	p.binsProbed = uint64(bins)
+	p.binsProbed = uint64(min(p.probes, ep.router.Parts[0].M))
 	if qv := ep.quant; qv != nil && !qv.tight && opt.RerankK >= 0 {
 		p.rerank = opt.RerankK
 		if p.rerank == 0 {
@@ -96,9 +87,9 @@ func (ix *Index) plan(ep *epoch, k int, opt SearchOptions) queryPlan {
 // route fills the scratch's probability rows for queries. One query takes
 // the single-row forward pass; more are staged into one matrix and take one
 // batched pass per model. The rows hold the same bits either way.
-func (s *Searcher) route(ep *epoch, queries [][]float32, mode core.ProbeMode) {
+func (s *Searcher) route(ep *epoch, queries [][]float32) {
 	if len(queries) == 1 {
-		ep.router.Route(&s.qs, queries[0], mode)
+		ep.router.Route(&s.qs, queries[0])
 		return
 	}
 	dim := s.ix.dim
@@ -106,7 +97,7 @@ func (s *Searcher) route(ep *epoch, queries [][]float32, mode core.ProbeMode) {
 	for i, q := range queries {
 		copy(buf[i*dim:(i+1)*dim], q)
 	}
-	ep.router.RouteBatch(&s.qs, mode)
+	ep.router.RouteBatch(&s.qs)
 }
 
 // lut builds the queries' ADC lookup tables back to back into s.luts — on
@@ -122,10 +113,11 @@ func (s *Searcher) lut(ep *epoch, queries [][]float32) int {
 }
 
 // gather fills s.cands with routed row i's candidate set: the ids of each
-// probed bin, in the bin's order. The list may still contain tombstoned ids
-// — the scan filters them, so gathering stays branch-free.
-func (s *Searcher) gather(ep *epoch, i, probes int, mode core.ProbeMode) {
-	s.cands = ep.router.AppendCandidatesRow(s.cands[:0], i, probes, mode, &s.qs)
+// probed bin of the row's selected member, in the bin's order. The list may
+// still contain tombstoned ids — the scan filters them, so gathering stays
+// branch-free.
+func (s *Searcher) gather(ep *epoch, i, probes int) {
+	s.cands = ep.router.AppendCandidatesRow(s.cands[:0], i, probes, &s.qs)
 }
 
 // scan scores the gathered candidates, dropping tombstoned ones (counted in
@@ -162,7 +154,7 @@ func (s *Searcher) rerank(ep *epoch, q []float32, k int) int {
 // answer is the per-query body: everything after "row i's probabilities
 // are in the scratch". It appends q's results to dst and counts the query.
 func (s *Searcher) answer(dst []Result, ep *epoch, p *queryPlan, i int, q, lut []float32) []Result {
-	s.gather(ep, i, p.probes, p.mode)
+	s.gather(ep, i, p.probes)
 	s.scan(ep, p, q, lut)
 	reranked := 0
 	if p.rerank > 0 {
@@ -219,7 +211,7 @@ func (s *Searcher) SearchInto(dst []Result, q []float32, k int, opt SearchOption
 		dst = make([]Result, 0, p.k)
 	}
 	queries := [][]float32{q}
-	s.route(ep, queries, p.mode)
+	s.route(ep, queries)
 	s.lut(ep, queries)
 	dst = s.answer(dst, ep, &p, 0, q, s.luts)
 	ix.tel.queryLatency.ObserveDuration(time.Since(start))
@@ -345,7 +337,7 @@ func scannedTail(scanned []int, lo, hi int) []int {
 func (s *Searcher) searchChunk(ep *epoch, queries [][]float32, k int, opt SearchOptions, out [][]Result, arena []Result, scanned []int) []Result {
 	start := time.Now()
 	p := s.ix.plan(ep, k, opt)
-	s.route(ep, queries, p.mode)
+	s.route(ep, queries)
 	stride := s.lut(ep, queries)
 	for i, q := range queries {
 		mark := len(arena)

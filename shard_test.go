@@ -67,7 +67,6 @@ func TestShardMergeBitIdentical(t *testing.T) {
 	probeOpts := []SearchOptions{
 		{Probes: 1},
 		{Probes: 2},
-		{Probes: 2, UnionEnsemble: true},
 	}
 	for _, tc := range []struct {
 		name string

@@ -1,13 +1,11 @@
 package usp
 
-// The versioned full-index snapshot format. Unlike the legacy model-only
-// files of internal/core (which persist models and bin tables but not the
-// vectors, so a loaded index cannot serve queries), a snapshot is fully
-// self-contained: one file holds everything needed to serve — options,
-// models, merged lookup tables, dataset rows and tombstones — and a loaded
-// index returns bit-identical results to the live one it was saved from,
-// including results involving vectors added since the last compaction or
-// already tombstoned at save time.
+// The versioned full-index snapshot format, the one on-disk format. A
+// snapshot is self-contained: one file holds everything needed to serve —
+// options, models, merged lookup tables, dataset rows and tombstones — and a
+// loaded index returns bit-identical results to the live one it was saved
+// from, including results involving vectors added since the last compaction
+// or already tombstoned at save time.
 //
 // Layout (all integers little-endian):
 //
@@ -40,7 +38,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"os"
+	"path/filepath"
+	"strconv"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
@@ -336,20 +337,66 @@ func writeFloats(bw *bufio.Writer, vals []float32) error {
 	return nil
 }
 
-// SaveFile writes a snapshot to path. The file is closed exactly once, and
-// a close error (where buffered data is actually written on many
-// filesystems) surfaces when no earlier write failed.
-func (ix *Index) SaveFile(path string) (err error) {
-	f, err := os.Create(path)
+// SaveFile writes a snapshot to path atomically. Save streams into a new,
+// uniquely named file beside path, which is synced, closed and renamed over
+// path; the directory is then synced so the rename survives a crash. Until
+// the rename, path keeps its previous contents whole, so a concurrent reader
+// never sees a torn file, and on any error before it the new file is removed
+// and path is left untouched. The file gets the permission bits os.Create
+// would leave: an existing file's, or 0666 less the umask.
+func (ix *Index) SaveFile(path string) error {
+	return writeFileAtomic(path, ix.Save)
+}
+
+// writeFileAtomic is SaveFile with the payload writer as a parameter.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	f, err := createBeside(path)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
+}
+
+// createBeside creates a new file in path's directory, named path plus a
+// random suffix, with the permission bits of an existing path or else 0666
+// less the umask.
+func createBeside(path string) (*os.File, error) {
+	for {
+		f, err := os.OpenFile(path+".tmp"+strconv.FormatUint(uint64(rand.Uint32()), 10), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if os.IsExist(err) {
+			continue
 		}
-	}()
-	return ix.Save(f)
+		if err != nil {
+			return nil, err
+		}
+		if fi, serr := os.Stat(path); serr == nil {
+			if err := f.Chmod(fi.Mode().Perm()); err != nil {
+				f.Close()
+				os.Remove(f.Name())
+				return nil, err
+			}
+		}
+		return f, nil
+	}
 }
 
 // Load reads a snapshot written by Save and returns a servable index. The
@@ -506,21 +553,6 @@ func LoadFile(path string) (*Index, error) {
 		return nil, err
 	}
 	return Load(io.NewSectionReader(f, 0, fi.Size()))
-}
-
-// IsSnapshotFile sniffs whether path starts with the snapshot magic — how
-// cmd/uspquery tells a snapshot from any other file before loading it.
-func IsSnapshotFile(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var m [8]byte
-	if _, err := io.ReadFull(f, m[:]); err != nil {
-		return false
-	}
-	return string(m[:]) == snapMagic
 }
 
 // readModelSection decodes either spec into the one router type, and

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -14,6 +15,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/vecmath"
 )
@@ -44,7 +47,6 @@ func requireIdentical(t *testing.T, a, b *Index, queries [][]float32, label stri
 	for _, opt := range []SearchOptions{
 		{Probes: 1},
 		{Probes: 2},
-		{Probes: 2, UnionEnsemble: true},
 	} {
 		for qi, q := range queries {
 			ra, err := a.Search(q, 10, opt)
@@ -163,9 +165,6 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if err := ix.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if !IsSnapshotFile(path) {
-		t.Fatal("snapshot file not recognized")
-	}
 	loaded, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -193,18 +192,14 @@ func TestLoadRejectsGarbage(t *testing.T) {
 			t.Fatalf("truncated snapshot (%d of %d bytes) loaded", cut, len(full))
 		}
 	}
-	if IsSnapshotFile(filepath.Join(t.TempDir(), "missing")) {
-		t.Fatal("missing file reported as snapshot")
+	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing")); !os.IsNotExist(err) {
+		t.Fatalf("missing file: err = %v, want a not-exist error", err)
 	}
 	// A file of any other format — here the header of the retired
-	// model-only format — is not sniffed as a snapshot and fails to load
-	// with an error that says so.
+	// model-only format — fails to load with an error that says so.
 	other := filepath.Join(t.TempDir(), "legacy.usp")
 	if err := os.WriteFile(other, []byte("usp-index:ensemble\n\x00\x01\x02 model bytes"), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if IsSnapshotFile(other) {
-		t.Fatal("non-snapshot file misdetected as snapshot")
 	}
 	if _, err := LoadFile(other); err == nil || !strings.Contains(err.Error(), "not a snapshot file") {
 		t.Fatalf("non-snapshot file: err = %v, want a not-a-snapshot error", err)
@@ -668,5 +663,193 @@ func TestLoadRejectsNonFiniteRows(t *testing.T) {
 		if _, err := Load(bytes.NewReader(file)); !errors.Is(err, ErrInvalid) {
 			t.Errorf("%s row: Load error %v, want ErrInvalid", name, err)
 		}
+	}
+}
+
+// failAfter passes the first n bytes through to w and fails every write
+// after them.
+type failAfter struct {
+	w io.Writer
+	n int
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) <= f.n {
+		f.n -= len(p)
+		return f.w.Write(p)
+	}
+	k, _ := f.w.Write(p[:f.n])
+	f.n = 0
+	return k, errors.New("injected write failure")
+}
+
+// requireOnlyFile asserts that dir holds path alone, with exactly the bytes
+// want: a failed save left neither a changed snapshot nor a stray file.
+func requireOnlyFile(t *testing.T, dir, path string, want []byte) {
+	t.Helper()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s changed: %d bytes, had %d", path, len(got), len(want))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(path) {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v, want only %s", names, filepath.Base(path))
+	}
+}
+
+// TestSaveFileRefusedKeepsOldFile: a save Save refuses — a memory-tight
+// index has no float rows to write — leaves the snapshot it would have
+// replaced byte-identical.
+func TestSaveFileRefusedKeepsOldFile(t *testing.T) {
+	_, ix, _ := buildQuantizedPair(t, 131, 300, 16, Quantization{Subspaces: 4, K: 16})
+	dir := t.TempDir()
+	path := filepath.Join(dir, "index.usps")
+	if err := ix.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.DropFloats(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.SaveFile(path); err == nil {
+		t.Fatal("memory-tight SaveFile succeeded")
+	}
+	requireOnlyFile(t, dir, path, old)
+}
+
+// TestSaveFileFailingMidWriteKeepsOldFile: a save whose write fails part-way
+// — here after n bytes, for n at every section boundary of the snapshot
+// being written — leaves the snapshot it would have replaced byte-identical
+// and no temporary file behind.
+func TestSaveFileFailingMidWriteKeepsOldFile(t *testing.T) {
+	vecs, _ := clusteredVectors(137, 300, 8, 4)
+	ix, err := Build(vecs, Options{Bins: 4, Epochs: 5, Hidden: []int{8}, Seed: 138})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "index.usps")
+	if err := ix.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.Add(vecs[1]); err != nil { // the new snapshot differs
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	count := int(binary.LittleEndian.Uint32(full[12:16]))
+	cuts := []int{0, len(snapMagic), snapHeaderFixed, snapHeaderFixed + snapSectionEntry*count, len(full) - 1}
+	for i := 0; i < count; i++ {
+		e := full[snapHeaderFixed+snapSectionEntry*i:]
+		cuts = append(cuts, int(binary.LittleEndian.Uint64(e[8:16])))
+	}
+	for _, n := range cuts {
+		err := writeFileAtomic(path, func(w io.Writer) error { return ix.Save(&failAfter{w: w, n: n}) })
+		if err == nil {
+			t.Fatalf("save failing after %d of %d bytes succeeded", n, len(full))
+		}
+		requireOnlyFile(t, dir, path, old)
+	}
+	if err := ix.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	requireOnlyFile(t, dir, path, full)
+}
+
+// TestSaveFilePermissions: a new snapshot gets the bits os.Create gives a
+// new file, and a save over an existing one keeps that file's bits.
+func TestSaveFilePermissions(t *testing.T) {
+	vecs, _ := clusteredVectors(139, 200, 4, 2)
+	ix, err := Build(vecs, Options{Bins: 2, Epochs: 3, Logistic: true, Seed: 140})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ref := filepath.Join(dir, "ref")
+	f, err := os.Create(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	path := filepath.Join(dir, "index.usps")
+	mode := func(p string) os.FileMode {
+		t.Helper()
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Mode()
+	}
+	if err := ix.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mode(path), mode(ref); got != want {
+		t.Fatalf("new snapshot mode %v, os.Create gives %v", got, want)
+	}
+	if err := os.Chmod(path, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := mode(path); got != 0o600 {
+		t.Fatalf("saving over a 0600 snapshot left mode %v", got)
+	}
+}
+
+// TestEmptySnapshotServesAdds: a snapshot may hold no rows. Load builds the
+// norm cache the float scan reads all the same, so a row added afterwards
+// is scanned with it, and a self-query finds it at distance exactly 0.
+func TestEmptySnapshotServesAdds(t *testing.T) {
+	ix, vecs := buildSmallIndex(t, 141, 2)
+	ep := ix.live.Load()
+	parts := make([]*core.Partitioner, len(ep.router.Parts))
+	for m, p := range ep.router.Parts {
+		q := *p
+		q.Bins = make([][]int32, p.M)
+		parts[m] = &q
+	}
+	empty := newIndex(&dataset.Dataset{Dim: ix.dim}, &core.Ensemble{Parts: parts}, ix.opt, ix.stats, 0, nil, nil, nil, nil)
+	var buf bytes.Buffer
+	if err := empty.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Len() != 0 {
+		t.Fatalf("empty snapshot loaded %d rows", loaded.Len())
+	}
+	id, err := loaded.Add(vecs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := loaded.Search(vecs[0], 1, SearchOptions{Probes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0].ID != id || res[0].Distance != 0 {
+		t.Fatalf("self-query after Add = %+v, want id %d at distance 0", res, id)
 	}
 }

@@ -77,14 +77,6 @@ func TestQueryTelemetry(t *testing.T) {
 		t.Errorf("latency histogram count = %v, want %d", lat["count"], nq)
 	}
 
-	// Union mode probes every ensemble member.
-	if _, err := s.SearchInto(dst[:0], corpus.Row(0), 5, SearchOptions{Probes: 2, UnionEnsemble: true}); err != nil {
-		t.Fatal(err)
-	}
-	if got := counterValue(t, ix, "usp_query_bins_probed_total"); got != 2*nq+4 {
-		t.Errorf("union query: usp_query_bins_probed_total = %d, want %d", got, 2*nq+4)
-	}
-
 	// Validation failures count as errors, not queries.
 	if _, err := s.SearchInto(dst[:0], corpus.Row(0)[:3], 5, SearchOptions{}); err == nil {
 		t.Fatal("short query accepted")
@@ -95,8 +87,8 @@ func TestQueryTelemetry(t *testing.T) {
 	if got := counterValue(t, ix, "usp_query_errors_total"); got != 2 {
 		t.Errorf("usp_query_errors_total = %d, want 2", got)
 	}
-	if got := counterValue(t, ix, "usp_queries_total"); got != nq+1 {
-		t.Errorf("usp_queries_total after errors = %d, want %d", got, nq+1)
+	if got := counterValue(t, ix, "usp_queries_total"); got != nq {
+		t.Errorf("usp_queries_total after errors = %d, want %d", got, nq)
 	}
 }
 

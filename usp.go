@@ -294,9 +294,6 @@ type BuildStats struct {
 type SearchOptions struct {
 	// Probes is m′, the number of most-probable bins scanned (default 1).
 	Probes int
-	// UnionEnsemble unions every ensemble member's candidates instead of
-	// the paper's best-confidence selection (Algorithm 4).
-	UnionEnsemble bool
 	// RerankK controls the quantized two-phase scan (ignored on
 	// float-only indexes): the ADC pass keeps the RerankK best candidates
 	// by approximate distance, and only those are exactly re-ranked from
@@ -548,8 +545,8 @@ func (ix *Index) CandidateSet(q []float32, opt SearchOptions) ([]int, error) {
 	defer ix.putSearcher(s)
 	ep := ix.live.Load()
 	p := ix.plan(ep, 1, opt)
-	s.route(ep, [][]float32{q}, p.mode)
-	s.gather(ep, 0, p.probes, p.mode)
+	s.route(ep, [][]float32{q})
+	s.gather(ep, 0, p.probes)
 	out := make([]int, 0, len(s.cands))
 	for _, id := range s.cands {
 		if !ep.tombs.Has(int(id)) {

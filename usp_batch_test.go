@@ -34,8 +34,8 @@ func requireBitIdentical(t *testing.T, ix *Index, queries [][]float32, k int, op
 
 // TestSearchBatchBitIdentical pins the tentpole invariant: the staged batch
 // pipeline — batched routing forward pass, batched ADC-table build, per-query
-// gather + scan — returns results bit-identical to looped single Search, in
-// every routing mode, with live spill inserts and tombstones present.
+// gather + scan — returns results bit-identical to looped single Search, for
+// an ensemble and a hierarchy, with live spill inserts and tombstones present.
 func TestSearchBatchBitIdentical(t *testing.T) {
 	t.Run("ensemble", func(t *testing.T) {
 		ix, vecs := buildSmallIndex(t, 71, 2)
@@ -58,7 +58,6 @@ func TestSearchBatchBitIdentical(t *testing.T) {
 		for _, opt := range []SearchOptions{
 			{Probes: 1},
 			{Probes: 2},
-			{Probes: 2, UnionEnsemble: true},
 		} {
 			batch, err := ix.SearchBatch(vecs[:80], 10, opt)
 			if err != nil {
@@ -151,10 +150,6 @@ func TestBatchRoutingAllocations(t *testing.T) {
 	t.Run("ensemble-best", func(t *testing.T) {
 		ix, vecs := buildSmallIndex(t, 79, 2)
 		run(t, ix, vecs[:24], SearchOptions{Probes: 2})
-	})
-	t.Run("ensemble-union", func(t *testing.T) {
-		ix, vecs := buildSmallIndex(t, 79, 2)
-		run(t, ix, vecs[:24], SearchOptions{Probes: 2, UnionEnsemble: true})
 	})
 	t.Run("hierarchy", func(t *testing.T) {
 		vecs, _ := clusteredVectors(81, 600, 8, 4)

@@ -52,7 +52,6 @@ func TestSearcherMatchesLegacyPipeline(t *testing.T) {
 	}{
 		{"best1", SearchOptions{Probes: 1}},
 		{"best2", SearchOptions{Probes: 2}},
-		{"union2", SearchOptions{Probes: 2, UnionEnsemble: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ix, vecs := buildSmallIndex(t, 41, 2)
@@ -137,7 +136,6 @@ func TestSearcherAllocations(t *testing.T) {
 		opt  SearchOptions
 	}{
 		{"best", SearchOptions{Probes: 2}},
-		{"union", SearchOptions{Probes: 2, UnionEnsemble: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ix, vecs := buildSmallIndex(t, 47, 2)
@@ -206,7 +204,7 @@ func TestSearchBatchAgreesWithSearch(t *testing.T) {
 	queries := vecs[:64]
 	for _, opt := range []SearchOptions{
 		{Probes: 1},
-		{Probes: 2, UnionEnsemble: true},
+		{Probes: 2},
 	} {
 		batch, err := ix.SearchBatch(queries, 10, opt)
 		if err != nil {
@@ -383,7 +381,7 @@ func TestConcurrentSearchAndAdd(t *testing.T) {
 						return
 					}
 				default:
-					if _, err := ix.CandidateSet(q, SearchOptions{Probes: 1, UnionEnsemble: true}); err != nil {
+					if _, err := ix.CandidateSet(q, SearchOptions{Probes: 1}); err != nil {
 						errs <- err
 						return
 					}

@@ -80,17 +80,12 @@ func TestEnsembleBuild(t *testing.T) {
 	if ix.Stats().Models != 2 {
 		t.Fatalf("models = %d", ix.Stats().Models)
 	}
-	// Union probing yields at least as many candidates as best-confidence.
 	best, err := ix.CandidateSet(vecs[0], SearchOptions{Probes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	union, err := ix.CandidateSet(vecs[0], SearchOptions{Probes: 1, UnionEnsemble: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(union) < len(best) {
-		t.Fatalf("|union|=%d < |best|=%d", len(union), len(best))
+	if len(best) == 0 {
+		t.Fatal("best-confidence probe found no candidates")
 	}
 }
 
