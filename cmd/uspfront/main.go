@@ -15,9 +15,13 @@
 // declares two shards: the first served by two replicas, the second by
 // one. The front learns each shard's id offset from its /healthz.
 //
-// Every query fans out anew, and the front keeps no answers. Writes route
-// too: /add goes to the least-loaded shard (every replica of it), /delete to
-// the shard whose id range owns the global id.
+// Every query fans out anew, and the front keeps no answers. It reads no
+// query either: /search, /search/batch and /add bodies go to the backends as
+// the client sent them, the backends alone judge them, and each search reply
+// carries the k the front merges to. A front therefore needs backends that
+// put "k" in their search replies. Writes route too: /add goes to the
+// least-loaded shard (every replica of it), /delete to the shard whose id
+// range owns the global id.
 package main
 
 import (

@@ -157,18 +157,6 @@ func TestNMIBounds(t *testing.T) {
 	}
 }
 
-func TestPurity(t *testing.T) {
-	pred := []int{0, 0, 0, 1, 1, 1}
-	truth := []int{0, 0, 1, 1, 1, 1}
-	// Cluster 0: majority class 0 (2/3); cluster 1: class 1 (3/3) → 5/6.
-	if p := Purity(pred, truth); p < 0.83 || p > 0.84 {
-		t.Fatalf("purity = %v", p)
-	}
-	if Purity(nil, nil) != 0 {
-		t.Fatal("empty purity")
-	}
-}
-
 func TestNoiseAsSingletonsConvention(t *testing.T) {
 	// Two noise points must not count as the same cluster.
 	a := []int{Noise, Noise, 0, 0}

@@ -89,32 +89,6 @@ func NMI(a, b []int) float64 {
 	return mi / denom
 }
 
-// Purity maps each predicted cluster to its majority true class and returns
-// the fraction of correctly covered points.
-func Purity(pred, truth []int) float64 {
-	if len(pred) != len(truth) || len(pred) == 0 {
-		return 0
-	}
-	pred = renumber(pred)
-	truth = renumber(truth)
-	kp := maxLabel(pred) + 1
-	counts := make(map[[2]int]int)
-	for i := range pred {
-		counts[[2]int{pred[i], truth[i]}]++
-	}
-	best := make([]int, kp)
-	for key, c := range counts {
-		if c > best[key[0]] {
-			best[key[0]] = c
-		}
-	}
-	total := 0
-	for _, b := range best {
-		total += b
-	}
-	return float64(total) / float64(len(pred))
-}
-
 // renumber maps arbitrary labels (including negatives) to 0..k-1, giving
 // every negative label its own fresh id (noise-as-singleton convention).
 func renumber(labels []int) []int {

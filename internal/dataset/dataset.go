@@ -1,7 +1,7 @@
 // Package dataset provides the vector collections the experiments run on:
 // a compact flat storage type, synthetic generators standing in for the
 // paper's SIFT1M and MNIST benchmarks (see DESIGN.md for the substitution
-// rationale), the 2-D clustering toys of Table 5, and fvecs/ivecs file IO so
+// rationale), the 2-D clustering toys of Table 5, and fvecs file IO so
 // the real ann-benchmarks files can be dropped in when available.
 package dataset
 
@@ -307,34 +307,6 @@ func Classification4(n int, rng *rand.Rand) *Labeled {
 		N: n, Dim: 2, Clusters: 4,
 		ClusterStd: 0.5, CenterBox: 3, NoiseFrac: 0,
 	}, rng)
-}
-
-// NormalizeRows scales every vector to unit Euclidean norm in place
-// (zero vectors are left unchanged) and reports how many were normalized.
-// Nearest-neighbor search under cosine distance reduces to Euclidean search
-// over normalized vectors, which is how the library supports the paper's
-// "any distance function D" with the single L2 kernel set.
-func NormalizeRows(d *Dataset) int {
-	// Rows are about to change: drop any squared-norm cache rather than
-	// leave stale values feeding the fused distance kernel.
-	d.SqNorms = nil
-	count := 0
-	for i := 0; i < d.N; i++ {
-		row := d.Row(i)
-		var s float64
-		for _, v := range row {
-			s += float64(v) * float64(v)
-		}
-		if s == 0 {
-			continue
-		}
-		inv := float32(1 / math.Sqrt(s))
-		for j := range row {
-			row[j] *= inv
-		}
-		count++
-	}
-	return count
 }
 
 // Uniform generates n points uniformly from [-1, 1]^dim (a worst case for

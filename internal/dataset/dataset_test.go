@@ -209,25 +209,6 @@ func TestClassification4HasFourClasses(t *testing.T) {
 	}
 }
 
-func TestNormalizeRows(t *testing.T) {
-	d := New(3, 2)
-	d.Row(0)[0], d.Row(0)[1] = 3, 4
-	d.Row(1)[0] = -2
-	// Row 2 stays zero.
-	if got := NormalizeRows(d); got != 2 {
-		t.Fatalf("normalized %d rows, want 2", got)
-	}
-	if math.Abs(float64(d.Row(0)[0])-0.6) > 1e-6 || math.Abs(float64(d.Row(0)[1])-0.8) > 1e-6 {
-		t.Fatalf("row 0 = %v", d.Row(0))
-	}
-	if d.Row(1)[0] != -1 {
-		t.Fatalf("row 1 = %v", d.Row(1))
-	}
-	if d.Row(2)[0] != 0 || d.Row(2)[1] != 0 {
-		t.Fatalf("zero row modified: %v", d.Row(2))
-	}
-}
-
 func TestFvecsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	d := Uniform(17, 5, rng)
@@ -246,21 +227,6 @@ func TestFvecsRoundTrip(t *testing.T) {
 		if v != d.Data[i] {
 			t.Fatalf("data mismatch at %d", i)
 		}
-	}
-}
-
-func TestIvecsRoundTrip(t *testing.T) {
-	rows := [][]int32{{1, 2, 3}, {4, 5, 6}, {}}
-	var buf bytes.Buffer
-	if err := WriteIvecs(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadIvecs(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[1][2] != 6 || len(got[2]) != 0 {
-		t.Fatalf("got %v", got)
 	}
 }
 

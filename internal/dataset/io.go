@@ -9,10 +9,10 @@ import (
 	"os"
 )
 
-// The fvecs/ivecs formats are the interchange formats of the ann-benchmarks
-// suite (and of the original SIFT1M distribution): each vector is stored as
-// a little-endian int32 dimension followed by that many little-endian
-// float32 (fvecs) or int32 (ivecs) components.
+// The fvecs format is an interchange format of the ann-benchmarks suite (and
+// of the original SIFT1M distribution): each vector is stored as a
+// little-endian int32 dimension followed by that many little-endian float32
+// components.
 
 // WriteFvecs writes d to w in fvecs format.
 func WriteFvecs(w io.Writer, d *Dataset) error {
@@ -69,55 +69,6 @@ func ReadFvecs(r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: empty fvecs stream")
 	}
 	return &Dataset{N: n, Dim: dim, Data: vecs}, nil
-}
-
-// WriteIvecs writes integer vectors (e.g. ground-truth neighbor indices) in
-// ivecs format. All rows must have equal length.
-func WriteIvecs(w io.Writer, rows [][]int32) error {
-	bw := bufio.NewWriter(w)
-	var hdr [4]byte
-	for _, row := range rows {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(row)))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return fmt.Errorf("dataset: writing ivecs header: %w", err)
-		}
-		for _, v := range row {
-			binary.LittleEndian.PutUint32(hdr[:], uint32(v))
-			if _, err := bw.Write(hdr[:]); err != nil {
-				return fmt.Errorf("dataset: writing ivecs value: %w", err)
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadIvecs reads an entire ivecs stream.
-func ReadIvecs(r io.Reader) ([][]int32, error) {
-	br := bufio.NewReader(r)
-	var rows [][]int32
-	var hdr [4]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("dataset: reading ivecs header: %w", err)
-		}
-		d := int(int32(binary.LittleEndian.Uint32(hdr[:])))
-		if d < 0 || d > 1<<20 {
-			return nil, fmt.Errorf("dataset: implausible ivecs dimension %d", d)
-		}
-		buf := make([]byte, 4*d)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("dataset: truncated ivecs vector: %w", err)
-		}
-		row := make([]int32, d)
-		for j := range row {
-			row[j] = int32(binary.LittleEndian.Uint32(buf[4*j:]))
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // LoadFvecsFile reads an fvecs file from disk.

@@ -44,22 +44,6 @@ func TestAppendExtendsSqNorms(t *testing.T) {
 	}
 }
 
-func TestNormalizeRowsInvalidatesSqNorms(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	d := Uniform(12, 5, rng)
-	d.EnsureSqNorms(false)
-	NormalizeRows(d)
-	if d.SqNorms != nil {
-		t.Fatal("NormalizeRows must drop the stale squared-norm cache")
-	}
-	d.EnsureSqNorms(false)
-	for i, n := range d.SqNorms {
-		if diff := float64(n) - 1; diff > 1e-4 || diff < -1e-4 {
-			t.Fatalf("row %d: normalized norm² = %v, want 1", i, n)
-		}
-	}
-}
-
 func TestEnsureSqNormsRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d := Uniform(8, 3, rng)

@@ -13,6 +13,11 @@
 // searching the union dataset (see usp.Shard for the one quantized-mode
 // exception).
 //
+// The front reads no request: it forwards each /search, /search/batch and
+// /add body to the shards as the client sent it, and a shard's reply carries
+// everything the merge needs — its id offset and the request's k. A body the
+// shards refuse comes back with their 4xx status and message, unretried.
+//
 // The front holds no index state, so any number of fronts can serve the
 // same backend fleet. Resilience is deliberate and minimal: per-request
 // timeouts with context propagation, one bounded retry against a sibling
@@ -48,7 +53,7 @@ type Config struct {
 	// Shards is the backend topology: one entry per disjoint shard, each
 	// listing the base URLs ("http://host:port") of sibling replicas
 	// serving that shard. A single-replica, single-shard front is a plain
-	// reverse proxy with validation.
+	// reverse proxy: the backend judges every request.
 	Shards [][]string
 	// Timeout bounds each backend request, retries included separately
 	// (default 2s).
@@ -470,6 +475,20 @@ func (fs *fanScratch) merge(k int) []vecmath.Neighbor {
 	return fs.merged
 }
 
+// agree checks one shard's reply, k over rows rows, against those before it
+// (wantK is 0 for the first): a merge needs one k ≥ 1 over one row count.
+func agree(k, rows, wantK, wantRows int) error {
+	if k < 1 {
+		return fmt.Errorf("shard reply carries k %d", k)
+	}
+	if wantK != 0 && (k != wantK || rows != wantRows) {
+		return fmt.Errorf("shard replies disagree: k %d over %d rows, then k %d over %d rows", wantK, wantRows, k, rows)
+	}
+	return nil
+}
+
+// handleSearch forwards the client's /search body unread to every shard group
+// and merges the replies to the k they agree on.
 func (f *Front) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -487,55 +506,42 @@ func (f *Front) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	start := time.Now()
+	fs := getFan(len(f.groups))
+	defer putFan(fs)
+	f.ask(r.Context(), fs, "/search", body, (*serve.Scratch).DecodeSearchReply)
+
+	k, scanned := 0, 0
+	for gi, err := range fs.errs {
+		a := &fs.replies[gi].Resp
+		if err == nil {
+			err = agree(a.K, 1, k, 1)
+		}
+		if err != nil {
+			writeFanoutError(w, err)
+			return
+		}
+		k, scanned = a.K, scanned+a.Scanned
+		fs.addList(a.IDOffset, a.IDs, a.Distances)
+	}
+	merged := fs.merge(k)
 	sc := serve.GetScratch()
 	defer serve.PutScratch(sc)
-	req := &sc.Req
-	if err := serve.DecodeSearchRequest(req, body); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
+	resp := &sc.Resp
+	resp.Reset(len(merged))
+	resp.K, resp.Scanned, resp.Elapsed = k, scanned, time.Since(start).String()
+	for _, n := range merged {
+		resp.IDs = append(resp.IDs, n.Index)
+		resp.Distances = append(resp.Distances, n.Dist)
 	}
-	// Validate here so a broken request costs zero backend traffic and
-	// cannot trip the retry path.
-	if err := serve.ValidateSearchParams(req.K, req.Probes, req.RerankK); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := f.fanoutSearch(r.Context(), body, req.K, sc); err != nil {
+	if err := sc.EncodeSearchReply(); err != nil {
 		writeFanoutError(w, err)
 		return
 	}
 	serve.WriteReply(w, sc.Out)
 }
 
-// fanoutSearch forwards one validated /search body, byte for byte as the
-// client sent it, to every shard group and merges the per-shard top-k into
-// the global answer, encoded into sc.Out.
-func (f *Front) fanoutSearch(ctx context.Context, body []byte, k int, sc *serve.Scratch) error {
-	start := time.Now()
-	fs := getFan(len(f.groups))
-	defer putFan(fs)
-	f.ask(ctx, fs, "/search", body, (*serve.Scratch).DecodeSearchReply)
-
-	scanned := 0
-	for gi, err := range fs.errs {
-		if err != nil {
-			return err
-		}
-		a := &fs.replies[gi].Resp
-		scanned += a.Scanned
-		fs.addList(a.IDOffset, a.IDs, a.Distances)
-	}
-	merged := fs.merge(k)
-	resp := &sc.Resp
-	resp.Reset(len(merged))
-	resp.Scanned, resp.Elapsed = scanned, time.Since(start).String()
-	for _, n := range merged {
-		resp.IDs = append(resp.IDs, n.Index)
-		resp.Distances = append(resp.Distances, n.Dist)
-	}
-	return sc.EncodeSearchReply()
-}
-
+// handleSearchBatch is handleSearch for /search/batch, row by row.
 func (f *Front) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -549,35 +555,25 @@ func (f *Front) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sc := serve.GetScratch()
-	defer serve.PutScratch(sc)
-	req := &sc.Batch
-	if err := serve.DecodeBatchSearchRequest(req, body, &sc.In); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := serve.ValidateSearchParams(req.K, req.Probes, req.RerankK); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-
 	start := time.Now()
 	fs := getFan(len(f.groups))
 	defer putFan(fs)
 	f.ask(r.Context(), fs, "/search/batch", body, (*serve.Scratch).DecodeBatchReply)
 
-	nq := len(req.Vectors)
+	k, nq := 0, 0
 	for gi, err := range fs.errs {
+		a := &fs.replies[gi].BatchResp
+		if err == nil {
+			err = agree(a.K, len(a.IDs), k, nq)
+		}
 		if err != nil {
 			writeFanoutError(w, err)
 			return
 		}
-		if got := len(fs.replies[gi].BatchResp.IDs); got != nq {
-			http.Error(w, fmt.Sprintf("backend answered %d queries, want %d", got, nq),
-				http.StatusBadGateway)
-			return
-		}
+		k, nq = a.K, len(a.IDs)
 	}
+	sc := serve.GetScratch()
+	defer serve.PutScratch(sc)
 	resp := &sc.BatchResp
 	resp.Reset(&sc.Rows)
 	for qi := 0; qi < nq; qi++ {
@@ -585,15 +581,15 @@ func (f *Front) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 			a := &reply.BatchResp
 			fs.addList(a.IDOffset, a.IDs[qi], a.Distances[qi])
 		}
-		merged := fs.merge(req.K)
+		merged := fs.merge(k)
 		ids, ds := resp.AddRow(&sc.Rows, len(merged))
 		for i, n := range merged {
 			ids[i], ds[i] = n.Index, n.Dist
 		}
 	}
-	resp.Elapsed = time.Since(start).String()
+	resp.K, resp.Elapsed = k, time.Since(start).String()
 	if err := sc.EncodeBatchReply(); err != nil {
-		http.Error(w, "backend failure: "+err.Error(), http.StatusBadGateway)
+		writeFanoutError(w, err)
 		return
 	}
 	serve.WriteReply(w, sc.Out)

@@ -160,62 +160,73 @@ func TestFanoutBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFrontValidation: broken requests are rejected at the front with 400
-// and generate zero backend traffic (no retry amplification).
+// TestFrontValidation: the front reads no request, so the shards' verdict on
+// a broken body is the front's — the same status and message a backend gives
+// for the same bytes, at the cost of one request per shard group and no
+// retry. Only a body over the cap is refused at the front itself, with 413
+// and no backend traffic.
 func TestFrontValidation(t *testing.T) {
 	vecs := corpusRows(t, 107, 300, 8)
-	ix := buildIndex(t, vecs)
-	f, front := frontFor(t, Config{Shards: [][]string{{backendFor(t, ix).URL}}})
-
-	before := f.fanout.Value()
-	for _, tc := range []struct {
-		name string
-		req  serve.SearchRequest
-	}{
-		{"k missing", serve.SearchRequest{Vector: vecs[0]}},
-		{"k negative", serve.SearchRequest{Vector: vecs[0], K: -1}},
-		{"probes negative", serve.SearchRequest{Vector: vecs[0], K: 5, Probes: -2}},
-		{"rerank invalid", serve.SearchRequest{Vector: vecs[0], K: 5, RerankK: -3}},
-	} {
-		resp := postJSON(t, front.URL+"/search", tc.req)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: HTTP %d, want 400", tc.name, resp.StatusCode)
-		}
+	shards, err := buildIndex(t, vecs).Shard(2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// So are bodies that are more than one JSON value, or over the cap.
-	small := `{"vector":[0,0,0,0,0,0,0,0],"k":3}`
-	for _, tc := range []struct {
-		name, path, body string
-		want             int
-	}{
-		{"search trailing garbage", "/search", small + " trailing-garbage", 400},
-		{"batch trailing garbage", "/search/batch", `{"vectors":[[0,0,0,0,0,0,0,0]],"k":3}}`, 400},
-		{"search over the body cap", "/search", strings.Repeat(" ", serve.MaxBodyBytes) + small, 413},
-		{"batch over the body cap", "/search/batch", strings.Repeat(" ", serve.MaxBodyBytes) + small, 413},
-	} {
-		resp, err := http.Post(front.URL+tc.path, "application/json", strings.NewReader(tc.body))
+	backend := backendFor(t, shards[0])
+	f, front := frontFor(t, Config{Shards: [][]string{{backend.URL}, {backendFor(t, shards[1]).URL}}})
+	send := func(url, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Fatalf("%s: HTTP %d, want %d", tc.name, resp.StatusCode, tc.want)
+		return resp.StatusCode, readBody(t, resp)
+	}
+
+	vec := string(mustJSON(t, vecs[0]))
+	short := string(mustJSON(t, vecs[0][:4]))
+	for _, tc := range []struct{ path, body string }{
+		{"/search", `{"vector":` + vec + `}`},
+		{"/search", `{"vector":` + vec + `,"k":0}`},
+		{"/search", `{"vector":` + vec + `,"k":-1}`},
+		{"/search", `{"vector":` + vec + `,"k":5,"probes":-2}`},
+		{"/search", `{"vector":` + vec + `,"k":5,"rerank_k":-3}`},
+		{"/search", `{"vector":` + vec + `,"k":3} trailing-garbage`},
+		{"/search", `{"vector":` + short + `,"k":5}`},
+		{"/search", `{"vector":` + vec + `,"k":"1"}`},
+		{"/search/batch", `{"vectors":[` + vec + `]}`},
+		{"/search/batch", `{"vectors":[` + vec + `],"k":-1}`},
+		{"/search/batch", `{"vectors":[` + vec + `],"k":5,"probes":-2}`},
+		{"/search/batch", `{"vectors":[` + vec + `],"k":5,"rerank_k":-3}`},
+		{"/search/batch", `{"vectors":[` + vec + `],"k":3}}`},
+		{"/search/batch", `{"vectors":[` + vec + `,` + short + `],"k":5}`},
+		{"/search/batch", `{"vectors":[` + vec + `],"k":"1"}`},
+	} {
+		wantStatus, want := send(backend.URL+tc.path, tc.body)
+		if wantStatus != http.StatusBadRequest {
+			t.Fatalf("%s %s: the backend answered HTTP %d, want 400", tc.path, tc.body, wantStatus)
+		}
+		before := f.fanout.Value()
+		status, got := send(front.URL+tc.path, tc.body)
+		if status != wantStatus || got != want {
+			t.Fatalf("%s %s: front answered HTTP %d %q, a backend HTTP %d %q", tc.path, tc.body, status, got, wantStatus, want)
+		}
+		if n := f.fanout.Value() - before; n != uint64(len(f.groups)) {
+			t.Fatalf("%s %s: %d backend requests, want one per group (%d)", tc.path, tc.body, n, len(f.groups))
+		}
+	}
+	if f.retries.Value() != 0 {
+		t.Fatalf("a backend 400 was retried %d times", f.retries.Value())
+	}
+
+	small := `{"vector":[0,0,0,0,0,0,0,0],"k":3}`
+	before := f.fanout.Value()
+	for _, path := range []string{"/search", "/search/batch", "/add"} {
+		if status, _ := send(front.URL+path, strings.Repeat(" ", serve.MaxBodyBytes)+small); status != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s over the body cap: HTTP %d, want 413", path, status)
 		}
 	}
 	if f.fanout.Value() != before {
-		t.Fatalf("invalid requests reached backends: fanout %d -> %d", before, f.fanout.Value())
-	}
-
-	// A request only the backend can judge invalid (dim mismatch) is
-	// passed through as the backend's 400 — and not retried.
-	resp := postJSON(t, front.URL+"/search", serve.SearchRequest{Vector: vecs[0][:4], K: 5})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("dim mismatch: HTTP %d, want 400", resp.StatusCode)
-	}
-	if f.retries.Value() != 0 {
-		t.Fatalf("backend 400 was retried %d times", f.retries.Value())
+		t.Fatalf("bodies over the cap reached backends: fanout %d -> %d", before, f.fanout.Value())
 	}
 
 	// k and rerank_k have no upper bound on the wire: the engine clamps them
@@ -239,8 +250,8 @@ func TestFrontValidation(t *testing.T) {
 }
 
 // TestFrontForwardsClientBytes: each shard receives exactly the bytes the
-// client sent — the front validates them by decoding, and never re-encodes —
-// so the backend's verdict on a body is the front's.
+// client sent — the front neither decodes nor re-encodes them — so the
+// backend's verdict on a body is the front's.
 func TestFrontForwardsClientBytes(t *testing.T) {
 	vecs := corpusRows(t, 149, 300, 8)
 	shards, err := buildIndex(t, vecs).Shard(2)
@@ -251,26 +262,11 @@ func TestFrontForwardsClientBytes(t *testing.T) {
 	received := map[string][][]byte{}
 	var groups [][]string
 	for _, sh := range shards {
-		target := backendFor(t, sh)
-		rec := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method == http.MethodGet { // health probes
-				http.Redirect(w, r, target.URL+r.URL.Path, http.StatusTemporaryRedirect)
-				return
-			}
-			body, _ := io.ReadAll(r.Body)
+		rec := recordingProxy(t, backendFor(t, sh), func(path string, body []byte) {
 			mu.Lock()
-			received[r.URL.Path] = append(received[r.URL.Path], body)
+			received[path] = append(received[path], body)
 			mu.Unlock()
-			resp, err := http.Post(target.URL+r.URL.Path, "application/json", bytes.NewReader(body))
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadGateway)
-				return
-			}
-			defer resp.Body.Close()
-			w.WriteHeader(resp.StatusCode)
-			_, _ = io.Copy(w, resp.Body)
-		}))
-		t.Cleanup(rec.Close)
+		})
 		groups = append(groups, []string{rec.URL})
 	}
 	_, front := frontFor(t, Config{Shards: groups})
@@ -314,27 +310,62 @@ func TestFrontForwardsClientBytes(t *testing.T) {
 	}
 }
 
-// TestLyingShardReplyIsRefused: a shard reply whose ids and distances do not
-// pair up is a 502 for that request, and must not wedge the front — the same
-// query, once the shard answers properly again, gets its answer: the failed
-// request leaves nothing behind that a later one could wait on.
+// recordingProxy serves target's endpoints, handing each POST body to record
+// on its way through.
+func recordingProxy(t testing.TB, target *httptest.Server, record func(path string, body []byte)) *httptest.Server {
+	t.Helper()
+	rec := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet { // health probes
+			http.Redirect(w, r, target.URL+r.URL.Path, http.StatusTemporaryRedirect)
+			return
+		}
+		body, _ := io.ReadAll(r.Body)
+		record(r.URL.Path, body)
+		resp, err := http.Post(target.URL+r.URL.Path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.WriteHeader(resp.StatusCode)
+		_, _ = io.Copy(w, resp.Body)
+	}))
+	t.Cleanup(rec.Close)
+	return rec
+}
+
+// TestLyingShardReplyIsRefused: a shard reply the front cannot merge — ids
+// and distances that do not pair up, no k, a k other than its sibling
+// group's, or a batch answer to a different number of queries — is a 502
+// for that request, and must not wedge the front: the same query, once the
+// shard answers properly again, gets its answer. The failed request leaves
+// nothing behind that a later one could wait on.
 func TestLyingShardReplyIsRefused(t *testing.T) {
 	vecs := corpusRows(t, 151, 300, 8)
-	good := backendFor(t, buildIndex(t, vecs))
-	var lying atomic.Bool
-	lying.Store(true)
+	shards, err := buildIndex(t, vecs).Shard(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := backendFor(t, shards[1])
+	// The lie is the shard's /search and /search/batch reply; nil, or an
+	// empty reply, forwards to the honest backend.
+	var lie atomic.Pointer[[2]string]
 	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case !lying.Load() || r.URL.Path == "/healthz":
-			http.Redirect(w, r, good.URL+r.URL.Path, http.StatusTemporaryRedirect)
-		case r.URL.Path == "/search":
-			_, _ = io.WriteString(w, `{"ids":[4,5,6],"distances":[0,1],"id_offset":0,"scanned":3,"elapsed":"1µs"}`)
-		default:
-			_, _ = io.WriteString(w, `{"ids":[[4,5],[6]],"distances":[[0,1],[]],"id_offset":0,"elapsed":"1µs"}`)
+		reply := ""
+		if replies := lie.Load(); replies != nil && r.URL.Path == "/search" {
+			reply = replies[0]
+		} else if replies != nil && r.URL.Path == "/search/batch" {
+			reply = replies[1]
 		}
+		if reply == "" {
+			http.Redirect(w, r, good.URL+r.URL.Path, http.StatusTemporaryRedirect)
+			return
+		}
+		_, _ = io.WriteString(w, reply)
 	}))
 	defer shard.Close()
-	_, front := frontFor(t, Config{Shards: [][]string{{shard.URL}}})
+	// The lying shard is the first group, so no reply before it vouches for a k.
+	_, front := frontFor(t, Config{Shards: [][]string{{shard.URL}, {backendFor(t, shards[0]).URL}}})
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	search := mustJSON(t, serve.SearchRequest{Vector: vecs[0], K: 3, Probes: 2})
@@ -348,18 +379,41 @@ func TestLyingShardReplyIsRefused(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if code := post("/search", search); code != http.StatusBadGateway {
-		t.Fatalf("/search over a lying shard: HTTP %d, want 502", code)
-	}
-	if code := post("/search/batch", batch); code != http.StatusBadGateway {
-		t.Fatalf("/search/batch over a lying shard: HTTP %d, want 502", code)
-	}
-	lying.Store(false)
-	if code := post("/search", search); code != http.StatusOK {
-		t.Fatalf("the same /search once the shard recovered: HTTP %d, want 200", code)
-	}
-	if code := post("/search/batch", batch); code != http.StatusOK {
-		t.Fatalf("the same /search/batch once the shard recovered: HTTP %d, want 200", code)
+	for _, tc := range []struct {
+		name    string
+		replies [2]string
+	}{
+		{"ids and distances differ", [2]string{
+			`{"ids":[4,5,6],"distances":[0,1],"id_offset":0,"k":3,"scanned":3,"elapsed":"1µs"}`,
+			`{"ids":[[4,5],[6]],"distances":[[0,1],[]],"id_offset":0,"k":3,"elapsed":"1µs"}`,
+		}},
+		{"no k", [2]string{
+			`{"ids":[4],"distances":[0],"id_offset":0,"scanned":3,"elapsed":"1µs"}`,
+			`{"ids":[[4],[5]],"distances":[[0],[0]],"id_offset":0,"elapsed":"1µs"}`,
+		}},
+		{"another k", [2]string{
+			`{"ids":[4],"distances":[0],"id_offset":0,"k":1,"scanned":3,"elapsed":"1µs"}`,
+			`{"ids":[[4],[5]],"distances":[[0],[0]],"id_offset":0,"k":1,"elapsed":"1µs"}`,
+		}},
+		{"another row count", [2]string{
+			"", // a single search has one row
+			`{"ids":[[4]],"distances":[[0]],"id_offset":0,"k":3,"elapsed":"1µs"}`,
+		}},
+	} {
+		lie.Store(&tc.replies)
+		if code := post("/search", search); tc.replies[0] != "" && code != http.StatusBadGateway {
+			t.Fatalf("%s: /search over a lying shard: HTTP %d, want 502", tc.name, code)
+		}
+		if code := post("/search/batch", batch); code != http.StatusBadGateway {
+			t.Fatalf("%s: /search/batch over a lying shard: HTTP %d, want 502", tc.name, code)
+		}
+		lie.Store(nil)
+		if code := post("/search", search); code != http.StatusOK {
+			t.Fatalf("%s: the same /search once the shard recovered: HTTP %d, want 200", tc.name, code)
+		}
+		if code := post("/search/batch", batch); code != http.StatusOK {
+			t.Fatalf("%s: the same /search/batch once the shard recovered: HTTP %d, want 200", tc.name, code)
+		}
 	}
 }
 
@@ -606,7 +660,7 @@ func TestBackpressure(t *testing.T) {
 			return
 		}
 		<-release
-		_ = json.NewEncoder(w).Encode(serve.SearchResponse{IDs: []int{0}, Distances: []float32{0}})
+		_ = json.NewEncoder(w).Encode(serve.SearchResponse{IDs: []int{0}, Distances: []float32{0}, K: 1})
 	}))
 	defer slow.Close()
 
@@ -685,7 +739,7 @@ func TestDefaultClientReusesBackendConnections(t *testing.T) {
 		}
 		_, _ = io.Copy(io.Discard, r.Body)
 		inBackend.wait()
-		_ = json.NewEncoder(w).Encode(serve.SearchResponse{IDs: []int{0}, Distances: []float32{0}})
+		_ = json.NewEncoder(w).Encode(serve.SearchResponse{IDs: []int{0}, Distances: []float32{0}, K: 1})
 	}))
 	backend.Config.ConnState = func(_ net.Conn, st http.ConnState) {
 		if st == http.StateNew {

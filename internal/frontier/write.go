@@ -9,11 +9,12 @@
 // result-id uniqueness, so it is ineligible. For Shard-produced packed
 // ranges that leaves exactly the tail shard; for independently built
 // backends (equal offsets, one shared id space) every group stays
-// eligible and placement is pure least-rows. The vector is forwarded to
-// EVERY sibling replica of the chosen group — replicas serve the same
-// rows, so a write that skipped one would fork the shard. The reply is
-// the backend's own AddResponse (local id + id offset), so the global id
-// is ID + IDOffset, the same contract a direct backend add has.
+// eligible and placement is pure least-rows. The client's body is
+// forwarded unread, byte for byte, to EVERY sibling replica of the chosen
+// group — replicas serve the same rows, so a write that skipped one would
+// fork the shard — and the first sibling's verdict on it is the front's.
+// The reply is the backend's own AddResponse (local id + id offset), so the
+// global id is ID + IDOffset, the same contract a direct backend add has.
 //
 // /delete takes a GLOBAL id and routes by the id-offset ranges learned
 // from /healthz: the owning group is the one with the largest offset
@@ -112,18 +113,8 @@ func (f *Front) handleAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer f.release()
-	var req serve.AddRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(req.Vector) == 0 {
-		http.Error(w, "bad request: empty vector", http.StatusBadRequest)
-		return
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	body, ok := serve.ReadRequest(w, r, nil)
+	if !ok {
 		return
 	}
 
@@ -164,8 +155,7 @@ func (f *Front) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	defer f.release()
 	var req serve.DeleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !serve.ReadJSON(w, r, &req) {
 		return
 	}
 	if req.ID < 0 {

@@ -2,6 +2,9 @@ package frontier
 
 import (
 	"net/http"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/serve"
@@ -44,16 +47,33 @@ func TestAddRoutesLeastRows(t *testing.T) {
 }
 
 // TestAddReplicatedToAllSiblings: a routed add reaches every replica of
-// the target group, keeping siblings row-identical.
+// the target group as the very bytes the client sent, keeping siblings
+// row-identical.
 func TestAddReplicatedToAllSiblings(t *testing.T) {
 	vecs := corpusRows(t, 151, 300, 8)
 	r1, r2 := buildIndex(t, vecs), buildIndex(t, vecs)
 	s1, s2 := backendFor(t, r1), backendFor(t, r2)
-	_, front := frontFor(t, Config{Shards: [][]string{{s1.URL, s2.URL}}})
+	var mu sync.Mutex
+	var received []string
+	record := func(path string, body []byte) {
+		mu.Lock()
+		received = append(received, path+" "+string(body))
+		mu.Unlock()
+	}
+	p1, p2 := recordingProxy(t, s1, record), recordingProxy(t, s2, record)
+	_, front := frontFor(t, Config{Shards: [][]string{{p1.URL, p2.URL}}})
 
-	ar := decode[serve.AddResponse](t, postJSON(t, front.URL+"/add", serve.AddRequest{Vector: vecs[0]}))
+	body := " { \"vector\" : " + string(mustJSON(t, vecs[0])) + ", \"note\": \"kept as sent\" }\n"
+	resp, err := http.Post(front.URL+"/add", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar := decode[serve.AddResponse](t, resp)
 	if ar.ID != 300 || ar.IDOffset != 0 {
 		t.Fatalf("add assigned %d@%d, want 300@0", ar.ID, ar.IDOffset)
+	}
+	if want := []string{"/add " + body, "/add " + body}; !slices.Equal(received, want) {
+		t.Fatalf("siblings received %q, want the client's bytes once each: %q", received, want)
 	}
 	for _, srv := range []string{s1.URL, s2.URL} {
 		hz := decode[serve.HealthzResponse](t, mustGet(t, srv+"/healthz"))

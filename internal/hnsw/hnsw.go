@@ -297,9 +297,6 @@ func (ix *Index) Search(q []float32, k, ef int) []vecmath.Neighbor {
 	return out
 }
 
-// Levels reports the number of layers (diagnostics).
-func (ix *Index) Levels() int { return ix.maxLevel + 1 }
-
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -20,7 +20,7 @@ func TestBuildAndExactSelfQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Levels() < 1 {
+	if ix.maxLevel < 0 {
 		t.Fatal("no levels")
 	}
 	// Self queries must return the point itself first.

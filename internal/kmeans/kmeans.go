@@ -246,17 +246,6 @@ func runMiniBatch(ds *dataset.Dataset, cents *dataset.Dataset, k int, opt Option
 	}
 }
 
-// Nearest returns the index of the centroid closest to q.
-func (r *Result) Nearest(q []float32) int {
-	best, bi := float32(math.MaxFloat32), 0
-	for c := 0; c < r.Centroids.N; c++ {
-		if d := vecmath.SquaredL2(q, r.Centroids.Row(c)); d < best {
-			best, bi = d, c
-		}
-	}
-	return bi
-}
-
 // NearestK returns the indices of the mPrime closest centroids to q in
 // ascending distance order.
 func (r *Result) NearestK(q []float32, mPrime int) []int {

@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -60,6 +61,17 @@ func TestInertiaDecreasesWithK(t *testing.T) {
 	}
 }
 
+// nearest returns the index of the centroid closest to q, the first on a tie.
+func nearest(r *Result, q []float32) int {
+	best, bi := float32(math.MaxFloat32), 0
+	for c := 0; c < r.Centroids.N; c++ {
+		if d := vecmath.SquaredL2(q, r.Centroids.Row(c)); d < best {
+			best, bi = d, c
+		}
+	}
+	return bi
+}
+
 func TestAssignConsistentWithNearest(t *testing.T) {
 	l := blobs(5, 200, 3, 3)
 	res, err := Run(l.Dataset, 3, Options{Seed: 6})
@@ -67,7 +79,7 @@ func TestAssignConsistentWithNearest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < l.N; i++ {
-		want := res.Nearest(l.Row(i))
+		want := nearest(res, l.Row(i))
 		if int(res.Assign[i]) != want {
 			t.Fatalf("point %d assigned %d, nearest %d", i, res.Assign[i], want)
 		}
@@ -93,7 +105,7 @@ func TestNearestKOrdering(t *testing.T) {
 		}
 		prev = d
 	}
-	if got[0] != res.Nearest(q) {
+	if got[0] != nearest(res, q) {
 		t.Fatal("NearestK[0] != Nearest")
 	}
 	if len(res.NearestK(q, 99)) != 5 {

@@ -90,8 +90,8 @@ type Hyperplane struct {
 	Bins   [][]int32
 }
 
-// NewHyperplane builds an index with m bins; m must be a power of two.
-func NewHyperplane(ds *dataset.Dataset, m int, seed int64) (*Hyperplane, error) {
+// newHyperplane builds an index with m bins; m must be a power of two.
+func newHyperplane(ds *dataset.Dataset, m int, seed int64) (*Hyperplane, error) {
 	if m < 2 || m&(m-1) != 0 {
 		return nil, fmt.Errorf("lsh: hyperplane needs a power-of-two bin count, got %d", m)
 	}

@@ -82,7 +82,7 @@ func TestCrossPolytopeDeterministicForSeed(t *testing.T) {
 
 func TestHyperplaneCoverageAndProbe(t *testing.T) {
 	ds := uniform(8, 400, 12)
-	h, err := NewHyperplane(ds, 16, 9)
+	h, err := newHyperplane(ds, 16, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,17 +123,17 @@ func TestHyperplaneCoverageAndProbe(t *testing.T) {
 
 func TestHyperplaneValidation(t *testing.T) {
 	ds := uniform(10, 20, 4)
-	if _, err := NewHyperplane(ds, 3, 1); err == nil {
+	if _, err := newHyperplane(ds, 3, 1); err == nil {
 		t.Fatal("non-power-of-two should fail")
 	}
-	if _, err := NewHyperplane(ds, 1, 1); err == nil {
+	if _, err := newHyperplane(ds, 1, 1); err == nil {
 		t.Fatal("m=1 should fail")
 	}
 }
 
 func TestHyperplaneProbeClamps(t *testing.T) {
 	ds := uniform(11, 50, 4)
-	h, _ := NewHyperplane(ds, 4, 12)
+	h, _ := newHyperplane(ds, 4, 12)
 	if got := h.Candidates(ds.Row(0), 99); len(got) != ds.N {
 		t.Fatalf("clamped probe returned %d", len(got))
 	}

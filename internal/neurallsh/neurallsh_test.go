@@ -115,8 +115,8 @@ func TestLogisticRouterVariant(t *testing.T) {
 func TestRegressionFitterTree(t *testing.T) {
 	l, _ := blobs(8, 400, 6, 4)
 	tree := trees.Build(l.Dataset, 3, RegressionFitter{Seed: 9, Epochs: 20}, 9)
-	if tree.NumLeaves() < 4 {
-		t.Fatalf("leaves = %d", tree.NumLeaves())
+	if len(tree.Leaves) < 4 {
+		t.Fatalf("leaves = %d", len(tree.Leaves))
 	}
 	// Leaf partition covers the dataset once.
 	seen := make([]int, l.N)
@@ -131,14 +131,14 @@ func TestRegressionFitterTree(t *testing.T) {
 		}
 	}
 	// Balance: graph bisection labels must keep leaves within sane bounds.
-	for li, s := range tree.LeafSizes() {
-		if s > l.N*3/4 {
-			t.Fatalf("leaf %d holds %d points", li, s)
+	for li, leaf := range tree.Leaves {
+		if len(leaf) > l.N*3/4 {
+			t.Fatalf("leaf %d holds %d points", li, len(leaf))
 		}
 	}
 	// Multi-probe monotonicity.
 	q := l.Row(0)
-	if len(tree.Candidates(q, tree.NumLeaves())) != l.N {
+	if len(tree.Candidates(q, len(tree.Leaves))) != l.N {
 		t.Fatal("full probe must cover dataset")
 	}
 }

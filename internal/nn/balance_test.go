@@ -10,15 +10,15 @@ import (
 
 func TestEntropyBalanceZeroWhenUniform(t *testing.T) {
 	// Perfectly balanced soft assignments: p̄ uniform → loss 0.
-	probs := tensor.FromRows([][]float32{
-		{0.5, 0.5}, {0.9, 0.1}, {0.1, 0.9}, {0.5, 0.5},
+	probs := tensor.FromSlice(4, 2, []float32{
+		0.5, 0.5, 0.9, 0.1, 0.1, 0.9, 0.5, 0.5,
 	})
 	loss, _ := EntropyBalance(probs)
 	if math.Abs(loss) > 1e-6 {
 		t.Fatalf("balanced loss = %v", loss)
 	}
 	// Collapsed assignments: maximal loss log(m).
-	collapsed := tensor.FromRows([][]float32{{1, 0}, {1, 0}, {1, 0}})
+	collapsed := tensor.FromSlice(3, 2, []float32{1, 0, 1, 0, 1, 0})
 	loss, _ = EntropyBalance(collapsed)
 	if math.Abs(loss-math.Log(2)) > 1e-6 {
 		t.Fatalf("collapsed loss = %v, want log 2", loss)
@@ -28,7 +28,7 @@ func TestEntropyBalanceZeroWhenUniform(t *testing.T) {
 func TestEntropyBalanceGradientDirection(t *testing.T) {
 	// Gradient must push mass toward the under-used bin: for a collapsed
 	// batch, d/dP of the loss is more negative for the empty column.
-	probs := tensor.FromRows([][]float32{{0.9, 0.1}, {0.8, 0.2}})
+	probs := tensor.FromSlice(2, 2, []float32{0.9, 0.1, 0.8, 0.2})
 	_, dP := EntropyBalance(probs)
 	// Column 0 over-used: positive-ish gradient (decrease); column 1
 	// under-used: smaller (more negative) gradient.

@@ -43,7 +43,7 @@ func TestLogSoftmaxConsistentWithSoftmax(t *testing.T) {
 	row := []float32{1.5, -2, 0.25, 3}
 	dst := make([]float64, 4)
 	LogSoftmaxRow(dst, row)
-	m := tensor.FromRows([][]float32{row})
+	m := tensor.FromSlice(1, len(row), append([]float32(nil), row...))
 	SoftmaxRows(m)
 	for j, lv := range dst {
 		if math.Abs(math.Exp(lv)-float64(m.At(0, j))) > 1e-5 {
@@ -333,8 +333,8 @@ func TestUSPLossBalanceFavorsBalancedAssignments(t *testing.T) {
 func TestUSPLossPerfectPartitionNearZeroQuality(t *testing.T) {
 	// If the model's distribution equals the target exactly and is
 	// near-one-hot, the quality CE is near zero.
-	logits := tensor.FromRows([][]float32{{20, 0}, {0, 20}})
-	targets := tensor.FromRows([][]float32{{1, 0}, {0, 1}})
+	logits := tensor.FromSlice(2, 2, []float32{20, 0, 0, 20})
+	targets := tensor.FromSlice(2, 2, []float32{1, 0, 0, 1})
 	r := USPLoss(logits, targets, nil, 0)
 	if r.Quality > 1e-6 {
 		t.Fatalf("quality = %v, want ≈0", r.Quality)
@@ -351,7 +351,7 @@ func TestCrossEntropyLabelOutOfRangePanics(t *testing.T) {
 }
 
 func TestArgmaxRows(t *testing.T) {
-	m := tensor.FromRows([][]float32{{0.1, 0.9}, {0.8, 0.2}})
+	m := tensor.FromSlice(2, 2, []float32{0.1, 0.9, 0.8, 0.2})
 	got := ArgmaxRows(m)
 	if got[0] != 1 || got[1] != 0 {
 		t.Fatalf("ArgmaxRows = %v", got)

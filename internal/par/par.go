@@ -3,7 +3,7 @@
 // a run-side-by-side helper.
 //
 // All helpers degrade gracefully to sequential execution when GOMAXPROCS is
-// 1. For, ForChunks and MapReduce also run any range shorter than 1024
+// 1. ForChunks and MapReduce also run any range shorter than 1024
 // items inline on the calling goroutine, so hot paths pay no goroutine
 // overhead on tiny inputs; a handful of expensive items (models, codebooks,
 // subspaces) needs ForChunksMin with a small minimum span, or Do.
@@ -20,16 +20,6 @@ const minParallelSpan = 1024
 
 // Workers returns the degree of parallelism helpers in this package use.
 func Workers() int { return runtime.GOMAXPROCS(0) }
-
-// For runs fn(i) for every i in [0, n), potentially in parallel.
-// fn must be safe to call concurrently for distinct i.
-func For(n int, fn func(i int)) {
-	ForChunks(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
 
 // ForChunks splits [0, n) into contiguous chunks and runs fn(lo, hi) on each,
 // potentially in parallel. fn must be safe to call concurrently for disjoint

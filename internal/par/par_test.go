@@ -9,7 +9,11 @@ import (
 func TestForCoversRange(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 1023, 1024, 5000} {
 		seen := make([]int32, n)
-		For(n, func(i int) { atomic.AddInt32(&seen[i], 1) })
+		ForChunks(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&seen[i], 1)
+			}
+		})
 		for i, c := range seen {
 			if c != 1 {
 				t.Fatalf("n=%d: index %d visited %d times, want 1", n, i, c)

@@ -55,11 +55,14 @@ type SearchRequest struct {
 // fan-out merge relies on. IDOffset is the serving index's global id
 // base: a fan-out front adds it to each id, and because every response
 // carries it (rather than the front caching it from health probes), the
-// mapping can never go stale across a rolling reload.
+// mapping can never go stale across a rolling reload. K is the request's
+// k as this backend validated it, so the front merges to it without
+// reading the request itself.
 type SearchResponse struct {
 	IDs       []int     `json:"ids"`
 	Distances []float32 `json:"distances"`
 	IDOffset  int       `json:"id_offset"`
+	K         int       `json:"k"`
 	Scanned   int       `json:"scanned"`
 	Elapsed   string    `json:"elapsed"`
 }
@@ -74,11 +77,12 @@ type BatchSearchRequest struct {
 }
 
 // BatchSearchResponse is the body of a successful /search/batch reply.
-// IDOffset carries the same semantics as SearchResponse.IDOffset.
+// IDOffset and K carry the same semantics as in SearchResponse.
 type BatchSearchResponse struct {
 	IDs       [][]int     `json:"ids"`
 	Distances [][]float32 `json:"distances"`
 	IDOffset  int         `json:"id_offset"`
+	K         int         `json:"k"`
 	Elapsed   string      `json:"elapsed"`
 }
 
@@ -299,13 +303,13 @@ func statusFor(err error) int {
 	}
 }
 
-// ValidateSearchParams enforces the request contract shared by /search
+// validateSearchParams enforces the request contract shared by /search
 // and /search/batch: k is required (no silent defaulting — a client that
 // sends k:0 almost certainly dropped the field, and quietly returning 10
 // results hides that bug); probes may be omitted (0 = engine default of
 // 1) but not negative; rerank_k admits exactly the meaningful values
 // (0 = server default, -1 = ADC-only, positive = explicit depth).
-func ValidateSearchParams(k, probes, rerankK int) error {
+func validateSearchParams(k, probes, rerankK int) error {
 	if k < 1 {
 		return fmt.Errorf("k must be >= 1 (got %d)", k)
 	}
@@ -339,11 +343,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := &sc.Req
-	if err := DecodeSearchRequest(req, sc.Body); err != nil {
+	if err := decodeSearchRequest(req, sc.Body); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := ValidateSearchParams(req.K, req.Probes, req.RerankK); err != nil {
+	if err := validateSearchParams(req.K, req.Probes, req.RerankK); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -355,7 +359,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := &sc.Resp
 	resp.Reset(len(res))
-	resp.IDOffset, resp.Scanned, resp.Elapsed = idOffset, scanned, time.Since(start).String()
+	resp.IDOffset, resp.K, resp.Scanned, resp.Elapsed = idOffset, req.K, scanned, time.Since(start).String()
 	for _, n := range res {
 		resp.IDs = append(resp.IDs, n.ID)
 		resp.Distances = append(resp.Distances, n.Distance)
@@ -422,11 +426,11 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := &sc.Batch
-	if err := DecodeBatchSearchRequest(req, sc.Body, &sc.In); err != nil {
+	if err := decodeBatchSearchRequest(req, sc.Body, &sc.In); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := ValidateSearchParams(req.K, req.Probes, req.RerankK); err != nil {
+	if err := validateSearchParams(req.K, req.Probes, req.RerankK); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -439,7 +443,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := &sc.BatchResp
 	resp.Reset(&sc.Rows)
-	resp.IDOffset = eng.ix.IDOffset()
+	resp.IDOffset, resp.K = eng.ix.IDOffset(), req.K
 	for _, res := range results {
 		ids, ds := resp.AddRow(&sc.Rows, len(res))
 		for j, n := range res {
@@ -460,8 +464,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AddRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	// One engine for the id and its offset: a /reload between two loads
@@ -481,8 +484,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DeleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	if err := s.eng.Load().ix.Delete(req.ID); err != nil {
@@ -522,7 +524,10 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SaveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Path == "" {
+	if !ReadJSON(w, r, &req) {
+		return
+	}
+	if req.Path == "" {
 		http.Error(w, "bad request: need {\"path\": ...}", http.StatusBadRequest)
 		return
 	}
@@ -557,7 +562,10 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ReloadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Path == "" {
+	if !ReadJSON(w, r, &req) {
+		return
+	}
+	if req.Path == "" {
 		http.Error(w, "bad request: need {\"path\": ...}", http.StatusBadRequest)
 		return
 	}

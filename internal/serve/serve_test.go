@@ -179,10 +179,12 @@ func TestEndpointValidation(t *testing.T) {
 		}
 	}
 
-	// A search body is one JSON value and nothing else, of bounded size; a
-	// shape off the codec's canonical grammar that encoding/json accepts is
-	// still accepted.
+	// A search or add body is one JSON value and nothing else, of bounded
+	// size; a shape off the codec's canonical grammar that encoding/json
+	// accepts is still accepted.
 	small := `{"vector":[0,0,0,0,0,0,0,0],"k":3}`
+	add := `{"vector":[0,0,0,0,0,0,0,0]}`
+	rowsBefore := srv.Index().Lifecycle().Rows
 	for _, tc := range []struct {
 		name, path, body string
 		want             int
@@ -195,6 +197,8 @@ func TestEndpointValidation(t *testing.T) {
 		{"batch non-canonical", "/search/batch", `{"vectors":[[0,0,0,0,0,0,0,0]],"k":3,"probes":null}`, 200},
 		{"search over the body cap", "/search", strings.Repeat(" ", MaxBodyBytes) + small, 413},
 		{"batch over the body cap", "/search/batch", strings.Repeat(" ", MaxBodyBytes) + small, 413},
+		{"add second value", "/add", add + add, 400},
+		{"add over the body cap", "/add", strings.Repeat(" ", MaxBodyBytes) + add, 413},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -204,6 +208,9 @@ func TestEndpointValidation(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Fatalf("%s: HTTP %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
+	}
+	if rows := srv.Index().Lifecycle().Rows; rows != rowsBefore {
+		t.Fatalf("refused adds appended rows: %d -> %d", rowsBefore, rows)
 	}
 
 	// Non-finite vectors are 400 on every endpoint that takes one. JSON has

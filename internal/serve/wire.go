@@ -1,7 +1,8 @@
 // Wire codec of the tier's four search messages — SearchRequest,
-// BatchSearchRequest, SearchResponse, BatchSearchResponse — shared by this
-// package's handlers and by the fan-out front. Every other endpoint stays on
-// encoding/json.
+// BatchSearchRequest, SearchResponse, BatchSearchResponse. This package's
+// handlers decode the requests and encode the replies; the fan-out front
+// decodes the shards' replies and encodes its merged ones, and never reads a
+// request. Every other endpoint stays on encoding/json.
 //
 // Decoding is one pass of a strict scanner over the body bytes: an object
 // whose keys are the message's own field names, spelled exactly, each at most
@@ -37,10 +38,10 @@ import (
 	"unicode/utf8"
 )
 
-// MaxBodyBytes bounds a search body read from the network — a request at
-// either tier, a shard's reply at the front. It admits a /search/batch of
-// about twenty thousand 128-float queries; a larger body is refused with 413
-// before it is buffered.
+// MaxBodyBytes bounds a body read from the network — a request to any POST
+// endpoint at either tier, a shard's reply at the front. It admits a
+// /search/batch of about twenty thousand 128-float queries; a larger request
+// is refused with 413 before it is buffered.
 const MaxBodyBytes = 32 << 20
 
 // maxPooledBytes is the most memory a Scratch may keep when it returns to
@@ -182,6 +183,21 @@ func ReadRequest(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, bo
 	return buf, false
 }
 
+// ReadJSON reads r's body as ReadRequest does and decodes it into v with
+// json.Unmarshal, so anything after the first JSON value is refused. On
+// failure it has already answered — 413 or 400 — and reports false.
+func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, ok := ReadRequest(w, r, nil)
+	if !ok {
+		return false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return false
+	}
+	return true
+}
+
 // DecodeSearchReply decodes the /search reply in sc.Body into sc.Resp.
 func (sc *Scratch) DecodeSearchReply() error { return DecodeSearchResponse(&sc.Resp, sc.Body) }
 
@@ -215,10 +231,10 @@ func WriteReply(w http.ResponseWriter, body []byte) {
 	_, _ = w.Write(body) // a failed write means the client is gone
 }
 
-// DecodeSearchRequest decodes a /search body into dst, reusing dst.Vector's
+// decodeSearchRequest decodes a /search body into dst, reusing dst.Vector's
 // capacity. Verdict and values are those of json.Unmarshal into a zero
 // SearchRequest.
-func DecodeSearchRequest(dst *SearchRequest, body []byte) error {
+func decodeSearchRequest(dst *SearchRequest, body []byte) error {
 	*dst = SearchRequest{Vector: dst.Vector[:0]}
 	if scanSearchRequest(dst, body) {
 		return nil
@@ -227,9 +243,9 @@ func DecodeSearchRequest(dst *SearchRequest, body []byte) error {
 	return json.Unmarshal(body, dst)
 }
 
-// DecodeBatchSearchRequest decodes a /search/batch body into dst, its rows
+// decodeBatchSearchRequest decodes a /search/batch body into dst, its rows
 // resliced out of a; the rows stay valid until a is used again.
-func DecodeBatchSearchRequest(dst *BatchSearchRequest, body []byte, a *Arena) error {
+func decodeBatchSearchRequest(dst *BatchSearchRequest, body []byte, a *Arena) error {
 	*dst = BatchSearchRequest{Vectors: dst.Vectors[:0]}
 	if scanBatchSearchRequest(dst, body, a) {
 		return nil
@@ -286,6 +302,7 @@ func AppendSearchResponse(dst []byte, r *SearchResponse) ([]byte, error) {
 		return dst, err
 	}
 	dst = strconv.AppendInt(append(dst, `,"id_offset":`...), int64(r.IDOffset), 10)
+	dst = strconv.AppendInt(append(dst, `,"k":`...), int64(r.K), 10)
 	dst = strconv.AppendInt(append(dst, `,"scanned":`...), int64(r.Scanned), 10)
 	dst = appendString(append(dst, `,"elapsed":`...), r.Elapsed)
 	return append(dst, '}'), nil
@@ -324,6 +341,7 @@ func AppendBatchSearchResponse(dst []byte, r *BatchSearchResponse) ([]byte, erro
 		dst = append(dst, ']')
 	}
 	dst = strconv.AppendInt(append(dst, `,"id_offset":`...), int64(r.IDOffset), 10)
+	dst = strconv.AppendInt(append(dst, `,"k":`...), int64(r.K), 10)
 	dst = appendString(append(dst, `,"elapsed":`...), r.Elapsed)
 	return append(dst, '}'), nil
 }
@@ -721,11 +739,14 @@ func scanSearchResponse(dst *SearchResponse, body []byte) bool {
 		case "id_offset":
 			bit = 4
 			dst.IDOffset, ok = s.integer()
-		case "scanned":
+		case "k":
 			bit = 8
+			dst.K, ok = s.integer()
+		case "scanned":
+			bit = 16
 			dst.Scanned, ok = s.integer()
 		case "elapsed":
-			bit = 16
+			bit = 32
 			var lit []byte
 			lit, ok = s.str()
 			dst.Elapsed = string(lit)
@@ -759,8 +780,11 @@ func scanBatchSearchResponse(dst *BatchSearchResponse, body []byte, a *Arena) bo
 		case "id_offset":
 			bit = 4
 			dst.IDOffset, ok = s.integer()
-		case "elapsed":
+		case "k":
 			bit = 8
+			dst.K, ok = s.integer()
+		case "elapsed":
+			bit = 16
 			var lit []byte
 			lit, ok = s.str()
 			dst.Elapsed = string(lit)

@@ -99,6 +99,7 @@ var requestSeeds = []string{
 
 var responseSeeds = []string{
 	`{"ids":[3,1,2],"distances":[0,0.5,1.25],"id_offset":100,"scanned":42,"elapsed":"12.5µs"}`,
+	`{"ids":[3,1],"distances":[0,0.5],"id_offset":100,"k":10,"scanned":42,"elapsed":"12.5µs"}`,
 	`{"ids":[[3,1],[2]],"distances":[[0,0.5],[1e-7]],"id_offset":100,"elapsed":"1.2ms"}`,
 	`{"ids":null,"distances":null,"id_offset":0,"scanned":0,"elapsed":"0s"}`,
 	`{"ids":[],"distances":[],"id_offset":0,"scanned":0,"elapsed":""}`,
@@ -116,14 +117,14 @@ var responseSeeds = []string{
 	`{"ids":[1],"distances":[1],"elapsed":5}`,
 }
 
-// checkSearchRequest holds DecodeSearchRequest to its contract on one body:
+// checkSearchRequest holds decodeSearchRequest to its contract on one body:
 // json.Unmarshal's verdict and values, also into a struct that held another
 // message before.
 func checkSearchRequest(t *testing.T, body []byte) {
 	var want SearchRequest
 	wantErr := json.Unmarshal(body, &want)
 	for _, got := range []SearchRequest{{}, {Vector: []float32{9, 9, 9, 9, 9, 9, 9, 9, 9}[:5], K: 9, Probes: 9, RerankK: 9}} {
-		gotErr := DecodeSearchRequest(&got, body)
+		gotErr := decodeSearchRequest(&got, body)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("%q: codec error %v, encoding/json error %v", body, gotErr, wantErr)
 		}
@@ -142,7 +143,7 @@ func checkBatchSearchRequest(t *testing.T, body []byte) {
 	var got BatchSearchRequest
 	var arena Arena
 	for pass := 0; pass < 2; pass++ { // the second pass reuses rows and arena
-		gotErr := DecodeBatchSearchRequest(&got, body, &arena)
+		gotErr := decodeBatchSearchRequest(&got, body, &arena)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("%q: codec error %v, encoding/json error %v", body, gotErr, wantErr)
 		}
@@ -164,12 +165,12 @@ func checkSearchResponses(t *testing.T, body []byte) {
 	if wantErr == nil && len(want.IDs) != len(want.Distances) {
 		wantErr = errReplyShape
 	}
-	got := SearchResponse{IDs: []int{9, 9}, Distances: []float32{9}, IDOffset: 9, Scanned: 9, Elapsed: "9"}
+	got := SearchResponse{IDs: []int{9, 9}, Distances: []float32{9}, IDOffset: 9, K: 9, Scanned: 9, Elapsed: "9"}
 	gotErr := DecodeSearchResponse(&got, body)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("%q: codec error %v, want %v", body, gotErr, wantErr)
 	}
-	if wantErr == nil && (got.IDOffset != want.IDOffset || got.Scanned != want.Scanned || got.Elapsed != want.Elapsed ||
+	if wantErr == nil && (got.IDOffset != want.IDOffset || got.K != want.K || got.Scanned != want.Scanned || got.Elapsed != want.Elapsed ||
 		!slices.Equal(got.IDs, want.IDs) || !sameFloatBits(got.Distances, want.Distances)) {
 		t.Fatalf("%q: codec %+v, encoding/json %+v", body, got, want)
 	}
@@ -191,7 +192,7 @@ func checkSearchResponses(t *testing.T, body []byte) {
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("%q: batch codec error %v, want %v", body, gotErr, wantErr)
 		}
-		if wantErr == nil && (gotB.IDOffset != wantB.IDOffset || gotB.Elapsed != wantB.Elapsed ||
+		if wantErr == nil && (gotB.IDOffset != wantB.IDOffset || gotB.K != wantB.K || gotB.Elapsed != wantB.Elapsed ||
 			!sameIntRows(gotB.IDs, wantB.IDs) || !sameFloatRows(gotB.Distances, wantB.Distances)) {
 			t.Fatalf("%q: batch codec %+v, encoding/json %+v", body, gotB, wantB)
 		}
@@ -246,10 +247,10 @@ func TestDecodeTakesTheFastPath(t *testing.T) {
 	if body := mustMarshal(t, BatchSearchRequest{Vectors: [][]float32{wireVector(8), {}, wireVector(3)}, K: 1}); !scanBatchSearchRequest(&BatchSearchRequest{}, body, &a) {
 		t.Errorf("not canonical: %s", body)
 	}
-	if body := mustMarshal(t, SearchResponse{IDs: []int{1}, Distances: []float32{1e-9}, Elapsed: "3.5µs"}); !scanSearchResponse(&SearchResponse{}, body) {
+	if body := mustMarshal(t, SearchResponse{IDs: []int{1}, Distances: []float32{1e-9}, K: 10, Elapsed: "3.5µs"}); !scanSearchResponse(&SearchResponse{}, body) {
 		t.Errorf("not canonical: %s", body)
 	}
-	if body := mustMarshal(t, BatchSearchResponse{IDs: [][]int{{1}, {}}, Distances: [][]float32{{1e22}, {}}, Elapsed: "1m3s"}); !scanBatchSearchResponse(&BatchSearchResponse{}, body, &a) {
+	if body := mustMarshal(t, BatchSearchResponse{IDs: [][]int{{1}, {}}, Distances: [][]float32{{1e22}, {}}, K: 1, Elapsed: "1m3s"}); !scanBatchSearchResponse(&BatchSearchResponse{}, body, &a) {
 		t.Errorf("not canonical: %s", body)
 	}
 }
@@ -262,7 +263,7 @@ func TestAppendResponseMatchesMarshal(t *testing.T) {
 		{},
 		{IDs: []int{}, Distances: []float32{}},
 		{IDs: nil, Distances: []float32{}},
-		{IDs: []int{5, -3, 0, math.MaxInt64, math.MinInt64}, Distances: []float32{0, 1.5, 2, 3, 4}, IDOffset: -8, Scanned: 12, Elapsed: "467.25µs"},
+		{IDs: []int{5, -3, 0, math.MaxInt64, math.MinInt64}, Distances: []float32{0, 1.5, 2, 3, 4}, IDOffset: -8, K: math.MaxInt64, Scanned: 12, Elapsed: "467.25µs"},
 		{IDs: make([]int, len(edge)), Distances: edge, Elapsed: "1h2m3.5s"},
 		{Elapsed: "quote\" slash\\ <tag> &   \x7f tab\t \xff bad"},
 		{Elapsed: "€ and ‧ share \xe2 with the separators"},
@@ -277,7 +278,7 @@ func TestAppendResponseMatchesMarshal(t *testing.T) {
 	batches := []BatchSearchResponse{
 		{},
 		{IDs: [][]int{}, Distances: [][]float32{}},
-		{IDs: [][]int{nil, {}, {1, -2}}, Distances: [][]float32{{}, nil, {0.5, 1e-7}}, IDOffset: 4000, Elapsed: "2.1ms"},
+		{IDs: [][]int{nil, {}, {1, -2}}, Distances: [][]float32{{}, nil, {0.5, 1e-7}}, IDOffset: 4000, K: 3, Elapsed: "2.1ms"},
 		{IDs: [][]int{make([]int, len(edge))}, Distances: [][]float32{edge}, Elapsed: "µ"},
 	}
 	for _, r := range batches {
@@ -291,13 +292,13 @@ func TestAppendResponseMatchesMarshal(t *testing.T) {
 	var built BatchSearchResponse
 	var arena Arena
 	built.Reset(&arena)
-	if got, _ := AppendBatchSearchResponse(nil, &built); string(got) != `{"ids":[],"distances":[],"id_offset":0,"elapsed":""}` {
+	if got, _ := AppendBatchSearchResponse(nil, &built); string(got) != `{"ids":[],"distances":[],"id_offset":0,"k":0,"elapsed":""}` {
 		t.Errorf("no rows: %s", got)
 	}
 	built.AddRow(&arena, 0)
 	ids, ds := built.AddRow(&arena, 2)
 	ids[0], ids[1], ds[0], ds[1] = 7, 8, 0.5, 1
-	if got, _ := AppendBatchSearchResponse(nil, &built); string(got) != `{"ids":[[],[7,8]],"distances":[[],[0.5,1]],"id_offset":0,"elapsed":""}` {
+	if got, _ := AppendBatchSearchResponse(nil, &built); string(got) != `{"ids":[[],[7,8]],"distances":[[],[0.5,1]],"id_offset":0,"k":0,"elapsed":""}` {
 		t.Errorf("built rows: %s", got)
 	}
 	// Random bit patterns, and json.Marshal's refusal of non-finite values.
@@ -358,12 +359,12 @@ func TestWireCodecAllocations(t *testing.T) {
 	reply := mustMarshal(t, resp)
 	for name, fn := range map[string]func(){
 		"decode request": func() {
-			if err := DecodeSearchRequest(&req, single); err != nil || len(req.Vector) != 128 {
+			if err := decodeSearchRequest(&req, single); err != nil || len(req.Vector) != 128 {
 				t.Fatal(err, len(req.Vector))
 			}
 		},
 		"decode batch request": func() {
-			if err := DecodeBatchSearchRequest(&breq, batch, &arena); err != nil || len(breq.Vectors) != 64 {
+			if err := decodeBatchSearchRequest(&breq, batch, &arena); err != nil || len(breq.Vectors) != 64 {
 				t.Fatal(err, len(breq.Vectors))
 			}
 		},
@@ -398,7 +399,7 @@ func TestScratchPoolingCap(t *testing.T) {
 	if sc.Body, err = ReadBody(sc.Body[:0], bytes.NewReader(body), int64(len(body))); err != nil || !bytes.Equal(sc.Body, body) {
 		t.Fatalf("ReadBody: %v", err)
 	}
-	if err := DecodeSearchRequest(&sc.Req, sc.Body); err != nil {
+	if err := decodeSearchRequest(&sc.Req, sc.Body); err != nil {
 		t.Fatal(err)
 	}
 	if sc.retained() > maxPooledBytes {
@@ -426,7 +427,7 @@ func BenchmarkDecodeSearchRequest(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for b.Loop() {
-			if err := DecodeSearchRequest(&req, body); err != nil {
+			if err := decodeSearchRequest(&req, body); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -44,21 +44,6 @@ func FromSlice(rows, cols int, data []float32) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
-// FromRows copies a slice of equal-length rows into a new Matrix.
-func FromRows(rows [][]float32) *Matrix {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("tensor: ragged rows")
-		}
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 // Row returns a mutable view of row i.
 func (m *Matrix) Row(i int) []float32 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols]

@@ -80,16 +80,16 @@ func TestTransposeInvolution(t *testing.T) {
 }
 
 func TestAddRowVector(t *testing.T) {
-	m := FromRows([][]float32{{1, 2}, {3, 4}})
+	m := FromSlice(2, 2, []float32{1, 2, 3, 4})
 	AddRowVector(m, []float32{10, 20})
-	want := FromRows([][]float32{{11, 22}, {13, 24}})
+	want := FromSlice(2, 2, []float32{11, 22, 13, 24})
 	if !Equalish(m, want, 0) {
 		t.Fatalf("got %v", m.Data)
 	}
 }
 
 func TestColSums(t *testing.T) {
-	m := FromRows([][]float32{{1, 2}, {3, 4}, {5, 6}})
+	m := FromSlice(3, 2, []float32{1, 2, 3, 4, 5, 6})
 	sums := make([]float32, 2)
 	ColSums(sums, m)
 	if sums[0] != 9 || sums[1] != 12 {
@@ -98,7 +98,7 @@ func TestColSums(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	m := FromRows([][]float32{{1, 2}})
+	m := FromSlice(1, 2, []float32{1, 2})
 	c := m.Clone()
 	c.Set(0, 0, 99)
 	if m.At(0, 0) != 1 {
@@ -107,7 +107,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestZero(t *testing.T) {
-	b := FromRows([][]float32{{1, 2}, {3, 4}})
+	b := FromSlice(2, 2, []float32{1, 2, 3, 4})
 	b.Zero()
 	for _, v := range b.Data {
 		if v != 0 {
@@ -130,14 +130,6 @@ func TestShapePanics(t *testing.T) {
 	mustPanic("MatMulATB", func() { MatMulATB(New(2, 2), New(3, 2), New(4, 2)) })
 	mustPanic("MatMulABT", func() { MatMulABT(New(2, 2), New(2, 3), New(2, 4)) })
 	mustPanic("AddRowVector", func() { AddRowVector(New(2, 2), []float32{1}) })
-	mustPanic("ragged", func() { FromRows([][]float32{{1, 2}, {1}}) })
 	mustPanic("ColSums", func() { ColSums(make([]float32, 1), New(2, 2)) })
 	mustPanic("negative", func() { New(-1, 2) })
-}
-
-func TestFromRowsEmpty(t *testing.T) {
-	m := FromRows(nil)
-	if m.Rows != 0 || m.Cols != 0 {
-		t.Fatalf("empty FromRows = %dx%d", m.Rows, m.Cols)
-	}
 }

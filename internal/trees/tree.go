@@ -111,9 +111,6 @@ func (t *Tree) build(ds *dataset.Dataset, idx []int32, depth int, f Fitter, rng 
 	return n
 }
 
-// NumLeaves reports the number of leaf bins.
-func (t *Tree) NumLeaves() int { return len(t.Leaves) }
-
 // LeafScores returns the query's probability mass for every leaf: products
 // of soft routing probabilities along root→leaf paths.
 func (t *Tree) LeafScores(q []float32) []float32 {
@@ -157,13 +154,4 @@ func (t *Tree) Route(q []float32) int {
 		n = n.children[n.split.Side(q)]
 	}
 	return n.leafID
-}
-
-// LeafSizes returns per-leaf point counts.
-func (t *Tree) LeafSizes() []int {
-	out := make([]int, len(t.Leaves))
-	for i, l := range t.Leaves {
-		out[i] = len(l)
-	}
-	return out
 }

@@ -33,11 +33,11 @@ func TestBuildWithEachSplitter(t *testing.T) {
 	l := blobs(1, 400, 6, 4)
 	for _, f := range []Fitter{RPFitter{}, KDFitter{}, PCAFitter{}, TwoMeansFitter{}} {
 		tree := Build(l.Dataset, 4, f, 7)
-		if tree.NumLeaves() < 2 {
-			t.Fatalf("%s: only %d leaves", f.Name(), tree.NumLeaves())
+		if len(tree.Leaves) < 2 {
+			t.Fatalf("%s: only %d leaves", f.Name(), len(tree.Leaves))
 		}
-		if tree.NumLeaves() > 16 {
-			t.Fatalf("%s: %d leaves exceeds 2^depth", f.Name(), tree.NumLeaves())
+		if len(tree.Leaves) > 16 {
+			t.Fatalf("%s: %d leaves exceeds 2^depth", f.Name(), len(tree.Leaves))
 		}
 		checkLeafPartition(t, tree, l.N)
 
@@ -59,7 +59,7 @@ func TestBuildWithEachSplitter(t *testing.T) {
 		// top-scoring leaf can differ from the hard-routed one only near
 		// boundaries; instead verify Candidates covers everything when
 		// probing all leaves.
-		all := tree.Candidates(l.Row(0), tree.NumLeaves())
+		all := tree.Candidates(l.Row(0), len(tree.Leaves))
 		if len(all) != l.N {
 			t.Fatalf("%s: full probe |C| = %d", f.Name(), len(all))
 		}
@@ -80,10 +80,9 @@ func TestBuildWithEachSplitter(t *testing.T) {
 				}
 			}
 		}
-		sizes := tree.LeafSizes()
 		total := 0
-		for _, s := range sizes {
-			total += s
+		for _, leaf := range tree.Leaves {
+			total += len(leaf)
 		}
 		if total != l.N {
 			t.Fatalf("%s: leaf sizes sum %d", f.Name(), total)
@@ -99,8 +98,8 @@ func TestTreeSeparatesBlobs(t *testing.T) {
 	// leaf should then be dominated by a single blob.
 	l := blobs(2, 400, 4, 4)
 	tree := Build(l.Dataset, 3, TwoMeansFitter{}, 3)
-	if tree.NumLeaves() < 4 {
-		t.Fatalf("leaves = %d", tree.NumLeaves())
+	if len(tree.Leaves) < 4 {
+		t.Fatalf("leaves = %d", len(tree.Leaves))
 	}
 	for li, leaf := range tree.Leaves {
 		counts := map[int]int{}
@@ -125,8 +124,8 @@ func TestDegenerateDataBecomesLeaf(t *testing.T) {
 	d := dataset.New(50, 3)
 	for _, f := range []Fitter{RPFitter{}, KDFitter{}, PCAFitter{}, TwoMeansFitter{}} {
 		tree := Build(d, 5, f, 11)
-		if tree.NumLeaves() != 1 {
-			t.Fatalf("%s: %d leaves on degenerate data", f.Name(), tree.NumLeaves())
+		if len(tree.Leaves) != 1 {
+			t.Fatalf("%s: %d leaves on degenerate data", f.Name(), len(tree.Leaves))
 		}
 		if got := tree.Candidates(d.Row(0), 1); len(got) != 50 {
 			t.Fatalf("%s: single leaf should hold everything", f.Name())
@@ -139,7 +138,7 @@ func TestMoreProbesNeverShrinkCandidates(t *testing.T) {
 	tree := Build(l.Dataset, 5, RPFitter{}, 13)
 	q := l.Row(7)
 	prev := -1
-	for mp := 1; mp <= tree.NumLeaves(); mp++ {
+	for mp := 1; mp <= len(tree.Leaves); mp++ {
 		c := len(tree.Candidates(q, mp))
 		if c < prev {
 			t.Fatalf("candidates shrank at mp=%d", mp)
