@@ -6,8 +6,8 @@ package usp
 // recall/candidate metrics via b.ReportMetric), plus micro-benchmarks of the
 // hot paths (matmul, k-NN matrix construction, training epochs, queries).
 //
-// Full-scale experiment runs (the numbers recorded in EXPERIMENTS.md) are
-// produced by cmd/uspbench, which shares the same runners.
+// Full-scale experiment runs are produced by cmd/uspbench, which shares the
+// same runners (DESIGN.md, "Experiment index").
 
 import (
 	"fmt"

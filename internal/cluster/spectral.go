@@ -16,9 +16,6 @@ type SpectralConfig struct {
 	// Neighbors sparsifies the affinity to each point's that-many nearest
 	// neighbors (0 keeps the dense Gaussian affinity).
 	Neighbors int
-	// Sigma is the Gaussian kernel bandwidth; 0 uses the median pairwise
-	// distance heuristic.
-	Sigma float64
 	// PowerIters per eigenvector (default 200).
 	PowerIters int
 	// Seed drives the final k-means.
@@ -26,7 +23,8 @@ type SpectralConfig struct {
 }
 
 // Spectral implements Ng–Jordan–Weiss normalized spectral clustering:
-// Gaussian affinity, symmetric normalization L_sym = D^{-1/2} W D^{-1/2},
+// Gaussian affinity whose bandwidth is the median distance to the 7th
+// nearest neighbor, symmetric normalization L_sym = D^{-1/2} W D^{-1/2},
 // top-K eigenvectors by power iteration with deflation, row normalization,
 // then k-means in the embedded space. Dense O(n²) — intended for the small
 // Table 5 datasets, as in the paper's own comparison.
@@ -49,31 +47,28 @@ func Spectral(ds *dataset.Dataset, cfg SpectralConfig) ([]int, error) {
 		}
 	}
 
-	sigma := cfg.Sigma
-	if sigma == 0 {
-		// Local-scale heuristic: the median distance to the 7th nearest
-		// neighbor. A global median-pairwise bandwidth over-smooths thin
-		// manifolds (moons, rings); the k-th-neighbor scale tracks the
-		// within-cluster geometry instead.
-		kth := 7
-		if kth >= n {
-			kth = n - 1
-		}
-		vals := make([]float64, n)
-		for i := 0; i < n; i++ {
-			tk := vecmath.NewTopK(kth)
-			for j := 0; j < n; j++ {
-				if j != i {
-					tk.Push(j, float32(d2[i*n+j]))
-				}
+	// Local-scale bandwidth: the median distance to the 7th nearest
+	// neighbor. A global median-pairwise bandwidth over-smooths thin
+	// manifolds (moons, rings); the k-th-neighbor scale tracks the
+	// within-cluster geometry instead.
+	kth := 7
+	if kth >= n {
+		kth = n - 1
+	}
+	kthDist := make([]float64, n)
+	for i := 0; i < n; i++ {
+		tk := vecmath.NewTopK(kth)
+		for j := 0; j < n; j++ {
+			if j != i {
+				tk.Push(j, float32(d2[i*n+j]))
 			}
-			sorted := tk.Sorted()
-			vals[i] = math.Sqrt(float64(sorted[len(sorted)-1].Dist))
 		}
-		sigma = median(vals)
-		if sigma == 0 {
-			sigma = 1
-		}
+		sorted := tk.Sorted()
+		kthDist[i] = math.Sqrt(float64(sorted[len(sorted)-1].Dist))
+	}
+	sigma := median(kthDist)
+	if sigma == 0 {
+		sigma = 1
 	}
 
 	// Affinity, optionally kNN-sparsified (symmetrized).

@@ -1,8 +1,8 @@
 // Package eval is the measurement harness behind every figure and table:
 // it sweeps a method's probe parameter, recording the k-NN accuracy
 // (Eq. 1) against the average candidate-set size |C| and wall-clock query
-// time, and renders aligned ASCII tables and CSV for the reports in
-// EXPERIMENTS.md.
+// time, and renders the aligned ASCII tables of the reports that
+// cmd/uspbench prints (DESIGN.md, "Experiment index").
 package eval
 
 import (

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -153,6 +154,43 @@ func TestTable5EndToEnd(t *testing.T) {
 	for _, frag := range []string{"moons", "circles", "blobs4", "DBSCAN", "Spectral"} {
 		if !strings.Contains(rep.Text, frag) {
 			t.Fatalf("table5 missing %q", frag)
+		}
+	}
+}
+
+// TestSeriesDependOnlyOnScale: an experiment's series is a function of its
+// Scale. Run once on one core and once on all of them, every point's probe
+// count, candidate count and recall must agree; timings may not.
+func TestSeriesDependOnlyOnScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment pipeline")
+	}
+	for _, id := range []string{"fig5a", "fig5c", "fig6a", "fig7a", "table4"} {
+		prev := runtime.GOMAXPROCS(1)
+		one, err := Run(id, tinyScale(), nil)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := Run(id, tinyScale(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(one.Series) != len(all.Series) {
+			t.Fatalf("%s: %d series, then %d", id, len(one.Series), len(all.Series))
+		}
+		for si, s := range one.Series {
+			other := all.Series[si]
+			if s.Name != other.Name || len(s.Points) != len(other.Points) {
+				t.Fatalf("%s: series %d is %q with %d points, then %q with %d", id, si, s.Name, len(s.Points), other.Name, len(other.Points))
+			}
+			for pi, p := range s.Points {
+				q := other.Points[pi]
+				if p.Probes != q.Probes || p.AvgCandidates != q.AvgCandidates || p.Recall != q.Recall {
+					t.Fatalf("%s %q point %d: GOMAXPROCS=1 gives (%d, %v, %v), GOMAXPROCS=%d gives (%d, %v, %v)",
+						id, s.Name, pi, p.Probes, p.AvgCandidates, p.Recall, prev, q.Probes, q.AvgCandidates, q.Recall)
+				}
+			}
 		}
 	}
 }

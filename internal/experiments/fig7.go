@@ -99,7 +99,7 @@ func fig7(sc Scale, logf logfn, ds string) (*Report, error) {
 	// --- IVF-PQ (FAISS baseline; probe knob = nprobe). ---
 	logf("fig7 %s: building IVF-PQ", ds)
 	ivf, err := ivfpq.Build(b.base, ivfpq.Config{
-		NList: bins, UsePQ: true, Seed: sc.Seed,
+		NList: bins, Seed: sc.Seed,
 		PQ: quant.Config{Subspaces: subspaces, K: pqK, Seed: sc.Seed},
 	})
 	if err != nil {

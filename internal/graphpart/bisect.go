@@ -27,7 +27,7 @@ func bisect(g *Graph, frac, eps float64, rng *rand.Rand) []int32 {
 	// Initial bisection on the coarsest graph: best of several region
 	// growings plus FM polish.
 	coarsest := graphs[len(graphs)-1]
-	part := bestRegionGrow(coarsest, frac, eps, rng, 8)
+	part := bestRegionGrow(coarsest, frac, rng, 8)
 	fmRefine(coarsest, part, frac, eps, 6)
 
 	// Uncoarsen and refine.
@@ -92,18 +92,16 @@ func coarsen(g *Graph, rng *rand.Rand) (*Graph, []int32) {
 			if cu >= cv { // each unordered coarse pair once (cu<cv), skip internal
 				continue
 			}
-			agg[int64(cu)<<32|int64(cv)] += e.W
+			agg[pairKey(cu, cv)] += e.W
 		}
 	}
-	for key, w := range agg {
-		coarse.AddEdge(int32(key>>32), int32(key&0xffffffff), w)
-	}
+	addSorted(coarse, agg)
 	return coarse, coarseID
 }
 
 // bestRegionGrow tries several BFS region growings and returns the partition
 // with the smallest cut.
-func bestRegionGrow(g *Graph, frac, eps float64, rng *rand.Rand, trials int) []int32 {
+func bestRegionGrow(g *Graph, frac float64, rng *rand.Rand, trials int) []int32 {
 	total := g.TotalNodeWeight()
 	target := int64(float64(total) * frac)
 	var best []int32
@@ -115,7 +113,6 @@ func bestRegionGrow(g *Graph, frac, eps float64, rng *rand.Rand, trials int) []i
 			bestCut, best = cut, part
 		}
 	}
-	_ = eps
 	return best
 }
 

@@ -11,6 +11,7 @@ package graphpart
 
 import (
 	"math/rand"
+	"slices"
 )
 
 // Edge is one weighted adjacency entry.
@@ -58,11 +59,12 @@ func (g *Graph) TotalNodeWeight() int64 {
 // FromKNN builds the symmetrized k-NN graph of §2.3: an edge links i and j
 // if either lists the other as a neighbor; mutual neighbors get doubled
 // weight, matching the usual symmetrization for partitioning-based indexes.
+// Edges are added in ascending (a, b) order, so the adjacency lists, and
+// with them a seeded Partition, do not depend on map iteration order.
 func FromKNN(neighbors [][]int32) *Graph {
 	n := len(neighbors)
 	g := NewGraph(n)
-	type pair struct{ a, b int32 }
-	weight := make(map[pair]float32, n*8)
+	weight := make(map[int64]float32, n*8)
 	for i, row := range neighbors {
 		for _, j := range row {
 			a, b := int32(i), j
@@ -72,13 +74,27 @@ func FromKNN(neighbors [][]int32) *Graph {
 			if a > b {
 				a, b = b, a
 			}
-			weight[pair{a, b}]++
+			weight[pairKey(a, b)]++
 		}
 	}
-	for p, w := range weight {
-		g.AddEdge(p.a, p.b, w)
-	}
+	addSorted(g, weight)
 	return g
+}
+
+// pairKey packs an edge's endpoints a ≤ b into one key whose order is the
+// lexicographic (a, b) order.
+func pairKey(a, b int32) int64 { return int64(a)<<32 | int64(b) }
+
+// addSorted adds the edges of weight to g in ascending key order.
+func addSorted(g *Graph, weight map[int64]float32) {
+	keys := make([]int64, 0, len(weight))
+	for key := range weight {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		g.AddEdge(int32(key>>32), int32(key&0xffffffff), weight[key])
+	}
 }
 
 // CutWeight returns the total weight of edges crossing the partition (each

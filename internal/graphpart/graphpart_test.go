@@ -187,3 +187,20 @@ func TestSelfLoopIgnored(t *testing.T) {
 		t.Fatal("self loop should be ignored")
 	}
 }
+
+// TestPartitionKNNReproducible: one seed, one partition. FromKNN and the
+// coarsening step add edges in sorted order, so nothing in a run depends
+// on map iteration order.
+func TestPartitionKNNReproducible(t *testing.T) {
+	ds := dataset.Uniform(1000, 8, rand.New(rand.NewSource(31)))
+	mat := knn.BuildMatrix(ds, 10)
+	want := Partition(FromKNN(mat.Neighbors), 8, 0.1, 32)
+	for run := 0; run < 3; run++ {
+		got := Partition(FromKNN(mat.Neighbors), 8, 0.1, 32)
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("run %d: vertex %d in part %d, first run put it in %d", run, v, got[v], want[v])
+			}
+		}
+	}
+}

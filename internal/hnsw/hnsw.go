@@ -15,16 +15,13 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Config controls graph construction and search.
+// Config controls graph construction.
 type Config struct {
 	// M is the maximum out-degree on upper layers; the base layer allows
 	// 2M (default 16).
 	M int
 	// EfConstruction is the construction beam width (default 100).
 	EfConstruction int
-	// EfSearch is the default query beam width (default 50; overridable
-	// per call).
-	EfSearch int
 	// Seed drives level sampling.
 	Seed int64
 }
@@ -35,9 +32,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EfConstruction == 0 {
 		c.EfConstruction = 100
-	}
-	if c.EfSearch == 0 {
-		c.EfSearch = 50
 	}
 	return c
 }
@@ -263,11 +257,8 @@ func sortItems(xs []item) {
 }
 
 // Search returns the k approximate nearest neighbors of q using beam width
-// ef (0 uses the configured default). Distances are squared L2.
+// ef at the base layer, raised to k when smaller. Distances are squared L2.
 func (ix *Index) Search(q []float32, k, ef int) []vecmath.Neighbor {
-	if ef <= 0 {
-		ef = ix.cfg.EfSearch
-	}
 	if ef < k {
 		ef = k
 	}

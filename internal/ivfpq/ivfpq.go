@@ -1,9 +1,9 @@
-// Package ivfpq implements the FAISS-style inverted-file indexes used as the
-// "FAISS" baseline in Fig. 7: a k-means coarse quantizer routes each vector
-// to one of nlist inverted lists; queries scan the nprobe nearest lists
-// either with exact distances (IVF-Flat) or with a product quantizer over
-// residuals and per-list ADC lookup tables (IVF-PQ), followed by exact
-// re-ranking.
+// Package ivfpq implements the FAISS-style IVF-PQ index used as the "FAISS"
+// baseline in Fig. 7: a k-means coarse quantizer routes each vector to one
+// of nlist inverted lists, a product quantizer encodes each vector's
+// residual from its list's centroid, and a query scores the nprobe nearest
+// lists through per-list ADC lookup tables before exactly re-ranking the
+// 10·k best.
 package ivfpq
 
 import (
@@ -19,26 +19,21 @@ import (
 type Config struct {
 	// NList is the number of inverted lists (coarse centroids).
 	NList int
-	// UsePQ enables residual product quantization (IVF-PQ); otherwise the
-	// index stores raw vectors (IVF-Flat).
-	UsePQ bool
-	// PQ configures the residual quantizer when UsePQ is set.
+	// PQ configures the residual quantizer.
 	PQ quant.Config
-	// Rerank is the number of PQ-stage survivors re-scored exactly
-	// (default 10·k at query time).
-	Rerank int
 	// Seed drives coarse clustering.
 	Seed int64
 }
 
-// Index is a built IVF index.
+// Index is a built IVF-PQ index.
 type Index struct {
-	cfg    Config
 	data   *dataset.Dataset
 	coarse *kmeans.Result
 	lists  [][]int32
 	pq     *quant.PQ
-	codes  [][]uint8 // residual codes, aligned with dataset ids
+	// codes holds the residual code of dataset row i at
+	// codes[i*pq.Subspaces:(i+1)*pq.Subspaces].
+	codes []uint8
 }
 
 // Build constructs the index over ds.
@@ -50,22 +45,20 @@ func Build(ds *dataset.Dataset, cfg Config) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ivfpq: coarse quantizer: %w", err)
 	}
-	ix := &Index{cfg: cfg, data: ds, coarse: coarse, lists: make([][]int32, cfg.NList)}
+	ix := &Index{data: ds, coarse: coarse, lists: make([][]int32, cfg.NList)}
 	for i, c := range coarse.Assign {
 		ix.lists[c] = append(ix.lists[c], int32(i))
 	}
-	if cfg.UsePQ {
-		// Train the PQ on residuals r = x − centroid(x).
-		resid := dataset.New(ds.N, ds.Dim)
-		for i := 0; i < ds.N; i++ {
-			vecmath.Sub(resid.Row(i), ds.Row(i), coarse.Centroids.Row(int(coarse.Assign[i])))
-		}
-		pq, err := quant.Train(resid, cfg.PQ)
-		if err != nil {
-			return nil, fmt.Errorf("ivfpq: residual quantizer: %w", err)
-		}
-		ix.pq = pq
-		ix.codes = pq.Encode(resid)
+	// Train the PQ on residuals r = x − centroid(x).
+	resid := dataset.New(ds.N, ds.Dim)
+	for i := 0; i < ds.N; i++ {
+		vecmath.Sub(resid.Row(i), ds.Row(i), coarse.Centroids.Row(int(coarse.Assign[i])))
+	}
+	if ix.pq, err = quant.Train(resid, cfg.PQ); err != nil {
+		return nil, fmt.Errorf("ivfpq: residual quantizer: %w", err)
+	}
+	if ix.codes, err = ix.pq.EncodeInto(nil, resid); err != nil {
+		return nil, fmt.Errorf("ivfpq: encoding residuals: %w", err)
 	}
 	return ix, nil
 }
@@ -73,31 +66,16 @@ func Build(ds *dataset.Dataset, cfg Config) (*Index, error) {
 // Search returns the k approximate nearest neighbors of q scanning nprobe
 // inverted lists. Distances are squared L2.
 func (ix *Index) Search(q []float32, k, nprobe int) []vecmath.Neighbor {
-	probes := ix.coarse.NearestK(q, nprobe)
-	if ix.pq == nil {
-		tk := vecmath.NewTopK(k)
-		for _, c := range probes {
-			for _, i := range ix.lists[c] {
-				tk.Push(int(i), vecmath.SquaredL2(q, ix.data.Row(int(i))))
-			}
-		}
-		return tk.Sorted()
-	}
-	rerank := ix.cfg.Rerank
-	if rerank == 0 {
-		rerank = 10 * k
-	}
-	if rerank < k {
-		rerank = k
-	}
-	stage1 := vecmath.NewTopK(rerank)
+	m := ix.pq.Subspaces
+	stage1 := vecmath.NewTopK(10 * k)
 	resid := make([]float32, ix.data.Dim)
-	for _, c := range probes {
+	var lut []float32
+	for _, c := range ix.coarse.NearestK(q, nprobe) {
 		// Per-list LUT over the query's residual against this centroid.
 		vecmath.Sub(resid, q, ix.coarse.Centroids.Row(c))
-		lut := ix.pq.BuildLUT(resid)
+		lut = ix.pq.AppendLUT(lut[:0], resid)
 		for _, i := range ix.lists[c] {
-			stage1.Push(int(i), lut.Distance(ix.codes[i]))
+			stage1.Push(int(i), vecmath.LUTSum(lut, ix.pq.K, ix.codes[int(i)*m:(int(i)+1)*m]))
 		}
 	}
 	stage2 := vecmath.NewTopK(k)

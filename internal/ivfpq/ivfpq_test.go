@@ -15,50 +15,10 @@ func blobs(seed int64, n, dim int) *dataset.Dataset {
 	}, rand.New(rand.NewSource(seed))).Dataset
 }
 
-func TestIVFFlatExactWithinProbedLists(t *testing.T) {
-	ds := blobs(1, 600, 16)
-	ix, err := Build(ds, Config{NList: 8, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Probing all lists makes IVF-Flat exact.
-	gt := knn.GroundTruth(ds, ds, 10)
-	for qi := 0; qi < 30; qi++ {
-		ns := ix.Search(ds.Row(qi), 10, 8)
-		if r := knn.RecallNeighbors(ns, gt[qi]); r != 1 {
-			t.Fatalf("query %d: full-probe recall %v", qi, r)
-		}
-	}
-}
-
-func TestIVFFlatRecallGrowsWithProbes(t *testing.T) {
-	ds := blobs(3, 800, 16)
-	ix, err := Build(ds, Config{NList: 16, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := blobs(5, 40, 16)
-	gt := knn.GroundTruth(ds, queries, 10)
-	recallAt := func(np int) float64 {
-		var r float64
-		for qi := 0; qi < queries.N; qi++ {
-			r += knn.RecallNeighbors(ix.Search(queries.Row(qi), 10, np), gt[qi])
-		}
-		return r / float64(queries.N)
-	}
-	r1, r8 := recallAt(1), recallAt(8)
-	if r8 < r1 {
-		t.Fatalf("recall fell with more probes: %.3f -> %.3f", r1, r8)
-	}
-	if r8 < 0.85 {
-		t.Fatalf("recall@8 probes = %.3f", r8)
-	}
-}
-
 func TestIVFPQReasonableRecallWithRerank(t *testing.T) {
 	ds := blobs(6, 800, 16)
 	ix, err := Build(ds, Config{
-		NList: 8, UsePQ: true, Seed: 7,
+		NList: 8, Seed: 7,
 		PQ: quant.Config{Subspaces: 4, K: 16, Seed: 8},
 	})
 	if err != nil {
@@ -74,11 +34,28 @@ func TestIVFPQReasonableRecallWithRerank(t *testing.T) {
 	if recall < 0.7 {
 		t.Fatalf("IVF-PQ recall %.3f", recall)
 	}
+	// Results come only from the probed lists.
+	for qi := 0; qi < 40; qi++ {
+		q := ds.Row(qi)
+		for _, np := range []int{1, 2} {
+			probed := map[int]bool{}
+			for _, c := range ix.coarse.NearestK(q, np) {
+				for _, i := range ix.lists[c] {
+					probed[int(i)] = true
+				}
+			}
+			for _, nb := range ix.Search(q, 10, np) {
+				if !probed[nb.Index] {
+					t.Fatalf("query %d, %d probes: result %d outside the probed lists", qi, np, nb.Index)
+				}
+			}
+		}
+	}
 }
 
 func TestCandidateCount(t *testing.T) {
 	ds := blobs(9, 300, 8)
-	ix, err := Build(ds, Config{NList: 4, Seed: 10})
+	ix, err := Build(ds, Config{NList: 4, Seed: 10, PQ: quant.Config{Subspaces: 2, K: 16, Seed: 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +74,7 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(ds, Config{NList: 0}); err == nil {
 		t.Fatal("NList=0 should fail")
 	}
-	if _, err := Build(ds, Config{NList: 4, UsePQ: true, PQ: quant.Config{Subspaces: 0}}); err == nil {
+	if _, err := Build(ds, Config{NList: 4, PQ: quant.Config{Subspaces: 0}}); err == nil {
 		t.Fatal("bad PQ config should fail")
 	}
 }

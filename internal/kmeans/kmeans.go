@@ -1,8 +1,7 @@
-// Package kmeans implements Lloyd's algorithm with k-means++ seeding, an
-// optional mini-batch mode for large inputs, and the K-means partitioning
-// index used as a baseline throughout the paper's evaluation (it is also the
-// partitioner inside ScaNN and FAISS-IVF, which internal/quant and
-// internal/ivfpq reuse).
+// Package kmeans implements Lloyd's algorithm with k-means++ seeding and the
+// K-means partitioning index used as a baseline throughout the paper's
+// evaluation. Run is also what trains the engine's PQ codebooks
+// (internal/quant) and IVF-PQ's coarse quantizer (internal/ivfpq).
 package kmeans
 
 import (
@@ -19,14 +18,8 @@ import (
 type Options struct {
 	// MaxIters bounds Lloyd iterations (default 25).
 	MaxIters int
-	// Tol stops early when the relative decrease of the objective falls
-	// below it (default 1e-4).
-	Tol float64
-	// Seed drives seeding and mini-batch sampling.
+	// Seed drives seeding and the re-seeding of empty clusters.
 	Seed int64
-	// MiniBatch, when > 0, switches to mini-batch updates with that batch
-	// size (Sculley 2010), used for the large hierarchical sweeps.
-	MiniBatch int
 	// Restarts runs the whole algorithm this many times with different
 	// seeds and keeps the lowest-inertia result (default 1).
 	Restarts int
@@ -36,11 +29,12 @@ func (o Options) withDefaults() Options {
 	if o.MaxIters == 0 {
 		o.MaxIters = 25
 	}
-	if o.Tol == 0 {
-		o.Tol = 1e-4
-	}
 	return o
 }
+
+// tol stops Lloyd early once an iteration lowers the objective by less than
+// this fraction of it.
+const tol = 1e-4
 
 // Result holds fitted centroids and the assignment of every input point.
 type Result struct {
@@ -75,16 +69,13 @@ func Run(ds *dataset.Dataset, k int, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	cents := seedPlusPlus(ds, k, rng)
-	if opt.MiniBatch > 0 {
-		runMiniBatch(ds, cents, k, opt, rng)
-	}
 	assign := make([]int32, ds.N)
 	prev := math.Inf(1)
 	var inertia float64
 	for iter := 0; iter < opt.MaxIters; iter++ {
 		inertia = assignAll(ds, cents, assign)
 		updateCentroids(ds, cents, assign, k, rng)
-		if prev-inertia <= opt.Tol*prev {
+		if prev-inertia <= tol*prev {
 			break
 		}
 		prev = inertia
@@ -222,30 +213,6 @@ func updateCentroids(ds *dataset.Dataset, cents *dataset.Dataset, assign []int32
 	}
 }
 
-// runMiniBatch refines seeded centroids with mini-batch k-means before the
-// full Lloyd polish.
-func runMiniBatch(ds *dataset.Dataset, cents *dataset.Dataset, k int, opt Options, rng *rand.Rand) {
-	counts := make([]float64, k)
-	for iter := 0; iter < opt.MaxIters*4; iter++ {
-		for b := 0; b < opt.MiniBatch; b++ {
-			i := rng.Intn(ds.N)
-			row := ds.Row(i)
-			best, bi := float32(math.MaxFloat32), 0
-			for c := 0; c < k; c++ {
-				if d := vecmath.SquaredL2(row, cents.Row(c)); d < best {
-					best, bi = d, c
-				}
-			}
-			counts[bi]++
-			lr := float32(1 / counts[bi])
-			crow := cents.Row(bi)
-			for j, v := range row {
-				crow[j] += lr * (v - crow[j])
-			}
-		}
-	}
-}
-
 // NearestK returns the indices of the mPrime closest centroids to q in
 // ascending distance order.
 func (r *Result) NearestK(q []float32, mPrime int) []int {
@@ -295,15 +262,6 @@ func (ix *Index) Candidates(q []float32, mPrime int) []int {
 		for _, i := range ix.Bins[c] {
 			out = append(out, int(i))
 		}
-	}
-	return out
-}
-
-// BinSizes returns the per-bin point counts.
-func (ix *Index) BinSizes() []int {
-	out := make([]int, len(ix.Bins))
-	for i, b := range ix.Bins {
-		out[i] = len(b)
 	}
 	return out
 }

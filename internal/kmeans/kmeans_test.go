@@ -127,22 +127,6 @@ func TestKValidation(t *testing.T) {
 	}
 }
 
-func TestMiniBatchMode(t *testing.T) {
-	l := blobs(11, 400, 4, 4)
-	res, err := Run(l.Dataset, 4, Options{Seed: 12, MiniBatch: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Run(l.Dataset, 4, Options{Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mini-batch must land within 2x of full Lloyd on easy blobs.
-	if res.Inertia > full.Inertia*2+1 {
-		t.Fatalf("mini-batch inertia %v vs full %v", res.Inertia, full.Inertia)
-	}
-}
-
 func TestIndexCandidates(t *testing.T) {
 	l := blobs(13, 300, 4, 4)
 	ix, err := NewIndex(l.Dataset, 4, Options{Seed: 14})
@@ -151,8 +135,8 @@ func TestIndexCandidates(t *testing.T) {
 	}
 	// Bin sizes must sum to n.
 	total := 0
-	for _, s := range ix.BinSizes() {
-		total += s
+	for _, b := range ix.Bins {
+		total += len(b)
 	}
 	if total != l.N {
 		t.Fatalf("bin sizes sum %d", total)

@@ -1,8 +1,7 @@
 // Package lsh implements the data-oblivious locality-sensitive-hashing
-// baselines of the paper's evaluation: cross-polytope LSH (Andoni et al.
-// 2015), used in Fig. 5, and classic hyperplane (sign-random-projection)
-// LSH. Both expose the shared multi-probe candidate-source contract so they
-// plug into the same evaluation harness as the learned partitioners.
+// baseline of the paper's Fig. 5: cross-polytope LSH (Andoni et al. 2015).
+// It exposes the shared multi-probe candidate-source contract, so it plugs
+// into the same evaluation harness as the learned partitioners.
 package lsh
 
 import (
@@ -68,114 +67,6 @@ func (cp *CrossPolytope) Candidates(q []float32, mPrime int) []int {
 		for _, i := range cp.Bins[b] {
 			out = append(out, int(i))
 		}
-	}
-	return out
-}
-
-// BinSizes returns per-bin point counts.
-func (cp *CrossPolytope) BinSizes() []int {
-	out := make([]int, cp.M)
-	for i, b := range cp.Bins {
-		out[i] = len(b)
-	}
-	return out
-}
-
-// Hyperplane is sign-random-projection LSH: bits of the bin id are the signs
-// of L = log2(m) random hyperplane projections. Multi-probe flips the
-// lowest-margin bits first (Lv et al. 2007).
-type Hyperplane struct {
-	M      int // 2^L bins
-	planes *dataset.Dataset
-	Bins   [][]int32
-}
-
-// newHyperplane builds an index with m bins; m must be a power of two.
-func newHyperplane(ds *dataset.Dataset, m int, seed int64) (*Hyperplane, error) {
-	if m < 2 || m&(m-1) != 0 {
-		return nil, fmt.Errorf("lsh: hyperplane needs a power-of-two bin count, got %d", m)
-	}
-	bits := 0
-	for 1<<bits < m {
-		bits++
-	}
-	rng := rand.New(rand.NewSource(seed))
-	planes := dataset.New(bits, ds.Dim)
-	for i := range planes.Data {
-		planes.Data[i] = float32(rng.NormFloat64())
-	}
-	h := &Hyperplane{M: m, planes: planes, Bins: make([][]int32, m)}
-	for i := 0; i < ds.N; i++ {
-		b, _ := h.hash(ds.Row(i))
-		h.Bins[b] = append(h.Bins[b], int32(i))
-	}
-	return h, nil
-}
-
-// hash returns the bin id and the per-bit margins.
-func (h *Hyperplane) hash(q []float32) (int, []float32) {
-	margins := make([]float32, h.planes.N)
-	id := 0
-	for b := 0; b < h.planes.N; b++ {
-		v := vecmath.Dot(q, h.planes.Row(b))
-		margins[b] = v
-		if v >= 0 {
-			id |= 1 << b
-		}
-	}
-	return id, margins
-}
-
-// Candidates probes the home bin followed by perturbed bins in increasing
-// total flipped-margin order, up to mPrime bins.
-func (h *Hyperplane) Candidates(q []float32, mPrime int) []int {
-	home, margins := h.hash(q)
-	if mPrime > h.M {
-		mPrime = h.M
-	}
-	// Score every bin by the summed |margin| of bits where it differs from
-	// the home bin; enumerate all m bins (m is small in our experiments).
-	type scored struct {
-		bin  int
-		cost float32
-	}
-	bins := make([]scored, h.M)
-	for b := 0; b < h.M; b++ {
-		var cost float32
-		diff := b ^ home
-		for bit := 0; bit < h.planes.N; bit++ {
-			if diff&(1<<bit) != 0 {
-				m := margins[bit]
-				if m < 0 {
-					m = -m
-				}
-				cost += m
-			}
-		}
-		bins[b] = scored{b, cost}
-	}
-	// Selection sort of the mPrime cheapest bins (m is small).
-	var out []int
-	for probe := 0; probe < mPrime; probe++ {
-		best := probe
-		for j := probe + 1; j < h.M; j++ {
-			if bins[j].cost < bins[best].cost {
-				best = j
-			}
-		}
-		bins[probe], bins[best] = bins[best], bins[probe]
-		for _, i := range h.Bins[bins[probe].bin] {
-			out = append(out, int(i))
-		}
-	}
-	return out
-}
-
-// BinSizes returns per-bin point counts.
-func (h *Hyperplane) BinSizes() []int {
-	out := make([]int, h.M)
-	for i, b := range h.Bins {
-		out[i] = len(b)
 	}
 	return out
 }

@@ -18,11 +18,15 @@ func TestCrossPolytopeCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, s := range cp.BinSizes() {
-		total += s
+	for _, b := range cp.Bins {
+		total += len(b)
 	}
 	if total != ds.N {
 		t.Fatalf("bins hold %d points, want %d", total, ds.N)
+	}
+	// Probing more bins than exist clamps to all of them.
+	if got := cp.Candidates(ds.Row(0), 99); len(got) != ds.N {
+		t.Fatalf("clamped probe returned %d", len(got))
 	}
 	// Probing all bins returns everything exactly once.
 	all := cp.Candidates(ds.Row(0), 8)
@@ -77,64 +81,5 @@ func TestCrossPolytopeDeterministicForSeed(t *testing.T) {
 		if len(a.Bins[i]) != len(b.Bins[i]) {
 			t.Fatal("same seed produced different partitions")
 		}
-	}
-}
-
-func TestHyperplaneCoverageAndProbe(t *testing.T) {
-	ds := uniform(8, 400, 12)
-	h, err := newHyperplane(ds, 16, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, s := range h.BinSizes() {
-		total += s
-	}
-	if total != ds.N {
-		t.Fatalf("coverage %d", total)
-	}
-	all := h.Candidates(ds.Row(0), 16)
-	if len(all) != ds.N {
-		t.Fatalf("|C| = %d probing all bins", len(all))
-	}
-	// Monotone candidate growth with more probes.
-	prev := 0
-	for mp := 1; mp <= 16; mp *= 2 {
-		c := len(h.Candidates(ds.Row(1), mp))
-		if c < prev {
-			t.Fatalf("candidates shrank: %d -> %d", prev, c)
-		}
-		prev = c
-	}
-	// First probe contains the query's own bin.
-	for i := 0; i < 30; i++ {
-		got := h.Candidates(ds.Row(i), 1)
-		found := false
-		for _, c := range got {
-			if c == i {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("point %d missing from home bin", i)
-		}
-	}
-}
-
-func TestHyperplaneValidation(t *testing.T) {
-	ds := uniform(10, 20, 4)
-	if _, err := newHyperplane(ds, 3, 1); err == nil {
-		t.Fatal("non-power-of-two should fail")
-	}
-	if _, err := newHyperplane(ds, 1, 1); err == nil {
-		t.Fatal("m=1 should fail")
-	}
-}
-
-func TestHyperplaneProbeClamps(t *testing.T) {
-	ds := uniform(11, 50, 4)
-	h, _ := newHyperplane(ds, 4, 12)
-	if got := h.Candidates(ds.Row(0), 99); len(got) != ds.N {
-		t.Fatalf("clamped probe returned %d", len(got))
 	}
 }

@@ -25,47 +25,23 @@ import (
 type Config struct {
 	// Bins is the number of partition cells m.
 	Bins int
-	// Epsilon is the graph partitioner's balance slack (default 0.1).
-	Epsilon float64
 	// Hidden lists the classifier's hidden widths (the original uses one
 	// hidden layer of 512).
 	Hidden []int
-	// Dropout on hidden layers (default 0.1 when Hidden is non-empty).
-	Dropout float64
 	// Epochs of classifier training (default 60).
 	Epochs int
-	// BatchSize for classifier training (default max(64, n/25)).
-	BatchSize int
-	// LR is the Adam learning rate (default 1e-3).
-	LR float64
 	// Seed drives partitioning and training randomness.
 	Seed int64
 }
 
-func (c Config) withDefaults(n int) Config {
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.1
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 60
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = n / 25
-		if c.BatchSize < 64 {
-			c.BatchSize = 64
-		}
-	}
-	if c.BatchSize > n {
-		c.BatchSize = n
-	}
-	if c.LR == 0 {
-		c.LR = 1e-3
-	}
-	if c.Dropout == 0 && len(c.Hidden) > 0 {
-		c.Dropout = 0.1
-	}
-	return c
-}
+// The partition and the classifier's training take these fixed settings:
+// the graph partitioner's balance slack, dropout on hidden layers, and the
+// Adam learning rate. The batch size is max(64, n/25), capped at n.
+const (
+	balanceSlack  = 0.1
+	hiddenDropout = 0.1
+	learningRate  = 1e-3
+)
 
 // Model is a trained Neural LSH index.
 type Model struct {
@@ -94,11 +70,14 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config) (*Model, Stats, 
 	if ds.N < cfg.Bins {
 		return nil, Stats{}, fmt.Errorf("neurallsh: %d points cannot fill %d bins", ds.N, cfg.Bins)
 	}
-	cfg = cfg.withDefaults(ds.N)
+	if cfg.Epochs == 0 {
+		cfg.Epochs = 60
+	}
+	batchSize := min(max(64, ds.N/25), ds.N)
 
 	t0 := time.Now()
 	g := graphpart.FromKNN(knnMat.Neighbors)
-	labels32 := graphpart.Partition(g, cfg.Bins, cfg.Epsilon, cfg.Seed)
+	labels32 := graphpart.Partition(g, cfg.Bins, balanceSlack, cfg.Seed)
 	partTime := time.Since(t0)
 
 	labels := make([]int, ds.N)
@@ -111,15 +90,15 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config) (*Model, Stats, 
 	if len(cfg.Hidden) == 0 {
 		net = nn.NewLogistic(ds.Dim, cfg.Bins, rng)
 	} else {
-		net = nn.NewMLP(ds.Dim, cfg.Hidden, cfg.Bins, cfg.Dropout, rng)
+		net = nn.NewMLP(ds.Dim, cfg.Hidden, cfg.Bins, hiddenDropout, rng)
 	}
-	opt := nn.NewAdam(cfg.LR)
+	opt := nn.NewAdam(learningRate)
 
 	t1 := time.Now()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		perm := rng.Perm(ds.N)
-		for lo := 0; lo < ds.N; lo += cfg.BatchSize {
-			hi := lo + cfg.BatchSize
+		for lo := 0; lo < ds.N; lo += batchSize {
+			hi := lo + batchSize
 			if hi > ds.N {
 				hi = ds.N
 			}
@@ -182,15 +161,6 @@ func (m *Model) Candidates(q []float32, mPrime int) []int {
 		for _, i := range m.Bins[b] {
 			out = append(out, int(i))
 		}
-	}
-	return out
-}
-
-// BinSizes returns per-bin point counts.
-func (m *Model) BinSizes() []int {
-	out := make([]int, m.M)
-	for b, pts := range m.Bins {
-		out[b] = len(pts)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package neurallsh
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -40,9 +41,9 @@ func TestTrainPartitionAndRouter(t *testing.T) {
 		}
 	}
 	// Graph partition of separated blobs must be balanced-ish.
-	for b, s := range m.BinSizes() {
-		if s < l.N/8 {
-			t.Fatalf("bin %d has only %d points: %v", b, s, m.BinSizes())
+	for b, pts := range m.Bins {
+		if len(pts) < l.N/8 {
+			t.Fatalf("bin %d has only %d points", b, len(pts))
 		}
 	}
 	// The router must mimic the labels well on this easy layout.
@@ -149,5 +150,34 @@ func TestRegressionFitterDegenerate(t *testing.T) {
 	idx := []int32{0, 1, 2}
 	if sp := f.Fit(d, idx, rand.New(rand.NewSource(1))); sp != nil {
 		t.Fatal("expected nil splitter for tiny subset")
+	}
+}
+
+// TestTrainReproducible: two trainings with one seed give the same
+// partition labels and the same router.
+func TestTrainReproducible(t *testing.T) {
+	ds := dataset.Uniform(800, 8, rand.New(rand.NewSource(33)))
+	mat := knn.BuildMatrix(ds, 10)
+	cfg := Config{Bins: 8, Hidden: []int{16}, Epochs: 3, Seed: 34}
+	a, _, err := Train(ds, mat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := Train(ds, mat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a.Assign {
+		if a.Assign[i] != b.Assign[i] {
+			t.Fatalf("point %d: bin %d, then bin %d", i, a.Assign[i], b.Assign[i])
+		}
+	}
+	for i := 0; i < 20; i++ {
+		pa, pb := a.Probabilities(ds.Row(i)), b.Probabilities(ds.Row(i))
+		for j := range pa {
+			if math.Float32bits(pa[j]) != math.Float32bits(pb[j]) {
+				t.Fatalf("row %d bin %d: probability %v, then %v", i, j, pa[j], pb[j])
+			}
+		}
 	}
 }

@@ -2,7 +2,9 @@
 // anisotropic vector quantization of ScaNN (Guo et al. 2020), plus the
 // two-stage ScaNN search pipeline (quantized first-pass scoring with ADC
 // lookup tables, exact re-ranking) that Fig. 7 of the paper composes with
-// different partitioners.
+// different partitioners. The engine and the baselines share one ADC path:
+// flat codes from EncodeInto or AppendCode, flat tables from AppendLUT or
+// AppendLUTBatch, and distances from vecmath.LUTSum.
 package quant
 
 import (
@@ -19,23 +21,16 @@ import (
 
 // Config controls codebook training.
 type Config struct {
-	// Subspaces is the number of PQ blocks M. It must divide Dim exactly
-	// unless AllowUneven is set, in which case the trailing block absorbs
-	// the remainder.
+	// Subspaces is the number of PQ blocks M. It must divide Dim exactly.
 	Subspaces int
-	// AllowUneven permits Subspaces that do not divide Dim; the last
-	// subspace then covers Dim/Subspaces + Dim%Subspaces dimensions.
-	AllowUneven bool
 	// Codebook size per subspace (≤ 256; default 16).
 	K int
 	// Iters of (weighted) Lloyd refinement (default 15).
 	Iters int
 	// Anisotropic enables ScaNN's score-aware loss: quantization error
-	// parallel to the data point is penalized EtaParallel times more than
-	// orthogonal error. Zero EtaParallel with Anisotropic=true defaults
-	// to 4 (ScaNN's T=0.2 regime on unit-norm data lands in this range).
+	// parallel to the data point is penalized etaParallel times more than
+	// orthogonal error.
 	Anisotropic bool
-	EtaParallel float64
 	// Seed drives k-means seeding.
 	Seed int64
 }
@@ -47,11 +42,12 @@ func (c Config) withDefaults() Config {
 	if c.Iters == 0 {
 		c.Iters = 15
 	}
-	if c.Anisotropic && c.EtaParallel == 0 {
-		c.EtaParallel = 4
-	}
 	return c
 }
+
+// etaParallel is the anisotropic loss's weight on parallel error (ScaNN's
+// T=0.2 regime on unit-norm data lands near 4).
+const etaParallel = 4
 
 // PQ is a trained product quantizer. Obtain one from Train or, for stored
 // codebooks, FromCodebooks: both derive the centroid-major mirror every
@@ -119,8 +115,8 @@ func Train(ds *dataset.Dataset, cfg Config) (*PQ, error) {
 	if cfg.Subspaces <= 0 || cfg.Subspaces > ds.Dim {
 		return nil, fmt.Errorf("quant: Subspaces=%d invalid for dim %d", cfg.Subspaces, ds.Dim)
 	}
-	if !cfg.AllowUneven && ds.Dim%cfg.Subspaces != 0 {
-		return nil, fmt.Errorf("quant: Subspaces=%d does not divide dim %d (set AllowUneven to absorb the remainder)", cfg.Subspaces, ds.Dim)
+	if ds.Dim%cfg.Subspaces != 0 {
+		return nil, fmt.Errorf("quant: Subspaces=%d does not divide dim %d", cfg.Subspaces, ds.Dim)
 	}
 	if cfg.K > 256 {
 		return nil, fmt.Errorf("quant: K=%d exceeds uint8 code range", cfg.K)
@@ -131,10 +127,9 @@ func Train(ds *dataset.Dataset, cfg Config) (*PQ, error) {
 	pq := &PQ{Dim: ds.Dim, Subspaces: cfg.Subspaces, K: cfg.K}
 	base := ds.Dim / cfg.Subspaces
 	pq.Bounds = make([]int, cfg.Subspaces+1)
-	for s := 0; s <= cfg.Subspaces; s++ {
+	for s := range pq.Bounds {
 		pq.Bounds[s] = s * base
 	}
-	pq.Bounds[cfg.Subspaces] = ds.Dim // last block absorbs the remainder
 
 	// Subspaces are independent k-means problems, each seeded by its own
 	// index, so they train concurrently and every codebook is the one a
@@ -171,21 +166,10 @@ func trainSubspace(ds *dataset.Dataset, lo, hi int, cfg Config, seed int64) (*da
 	return res.Centroids, nil
 }
 
-// Encode quantizes every row of ds into Subspaces byte codes.
-func (pq *PQ) Encode(ds *dataset.Dataset) [][]uint8 {
-	codes := make([][]uint8, ds.N)
-	par.ForChunks(ds.N, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			codes[i] = pq.EncodeVec(ds.Row(i))
-		}
-	})
-	return codes
-}
-
 // EncodeInto quantizes every row of ds into dst, a caller-provided flat
 // row-major code buffer of length ds.N*Subspaces (row i's code occupies
-// dst[i*Subspaces:(i+1)*Subspaces]). Unlike Encode it performs no per-row
-// allocation; dst is grown (reallocating at most once) if too short.
+// dst[i*Subspaces:(i+1)*Subspaces]). It performs no per-row allocation;
+// dst is grown (reallocating at most once) if too short.
 func (pq *PQ) EncodeInto(dst []uint8, ds *dataset.Dataset) ([]uint8, error) {
 	if ds == nil {
 		return dst[:0], nil
@@ -217,13 +201,6 @@ func (pq *PQ) AppendCode(dst []uint8, v []float32) []uint8 {
 	return dst
 }
 
-// EncodeVec quantizes one vector.
-func (pq *PQ) EncodeVec(v []float32) []uint8 {
-	code := make([]uint8, pq.Subspaces)
-	pq.encodeVecInto(code, v)
-	return code
-}
-
 // encodeVecInto picks, per subspace, the first centroid at minimum distance
 // (vecmath.ArgMin breaks ties toward the smaller index).
 func (pq *PQ) encodeVecInto(code []uint8, v []float32) {
@@ -233,31 +210,6 @@ func (pq *PQ) encodeVecInto(code []uint8, v []float32) {
 		pq.centroidDists(d, s, v)
 		code[s] = uint8(vecmath.ArgMin(d))
 	}
-}
-
-// Decode reconstructs the vector a code represents.
-func (pq *PQ) Decode(code []uint8) []float32 {
-	out := make([]float32, pq.Dim)
-	for s := 0; s < pq.Subspaces; s++ {
-		lo, hi := pq.Bounds[s], pq.Bounds[s+1]
-		copy(out[lo:hi], pq.Codebooks[s].Row(int(code[s])))
-	}
-	return out
-}
-
-// LUT is a per-query ADC lookup table: LUT[s][c] is the squared distance
-// between the query's subspace-s segment and centroid c.
-type LUT [][]float32
-
-// BuildLUT precomputes the ADC table for q: the rows of AppendLUT's flat
-// table, each cut to its codebook's centroid count.
-func (pq *PQ) BuildLUT(q []float32) LUT {
-	flat := pq.AppendLUT(nil, q)
-	lut := make(LUT, pq.Subspaces)
-	for s := range lut {
-		lut[s] = flat[s*pq.K : s*pq.K+pq.Codebooks[s].N]
-	}
-	return lut
 }
 
 // AppendLUT appends the flat row-major ADC table for q to dst and returns
@@ -304,22 +256,12 @@ func (pq *PQ) AppendLUTBatch(dst []float32, queries [][]float32) []float32 {
 	return dst
 }
 
-// Distance evaluates the asymmetric (query-to-code) squared distance via the
-// lookup table: one add per subspace.
-func (lut LUT) Distance(code []uint8) float32 {
-	var d float32
-	for s, c := range code {
-		d += lut[s][c]
-	}
-	return d
-}
-
 // anisotropicRefine re-optimizes centroids under the score-aware loss
-// h∥·‖r∥‖² + h⊥·‖r⊥‖² with h∥ = EtaParallel·h⊥, alternating weighted
+// h∥·‖r∥‖² + h⊥·‖r⊥‖² with h∥ = etaParallel·h⊥, alternating weighted
 // assignment with the closed-form weighted centroid update
 // c = (Σ Aᵢ)⁻¹ Σ Aᵢ xᵢ, Aᵢ = I + (η−1)·uᵢuᵢᵀ (Guo et al. 2020, Thm 4.2).
 func anisotropicRefine(sub *dataset.Dataset, cents *dataset.Dataset, cfg Config, seed int64) *dataset.Dataset {
-	eta := cfg.EtaParallel
+	const eta = float64(etaParallel)
 	d := sub.Dim
 	k := cents.N
 	rng := rand.New(rand.NewSource(seed))

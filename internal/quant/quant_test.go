@@ -18,11 +18,90 @@ func blobs(seed int64, n, dim int) *dataset.Dataset {
 	}, rand.New(rand.NewSource(seed))).Dataset
 }
 
-func reconstructionMSE(pq *PQ, ds *dataset.Dataset) float64 {
-	codes := pq.Encode(ds)
+// encode quantizes every row of ds into one flat code buffer.
+func encode(t testing.TB, pq *PQ, ds *dataset.Dataset) []uint8 {
+	t.Helper()
+	codes, err := pq.EncodeInto(nil, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return codes
+}
+
+// decode reconstructs the vector a code represents.
+func decode(pq *PQ, code []uint8) []float32 {
+	out := make([]float32, pq.Dim)
+	for s := 0; s < pq.Subspaces; s++ {
+		copy(out[pq.Bounds[s]:pq.Bounds[s+1]], pq.Codebooks[s].Row(int(code[s])))
+	}
+	return out
+}
+
+// lutDistance is the ADC distance summed in subspace order over a flat
+// table, the reference the kernel's four-accumulator LUTSum is held to.
+func lutDistance(lut []float32, k int, code []uint8) float32 {
+	var d float32
+	for s, c := range code {
+		d += lut[s*k+int(c)]
+	}
+	return d
+}
+
+// buildLUT is the per-query ADC table computed row-major, one SquaredL2 per
+// (subspace, centroid): row s holds Codebooks[s].N entries.
+func buildLUT(pq *PQ, q []float32) [][]float32 {
+	lut := make([][]float32, pq.Subspaces)
+	for s, cb := range pq.Codebooks {
+		lut[s] = make([]float32, cb.N)
+		for c := range lut[s] {
+			lut[s][c] = vecmath.SquaredL2(q[pq.Bounds[s]:pq.Bounds[s+1]], cb.Row(c))
+		}
+	}
+	return lut
+}
+
+// encodeVec is the code of v as the first minimum of each row of v's table.
+func encodeVec(pq *PQ, v []float32) []uint8 {
+	lut := pq.AppendLUT(nil, v)
+	code := make([]uint8, pq.Subspaces)
+	for s, cb := range pq.Codebooks {
+		row := lut[s*pq.K : s*pq.K+cb.N]
+		for c, d := range row {
+			if d < row[code[s]] {
+				code[s] = uint8(c)
+			}
+		}
+	}
+	return code
+}
+
+// trainUneven fits a quantizer whose subspaces split ds's dimensions at
+// bounds. Train refuses a split that is not even, so this shape reaches
+// the scoring code only through FromCodebooks, as a stored quantizer.
+func trainUneven(t *testing.T, ds *dataset.Dataset, bounds []int, cfg Config) *PQ {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	cbs := make([]*dataset.Dataset, len(bounds)-1)
+	for s := range cbs {
+		cb, err := trainSubspace(ds, bounds[s], bounds[s+1], cfg, cfg.Seed+int64(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cbs[s] = cb
+	}
+	pq, err := FromCodebooks(ds.Dim, cfg.K, bounds, cbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pq
+}
+
+func reconstructionMSE(t testing.TB, pq *PQ, ds *dataset.Dataset) float64 {
+	codes := encode(t, pq, ds)
+	m := pq.Subspaces
 	var mse float64
 	for i := 0; i < ds.N; i++ {
-		rec := pq.Decode(codes[i])
+		rec := decode(pq, codes[i*m:(i+1)*m])
 		mse += float64(vecmath.SquaredL2(ds.Row(i), rec))
 	}
 	return mse / float64(ds.N)
@@ -34,16 +113,16 @@ func TestTrainEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codes := pq.Encode(ds)
-	if len(codes) != ds.N || len(codes[0]) != 4 {
-		t.Fatalf("codes shape %dx%d", len(codes), len(codes[0]))
+	codes := encode(t, pq, ds)
+	if len(codes) != ds.N*4 {
+		t.Fatalf("codes length %d, want %d rows of 4", len(codes), ds.N)
 	}
-	rec := pq.Decode(codes[0])
+	rec := decode(pq, codes[:4])
 	if len(rec) != 16 {
 		t.Fatalf("decode dim %d", len(rec))
 	}
 	// Reconstruction must be far better than quantizing to the global mean.
-	mse := reconstructionMSE(pq, ds)
+	mse := reconstructionMSE(t, pq, ds)
 	mean := make([]float32, ds.Dim)
 	for i := 0; i < ds.N; i++ {
 		vecmath.AXPY(1/float32(ds.N), ds.Row(i), mean)
@@ -66,7 +145,7 @@ func TestMoreCentroidsLowerError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mse := reconstructionMSE(pq, ds)
+		mse := reconstructionMSE(t, pq, ds)
 		if prev >= 0 && mse > prev*1.05 {
 			t.Fatalf("MSE rose from %v to %v at K=%d", prev, mse, k)
 		}
@@ -80,16 +159,17 @@ func TestLUTMatchesDecodedDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codes := pq.Encode(ds)
+	codes := encode(t, pq, ds)
 	rng := rand.New(rand.NewSource(7))
 	q := make([]float32, 12)
 	for j := range q {
 		q[j] = float32(rng.NormFloat64())
 	}
-	lut := pq.BuildLUT(q)
+	lut := pq.AppendLUT(nil, q)
 	for i := 0; i < 50; i++ {
-		adc := float64(lut.Distance(codes[i]))
-		exact := float64(vecmath.SquaredL2(q, pq.Decode(codes[i])))
+		code := codes[i*3 : (i+1)*3]
+		adc := float64(vecmath.LUTSum(lut, pq.K, code))
+		exact := float64(vecmath.SquaredL2(q, decode(pq, code)))
 		if math.Abs(adc-exact) > 1e-3*(1+exact) {
 			t.Fatalf("point %d: ADC %v vs decoded %v", i, adc, exact)
 		}
@@ -97,23 +177,18 @@ func TestLUTMatchesDecodedDistance(t *testing.T) {
 }
 
 func TestUnevenDimensionSplit(t *testing.T) {
-	// 10 dims over 3 subspaces: bounds 0,3,6,10 (last absorbs remainder).
-	// Uneven splits are opt-in; without AllowUneven Train must refuse.
+	// 10 dims over 3 subspaces do not split evenly: Train must refuse.
 	ds := blobs(8, 100, 10)
 	if _, err := Train(ds, Config{Subspaces: 3, K: 4, Seed: 9}); err == nil {
-		t.Fatal("uneven split without AllowUneven should fail")
+		t.Fatal("uneven split should fail")
 	}
-	pq, err := Train(ds, Config{Subspaces: 3, K: 4, Seed: 9, AllowUneven: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pq.Bounds[3] != 10 {
-		t.Fatalf("bounds %v", pq.Bounds)
-	}
+	// A stored quantizer may still carry bounds 0,3,6,10; it encodes and
+	// decodes all 10 dimensions.
+	pq := trainUneven(t, ds, []int{0, 3, 6, 10}, Config{K: 4, Seed: 9})
 	if got := len(pq.Codebooks[2].Row(0)); got != 4 {
 		t.Fatalf("last subspace width %d", got)
 	}
-	rec := pq.Decode(pq.EncodeVec(ds.Row(0)))
+	rec := decode(pq, pq.AppendCode(nil, ds.Row(0)))
 	if len(rec) != 10 {
 		t.Fatalf("decode width %d", len(rec))
 	}
@@ -134,7 +209,7 @@ func TestTrainValidation(t *testing.T) {
 		t.Fatal("K>n should fail")
 	}
 	if _, err := Train(ds, Config{Subspaces: 3, K: 4}); err == nil {
-		t.Fatal("dim not divisible by Subspaces should fail without AllowUneven")
+		t.Fatal("dim not divisible by Subspaces should fail")
 	}
 	if _, err := Train(nil, Config{Subspaces: 2, K: 4}); err == nil {
 		t.Fatal("nil dataset should fail")
@@ -150,18 +225,15 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := pq.Encode(ds)
-	flat, err := pq.EncodeInto(nil, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	flat := encode(t, pq, ds)
 	if len(flat) != ds.N*pq.Subspaces {
 		t.Fatalf("flat len %d, want %d", len(flat), ds.N*pq.Subspaces)
 	}
 	for i := 0; i < ds.N; i++ {
+		want := pq.AppendCode(nil, ds.Row(i))
 		for s := 0; s < pq.Subspaces; s++ {
-			if flat[i*pq.Subspaces+s] != want[i][s] {
-				t.Fatalf("row %d subspace %d: flat %d vs per-row %d", i, s, flat[i*pq.Subspaces+s], want[i][s])
+			if flat[i*pq.Subspaces+s] != want[s] {
+				t.Fatalf("row %d subspace %d: flat %d vs per-row %d", i, s, flat[i*pq.Subspaces+s], want[s])
 			}
 		}
 	}
@@ -194,7 +266,7 @@ func TestAppendCodeMatchesEncodeVec(t *testing.T) {
 		t.Fatalf("appended len %d", len(codes))
 	}
 	for i := 0; i < 50; i++ {
-		want := pq.EncodeVec(ds.Row(i))
+		want := encodeVec(pq, ds.Row(i))
 		for s, c := range want {
 			if codes[i*pq.Subspaces+s] != c {
 				t.Fatalf("row %d subspace %d mismatch", i, s)
@@ -214,30 +286,27 @@ func TestAppendLUTMatchesBuildLUT(t *testing.T) {
 	for j := range q {
 		q[j] = float32(rng.NormFloat64())
 	}
-	nested := pq.BuildLUT(q)
+	nested := buildLUT(pq, q)
 	flat := pq.AppendLUT(nil, q)
 	if len(flat) != pq.Subspaces*pq.K {
 		t.Fatalf("flat LUT len %d, want %d", len(flat), pq.Subspaces*pq.K)
 	}
 	for s := 0; s < pq.Subspaces; s++ {
-		for c := 0; c < len(nested[s]); c++ {
-			if flat[s*pq.K+c] != nested[s][c] {
-				t.Fatalf("LUT[%d][%d]: flat %v vs nested %v", s, c, flat[s*pq.K+c], nested[s][c])
+		for c, want := range nested[s] {
+			if got := flat[s*pq.K+c]; math.Abs(float64(got-want)) > 1e-5*(1+float64(want)) {
+				t.Fatalf("LUT[%d][%d]: flat %v vs row-major %v", s, c, got, want)
 			}
 		}
 	}
 	// The flat table drives the dispatched kernel; its distances must match
-	// LUT.Distance exactly (same entries, float32 sum over ≤M terms).
-	codes, err := pq.EncodeInto(nil, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// the sequential sum over the same entries up to summation order.
+	codes := encode(t, pq, ds)
 	for i := 0; i < 50; i++ {
 		code := codes[i*pq.Subspaces : (i+1)*pq.Subspaces]
 		got := float64(vecmath.LUTSum(flat, pq.K, code))
-		want := float64(nested.Distance(code))
+		want := float64(lutDistance(flat, pq.K, code))
 		if math.Abs(got-want) > 1e-4*(1+math.Abs(want)) {
-			t.Fatalf("row %d: LUTSum %v vs Distance %v", i, got, want)
+			t.Fatalf("row %d: LUTSum %v vs sequential sum %v", i, got, want)
 		}
 	}
 }
@@ -254,7 +323,7 @@ func TestAnisotropicRefineRuns(t *testing.T) {
 	}
 	// Anisotropic codebooks trade reconstruction MSE for score fidelity;
 	// they must stay within a reasonable factor of the isotropic MSE.
-	mi, ma := reconstructionMSE(iso, ds), reconstructionMSE(aniso, ds)
+	mi, ma := reconstructionMSE(t, iso, ds), reconstructionMSE(t, aniso, ds)
 	if ma > mi*3 {
 		t.Fatalf("anisotropic MSE %v vs isotropic %v", ma, mi)
 	}
@@ -331,10 +400,10 @@ func shortCodebooks(t *testing.T, pq *PQ, n int) *PQ {
 }
 
 // TestLUTAndCodeBitIdentity pins what the shared segment kernel makes
-// identical: AppendLUT ≡ AppendLUTBatch ≡ BuildLUT entry for entry, zero
-// padding behind a short codebook, and EncodeInto ≡ EncodeVec ≡ the first
-// minimum of the matching LUT row — over even, uneven and 9-wide subspaces,
-// K from one short of a lane block to the uint8 ceiling, and N < K. Every
+// identical: AppendLUT ≡ AppendLUTBatch entry for entry, zero padding
+// behind a short codebook, and EncodeInto ≡ AppendCode ≡ the first minimum
+// of the matching LUT row — over even, uneven and 9-wide subspaces, K from
+// one short of a lane block to the uint8 ceiling, and N < K. Every
 // entry is also held to the row-major SquaredL2 the table used to be built
 // from, within rounding, so a transposition slip in the mirror shows.
 func TestLUTAndCodeBitIdentity(t *testing.T) {
@@ -352,9 +421,14 @@ func TestLUTAndCodeBitIdentity(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := blobs(61, tc.n, tc.dim)
-			pq, err := Train(ds, Config{Subspaces: tc.m, K: tc.k, Seed: 62, Iters: 4, AllowUneven: tc.uneven})
-			if err != nil {
-				t.Fatal(err)
+			var pq *PQ
+			if tc.uneven {
+				pq = trainUneven(t, ds, []int{0, 3, 6, 10}, Config{K: tc.k, Seed: 62, Iters: 4})
+			} else {
+				var err error
+				if pq, err = Train(ds, Config{Subspaces: tc.m, K: tc.k, Seed: 62, Iters: 4}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if tc.cut > 0 {
 				pq = shortCodebooks(t, pq, tc.cut)
@@ -367,14 +441,10 @@ func TestLUTAndCodeBitIdentity(t *testing.T) {
 			batch := pq.AppendLUTBatch([]float32{-1}, queries)[1:] // appends after existing content
 			for qi, q := range queries {
 				flat := pq.AppendLUT(nil, q)
-				nested := pq.BuildLUT(q)
-				code := pq.EncodeVec(q)
+				code := pq.AppendCode(nil, q)
 				for s := 0; s < pq.Subspaces; s++ {
 					cb := pq.Codebooks[s]
 					row := flat[s*pq.K : (s+1)*pq.K]
-					if len(nested[s]) != cb.N {
-						t.Fatalf("BuildLUT row %d has %d entries, codebook %d", s, len(nested[s]), cb.N)
-					}
 					for c, v := range row {
 						if b := batch[qi*stride+s*pq.K+c]; math.Float32bits(b) != math.Float32bits(v) {
 							t.Fatalf("query %d LUT[%d][%d]: batch %v, single %v", qi, s, c, b, v)
@@ -384,9 +454,6 @@ func TestLUTAndCodeBitIdentity(t *testing.T) {
 								t.Fatalf("query %d LUT[%d][%d]=%v: padding behind %d centroids must stay zero", qi, s, c, v, cb.N)
 							}
 							continue
-						}
-						if math.Float32bits(nested[s][c]) != math.Float32bits(v) {
-							t.Fatalf("query %d LUT[%d][%d]: nested %v, flat %v", qi, s, c, nested[s][c], v)
 						}
 						ref := float64(vecmath.SquaredL2(q[pq.Bounds[s]:pq.Bounds[s+1]], cb.Row(c)))
 						if math.Abs(float64(v)-ref) > 1e-5*(1+ref) {
@@ -403,8 +470,8 @@ func TestLUTAndCodeBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < ds.N; i++ {
-				if got, want := flatCodes[i*pq.Subspaces:(i+1)*pq.Subspaces], pq.EncodeVec(ds.Row(i)); !slices.Equal(got, want) {
-					t.Fatalf("row %d: EncodeInto %v, EncodeVec %v", i, got, want)
+				if got, want := flatCodes[i*pq.Subspaces:(i+1)*pq.Subspaces], pq.AppendCode(nil, ds.Row(i)); !slices.Equal(got, want) {
+					t.Fatalf("row %d: EncodeInto %v, AppendCode %v", i, got, want)
 				}
 			}
 		})
@@ -423,7 +490,7 @@ func TestEncodeTiesTakeFirstCentroid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if code := pq.EncodeVec(cb.Row(pair[1])); int(code[0]) != pair[0] {
+		if code := pq.AppendCode(nil, cb.Row(pair[1])); int(code[0]) != pair[0] {
 			t.Fatalf("centroids %v identical: code %d, want the first", pair, code[0])
 		}
 	}

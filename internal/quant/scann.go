@@ -9,16 +9,14 @@ import (
 
 // ScaNN is the two-stage search pipeline of Guo et al. (2020): candidates
 // (possibly the whole dataset) are first scored with the quantized ADC
-// distance, the best Rerank survivors are re-scored with exact distances,
-// and the top k are returned. The paper's Fig. 7 composes this pipeline
-// with three partitioners: none ("vanilla ScaNN"), K-means, and USP.
+// distance, the best survivors are re-scored with exact distances, and the
+// top k are returned. The paper's Fig. 7 composes this pipeline with three
+// partitioners: none ("vanilla ScaNN"), K-means, and USP.
 type ScaNN struct {
-	Data  *dataset.Dataset
-	PQ    *PQ
-	Codes [][]uint8
-	// Rerank is the number of quantized-stage survivors re-scored exactly
-	// (default 10·k at query time when zero).
-	Rerank int
+	Data *dataset.Dataset
+	PQ   *PQ
+	// codes holds row i's code at codes[i*PQ.Subspaces:(i+1)*PQ.Subspaces].
+	codes []uint8
 }
 
 // NewScaNN trains the quantizer on ds and encodes it.
@@ -27,45 +25,40 @@ func NewScaNN(ds *dataset.Dataset, cfg Config) (*ScaNN, error) {
 	if err != nil {
 		return nil, fmt.Errorf("quant: training ScaNN quantizer: %w", err)
 	}
-	return &ScaNN{Data: ds, PQ: pq, Codes: pq.Encode(ds)}, nil
+	codes, err := pq.EncodeInto(nil, ds)
+	if err != nil {
+		return nil, err
+	}
+	return &ScaNN{Data: ds, PQ: pq, codes: codes}, nil
 }
 
 // Search scans the given candidate ids (all points when nil) with ADC
 // scoring, exact-reranks the survivors, and returns the k nearest.
 //
-// The default rerank budget scales with the candidate count (10% of the
-// scanned points, floored at 10·k): a fixed window would let quantization
+// The rerank budget scales with the candidate count (10% of the scanned
+// points, floored at 10·k): a fixed window would let quantization
 // false-positives crowd out true neighbors as candidate sets grow, making
 // recall non-monotone in the probe count.
 func (s *ScaNN) Search(q []float32, k int, candidates []int) []vecmath.Neighbor {
 	scanned := len(candidates)
 	if candidates == nil {
-		scanned = len(s.Codes)
+		scanned = s.Data.N
 	}
-	rerank := s.Rerank
-	if rerank == 0 {
-		rerank = 10 * k
-		if prop := scanned / 10; prop > rerank {
-			rerank = prop
-		}
-	}
-	if rerank < k {
-		rerank = k
-	}
-	lut := s.PQ.BuildLUT(q)
-	stage1 := vecmath.NewTopK(rerank)
+	lut := s.PQ.AppendLUT(nil, q)
+	m := s.PQ.Subspaces
+	score := func(i int) float32 { return vecmath.LUTSum(lut, s.PQ.K, s.codes[i*m:(i+1)*m]) }
+	stage1 := vecmath.NewTopK(max(10*k, scanned/10))
 	if candidates == nil {
-		for i := range s.Codes {
-			stage1.Push(i, lut.Distance(s.Codes[i]))
+		for i := 0; i < s.Data.N; i++ {
+			stage1.Push(i, score(i))
 		}
 	} else {
 		for _, i := range candidates {
-			stage1.Push(i, lut.Distance(s.Codes[i]))
+			stage1.Push(i, score(i))
 		}
 	}
-	survivors := stage1.Sorted()
 	stage2 := vecmath.NewTopK(k)
-	for _, nb := range survivors {
+	for _, nb := range stage1.Sorted() {
 		stage2.Push(nb.Index, vecmath.SquaredL2(q, s.Data.Row(nb.Index)))
 	}
 	return stage2.Sorted()

@@ -146,12 +146,3 @@ func (t *Tree) Candidates(q []float32, mPrime int) []int {
 	}
 	return out
 }
-
-// Route returns the leaf id reached by hard routing.
-func (t *Tree) Route(q []float32) int {
-	n := t.root
-	for n.split != nil {
-		n = n.children[n.split.Side(q)]
-	}
-	return n.leafID
-}

@@ -68,7 +68,7 @@ func TestBuildWithEachSplitter(t *testing.T) {
 		// hyperplane splitters (points were themselves split by Side).
 		if _, ok := anySplitterAssigns(f); !ok {
 			for i := 0; i < 50; i++ {
-				leaf := tree.Route(l.Row(i))
+				leaf := route(tree, l.Row(i))
 				found := false
 				for _, j := range tree.Leaves[leaf] {
 					if int(j) == i {
@@ -196,4 +196,13 @@ func TestBoostedForestRecallBeatsSingleRPTree(t *testing.T) {
 	if fRecall < rpRecall {
 		t.Fatalf("boosted forest recall %.3f below single RP tree %.3f", fRecall/60, rpRecall/60)
 	}
+}
+
+// route returns the leaf id q reaches by hard routing.
+func route(t *Tree, q []float32) int {
+	n := t.root
+	for n.split != nil {
+		n = n.children[n.split.Side(q)]
+	}
+	return n.leafID
 }
