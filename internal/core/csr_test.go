@@ -210,7 +210,7 @@ func TestValidateRejectsMismatchedTables(t *testing.T) {
 // appendCandidates is the single-query form of the candidate path: route q
 // through the single-row kernel, then gather row 0.
 func appendCandidates(r *Ensemble, dst []int32, q []float32, mPrime int, qs *QueryScratch) []int32 {
-	r.Route(qs, q)
+	r.Route(qs, q, mPrime)
 	return r.AppendCandidatesRow(dst, 0, mPrime, qs)
 }
 
@@ -492,10 +492,11 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 }
 
 // routeRows routes queries[0] through the single-row form or, batched, all
-// of queries through one RouteBatch, leaving every member's rows in qs.
+// of queries through one RouteBatch, leaving every member's rows in qs. The
+// single-row form asks for every leaf, so its rows are whole distributions.
 func routeRows(r *Ensemble, queries [][]float32, batched bool, qs *QueryScratch) {
 	if !batched {
-		r.Route(qs, queries[0])
+		r.Route(qs, queries[0], math.MaxInt)
 		return
 	}
 	dim := len(queries[0])

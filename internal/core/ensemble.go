@@ -97,30 +97,40 @@ func TrainEnsemble(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config, e int) (
 
 // Route runs every member's routing pass for q through the single-row
 // kernel, leaving each member's leaf distribution in row 0 of its
-// probability row, and selects row 0's member.
-func (e *Ensemble) Route(qs *QueryScratch, q []float32) {
-	e.routeMembers(qs, q)
+// probability row, and selects row 0's member. A tree member's row is exact
+// for its mPrime most probable leaves and reads −1 at leaves its walk never
+// reached (topLeafProbs), so AppendCandidatesRow with mPrime or fewer bins,
+// and member selection, see the bits of the full walk.
+func (e *Ensemble) Route(qs *QueryScratch, q []float32, mPrime int) {
+	e.routeMembers(qs, q, mPrime)
 	e.selectMembers(qs, 1)
 }
 
 // RouteBatch runs every member's routing pass over the rows staged with
 // qs.Stage — one batched forward pass per model (one MatMul per Dense layer
 // instead of a row of AXPY loops per query) — and selects each row's member.
-// Every row's distributions are bit-identical to Route's on the same query:
-// batch and single-row inference share the same dispatched microkernels and
-// accumulation order, and the tree walk multiplies path products in the same
-// order.
+// A tree member takes the full walk, every model over every row, so a batch
+// needs no probe count. Every row's distributions are bit-identical to the
+// full walk's for one query: batch and single-row inference share the same
+// dispatched microkernels and accumulation order, and the tree walk
+// multiplies path products in the same order. The top m′ leaves Route
+// leaves are these, so a batch answers as its queries one by one do.
 func (e *Ensemble) RouteBatch(qs *QueryScratch) {
-	e.routeMembers(qs, nil)
+	qs.models = 0
+	for m, p := range e.Parts {
+		buf := slot(&qs.probs, m)
+		*buf = p.leafProbs(*buf, nil, qs)
+	}
 	e.selectMembers(qs, qs.q.Rows)
 }
 
-// routeMembers fills every member's probability rows: q through the
-// single-row kernel, or the staged rows when q is nil.
-func (e *Ensemble) routeMembers(qs *QueryScratch, q []float32) {
+// routeMembers fills row 0 of every member's probability row for q, exact
+// for its mPrime most probable leaves.
+func (e *Ensemble) routeMembers(qs *QueryScratch, q []float32, mPrime int) {
+	qs.models = 0
 	for m, p := range e.Parts {
 		buf := slot(&qs.probs, m)
-		*buf = p.leafProbs(*buf, q, qs)
+		*buf = p.topLeafProbs(*buf, q, mPrime, qs)
 	}
 }
 
@@ -169,7 +179,7 @@ func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, qs *QueryScra
 // CandidatesWith returns the ensemble's candidate set for q as a fresh
 // []int — the adapter the offline callers (experiment sweeps, tests) use.
 func (e *Ensemble) CandidatesWith(qs *QueryScratch, q []float32, mPrime int) []int {
-	e.Route(qs, q)
+	e.Route(qs, q, mPrime)
 	qs.cands = e.AppendCandidatesRow(qs.cands[:0], 0, mPrime, qs)
 	out := make([]int, len(qs.cands))
 	for i, id := range qs.cands {

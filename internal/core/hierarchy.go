@@ -169,6 +169,82 @@ func (p *Partitioner) leafProbs(dst, q []float32, qs *QueryScratch) []float32 {
 	return dst
 }
 
+// topLeafProbs writes q's leaf distribution into dst (grown to M), exact
+// for the mPrime most probable leaves, through the single-row kernel. A flat
+// partitioner, or an mPrime that asks for every leaf, takes leafProbs. A
+// tree expands its nodes best first: the node with the highest path product
+// (ties to the lower leafBase) runs its model and multiplies its outputs
+// into its children's products, or, at the last level, into its leaves,
+// exactly as walk would. Every output is in [0, 1], so fl(p·x) ≤ p: no leaf
+// beats its ancestor's product. The walk stops once the best unexpanded
+// product is strictly below the mPrime-th best leaf found, never on
+// equality, since TopKIndicesInto breaks ties by ascending index. The leaves
+// left unexpanded read −1, below every probability, so the row's top
+// mPrime leaves, its ArgMax and their bits are the full walk's. A node
+// output outside [0, 1] (NaN, from an overflowing forward pass) voids the
+// bound, and the row is routed again by the full walk.
+func (p *Partitioner) topLeafProbs(dst, q []float32, mPrime int, qs *QueryScratch) []float32 {
+	if p.children == nil || mPrime >= p.M {
+		return p.leafProbs(dst, q, qs)
+	}
+	mPrime = max(mPrime, 1) // member selection reads the top leaf
+	dst = growFloats(dst, p.M)
+	for i := range dst {
+		dst[i] = -1
+	}
+	best := qs.best[:0] // the mPrime best leaves so far, descending
+	front := append(qs.frontier[:0], frontierNode{&p.node, 1})
+	finite := true
+expand:
+	for len(front) > 0 {
+		j := 0
+		for i, f := range front {
+			if f.prod > front[j].prod || f.prod == front[j].prod && f.nd.leafBase < front[j].nd.leafBase {
+				j = i
+			}
+		}
+		top := front[j]
+		if len(best) == mPrime && top.prod < best[mPrime-1] {
+			break
+		}
+		front[j] = front[len(front)-1]
+		front = front[:len(front)-1]
+		nd := top.nd
+		buf := slot(&qs.nodeProb, 0)
+		*buf = qs.predictInto(*buf, nd.Model, q)
+		for _, pb := range *buf {
+			if !(pb >= 0 && pb <= 1) {
+				finite = false
+				break expand
+			}
+		}
+		for b, pb := range *buf {
+			prod := top.prod * pb
+			if nd.children != nil {
+				front = append(front, frontierNode{&nd.children[b], prod})
+				continue
+			}
+			dst[nd.leafBase+b] = prod
+			if len(best) < mPrime {
+				best = append(best, prod)
+			} else if prod > best[mPrime-1] {
+				best[mPrime-1] = prod
+			} else {
+				continue
+			}
+			for k := len(best) - 1; k > 0 && best[k-1] < best[k]; k-- {
+				best[k-1], best[k] = best[k], best[k-1]
+			}
+		}
+	}
+	clear(front[:cap(front)]) // hold no tree past the query
+	qs.frontier, qs.best = front[:0], best[:0]
+	if !finite {
+		return p.leafProbs(dst, q, qs)
+	}
+	return dst
+}
+
 // walk runs nd's model over the routed rows and multiplies each row's path
 // product down to nd's leaves of out. Each depth owns one node buffer and
 // one path buffer: a parent's distribution and path products stay live

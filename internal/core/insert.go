@@ -18,9 +18,10 @@ import "repro/internal/vecmath"
 
 // RouteBinsWith appends each member's routing decision for vec — its most
 // probable leaf bin, the rule queries use — to dst, running the routing
-// passes through the caller's scratch (allocation-free when warm).
+// passes through the caller's scratch (allocation-free when warm). A tree
+// member expands only the nodes its top leaf needs.
 func (e *Ensemble) RouteBinsWith(qs *QueryScratch, vec []float32, dst []int) []int {
-	e.routeMembers(qs, vec)
+	e.routeMembers(qs, vec, 1)
 	for m := range e.Parts {
 		dst = append(dst, vecmath.ArgMax(qs.probs[m]))
 	}

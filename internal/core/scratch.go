@@ -7,13 +7,13 @@ import (
 
 // QueryScratch owns every intermediate buffer the online phase needs for one
 // goroutine: the model forward-pass buffers, the per-member leaf probability
-// rows and each row's selected member, the tree walk's per-depth buffers,
-// and the selected-bin list. The ensemble fills the probability rows and
-// selects the members — Route for one query (row 0), RouteBatch for a staged
-// chunk — and AppendCandidatesRow reads them, so everything after routing is
-// one code path whatever the number of rows. After warm-up, routing and
-// gathering perform no allocation beyond growth of the caller's candidate
-// slice.
+// rows and each row's selected member, the tree walks' buffers (the full
+// walk's per depth, the best-first walk's frontier), and the selected-bin
+// list. The ensemble fills the probability rows and selects the members —
+// Route for one query (row 0), RouteBatch for a staged chunk — and
+// AppendCandidatesRow reads them, so everything after routing is one code
+// path whatever the number of rows. After warm-up, routing and gathering
+// perform no allocation beyond growth of the caller's candidate slice.
 //
 // The zero value is ready to use. Buffers grow on demand and are retained.
 type QueryScratch struct {
@@ -30,9 +30,25 @@ type QueryScratch struct {
 	nodeProb [][]float32 // tree walk: per-depth node distributions, flat rows×width
 	pathProb [][]float32 // tree walk: per-depth per-row accumulated path products
 
+	frontier []frontierNode // best-first walk: the nodes not yet expanded
+	best     []float32      // best-first walk: the m′ best leaves so far, descending
+	models   int            // forward passes the last routing call ran per row
+
 	bins  []int   // selected top-m′ bins for the row being appended
 	cands []int32 // candidate staging for the []int-returning CandidatesWith
 }
+
+// frontierNode is a tree node the best-first walk has reached but not
+// expanded, with the product of the model outputs along its path.
+type frontierNode struct {
+	nd   *node
+	prod float32
+}
+
+// RoutedModels returns the number of model forward passes the last routing
+// call ran for each of its rows: every model of every member for a batch,
+// only those a tree's top m′ leaves needed for a single row.
+func (qs *QueryScratch) RoutedModels() int { return qs.models }
 
 func growFloats(buf []float32, n int) []float32 {
 	if cap(buf) < n {
@@ -53,6 +69,7 @@ func (qs *QueryScratch) Stage(n, dim int) []float32 {
 // predictInto runs model's forward pass into dst (grown as needed): q
 // through the single-row kernel, or the staged batch when q is nil.
 func (qs *QueryScratch) predictInto(dst []float32, model *nn.Sequential, q []float32) []float32 {
+	qs.models++
 	if q != nil {
 		return model.PredictVecInto(dst, q, &qs.Infer)
 	}

@@ -20,15 +20,15 @@ import (
 type RegressionFitter struct {
 	// KPrime is the subset k-NN graph width (default 10).
 	KPrime int
-	// Epsilon is the bisection balance slack (default 0.1).
-	Epsilon float64
 	// Epochs of logistic-regression training per node (default 30).
 	Epochs int
-	// LR is the Adam learning rate (default 1e-2; nodes are tiny).
-	LR float64
 	// Seed drives partitioning and training.
 	Seed int64
 }
+
+// Every node bisects with Neural LSH's balance slack and trains its logistic
+// regression at ten times Neural LSH's Adam rate, the nodes being tiny.
+const regressionLR = 1e-2
 
 // Name implements trees.Fitter.
 func (RegressionFitter) Name() string { return "regression-lsh" }
@@ -65,17 +65,9 @@ func (f RegressionFitter) Fit(ds *dataset.Dataset, idx []int32, rng *rand.Rand) 
 	if kp >= len(idx) {
 		kp = len(idx) - 1
 	}
-	eps := f.Epsilon
-	if eps == 0 {
-		eps = 0.1
-	}
 	epochs := f.Epochs
 	if epochs == 0 {
 		epochs = 30
-	}
-	lr := f.LR
-	if lr == 0 {
-		lr = 1e-2
 	}
 
 	local := make([]int, len(idx))
@@ -85,7 +77,7 @@ func (f RegressionFitter) Fit(ds *dataset.Dataset, idx []int32, rng *rand.Rand) 
 	sub := ds.Subset(local)
 	mat := knn.BuildMatrix(sub, kp)
 	g := graphpart.FromKNN(mat.Neighbors)
-	sides := graphpart.Partition(g, 2, eps, rng.Int63())
+	sides := graphpart.Partition(g, 2, balanceSlack, rng.Int63())
 
 	// Degenerate bisection (all one side) cannot split.
 	n1 := 0
@@ -97,7 +89,7 @@ func (f RegressionFitter) Fit(ds *dataset.Dataset, idx []int32, rng *rand.Rand) 
 	}
 
 	model := nn.NewLogistic(ds.Dim, 2, rng)
-	opt := nn.NewAdam(lr)
+	opt := nn.NewAdam(regressionLR)
 	labels := make([]int, sub.N)
 	for i, s := range sides {
 		labels[i] = int(s)

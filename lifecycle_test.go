@@ -438,7 +438,7 @@ func TestHeldEpochNeverSeesLaterInserts(t *testing.T) {
 	gatherAll := func(s *Searcher) [][]int32 {
 		var out [][]int32
 		for _, q := range queries {
-			s.route(held, [][]float32{q})
+			s.route(held, [][]float32{q}, 2)
 			s.gather(held, 0, 2)
 			out = append(out, append([]int32(nil), s.cands...))
 		}
@@ -541,5 +541,35 @@ func TestAddAllocations(t *testing.T) {
 	})
 	if allocs != 6 {
 		t.Fatalf("Index.Add: %v allocs, want 6", allocs)
+	}
+}
+
+// TestAddAllocationsHierarchy is TestAddAllocations for a [4,4] tree, whose
+// Add routes through the best-first walk on the pooled Searcher's scratch
+// and allocates nothing there: the six are the epoch, its dataset view,
+// and With's ensemble, member array, partitioner and bin-header array.
+func TestAddAllocationsHierarchy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("Add borrows a pooled Searcher, and -race makes sync.Pool drop items")
+	}
+	vecs, _ := clusteredVectors(163, 400, 8, 4)
+	ix, err := Build(vecs, Options{Hierarchy: []int{4, 4}, Epochs: 5, Hidden: []int{8}, Seed: 164, CompactAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ { // every bin past its first, reallocating append
+		if _, err := ix.Add(vecs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := ix.Add(vecs[i%len(vecs)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 6 {
+		t.Fatalf("hierarchy Index.Add: %v allocs, want 6", allocs)
 	}
 }

@@ -20,6 +20,7 @@ type indexMetrics struct {
 	queryLatency      *telemetry.Histogram
 	candidates        *telemetry.Counter
 	binsProbed        *telemetry.Counter
+	routeModels       *telemetry.Counter
 	tombstonesSkipped *telemetry.Counter
 
 	// Lifecycle (recorded in Add/Delete/compaction/publish).
@@ -53,6 +54,8 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 			"Candidate ids gathered across all queries, including tombstoned ones (the paper's |C(q)| cost metric)."),
 		binsProbed: reg.Counter("usp_query_bins_probed_total", "",
 			"Partition bins probed across all queries."),
+		routeModels: reg.Counter("usp_route_models_total", "",
+			"Router model forward passes across all queries: a single query's tree walk runs only the models its probed leaves need, a batched query every model."),
 		tombstonesSkipped: reg.Counter("usp_query_tombstones_skipped_total", "",
 			"Gathered candidates dropped by the tombstone filter during scans."),
 		adds: reg.Counter("usp_adds_total", "",

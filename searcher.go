@@ -85,11 +85,12 @@ func (ix *Index) plan(ep *epoch, k int, opt SearchOptions) queryPlan {
 // allocates.
 
 // route fills the scratch's probability rows for queries. One query takes
-// the single-row forward pass; more are staged into one matrix and take one
-// batched pass per model. The rows hold the same bits either way.
-func (s *Searcher) route(ep *epoch, queries [][]float32) {
+// the single-row forward pass, and a tree runs only the models its probes
+// most probable leaves need; more are staged into one matrix and take one
+// batched pass per model. The probed leaves hold the same bits either way.
+func (s *Searcher) route(ep *epoch, queries [][]float32, probes int) {
 	if len(queries) == 1 {
-		ep.router.Route(&s.qs, queries[0])
+		ep.router.Route(&s.qs, queries[0], probes)
 		return
 	}
 	dim := s.ix.dim
@@ -170,6 +171,7 @@ func (s *Searcher) answer(dst []Result, ep *epoch, p *queryPlan, i int, q, lut [
 	m.queries.Inc()
 	m.candidates.Add(uint64(len(s.cands)))
 	m.binsProbed.Add(p.binsProbed)
+	m.routeModels.Add(uint64(s.qs.RoutedModels()))
 	m.tombstonesSkipped.Add(uint64(s.skipped))
 	if ep.quant != nil {
 		m.adcQueries.Inc()
@@ -211,7 +213,7 @@ func (s *Searcher) SearchInto(dst []Result, q []float32, k int, opt SearchOption
 		dst = make([]Result, 0, p.k)
 	}
 	queries := [][]float32{q}
-	s.route(ep, queries)
+	s.route(ep, queries, p.probes)
 	s.lut(ep, queries)
 	dst = s.answer(dst, ep, &p, 0, q, s.luts)
 	ix.tel.queryLatency.ObserveDuration(time.Since(start))
@@ -337,7 +339,7 @@ func scannedTail(scanned []int, lo, hi int) []int {
 func (s *Searcher) searchChunk(ep *epoch, queries [][]float32, k int, opt SearchOptions, out [][]Result, arena []Result, scanned []int) []Result {
 	start := time.Now()
 	p := s.ix.plan(ep, k, opt)
-	s.route(ep, queries)
+	s.route(ep, queries, p.probes)
 	stride := s.lut(ep, queries)
 	for i, q := range queries {
 		mark := len(arena)

@@ -72,6 +72,10 @@ func TestQueryTelemetry(t *testing.T) {
 	if got := counterValue(t, ix, "usp_query_tombstones_skipped_total"); got != 0 {
 		t.Errorf("usp_query_tombstones_skipped_total = %d before any delete", got)
 	}
+	// Each flat member is one model.
+	if got := counterValue(t, ix, "usp_route_models_total"); got != 2*nq {
+		t.Errorf("usp_route_models_total = %d, want %d", got, 2*nq)
+	}
 	lat := telemetry.JSONSnapshot(ix.Telemetry())["usp_query_latency_seconds"].(map[string]any)
 	if lat["count"].(uint64) != nq {
 		t.Errorf("latency histogram count = %v, want %d", lat["count"], nq)
@@ -205,6 +209,9 @@ func TestSearchBatchTelemetry(t *testing.T) {
 	if got := counterValue(t, ix, "usp_queries_total"); got != 50 {
 		t.Errorf("usp_queries_total after batch = %d, want 50", got)
 	}
+	if got := counterValue(t, ix, "usp_route_models_total"); got != 100 {
+		t.Errorf("usp_route_models_total after batch = %d, want 2 members × 50", got)
+	}
 	lat := telemetry.JSONSnapshot(ix.Telemetry())["usp_query_latency_seconds"].(map[string]any)
 	if lat["count"].(uint64) != 50 {
 		t.Errorf("latency samples after batch = %v, want 50", lat["count"])
@@ -235,5 +242,43 @@ func TestSearchBatchTelemetry(t *testing.T) {
 	}
 	if got := counterValue(t, ix, "usp_queries_total"); got != 50 {
 		t.Errorf("usp_queries_total after rejected batches = %d, want 50", got)
+	}
+}
+
+// TestRouteModelsTelemetry: on a [4,4] tree (5 models) a single query at
+// Probes 1 runs the root and at least one child but, the tree being
+// trained, fewer than all five on average; at Probes 16, single or batched,
+// every query runs all five.
+func TestRouteModelsTelemetry(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	corpus := dataset.GaussianMixture(dataset.GaussianMixtureConfig{
+		N: 600, Dim: 16, Clusters: 8, ClusterStd: 0.5, CenterBox: 3,
+	}, rng)
+	ix, err := Build(corpus.Rows(), Options{Hierarchy: []int{4, 4}, Epochs: 8, Hidden: []int{16}, Seed: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nq = 40
+	queries := corpus.Rows()[:nq]
+	s := ix.NewSearcher()
+	for _, q := range queries {
+		if _, err := s.Search(q, 5, SearchOptions{Probes: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pruned := counterValue(t, ix, "usp_route_models_total")
+	if pruned < 2*nq || pruned >= 5*nq {
+		t.Errorf("usp_route_models_total at Probes 1 = %d, want in [%d, %d)", pruned, 2*nq, 5*nq)
+	}
+	for _, q := range queries {
+		if _, err := s.Search(q, 5, SearchOptions{Probes: 16}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ix.SearchBatch(queries, 5, SearchOptions{Probes: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if got := counterValue(t, ix, "usp_route_models_total") - pruned; got != 2*5*nq {
+		t.Errorf("usp_route_models_total at Probes 16 = %d, want %d", got, 2*5*nq)
 	}
 }

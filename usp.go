@@ -545,7 +545,7 @@ func (ix *Index) CandidateSet(q []float32, opt SearchOptions) ([]int, error) {
 	defer ix.putSearcher(s)
 	ep := ix.live.Load()
 	p := ix.plan(ep, 1, opt)
-	s.route(ep, [][]float32{q})
+	s.route(ep, [][]float32{q}, p.probes)
 	s.gather(ep, 0, p.probes)
 	out := make([]int, 0, len(s.cands))
 	for _, id := range s.cands {

@@ -86,6 +86,40 @@ func TestSearchBatchBitIdentical(t *testing.T) {
 		requireBitIdentical(t, ix, vecs[:60], 5, opt, batch)
 	})
 
+	// A [4,4] tree probed at 1 to all 16 leaves: a single query's
+	// best-first walk stops early at the small probe counts, the batch runs
+	// every model, and the Adds were routed best first at m′ = 1.
+	t.Run("hierarchy-quantized", func(t *testing.T) {
+		vecs, _ := clusteredVectors(78, 1200, 16, 8)
+		ix, err := Build(vecs[:1000], Options{
+			Hierarchy: []int{4, 4}, Epochs: 10, Hidden: []int{8}, Seed: 79,
+			Quantize: Quantization{Enabled: true, Subspaces: 4, K: 32},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vecs[1000:] {
+			if _, err := ix.Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			if err := ix.Delete(i * 11); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, probes := range []int{1, 2, 4, 16} {
+			for _, rerank := range []int{0, -1} {
+				opt := SearchOptions{Probes: probes, RerankK: rerank}
+				batch, err := ix.SearchBatch(vecs[900:1100], 10, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireBitIdentical(t, ix, vecs[900:1100], 10, opt, batch)
+			}
+		}
+	})
+
 	t.Run("quantized", func(t *testing.T) {
 		_, ix, vecs := buildQuantizedPair(t, 75, 600, 16, Quantization{Subspaces: 4, K: 32})
 		for _, opt := range []SearchOptions{
