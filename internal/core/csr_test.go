@@ -340,7 +340,8 @@ func TestAppendCandidatesNaNQueryDegradesGracefully(t *testing.T) {
 type slotExtra map[[2]int][]int32
 
 // referenceLeafProbs recomputes a tree's leaf distribution with the
-// allocating PredictVec, multiplying down the tree in the walk's order.
+// allocating PredictVec, a recursive walk over every node multiplying down
+// the tree from the root: the reference the best-first walk is held to.
 func referenceLeafProbs(h *Partitioner, q []float32) []float32 {
 	out := make([]float32, h.M)
 	var walk func(n *node, prob float32)
@@ -468,8 +469,8 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 				for i, q := range queries {
 					copy(buf[i*dim:(i+1)*dim], q)
 				}
-				router.RouteBatch(&qsBatch)
 				for _, mPrime := range []int{1, 2, 4} {
+					router.RouteBatch(&qsBatch, mPrime)
 					for i, q := range queries {
 						want := tc.reference(q, mPrime, refExtra)
 						one := appendCandidates(router, nil, q, mPrime, &qsSingle)
@@ -492,8 +493,8 @@ func TestRouteFormsAgreeWithReference(t *testing.T) {
 }
 
 // routeRows routes queries[0] through the single-row form or, batched, all
-// of queries through one RouteBatch, leaving every member's rows in qs. The
-// single-row form asks for every leaf, so its rows are whole distributions.
+// of queries through one RouteBatch, leaving every member's rows in qs. Both
+// forms ask for every leaf, so their rows are whole distributions.
 func routeRows(r *Ensemble, queries [][]float32, batched bool, qs *QueryScratch) {
 	if !batched {
 		r.Route(qs, queries[0], math.MaxInt)
@@ -504,7 +505,7 @@ func routeRows(r *Ensemble, queries [][]float32, batched bool, qs *QueryScratch)
 	for i, q := range queries {
 		copy(buf[i*dim:(i+1)*dim], q)
 	}
-	r.RouteBatch(qs)
+	r.RouteBatch(qs, math.MaxInt)
 }
 
 // TestNaNConfidenceSelectsNoMember pins the one rule a hierarchy changed by

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/knn"
@@ -100,38 +101,44 @@ func TrainEnsemble(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config, e int) (
 // probability row, and selects row 0's member. A tree member's row is exact
 // for its mPrime most probable leaves and reads −1 at leaves its walk never
 // reached (topLeafProbs), so AppendCandidatesRow with mPrime or fewer bins,
-// and member selection, see the bits of the full walk.
+// and member selection, see the bits of a walk over every node.
 func (e *Ensemble) Route(qs *QueryScratch, q []float32, mPrime int) {
-	e.routeMembers(qs, q, mPrime)
+	qs.models = append(qs.models[:0], 0)
+	for m, p := range e.Parts {
+		buf := slot(&qs.probs, m)
+		*buf = growFloats(*buf, p.M)
+		qs.models[0] += p.topLeafProbs(*buf, q, mPrime, qs)
+	}
 	e.selectMembers(qs, 1)
 }
 
 // RouteBatch runs every member's routing pass over the rows staged with
-// qs.Stage — one batched forward pass per model (one MatMul per Dense layer
-// instead of a row of AXPY loops per query) — and selects each row's member.
-// A tree member takes the full walk, every model over every row, so a batch
-// needs no probe count. Every row's distributions are bit-identical to the
-// full walk's for one query: batch and single-row inference share the same
-// dispatched microkernels and accumulation order, and the tree walk
-// multiplies path products in the same order. The top m′ leaves Route
-// leaves are these, so a batch answers as its queries one by one do.
-func (e *Ensemble) RouteBatch(qs *QueryScratch) {
-	qs.models = 0
+// qs.Stage and selects each row's member. A flat member takes one batched
+// forward pass over the chunk (one MatMul per Dense layer instead of a row
+// of AXPY loops per query); a tree member routes each row through the walk
+// Route takes, so it runs only the models the row's mPrime most probable
+// leaves need. Every row is bit-identical to Route's for the same query:
+// batch and single-row inference share the same dispatched microkernels and
+// accumulation order, so a batch answers as its queries one by one do.
+func (e *Ensemble) RouteBatch(qs *QueryScratch, mPrime int) {
+	n, dim := qs.q.Rows, qs.q.Cols
+	qs.models = slices.Grow(qs.models[:0], n)[:n]
+	clear(qs.models)
 	for m, p := range e.Parts {
 		buf := slot(&qs.probs, m)
-		*buf = p.leafProbs(*buf, nil, qs)
+		if p.children == nil {
+			*buf = p.Model.PredictBatchInto(*buf, &qs.q, &qs.batch)
+			for i := range qs.models {
+				qs.models[i]++
+			}
+			continue
+		}
+		*buf = growFloats(*buf, n*p.M)
+		for i := range n {
+			qs.models[i] += p.topLeafProbs((*buf)[i*p.M:(i+1)*p.M], qs.q.Data[i*dim:(i+1)*dim], mPrime, qs)
+		}
 	}
-	e.selectMembers(qs, qs.q.Rows)
-}
-
-// routeMembers fills row 0 of every member's probability row for q, exact
-// for its mPrime most probable leaves.
-func (e *Ensemble) routeMembers(qs *QueryScratch, q []float32, mPrime int) {
-	qs.models = 0
-	for m, p := range e.Parts {
-		buf := slot(&qs.probs, m)
-		*buf = p.topLeafProbs(*buf, q, mPrime, qs)
-	}
+	e.selectMembers(qs, n)
 }
 
 // selectMembers records each routed row's member per Algorithm 4: the one

@@ -138,93 +138,78 @@ func trainNode(nd *node, ds *dataset.Dataset, idx []int32, levels []int, cfg Con
 }
 
 // LeafProbabilitiesInto writes q's probability for every leaf bin into dst
-// (grown as needed) through the scratch's buffers. The engine routes through
-// Ensemble.Route; only the stage rig (bench/rig.go) calls this, and it goes
-// with the rig (ROADMAP 1(c)).
+// (grown as needed) through the scratch's buffers: the walk of
+// topLeafProbs at m′ = M, which expands every node. The engine routes
+// through Ensemble.Route; only the stage rig (bench/rig.go) calls this, and
+// it goes with the rig (ROADMAP 1(c)).
 func (p *Partitioner) LeafProbabilitiesInto(dst []float32, q []float32, qs *QueryScratch) []float32 {
-	return p.leafProbs(dst, q, qs)
-}
-
-// leafProbs writes the leaf distributions of the routed rows into dst,
-// rows×M row-major, grown as needed: q through the single-row kernel, or the
-// rows staged with qs.Stage when q is nil. A flat partitioner's is its
-// model's output, written in place. A tree's is the product of the model
-// outputs along each root→leaf path, multiplied from the root down; at
-// depth 1 that would be 1·p, which is p exactly, so both forms give the same
-// bits.
-func (p *Partitioner) leafProbs(dst, q []float32, qs *QueryScratch) []float32 {
-	if p.children == nil {
-		return qs.predictInto(dst, p.Model, q)
-	}
-	n := 1
-	if q == nil {
-		n = qs.q.Rows
-	}
-	dst = growFloats(dst, n*p.M)
-	path := qs.pathBuf(0, n)
-	for i := range path {
-		path[i] = 1
-	}
-	p.walk(dst, &p.node, 0, n, q, qs)
+	dst = growFloats(dst, p.M)
+	p.topLeafProbs(dst, q, p.M, qs)
 	return dst
 }
 
-// topLeafProbs writes q's leaf distribution into dst (grown to M), exact
-// for the mPrime most probable leaves, through the single-row kernel. A flat
-// partitioner, or an mPrime that asks for every leaf, takes leafProbs. A
-// tree expands its nodes best first: the node with the highest path product
-// (ties to the lower leafBase) runs its model and multiplies its outputs
-// into its children's products, or, at the last level, into its leaves,
-// exactly as walk would. Every output is in [0, 1], so fl(p·x) ≤ p: no leaf
-// beats its ancestor's product. The walk stops once the best unexpanded
-// product is strictly below the mPrime-th best leaf found, never on
-// equality, since TopKIndicesInto breaks ties by ascending index. The leaves
-// left unexpanded read −1, below every probability, so the row's top
-// mPrime leaves, its ArgMax and their bits are the full walk's. A node
-// output outside [0, 1] (NaN, from an overflowing forward pass) voids the
-// bound, and the row is routed again by the full walk.
-func (p *Partitioner) topLeafProbs(dst, q []float32, mPrime int, qs *QueryScratch) []float32 {
-	if p.children == nil || mPrime >= p.M {
-		return p.leafProbs(dst, q, qs)
+// topLeafProbs writes q's leaf distribution into dst (len M), exact for the
+// mPrime most probable leaves, through the single-row kernel, and returns
+// the number of models it ran. A flat partitioner's is its model's output.
+// A tree's leaf probability is the product of the model outputs along its
+// root→leaf path, multiplied from the root down (1·p is p exactly, so depth
+// 1 needs no special case). The walk expands its nodes best first: the node
+// with the highest path product (ties to the lower leafBase) runs its model
+// and multiplies its outputs into its children's products or, at the last
+// level, into its leaves. While the walk is bounded — mPrime < M and every
+// output so far in [0, 1] — fl(p·x) ≤ p, so no leaf beats its ancestor's
+// product, and the walk stops once the best unexpanded product is strictly
+// below the mPrime-th best leaf found, never on equality, since
+// TopKIndicesInto breaks ties by ascending index. The leaves left
+// unexpanded read −1, below every probability, so the row's top mPrime
+// leaves, its ArgMax and their bits are those of a walk over every node.
+// An output outside [0, 1] (NaN, from an overflowing forward pass) voids
+// the bound: the walk then expands every node left, popping the frontier
+// from its end, and every leaf holds the same product of the same operands.
+func (p *Partitioner) topLeafProbs(dst, q []float32, mPrime int, qs *QueryScratch) int {
+	if p.children == nil {
+		p.Model.PredictVecInto(dst[:0], q, &qs.Infer)
+		return 1
 	}
 	mPrime = max(mPrime, 1) // member selection reads the top leaf
-	dst = growFloats(dst, p.M)
+	bounded := mPrime < p.M
 	for i := range dst {
 		dst[i] = -1
 	}
 	best := qs.best[:0] // the mPrime best leaves so far, descending
 	front := append(qs.frontier[:0], frontierNode{&p.node, 1})
-	finite := true
-expand:
+	models := 0
 	for len(front) > 0 {
-		j := 0
-		for i, f := range front {
-			if f.prod > front[j].prod || f.prod == front[j].prod && f.nd.leafBase < front[j].nd.leafBase {
-				j = i
+		j := len(front) - 1
+		if bounded {
+			for i, f := range front {
+				if f.prod > front[j].prod || f.prod == front[j].prod && f.nd.leafBase < front[j].nd.leafBase {
+					j = i
+				}
+			}
+			if len(best) == mPrime && front[j].prod < best[mPrime-1] {
+				break
 			}
 		}
 		top := front[j]
-		if len(best) == mPrime && top.prod < best[mPrime-1] {
-			break
-		}
 		front[j] = front[len(front)-1]
 		front = front[:len(front)-1]
 		nd := top.nd
-		buf := slot(&qs.nodeProb, 0)
-		*buf = qs.predictInto(*buf, nd.Model, q)
-		for _, pb := range *buf {
-			if !(pb >= 0 && pb <= 1) {
-				finite = false
-				break expand
-			}
+		qs.nodeProb = nd.Model.PredictVecInto(qs.nodeProb, q, &qs.Infer)
+		models++
+		for _, pb := range qs.nodeProb {
+			bounded = bounded && pb >= 0 && pb <= 1
 		}
-		for b, pb := range *buf {
+		for b, pb := range qs.nodeProb {
 			prod := top.prod * pb
 			if nd.children != nil {
 				front = append(front, frontierNode{&nd.children[b], prod})
 				continue
 			}
 			dst[nd.leafBase+b] = prod
+			if !bounded {
+				continue
+			}
 			if len(best) < mPrime {
 				best = append(best, prod)
 			} else if prod > best[mPrime-1] {
@@ -239,39 +224,7 @@ expand:
 	}
 	clear(front[:cap(front)]) // hold no tree past the query
 	qs.frontier, qs.best = front[:0], best[:0]
-	if !finite {
-		return p.leafProbs(dst, q, qs)
-	}
-	return dst
-}
-
-// walk runs nd's model over the routed rows and multiplies each row's path
-// product down to nd's leaves of out. Each depth owns one node buffer and
-// one path buffer: a parent's distribution and path products stay live
-// while its children recurse, but siblings at the same depth can share.
-func (p *Partitioner) walk(out []float32, nd *node, depth, n int, q []float32, qs *QueryScratch) {
-	buf := slot(&qs.nodeProb, depth)
-	*buf = qs.predictInto(*buf, nd.Model, q)
-	probs := *buf
-	w := nd.Model.OutDim()
-	path := qs.pathProb[depth]
-	if nd.children == nil {
-		for i := 0; i < n; i++ {
-			row := probs[i*w : (i+1)*w]
-			leaves := out[i*p.M+nd.leafBase:]
-			for b, pb := range row {
-				leaves[b] = path[i] * pb
-			}
-		}
-		return
-	}
-	for b := range nd.children {
-		cp := qs.pathBuf(depth+1, n)
-		for i := 0; i < n; i++ {
-			cp[i] = path[i] * probs[i*w+b]
-		}
-		p.walk(out, &nd.children[b], depth+1, n, q, qs)
-	}
+	return models
 }
 
 // TotalParams sums learnable parameters over every model of the tree.

@@ -21,7 +21,7 @@ import "repro/internal/vecmath"
 // passes through the caller's scratch (allocation-free when warm). A tree
 // member expands only the nodes its top leaf needs.
 func (e *Ensemble) RouteBinsWith(qs *QueryScratch, vec []float32, dst []int) []int {
-	e.routeMembers(qs, vec, 1)
+	e.Route(qs, vec, 1)
 	for m := range e.Parts {
 		dst = append(dst, vecmath.ArgMax(qs.probs[m]))
 	}
@@ -38,11 +38,11 @@ func (e *Ensemble) InsertRouted(id int, bins []int) {
 }
 
 // RouteLeafWith returns the leaf bin p routes vec to, running the routing
-// pass through the caller's scratch. Only the stage rig (bench/rig.go) and
-// tests call it; it goes with the rig (ROADMAP 1(c)).
+// pass at m′ = M through the caller's scratch. Only the stage rig
+// (bench/rig.go) and tests call it; it goes with the rig (ROADMAP 1(c)).
 func (p *Partitioner) RouteLeafWith(qs *QueryScratch, vec []float32) int {
 	buf := slot(&qs.probs, 0)
-	*buf = p.leafProbs(*buf, vec, qs)
+	*buf = p.LeafProbabilitiesInto(*buf, vec, qs)
 	return vecmath.ArgMax(*buf)
 }
 

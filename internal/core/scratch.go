@@ -7,13 +7,13 @@ import (
 
 // QueryScratch owns every intermediate buffer the online phase needs for one
 // goroutine: the model forward-pass buffers, the per-member leaf probability
-// rows and each row's selected member, the tree walks' buffers (the full
-// walk's per depth, the best-first walk's frontier), and the selected-bin
-// list. The ensemble fills the probability rows and selects the members —
-// Route for one query (row 0), RouteBatch for a staged chunk — and
-// AppendCandidatesRow reads them, so everything after routing is one code
-// path whatever the number of rows. After warm-up, routing and gathering
-// perform no allocation beyond growth of the caller's candidate slice.
+// rows and each row's selected member, the tree walk's node output and
+// frontier, and the selected-bin list. The ensemble fills the probability
+// rows and selects the members — Route for one query (row 0), RouteBatch for
+// a staged chunk — and AppendCandidatesRow reads them, so everything after
+// routing is one code path whatever the number of rows. After warm-up,
+// routing and gathering perform no allocation beyond growth of the caller's
+// candidate slice.
 //
 // The zero value is ready to use. Buffers grow on demand and are retained.
 type QueryScratch struct {
@@ -26,13 +26,11 @@ type QueryScratch struct {
 
 	probs   [][]float32 // per ensemble member: rows×M leaf distributions, flat row-major
 	bestIdx []int       // best-confidence member per row (-1: none selected)
+	models  []int       // forward passes the last routing call ran, per row
 
-	nodeProb [][]float32 // tree walk: per-depth node distributions, flat rows×width
-	pathProb [][]float32 // tree walk: per-depth per-row accumulated path products
-
-	frontier []frontierNode // best-first walk: the nodes not yet expanded
-	best     []float32      // best-first walk: the m′ best leaves so far, descending
-	models   int            // forward passes the last routing call ran per row
+	nodeProb []float32      // tree walk: the expanded node's output
+	frontier []frontierNode // tree walk: the nodes not yet expanded
+	best     []float32      // tree walk: the m′ best leaves so far, descending
 
 	bins  []int   // selected top-m′ bins for the row being appended
 	cands []int32 // candidate staging for the []int-returning CandidatesWith
@@ -46,9 +44,9 @@ type frontierNode struct {
 }
 
 // RoutedModels returns the number of model forward passes the last routing
-// call ran for each of its rows: every model of every member for a batch,
-// only those a tree's top m′ leaves needed for a single row.
-func (qs *QueryScratch) RoutedModels() int { return qs.models }
+// call ran for routed row i: one per flat member, and per tree member only
+// those its top m′ leaves needed.
+func (qs *QueryScratch) RoutedModels(i int) int { return qs.models[i] }
 
 func growFloats(buf []float32, n int) []float32 {
 	if cap(buf) < n {
@@ -66,16 +64,6 @@ func (qs *QueryScratch) Stage(n, dim int) []float32 {
 	return qs.q.Data
 }
 
-// predictInto runs model's forward pass into dst (grown as needed): q
-// through the single-row kernel, or the staged batch when q is nil.
-func (qs *QueryScratch) predictInto(dst []float32, model *nn.Sequential, q []float32) []float32 {
-	qs.models++
-	if q != nil {
-		return model.PredictVecInto(dst, q, &qs.Infer)
-	}
-	return model.PredictBatchInto(dst, &qs.q, &qs.batch)
-}
-
 // slot returns the address of (*bufs)[i], growing *bufs as needed, so a
 // buffer regrown there is kept for the next call.
 func slot(bufs *[][]float32, i int) *[]float32 {
@@ -83,12 +71,4 @@ func slot(bufs *[][]float32, i int) *[]float32 {
 		*bufs = append(*bufs, nil)
 	}
 	return &(*bufs)[i]
-}
-
-// pathBuf returns the per-row path-product buffer for tree depth d, sized
-// to n rows.
-func (qs *QueryScratch) pathBuf(d, n int) []float32 {
-	buf := slot(&qs.pathProb, d)
-	*buf = growFloats(*buf, n)
-	return *buf
 }

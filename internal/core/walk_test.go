@@ -14,16 +14,25 @@ import (
 
 // requireTopMatchesFull routes q through p's best-first walk (Route) at
 // every m′ from 1 to M and requires what a probe of m′ bins reads to be the
-// full walk's: the top-m′ leaves in TopKIndices order, their bits, the
-// row's ArgMax and the selected member. It returns the models the walk ran
-// at each m′ (index m′−1) and the tree's model count.
+// full walk's (referenceLeafProbs, a recursive walk over every node): the
+// top-m′ leaves in TopKIndices order, their bits, the row's ArgMax and the
+// selected member. At m′ = M, where the walk is unbounded, every leaf must
+// hold the full walk's bits. RouteBatch over a staged chunk of q must give
+// Route's row and model count at every m′. It returns the models the walk
+// ran at each m′ (index m′−1) and the tree's model count.
 func requireTopMatchesFull(t *testing.T, name string, p *Partitioner, q []float32) (models []int, nodes int) {
 	t.Helper()
-	var qs QueryScratch
-	full := p.leafProbs(nil, q, &qs)
+	full := referenceLeafProbs(p, q)
+	var qs, qsBatch QueryScratch
 	tree := OneTree(p)
 	tree.Route(&qs, q, p.M)
-	nodes, wantMember := qs.RoutedModels(), qs.bestIdx[0]
+	for b, v := range qs.probs[0] {
+		if math.Float32bits(v) != math.Float32bits(full[b]) {
+			t.Fatalf("%s m'=M: leaf %d reads %v, full walk %v", name, b, v, full[b])
+		}
+	}
+	nodes, wantMember := qs.RoutedModels(0), qs.bestIdx[0]
+	copy(qsBatch.Stage(1, len(q)), q)
 	for mp := 1; mp <= p.M; mp++ {
 		tree.Route(&qs, q, mp)
 		got := qs.probs[0]
@@ -42,16 +51,30 @@ func requireTopMatchesFull(t *testing.T, name string, p *Partitioner, q []float3
 		if qs.bestIdx[0] != wantMember {
 			t.Fatalf("%s m'=%d: selected member %d, full walk's %d", name, mp, qs.bestIdx[0], wantMember)
 		}
-		models = append(models, qs.RoutedModels())
+		tree.RouteBatch(&qsBatch, mp)
+		if !slices.Equal(bits(qsBatch.probs[0]), bits(got)) || qsBatch.RoutedModels(0) != qs.RoutedModels(0) || qsBatch.bestIdx[0] != qs.bestIdx[0] {
+			t.Fatalf("%s m'=%d: RouteBatch row %v after %d models, Route's %v after %d", name, mp, qsBatch.probs[0], qsBatch.RoutedModels(0), got, qs.RoutedModels(0))
+		}
+		models = append(models, qs.RoutedModels(0))
 	}
 	return models, nodes
+}
+
+// bits returns the IEEE bits of every value of row, so rows holding NaN
+// compare equal when their bits do.
+func bits(row []float32) []uint32 {
+	out := make([]uint32, len(row))
+	for i, v := range row {
+		out[i] = math.Float32bits(v)
+	}
+	return out
 }
 
 // TestBestFirstWalkMatchesFullWalkTrained: on trained [8,8] and [16,16]
 // trees, for held-out queries, the best-first walk agrees with the full walk
 // at every m′ from 1 to M, and at small m′ runs fewer models than the tree
-// has. Add's routing (RouteBinsWith, m′ = 1) puts every training and
-// held-out row in the leaf RouteLeafWith's full walk picks.
+// has. Add's routing (RouteBinsWith, m′ = 1) and RouteLeafWith put every
+// training and held-out row in the leaf the full walk picks.
 func TestBestFirstWalkMatchesFullWalkTrained(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	all := dataset.GaussianMixture(dataset.GaussianMixtureConfig{
@@ -80,12 +103,16 @@ func TestBestFirstWalkMatchesFullWalkTrained(t *testing.T) {
 			t.Logf("%s: %.2f of %d models per query at m'=1", name, mean, nodes)
 		}
 
-		var qs, qsFull QueryScratch
+		var qs QueryScratch
 		tree := OneTree(h)
 		for i := 0; i < all.N; i++ {
 			row := all.Row(i)
-			if got, want := tree.RouteBinsWith(&qs, row, nil)[0], h.RouteLeafWith(&qsFull, row); got != want {
+			want := vecmath.ArgMax(referenceLeafProbs(h, row))
+			if got := tree.RouteBinsWith(&qs, row, nil)[0]; got != want {
 				t.Fatalf("%s row %d: Add routes to leaf %d, the full walk to %d", name, i, got, want)
+			}
+			if got := h.RouteLeafWith(&qs, row); got != want {
+				t.Fatalf("%s row %d: RouteLeafWith routes to leaf %d, the full walk to %d", name, i, got, want)
 			}
 		}
 	}
@@ -136,8 +163,8 @@ func fixedTree(dim int, levels []int, logits func(depth, leafBase int) []float32
 // trees whose outputs are exact: sibling outputs that tie across subtrees,
 // path products that are zero or subnormal, a node whose product equals
 // the m′-th best leaf found (the walk must expand it: TopKIndices takes the
-// lower index), and NaN at a node the walk expands, which sends the row to
-// the full walk.
+// lower index), and NaN at a node the walk expands, after which the walk
+// expands every node.
 func TestBestFirstWalkMatchesFullWalkConstructed(t *testing.T) {
 	const dim = 4
 	q := []float32{0.5, -1, 2, 0}
@@ -225,7 +252,8 @@ func TestBestFirstWalkMatchesFullWalkConstructed(t *testing.T) {
 // model it never runs. Node 0's product is 0, below every leaf of node 2,
 // so a NaN model there changes nothing — the row, its models and the
 // candidates are those of the same tree with a finite node 0 — while the
-// full walk would carry the NaN to leaf 0 and select no member. Such a
+// full walk would carry the NaN to leaf 0 and select no member. A batch
+// routes each row through the same walk, so it prunes node 0 too. Such a
 // model needs broken weights: no query ValidateVector admits overflows a
 // trained model.
 func TestBestFirstWalkSkipsUnreachedModels(t *testing.T) {
@@ -245,11 +273,22 @@ func TestBestFirstWalkSkipsUnreachedModels(t *testing.T) {
 	}
 	broken, finite := OneTree(build(nan)), OneTree(build(0))
 	for _, mp := range []int{1, 2} {
-		var qb, qf QueryScratch
+		var qb, qf, qBatch QueryScratch
 		got := broken.CandidatesWith(&qb, q, mp)
 		want := finite.CandidatesWith(&qf, q, mp)
-		if !slices.Equal(got, want) || qb.RoutedModels() != 2 || qf.RoutedModels() != 2 {
-			t.Fatalf("m'=%d: candidates %v after %d models, finite tree's %v after %d", mp, got, qb.RoutedModels(), want, qf.RoutedModels())
+		if !slices.Equal(got, want) || qb.RoutedModels(0) != 2 || qf.RoutedModels(0) != 2 {
+			t.Fatalf("m'=%d: candidates %v after %d models, finite tree's %v after %d", mp, got, qb.RoutedModels(0), want, qf.RoutedModels(0))
+		}
+		copy(qBatch.Stage(1, dim), q)
+		broken.RouteBatch(&qBatch, mp)
+		batch := broken.AppendCandidatesRow(nil, 0, mp, &qBatch)
+		if !slices.Equal(bits(qBatch.probs[0]), bits(qb.probs[0])) || qBatch.RoutedModels(0) != 2 || len(batch) != len(got) {
+			t.Fatalf("m'=%d: batch row %v, %d candidates after %d models; single row %v, %d candidates", mp, qBatch.probs[0], len(batch), qBatch.RoutedModels(0), qb.probs[0], len(got))
+		}
+		for j, id := range batch {
+			if int(id) != got[j] {
+				t.Fatalf("m'=%d: batch candidate[%d] = %d, single %d", mp, j, id, got[j])
+			}
 		}
 	}
 }

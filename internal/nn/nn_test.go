@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -263,11 +264,14 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 // TestLoadRejectsMisshapenLayers: a decodable model whose layers do not
 // chain, or whose stored weights do not fill them, is an error at load
-// rather than a panic at load or on the first input.
+// rather than a panic at load or on the first input. So is one holding a
+// non-finite parameter or statistic, or a running variance + ε that is not
+// positive, which would turn every input into NaN outputs.
 func TestLoadRejectsMisshapenLayers(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
 	good := modelSpec{InDim: 3, Layers: []layerSpec{
 		{Kind: "dense", In: 3, Out: 2, W: make([]float32, 6), B: make([]float32, 2)},
-		{Kind: "batchnorm", Dim: 2, Gamma: make([]float32, 2), Beta: make([]float32, 2), RunMean: make([]float32, 2), RunVar: make([]float32, 2)},
+		{Kind: "batchnorm", Dim: 2, Gamma: make([]float32, 2), Beta: make([]float32, 2), RunMean: make([]float32, 2), RunVar: make([]float32, 2), Eps: 1e-5},
 		{Kind: "relu"},
 		{Kind: "dropout", P: 0.1},
 		{Kind: "dense", In: 2, Out: 4, W: make([]float32, 8), B: make([]float32, 4)},
@@ -292,9 +296,25 @@ func TestLoadRejectsMisshapenLayers(t *testing.T) {
 		"batchnorm stats": func(s *modelSpec) { s.Layers[1].RunVar = s.Layers[1].RunVar[:1] },
 		"dropout range":   func(s *modelSpec) { s.Layers[3].P = 1 },
 		"dropout NaN":     func(s *modelSpec) { s.Layers[3].P = math.NaN() },
+		"dense NaN W":     func(s *modelSpec) { s.Layers[0].W[4] = nan },
+		"dense +Inf b":    func(s *modelSpec) { s.Layers[4].B[3] = inf },
+		"batchnorm γ":     func(s *modelSpec) { s.Layers[1].Gamma[1] = nan },
+		"batchnorm β":     func(s *modelSpec) { s.Layers[1].Beta[0] = -inf },
+		"batchnorm mean":  func(s *modelSpec) { s.Layers[1].RunMean[1] = inf },
+		"batchnorm var":   func(s *modelSpec) { s.Layers[1].RunVar[0] = nan },
+		"variance + ε 0":  func(s *modelSpec) { s.Layers[1].Eps = 0 },
+		"variance + ε <0": func(s *modelSpec) { s.Layers[1].RunVar[1] = -1 },
+		"ε NaN":           func(s *modelSpec) { s.Layers[1].Eps = math.NaN() },
+		"ε +Inf":          func(s *modelSpec) { s.Layers[1].Eps = math.Inf(1) },
 	} {
 		s := good
-		s.Layers = append([]layerSpec(nil), good.Layers...)
+		s.Layers = make([]layerSpec, len(good.Layers))
+		for i, l := range good.Layers { // a deep copy: edits write into the slices
+			l.W, l.B = slices.Clone(l.W), slices.Clone(l.B)
+			l.Gamma, l.Beta = slices.Clone(l.Gamma), slices.Clone(l.Beta)
+			l.RunMean, l.RunVar = slices.Clone(l.RunMean), slices.Clone(l.RunVar)
+			s.Layers[i] = l
+		}
 		edit(&s)
 		if _, err := Load(encode(s), nil); err == nil {
 			t.Fatalf("%s: misshapen model loaded", name)

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 
 	"repro/internal/tensor"
@@ -67,7 +68,9 @@ func (s *Sequential) Save(w io.Writer) error {
 // stochastic layers (dropout); it may be nil if the model will only be used
 // for inference. Every layer's shape must chain from InDim and match the
 // weights stored for it, so a model that loads cannot index out of range
-// on an InDim-wide input.
+// on an InDim-wide input. Every stored parameter and running statistic must
+// be finite, and every running variance plus ε positive, so a model that
+// loads turns a finite input into finite logits unless they overflow.
 func Load(r io.Reader, rng *rand.Rand) (*Sequential, error) {
 	var spec modelSpec
 	if err := gob.NewDecoder(r).Decode(&spec); err != nil {
@@ -86,6 +89,9 @@ func Load(r io.Reader, rng *rand.Rand) (*Sequential, error) {
 				len(ls.RunMean) != width || len(ls.RunVar) != width),
 			ls.Kind == "dropout" && !(ls.P >= 0 && ls.P < 1):
 			return nil, fmt.Errorf("nn: layer %d (%s) does not fit a %d-wide input", i, ls.Kind, width)
+		case ls.Kind == "dense" && !finite(ls.W, ls.B),
+			ls.Kind == "batchnorm" && !(finite(ls.Gamma, ls.Beta, ls.RunMean, ls.RunVar) && positiveVariance(ls.RunVar, ls.Eps)):
+			return nil, fmt.Errorf("nn: layer %d (%s) holds a non-finite parameter or a variance + ε that is not positive", i, ls.Kind)
 		case ls.Kind == "dense":
 			width = ls.Out
 		}
@@ -115,4 +121,28 @@ func Load(r io.Reader, rng *rand.Rand) (*Sequential, error) {
 		}
 	}
 	return model, nil
+}
+
+// finite reports whether every value of every slice is finite.
+func finite(vals ...[]float32) bool {
+	for _, s := range vals {
+		for _, v := range s {
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// positiveVariance reports whether every running variance plus eps, the
+// radicand batch-norm inference takes the square root of, is positive and
+// finite.
+func positiveVariance(vars []float32, eps float64) bool {
+	for _, v := range vars {
+		if s := float64(v) + eps; !(s > 0) || math.IsInf(s, 1) {
+			return false
+		}
+	}
+	return true
 }

@@ -114,20 +114,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observed values, in recorded units.
 func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
-// Merge adds o's observations into h — the fan-in step for per-worker
-// histograms (each goroutine records into its own, contention-free, and the
-// coordinator merges). o keeps its counts; h and o may be recorded into
-// concurrently, with the usual snapshot-staleness caveat.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n > 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-}
-
 // load copies the bucket array. Individual loads are atomic; the array as a
 // whole is a monitoring-grade snapshot, not a linearizable one.
 func (h *Histogram) load() (bkts [histNumBuckets]uint64, total uint64) {

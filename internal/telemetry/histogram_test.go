@@ -157,29 +157,3 @@ func TestObserveNEqualsRepeatedObserve(t *testing.T) {
 		}
 	}
 }
-
-// TestMerge: merging per-worker histograms must equal recording everything
-// into one, bucket for bucket.
-func TestMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	merged := NewHistogram("t", "", "", 1)
-	direct := NewHistogram("t", "", "", 1)
-	for w := 0; w < 4; w++ {
-		part := NewHistogram("t", "", "", 1)
-		for i := 0; i < 5_000; i++ {
-			v := uint64(rng.Int63n(1 << 30))
-			part.Observe(v)
-			direct.Observe(v)
-		}
-		merged.Merge(part)
-	}
-	if merged.Count() != direct.Count() || merged.Sum() != direct.Sum() {
-		t.Fatalf("merged count/sum %d/%d != direct %d/%d",
-			merged.Count(), merged.Sum(), direct.Count(), direct.Sum())
-	}
-	for i := range merged.buckets {
-		if m, d := merged.buckets[i].Load(), direct.buckets[i].Load(); m != d {
-			t.Fatalf("bucket %d: merged %d != direct %d", i, m, d)
-		}
-	}
-}

@@ -85,9 +85,10 @@ func (ix *Index) plan(ep *epoch, k int, opt SearchOptions) queryPlan {
 // allocates.
 
 // route fills the scratch's probability rows for queries. One query takes
-// the single-row forward pass, and a tree runs only the models its probes
-// most probable leaves need; more are staged into one matrix and take one
-// batched pass per model. The probed leaves hold the same bits either way.
+// the single-row forward pass; more are staged into one matrix, which a
+// flat member routes in one batched pass. A tree runs, for each query, only
+// the models its probes most probable leaves need. The probed leaves hold
+// the same bits either way.
 func (s *Searcher) route(ep *epoch, queries [][]float32, probes int) {
 	if len(queries) == 1 {
 		ep.router.Route(&s.qs, queries[0], probes)
@@ -98,7 +99,7 @@ func (s *Searcher) route(ep *epoch, queries [][]float32, probes int) {
 	for i, q := range queries {
 		copy(buf[i*dim:(i+1)*dim], q)
 	}
-	ep.router.RouteBatch(&s.qs)
+	ep.router.RouteBatch(&s.qs, probes)
 }
 
 // lut builds the queries' ADC lookup tables back to back into s.luts — on
@@ -171,7 +172,7 @@ func (s *Searcher) answer(dst []Result, ep *epoch, p *queryPlan, i int, q, lut [
 	m.queries.Inc()
 	m.candidates.Add(uint64(len(s.cands)))
 	m.binsProbed.Add(p.binsProbed)
-	m.routeModels.Add(uint64(s.qs.RoutedModels()))
+	m.routeModels.Add(uint64(s.qs.RoutedModels(i)))
 	m.tombstonesSkipped.Add(uint64(s.skipped))
 	if ep.quant != nil {
 		m.adcQueries.Inc()

@@ -666,6 +666,32 @@ func TestLoadRejectsNonFiniteRows(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsNonFiniteModels: a model is untrusted bytes too. A
+// snapshot whose root model holds one NaN weight used to load, and most
+// queries then answered empty with no error. Saved through Save, such a
+// file is an error at Load now, for a tree's root and a flat member alike.
+func TestLoadRejectsNonFiniteModels(t *testing.T) {
+	vecs, _ := clusteredVectors(167, 300, 8, 4)
+	for name, opts := range map[string]Options{
+		"hierarchy": {Hierarchy: []int{2, 2}, Epochs: 5, Hidden: []int{8}, Seed: 168},
+		"ensemble":  {Bins: 4, Ensemble: 2, Epochs: 5, Hidden: []int{8}, Seed: 168},
+	} {
+		ix, err := Build(vecs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense := ix.live.Load().router.Parts[0].Model.Layers[0].(*nn.Dense)
+		dense.W.Value.Data[5] = float32(math.NaN())
+		var buf bytes.Buffer
+		if err := ix.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("%s: a snapshot with a NaN root weight loaded", name)
+		}
+	}
+}
+
 // failAfter passes the first n bytes through to w and fails every write
 // after them.
 type failAfter struct {

@@ -247,7 +247,8 @@ func TestSearchBatchTelemetry(t *testing.T) {
 
 // TestRouteModelsTelemetry: on a [4,4] tree (5 models) a single query at
 // Probes 1 runs the root and at least one child but, the tree being
-// trained, fewer than all five on average; at Probes 16, single or batched,
+// trained, fewer than all five on average; a batch of the same queries runs
+// exactly the models they ran one by one. At Probes 16, single or batched,
 // every query runs all five.
 func TestRouteModelsTelemetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -270,6 +271,13 @@ func TestRouteModelsTelemetry(t *testing.T) {
 	if pruned < 2*nq || pruned >= 5*nq {
 		t.Errorf("usp_route_models_total at Probes 1 = %d, want in [%d, %d)", pruned, 2*nq, 5*nq)
 	}
+	if _, err := ix.SearchBatch(queries, 5, SearchOptions{Probes: 1}); err != nil {
+		t.Fatal(err)
+	}
+	before := counterValue(t, ix, "usp_route_models_total")
+	if got := before - pruned; got != pruned {
+		t.Errorf("usp_route_models_total of a batch at Probes 1 = %d, the same queries one by one %d", got, pruned)
+	}
 	for _, q := range queries {
 		if _, err := s.Search(q, 5, SearchOptions{Probes: 16}); err != nil {
 			t.Fatal(err)
@@ -278,7 +286,7 @@ func TestRouteModelsTelemetry(t *testing.T) {
 	if _, err := ix.SearchBatch(queries, 5, SearchOptions{Probes: 16}); err != nil {
 		t.Fatal(err)
 	}
-	if got := counterValue(t, ix, "usp_route_models_total") - pruned; got != 2*5*nq {
+	if got := counterValue(t, ix, "usp_route_models_total") - before; got != 2*5*nq {
 		t.Errorf("usp_route_models_total at Probes 16 = %d, want %d", got, 2*5*nq)
 	}
 }

@@ -197,4 +197,17 @@ func TestBatchRoutingAllocations(t *testing.T) {
 		_, ix, vecs := buildQuantizedPair(t, 83, 600, 16, Quantization{Subspaces: 4, K: 32})
 		run(t, ix, vecs[:24], SearchOptions{Probes: 2})
 	})
+	// adc_large's shape: a quantized [4,4] tree, whose chunk rows each take
+	// the best-first walk, pruned at Probes 1 and expanding every node at 16.
+	t.Run("quantized-hierarchy", func(t *testing.T) {
+		vecs, _ := clusteredVectors(85, 600, 16, 4)
+		ix, err := Build(vecs, Options{Hierarchy: []int{4, 4}, Epochs: 10, Hidden: []int{8}, Seed: 86,
+			Quantize: Quantization{Enabled: true, Subspaces: 4, K: 32}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, probes := range []int{1, 16} {
+			run(t, ix, vecs[:24], SearchOptions{Probes: probes})
+		}
+	})
 }
