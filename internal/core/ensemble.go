@@ -96,8 +96,8 @@ func TrainEnsemble(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config, e int) (
 	return ens, stats, nil
 }
 
-// Route runs every member's routing pass for q through the single-row
-// kernel, leaving each member's leaf distribution in row 0 of its
+// Route runs every member's routing pass for q through single-row
+// inference, leaving each member's leaf distribution in row 0 of its
 // probability row, and selects row 0's member. A tree member's row is exact
 // for its mPrime most probable leaves and reads −1 at leaves its walk never
 // reached (topLeafProbs), so AppendCandidatesRow with mPrime or fewer bins,
@@ -114,12 +114,11 @@ func (e *Ensemble) Route(qs *QueryScratch, q []float32, mPrime int) {
 
 // RouteBatch runs every member's routing pass over the rows staged with
 // qs.Stage and selects each row's member. A flat member takes one batched
-// forward pass over the chunk (one MatMul per Dense layer instead of a row
-// of AXPY loops per query); a tree member routes each row through the walk
-// Route takes, so it runs only the models the row's mPrime most probable
-// leaves need. Every row is bit-identical to Route's for the same query:
-// batch and single-row inference share the same dispatched microkernels and
-// accumulation order, so a batch answers as its queries one by one do.
+// forward pass over the chunk; a tree member routes each row through the
+// walk Route takes, so it runs only the models the row's mPrime most
+// probable leaves need. Every row is bit-identical to Route's for the same
+// query: batch and single-row inference run one eval loop, so a batch
+// answers as its queries one by one do.
 func (e *Ensemble) RouteBatch(qs *QueryScratch, mPrime int) {
 	n, dim := qs.q.Rows, qs.q.Cols
 	qs.models = slices.Grow(qs.models[:0], n)[:n]
@@ -127,7 +126,7 @@ func (e *Ensemble) RouteBatch(qs *QueryScratch, mPrime int) {
 	for m, p := range e.Parts {
 		buf := slot(&qs.probs, m)
 		if p.children == nil {
-			*buf = p.Model.PredictBatchInto(*buf, &qs.q, &qs.batch)
+			*buf = p.Model.PredictBatchInto(*buf, &qs.q, &qs.Infer)
 			for i := range qs.models {
 				qs.models[i]++
 			}

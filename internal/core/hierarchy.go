@@ -149,7 +149,7 @@ func (p *Partitioner) LeafProbabilitiesInto(dst []float32, q []float32, qs *Quer
 }
 
 // topLeafProbs writes q's leaf distribution into dst (len M), exact for the
-// mPrime most probable leaves, through the single-row kernel, and returns
+// mPrime most probable leaves, through single-row inference, and returns
 // the number of models it ran. A flat partitioner's is its model's output.
 // A tree's leaf probability is the product of the model outputs along its
 // root→leaf path, multiplied from the root down (1·p is p exactly, so depth

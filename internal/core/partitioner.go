@@ -218,11 +218,11 @@ func (p *Partitioner) buildLookup(ds *dataset.Dataset) {
 }
 
 // predictBatched evaluates the model on every row of ds in chunks through
-// the batched inference kernel and one reused scratch, writing each chunk
+// the batched inference entry point and one reused scratch, writing each chunk
 // straight into the returned n×m probability matrix.
 func predictBatched(model *nn.Sequential, ds *dataset.Dataset, chunk int) *tensor.Matrix {
 	out := tensor.New(ds.N, model.OutDim())
-	var sc nn.BatchInferScratch
+	var sc nn.InferScratch
 	for lo := 0; lo < ds.N; lo += chunk {
 		hi := lo + chunk
 		if hi > ds.N {

@@ -17,10 +17,8 @@ import (
 //
 // The zero value is ready to use. Buffers grow on demand and are retained.
 type QueryScratch struct {
-	// Infer backs single-row model inference (nn.PredictVecInto).
+	// Infer backs model inference, single-row and batched.
 	Infer nn.InferScratch
-	// batch backs batched model inference (nn.PredictBatchInto).
-	batch nn.BatchInferScratch
 
 	q tensor.Matrix // staged query rows (filled by the caller via Stage)
 

@@ -163,8 +163,8 @@ func perRowADCScan(codes []uint8, m, kTab int, lut []float32, subset []int32, k 
 // count equal the per-row reference for subsets on either side of every
 // block boundary, with and without tombstones, for real codes and for a
 // code buffer holding only three distinct rows — there nearly every
-// candidate ties with the worst retained distance, so which ids survive at
-// the top-R boundary is decided by arrival order alone.
+// candidate ties with the worst retained distance, so the ids that survive
+// at the top-R boundary are decided by the tie rule alone.
 func TestBlockADCScanMatchesPerRowScan(t *testing.T) {
 	base, pq, codes, lut, _ := adcFixture(t, 47, 700, 16, 4, 16)
 	m := pq.Subspaces

@@ -1,8 +1,10 @@
 package knn
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -188,8 +190,8 @@ func perRowFloatScan(base *dataset.Dataset, subset []int32, q []float32, k int, 
 // count equal the per-row reference for subsets on either side of every
 // block boundary, with and without tombstones, for k up to beyond the subset, for a dimension with a scalar tail,
 // and for a dataset holding only three distinct rows — there nearly every
-// candidate ties with the worst retained distance, so which ids survive at
-// the cut is decided by arrival order alone.
+// candidate ties with the worst retained distance, so the ids that survive
+// at the cut are decided by the tie rule alone.
 func TestBlockFloatScanMatchesPerRowScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	const n, dim = 700, 19
@@ -230,6 +232,71 @@ func TestBlockFloatScanMatchesPerRowScan(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// firstK sorts ns by (distance, id) and returns its first k: the answer a
+// scan must give whatever order its candidates arrive in.
+func firstK(ns []vecmath.Neighbor, k int) []vecmath.Neighbor {
+	slices.SortFunc(ns, func(a, b vecmath.Neighbor) int {
+		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Index, b.Index)
+	})
+	return ns[:min(k, len(ns))]
+}
+
+// TestBlockScansBreakTiesByID feeds both block scans a candidate list in
+// descending id order over rows (and codes) that repeat in groups of four,
+// so every k below falls inside a group of equal distances: each scan must
+// keep the lowest ids of the group at the cut, as the answer over the same
+// candidates in any other order does.
+func TestBlockScansBreakTiesByID(t *testing.T) {
+	const n, dim, group = 600, 8, 4
+	rng := rand.New(rand.NewSource(53))
+	distinct := dataset.Uniform(n/group, dim, rng)
+	base := dataset.New(n, dim)
+	for i := 0; i < n; i++ {
+		copy(base.Row(i), distinct.Row(i/group))
+	}
+	base.EnsureSqNorms(true)
+	const m, kTab = 4, 16
+	codes := make([]uint8, n*m)
+	for i := 0; i < n; i += group {
+		for s := 0; s < m; s++ {
+			codes[i*m+s] = uint8(rng.Intn(kTab))
+		}
+		for j := 1; j < group; j++ {
+			copy(codes[(i+j)*m:(i+j+1)*m], codes[i*m:(i+1)*m])
+		}
+	}
+	lut := make([]float32, m*kTab)
+	for i := range lut {
+		lut[i] = float32(rng.Intn(8)) // small integers: many groups tie too
+	}
+	subset := make([]int32, n)
+	for i := range subset {
+		subset[i] = int32(n - 1 - i)
+	}
+	q := distinct.Row(0)
+	qNorm := vecmath.Dot(q, q)
+	floatAll := make([]vecmath.Neighbor, n)
+	adcAll := make([]vecmath.Neighbor, n)
+	for i := 0; i < n; i++ {
+		floatAll[i] = vecmath.Neighbor{Index: i, Dist: vecmath.SquaredL2Fused(q, base.Row(i), qNorm, base.SqNorms[i])}
+		adcAll[i] = vecmath.Neighbor{Index: i, Dist: vecmath.LUTSum(lut, kTab, codes[i*m:(i+1)*m])}
+	}
+	tk := vecmath.NewTopK(1)
+	for _, k := range []int{1, 3, 6, 10, 301} {
+		got, _ := SearchSubsetIntoCounted(nil, base, subset, q, k, tk, nil)
+		if want := firstK(floatAll, k); !slices.Equal(got, want) {
+			t.Fatalf("float scan k=%d: %v, want %v", k, got, want)
+		}
+		got, _ = SearchSubsetADCIntoCounted(nil, codes, m, kTab, lut, subset, k, tk, nil)
+		if want := firstK(adcAll, k); !slices.Equal(got, want) {
+			t.Fatalf("ADC scan k=%d: %v, want %v", k, got, want)
 		}
 	}
 }

@@ -60,9 +60,9 @@ const scanBlock = 256
 // Both scans below have one shape. Up to scanBlock ids — tombstoned ones
 // dropped into a stack buffer first, when the epoch has any — are scored by
 // one block-kernel call into a second stack buffer, and an entry reaches
-// TopK.Push only if Push would retain it: the test is Push's own rejection,
-// read against the current worst retained distance, so the retained set and
-// the tie rule are those of pushing every candidate in subset order.
+// TopK.Push unless its distance exceeds the current worst retained one. A
+// tie at the cut reaches Push, which decides it by id, so the retained set
+// is that of pushing every candidate, in any order.
 
 // dropTombstoned copies the ids of a block that are not in skip to live,
 // in order, and returns them with the number dropped.
@@ -106,7 +106,7 @@ func SearchSubsetIntoCounted(dst []vecmath.Neighbor, base *dataset.Dataset, subs
 		worst, full := tk.Worst()
 		for i, dot := range dots {
 			id := ids[i]
-			if d := vecmath.SquaredL2FromDot(dot, qNorm, norms[id]); !full || !(d >= worst) {
+			if d := vecmath.SquaredL2FromDot(dot, qNorm, norms[id]); !full || !(d > worst) {
 				tk.Push(int(id), d)
 				worst, full = tk.Worst()
 			}
@@ -141,7 +141,7 @@ func SearchSubsetADCIntoCounted(dst []vecmath.Neighbor, codes []uint8, m, kTab i
 		vecmath.LUTSumRows(dist[:], lut, kTab, codes, m, ids)
 		worst, full := tk.Worst()
 		for i, id := range ids {
-			if d := dist[i]; !full || !(d >= worst) {
+			if d := dist[i]; !full || !(d > worst) {
 				tk.Push(int(id), d)
 				worst, full = tk.Worst()
 			}

@@ -4,20 +4,29 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/vecmath"
+	"repro/internal/par"
+	"repro/internal/tensor"
 )
 
-// Single-row, allocation-free inference. The online query path evaluates the
-// model on one vector at a time; PredictVecInto runs the eval arithmetic
-// (running batch-norm statistics, dropout off) through a caller-owned
-// scratch, bit-identical to the matching row of PredictBatchInto.
+// Allocation-free inference. The online phase evaluates the model on one
+// query (PredictVecInto) or on a micro-batch of them (PredictBatchInto);
+// offline training's per-epoch assignment snapshot and lookup-table build
+// evaluate it on the whole dataset (Predict). All of them run one eval loop
+// (running batch-norm statistics, dropout off) over packed rows, and every
+// dense row in it is one tensor.MulRowInto, the row kernel of training's
+// MatMul. A row's probabilities therefore carry the same bits whichever
+// entry point ran it and whatever rows shared its call.
 
-// InferScratch holds the reusable buffers for PredictVecInto. The zero value
-// is ready to use; buffers grow on demand and are retained between calls, so
-// steady-state inference performs no allocation.
+// InferScratch holds the reusable buffers of the eval loop. The zero value
+// is ready to use; buffers grow on demand and are retained between calls,
+// so steady-state inference performs no allocation.
 type InferScratch struct {
 	cur, nxt []float32
 }
+
+// BatchInferScratch is another name for InferScratch, kept for callers that
+// name the scratch after the batch entry point.
+type BatchInferScratch = InferScratch
 
 func growF32(buf []float32, n int) []float32 {
 	if cap(buf) < n {
@@ -31,19 +40,51 @@ func growF32(buf []float32, n int) []float32 {
 // running batch-norm statistics, dropout disabled. PredictVec is its
 // allocating form.
 func (s *Sequential) PredictVecInto(dst []float32, v []float32, sc *InferScratch) []float32 {
-	sc.cur = growF32(sc.cur, len(v))
-	copy(sc.cur, v)
+	return append(dst[:0], s.inferRows(v, 1, len(v), sc)...)
+}
+
+// PredictBatchInto computes the model's bin probability distribution for
+// every row of X into dst (grown as needed; row-major X.Rows×OutDim) and
+// returns it. Row i of the result is bit-identical to
+// PredictVecInto(nil, X.Row(i), ...): both run the same loop. Predict is its
+// allocating form.
+func (s *Sequential) PredictBatchInto(dst []float32, X *tensor.Matrix, sc *InferScratch) []float32 {
+	return append(dst[:0], s.inferRows(X.Data[:X.Rows*X.Cols], X.Rows, X.Cols, sc)...)
+}
+
+// splitRows is the row count from which a dense layer splits its rows
+// across workers, as tensor.MatMul does; only whole-dataset inference
+// reaches it.
+const splitRows = 1024
+
+// inferRows is the eval loop: it runs the rows packed in x, each in wide,
+// through every layer and the softmax, and returns their probabilities,
+// packed, in a buffer of sc.
+func (s *Sequential) inferRows(x []float32, rows, in int, sc *InferScratch) []float32 {
+	sc.cur = append(sc.cur[:0], x...)
+	width := in
 	for _, l := range s.Layers {
 		switch ly := l.(type) {
 		case *Dense:
-			sc.nxt = growF32(sc.nxt, ly.W.Value.Cols)
-			ly.inferRow(sc.nxt, sc.cur)
+			sc.nxt = growF32(sc.nxt, rows*ly.W.Value.Cols)
+			// The row count is checked first because par.Workers takes the
+			// scheduler lock; the closure is made only where it runs, as it
+			// escapes.
+			if rows < splitRows || par.Workers() == 1 {
+				ly.inferRows(sc.nxt, sc.cur, width, 0, rows)
+			} else {
+				nxt, cur, w := sc.nxt, sc.cur, width
+				par.ForChunks(rows, func(lo, hi int) { ly.inferRows(nxt, cur, w, lo, hi) })
+			}
 			sc.cur, sc.nxt = sc.nxt, sc.cur
+			width = ly.W.Value.Cols
 		case *BatchNorm:
-			ly.inferRow(sc.cur)
+			for i := range rows {
+				ly.inferRow(sc.cur[i*width : (i+1)*width])
+			}
 		case *ReLU:
-			for i, x := range sc.cur {
-				if x <= 0 {
+			for i, v := range sc.cur {
+				if v <= 0 {
 					sc.cur[i] = 0
 				}
 			}
@@ -53,29 +94,22 @@ func (s *Sequential) PredictVecInto(dst []float32, v []float32, sc *InferScratch
 			panic(fmt.Sprintf("nn: no inference kernel for %T", l))
 		}
 	}
-	softmaxRow(sc.cur)
-	dst = append(dst[:0], sc.cur...)
-	return dst
+	for i := range rows {
+		softmaxRow(sc.cur[i*width : (i+1)*width])
+	}
+	return sc.cur
 }
 
-// inferRow computes dst = x·W + b for a single row, mirroring
-// tensor.MatMul's k-major accumulation (the same dispatched vecmath.AXPY
-// microkernel, the same skip of zero inputs) followed by the bias add, so
-// the result matches the batch path bitwise whichever kernel implementation
-// — scalar or SIMD — the process dispatched at init.
-func (d *Dense) inferRow(dst, x []float32) {
-	w := d.W.Value
-	for j := range dst {
-		dst[j] = 0
-	}
-	for k, xv := range x {
-		if xv == 0 {
-			continue
+// inferRows computes rows [lo, hi) of dst = x·W + b, x's rows packed in
+// wide: each row one tensor.MulRowInto, then the bias add.
+func (d *Dense) inferRows(dst, x []float32, in, lo, hi int) {
+	out := d.W.Value.Cols
+	for i := lo; i < hi; i++ {
+		row := dst[i*out : (i+1)*out]
+		tensor.MulRowInto(row, x[i*in:(i+1)*in], d.W.Value)
+		for j, bv := range d.B.Value.Data {
+			row[j] += bv
 		}
-		vecmath.AXPY(xv, w.Row(k), dst)
-	}
-	for j, bv := range d.B.Value.Data {
-		dst[j] += bv
 	}
 }
 

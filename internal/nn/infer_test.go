@@ -110,8 +110,8 @@ func referenceLogits(t *testing.T, s *Sequential, x *tensor.Matrix) *tensor.Matr
 // TestPredictKernelsMatchReference pins PredictVecInto, every row of
 // PredictBatchInto, and Predict bit for bit to referencePredict, on a
 // trained MLP and a logistic model, with zero inputs and an all-zero row in
-// the batch, at a small batch and at one large enough for the parallel
-// MatMul.
+// the batch, at a small batch, at one large enough to split across workers,
+// and at batches of one row and of none.
 func TestPredictKernelsMatchReference(t *testing.T) {
 	const in, out = 11, 5
 	rng := rand.New(rand.NewSource(4))
@@ -123,17 +123,25 @@ func TestPredictKernelsMatchReference(t *testing.T) {
 		{"mlp", trainedMLP(t, in, out), 50},
 		{"mlp-large", trainedMLP(t, in, out), 1100},
 		{"logistic", NewLogistic(in, out, rand.New(rand.NewSource(5))), 50},
+		{"mlp-one-row", trainedMLP(t, in, out), 1},
+		{"mlp-no-rows", trainedMLP(t, in, out), 0},
 	} {
 		x := randInput(rng, tc.rows, in)
 		for i := 0; i < x.Rows; i += 7 {
 			x.Set(i, i%in, 0) // exercise MatMul's zero-input skip
 		}
-		clear(x.Row(1))
+		if x.Rows > 1 {
+			clear(x.Row(1))
+		}
 		want := referencePredict(t, tc.model, x)
 
 		var bsc BatchInferScratch
 		batch := tc.model.PredictBatchInto(nil, x, &bsc)
 		pred := tc.model.Predict(x)
+		if len(batch) != x.Rows*out || pred.Rows != x.Rows || pred.Cols != out {
+			t.Fatalf("%s: PredictBatchInto gave %d floats, Predict %dx%d, for %d rows of %d bins",
+				tc.name, len(batch), pred.Rows, pred.Cols, x.Rows, out)
+		}
 		var sc InferScratch
 		var vec []float32
 		for i := 0; i < x.Rows; i++ {
@@ -164,7 +172,8 @@ const probSumTol = 1e-5
 // both): each row sums to 1 within probSumTol, its argmax is the logits'
 // argmax, and every probability is finite and in [0, 1], also at extreme
 // finite logits (±1e30, through a constructed Dense), where an exp taken
-// without subtracting the row maximum overflows.
+// without subtracting the row maximum overflows, and at +Inf logits (a
+// constructed Dense with two +Inf biases), where subtracting it gives NaN.
 func TestProbabilityInvariants(t *testing.T) {
 	const in, out = 6, 7
 	rng := rand.New(rand.NewSource(6))
@@ -174,6 +183,9 @@ func TestProbabilityInvariants(t *testing.T) {
 			p.Value.Data[i] = float32(rng.Float64()*2-1) * 1e30
 		}
 	}
+	infinite := NewLogistic(in, out, rand.New(rand.NewSource(9)))
+	bias := infinite.Layers[0].(*Dense).B.Value.Data
+	bias[2], bias[5] = float32(math.Inf(1)), float32(math.Inf(1))
 	for _, tc := range []struct {
 		name  string
 		model *Sequential
@@ -183,6 +195,7 @@ func TestProbabilityInvariants(t *testing.T) {
 		{"mlp-wide-inputs", trainedMLP(t, in, out), 1e4},
 		{"logistic", NewLogistic(in, out, rand.New(rand.NewSource(8))), 1},
 		{"extreme-logits", extreme, 1},
+		{"inf-logits", infinite, 1},
 	} {
 		x := randInput(rng, 40, in)
 		for i := range x.Data {
@@ -220,6 +233,9 @@ func TestProbabilityInvariants(t *testing.T) {
 			}
 		}
 		if tc.name == "extreme-logits" && maxLogit < 1e29 {
+			t.Fatalf("constructed Dense reached logits of only %g", maxLogit)
+		}
+		if tc.name == "inf-logits" && !math.IsInf(maxLogit, 1) {
 			t.Fatalf("constructed Dense reached logits of only %g", maxLogit)
 		}
 	}

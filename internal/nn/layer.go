@@ -7,8 +7,9 @@
 // (see DESIGN.md). Differentiation is layer-wise reverse mode over a static
 // sequential graph: each Layer implements Forward and Backward with analytic
 // gradients, verified against numeric differentiation in gradcheck_test.go.
-// Inference does not go through Forward: it runs on two allocation-free
-// kernels, PredictVecInto for one row and PredictBatchInto for a matrix.
+// Inference does not go through Forward: it runs one allocation-free eval
+// loop over packed rows, entered by PredictVecInto for one row and by
+// PredictBatchInto for a matrix.
 //
 // All matrices are row-major with one sample per row (batch×features).
 package nn

@@ -39,6 +39,38 @@ func TestSoftmaxRowsSumsToOne(t *testing.T) {
 	}
 }
 
+// TestSoftmax_NumericalStability: large finite logits, and rows whose
+// maximum is infinite, each give a distribution with no NaN — for an
+// infinite maximum, the limit: uniform over the entries at the maximum.
+func TestSoftmax_NumericalStability(t *testing.T) {
+	inf := float32(math.Inf(1))
+	for _, tc := range []struct {
+		name       string
+		row, probs []float32
+	}{
+		{"large", []float32{1000, 1001, 1002}, nil},
+		{"one +Inf", []float32{1, inf, -3, 1e30}, []float32{0, 1, 0, 0}},
+		{"several +Inf", []float32{inf, 2, inf, -inf, inf, inf}, []float32{0.25, 0, 0.25, 0, 0.25, 0.25}},
+		{"all -Inf", []float32{-inf, -inf, -inf, -inf}, []float32{0.25, 0.25, 0.25, 0.25}},
+	} {
+		row := slices.Clone(tc.row)
+		softmaxRow(row)
+		var sum float64
+		for _, p := range row {
+			if math.IsNaN(float64(p)) || math.IsInf(float64(p), 0) || p < 0 || p > 1 {
+				t.Fatalf("%s: bad prob %v in %v", tc.name, p, row)
+			}
+			sum += float64(p)
+		}
+		if math.Abs(sum-1) > probSumTol {
+			t.Fatalf("%s: %v sums to %v", tc.name, row, sum)
+		}
+		if tc.probs != nil && !slices.Equal(row, tc.probs) {
+			t.Fatalf("%s: %v, want %v", tc.name, row, tc.probs)
+		}
+	}
+}
+
 func TestLogSoftmaxConsistentWithSoftmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	row := []float32{1.5, -2, 0.25, 3}

@@ -113,7 +113,7 @@ func (s *Sequential) ZeroGrads() {
 // Predict returns the bin probabilities of every row of x: the allocating
 // form of PredictBatchInto (running batch-norm statistics, dropout off).
 func (s *Sequential) Predict(x *tensor.Matrix) *tensor.Matrix {
-	var sc BatchInferScratch
+	var sc InferScratch
 	return tensor.FromSlice(x.Rows, s.OutDim(), s.PredictBatchInto(nil, x, &sc))
 }
 
@@ -135,13 +135,25 @@ func SoftmaxRows(m *tensor.Matrix) {
 }
 
 // softmaxRow converts one row of logits to a probability distribution in
-// place using the max-subtraction trick for stability (float64 sum).
+// place using the max-subtraction trick for stability (float64 sum). A row
+// whose maximum is infinite gets the limit of softmax instead of the NaN
+// Inf − Inf would give: uniform over the entries equal to the maximum, 0
+// elsewhere (for an all −Inf row, uniform over the row).
 func softmaxRow(row []float32) {
 	maxv := row[0]
 	for _, v := range row[1:] {
 		if v > maxv {
 			maxv = v
 		}
+	}
+	if math.IsInf(float64(maxv), 0) {
+		for j, v := range row {
+			row[j] = float32(math.Inf(-1))
+			if v == maxv {
+				row[j] = 0
+			}
+		}
+		maxv = 0
 	}
 	var sum float64
 	for j, v := range row {

@@ -8,11 +8,11 @@
 //
 // The matmul family is built on the dispatched vecmath microkernels (AXPY
 // for the k-major variants, Dot for the contiguous-inner-product one), so
-// it picks up the SIMD ports automatically and — critically — shares its
-// accumulation arithmetic with the single-row inference path in internal/nn
-// (nn.(*Dense).inferRow calls the same AXPY kernel), keeping batch and
-// single-row results bit-identical per process whichever implementation is
-// dispatched.
+// it picks up the SIMD ports automatically. One row of MatMul is
+// MulRowInto, the function every dense row of the library runs: training's
+// MatMul, and nn's inference on one query or a batch of them. Training and
+// inference, and batch and single row, share one arithmetic by
+// construction, whichever kernel implementation the process dispatched.
 package tensor
 
 import (
@@ -82,21 +82,17 @@ func (m *Matrix) T() *Matrix {
 }
 
 // MatMul computes dst = a · b. dst must be a.Rows×b.Cols and must not alias a
-// or b. The kernel parallelizes over rows of a and iterates k-major within a
-// row so that the inner loop is a contiguous AXPY over b's rows (cache
-// friendly for row-major operands), dispatched through vecmath to the SIMD
-// port when one is active. Zero inputs are skipped — worthwhile for the
-// sparse activations ReLU produces, and exactly mirrored by nn's single-row
-// inference path.
+// or b. Each row is one MulRowInto; the rows split across workers from
+// seqRowThreshold rows on.
 func MatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	// Small operands run inline: par.ForChunks would execute them on the
-	// calling goroutine anyway, and skipping it keeps the micro-batched
-	// inference path free of the escaping-closure allocation (the batched
-	// query path is 0-allocs/op-gated in CI).
+	// calling goroutine anyway, and skipping it saves the escaping closure's
+	// allocation. The row count is checked first because par.Workers takes
+	// the scheduler lock.
 	if a.Rows < seqRowThreshold || par.Workers() == 1 {
 		matMulRows(dst, a, b, 0, a.Rows)
 		return
@@ -113,17 +109,25 @@ const seqRowThreshold = 1024
 
 func matMulRows(dst, a, b *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for x := range drow {
-			drow[x] = 0
+		MulRowInto(dst.Row(i), a.Row(i), b)
+	}
+}
+
+// MulRowInto computes the row dst = x·b, where len(x) == b.Rows and
+// len(dst) == b.Cols. It iterates k-major, so the inner loop is a contiguous
+// AXPY over b's rows dispatched through vecmath, and skips zero inputs
+// (worthwhile for the sparse activations ReLU produces), so a zero input
+// contributes nothing even where its row of b holds ±Inf or NaN.
+func MulRowInto(dst, x []float32, b *Matrix) {
+	if len(x) != b.Rows || len(dst) != b.Cols {
+		panic("tensor: MulRowInto shape mismatch")
+	}
+	clear(dst)
+	for k, xv := range x {
+		if xv == 0 {
+			continue
 		}
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			vecmath.AXPY(av, b.Row(k), drow)
-		}
+		vecmath.AXPY(xv, b.Row(k), dst)
 	}
 }
 
@@ -188,17 +192,7 @@ func AddRowVector(m *Matrix, vec []float32) {
 	if len(vec) != m.Cols {
 		panic("tensor: AddRowVector length mismatch")
 	}
-	if m.Rows < seqRowThreshold || par.Workers() == 1 {
-		addRowVectorRows(m, vec, 0, m.Rows)
-		return
-	}
-	par.ForChunks(m.Rows, func(lo, hi int) {
-		addRowVectorRows(m, vec, lo, hi)
-	})
-}
-
-func addRowVectorRows(m *Matrix, vec []float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j, v := range vec {
 			row[j] += v

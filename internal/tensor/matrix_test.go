@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -79,6 +80,61 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
+// TestMulRowIntoMatchesMatMulRow requires every row of MatMul — inline, and
+// split across workers from 1 024 rows — to carry the bits MulRowInto gives
+// that row alone, on random shapes whose inputs and weights include 0, −0,
+// NaN and ±Inf.
+func TestMulRowIntoMatchesMatMulRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	special := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	sprinkle := func(m *Matrix) {
+		for i := range m.Data {
+			if rng.Intn(6) == 0 {
+				m.Data[i] = special[rng.Intn(len(special))]
+			}
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		n, k, m := 1+rng.Intn(20), 1+rng.Intn(40), 1+rng.Intn(40)
+		if trial%10 == 0 {
+			n = seqRowThreshold + rng.Intn(100)
+		}
+		a, b := randMat(rng, n, k), randMat(rng, k, m)
+		if trial%2 == 1 {
+			sprinkle(a)
+			sprinkle(b)
+		}
+		dst := New(n, m)
+		MatMul(dst, a, b)
+		row := make([]float32, m)
+		for i := 0; i < n; i++ {
+			MulRowInto(row, a.Row(i), b)
+			for j, v := range dst.Row(i) {
+				if math.Float32bits(row[j]) != math.Float32bits(v) {
+					t.Fatalf("trial %d (%dx%d·%dx%d) row %d col %d: MulRowInto %v, MatMul %v", trial, n, k, k, m, i, j, row[j], v)
+				}
+			}
+		}
+	}
+}
+
+// TestMulRowIntoSkipsZeroInputs: an input of 0 or −0 contributes nothing,
+// so the ±Inf and NaN in its row of weights never reach the output as
+// 0·Inf = NaN, while a nonzero input meets them.
+func TestMulRowIntoSkipsZeroInputs(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	b := FromSlice(3, 2, []float32{inf, nan, 2, 3, -inf, 5})
+	dst := []float32{7, 7}
+	MulRowInto(dst, []float32{0, 1, float32(math.Copysign(0, -1))}, b)
+	if dst[0] != 2 || dst[1] != 3 {
+		t.Fatalf("zero inputs leaked into the row: %v, want [2 3]", dst)
+	}
+	MulRowInto(dst, []float32{1, 1, 0}, b)
+	if !math.IsInf(float64(dst[0]), 1) || !math.IsNaN(float64(dst[1])) {
+		t.Fatalf("nonzero input over Inf/NaN weights gave %v, want [+Inf NaN]", dst)
+	}
+}
+
 func TestAddRowVector(t *testing.T) {
 	m := FromSlice(2, 2, []float32{1, 2, 3, 4})
 	AddRowVector(m, []float32{10, 20})
@@ -129,6 +185,8 @@ func TestShapePanics(t *testing.T) {
 	mustPanic("MatMul", func() { MatMul(New(2, 2), New(2, 3), New(2, 2)) })
 	mustPanic("MatMulATB", func() { MatMulATB(New(2, 2), New(3, 2), New(4, 2)) })
 	mustPanic("MatMulABT", func() { MatMulABT(New(2, 2), New(2, 3), New(2, 4)) })
+	mustPanic("MulRowInto input", func() { MulRowInto(make([]float32, 2), make([]float32, 3), New(2, 2)) })
+	mustPanic("MulRowInto output", func() { MulRowInto(make([]float32, 3), make([]float32, 2), New(2, 2)) })
 	mustPanic("AddRowVector", func() { AddRowVector(New(2, 2), []float32{1}) })
 	mustPanic("ColSums", func() { ColSums(make([]float32, 1), New(2, 2)) })
 	mustPanic("negative", func() { New(-1, 2) })

@@ -12,14 +12,17 @@ type Neighbor struct {
 	Dist  float32
 }
 
-// TopK maintains the k smallest-distance neighbors seen so far using a
-// bounded max-heap: the root is the current worst retained neighbor, so a new
-// candidate is admitted in O(log k) only when it beats the root.
+// TopK maintains the k smallest neighbors seen so far under compareNeighbors
+// — ascending distance, ties broken by ascending index — using a bounded
+// max-heap: the root is the current worst retained neighbor, so a new
+// candidate is admitted in O(log k) only when it beats the root. The
+// retained set is the first k of everything pushed in that order, whatever
+// order the pushes came in.
 //
 // The zero value is not usable; construct with NewTopK.
 type TopK struct {
 	k    int
-	heap []Neighbor // max-heap on Dist
+	heap []Neighbor // max-heap under compareNeighbors
 }
 
 // NewTopK returns a selector retaining the k nearest neighbors.
@@ -51,7 +54,7 @@ func (t *TopK) Push(index int, dist float32) {
 		t.siftUp(len(t.heap) - 1)
 		return
 	}
-	if dist >= t.heap[0].Dist {
+	if compareNeighbors(Neighbor{index, dist}, t.heap[0]) >= 0 {
 		return
 	}
 	t.heap[0] = Neighbor{index, dist}
@@ -61,7 +64,7 @@ func (t *TopK) Push(index int, dist float32) {
 func (t *TopK) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if t.heap[parent].Dist >= t.heap[i].Dist {
+		if compareNeighbors(t.heap[parent], t.heap[i]) >= 0 {
 			return
 		}
 		t.heap[parent], t.heap[i] = t.heap[i], t.heap[parent]
@@ -74,10 +77,10 @@ func (t *TopK) siftDown(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
-		if l < n && t.heap[l].Dist > t.heap[largest].Dist {
+		if l < n && compareNeighbors(t.heap[l], t.heap[largest]) > 0 {
 			largest = l
 		}
-		if r < n && t.heap[r].Dist > t.heap[largest].Dist {
+		if r < n && compareNeighbors(t.heap[r], t.heap[largest]) > 0 {
 			largest = r
 		}
 		if largest == i {

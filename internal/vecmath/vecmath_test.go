@@ -3,6 +3,7 @@ package vecmath
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -174,6 +175,38 @@ func TestTopKWorst(t *testing.T) {
 	tk.Reset()
 	if tk.Len() != 0 {
 		t.Fatal("Reset did not empty")
+	}
+}
+
+// TestTopKTiesIndependentOfPushOrder pushes every permutation drawn of a
+// list whose distances repeat, so ties fall at the cut, and requires the
+// list's first k under compareNeighbors each time: the retained set must
+// not depend on which equal-distance neighbor came first.
+func TestTopKTiesIndependentOfPushOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	all := make([]Neighbor, 40)
+	for i := range all {
+		all[i] = Neighbor{i, float32(rng.Intn(5))}
+	}
+	want := slices.Clone(all)
+	sortNeighbors(want)
+	var got []Neighbor
+	for trial := 0; trial < 50; trial++ {
+		order := rng.Perm(len(all))
+		if trial == 0 { // descending ids: every tie arrives worst id first
+			slices.Sort(order)
+			slices.Reverse(order)
+		}
+		for _, k := range []int{1, 3, 7, 16, 39} {
+			tk := NewTopK(k)
+			for _, i := range order {
+				tk.Push(all[i].Index, all[i].Dist)
+			}
+			got = tk.AppendSorted(got[:0])
+			if !slices.Equal(got, want[:k]) {
+				t.Fatalf("trial %d k=%d: kept %v, want %v", trial, k, got, want[:k])
+			}
+		}
 	}
 }
 

@@ -253,13 +253,12 @@ const (
 
 // SearchBatch answers many queries in one call as a staged pipeline: the
 // batch fans out over the worker pool, and each worker processes its span in
-// staged chunks — one batched routing forward pass for the whole chunk (one
-// dispatched MatMul per Dense layer instead of a per-query AXPY loop; on the
-// quantized path, one batched ADC-table build), then a per-query candidate
-// gather + scan through the worker's pooled scratch. Results align with
-// queries by position and are bit-identical to looped single Search calls:
-// batch and single-row inference share the same dispatched microkernels and
-// accumulation order (pinned by TestSearchBatchBitIdentical).
+// staged chunks — one batched routing forward pass for the whole chunk (on
+// the quantized path, one batched ADC-table build), then a per-query
+// candidate gather + scan through the worker's pooled scratch. Results align
+// with queries by position and are bit-identical to looped single Search
+// calls: batch and single-row inference run one eval loop (pinned by
+// TestSearchBatchBitIdentical).
 //
 // It is safe to call concurrently with Search, Add, Delete, and compaction;
 // each staged chunk resolves one epoch snapshot, so a chunk observes either

@@ -11,9 +11,7 @@ package usp
 // settings the union of the shards' candidate sets reproduces the parent's
 // candidate set exactly. Distances are computed by the same fused kernel
 // over identical row bytes, so merging the per-shard top-k by (distance,
-// global id) yields results bit-identical to the parent's (exact distance
-// ties — only possible with duplicate vectors — may resolve to a different
-// equal-distance id). Each shard records its global offset (IDOffset) so a
+// global id) yields results bit-identical to the parent's. Each shard records its global offset (IDOffset) so a
 // fan-out front can map local result ids back.
 //
 // One quantized mode is the exception: a bounded two-phase re-rank

@@ -60,8 +60,8 @@ const maxSqNorm = math.MaxFloat32 / 8
 // point and Load apply it.
 //
 // A non-finite coordinate makes every distance to or from the vector NaN,
-// and NaN compares false against the top-k's worst retained distance, so
-// the selection would admit every candidate in arrival order. A finite
+// and NaN is unordered against every distance, so the top-k's selection
+// would no longer be by distance. A finite
 // vector can overflow all the same: a row of 1e20s has a squared norm of
 // 8e40 in float32, which is +Inf. The bound B = MaxFloat32/8 rules that
 // out. The norm is summed in float64, where no float32 input overflows it.
