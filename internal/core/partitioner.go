@@ -100,6 +100,15 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config, weights []float3
 
 	var last nn.LossResult
 	snapshot := make([]int32, n) // bin assignment of every point, refreshed per epoch
+	// One batch's inputs, soft targets and weights, refilled per batch and
+	// dropped with this call: the model keeps no reference to them past
+	// Backward.
+	xBuf := make([]float32, cfg.BatchSize*ds.Dim)
+	tBuf := make([]float32, cfg.BatchSize*m)
+	var wBuf []float32
+	if weights != nil {
+		wBuf = make([]float32, cfg.BatchSize)
+	}
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		// Refresh the assignment snapshot used for quality targets.
@@ -121,11 +130,12 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config, weights []float3
 			if b < 2 {
 				continue // balance term degenerate on singleton batches
 			}
-			x := tensor.New(b, ds.Dim)
-			targets := tensor.New(b, m)
+			x := tensor.FromSlice(b, ds.Dim, xBuf[:b*ds.Dim])
+			targets := tensor.FromSlice(b, m, tBuf[:b*m])
+			clear(targets.Data)
 			var w []float32
 			if weights != nil {
-				w = make([]float32, b)
+				w = wBuf[:b]
 			}
 			for bi, pi := range idx {
 				copy(x.Row(bi), ds.Row(pi))

@@ -237,15 +237,53 @@ func TestBestFirstWalkMatchesFullWalkConstructed(t *testing.T) {
 	// NaN met after the four best leaves are found (nodes 2 and 3, leaves
 	// 4–7), at node 1, whose product is below theirs but above their
 	// leaves'. Node 0 is below every leaf found and would be left: but
-	// TopKIndices fills its first slots with leaves 0 and 1 in value order
-	// before the NaNs of leaves 2 and 3 block the rest, so leaves 0 and 1
-	// must hold their values, and only the full walk gives them.
-	nanLate := fixedTree(dim, []int{4, 2}, at(map[[2]int][]float32{
-		{0, 0}: {-5, -0.5, tie, tie},
-		{1, 0}: {-1, tie},
-		{1, 2}: {nan, tie},
-	}, []float32{tie, tie}))
-	requireTopMatchesFull(t, "NaN after the top leaves", nanLate, q)
+	// TopKIndices ranks leaves 0 and 1 above the NaNs of leaves 2 and 3, so
+	// from m′ = 5 leaves 0 and 1 must hold their values, and only the full
+	// walk gives them.
+	requireTopMatchesFull(t, "NaN after the top leaves", nanLateTree(dim), q)
+}
+
+// nanLateTree is a [4,2] tree whose row for any query is [u0, u1, NaN, NaN,
+// ¼·½, ¼·½, ¼·½, ¼·½] with u0 < u1 < ⅛: its node 1 outputs NaN, after the
+// four best leaves' nodes.
+func nanLateTree(dim int) *Partitioner {
+	return fixedTree(dim, []int{4, 2}, func(depth, leafBase int) []float32 {
+		switch {
+		case depth == 0:
+			return []float32{-5, -0.5, 0, 0}
+		case leafBase == 0:
+			return []float32{-1, 0}
+		case leafBase == 2:
+			return []float32{float32(math.NaN()), 0}
+		}
+		return []float32{0, 0}
+	})
+}
+
+// TestAddedRowInEveryProbeOfNaNRow: on a routing row holding NaN after its
+// numbers, the leaf Add picks (ArgMax) is the top-1 leaf a query probes, and
+// the ranked leaves nest, so a row added with some vector is a candidate of
+// that vector at every probe count, single and batched.
+func TestAddedRowInEveryProbeOfNaNRow(t *testing.T) {
+	const dim, id = 4, 100
+	q := []float32{0.5, -1, 2, 0}
+	tree := OneTree(nanLateTree(dim))
+	var qs, qsBatch QueryScratch
+	bins := tree.RouteBinsWith(&qs, q, nil)
+	if row := qs.probs[0]; row[2] == row[2] || row[3] == row[3] || bins[0] < 4 {
+		t.Fatalf("row %v routed Add to leaf %v, want NaN leaves 2 and 3 and a leaf of 4–7", row, bins)
+	}
+	tree.InsertRouted(id, bins)
+	copy(qsBatch.Stage(1, dim), q)
+	for mp := 1; mp <= tree.Parts[0].M; mp++ {
+		if got := tree.CandidatesWith(&qs, q, mp); !slices.Contains(got, id) {
+			t.Fatalf("m'=%d: candidates %v miss the row added at leaf %d", mp, got, bins[0])
+		}
+		tree.RouteBatch(&qsBatch, mp)
+		if got := tree.AppendCandidatesRow(nil, 0, mp, &qsBatch); !slices.Contains(got, id) {
+			t.Fatalf("m'=%d: batched candidates %v miss the row added at leaf %d", mp, got, bins[0])
+		}
+	}
 }
 
 // TestBestFirstWalkSkipsUnreachedModels pins what the walk cannot see: a

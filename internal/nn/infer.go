@@ -19,9 +19,13 @@ import (
 
 // InferScratch holds the reusable buffers of the eval loop. The zero value
 // is ready to use; buffers grow on demand and are retained between calls,
-// so steady-state inference performs no allocation.
+// so steady-state inference performs no allocation. invStd holds a
+// BatchNorm layer's 1/√(var+ε), computed once per layer per call and shared
+// by every row of it; the model itself caches nothing, so training and Load
+// leave nothing to invalidate.
 type InferScratch struct {
 	cur, nxt []float32
+	invStd   []float64
 }
 
 // BatchInferScratch is another name for InferScratch, kept for callers that
@@ -79,8 +83,12 @@ func (s *Sequential) inferRows(x []float32, rows, in int, sc *InferScratch) []fl
 			sc.cur, sc.nxt = sc.nxt, sc.cur
 			width = ly.W.Value.Cols
 		case *BatchNorm:
+			sc.invStd = sc.invStd[:0]
+			for _, v := range ly.RunningVar.Data {
+				sc.invStd = append(sc.invStd, 1/math.Sqrt(float64(v)+ly.Eps))
+			}
 			for i := range rows {
-				ly.inferRow(sc.cur[i*width : (i+1)*width])
+				ly.inferRow(sc.cur[i*width:(i+1)*width], sc.invStd)
 			}
 		case *ReLU:
 			for i, v := range sc.cur {
@@ -113,14 +121,13 @@ func (d *Dense) inferRows(dst, x []float32, in, lo, hi int) {
 	}
 }
 
-// inferRow standardizes a single row in place with the running statistics.
-func (bn *BatchNorm) inferRow(x []float32) {
-	dim := bn.Gamma.Value.Cols
-	for j := 0; j < dim; j++ {
+// inferRow standardizes a single row in place with the running statistics,
+// given invStd[j] = 1/√(RunningVar[j]+ε).
+func (bn *BatchNorm) inferRow(x []float32, invStd []float64) {
+	for j, istd := range invStd[:len(x)] {
 		mean := float64(bn.RunningMean.Data[j])
-		invStd := 1 / math.Sqrt(float64(bn.RunningVar.Data[j])+bn.Eps)
 		g, b := float64(bn.Gamma.Value.Data[j]), float64(bn.Beta.Value.Data[j])
-		v := (float64(x[j]) - mean) * invStd
+		v := (float64(x[j]) - mean) * istd
 		x[j] = float32(v*g + b)
 	}
 }

@@ -71,6 +71,62 @@ func TestSoftmax_NumericalStability(t *testing.T) {
 	}
 }
 
+// TestLogSoftmax_NumericalStability: a row whose maximum logit is infinite
+// gets the limit softmaxRow takes — log 1/c at the c entries equal to the
+// maximum, −Inf elsewhere — and no NaN, so the losses built on it stay
+// defined; a finite row is unchanged by the special case.
+func TestLogSoftmax_NumericalStability(t *testing.T) {
+	inf := float32(math.Inf(1))
+	negInf := math.Inf(-1)
+	for _, tc := range []struct {
+		name string
+		row  []float32
+		want []float64
+	}{
+		{"one +Inf", []float32{1, inf, 2}, []float64{negInf, 0, negInf}},
+		{"several +Inf", []float32{inf, 2, inf, -inf, inf, inf}, []float64{-math.Log(4), negInf, -math.Log(4), negInf, -math.Log(4), -math.Log(4)}},
+		{"all -Inf", []float32{-inf, -inf, -inf}, []float64{-math.Log(3), -math.Log(3), -math.Log(3)}},
+	} {
+		dst := make([]float64, len(tc.row))
+		LogSoftmaxRow(dst, tc.row)
+		for j, v := range dst {
+			if math.IsNaN(v) || v != tc.want[j] {
+				t.Fatalf("%s: %v, want %v", tc.name, dst, tc.want)
+			}
+		}
+		probs := slices.Clone(tc.row)
+		softmaxRow(probs)
+		for j, v := range dst {
+			if float32(math.Exp(v)) != probs[j] {
+				t.Fatalf("%s: exp(log-softmax) %v disagrees with softmax %v", tc.name, dst, probs)
+			}
+		}
+	}
+	// Losses on such a row stay finite where the target avoids the −Inf
+	// entries.
+	logits := tensor.FromSlice(1, 3, []float32{1, inf, 2})
+	if loss, _ := CrossEntropy(logits, []int{1}); loss != 0 {
+		t.Fatalf("CrossEntropy on the +Inf label = %v, want 0", loss)
+	}
+	res := USPLoss(logits, tensor.FromSlice(1, 3, []float32{0, 1, 0}), nil, 0)
+	if math.IsNaN(res.Loss) || res.Loss != 0 {
+		t.Fatalf("USPLoss on the +Inf bin = %v, want 0", res.Loss)
+	}
+	// A finite row keeps the general formula's bits.
+	row := []float32{1000, 1001, 1002}
+	dst := make([]float64, 3)
+	LogSoftmaxRow(dst, row)
+	var sum float64
+	for _, v := range row {
+		sum += math.Exp(float64(v - 1002))
+	}
+	for j, v := range row {
+		if want := float64(v) - (math.Log(sum) + 1002); dst[j] != want {
+			t.Fatalf("finite row: %v, want %v at %d", dst[j], want, j)
+		}
+	}
+}
+
 func TestLogSoftmaxConsistentWithSoftmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	row := []float32{1.5, -2, 0.25, 3}

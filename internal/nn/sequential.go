@@ -168,13 +168,32 @@ func softmaxRow(row []float32) {
 }
 
 // LogSoftmaxRow computes log-softmax of one logits row into dst (float64 for
-// downstream loss accumulation).
+// downstream loss accumulation). A row whose maximum is infinite takes
+// softmaxRow's limit: the c entries equal to the maximum get −log c, every
+// other entry −Inf (an all −Inf row gets −log m everywhere), where
+// subtracting the maximum would give Inf − Inf = NaN.
 func LogSoftmaxRow(dst []float64, row []float32) {
 	maxv := row[0]
 	for _, v := range row[1:] {
 		if v > maxv {
 			maxv = v
 		}
+	}
+	if math.IsInf(float64(maxv), 0) {
+		c := 0
+		for _, v := range row {
+			if v == maxv {
+				c++
+			}
+		}
+		logP := -math.Log(float64(c))
+		for j, v := range row {
+			dst[j] = math.Inf(-1)
+			if v == maxv {
+				dst[j] = logP
+			}
+		}
+		return
 	}
 	var sum float64
 	for _, v := range row {

@@ -6,13 +6,16 @@
 // framework the paper uses (PyTorch); the operation set is deliberately
 // limited to what a sequential MLP with batch normalization needs.
 //
-// The matmul family is built on the dispatched vecmath microkernels (AXPY
-// for the k-major variants, Dot for the contiguous-inner-product one), so
-// it picks up the SIMD ports automatically. One row of MatMul is
-// MulRowInto, the function every dense row of the library runs: training's
-// MatMul, and nn's inference on one query or a batch of them. Training and
-// inference, and batch and single row, share one arithmetic by
-// construction, whichever kernel implementation the process dispatched.
+// The matmul family is built on the dispatched vecmath microkernels, so it
+// picks up the SIMD ports automatically. One row of MatMul is MulRowInto,
+// the function every dense row of the library runs: training's MatMul, and
+// nn's inference on one query or a batch of them. It is one vecmath.MulRow,
+// the register-blocked dense row whose bits are those of the k-major AXPY
+// loop; the weight gradient MatMulATB runs each output row on MulRow too,
+// over a gathered column, and the input gradient MatMulABT on Dot, whose
+// summation order differs. Training and inference, and batch and single
+// row, share one arithmetic by construction, whichever kernel
+// implementation the process dispatched.
 package tensor
 
 import (
@@ -114,21 +117,14 @@ func matMulRows(dst, a, b *Matrix, lo, hi int) {
 }
 
 // MulRowInto computes the row dst = x·b, where len(x) == b.Rows and
-// len(dst) == b.Cols. It iterates k-major, so the inner loop is a contiguous
-// AXPY over b's rows dispatched through vecmath, and skips zero inputs
+// len(dst) == b.Cols: one vecmath.MulRow, which skips zero inputs
 // (worthwhile for the sparse activations ReLU produces), so a zero input
 // contributes nothing even where its row of b holds ±Inf or NaN.
 func MulRowInto(dst, x []float32, b *Matrix) {
 	if len(x) != b.Rows || len(dst) != b.Cols {
 		panic("tensor: MulRowInto shape mismatch")
 	}
-	clear(dst)
-	for k, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		vecmath.AXPY(xv, b.Row(k), dst)
-	}
+	vecmath.MulRow(dst, x, b.Data)
 }
 
 // trainSplitRows is the output-row count from which the gradient products
@@ -144,7 +140,9 @@ func trainSplitRows(perRow int) int {
 
 // MatMulATB computes dst = aᵀ · b without materializing the transpose.
 // Shapes: a is n×r, b is n×c, dst is r×c. Used for weight gradients
-// (dW = Xᵀ·dY).
+// (dW = Xᵀ·dY). Output row r is column r of a times b: the column is
+// gathered into a buffer of n floats, one per worker chunk, and the row is
+// one vecmath.MulRow, so its bits are those of the AXPY loop over n.
 func MatMulATB(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic("tensor: MatMulATB shape mismatch")
@@ -152,18 +150,12 @@ func MatMulATB(dst, a, b *Matrix) {
 	// Parallelize over the rows of dst (columns of a): each worker owns a
 	// disjoint slice of output rows, so no synchronization is needed.
 	par.ForChunksMin(dst.Rows, trainSplitRows(a.Rows*b.Cols), func(lo, hi int) {
+		col := make([]float32, a.Rows)
 		for r := lo; r < hi; r++ {
-			drow := dst.Row(r)
-			for x := range drow {
-				drow[x] = 0
+			for n := range col {
+				col[n] = a.Data[n*a.Cols+r]
 			}
-			for n := 0; n < a.Rows; n++ {
-				av := a.At(n, r)
-				if av == 0 {
-					continue
-				}
-				vecmath.AXPY(av, b.Row(n), drow)
-			}
+			vecmath.MulRow(dst.Row(r), col, b.Data)
 		}
 	})
 }

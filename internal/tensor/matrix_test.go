@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/vecmath"
 )
 
 func randMat(rng *rand.Rand, r, c int) *Matrix {
@@ -132,6 +134,82 @@ func TestMulRowIntoSkipsZeroInputs(t *testing.T) {
 	MulRowInto(dst, []float32{1, 1, 0}, b)
 	if !math.IsInf(float64(dst[0]), 1) || !math.IsNaN(float64(dst[1])) {
 		t.Fatalf("nonzero input over Inf/NaN weights gave %v, want [+Inf NaN]", dst)
+	}
+}
+
+// TestMatMulHandComputed pins the three products to results worked out by
+// hand, at tolerance 0: every product and partial sum is exact in float32.
+func TestMatMulHandComputed(t *testing.T) {
+	a := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
+	b := FromSlice(3, 2, []float32{7, 8, 9, 10, 11, 12})
+	dst := New(2, 2)
+	MatMul(dst, a, b)
+	if want := FromSlice(2, 2, []float32{58, 64, 139, 154}); !Equalish(dst, want, 0) {
+		t.Fatalf("MatMul = %v, want %v", dst.Data, want.Data)
+	}
+	// aᵀ·c with c 2×2: the weight gradient of a 3-input layer.
+	c := FromSlice(2, 2, []float32{1, -1, 0, 2})
+	dW := New(3, 2)
+	MatMulATB(dW, a, c)
+	if want := FromSlice(3, 2, []float32{1, 7, 2, 8, 3, 9}); !Equalish(dW, want, 0) {
+		t.Fatalf("MatMulATB = %v, want %v", dW.Data, want.Data)
+	}
+	// c·bᵀ: the input gradient of a layer whose weights are bᵀ.
+	dX := New(2, 3)
+	MatMulABT(dX, c, b)
+	if want := FromSlice(2, 3, []float32{-1, -1, -1, 16, 20, 24}); !Equalish(dX, want, 0) {
+		t.Fatalf("MatMulABT = %v, want %v", dX.Data, want.Data)
+	}
+}
+
+// atbAXPYLoop is MatMulATB's definition: row r of dst starts at zero and
+// takes AXPY(a[n][r], row n of b) for every n in ascending order whose
+// a[n][r] is not ±0.
+func atbAXPYLoop(dst, a, b *Matrix) {
+	for r := 0; r < dst.Rows; r++ {
+		drow := dst.Row(r)
+		clear(drow)
+		for n := 0; n < a.Rows; n++ {
+			if av := a.At(n, r); av != 0 {
+				vecmath.AXPY(av, b.Row(n), drow)
+			}
+		}
+	}
+}
+
+// TestMatMulATBBitEqualsAXPYLoop holds the weight gradient to the AXPY loop
+// bit for bit on random shapes — batches of 1 to 400 rows, so some split
+// across workers — whose inputs are a ReLU's (about half exactly zero, a
+// few −0) and whose upstream gradients include ±Inf and NaN.
+func TestMatMulATBBitEqualsAXPYLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	special := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for trial := 0; trial < 40; trial++ {
+		n, r, c := 1+rng.Intn(400), 1+rng.Intn(130), 1+rng.Intn(70)
+		a, b := randMat(rng, n, r), randMat(rng, n, c)
+		for i, v := range a.Data {
+			if v < 0 {
+				a.Data[i] = 0
+			}
+			if rng.Intn(50) == 0 {
+				a.Data[i] = float32(math.Copysign(0, -1))
+			}
+		}
+		if trial%2 == 1 {
+			for i := range b.Data {
+				if rng.Intn(40) == 0 {
+					b.Data[i] = special[rng.Intn(len(special))]
+				}
+			}
+		}
+		got, want := New(r, c), New(r, c)
+		MatMulATB(got, a, b)
+		atbAXPYLoop(want, a, b)
+		for i, v := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+				t.Fatalf("trial %d (%dx%d)ᵀ·(%dx%d): element %d = %v, AXPY loop %v", trial, n, r, n, c, i, got.Data[i], v)
+			}
+		}
 	}
 }
 

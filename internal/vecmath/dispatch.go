@@ -10,12 +10,13 @@ import "os"
 // at runtime.
 //
 // The three block kernels (SegmentToCentroids and LUTSumRows of the
-// quantized path, DotRows of the float scan) and ArgMin read or write
-// buffers their callers keep on the stack. An indirect call would force
-// those buffers to the heap, so the table holds only a flag for them: arch
-// selects the per-architecture set (segToCentroidsArch, lutSumRowsArch,
-// dotRowsArch, argMinArch in dispatch_<arch>.go) over the portable set, and
-// the public wrappers call either one directly.
+// quantized path, DotRows of the float scan), ArgMin and MulRow read or
+// write buffers their callers may keep on the stack. An indirect call would
+// force those buffers to the heap, so the table holds only a flag for them:
+// arch selects the per-architecture set (segToCentroidsArch,
+// lutSumRowsArch, dotRowsArch, argMinArch, mulRowArch in
+// dispatch_<arch>.go) over the portable set, and the public wrappers call
+// either one directly.
 type kernels struct {
 	name   string
 	dot    func(a, b []float32) float32

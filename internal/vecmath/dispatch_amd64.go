@@ -41,6 +41,9 @@ func dotRowsAVX2(dst, q, data []float32, dim int, ids []int32)
 //go:noescape
 func argMinAVX2(x []float32) int
 
+//go:noescape
+func mulRowAVX2(dst, x, w []float32)
+
 var avx2Kernels = kernels{
 	name:   "avx2-fma",
 	dot:    dotAVX2,
@@ -67,6 +70,10 @@ func dotRowsArch(dst, q, data []float32, dim int, ids []int32) {
 
 func argMinArch(x []float32) int {
 	return argMinAVX2(x)
+}
+
+func mulRowArch(dst, x, w []float32) {
+	mulRowAVX2(dst, x, w)
 }
 
 // archKernels returns the best kernel set this CPU supports.

@@ -30,10 +30,11 @@ var neonKernels = kernels{
 	arch:   true,
 }
 
-// The block kernels and ArgMin have no NEON port yet. The segment kernel
-// and ArgMin run the portable code; the multi-row sum and the multi-row dot
-// product loop over the NEON single-row kernels, which keeps every row
-// bit-equal to LUTSum and Dot under this dispatch.
+// The block kernels, ArgMin and MulRow have no NEON port yet. The segment
+// kernel and ArgMin run the portable code; the multi-row sum and the
+// multi-row dot product loop over the NEON single-row kernels, which keeps
+// every row bit-equal to LUTSum and Dot under this dispatch, and the dense
+// row is the AXPY loop over the NEON AXPY.
 
 func segToCentroidsArch(dst, seg, cbT []float32) {
 	segToCentroidsScalar(dst, seg, cbT)
@@ -54,6 +55,15 @@ func dotRowsArch(dst, q, data []float32, dim int, ids []int32) {
 	for i, id := range ids {
 		o := int(id) * dim
 		dst[i] = dotNEON(q, data[o:o+dim])
+	}
+}
+
+func mulRowArch(dst, x, w []float32) {
+	clear(dst)
+	for k, xv := range x {
+		if xv != 0 {
+			axpyNEON(xv, w[k*len(dst):(k+1)*len(dst)], dst)
+		}
 	}
 }
 

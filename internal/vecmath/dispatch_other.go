@@ -26,3 +26,7 @@ func dotRowsArch(dst, q, data []float32, dim int, ids []int32) {
 func argMinArch(x []float32) int {
 	return argMinScalar(x)
 }
+
+func mulRowArch(dst, x, w []float32) {
+	mulRowScalar(dst, x, w)
+}

@@ -307,26 +307,34 @@ func TestPublicKernelsUseActiveImpl(t *testing.T) {
 	if got, want := ArgMin(a), pair.argMin(a); got != want {
 		t.Fatalf("ArgMin = %d, the %s kernel gives %d", got, pair.name, want)
 	}
+	MulRow(got[:3], a[:43], b)
+	pair.mulRow(want[:3], a[:43], b)
+	for c := range 3 {
+		if math.Float32bits(got[c]) != math.Float32bits(want[c]) {
+			t.Fatalf("MulRow diverges from the %s kernel at %d", pair.name, c)
+		}
+	}
 }
 
-// blockKernels is one implementation of the three block kernels and
-// ArgMin, which are called directly and so are not entries of the kernels
-// table, beside the table of the same implementation — the single-row
-// kernels the multi-row ones are pinned to.
+// blockKernels is one implementation of the three block kernels, ArgMin
+// and MulRow, which are called directly and so are not entries of the
+// kernels table, beside the table of the same implementation — the
+// single-row kernels the multi-row ones are pinned to.
 type blockKernels struct {
 	kernels
 	seg    func(dst, seg, cbT []float32)
 	rows   func(dst, lut []float32, k int, codes []uint8, m int, ids []int32)
 	dots   func(dst, q, data []float32, dim int, ids []int32)
 	argMin func(x []float32) int
+	mulRow func(dst, x, w []float32)
 }
 
 // blockImpls lists the portable set and, when this machine can run it,
 // the architecture set.
 func blockImpls() []blockKernels {
-	impls := []blockKernels{{scalarKernels, segToCentroidsScalar, lutSumRowsScalar, dotRowsScalar, argMinScalar}}
+	impls := []blockKernels{{scalarKernels, segToCentroidsScalar, lutSumRowsScalar, dotRowsScalar, argMinScalar, mulRowScalar}}
 	if arch, ok := archKernels(); ok {
-		impls = append(impls, blockKernels{arch, segToCentroidsArch, lutSumRowsArch, dotRowsArch, argMinArch})
+		impls = append(impls, blockKernels{arch, segToCentroidsArch, lutSumRowsArch, dotRowsArch, argMinArch, mulRowArch})
 	}
 	return impls
 }
@@ -611,4 +619,142 @@ func TestArgMinMatchesScalar(t *testing.T) {
 		}
 		checkArgMin(t, x, "signed zeros")
 	}
+}
+
+// axpyLoop is MulRow's definition written with one implementation's AXPY:
+// clear dst, then dst += x[k]·(row k of w) for every x[k] that is not ±0.
+func axpyLoop(axpy func(alpha float32, x, y []float32), dst, x, w []float32) {
+	clear(dst)
+	for k, xv := range x {
+		if xv != 0 {
+			axpy(xv, w[k*len(dst):(k+1)*len(dst)], dst)
+		}
+	}
+}
+
+// TestMulRowBitEqualsAXPYLoop pins every MulRow implementation to the AXPY
+// loop over the same implementation's AXPY, bit for bit and NaN payloads
+// included: input counts from 0 (dst must come out zero) and column counts
+// on both sides of the 8-, 16- and 64-column blocks, with inputs and
+// weights salted with argMinSpecials (±0 — a zero input is skipped, −0
+// included —, ±Inf, NaN, which is not skipped, and the finite extremes),
+// and dst, x and w starting off any 32-byte boundary.
+func TestMulRowBitEqualsAXPYLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	salt := func(v []float32, p float64) {
+		for i := range v {
+			if rng.Float64() < p {
+				v[i] = argMinSpecials[rng.Intn(len(argMinSpecials))]
+			}
+		}
+	}
+	for _, impl := range blockImpls() {
+		for trial := range 1500 {
+			k := rng.Intn(200)
+			c := 1 + rng.Intn(150)
+			if trial < 40 {
+				k, c = trial%3, []int{1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128, 129, 144}[trial%13]
+			}
+			off := rng.Intn(8)
+			x := skewedVec(rng, k+off)[off:]
+			w := skewedVec(rng, k*c+off)[off:]
+			if trial%2 == 1 {
+				salt(x, 0.2)
+				salt(w, 0.05)
+			}
+			got := make([]float32, c+off)[off:]
+			for i := range got {
+				got[i] = 42 // MulRow must overwrite, not accumulate
+			}
+			want := make([]float32, c)
+			impl.mulRow(got, x, w)
+			axpyLoop(impl.axpy, want, x, w)
+			for j := range want {
+				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("%s k=%d c=%d: dst[%d]=%v (%#x), AXPY loop %v (%#x)", impl.name, k, c, j,
+						got[j], math.Float32bits(got[j]), want[j], math.Float32bits(want[j]))
+				}
+			}
+		}
+	}
+}
+
+// TestMulRowZeroInputSkipsInfiniteWeights: a ±0 input contributes nothing,
+// so the 0·Inf and 0·NaN of its weight row never reach dst, while a NaN
+// input is not skipped and makes every column NaN. Checked in every block
+// width of every implementation and through the public wrapper.
+func TestMulRowZeroInputSkipsInfiniteWeights(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	for _, c := range []int{1, 8, 16, 64, 89} {
+		w := make([]float32, 3*c)
+		for j := range c {
+			w[j], w[c+j], w[2*c+j] = 2, []float32{inf, nan}[j%2], float32(j)
+		}
+		for _, z := range []float32{0, float32(math.Copysign(0, -1))} {
+			x := []float32{1.5, z, 0.5}
+			for _, impl := range blockImpls() {
+				dst := make([]float32, c)
+				impl.mulRow(dst, x, w)
+				for j, v := range dst {
+					if want := 3 + 0.5*float32(j); v != want {
+						t.Fatalf("%s c=%d x[1]=%v: dst[%d]=%v, want %v", impl.name, c, z, j, v, want)
+					}
+				}
+			}
+		}
+		dst := make([]float32, c)
+		MulRow(dst, []float32{1.5, nan, 0.5}, w)
+		for j, v := range dst {
+			if !math.IsNaN(float64(v)) {
+				t.Fatalf("c=%d: a NaN input gave dst[%d]=%v, want NaN", c, j, v)
+			}
+		}
+	}
+}
+
+// TestMulRowHandComputed pins MulRow to products worked out by hand, at
+// tolerance 0 (every product and partial sum is exact in float32), through
+// the public wrapper and every implementation: [1 2 3]·W for a 3×2 W,
+// a 2×9 W (one 8-column block and a scalar column), and a 1×70 W (a
+// 64-column block, no 16-column block, six scalar columns).
+func TestMulRowHandComputed(t *testing.T) {
+	cases := []struct {
+		x, w, want []float32
+	}{
+		{[]float32{1, 2, 3}, []float32{1, 2, 3, 4, 5, 6}, []float32{22, 28}},
+		{[]float32{2, -1}, []float32{
+			1, 2, 3, 4, 5, 6, 7, 8, 9,
+			9, 8, 7, 6, 5, 4, 3, 2, 1,
+		}, []float32{-7, -4, -1, 2, 5, 8, 11, 14, 17}},
+		{[]float32{0.5}, make([]float32, 70), make([]float32, 70)},
+		{nil, nil, nil},
+	}
+	for j := range 70 {
+		cases[2].w[j], cases[2].want[j] = float32(2*j), float32(j)
+	}
+	check := func(name string, got, want []float32) {
+		t.Helper()
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("%s: dst[%d]=%v, want %v", name, j, got[j], want[j])
+			}
+		}
+	}
+	for _, tc := range cases {
+		dst := make([]float32, len(tc.want))
+		MulRow(dst, tc.x, tc.w)
+		check("MulRow", dst, tc.want)
+		for _, impl := range blockImpls() {
+			impl.mulRow(dst, tc.x, tc.w)
+			check(impl.name, dst, tc.want)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a weight buffer shorter than len(x)*len(dst) did not panic")
+			}
+		}()
+		MulRow(make([]float32, 3), []float32{1, 2}, make([]float32, 5))
+	}()
 }

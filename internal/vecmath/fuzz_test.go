@@ -9,7 +9,8 @@ import (
 // FuzzKernelEquivalence feeds arbitrary byte strings to every SIMD kernel
 // and checks agreement with the scalar reference under the same forward
 // error bound the deterministic equivalence tests use (ArgMin, on the raw
-// bits, must return the same index). The raw bytes decode
+// bits, must return the same index; the block kernels and MulRow must
+// return their own single-row kernels' bits). The raw bytes decode
 // into two equal-length float32 vectors (so lengths 0, 1 and every odd tail
 // arise naturally from the input length); non-finite and extreme values are
 // squashed to keep the error bound meaningful — NaN/Inf propagation is
@@ -169,6 +170,22 @@ func FuzzKernelEquivalence(f *testing.F) {
 					if math.Abs(float64(gotA[i])-float64(gotS[i])) > reductionTol(dim, mass) {
 						t.Fatalf("dotRows: row %d %s=%v scalar=%v (dim=%d)", id, arch.name, gotA[i], gotS[i], dim)
 					}
+				}
+			}
+
+			// Dense-row leg: a's head is the input row (0–149 inputs, any
+			// tail) and b the weights of as many columns (1–150) as it
+			// fills. The architecture's register-blocked kernel must
+			// reproduce its own AXPY loop bit for bit.
+			nx := min(n, int(raw[0])%150)
+			cols := max(1, min(1+int(raw[1])%150, n/max(nx, 1)))
+			x, w := a[:nx], b[:nx*cols]
+			got, want := make([]float32, cols), make([]float32, cols)
+			mulRowArch(got, x, w)
+			axpyLoop(arch.axpy, want, x, w)
+			for c := range want {
+				if math.Float32bits(got[c]) != math.Float32bits(want[c]) {
+					t.Fatalf("mulRow %s: dst[%d]=%v AXPY loop %v (k=%d c=%d)", arch.name, c, got[c], want[c], nx, cols)
 				}
 			}
 

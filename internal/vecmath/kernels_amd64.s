@@ -232,6 +232,167 @@ axdone:
 	VZEROUPPER
 	RET
 
+// func mulRowAVX2(dst, x, w []float32)
+//
+// One row of a dense product: dst = x·W for the row-major len(x)×len(dst)
+// matrix w. The output columns stay in registers across all of x — eight
+// 8-lane accumulators per 64 columns, then two per 16, then one per 8, then
+// one scalar column at a time — where the AXPY loop (clear dst, then
+// axpyAVX2(x[k], row k of W, dst) for every k) reloads and re-stores the
+// row once per input. Per column the operation sequence is that loop's: the
+// accumulator starts at +0, takes VFMADD231 with the same operand roles
+// (accumulator, weight, broadcast x[k]) in ascending k, and skips an x[k]
+// equal to ±0 (a NaN is not skipped), so every dst[c] is bit-equal to it,
+// NaN payloads included. Contract (enforced by the public wrapper):
+// len(w) == len(x)*len(dst).
+TEXT ·mulRowAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX     // columns left
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), DX      // inputs
+	MOVQ w_base+48(FP), R8     // weight column of the next output column
+	MOVQ CX, R9
+	SHLQ $2, R9                // row stride in bytes
+mr64:
+	CMPQ CX, $64
+	JLT  mr16
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ R8, R10
+	MOVQ SI, R11
+	MOVQ DX, BX
+	TESTQ BX, BX
+	JZ   mr64store
+mr64k:
+	TESTL $0x7fffffff, (R11)
+	JZ   mr64next              // x[k] is ±0
+	VBROADCASTSS (R11), Y8
+	VMOVUPS (R10), Y9
+	VMOVUPS 32(R10), Y10
+	VMOVUPS 64(R10), Y11
+	VMOVUPS 96(R10), Y12
+	VFMADD231PS Y8, Y9, Y0     // acc += W[k, c:c+8] * x[k]
+	VFMADD231PS Y8, Y10, Y1
+	VFMADD231PS Y8, Y11, Y2
+	VFMADD231PS Y8, Y12, Y3
+	VMOVUPS 128(R10), Y9
+	VMOVUPS 160(R10), Y10
+	VMOVUPS 192(R10), Y11
+	VMOVUPS 224(R10), Y12
+	VFMADD231PS Y8, Y9, Y4
+	VFMADD231PS Y8, Y10, Y5
+	VFMADD231PS Y8, Y11, Y6
+	VFMADD231PS Y8, Y12, Y7
+mr64next:
+	ADDQ $4, R11
+	ADDQ R9, R10
+	DECQ BX
+	JNZ  mr64k
+mr64store:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	ADDQ $256, DI
+	ADDQ $256, R8
+	SUBQ $64, CX
+	JMP  mr64
+mr16:
+	CMPQ CX, $16
+	JLT  mr8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	MOVQ R8, R10
+	MOVQ SI, R11
+	MOVQ DX, BX
+	TESTQ BX, BX
+	JZ   mr16store
+mr16k:
+	TESTL $0x7fffffff, (R11)
+	JZ   mr16next
+	VBROADCASTSS (R11), Y8
+	VMOVUPS (R10), Y9
+	VMOVUPS 32(R10), Y10
+	VFMADD231PS Y8, Y9, Y0
+	VFMADD231PS Y8, Y10, Y1
+mr16next:
+	ADDQ $4, R11
+	ADDQ R9, R10
+	DECQ BX
+	JNZ  mr16k
+mr16store:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ $64, DI
+	ADDQ $64, R8
+	SUBQ $16, CX
+	JMP  mr16
+mr8:
+	CMPQ CX, $8
+	JLT  mrtail
+	VXORPS Y0, Y0, Y0
+	MOVQ R8, R10
+	MOVQ SI, R11
+	MOVQ DX, BX
+	TESTQ BX, BX
+	JZ   mr8store
+mr8k:
+	TESTL $0x7fffffff, (R11)
+	JZ   mr8next
+	VBROADCASTSS (R11), Y8
+	VMOVUPS (R10), Y9
+	VFMADD231PS Y8, Y9, Y0
+mr8next:
+	ADDQ $4, R11
+	ADDQ R9, R10
+	DECQ BX
+	JNZ  mr8k
+mr8store:
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, R8
+	SUBQ $8, CX
+mrtail:
+	TESTQ CX, CX
+	JZ   mrdone
+mr1:
+	VXORPS X0, X0, X0
+	MOVQ R8, R10
+	MOVQ SI, R11
+	MOVQ DX, BX
+	TESTQ BX, BX
+	JZ   mr1store
+mr1k:
+	TESTL $0x7fffffff, (R11)
+	JZ   mr1next
+	VMOVSS (R11), X8
+	VMOVSS (R10), X9
+	VFMADD231SS X8, X9, X0
+mr1next:
+	ADDQ $4, R11
+	ADDQ R9, R10
+	DECQ BX
+	JNZ  mr1k
+mr1store:
+	VMOVSS X0, (DI)
+	ADDQ $4, DI
+	ADDQ $4, R8
+	DECQ CX
+	JNZ  mr1
+mrdone:
+	VZEROUPPER
+	RET
+
 // func segToCentroidsAVX2(dst, seg, cbT []float32)
 //
 // Segment-to-all-centroids: dst[c] = Σ_j (seg[j] − cbT[j*len(dst)+c])². Centroids are independent lanes: 32 at a time (four

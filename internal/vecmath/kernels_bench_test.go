@@ -214,6 +214,34 @@ func BenchmarkArgMin(b *testing.B) {
 	}
 }
 
+// BenchmarkMulRow times one dense row, dst = x·W, at the layer shapes the
+// partitioners run (128→64 and 64→64 hidden layers, 64→16 output): the
+// register-blocked kernel of each implementation beside the AXPY loop it
+// reproduces, through a function value as the kernel table dispatches it.
+// Half of x is zero, as after a ReLU.
+func BenchmarkMulRow(b *testing.B) {
+	rng := rand.New(rand.NewSource(29))
+	for _, impl := range blockImpls() {
+		for _, shape := range []struct{ k, c int }{{128, 64}, {64, 64}, {64, 16}} {
+			x, w := randVec(rng, shape.k), randVec(rng, shape.k*shape.c)
+			for i := 0; i < len(x); i += 2 {
+				x[i] = 0
+			}
+			dst := make([]float32, shape.c)
+			b.Run(fmt.Sprintf("%s/%dx%d/kernel", impl.name, shape.k, shape.c), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					impl.mulRow(dst, x, w)
+				}
+			})
+			b.Run(fmt.Sprintf("%s/%dx%d/axpyloop", impl.name, shape.k, shape.c), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					axpyLoop(impl.axpy, dst, x, w)
+				}
+			})
+		}
+	}
+}
+
 // sinkF32 and sinkInt defeat dead-code elimination of the benchmarked
 // reductions.
 var (

@@ -47,6 +47,11 @@ func squaredL2Scalar(a, b []float32) float32 {
 	return s0 + s1 + s2 + s3
 }
 
+// axpyScalar is not inlined, so that mulRowScalar's direct calls run the
+// machine code the kernel table's AXPY runs: an inlined copy may order an
+// add's operands differently, which changes the NaN that NaN + NaN returns.
+//
+//go:noinline
 func axpyScalar(alpha float32, x, y []float32) {
 	for i := range x {
 		y[i] += alpha * x[i]
@@ -110,6 +115,20 @@ func dotRowsScalar(dst, q, data []float32, dim int, ids []int32) {
 	for i, id := range ids {
 		o := int(id) * dim
 		dst[i] = dotScalar(q, data[o:o+dim])
+	}
+}
+
+// mulRowScalar is MulRow's portable kernel, the AXPY loop itself: dst is
+// cleared, then takes axpyScalar(x[k], row k of w, dst) for every k in
+// ascending order whose x[k] is not ±0 (a NaN is not skipped), so a zero
+// input contributes nothing even where its row of w holds ±Inf or NaN.
+// Precondition enforced by the public wrapper: len(w) == len(x)*len(dst).
+func mulRowScalar(dst, x, w []float32) {
+	clear(dst)
+	for k, xv := range x {
+		if xv != 0 {
+			axpyScalar(xv, w[k*len(dst):(k+1)*len(dst)], dst)
+		}
 	}
 }
 

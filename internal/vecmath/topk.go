@@ -189,10 +189,26 @@ func MergeSortedNeighbors(dst []Neighbor, k int, lists ...[]Neighbor) []Neighbor
 	return dst
 }
 
+// ranksAbove reports whether x[i] ranks strictly above x[j] in the one
+// order ArgMax, TopKIndices and TopKIndicesInto share: descending value,
+// with a NaN below every number — except a NaN x[0], which ranks above
+// everything, as ArgMax's scan, which starts at x[0] and moves only to a
+// larger value, keeps it. Equal values (−0 and +0 included) and two NaNs
+// after x[0] rank level, and the selectors break the tie by ascending
+// index. So the top-k lists of one row nest as k grows, and the top-1 is
+// ArgMax, whatever NaNs the row holds.
+func ranksAbove(x []float32, i, j int) bool {
+	a, b := x[i], x[j]
+	if a != a {
+		return i == 0 && j > 0
+	}
+	return a > b || b != b && j != 0
+}
+
 // TopKIndices returns the indices of the k largest values of x in descending
-// value order (ties broken by ascending index). If k exceeds len(x), all
-// indices are returned. Used to pick the m′ most probable bins from a model's
-// probability vector.
+// value order (ties broken by ascending index, NaNs placed as ranksAbove
+// says). If k exceeds len(x), all indices are returned. Used to pick the m′
+// most probable bins from a model's probability vector.
 func TopKIndices(x []float32, k int) []int {
 	n := len(x)
 	if k > n {
@@ -207,19 +223,18 @@ func TopKIndices(x []float32, k int) []int {
 	}
 	// Full sort is fine: bin counts are small (m ≤ a few thousand).
 	sort.Slice(idx, func(a, b int) bool {
-		if x[idx[a]] != x[idx[b]] {
-			return x[idx[a]] > x[idx[b]]
-		}
-		return idx[a] < idx[b]
+		i, j := idx[a], idx[b]
+		return ranksAbove(x, i, j) || !ranksAbove(x, j, i) && i < j
 	})
 	return idx[:k]
 }
 
 // TopKIndicesInto is TopKIndices writing into dst (reusing its capacity):
 // the indices of the k largest values of x in descending value order, ties
-// broken by ascending index. It allocates nothing once dst has capacity k,
-// making it suitable for the per-query bin selection of the online phase.
-// The two functions return identical orderings for identical inputs.
+// broken by ascending index, NaNs placed as ranksAbove says. It allocates
+// nothing once dst has capacity k, making it suitable for the per-query bin
+// selection of the online phase. The two functions return identical
+// orderings for identical inputs.
 func TopKIndicesInto(dst []int, x []float32, k int) []int {
 	n := len(x)
 	if k > n {
@@ -229,22 +244,22 @@ func TopKIndicesInto(dst []int, x []float32, k int) []int {
 	if k <= 0 {
 		return dst
 	}
-	// Partial insertion selection: dst is kept sorted by (value desc, index
+	// Partial insertion selection: dst is kept sorted by (rank desc, index
 	// asc). Scanning indices in ascending order with strict comparisons
 	// reproduces TopKIndices' tie-breaking exactly. m′ and m are small, so
 	// the O(n·k) shifts are cheaper than maintaining a heap.
-	for i, v := range x {
+	for i := range x {
 		if len(dst) < k {
 			j := len(dst)
-			for j > 0 && x[dst[j-1]] < v {
+			for j > 0 && ranksAbove(x, i, dst[j-1]) {
 				j--
 			}
 			dst = append(dst, 0)
 			copy(dst[j+1:], dst[j:])
 			dst[j] = i
-		} else if x[dst[k-1]] < v {
+		} else if ranksAbove(x, i, dst[k-1]) {
 			j := k - 1
-			for j > 0 && x[dst[j-1]] < v {
+			for j > 0 && ranksAbove(x, i, dst[j-1]) {
 				j--
 			}
 			copy(dst[j+1:k], dst[j:k-1])

@@ -2,12 +2,12 @@
 // the library is built on: distances, dot products, in-place BLAS-1 style
 // updates, and small utilities (argmax, top-k selection).
 //
-// The hot kernels — Dot, SquaredL2, AXPY, LUTSum, ArgMin and the three
-// block kernels, DotRows of the float candidate scan and SegmentToCentroids
-// and LUTSumRows of the quantized path — dispatch through a kernel set selected
-// once at package init: AVX2+FMA assembly on capable amd64 CPUs, NEON
-// assembly on arm64, and the portable 4-way-unrolled scalar code everywhere
-// else (see dispatch.go). Setting USP_FORCE_SCALAR in the environment pins
+// The hot kernels — Dot, SquaredL2, AXPY, LUTSum, ArgMin, MulRow (one row
+// of every dense product) and the three block kernels, DotRows of the float
+// candidate scan and SegmentToCentroids and LUTSumRows of the quantized
+// path — dispatch through a kernel set selected once at package init:
+// AVX2+FMA assembly on capable amd64 CPUs, NEON assembly on arm64, and the
+// portable 4-way-unrolled scalar code everywhere else (see dispatch.go). Setting USP_FORCE_SCALAR in the environment pins
 // the scalar kernels regardless of CPU features. All other helpers are pure
 // Go; float64 accumulation variants are provided where reduction precision
 // matters.
@@ -129,6 +129,25 @@ func SegmentToCentroids(dst, seg, cbT []float32) {
 	}
 }
 
+// MulRow computes one row of a dense product, dst = x·W, where w holds W
+// row-major with len(x) rows of len(dst) columns. It is defined as the
+// AXPY loop — clear dst, then AXPY(x[k], row k of W, dst) for every k
+// whose x[k] is not ±0 — and every dispatch returns that loop's bits: the
+// avx2-fma kernel keeps the output columns in registers across all of x
+// (64, 16 and 8 columns at a time, then one) and gives each column the
+// same fused multiply-adds in the same order; the other sets run the loop.
+// Skipping zero inputs keeps ReLU's sparse activations cheap and keeps a
+// zero input's row out of dst even where it holds ±Inf or NaN. dst must
+// not alias x or w; len(w) must be len(x)*len(dst).
+func MulRow(dst, x, w []float32) {
+	w = w[:len(x)*len(dst)] // single bounds check; kernels assume the shape
+	if active.arch {
+		mulRowArch(dst, x, w)
+	} else {
+		mulRowScalar(dst, x, w)
+	}
+}
+
 // L2 returns the Euclidean distance between a and b.
 func L2(a, b []float32) float32 {
 	return float32(math.Sqrt(float64(SquaredL2(a, b))))
@@ -182,15 +201,20 @@ func Normalize(x []float32) bool {
 }
 
 // ArgMax returns the index of the largest element of x, breaking ties toward
-// the smallest index. It returns -1 for an empty slice.
+// the smallest index. It returns -1 for an empty slice. It is the first
+// index of the order TopKIndices and TopKIndicesInto select by (see
+// ranksAbove): a NaN after x[0] is never taken, and a NaN x[0] is index 0,
+// which is how a routing row whose first leaf is NaN ends with a NaN
+// confidence and selects no member. ArgMax(x) is
+// TopKIndicesInto(dst, x, 1)[0].
 func ArgMax(x []float32) int {
 	if len(x) == 0 {
 		return -1
 	}
-	best, bi := x[0], 0
+	bi := 0
 	for i := 1; i < len(x); i++ {
-		if x[i] > best {
-			best, bi = x[i], i
+		if ranksAbove(x, i, bi) {
+			bi = i
 		}
 	}
 	return bi

@@ -227,6 +227,51 @@ func TestTopKIndices(t *testing.T) {
 	}
 }
 
+// TestTopKIndicesNaNOrder: ArgMax and both top-k selectors share one order
+// on rows holding NaN. On a routing row with NaN between its numbers the
+// top-m′ lists nest for every m′ — the NaNs come after every number — and
+// the top-1 is ArgMax; a NaN in slot 0 ranks first, where ArgMax keeps it.
+// Random rows salted with NaN and repeated values give TopKIndices,
+// TopKIndicesInto and ArgMax the same answers.
+func TestTopKIndicesNaNOrder(t *testing.T) {
+	nan := float32(math.NaN())
+	row := []float32{0.05, 0.1, nan, nan, 0.21, 0.02, -1, -1}
+	if ArgMax(row) != 4 {
+		t.Fatalf("ArgMax = %d, want 4", ArgMax(row))
+	}
+	want := []int{4, 1, 0, 5, 6, 7, 2, 3}
+	var dst []int
+	for k := 1; k <= len(row); k++ {
+		dst = TopKIndicesInto(dst, row, k)
+		if !slices.Equal(dst, want[:k]) || !slices.Equal(TopKIndices(row, k), want[:k]) {
+			t.Fatalf("top-%d = %v and %v, want %v", k, dst, TopKIndices(row, k), want[:k])
+		}
+	}
+	first := []float32{nan, 0.5, nan, 0.7}
+	if got := TopKIndices(first, 4); ArgMax(first) != 0 || !slices.Equal(got, []int{0, 3, 1, 2}) {
+		t.Fatalf("NaN first: ArgMax %d, order %v, want 0 and [0 3 1 2]", ArgMax(first), got)
+	}
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 500; trial++ {
+		x := make([]float32, 1+rng.Intn(20))
+		for i := range x {
+			x[i] = float32(rng.Intn(5))
+			if rng.Intn(4) == 0 {
+				x[i] = nan
+			}
+		}
+		all := TopKIndices(x, len(x))
+		if all[0] != ArgMax(x) {
+			t.Fatalf("x=%v: top-1 %d, ArgMax %d", x, all[0], ArgMax(x))
+		}
+		for k := 1; k <= len(x); k++ {
+			if dst = TopKIndicesInto(dst, x, k); !slices.Equal(dst, all[:k]) {
+				t.Fatalf("x=%v: top-%d %v is not a prefix of %v", x, k, dst, all)
+			}
+		}
+	}
+}
+
 func TestSelectKthLargestMatchesSort(t *testing.T) {
 	check := func(seed int64, kRaw uint8, nRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
