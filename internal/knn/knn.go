@@ -6,6 +6,7 @@ package knn
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/dataset"
@@ -158,51 +159,158 @@ type Matrix struct {
 	Neighbors [][]int32
 }
 
-// BuildMatrix computes the exact k′-NN matrix by blocked brute force,
-// parallelized over points. This is the paper's only preprocessing step.
+// joinTile is how many rows one side of a BuildMatrix or GroundTruth tile
+// holds. Each row of one tile is scored against the other tile's rows by
+// one SquaredL2Rows call, so the other tile (64 KB of 128-d rows) stays
+// cached while the whole of the first streams past it.
+const joinTile = 128
+
+// BuildMatrix computes the exact k′-NN matrix by a tiled brute-force
+// self-join. This is the paper's only preprocessing step.
+//
+// Each pair of rows is scored once: the rows are cut into joinTile-row
+// tiles, every tile pair (I, J) with I ≤ J — and on the diagonal only the
+// pairs j > i — is scored by SquaredL2Rows, and each distance is offered to
+// row i's list and to row j's, as SquaredL2 gives d(i,j) and d(j,i) the same
+// bits. A distance reaches a list's Push unless it exceeds the worst one
+// the list retains, the admission rule of the block scans. Workers take row
+// tiles I in turn, each into private lists over all n rows, and the lists
+// are merged row by row at the end. A TopK keeps the first k of its
+// candidates in (distance, index) order whatever order they arrive in, so
+// row i lists exactly the k rows a scan of SquaredL2(row i, row j) over
+// every j ≠ i in index order keeps, on any number of workers — for rows
+// whose distances are never NaN, as the validated rows of an index are not.
 func BuildMatrix(base *dataset.Dataset, k int) *Matrix {
-	if k <= 0 || k >= base.N {
-		panic(fmt.Sprintf("knn: BuildMatrix k=%d out of range for n=%d", k, base.N))
+	n := base.N
+	if k <= 0 || k >= n {
+		panic(fmt.Sprintf("knn: BuildMatrix k=%d out of range for n=%d", k, n))
 	}
-	nbrs := make([][]int32, base.N)
-	par.ForChunks(base.N, func(lo, hi int) {
-		tk := vecmath.NewTopK(k)
-		for i := lo; i < hi; i++ {
-			q := base.Row(i)
-			tk.Reset()
-			for j := 0; j < base.N; j++ {
-				if j == i {
-					continue
+	ids := iota32(n)
+	tiles := (n + joinTile - 1) / joinTile
+	lists := make([][]vecmath.TopK, min(par.Workers(), tiles*(tiles+1)/2))
+	var next atomic.Int64
+	par.ForChunksMin(len(lists), 1, func(lo, hi int) {
+		for w := lo; w < hi; w++ {
+			tks := vecmath.NewTopKs(n, k)
+			for ti := int(next.Add(1) - 1); ti < tiles; ti = int(next.Add(1) - 1) {
+				selfJoin(tks, base, ids, ti)
+			}
+			lists[w] = tks
+		}
+	})
+	out, rest := lists[0], lists[1:]
+	flat := make([]int32, n*k)
+	nbrs := make([][]int32, n)
+	par.ForChunks(n, func(lo, hi int) {
+		spill := make([]vecmath.Neighbor, 0, k)
+		for r := lo; r < hi; r++ {
+			for _, tks := range rest {
+				spill = tks[r].AppendSorted(spill[:0])
+				for _, nb := range spill {
+					out[r].Push(nb.Index, nb.Dist)
 				}
-				tk.Push(j, vecmath.SquaredL2(q, base.Row(j)))
 			}
-			sorted := tk.Sorted()
-			row := make([]int32, len(sorted))
-			for x, nb := range sorted {
-				row[x] = int32(nb.Index)
-			}
-			nbrs[i] = row
+			nbrs[r] = appendIDs(flat[r*k:r*k:r*k+k], out[r].AppendSorted(spill[:0]))
 		}
 	})
 	return &Matrix{K: k, Neighbors: nbrs}
 }
 
+// selfJoin scores the pairs (i, j), j > i, of base's rows whose row i lies
+// in tile ti — against tile ti itself and every tile after it — and offers
+// each distance to row i's list and to row j's.
+func selfJoin(tks []vecmath.TopK, base *dataset.Dataset, ids []int32, ti int) {
+	var buf [joinTile]float32
+	i1 := min(ti*joinTile+joinTile, base.N)
+	for tj := ti; tj*joinTile < base.N; tj++ {
+		j1 := min(tj*joinTile+joinTile, base.N)
+		for i := ti * joinTile; i < i1; i++ {
+			j0 := max(tj*joinTile, i+1)
+			if j0 >= j1 {
+				continue
+			}
+			dist := buf[:j1-j0]
+			vecmath.SquaredL2Rows(dist, base.Row(i), base.Data, base.Dim, ids[j0:j1])
+			tk := &tks[i]
+			worst, full := tk.Worst()
+			for x, d := range dist {
+				j := j0 + x
+				if !full || !(d > worst) {
+					tk.Push(j, d)
+					worst, full = tk.Worst()
+				}
+				if w, f := tks[j].Worst(); !f || !(d > w) {
+					tks[j].Push(i, d)
+				}
+			}
+		}
+	}
+}
+
 // GroundTruth computes, for each query, the indices of its k true nearest
-// neighbors in base (ascending distance). Used to score every method's
-// k-NN accuracy.
+// neighbors in base (ascending distance; all of base when k exceeds it).
+// Used to score every method's k-NN accuracy. Queries are taken a joinTile
+// tile at a time against each joinTile tile of base, scored by
+// SquaredL2Rows and admitted as in BuildMatrix, so each list is exactly
+// the one a scan of SquaredL2(query, row) over every row in index order
+// keeps.
 func GroundTruth(base, queries *dataset.Dataset, k int) [][]int32 {
+	if k <= 0 {
+		panic(fmt.Sprintf("knn: GroundTruth k=%d must be positive", k))
+	}
+	if queries.N > 0 && queries.Dim != base.Dim {
+		panic(fmt.Sprintf("knn: GroundTruth queries of dim %d against base of dim %d", queries.Dim, base.Dim))
+	}
+	ids := iota32(base.N)
+	kk := min(k, base.N)
 	out := make([][]int32, queries.N)
 	par.ForChunks(queries.N, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ns := Search(base, queries.Row(i), k)
-			row := make([]int32, len(ns))
-			for x, nb := range ns {
-				row[x] = int32(nb.Index)
+		flat := make([]int32, (hi-lo)*kk)
+		tks := vecmath.NewTopKs(min(hi-lo, joinTile), k)
+		var buf [joinTile]float32
+		var sorted []vecmath.Neighbor
+		for q0 := lo; q0 < hi; q0 += joinTile {
+			q1 := min(q0+joinTile, hi)
+			for j0 := 0; j0 < base.N; j0 += joinTile {
+				cand := ids[j0:min(j0+joinTile, base.N)]
+				for q := q0; q < q1; q++ {
+					dist := buf[:len(cand)]
+					vecmath.SquaredL2Rows(dist, queries.Row(q), base.Data, base.Dim, cand)
+					tk := &tks[q-q0]
+					worst, full := tk.Worst()
+					for x, d := range dist {
+						if !full || !(d > worst) {
+							tk.Push(int(cand[x]), d)
+							worst, full = tk.Worst()
+						}
+					}
+				}
 			}
-			out[i] = row
+			for q := q0; q < q1; q++ {
+				o := (q - lo) * kk
+				sorted = tks[q-q0].AppendSorted(sorted[:0])
+				out[q] = appendIDs(flat[o:o:o+kk], sorted)
+			}
 		}
 	})
 	return out
+}
+
+// appendIDs appends the indices of ns to dst.
+func appendIDs(dst []int32, ns []vecmath.Neighbor) []int32 {
+	for _, nb := range ns {
+		dst = append(dst, int32(nb.Index))
+	}
+	return dst
+}
+
+// iota32 returns the ids 0, 1, …, n−1: the rows of a tile are a subslice.
+func iota32(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
 }
 
 // Recall computes the k-NN accuracy of Eq. 1: the fraction of the true

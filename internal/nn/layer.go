@@ -100,18 +100,9 @@ func (d *Dense) accumulateGrads(gradOut *tensor.Matrix) {
 	if d.x == nil {
 		panic("nn: Dense.Backward before Forward")
 	}
-	// dW += xᵀ·dY, accumulated into the grad buffer.
-	dW := tensor.New(d.W.Value.Rows, d.W.Value.Cols)
-	tensor.MatMulATB(dW, d.x, gradOut)
-	for i, v := range dW.Data {
-		d.W.Grad.Data[i] += v
-	}
-	// db += column sums of dY.
-	colSums := make([]float32, gradOut.Cols)
-	tensor.ColSums(colSums, gradOut)
-	for i, v := range colSums {
-		d.B.Grad.Data[i] += v
-	}
+	// dW += xᵀ·dY and db += column sums of dY, each added in place.
+	tensor.AddMatMulATB(d.W.Grad, d.x, gradOut)
+	tensor.ColSums(d.B.Grad.Data, gradOut)
 	d.x = nil
 }
 

@@ -128,7 +128,7 @@ func MulRowInto(dst, x []float32, b *Matrix) {
 }
 
 // trainSplitRows is the output-row count from which the gradient products
-// MatMulATB and MatMulABT split across workers, given the multiply-adds one
+// AddMatMulATB and MatMulABT split across workers, given the multiply-adds one
 // output row costs: enough rows for two workers to get minSplitWork each.
 // A training batch's products split (a 320-row batch through a 128→64 layer
 // is 2.6M multiply-adds) where par's 1024-row default never would; a row
@@ -138,24 +138,28 @@ func trainSplitRows(perRow int) int {
 	return 2 * (minSplitWork/max(perRow, 1) + 1)
 }
 
-// MatMulATB computes dst = aᵀ · b without materializing the transpose.
-// Shapes: a is n×r, b is n×c, dst is r×c. Used for weight gradients
-// (dW = Xᵀ·dY). Output row r is column r of a times b: the column is
-// gathered into a buffer of n floats, one per worker chunk, and the row is
-// one vecmath.MulRow, so its bits are those of the AXPY loop over n.
-func MatMulATB(dst, a, b *Matrix) {
+// AddMatMulATB adds aᵀ · b into dst without materializing the transpose or
+// the product. Shapes: a is n×r, b is n×c, dst is r×c. Used for weight
+// gradients (dW += Xᵀ·dY). Row r of the product is column r of a times b:
+// the column is gathered into a buffer of n floats and the row computed
+// into a buffer of c floats, both one per worker chunk, by one
+// vecmath.MulRow, so its bits are those of the AXPY loop over n; then the
+// buffer is added into row r of dst.
+func AddMatMulATB(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic("tensor: MatMulATB shape mismatch")
+		panic("tensor: AddMatMulATB shape mismatch")
 	}
 	// Parallelize over the rows of dst (columns of a): each worker owns a
 	// disjoint slice of output rows, so no synchronization is needed.
 	par.ForChunksMin(dst.Rows, trainSplitRows(a.Rows*b.Cols), func(lo, hi int) {
-		col := make([]float32, a.Rows)
+		buf := make([]float32, a.Rows+b.Cols)
+		col, prod := buf[:a.Rows], buf[a.Rows:]
 		for r := lo; r < hi; r++ {
 			for n := range col {
 				col[n] = a.Data[n*a.Cols+r]
 			}
-			vecmath.MulRow(dst.Row(r), col, b.Data)
+			vecmath.MulRow(prod, col, b.Data)
+			vecmath.Add(dst.Row(r), dst.Row(r), prod)
 		}
 	})
 }
@@ -192,8 +196,8 @@ func AddRowVector(m *Matrix, vec []float32) {
 	}
 }
 
-// ColSums accumulates the per-column sums of m into dst (float64 accumulate,
-// float32 result). dst must have length m.Cols.
+// ColSums adds the per-column sums of m into dst (each sum accumulated in
+// float64, rounded to float32, then added). dst must have length m.Cols.
 func ColSums(dst []float32, m *Matrix) {
 	if len(dst) != m.Cols {
 		panic("tensor: ColSums length mismatch")
@@ -206,7 +210,7 @@ func ColSums(dst []float32, m *Matrix) {
 		}
 	}
 	for j := range dst {
-		dst[j] = float32(acc[j])
+		dst[j] += float32(acc[j])
 	}
 }
 

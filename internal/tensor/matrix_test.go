@@ -52,7 +52,7 @@ func TestMatMulATBMatchesTranspose(t *testing.T) {
 		n, r, c := 1+rng.Intn(15), 1+rng.Intn(15), 1+rng.Intn(15)
 		a, b := randMat(rng, n, r), randMat(rng, n, c)
 		dst := New(r, c)
-		MatMulATB(dst, a, b)
+		AddMatMulATB(dst, a, b)
 		return Equalish(dst, naiveMul(a.T(), b), 1e-3)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
@@ -150,9 +150,9 @@ func TestMatMulHandComputed(t *testing.T) {
 	// aᵀ·c with c 2×2: the weight gradient of a 3-input layer.
 	c := FromSlice(2, 2, []float32{1, -1, 0, 2})
 	dW := New(3, 2)
-	MatMulATB(dW, a, c)
+	AddMatMulATB(dW, a, c)
 	if want := FromSlice(3, 2, []float32{1, 7, 2, 8, 3, 9}); !Equalish(dW, want, 0) {
-		t.Fatalf("MatMulATB = %v, want %v", dW.Data, want.Data)
+		t.Fatalf("AddMatMulATB = %v, want %v", dW.Data, want.Data)
 	}
 	// c·bᵀ: the input gradient of a layer whose weights are bᵀ.
 	dX := New(2, 3)
@@ -162,8 +162,8 @@ func TestMatMulHandComputed(t *testing.T) {
 	}
 }
 
-// atbAXPYLoop is MatMulATB's definition: row r of dst starts at zero and
-// takes AXPY(a[n][r], row n of b) for every n in ascending order whose
+// atbAXPYLoop is the product AddMatMulATB adds: row r of dst starts at zero
+// and takes AXPY(a[n][r], row n of b) for every n in ascending order whose
 // a[n][r] is not ±0.
 func atbAXPYLoop(dst, a, b *Matrix) {
 	for r := 0; r < dst.Rows; r++ {
@@ -180,7 +180,9 @@ func atbAXPYLoop(dst, a, b *Matrix) {
 // TestMatMulATBBitEqualsAXPYLoop holds the weight gradient to the AXPY loop
 // bit for bit on random shapes — batches of 1 to 400 rows, so some split
 // across workers — whose inputs are a ReLU's (about half exactly zero, a
-// few −0) and whose upstream gradients include ±Inf and NaN.
+// few −0) and whose upstream gradients include ±Inf and NaN: added into a
+// zeroed dst it is the loop's bits, and added into a filled one it is the
+// filled value plus them.
 func TestMatMulATBBitEqualsAXPYLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	special := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
@@ -203,11 +205,19 @@ func TestMatMulATBBitEqualsAXPYLoop(t *testing.T) {
 			}
 		}
 		got, want := New(r, c), New(r, c)
-		MatMulATB(got, a, b)
+		AddMatMulATB(got, a, b)
 		atbAXPYLoop(want, a, b)
 		for i, v := range want.Data {
 			if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
 				t.Fatalf("trial %d (%dx%d)ᵀ·(%dx%d): element %d = %v, AXPY loop %v", trial, n, r, n, c, i, got.Data[i], v)
+			}
+		}
+		prior := randMat(rng, r, c)
+		got = prior.Clone()
+		AddMatMulATB(got, a, b)
+		for i, v := range want.Data {
+			if sum := prior.Data[i] + v; math.Float32bits(got.Data[i]) != math.Float32bits(sum) {
+				t.Fatalf("trial %d: element %d added into %v = %v, want %v", trial, i, prior.Data[i], got.Data[i], sum)
 			}
 		}
 	}
@@ -228,6 +238,10 @@ func TestColSums(t *testing.T) {
 	ColSums(sums, m)
 	if sums[0] != 9 || sums[1] != 12 {
 		t.Fatalf("ColSums = %v", sums)
+	}
+	ColSums(sums, m)
+	if sums[0] != 18 || sums[1] != 24 {
+		t.Fatalf("ColSums did not add into dst: %v", sums)
 	}
 }
 
@@ -261,7 +275,7 @@ func TestShapePanics(t *testing.T) {
 	}
 	mustPanic("FromSlice", func() { FromSlice(2, 2, make([]float32, 3)) })
 	mustPanic("MatMul", func() { MatMul(New(2, 2), New(2, 3), New(2, 2)) })
-	mustPanic("MatMulATB", func() { MatMulATB(New(2, 2), New(3, 2), New(4, 2)) })
+	mustPanic("AddMatMulATB", func() { AddMatMulATB(New(2, 2), New(3, 2), New(4, 2)) })
 	mustPanic("MatMulABT", func() { MatMulABT(New(2, 2), New(2, 3), New(2, 4)) })
 	mustPanic("MulRowInto input", func() { MulRowInto(make([]float32, 2), make([]float32, 3), New(2, 2)) })
 	mustPanic("MulRowInto output", func() { MulRowInto(make([]float32, 3), make([]float32, 2), New(2, 2)) })

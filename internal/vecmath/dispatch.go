@@ -9,14 +9,14 @@ import "os"
 // batch vs single-row inference), so the choice is deliberately not mutable
 // at runtime.
 //
-// The three block kernels (SegmentToCentroids and LUTSumRows of the
-// quantized path, DotRows of the float scan), ArgMin and MulRow read or
-// write buffers their callers may keep on the stack. An indirect call would
-// force those buffers to the heap, so the table holds only a flag for them:
-// arch selects the per-architecture set (segToCentroidsArch,
-// lutSumRowsArch, dotRowsArch, argMinArch, mulRowArch in
-// dispatch_<arch>.go) over the portable set, and the public wrappers call
-// either one directly.
+// The four block kernels (SegmentToCentroids and LUTSumRows of the
+// quantized path, DotRows of the float scan, SquaredL2Rows of the exact
+// k-NN joins), ArgMin and MulRow read or write buffers their callers may
+// keep on the stack. An indirect call would force those buffers to the
+// heap, so the table holds only a flag for them: arch selects the
+// per-architecture set (segToCentroidsArch, lutSumRowsArch, dotRowsArch,
+// sqL2RowsArch, argMinArch, mulRowArch in dispatch_<arch>.go) over the
+// portable set, and the public wrappers call either one directly.
 type kernels struct {
 	name   string
 	dot    func(a, b []float32) float32

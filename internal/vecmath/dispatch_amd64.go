@@ -39,6 +39,9 @@ func lutSumRowsAVX2(dst, lut []float32, k int, codes []uint8, m int, ids []int32
 func dotRowsAVX2(dst, q, data []float32, dim int, ids []int32)
 
 //go:noescape
+func sqL2RowsAVX2(dst, q, data []float32, dim int, ids []int32)
+
+//go:noescape
 func argMinAVX2(x []float32) int
 
 //go:noescape
@@ -66,6 +69,10 @@ func lutSumRowsArch(dst, lut []float32, k int, codes []uint8, m int, ids []int32
 
 func dotRowsArch(dst, q, data []float32, dim int, ids []int32) {
 	dotRowsAVX2(dst, q, data, dim, ids)
+}
+
+func sqL2RowsArch(dst, q, data []float32, dim int, ids []int32) {
+	sqL2RowsAVX2(dst, q, data, dim, ids)
 }
 
 func argMinArch(x []float32) int {

@@ -31,10 +31,10 @@ var neonKernels = kernels{
 }
 
 // The block kernels, ArgMin and MulRow have no NEON port yet. The segment
-// kernel and ArgMin run the portable code; the multi-row sum and the
-// multi-row dot product loop over the NEON single-row kernels, which keeps
-// every row bit-equal to LUTSum and Dot under this dispatch, and the dense
-// row is the AXPY loop over the NEON AXPY.
+// kernel and ArgMin run the portable code; the multi-row sum, dot product
+// and squared distance loop over the NEON single-row kernels, which keeps
+// every row bit-equal to LUTSum, Dot and SquaredL2 under this dispatch, and
+// the dense row is the AXPY loop over the NEON AXPY.
 
 func segToCentroidsArch(dst, seg, cbT []float32) {
 	segToCentroidsScalar(dst, seg, cbT)
@@ -55,6 +55,13 @@ func dotRowsArch(dst, q, data []float32, dim int, ids []int32) {
 	for i, id := range ids {
 		o := int(id) * dim
 		dst[i] = dotNEON(q, data[o:o+dim])
+	}
+}
+
+func sqL2RowsArch(dst, q, data []float32, dim int, ids []int32) {
+	for i, id := range ids {
+		o := int(id) * dim
+		dst[i] = sqL2NEON(q, data[o:o+dim])
 	}
 }
 

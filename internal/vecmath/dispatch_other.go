@@ -23,6 +23,10 @@ func dotRowsArch(dst, q, data []float32, dim int, ids []int32) {
 	dotRowsScalar(dst, q, data, dim, ids)
 }
 
+func sqL2RowsArch(dst, q, data []float32, dim int, ids []int32) {
+	sqL2RowsScalar(dst, q, data, dim, ids)
+}
+
 func argMinArch(x []float32) int {
 	return argMinScalar(x)
 }

@@ -304,6 +304,13 @@ func TestPublicKernelsUseActiveImpl(t *testing.T) {
 			t.Fatalf("DotRows diverges from the %s kernel at %d", pair.name, i)
 		}
 	}
+	SquaredL2Rows(got[:3], a[:43], b, 43, ids)
+	pair.sqL2s(want[:3], a[:43], b, 43, ids)
+	for i := range ids {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("SquaredL2Rows diverges from the %s kernel at %d", pair.name, i)
+		}
+	}
 	if got, want := ArgMin(a), pair.argMin(a); got != want {
 		t.Fatalf("ArgMin = %d, the %s kernel gives %d", got, pair.name, want)
 	}
@@ -316,7 +323,7 @@ func TestPublicKernelsUseActiveImpl(t *testing.T) {
 	}
 }
 
-// blockKernels is one implementation of the three block kernels, ArgMin
+// blockKernels is one implementation of the four block kernels, ArgMin
 // and MulRow, which are called directly and so are not entries of the
 // kernels table, beside the table of the same implementation — the
 // single-row kernels the multi-row ones are pinned to.
@@ -325,6 +332,7 @@ type blockKernels struct {
 	seg    func(dst, seg, cbT []float32)
 	rows   func(dst, lut []float32, k int, codes []uint8, m int, ids []int32)
 	dots   func(dst, q, data []float32, dim int, ids []int32)
+	sqL2s  func(dst, q, data []float32, dim int, ids []int32)
 	argMin func(x []float32) int
 	mulRow func(dst, x, w []float32)
 }
@@ -332,9 +340,9 @@ type blockKernels struct {
 // blockImpls lists the portable set and, when this machine can run it,
 // the architecture set.
 func blockImpls() []blockKernels {
-	impls := []blockKernels{{scalarKernels, segToCentroidsScalar, lutSumRowsScalar, dotRowsScalar, argMinScalar, mulRowScalar}}
+	impls := []blockKernels{{scalarKernels, segToCentroidsScalar, lutSumRowsScalar, dotRowsScalar, sqL2RowsScalar, argMinScalar, mulRowScalar}}
 	if arch, ok := archKernels(); ok {
-		impls = append(impls, blockKernels{arch, segToCentroidsArch, lutSumRowsArch, dotRowsArch, argMinArch, mulRowArch})
+		impls = append(impls, blockKernels{arch, segToCentroidsArch, lutSumRowsArch, dotRowsArch, sqL2RowsArch, argMinArch, mulRowArch})
 	}
 	return impls
 }
@@ -546,6 +554,85 @@ func TestDotRowsPublic(t *testing.T) {
 				}
 			}()
 			DotRows(dst, q, data, dim, []int32{0, bad})
+		}()
+	}
+}
+
+// TestSquaredL2RowsBitEqualsSquaredL2 pins the multi-row squared distance
+// of every implementation to the single-row kernel of the same
+// implementation, bit for bit, with the operands in either order — the
+// symmetry that lets knn.BuildMatrix score a pair once for both of its
+// rows: dimensions on both sides of the 8- and 16-element blocks, groups of
+// one to three rows and every remainder mod 4 beyond, repeated ids, and
+// query, row buffer and destination all starting off any 32-byte boundary.
+func TestSquaredL2RowsBitEqualsSquaredL2(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const rows = 61
+	for _, impl := range blockImpls() {
+		for _, dim := range []int{1, 7, 8, 15, 16, 17, 64, 128, 130, 512} {
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1003} {
+				off := 1 + rng.Intn(7)
+				q := skewedVec(rng, dim+off)[off:]
+				data := skewedVec(rng, rows*dim+off)[off:]
+				ids := make([]int32, n+off)[off:]
+				for i := range ids {
+					ids[i] = int32(rng.Intn(rows))
+				}
+				if n >= 2 {
+					ids[n-1] = ids[0]
+				}
+				dst := make([]float32, n+off)[off:]
+				impl.sqL2s(dst, q, data, dim, ids)
+				for i, id := range ids {
+					row := data[int(id)*dim : (int(id)+1)*dim]
+					want, swapped := impl.sqL2(q, row), impl.sqL2(row, q)
+					if math.Float32bits(dst[i]) != math.Float32bits(want) {
+						t.Fatalf("%s dim=%d n=%d: dst[%d]=%v, single-row kernel %v", impl.name, dim, n, i, dst[i], want)
+					}
+					if math.Float32bits(swapped) != math.Float32bits(want) {
+						t.Fatalf("%s dim=%d: SquaredL2(row, q)=%v, SquaredL2(q, row)=%v", impl.name, dim, swapped, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSquaredL2RowsPublic: the wrapper agrees with SquaredL2 per row under
+// the active dispatch, leaves dst beyond len(ids) alone, scores zero-length
+// rows as 0 and refuses an id whose row is outside the buffer instead of
+// reading past it.
+func TestSquaredL2RowsPublic(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	const dim, rows = 19, 50
+	q, data := skewedVec(rng, dim), skewedVec(rng, rows*dim)
+	ids := make([]int32, 41)
+	for i := range ids {
+		ids[i] = int32(rng.Intn(rows))
+	}
+	dst := make([]float32, len(ids)+1)
+	dst[len(ids)] = -1
+	SquaredL2Rows(dst, q, data, dim, ids)
+	for i, id := range ids {
+		if want := SquaredL2(q, data[int(id)*dim:(int(id)+1)*dim]); math.Float32bits(dst[i]) != math.Float32bits(want) {
+			t.Fatalf("dst[%d]=%v, SquaredL2 %v", i, dst[i], want)
+		}
+	}
+	if dst[len(ids)] != -1 {
+		t.Fatal("SquaredL2Rows wrote past len(ids)")
+	}
+	SquaredL2Rows(dst, q, data, 0, ids[:3])
+	if dst[0] != 0 || dst[1] != 0 || dst[2] != 0 {
+		t.Fatalf("zero-length rows scored %v", dst[:3])
+	}
+	for _, bad := range []int32{rows, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("id %d outside the row buffer did not panic", bad)
+				}
+			}()
+			SquaredL2Rows(dst, q, data, dim, []int32{0, bad})
 		}()
 	}
 }

@@ -10,7 +10,8 @@ import (
 // and checks agreement with the scalar reference under the same forward
 // error bound the deterministic equivalence tests use (ArgMin, on the raw
 // bits, must return the same index; the block kernels and MulRow must
-// return their own single-row kernels' bits). The raw bytes decode
+// return their own single-row kernels' bits, and the multi-row squared
+// distance those bits with the operands in either order). The raw bytes decode
 // into two equal-length float32 vectors (so lengths 0, 1 and every odd tail
 // arise naturally from the input length); non-finite and extreme values are
 // squashed to keep the error bound meaningful — NaN/Inf propagation is
@@ -169,6 +170,46 @@ func FuzzKernelEquivalence(f *testing.F) {
 					}
 					if math.Abs(float64(gotA[i])-float64(gotS[i])) > reductionTol(dim, mass) {
 						t.Fatalf("dotRows: row %d %s=%v scalar=%v (dim=%d)", id, arch.name, gotA[i], gotS[i], dim)
+					}
+				}
+			}
+
+			// Multi-row squared-distance leg: the same query, row buffer
+			// and shapes as the dot leg, with ids drawn from other raw
+			// bytes. Each implementation's block kernel must reproduce its
+			// own single-row kernel bit for bit with the operands in either
+			// order, and the two implementations agree per row inside the
+			// reduction tolerance.
+			if dim := min(n, 1+int(raw[1])%150); dim > 0 {
+				q, rows := a[:dim], n/dim
+				ids := make([]int32, len(raw)%13)
+				for i := range ids {
+					ids[i] = int32(int(raw[(i*7+5)%len(raw)]) % rows)
+				}
+				gotS, gotA := make([]float32, len(ids)), make([]float32, len(ids))
+				sqL2RowsScalar(gotS, q, b, dim, ids)
+				sqL2RowsArch(gotA, q, b, dim, ids)
+				for i, id := range ids {
+					row := b[int(id)*dim : (int(id)+1)*dim]
+					for _, leg := range []struct {
+						name string
+						got  float32
+						sqL2 func(a, b []float32) float32
+					}{{"scalar", gotS[i], squaredL2Scalar}, {arch.name, gotA[i], arch.sqL2}} {
+						if w := leg.sqL2(q, row); math.Float32bits(leg.got) != math.Float32bits(w) {
+							t.Fatalf("sqL2Rows %s: dst[%d]=%v single-row %v (dim=%d)", leg.name, i, leg.got, w, dim)
+						}
+						if w := leg.sqL2(row, q); math.Float32bits(leg.got) != math.Float32bits(w) {
+							t.Fatalf("sqL2Rows %s: dst[%d]=%v swapped single-row %v (dim=%d)", leg.name, i, leg.got, w, dim)
+						}
+					}
+					var mass float64
+					for j := range row {
+						d := float64(q[j]) - float64(row[j])
+						mass += d * d
+					}
+					if math.Abs(float64(gotA[i])-float64(gotS[i])) > reductionTol(dim, mass) {
+						t.Fatalf("sqL2Rows: row %d %s=%v scalar=%v (dim=%d)", id, arch.name, gotA[i], gotS[i], dim)
 					}
 				}
 			}

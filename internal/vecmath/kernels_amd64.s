@@ -783,6 +783,189 @@ drdone:
 	VZEROUPPER
 	RET
 
+// func sqL2RowsAVX2(dst, q, data []float32, dim int, ids []int32)
+//
+// Multi-row squared distance: dst[i] = Σ_j (q[j] − data[ids[i]*dim+j])².
+// dotRowsAVX2's skeleton — four rows at a time, the pair of 8-lane
+// accumulators Y0/Y1, Y2/Y3, Y4/Y5, Y6/Y7 per row, the query block loaded
+// once per four rows, spare slots of a short last group filled with its
+// first row, the next group's rows prefetched, one VZEROUPPER per call —
+// with sqL2AVX2's operations: each block is VSUBPS (q minus the row) into a
+// scratch register, then VFMADD231PS of the difference with itself into
+// the row's accumulator. The 16- and 8-element blocking, the lane-ordered
+// horizontal sum and the sequential subtract + scalar-FMA tail are
+// sqL2AVX2's with a = q and b = the row, so every dst[i] is bit-equal to
+// sqL2AVX2(q, row). Contract (enforced by the public wrapper): len(dst) ≥
+// len(ids), len(q) == dim, every row ids[i] inside data.
+TEXT ·sqL2RowsAVX2(SB), NOSPLIT, $0-104
+	MOVQ dst_base+0(FP), DI
+	MOVQ q_base+24(FP), SI
+	MOVQ data_base+48(FP), R8
+	MOVQ dim+72(FP), DX
+	MOVQ ids_base+80(FP), R10
+	MOVQ ids_len+88(FP), R11   // rows left
+sqrgroup:
+	TESTQ R11, R11
+	JLE  sqrdone
+	MOVLQSX (R10), R9
+	IMULQ DX, R9
+	LEAQ (R8)(R9*4), R9        // R9 = row A
+	MOVQ R9, R12               // rows B, C, D = row A unless they exist
+	MOVQ R9, R13
+	MOVQ R9, BX
+	CMPQ R11, $2
+	JLT  sqrready
+	MOVLQSX 4(R10), R12
+	IMULQ DX, R12
+	LEAQ (R8)(R12*4), R12      // R12 = row B
+	CMPQ R11, $3
+	JLT  sqrready
+	MOVLQSX 8(R10), R13
+	IMULQ DX, R13
+	LEAQ (R8)(R13*4), R13      // R13 = row C
+	CMPQ R11, $4
+	JLT  sqrready
+	MOVLQSX 12(R10), BX
+	IMULQ DX, BX
+	LEAQ (R8)(BX*4), BX        // BX = row D
+	CMPQ R11, $8
+	JLT  sqrready
+	MOVLQSX 16(R10), CX
+	IMULQ DX, CX
+	PREFETCHT0 (R8)(CX*4)
+	MOVLQSX 20(R10), CX
+	IMULQ DX, CX
+	PREFETCHT0 (R8)(CX*4)
+	MOVLQSX 24(R10), CX
+	IMULQ DX, CX
+	PREFETCHT0 (R8)(CX*4)
+	MOVLQSX 28(R10), CX
+	IMULQ DX, CX
+	PREFETCHT0 (R8)(CX*4)
+sqrready:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ SI, AX                // query cursor
+	MOVQ DX, CX
+	SHRQ $4, CX                // 16-element blocks
+	JZ   sqr8
+sqr16:
+	VMOVUPS (AX), Y8
+	VMOVUPS 32(AX), Y9
+	VSUBPS (R9), Y8, Y10       // q - row, per row and half block
+	VSUBPS 32(R9), Y9, Y11
+	VSUBPS (R12), Y8, Y12
+	VSUBPS 32(R12), Y9, Y13
+	VSUBPS (R13), Y8, Y14
+	VSUBPS 32(R13), Y9, Y15
+	VFMADD231PS Y10, Y10, Y0   // acc += d*d
+	VFMADD231PS Y11, Y11, Y1
+	VFMADD231PS Y12, Y12, Y2
+	VFMADD231PS Y13, Y13, Y3
+	VFMADD231PS Y14, Y14, Y4
+	VFMADD231PS Y15, Y15, Y5
+	VSUBPS (BX), Y8, Y10
+	VSUBPS 32(BX), Y9, Y11
+	VFMADD231PS Y10, Y10, Y6
+	VFMADD231PS Y11, Y11, Y7
+	ADDQ $64, AX
+	ADDQ $64, R9
+	ADDQ $64, R12
+	ADDQ $64, R13
+	ADDQ $64, BX
+	DECQ CX
+	JNZ  sqr16
+sqr8:
+	TESTQ $8, DX
+	JZ    sqrreduce
+	VMOVUPS (AX), Y8
+	VSUBPS (R9), Y8, Y10
+	VSUBPS (R12), Y8, Y11
+	VSUBPS (R13), Y8, Y12
+	VSUBPS (BX), Y8, Y13
+	VFMADD231PS Y10, Y10, Y0
+	VFMADD231PS Y11, Y11, Y2
+	VFMADD231PS Y12, Y12, Y4
+	VFMADD231PS Y13, Y13, Y6
+	ADDQ $32, AX
+	ADDQ $32, R9
+	ADDQ $32, R12
+	ADDQ $32, R13
+	ADDQ $32, BX
+sqrreduce:
+	VADDPS Y1, Y0, Y0
+	VADDPS Y3, Y2, Y2
+	VADDPS Y5, Y4, Y4
+	VADDPS Y7, Y6, Y6
+	VEXTRACTF128 $1, Y0, X1
+	VEXTRACTF128 $1, Y2, X3
+	VEXTRACTF128 $1, Y4, X5
+	VEXTRACTF128 $1, Y6, X7
+	VADDPS X1, X0, X0          // 4 lanes per row
+	VADDPS X3, X2, X2
+	VADDPS X5, X4, X4
+	VADDPS X7, X6, X6
+	VSHUFPS $0xb1, X0, X0, X1  // [1 0 3 2]
+	VSHUFPS $0xb1, X2, X2, X3
+	VSHUFPS $0xb1, X4, X4, X5
+	VSHUFPS $0xb1, X6, X6, X7
+	VADDPS X1, X0, X0
+	VADDPS X3, X2, X2
+	VADDPS X5, X4, X4
+	VADDPS X7, X6, X6
+	VSHUFPS $0x4e, X0, X0, X1  // [2 3 0 1]
+	VSHUFPS $0x4e, X2, X2, X3
+	VSHUFPS $0x4e, X4, X4, X5
+	VSHUFPS $0x4e, X6, X6, X7
+	VADDSS X1, X0, X0          // lane 0 = row total
+	VADDSS X3, X2, X2
+	VADDSS X5, X4, X4
+	VADDSS X7, X6, X6
+	MOVQ DX, CX
+	ANDQ $7, CX
+	JZ   sqrstore
+sqrtail:
+	VMOVSS (AX), X8
+	VSUBSS (R9), X8, X9
+	VSUBSS (R12), X8, X10
+	VSUBSS (R13), X8, X11
+	VSUBSS (BX), X8, X12
+	VFMADD231SS X9, X9, X0
+	VFMADD231SS X10, X10, X2
+	VFMADD231SS X11, X11, X4
+	VFMADD231SS X12, X12, X6
+	ADDQ $4, AX
+	ADDQ $4, R9
+	ADDQ $4, R12
+	ADDQ $4, R13
+	ADDQ $4, BX
+	DECQ CX
+	JNZ  sqrtail
+sqrstore:
+	VMOVSS X0, (DI)
+	CMPQ R11, $2
+	JLT  sqrdone
+	VMOVSS X2, 4(DI)
+	CMPQ R11, $3
+	JLT  sqrdone
+	VMOVSS X4, 8(DI)
+	CMPQ R11, $4
+	JLT  sqrdone
+	VMOVSS X6, 12(DI)
+	ADDQ $16, DI
+	ADDQ $16, R10
+	SUBQ $4, R11
+	JMP  sqrgroup
+sqrdone:
+	VZEROUPPER
+	RET
+
 // func argMinAVX2(x []float32) int
 //
 // Index of the first minimum, as the scalar loop best := x[0]; if x[i] <

@@ -195,6 +195,46 @@ func BenchmarkDotRows(b *testing.B) {
 	}
 }
 
+// BenchmarkSquaredL2Rows times the block form of the exact k-NN joins'
+// kernel on BuildMatrix's shape: one row scored against a 128-row tile of
+// consecutive rows of an 8000-row buffer per call. The looped sub-benchmark
+// scores the same rows with one single-row SquaredL2 call per row, through a
+// function value as the kernel table dispatches it — the loop BuildMatrix
+// ran before.
+func BenchmarkSquaredL2Rows(b *testing.B) {
+	rng := rand.New(rand.NewSource(30))
+	const rows, n = 8000, 128
+	for _, impl := range blockImpls() {
+		for _, dim := range []int{64, 128, 512} {
+			q, data := randVec(rng, dim), randVec(rng, rows*dim)
+			ids := make([]int32, n)
+			for i := range ids {
+				ids[i] = int32(rows/2 + i)
+			}
+			dst := make([]float32, n)
+			nsPerRow := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+			}
+			b.Run(fmt.Sprintf("%s/dim%d/block", impl.name, dim), func(b *testing.B) {
+				b.SetBytes(int64(n * dim * 4))
+				for i := 0; i < b.N; i++ {
+					impl.sqL2s(dst, q, data, dim, ids)
+				}
+				nsPerRow(b)
+			})
+			b.Run(fmt.Sprintf("%s/dim%d/looped", impl.name, dim), func(b *testing.B) {
+				b.SetBytes(int64(n * dim * 4))
+				for i := 0; i < b.N; i++ {
+					for j, id := range ids {
+						dst[j] = impl.sqL2(q, data[int(id)*dim:(int(id)+1)*dim])
+					}
+				}
+				nsPerRow(b)
+			})
+		}
+	}
+}
+
 // BenchmarkArgMin times the encoder's per-subspace argmin: the index of the
 // nearest of k centroid distances, at the codebook sizes PQ uses.
 func BenchmarkArgMin(b *testing.B) {

@@ -118,6 +118,15 @@ func dotRowsScalar(dst, q, data []float32, dim int, ids []int32) {
 	}
 }
 
+// sqL2RowsScalar scores a run of rows: dst[i] is squaredL2Scalar of q
+// against row ids[i] of the flat row buffer (row r at data[r*dim:(r+1)*dim]).
+func sqL2RowsScalar(dst, q, data []float32, dim int, ids []int32) {
+	for i, id := range ids {
+		o := int(id) * dim
+		dst[i] = squaredL2Scalar(q, data[o:o+dim])
+	}
+}
+
 // mulRowScalar is MulRow's portable kernel, the AXPY loop itself: dst is
 // cleared, then takes axpyScalar(x[k], row k of w, dst) for every k in
 // ascending order whose x[k] is not ±0 (a NaN is not skipped), so a zero

@@ -19,7 +19,7 @@ type Neighbor struct {
 // retained set is the first k of everything pushed in that order, whatever
 // order the pushes came in.
 //
-// The zero value is not usable; construct with NewTopK.
+// The zero value is not usable; construct with NewTopK or NewTopKs.
 type TopK struct {
 	k    int
 	heap []Neighbor // max-heap under compareNeighbors
@@ -32,6 +32,21 @@ func NewTopK(k int) *TopK {
 		panic("vecmath: NewTopK requires k > 0")
 	}
 	return &TopK{k: k, heap: make([]Neighbor, 0, k)}
+}
+
+// NewTopKs returns n selectors retaining the k nearest neighbors each, all
+// backed by one n·k buffer rather than one allocation per selector: the
+// per-row lists of an all-pairs join. k must be positive.
+func NewTopKs(n, k int) []TopK {
+	if k <= 0 {
+		panic("vecmath: NewTopKs requires k > 0")
+	}
+	buf := make([]Neighbor, n*k)
+	ts := make([]TopK, n)
+	for i := range ts {
+		ts[i] = TopK{k: k, heap: buf[i*k : i*k : i*k+k]}
+	}
+	return ts
 }
 
 // Len reports how many neighbors are currently retained (≤ k).

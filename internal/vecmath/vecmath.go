@@ -3,11 +3,13 @@
 // updates, and small utilities (argmax, top-k selection).
 //
 // The hot kernels — Dot, SquaredL2, AXPY, LUTSum, ArgMin, MulRow (one row
-// of every dense product) and the three block kernels, DotRows of the float
-// candidate scan and SegmentToCentroids and LUTSumRows of the quantized
-// path — dispatch through a kernel set selected once at package init:
-// AVX2+FMA assembly on capable amd64 CPUs, NEON assembly on arm64, and the
-// portable 4-way-unrolled scalar code everywhere else (see dispatch.go). Setting USP_FORCE_SCALAR in the environment pins
+// of every dense product) and the four block kernels, DotRows of the float
+// candidate scan, SquaredL2Rows of the exact k-NN matrix and ground truth,
+// and SegmentToCentroids and LUTSumRows of the quantized path — dispatch
+// through a kernel set selected once at package init: AVX2+FMA assembly on
+// capable amd64 CPUs, NEON assembly on arm64, and the portable
+// 4-way-unrolled scalar code everywhere else (see dispatch.go). Setting
+// USP_FORCE_SCALAR in the environment pins
 // the scalar kernels regardless of CPU features. All other helpers are pure
 // Go; float64 accumulation variants are provided where reduction precision
 // matters.
@@ -73,6 +75,30 @@ func DotRows(dst, q, data []float32, dim int, ids []int32) {
 		dotRowsArch(dst, q, data, dim, ids)
 	} else {
 		dotRowsScalar(dst, q, data, dim, ids)
+	}
+}
+
+// SquaredL2Rows is the multi-row form of SquaredL2, the inner loop of the
+// exact k-NN joins (knn.BuildMatrix, knn.GroundTruth): for every i it
+// stores in dst[i] the squared Euclidean distance between q and row ids[i]
+// of the flat row-major buffer data (row r at data[r*dim:(r+1)*dim]). Each
+// dst[i] is bit-equal to SquaredL2(q, data[ids[i]*dim:(ids[i]+1)*dim])
+// under the same dispatch, and so to SquaredL2 with the operands swapped:
+// every kernel set squares q[j]−x[j], which is exactly −(x[j]−q[j]), in
+// the same order either way. len(q) must be at least dim and len(dst) at
+// least len(ids); an id whose row does not lie inside data panics, as
+// slicing the row would.
+func SquaredL2Rows(dst, q, data []float32, dim int, ids []int32) {
+	dst = dst[:len(ids)]
+	q = q[:dim]
+	for _, id := range ids {
+		o := int(id) * dim
+		_ = data[o : o+dim : len(data)] // the kernels read rows unchecked
+	}
+	if active.arch {
+		sqL2RowsArch(dst, q, data, dim, ids)
+	} else {
+		sqL2RowsScalar(dst, q, data, dim, ids)
 	}
 }
 

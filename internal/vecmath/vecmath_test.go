@@ -210,6 +210,33 @@ func TestTopKTiesIndependentOfPushOrder(t *testing.T) {
 	}
 }
 
+// TestNewTopKsShareNoSlots fills selectors that share one buffer in
+// interleaved order — the first after growing its k — and each must keep
+// exactly its own first k, so no selector's heap runs into its neighbor's
+// slots.
+func TestNewTopKsShareNoSlots(t *testing.T) {
+	const n, k = 5, 3
+	tks := NewTopKs(n, k)
+	tks[0].SetK(k + 2)
+	tks[0].Push(-1, 0)
+	tks[0].Push(-2, 0)
+	for d := 10; d > 0; d-- {
+		for r := range tks {
+			tks[r].Push(r*100+d, float32(d))
+		}
+	}
+	for r := range tks {
+		got := tks[r].AppendSorted(nil)
+		want := []Neighbor{{r*100 + 1, 1}, {r*100 + 2, 2}, {r*100 + 3, 3}}
+		if r == 0 {
+			want = append([]Neighbor{{-2, 0}, {-1, 0}}, want...)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("selector %d kept %v, want %v", r, got, want)
+		}
+	}
+}
+
 func TestTopKIndices(t *testing.T) {
 	x := []float32{0.1, 0.9, 0.5, 0.9}
 	got := TopKIndices(x, 3)
