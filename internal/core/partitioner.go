@@ -43,11 +43,8 @@ func (p *Partitioner) AppendBin(dst []int32, b int) []int32 {
 
 // TrainStats reports offline-phase metrics (the quantities of Tables 2–3).
 type TrainStats struct {
-	Duration  time.Duration
-	FinalLoss float64
-	Quality   float64
-	Balance   float64
-	Params    int
+	Duration time.Duration
+	Params   int
 }
 
 // Train learns a partition of ds into cfg.Bins bins using the unsupervised
@@ -98,11 +95,11 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config, weights []float3
 	}
 	n, m := ds.N, cfg.Bins
 
-	var last nn.LossResult
+	params := model.Params()
 	snapshot := make([]int32, n) // bin assignment of every point, refreshed per epoch
-	// One batch's inputs, soft targets and weights, refilled per batch and
-	// dropped with this call: the model keeps no reference to them past
-	// Backward.
+	// One batch's inputs, soft targets and weights, and the training
+	// loop's buffers, refilled per batch and dropped with this call.
+	var ts nn.TrainScratch
 	xBuf := make([]float32, cfg.BatchSize*ds.Dim)
 	tBuf := make([]float32, cfg.BatchSize*m)
 	var wBuf []float32
@@ -154,21 +151,20 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config, weights []float3
 			}
 
 			model.ZeroGrads()
-			logits := model.Forward(x)
+			logits := model.Forward(x, &ts)
 			var res nn.LossResult
 			if cfg.EntropyBalance {
 				res = nn.USPLossEntropy(logits, targets, w, cfg.Eta)
 			} else {
 				res = nn.USPLoss(logits, targets, w, cfg.Eta)
 			}
-			model.Backward(res.Grad)
-			opt.Step(model.Params())
+			model.Backward(res.Grad, &ts)
+			opt.Step(params)
 
 			epochLoss += res.Loss
 			epochQ += res.Quality
 			epochB += res.Balance
 			batches++
-			last = res
 		}
 		if cfg.Logf != nil && batches > 0 {
 			cfg.Logf("epoch %3d: loss=%.4f quality=%.4f balance=%.4f",
@@ -178,14 +174,7 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config, weights []float3
 
 	p := &Partitioner{node: node{Model: model}, M: m}
 	p.buildLookup(ds)
-	stats := TrainStats{
-		Duration:  time.Since(start),
-		FinalLoss: last.Loss,
-		Quality:   last.Quality,
-		Balance:   last.Balance,
-		Params:    model.NumParams(),
-	}
-	return p, stats, nil
+	return p, TrainStats{Duration: time.Since(start), Params: model.NumParams()}, nil
 }
 
 // ClusterLabels trains a single USP model with m = k bins and returns each

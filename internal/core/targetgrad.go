@@ -27,6 +27,8 @@ func trainTargetGrad(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config,
 	n, m := ds.N, cfg.Bins
 	kp := cfg.KPrime
 	const logFloor = -18.4 // log(1e-8): caps the target-side pull
+	params := model.Params()
+	var ts nn.TrainScratch
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		perm := rng.Perm(n)
@@ -77,7 +79,7 @@ func trainTargetGrad(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config,
 				copy(x.Row(r), ds.Row(int(id)))
 			}
 			model.ZeroGrads()
-			logits := model.Forward(x)
+			logits := model.Forward(x, &ts)
 			probs := logits.Clone()
 			nn.SoftmaxRows(probs)
 
@@ -111,8 +113,8 @@ func trainTargetGrad(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config,
 			if cfg.Eta != 0 {
 				nn.AddWindowBalance(probs, grad, cfg.Eta)
 			}
-			model.Backward(grad)
-			opt.Step(model.Params())
+			model.Backward(grad, &ts)
+			opt.Step(params)
 		}
 	}
 	return nil

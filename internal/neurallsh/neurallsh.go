@@ -93,6 +93,8 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config) (*Model, Stats, 
 		net = nn.NewMLP(ds.Dim, cfg.Hidden, cfg.Bins, hiddenDropout, rng)
 	}
 	opt := nn.NewAdam(learningRate)
+	params := net.Params()
+	var ts nn.TrainScratch
 
 	t1 := time.Now()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -113,10 +115,10 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config) (*Model, Stats, 
 				y[bi] = labels[pi]
 			}
 			net.ZeroGrads()
-			logits := net.Forward(x)
+			logits := net.Forward(x, &ts)
 			_, grad := nn.CrossEntropy(logits, y)
-			net.Backward(grad)
-			opt.Step(net.Params())
+			net.Backward(grad, &ts)
+			opt.Step(params)
 		}
 	}
 	trainTime := time.Since(t1)

@@ -90,6 +90,8 @@ func (f RegressionFitter) Fit(ds *dataset.Dataset, idx []int32, rng *rand.Rand) 
 
 	model := nn.NewLogistic(ds.Dim, 2, rng)
 	opt := nn.NewAdam(regressionLR)
+	params := model.Params()
+	var ts nn.TrainScratch
 	labels := make([]int, sub.N)
 	for i, s := range sides {
 		labels[i] = int(s)
@@ -97,10 +99,10 @@ func (f RegressionFitter) Fit(ds *dataset.Dataset, idx []int32, rng *rand.Rand) 
 	x := tensor.FromSlice(sub.N, sub.Dim, sub.Data)
 	for e := 0; e < epochs; e++ {
 		model.ZeroGrads()
-		logits := model.Forward(x)
+		logits := model.Forward(x, &ts)
 		_, grad := nn.CrossEntropy(logits, labels)
-		model.Backward(grad)
-		opt.Step(model.Params())
+		model.Backward(grad, &ts)
+		opt.Step(params)
 	}
 	return &regressionSplit{model: model, sides: sides}
 }

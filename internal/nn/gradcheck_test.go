@@ -62,17 +62,18 @@ func checkModelGrads(t *testing.T, model *Sequential, x *tensor.Matrix,
 			copy(s.bn.RunningVar.Data, s.va)
 		}
 	}
+	var ts TrainScratch
 	lossFn := func() float64 {
 		defer restore()
-		logits := model.Forward(x)
+		logits := model.Forward(x, &ts)
 		l, _ := loss(logits)
 		return l
 	}
 
 	model.ZeroGrads()
-	logits := model.Forward(x)
+	logits := model.Forward(x, &ts)
 	_, grad := loss(logits)
-	model.Backward(grad)
+	model.Backward(grad, &ts)
 	restore()
 
 	for pi, p := range model.Params() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
@@ -12,10 +11,10 @@ import (
 // query (PredictVecInto) or on a micro-batch of them (PredictBatchInto);
 // offline training's per-epoch assignment snapshot and lookup-table build
 // evaluate it on the whole dataset (Predict). All of them run one eval loop
-// (running batch-norm statistics, dropout off) over packed rows, and every
-// dense row in it is one tensor.MulRowInto, the row kernel of training's
-// MatMul. A row's probabilities therefore carry the same bits whichever
-// entry point ran it and whatever rows shared its call.
+// (running batch-norm statistics, dropout off) over packed rows, whose
+// dense layers run Dense.forwardRows, the dense rows of training's Forward.
+// A row's probabilities therefore carry the same bits whichever entry point
+// ran it and whatever rows shared its call.
 
 // InferScratch holds the reusable buffers of the eval loop. The zero value
 // is ready to use; buffers grow on demand and are retained between calls,
@@ -56,11 +55,6 @@ func (s *Sequential) PredictBatchInto(dst []float32, X *tensor.Matrix, sc *Infer
 	return append(dst[:0], s.inferRows(X.Data[:X.Rows*X.Cols], X.Rows, X.Cols, sc)...)
 }
 
-// splitRows is the row count from which a dense layer splits its rows
-// across workers, as tensor.MatMul does; only whole-dataset inference
-// reaches it.
-const splitRows = 1024
-
 // inferRows is the eval loop: it runs the rows packed in x, each in wide,
 // through every layer and the softmax, and returns their probabilities,
 // packed, in a buffer of sc.
@@ -71,15 +65,7 @@ func (s *Sequential) inferRows(x []float32, rows, in int, sc *InferScratch) []fl
 		switch ly := l.(type) {
 		case *Dense:
 			sc.nxt = growF32(sc.nxt, rows*ly.W.Value.Cols)
-			// The row count is checked first because par.Workers takes the
-			// scheduler lock; the closure is made only where it runs, as it
-			// escapes.
-			if rows < splitRows || par.Workers() == 1 {
-				ly.inferRows(sc.nxt, sc.cur, width, 0, rows)
-			} else {
-				nxt, cur, w := sc.nxt, sc.cur, width
-				par.ForChunks(rows, func(lo, hi int) { ly.inferRows(nxt, cur, w, lo, hi) })
-			}
+			ly.forwardRows(sc.nxt, sc.cur, width, rows)
 			sc.cur, sc.nxt = sc.nxt, sc.cur
 			width = ly.W.Value.Cols
 		case *BatchNorm:
@@ -106,19 +92,6 @@ func (s *Sequential) inferRows(x []float32, rows, in int, sc *InferScratch) []fl
 		softmaxRow(sc.cur[i*width : (i+1)*width])
 	}
 	return sc.cur
-}
-
-// inferRows computes rows [lo, hi) of dst = x·W + b, x's rows packed in
-// wide: each row one tensor.MulRowInto, then the bias add.
-func (d *Dense) inferRows(dst, x []float32, in, lo, hi int) {
-	out := d.W.Value.Cols
-	for i := lo; i < hi; i++ {
-		row := dst[i*out : (i+1)*out]
-		tensor.MulRowInto(row, x[i*in:(i+1)*in], d.W.Value)
-		for j, bv := range d.B.Value.Data {
-			row[j] += bv
-		}
-	}
 }
 
 // inferRow standardizes a single row in place with the running statistics,

@@ -17,6 +17,8 @@ func trainedMLP(t *testing.T, inDim, outDim int) *Sequential {
 	rng := rand.New(rand.NewSource(3))
 	model := NewMLP(inDim, []int{9}, outDim, 0.1, rng)
 	opt := NewAdam(1e-3)
+	params := model.Params()
+	var ts TrainScratch
 	x := tensor.New(32, inDim)
 	targets := tensor.New(32, outDim)
 	for step := 0; step < 5; step++ {
@@ -31,10 +33,10 @@ func trainedMLP(t *testing.T, inDim, outDim int) *Sequential {
 			row[rng.Intn(outDim)] = 1
 		}
 		model.ZeroGrads()
-		logits := model.Forward(x)
+		logits := model.Forward(x, &ts)
 		res := USPLoss(logits, targets, nil, 1)
-		model.Backward(res.Grad)
-		opt.Step(model.Params())
+		model.Backward(res.Grad, &ts)
+		opt.Step(params)
 	}
 	return model
 }

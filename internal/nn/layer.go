@@ -4,21 +4,25 @@
 // Adam optimizer, with binary serialization.
 //
 // It substitutes for the PyTorch dependency of the reference implementation
-// (see DESIGN.md). Differentiation is layer-wise reverse mode over a static
-// sequential graph: each Layer implements Forward and Backward with analytic
-// gradients, verified against numeric differentiation in gradcheck_test.go.
-// Inference does not go through Forward: it runs one allocation-free eval
-// loop over packed rows, entered by PredictVecInto for one row and by
-// PredictBatchInto for a matrix.
+// (see DESIGN.md). Differentiation is reverse mode over a static sequential
+// graph of this package's four layer kinds, Dense, BatchNorm, ReLU and
+// Dropout, with analytic gradients verified against numeric differentiation
+// in gradcheck_test.go. A layer holds only its parameters: Sequential runs
+// every kind through two loops, each one switch over the kinds. Training
+// (Forward, Backward) keeps each batch's activations, x̂, inverse stds and
+// dropout masks in a TrainScratch the caller owns; inference runs one
+// allocation-free eval loop over packed rows, entered by PredictVecInto for
+// one row and by PredictBatchInto for a matrix. Both compute a dense row the
+// same way, by Dense.forwardRows.
 //
 // All matrices are row-major with one sample per row (batch×features).
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
+	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
@@ -37,19 +41,10 @@ func newParam(name string, rows, cols int) *Param {
 // Size returns the number of scalar parameters.
 func (p *Param) Size() int { return p.Value.Rows * p.Value.Cols }
 
-// Layer is one differentiable stage of a sequential model.
-//
-// Forward consumes the previous layer's output in training mode: it caches
-// the activations Backward needs and applies training-only behaviour
-// (dropout masking, batch statistics). Backward consumes the gradient of the
-// loss with respect to this layer's output and returns the gradient with
-// respect to its input, accumulating parameter gradients as a side effect. A
-// Backward call must follow a Forward call on the same batch. Evaluation
-// (running statistics, no dropout) is the inference kernels' job; they know
-// this package's four layer kinds, Dense, BatchNorm, ReLU and Dropout.
+// Layer is one stage of a sequential model: a Dense, BatchNorm, ReLU or
+// Dropout. Its computation lives in Sequential's training and eval loops;
+// the layer itself reports its parameters and shape.
 type Layer interface {
-	Forward(x *tensor.Matrix) *tensor.Matrix
-	Backward(gradOut *tensor.Matrix) *tensor.Matrix
 	Params() []*Param
 	// OutDim reports the layer's output width given its input width
 	// (used for shape validation when assembling models).
@@ -60,8 +55,6 @@ type Layer interface {
 // with W shaped in×out.
 type Dense struct {
 	W, B *Param
-
-	x *tensor.Matrix // cached input for Backward
 }
 
 // NewDense constructs a Dense layer with Glorot-uniform initialized weights
@@ -72,38 +65,36 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 	return d
 }
 
-// Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
-	if x.Cols != d.W.Value.Rows {
-		panic(fmt.Sprintf("nn: Dense input width %d, want %d", x.Cols, d.W.Value.Rows))
+// splitRows is the row count from which a dense layer splits its rows
+// across workers, tensor.MatMul's threshold: whole-dataset inference
+// reaches it, and so do training batches that large.
+const splitRows = 1024
+
+// forwardRows computes dst = x·W + b for the rows packed in x, each in
+// wide. Training and inference both run it, so a row carries the same bits
+// whichever loop ran it and whatever rows shared its call.
+func (d *Dense) forwardRows(dst, x []float32, in, rows int) {
+	// The row count is checked first because par.Workers takes the
+	// scheduler lock; the closure is made only where it runs, as it
+	// escapes.
+	if rows < splitRows || par.Workers() == 1 {
+		d.mulRows(dst, x, in, 0, rows)
+		return
 	}
-	d.x = x
-	y := tensor.New(x.Rows, d.W.Value.Cols)
-	tensor.MatMul(y, x, d.W.Value)
-	tensor.AddRowVector(y, d.B.Value.Data)
-	return y
+	par.ForChunks(rows, func(lo, hi int) { d.mulRows(dst, x, in, lo, hi) })
 }
 
-// Backward implements Layer.
-func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	d.accumulateGrads(gradOut)
-	// dX = dY·Wᵀ.
-	dX := tensor.New(gradOut.Rows, d.W.Value.Rows)
-	tensor.MatMulABT(dX, gradOut, d.W.Value)
-	return dX
-}
-
-// accumulateGrads is Backward without the input gradient: it adds the
-// batch's weight and bias gradients into the grad buffers. Sequential calls
-// it for a first layer, whose input gradient nothing reads.
-func (d *Dense) accumulateGrads(gradOut *tensor.Matrix) {
-	if d.x == nil {
-		panic("nn: Dense.Backward before Forward")
+// mulRows computes rows [lo, hi) of forwardRows: each row one
+// tensor.MulRowInto, then the bias add.
+func (d *Dense) mulRows(dst, x []float32, in, lo, hi int) {
+	out := d.W.Value.Cols
+	for i := lo; i < hi; i++ {
+		row := dst[i*out : (i+1)*out]
+		tensor.MulRowInto(row, x[i*in:(i+1)*in], d.W.Value)
+		for j, bv := range d.B.Value.Data {
+			row[j] += bv
+		}
 	}
-	// dW += xᵀ·dY and db += column sums of dY, each added in place.
-	tensor.AddMatMulATB(d.W.Grad, d.x, gradOut)
-	tensor.ColSums(d.B.Grad.Data, gradOut)
-	d.x = nil
 }
 
 // Params implements Layer.
@@ -113,39 +104,10 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 func (d *Dense) OutDim(int) int { return d.W.Value.Cols }
 
 // ReLU applies max(0, x) elementwise.
-type ReLU struct {
-	mask []bool // true where input was > 0
-}
+type ReLU struct{}
 
 // NewReLU constructs a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
-
-// Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
-	y := tensor.New(x.Rows, x.Cols)
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
-	}
-	r.mask = r.mask[:len(x.Data)]
-	for i, v := range x.Data {
-		r.mask[i] = v > 0
-		if v > 0 {
-			y.Data[i] = v
-		}
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (r *ReLU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	dX := tensor.New(gradOut.Rows, gradOut.Cols)
-	for i, v := range gradOut.Data {
-		if r.mask[i] {
-			dX.Data[i] = v
-		}
-	}
-	return dX
-}
 
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }

@@ -154,7 +154,7 @@ func TestMLPShapesAndParamCount(t *testing.T) {
 		t.Fatalf("NumParams = %d, want %d", got, want)
 	}
 	x := randInput(rng, 5, 128)
-	logits := model.Forward(x)
+	logits := model.Forward(x, &TrainScratch{})
 	if logits.Rows != 5 || logits.Cols != 16 {
 		t.Fatalf("logits shape %dx%d", logits.Rows, logits.Cols)
 	}
@@ -202,7 +202,7 @@ func TestDropoutTrainEvalBehaviour(t *testing.T) {
 		t.Fatal("eval-mode dropout should be the identity")
 	}
 	// Train: some zeros, survivors scaled by 2.
-	yt := d.Forward(x)
+	yt := NewSequential(20, d).Forward(x, &TrainScratch{})
 	zeros := 0
 	for i, v := range yt.Data {
 		if v == 0 {
@@ -234,7 +234,7 @@ func TestBatchNormNormalizesBatch(t *testing.T) {
 		row[0] = row[0]*5 + 10
 		row[1] = row[1]*0.1 - 3
 	}
-	y := bn.Forward(x)
+	y := NewSequential(3, bn).Forward(x, &TrainScratch{})
 	for j := 0; j < 3; j++ {
 		var sum, sumSq float64
 		for i := 0; i < y.Rows; i++ {
@@ -253,12 +253,14 @@ func TestBatchNormNormalizesBatch(t *testing.T) {
 func TestBatchNormRunningStatsConverge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	bn := NewBatchNorm(1)
+	model := NewSequential(1, bn)
+	var ts TrainScratch
 	for it := 0; it < 200; it++ {
 		x := tensor.New(64, 1)
 		for i := range x.Data {
 			x.Data[i] = float32(rng.NormFloat64()*2 + 5)
 		}
-		bn.Forward(x)
+		model.Forward(x, &ts)
 	}
 	if m := float64(bn.RunningMean.Data[0]); math.Abs(m-5) > 0.3 {
 		t.Fatalf("running mean = %v, want ≈5", m)
@@ -274,6 +276,8 @@ func TestCrossEntropyDecreasesUnderTraining(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	model := NewMLP(2, []int{16}, 3, 0, rng)
 	opt := NewAdam(0.01)
+	params := model.Params()
+	var ts TrainScratch
 	x := tensor.New(30, 2)
 	labels := make([]int, 30)
 	for i := 0; i < 30; i++ {
@@ -285,10 +289,10 @@ func TestCrossEntropyDecreasesUnderTraining(t *testing.T) {
 	var first, last float64
 	for epoch := 0; epoch < 150; epoch++ {
 		model.ZeroGrads()
-		logits := model.Forward(x)
+		logits := model.Forward(x, &ts)
 		loss, grad := CrossEntropy(logits, labels)
-		model.Backward(grad)
-		opt.Step(model.Params())
+		model.Backward(grad, &ts)
+		opt.Step(params)
 		if epoch == 0 {
 			first = loss
 		}
@@ -324,7 +328,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	model := NewMLP(7, []int{12}, 5, 0.1, rng)
 	// Push some training through so BN stats are nontrivial.
 	x := randInput(rng, 32, 7)
-	model.Forward(x)
+	model.Forward(x, &TrainScratch{})
 
 	var buf bytes.Buffer
 	if err := model.Save(&buf); err != nil {

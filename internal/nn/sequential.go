@@ -58,32 +58,6 @@ func (s *Sequential) OutDim() int {
 	return d
 }
 
-// Forward runs the model on a training batch, returning logits: layers
-// cache activations for a subsequent Backward and apply training-only
-// behaviour (dropout, batch statistics).
-func (s *Sequential) Forward(x *tensor.Matrix) *tensor.Matrix {
-	for _, l := range s.Layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// Backward propagates the gradient of the loss with respect to the logits
-// back through the model, accumulating parameter gradients. The gradient
-// with respect to the model's input is not formed: a Dense first layer (as
-// every model NewMLP and NewLogistic build has) only accumulates its own.
-func (s *Sequential) Backward(gradLogits *tensor.Matrix) {
-	g := gradLogits
-	for i := len(s.Layers) - 1; i > 0; i-- {
-		g = s.Layers[i].Backward(g)
-	}
-	if d, ok := s.Layers[0].(*Dense); ok {
-		d.accumulateGrads(g)
-		return
-	}
-	s.Layers[0].Backward(g)
-}
-
 // Params returns all trainable parameters in layer order.
 func (s *Sequential) Params() []*Param {
 	var ps []*Param
@@ -103,10 +77,18 @@ func (s *Sequential) NumParams() int {
 	return total
 }
 
-// ZeroGrads clears all accumulated parameter gradients.
+// ZeroGrads clears all accumulated parameter gradients. It walks the
+// layers rather than Params, which builds a list.
 func (s *Sequential) ZeroGrads() {
-	for _, p := range s.Params() {
-		p.Grad.Zero()
+	for _, l := range s.Layers {
+		switch ly := l.(type) {
+		case *Dense:
+			ly.W.Grad.Zero()
+			ly.B.Grad.Zero()
+		case *BatchNorm:
+			ly.Gamma.Grad.Zero()
+			ly.Beta.Grad.Zero()
+		}
 	}
 }
 

@@ -8,13 +8,13 @@
 //
 // The matmul family is built on the dispatched vecmath microkernels, so it
 // picks up the SIMD ports automatically. One row of MatMul is MulRowInto,
-// the function every dense row of the library runs: training's MatMul, and
-// nn's inference on one query or a batch of them. It is one vecmath.MulRow,
-// the register-blocked dense row whose bits are those of the k-major AXPY
-// loop; the weight gradient MatMulATB runs each output row on MulRow too,
-// over a gathered column, and the input gradient MatMulABT on Dot, whose
-// summation order differs. Training and inference, and batch and single
-// row, share one arithmetic by construction, whichever kernel
+// the function every dense row of the library runs: nn's dense layer in
+// training and in inference, on one query or a batch of them. It is one
+// vecmath.MulRow, the register-blocked dense row whose bits are those of
+// the k-major AXPY loop; the weight gradient MatMulATB runs each output row
+// on MulRow too, over a gathered column, and the input gradient MatMulABT
+// on Dot, whose summation order differs. Training and inference, and batch
+// and single row, share one arithmetic by construction, whichever kernel
 // implementation the process dispatched.
 package tensor
 
