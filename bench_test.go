@@ -1,4 +1,4 @@
-package usp
+package usp_test
 
 // This file is the benchmark harness required by DESIGN.md: one testing.B
 // benchmark per table and figure of the paper's evaluation (each reruns the
@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"testing"
 
+	usp "repro"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
@@ -115,24 +116,6 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	}
 }
 
-func BenchmarkQuery(b *testing.B) {
-	ds := benchVectors(2000, 64)
-	mat := knn.BuildMatrix(ds, 10)
-	ens, _, err := core.TrainEnsemble(ds, mat, core.Config{
-		Bins: 16, KPrime: 10, Eta: 7, Epochs: 10,
-		Hidden: []int{32}, Dropout: 0.1, Seed: 1,
-	}, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var qs core.QueryScratch
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := ds.Row(i % ds.N)
-		knn.SearchSubset(ds, ens.CandidatesWith(&qs, q, 2), q, 10)
-	}
-}
-
 // --- Batched query-engine benchmarks. ---
 //
 // BenchmarkSearcherSingle is the single-goroutine QPS baseline;
@@ -141,10 +124,10 @@ func BenchmarkQuery(b *testing.B) {
 // by roughly the core count (the acceptance target is ≥ 4× on 8 cores);
 // on a single-core runner the two coincide.
 
-func benchIndex(b *testing.B) (*Index, [][]float32) {
+func benchIndex(b *testing.B) (*usp.Index, [][]float32) {
 	b.Helper()
 	ds := benchVectors(4000, 64)
-	ix, err := Build(ds.Rows(), Options{
+	ix, err := usp.Build(ds.Rows(), usp.Options{
 		Bins: 16, Ensemble: 2, Epochs: 10, Hidden: []int{32}, Seed: 1,
 	})
 	if err != nil {
@@ -160,12 +143,12 @@ func benchIndex(b *testing.B) (*Index, [][]float32) {
 func BenchmarkSearcherSingle(b *testing.B) {
 	ix, queries := benchIndex(b)
 	s := ix.NewSearcher()
-	dst := make([]Result, 0, 10)
+	dst := make([]usp.Result, 0, 10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		dst, err = s.SearchInto(dst[:0], queries[i%len(queries)], 10, SearchOptions{Probes: 2})
+		dst, err = s.SearchInto(dst[:0], queries[i%len(queries)], 10, usp.SearchOptions{Probes: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -178,7 +161,7 @@ func BenchmarkIndexSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.Search(queries[i%len(queries)], 10, SearchOptions{Probes: 2}); err != nil {
+		if _, err := ix.Search(queries[i%len(queries)], 10, usp.SearchOptions{Probes: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,7 +172,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.SearchBatch(queries, 10, SearchOptions{Probes: 2}); err != nil {
+		if _, err := ix.SearchBatch(queries, 10, usp.SearchOptions{Probes: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

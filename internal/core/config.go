@@ -41,12 +41,6 @@ type Config struct {
 	Dropout float64
 	// Seed drives all randomness (init, shuffling, dropout).
 	Seed int64
-	// EntropyBalance replaces the paper's top-window computational cost
-	// (Eqs. 12–13) with the batch-mean entropy regularizer of
-	// nn.USPLossEntropy — a design-choice ablation (see DESIGN.md and the
-	// ablation_balance experiment). Only honored in the default
-	// frozen-target training mode.
-	EntropyBalance bool
 	// TargetGrad implements Eq. 8 literally: the k′ neighbors of each
 	// batch point are forwarded through the model *inside* the training
 	// graph, so gradients flow into the quality target as well as the

@@ -28,11 +28,22 @@ func smallCfg(bins int) Config {
 	}
 }
 
-// searchWithStats answers a k-NN query the way the offline callers do: the
-// best-confidence candidate set of the mPrime most probable bins through the
-// []int adapter, scanned by brute force. It also reports |C(q)|.
+// appendCandidates is the single-query form of the candidate path: route q
+// through the single-row kernel, then gather row 0.
+func appendCandidates(r *Ensemble, dst []int32, q []float32, mPrime int, qs *QueryScratch) []int32 {
+	r.Route(qs, q, mPrime)
+	return r.AppendCandidatesRow(dst, 0, mPrime, qs)
+}
+
+// searchWithStats answers a k-NN query: the best-confidence candidate set of
+// the mPrime most probable bins, scanned by brute force. It also reports
+// |C(q)|.
 func searchWithStats(ds *dataset.Dataset, e *Ensemble, qs *QueryScratch, q []float32, k, mPrime int) ([]vecmath.Neighbor, int) {
-	cands := e.CandidatesWith(qs, q, mPrime)
+	ids := appendCandidates(e, nil, q, mPrime, qs)
+	cands := make([]int, len(ids))
+	for i, id := range ids {
+		cands[i] = int(id)
+	}
 	return knn.SearchSubset(ds, cands, q, k), len(cands)
 }
 
@@ -224,7 +235,7 @@ func TestEnsembleTrainingAndProbing(t *testing.T) {
 	}
 	q := ds.Row(0)
 	var qs QueryScratch
-	if best := ens.CandidatesWith(&qs, q, 1); len(best) == 0 {
+	if best := appendCandidates(ens, nil, q, 1, &qs); len(best) == 0 {
 		t.Fatal("best-confidence probe found no candidates")
 	}
 }
@@ -303,7 +314,7 @@ func TestHierarchyInvariants(t *testing.T) {
 		t.Fatalf("leaf probabilities sum to %v", sum)
 	}
 	// Probing all leaf bins covers the whole dataset.
-	if c := OneTree(h).CandidatesWith(&qs, ds.Row(0), h.M); len(c) != ds.N {
+	if c := appendCandidates(OneTree(h), nil, ds.Row(0), h.M, &qs); len(c) != ds.N {
 		t.Fatalf("full probe |C| = %d, want %d", len(c), ds.N)
 	}
 	if h.TotalParams() == 0 {

@@ -207,13 +207,6 @@ func TestValidateRejectsMismatchedTables(t *testing.T) {
 	}
 }
 
-// appendCandidates is the single-query form of the candidate path: route q
-// through the single-row kernel, then gather row 0.
-func appendCandidates(r *Ensemble, dst []int32, q []float32, mPrime int, qs *QueryScratch) []int32 {
-	r.Route(qs, q, mPrime)
-	return r.AppendCandidatesRow(dst, 0, mPrime, qs)
-}
-
 // TestAppendCandidatesMatchesLegacyPipeline recomputes the seed's candidate
 // pipeline — PredictVec probabilities, TopKIndices bin selection, per-bin id
 // copy — and requires the scratch-based Route + AppendCandidatesRow path to
@@ -256,15 +249,9 @@ func TestAppendCandidatesMatchesLegacyPipeline(t *testing.T) {
 				}
 			}
 
-			// The allocating wrapper must agree, from a fresh scratch.
-			fresh := ens.CandidatesWith(new(QueryScratch), q, mPrime)
-			if len(fresh) != len(want) {
-				t.Fatalf("q%d m'=%d CandidatesWith: %d vs %d", qi, mPrime, len(fresh), len(want))
-			}
-			for i := range want {
-				if fresh[i] != int(want[i]) {
-					t.Fatalf("q%d m'=%d CandidatesWith[%d]: %d vs %d", qi, mPrime, i, fresh[i], want[i])
-				}
+			// A fresh scratch must agree.
+			if fresh := appendCandidates(ens, nil, q, mPrime, new(QueryScratch)); !slices.Equal(fresh, want) {
+				t.Fatalf("q%d m'=%d from a fresh scratch: %v, want %v", qi, mPrime, fresh, want)
 			}
 		}
 	}
@@ -324,9 +311,9 @@ func TestAppendCandidatesNaNQueryDegradesGracefully(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("NaN-probability query returned %d candidates, want 0", len(got))
 	}
-	// The []int adapter must agree.
-	if c := ens.CandidatesWith(new(QueryScratch), huge, 2); len(c) != 0 {
-		t.Fatalf("adapter returned %d candidates, want 0", len(c))
+	// A fresh scratch must agree.
+	if c := appendCandidates(ens, nil, huge, 2, new(QueryScratch)); len(c) != 0 {
+		t.Fatalf("fresh scratch returned %d candidates, want 0", len(c))
 	}
 	// And the scratch must still work for normal queries afterwards.
 	after := appendCandidates(ens, nil, ds.Row(0), 2, &qs)

@@ -182,17 +182,5 @@ func (e *Ensemble) AppendCandidatesRow(dst []int32, i, mPrime int, qs *QueryScra
 	return dst
 }
 
-// CandidatesWith returns the ensemble's candidate set for q as a fresh
-// []int — the adapter the offline callers (experiment sweeps, tests) use.
-func (e *Ensemble) CandidatesWith(qs *QueryScratch, q []float32, mPrime int) []int {
-	e.Route(qs, q, mPrime)
-	qs.cands = e.AppendCandidatesRow(qs.cands[:0], 0, mPrime, qs)
-	out := make([]int, len(qs.cands))
-	for i, id := range qs.cands {
-		out[i] = int(id)
-	}
-	return out
-}
-
 // Size returns the number of models in the ensemble.
 func (e *Ensemble) Size() int { return len(e.Parts) }

@@ -14,7 +14,7 @@ import (
 // partitioning of §4.4.2, a root model splitting the dataset into levels[0]
 // bins, a child model per bin splitting its subset into levels[1] bins, and
 // so on, yielding ∏levels leaf bins. The name is kept only for the stage rig
-// (bench/rig.go) and goes with the rig (ROADMAP 1(c)).
+// (bench/rig.go) and goes with the rig (ROADMAP 1(b)).
 type Hierarchy = Partitioner
 
 // TrainHierarchy trains the tree of models. levels gives the branching
@@ -141,7 +141,7 @@ func trainNode(nd *node, ds *dataset.Dataset, idx []int32, levels []int, cfg Con
 // (grown as needed) through the scratch's buffers: the walk of
 // topLeafProbs at m′ = M, which expands every node. The engine routes
 // through Ensemble.Route; only the stage rig (bench/rig.go) calls this, and
-// it goes with the rig (ROADMAP 1(c)).
+// it goes with the rig (ROADMAP 1(b)).
 func (p *Partitioner) LeafProbabilitiesInto(dst []float32, q []float32, qs *QueryScratch) []float32 {
 	dst = growFloats(dst, p.M)
 	p.topLeafProbs(dst, q, p.M, qs)

@@ -30,7 +30,7 @@ func (e *Ensemble) RouteBinsWith(qs *QueryScratch, vec []float32, dst []int) []i
 
 // InsertRouted appends a point to every member at the bins RouteBinsWith
 // chose for it. Only the stage rig (bench/rig.go) and tests call it; it goes
-// with the rig (ROADMAP 1(c)).
+// with the rig (ROADMAP 1(b)).
 func (e *Ensemble) InsertRouted(id int, bins []int) {
 	for m, p := range e.Parts {
 		p.InsertRouted(id, bins[m])
@@ -39,7 +39,7 @@ func (e *Ensemble) InsertRouted(id int, bins []int) {
 
 // RouteLeafWith returns the leaf bin p routes vec to, running the routing
 // pass at m′ = M through the caller's scratch. Only the stage rig
-// (bench/rig.go) and tests call it; it goes with the rig (ROADMAP 1(c)).
+// (bench/rig.go) and tests call it; it goes with the rig (ROADMAP 1(b)).
 func (p *Partitioner) RouteLeafWith(qs *QueryScratch, vec []float32) int {
 	buf := slot(&qs.probs, 0)
 	*buf = p.LeafProbabilitiesInto(*buf, vec, qs)
@@ -47,7 +47,7 @@ func (p *Partitioner) RouteLeafWith(qs *QueryScratch, vec []float32) int {
 }
 
 // InsertRouted appends a point to leaf bin g, in place. Only the stage rig
-// (bench/rig.go) calls it directly; it goes with the rig (ROADMAP 1(c)).
+// (bench/rig.go) calls it directly; it goes with the rig (ROADMAP 1(b)).
 func (p *Partitioner) InsertRouted(id, g int) {
 	p.Bins[g] = append(p.Bins[g], int32(id))
 }

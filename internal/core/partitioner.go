@@ -36,7 +36,7 @@ type node struct {
 
 // AppendBin appends the ids of bin b to dst. It allocates only when dst
 // must grow. Only the stage rig (bench/rig.go) calls it; it goes with the
-// rig (ROADMAP 1(c)).
+// rig (ROADMAP 1(b)).
 func (p *Partitioner) AppendBin(dst []int32, b int) []int32 {
 	return append(dst, p.Bins[b]...)
 }
@@ -152,12 +152,7 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config, weights []float3
 
 			model.ZeroGrads()
 			logits := model.Forward(x, &ts)
-			var res nn.LossResult
-			if cfg.EntropyBalance {
-				res = nn.USPLossEntropy(logits, targets, w, cfg.Eta)
-			} else {
-				res = nn.USPLoss(logits, targets, w, cfg.Eta)
-			}
+			res := nn.USPLoss(logits, targets, w, cfg.Eta)
 			model.Backward(res.Grad, &ts)
 			opt.Step(params)
 
@@ -236,7 +231,7 @@ func predictBatched(model *nn.Sequential, ds *dataset.Dataset, chunk int) *tenso
 // ProbabilitiesInto writes the root model's bin distribution for q into dst
 // (grown as needed) through the inference scratch — for a flat partitioner,
 // its leaf distribution. Only the stage rig (bench/rig.go) calls it; it goes
-// with the rig (ROADMAP 1(c)).
+// with the rig (ROADMAP 1(b)).
 func (p *Partitioner) ProbabilitiesInto(dst []float32, q []float32, sc *nn.InferScratch) []float32 {
 	return p.Model.PredictVecInto(dst, q, sc)
 }

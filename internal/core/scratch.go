@@ -30,8 +30,7 @@ type QueryScratch struct {
 	frontier []frontierNode // tree walk: the nodes not yet expanded
 	best     []float32      // tree walk: the m′ best leaves so far, descending
 
-	bins  []int   // selected top-m′ bins for the row being appended
-	cands []int32 // candidate staging for the []int-returning CandidatesWith
+	bins []int // selected top-m′ bins for the row being appended
 }
 
 // frontierNode is a tree node the best-first walk has reached but not
@@ -51,6 +50,12 @@ func growFloats(buf []float32, n int) []float32 {
 		return make([]float32, n)
 	}
 	return buf[:n]
+}
+
+// resize reshapes m to rows×cols over its own buffer, grown as needed.
+func resize(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
+	m.Rows, m.Cols, m.Data = rows, cols, growFloats(m.Data, rows*cols)
+	return m
 }
 
 // Stage prepares the scratch for a batch of n queries of width dim and

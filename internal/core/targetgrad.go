@@ -30,6 +30,32 @@ func trainTargetGrad(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config,
 	params := model.Params()
 	var ts nn.TrainScratch
 
+	// One batch's forward set, edges and matrices, refilled per batch.
+	// pos maps a dataset id to its row in the forward set (−1: absent);
+	// only the ids a batch added are reset after it.
+	type edge struct {
+		pi, pj int // row positions
+		w      float32
+	}
+	pos := make([]int32, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	var (
+		ids            []int32
+		edges          []edge
+		x, probs, grad tensor.Matrix
+	)
+	v := make([]float32, m) // an edge's −log P_i
+	add := func(id int32) int {
+		if p := pos[id]; p >= 0 {
+			return int(p)
+		}
+		pos[id] = int32(len(ids))
+		ids = append(ids, id)
+		return len(ids) - 1
+	}
+
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		perm := rng.Perm(n)
 		for lo := 0; lo < n; lo += cfg.BatchSize {
@@ -42,22 +68,7 @@ func trainTargetGrad(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config,
 				continue
 			}
 			// Dedup batch ∪ neighbors into one forward set.
-			pos := make(map[int32]int, len(batch)*(kp+1))
-			var ids []int32
-			add := func(id int32) int {
-				if p, ok := pos[id]; ok {
-					return p
-				}
-				p := len(ids)
-				pos[id] = p
-				ids = append(ids, id)
-				return p
-			}
-			type edge struct {
-				pi, pj int // row positions
-				w      float32
-			}
-			var edges []edge
+			ids, edges = ids[:0], edges[:0]
 			var wsum float64
 			for _, bi := range batch {
 				w := float32(1)
@@ -70,20 +81,23 @@ func trainTargetGrad(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config,
 					edges = append(edges, edge{rowI, add(nj), w})
 				}
 			}
+			for _, id := range ids {
+				pos[id] = -1
+			}
 			if wsum <= 0 {
 				wsum = 1
 			}
 
-			x := tensor.New(len(ids), ds.Dim)
+			rows := len(ids)
+			resize(&x, rows, ds.Dim)
 			for r, id := range ids {
 				copy(x.Row(r), ds.Row(int(id)))
 			}
 			model.ZeroGrads()
-			logits := model.Forward(x, &ts)
-			probs := logits.Clone()
-			nn.SoftmaxRows(probs)
-
-			grad := tensor.New(len(ids), m)
+			logits := model.Forward(&x, &ts)
+			copy(resize(&probs, rows, m).Data, logits.Data)
+			nn.SoftmaxRows(&probs)
+			clear(resize(&grad, rows, m).Data)
 			escale := 1 / (float64(kp) * wsum)
 			for _, e := range edges {
 				pi, pj := probs.Row(e.pi), probs.Row(e.pj)
@@ -95,7 +109,6 @@ func trainTargetGrad(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config,
 				}
 				// Target side: v = −log P_i, chained through softmax of j.
 				var dot float32
-				v := make([]float32, m)
 				for b := 0; b < m; b++ {
 					lp := math.Log(float64(pi[b]) + 1e-12)
 					if lp < logFloor {
@@ -111,9 +124,9 @@ func trainTargetGrad(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config,
 
 			// Balance term over every forwarded row.
 			if cfg.Eta != 0 {
-				nn.AddWindowBalance(probs, grad, cfg.Eta)
+				nn.AddWindowBalance(&probs, &grad, cfg.Eta)
 			}
-			model.Backward(grad, &ts)
+			model.Backward(&grad, &ts)
 			opt.Step(params)
 		}
 	}

@@ -64,8 +64,8 @@ func TestEnsembleSaveLoadRoundTrip(t *testing.T) {
 	// Candidate sets must be identical before and after the round trip.
 	var qs QueryScratch
 	for qi := 0; qi < 20; qi++ {
-		a := ens.CandidatesWith(&qs, ds.Row(qi), 1)
-		b := loaded.CandidatesWith(&qs, ds.Row(qi), 1)
+		a := appendCandidates(ens, nil, ds.Row(qi), 1, &qs)
+		b := appendCandidates(loaded, nil, ds.Row(qi), 1, &qs)
 		if len(a) != len(b) {
 			t.Fatalf("query %d: candidate sizes %d vs %d", qi, len(a), len(b))
 		}
@@ -97,8 +97,8 @@ func TestHierarchySaveLoadRoundTrip(t *testing.T) {
 	}
 	var qs QueryScratch
 	for qi := 0; qi < 20; qi++ {
-		a := OneTree(h).CandidatesWith(&qs, ds.Row(qi), 2)
-		b := OneTree(loaded).CandidatesWith(&qs, ds.Row(qi), 2)
+		a := appendCandidates(OneTree(h), nil, ds.Row(qi), 2, &qs)
+		b := appendCandidates(OneTree(loaded), nil, ds.Row(qi), 2, &qs)
 		if len(a) != len(b) {
 			t.Fatalf("query %d: sizes %d vs %d", qi, len(a), len(b))
 		}
@@ -119,5 +119,35 @@ func TestLoadHierarchyRejectsGarbage(t *testing.T) {
 func TestLoadEnsembleRejectsGarbage(t *testing.T) {
 	if _, err := LoadEnsemble(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("expected decode error")
+	}
+}
+
+// TestTrainTargetGradAllocs bounds the Eq. 8 training path's allocations
+// per batch, whatever the edge count: a batch's forward set, edges and
+// matrices reuse the buffers of the batch before. It counts the
+// allocations of Train at two epoch counts, so the difference is the
+// training loop's alone, at k′ = 2 and k′ = 8 (2 and 8 edges per row).
+// What remains, about 16 per batch, is nn's: AddWindowBalance's buffers and
+// the tensor kernels'. A buffer allocated per edge would cost hundreds.
+func TestTrainTargetGradAllocs(t *testing.T) {
+	ds, mat := testData(t, 512, 8, 4, 25)
+	const batch, maxPerBatch = 128, 24
+	batches := float64(ds.N / batch)
+	for _, kp := range []int{2, 8} {
+		cfg := smallCfg(4)
+		cfg.TargetGrad, cfg.KPrime, cfg.BatchSize = true, kp, batch
+		allocs := func(epochs int) float64 {
+			cfg.Epochs = epochs
+			return testing.AllocsPerRun(2, func() {
+				if _, _, err := Train(ds, mat, cfg, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		perBatch := (allocs(5) - allocs(1)) / (4 * batches)
+		t.Logf("k'=%d: %.1f allocations per batch", kp, perBatch)
+		if perBatch > maxPerBatch {
+			t.Errorf("k'=%d: %.1f allocations per batch, want ≤ %d", kp, perBatch, maxPerBatch)
+		}
 	}
 }

@@ -276,7 +276,7 @@ func TestAddedRowInEveryProbeOfNaNRow(t *testing.T) {
 	tree.InsertRouted(id, bins)
 	copy(qsBatch.Stage(1, dim), q)
 	for mp := 1; mp <= tree.Parts[0].M; mp++ {
-		if got := tree.CandidatesWith(&qs, q, mp); !slices.Contains(got, id) {
+		if got := appendCandidates(tree, nil, q, mp, &qs); !slices.Contains(got, id) {
 			t.Fatalf("m'=%d: candidates %v miss the row added at leaf %d", mp, got, bins[0])
 		}
 		tree.RouteBatch(&qsBatch, mp)
@@ -312,21 +312,16 @@ func TestBestFirstWalkSkipsUnreachedModels(t *testing.T) {
 	broken, finite := OneTree(build(nan)), OneTree(build(0))
 	for _, mp := range []int{1, 2} {
 		var qb, qf, qBatch QueryScratch
-		got := broken.CandidatesWith(&qb, q, mp)
-		want := finite.CandidatesWith(&qf, q, mp)
+		got := appendCandidates(broken, nil, q, mp, &qb)
+		want := appendCandidates(finite, nil, q, mp, &qf)
 		if !slices.Equal(got, want) || qb.RoutedModels(0) != 2 || qf.RoutedModels(0) != 2 {
 			t.Fatalf("m'=%d: candidates %v after %d models, finite tree's %v after %d", mp, got, qb.RoutedModels(0), want, qf.RoutedModels(0))
 		}
 		copy(qBatch.Stage(1, dim), q)
 		broken.RouteBatch(&qBatch, mp)
 		batch := broken.AppendCandidatesRow(nil, 0, mp, &qBatch)
-		if !slices.Equal(bits(qBatch.probs[0]), bits(qb.probs[0])) || qBatch.RoutedModels(0) != 2 || len(batch) != len(got) {
-			t.Fatalf("m'=%d: batch row %v, %d candidates after %d models; single row %v, %d candidates", mp, qBatch.probs[0], len(batch), qBatch.RoutedModels(0), qb.probs[0], len(got))
-		}
-		for j, id := range batch {
-			if int(id) != got[j] {
-				t.Fatalf("m'=%d: batch candidate[%d] = %d, single %d", mp, j, id, got[j])
-			}
+		if !slices.Equal(bits(qBatch.probs[0]), bits(qb.probs[0])) || qBatch.RoutedModels(0) != 2 || !slices.Equal(batch, got) {
+			t.Fatalf("m'=%d: batch row %v, candidates %v after %d models; single row %v, candidates %v", mp, qBatch.probs[0], batch, qBatch.RoutedModels(0), qb.probs[0], got)
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
+	usp "repro"
 	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/knn"
@@ -83,7 +83,6 @@ var registry = map[string]runner{
 	"table3":            table3,
 	"table4":            table4,
 	"table5":            table5,
-	"ablation_balance":  ablationBalance,
 	"ablation_kprime":   ablationKPrime,
 	"ablation_eta":      ablationEta,
 	"ablation_ensemble": ablationEnsemble,
@@ -121,12 +120,11 @@ type bench struct {
 	base    *dataset.Dataset
 	queries *dataset.Dataset
 	gt      [][]int32
-	mat     *knn.Matrix
 }
 
 // makeBench generates the named stand-in dataset, withholds queries, and
-// computes ground truth and the offline k′-NN matrix.
-func makeBench(name string, sc Scale, k, kPrime int) *bench {
+// computes their ground truth.
+func makeBench(name string, sc Scale, k int) *bench {
 	rng := rand.New(rand.NewSource(sc.Seed))
 	var full *dataset.Dataset
 	switch name {
@@ -143,7 +141,6 @@ func makeBench(name string, sc Scale, k, kPrime int) *bench {
 		base:    base,
 		queries: queries,
 		gt:      knn.GroundTruth(base, queries, k),
-		mat:     knn.BuildMatrix(base, kPrime),
 	}
 }
 
@@ -180,12 +177,31 @@ func etaFor(name string, bins int) float64 {
 	}
 }
 
-// uspMethod adapts a trained USP router to the candidate sweeps: its
-// candidate set per probe count, through one scratch that serves every query
-// of the sequential sweep.
-func uspMethod(name string, ens *core.Ensemble) eval.Method {
-	var qs core.QueryScratch
-	return eval.Method{Name: name, Candidates: func(q []float32, p int) []int {
-		return ens.CandidatesWith(&qs, q, p)
-	}}
+// uspOptions is the paper's USP configuration for a dataset and bin count:
+// k′ = 10, Table 3's η, and an ensemble of sc.Ensemble models at 16 bins or
+// the hierarchical 16 × bins/16 partition above, as in the paper's 256-bin
+// runs.
+func uspOptions(sc Scale, ds string, bins int) usp.Options {
+	opt := usp.Options{
+		Bins: bins, KPrime: 10, Eta: usp.Float(etaFor(ds, bins)), Epochs: sc.Epochs,
+		Hidden: []int{sc.Hidden}, Ensemble: sc.Ensemble, Seed: sc.Seed,
+	}
+	if bins > 16 {
+		opt.Hierarchy, opt.Ensemble = []int{16, bins / 16}, 1
+	}
+	return opt
+}
+
+// uspCandidates is ix's candidate source for the sweeps: CandidateSet at p
+// probes, the ids the engine scans for q. It panics on an error, which only
+// a query the index rejects returns, and every query here is a finite row
+// of the indexed stand-in's width.
+func uspCandidates(ix *usp.Index) func(q []float32, p int) []int {
+	return func(q []float32, p int) []int {
+		c, err := ix.CandidateSet(q, usp.SearchOptions{Probes: p})
+		if err != nil {
+			panic(err)
+		}
+		return c
+	}
 }

@@ -21,7 +21,7 @@ func TestIDsStableAndComplete(t *testing.T) {
 	want := []string{
 		"fig5a", "fig5b", "fig5c", "fig5d", "fig6a", "fig6b", "fig7a", "fig7b",
 		"table2", "table3", "table4", "table5",
-		"ablation_arch", "ablation_balance", "ablation_batch",
+		"ablation_arch", "ablation_batch",
 		"ablation_ensemble", "ablation_eta", "ablation_kprime",
 	}
 	if len(ids) != len(want) {

@@ -3,9 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
+	usp "repro"
 	"repro/internal/eval"
 	"repro/internal/kmeans"
+	"repro/internal/knn"
 	"repro/internal/lsh"
 	"repro/internal/neurallsh"
 )
@@ -17,38 +18,30 @@ import (
 func fig5(sc Scale, logf logfn, ds string, bins int) (*Report, error) {
 	const k = 10
 	kPrime := 10
-	b := makeBench(ds, sc, k, kPrime)
-	eta := etaFor(ds, bins)
+	b := makeBench(ds, sc, k)
 	probes := probeSchedule(bins)
 	var series []eval.Series
 
 	// --- USP (ours). ---
-	cfg := core.Config{
-		Bins: bins, KPrime: kPrime, Eta: eta, Epochs: sc.Epochs,
-		Hidden: []int{sc.Hidden}, Dropout: 0.1, Seed: sc.Seed,
-	}
-	if bins > 16 {
-		// Hierarchical 16 × bins/16, as in the paper's 256-bin runs.
+	opt := uspOptions(sc, ds, bins)
+	name := fmt.Sprintf("USP (ours, e=%d)", sc.Ensemble)
+	if opt.Hierarchy != nil {
+		name = fmt.Sprintf("USP (ours, hier 16x%d)", bins/16)
 		logf("fig5 %s/%d: training USP hierarchy 16x%d", ds, bins, bins/16)
-		h, _, err := core.TrainHierarchy(b.base, []int{16, bins / 16}, cfg)
-		if err != nil {
-			return nil, err
-		}
-		series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, k,
-			uspMethod(fmt.Sprintf("USP (ours, hier 16x%d)", bins/16), core.OneTree(h)), probes))
 	} else {
 		logf("fig5 %s/%d: training USP ensemble of %d", ds, bins, sc.Ensemble)
-		ens, _, err := core.TrainEnsemble(b.base, b.mat, cfg, sc.Ensemble)
-		if err != nil {
-			return nil, err
-		}
-		series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, k,
-			uspMethod(fmt.Sprintf("USP (ours, e=%d)", sc.Ensemble), ens), probes))
 	}
+	ix, err := usp.Build(b.base.Rows(), opt)
+	if err != nil {
+		return nil, err
+	}
+	series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, k, eval.Method{
+		Name: name, Candidates: uspCandidates(ix),
+	}, probes))
 
 	// --- Neural LSH. ---
 	logf("fig5 %s/%d: training Neural LSH", ds, bins)
-	nlsh, _, err := neurallsh.Train(b.base, b.mat, neurallsh.Config{
+	nlsh, _, err := neurallsh.Train(b.base, knn.BuildMatrix(b.base, kPrime), neurallsh.Config{
 		Bins: bins, Hidden: []int{sc.NLSHHidden}, Epochs: sc.Epochs, Seed: sc.Seed,
 	})
 	if err != nil {

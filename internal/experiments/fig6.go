@@ -3,8 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
+	usp "repro"
 	"repro/internal/eval"
+	"repro/internal/knn"
 	"repro/internal/neurallsh"
 	"repro/internal/trees"
 )
@@ -17,7 +18,7 @@ import (
 func fig6(sc Scale, logf logfn, ds string) (*Report, error) {
 	const k = 10
 	kPrime := 10
-	b := makeBench(ds, sc, k, kPrime)
+	b := makeBench(ds, sc, k)
 	depth := sc.TreeDepth
 	bins := 1 << depth
 	probes := probeSchedule(bins)
@@ -29,15 +30,16 @@ func fig6(sc Scale, logf logfn, ds string) (*Report, error) {
 	for i := range levels {
 		levels[i] = 2
 	}
-	cfg := core.Config{
-		KPrime: kPrime, Eta: etaFor(ds, bins), Epochs: sc.Epochs, Seed: sc.Seed,
-	}
-	h, _, err := core.TrainHierarchy(b.base, levels, cfg)
+	ix, err := usp.Build(b.base.Rows(), usp.Options{
+		Hierarchy: levels, Logistic: true, KPrime: kPrime, Eta: usp.Float(etaFor(ds, bins)),
+		Epochs: sc.Epochs, Seed: sc.Seed,
+	})
 	if err != nil {
 		return nil, err
 	}
-	series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, k,
-		uspMethod("USP (ours, logistic)", core.OneTree(h)), probes))
+	series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, k, eval.Method{
+		Name: "USP (ours, logistic)", Candidates: uspCandidates(ix),
+	}, probes))
 
 	// --- Regression LSH. ---
 	logf("fig6 %s: Regression LSH", ds)
@@ -61,7 +63,7 @@ func fig6(sc Scale, logf logfn, ds string) (*Report, error) {
 
 	// --- Boosted Search Forest. ---
 	logf("fig6 %s: boosted search forest", ds)
-	forest := trees.BuildBoostedForest(b.base, b.mat.Neighbors, trees.ForestConfig{
+	forest := trees.BuildBoostedForest(b.base, knn.BuildMatrix(b.base, kPrime).Neighbors, trees.ForestConfig{
 		NumTrees: 3, Depth: depth, Seed: sc.Seed,
 	})
 	series = append(series, eval.SweepCandidates(b.base, b.queries, b.gt, k, eval.Method{

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
+	usp "repro"
 	"repro/internal/eval"
 	"repro/internal/hnsw"
 	"repro/internal/ivfpq"
@@ -17,9 +17,8 @@ import (
 // points scored and wall-clock query time.
 func fig7(sc Scale, logf logfn, ds string) (*Report, error) {
 	const k = 10
-	kPrime := 10
 	bins := 16
-	b := makeBench(ds, sc, k, kPrime)
+	b := makeBench(ds, sc, k)
 	probes := probeSchedule(bins)
 
 	subspaces := 16
@@ -41,19 +40,15 @@ func fig7(sc Scale, logf logfn, ds string) (*Report, error) {
 
 	// --- USP + ScaNN. ---
 	logf("fig7 %s: training USP partitioner", ds)
-	cfg := core.Config{
-		Bins: bins, KPrime: kPrime, Eta: etaFor(ds, bins), Epochs: sc.Epochs,
-		Hidden: []int{sc.Hidden}, Dropout: 0.1, Seed: sc.Seed,
-	}
-	ens, _, err := core.TrainEnsemble(b.base, b.mat, cfg, sc.Ensemble)
+	ix, err := usp.Build(b.base.Rows(), uspOptions(sc, ds, bins))
 	if err != nil {
 		return nil, err
 	}
-	var qs core.QueryScratch
+	uspCands := uspCandidates(ix)
 	series = append(series, eval.SweepSearch(b.queries, b.gt, k, eval.SearchMethod{
 		Name: "USP + ScaNN (ours)",
 		Search: func(q []float32, k, p int) ([]int, int) {
-			cands := ens.CandidatesWith(&qs, q, p)
+			cands := uspCands(q, p)
 			return eval.NeighborIDs(scann.Search(q, k, cands)), len(cands)
 		},
 	}, probes))
