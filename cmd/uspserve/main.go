@@ -26,26 +26,17 @@
 //	     -d '{"vector": [ ...64 floats... ], "k": 5, "probes": 2}'
 //	curl -s -X POST localhost:8080/save -d '{"path": "index.usps"}'
 //	curl -s -X POST localhost:8080/reload -d '{"path": "index.usps"}'
-//
-// Run with -demo to start, fire a few requests through the full HTTP
-// stack, and exit (used by the repository's smoke tests).
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
-	"io"
 	"log"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -63,26 +54,22 @@ func main() {
 	rerankK := flag.Int("rerank-k", 0, "default exact re-rank depth for quantized searches (0 = engine default, -1 = ADC only)")
 	batchWindow := flag.Duration("batch-window", 0, "micro-batch collection window for concurrent /search requests (0 disables the scheduler)")
 	batchMax := flag.Int("batch-max", 0, "max requests per micro-batch flush (0 = 64; only with -batch-window)")
-	demo := flag.Bool("demo", false, "self-test: start, query, exit")
 	flag.Parse()
 
 	var ix *usp.Index
-	var corpus *dataset.Labeled
+	var err error
 	if *indexPath != "" {
 		log.Printf("loading snapshot %s...", *indexPath)
-		loaded, err := usp.LoadFile(*indexPath)
-		if err != nil {
+		if ix, err = usp.LoadFile(*indexPath); err != nil {
 			log.Fatal(err)
 		}
-		ix = loaded
 		log.Printf("loaded %d vectors of dim %d (id offset %d)", ix.Len(), ix.Dim(), ix.IDOffset())
 	} else {
 		log.Println("generating corpus and training index...")
 		rng := rand.New(rand.NewSource(9))
-		corpus = dataset.GaussianMixture(dataset.GaussianMixtureConfig{
+		corpus := dataset.GaussianMixture(dataset.GaussianMixtureConfig{
 			N: 3000, Dim: 64, Clusters: 24, ClusterStd: 0.8, CenterBox: 3,
 		}, rng)
-		var err error
 		ix, err = usp.Build(corpus.Rows(), usp.Options{
 			Bins: 16, Ensemble: 2, Epochs: 30, Hidden: []int{64}, Seed: 1,
 			Quantize: usp.Quantization{Enabled: *quantized},
@@ -93,15 +80,6 @@ func main() {
 		if *quantized {
 			log.Println("serving via the quantized (ADC) candidate scan")
 		}
-	}
-	// The demo saves into (and reloads from) a throwaway directory.
-	if *demo {
-		demoDir, err := os.MkdirTemp("", "uspserve-demo")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer os.RemoveAll(demoDir)
-		*dataDir = demoDir
 	}
 	s := serve.New(ix, serve.Config{
 		DataDir: *dataDir, RerankK: *rerankK, Pprof: *withPprof,
@@ -123,218 +101,24 @@ func main() {
 		IdleTimeout:       120 * time.Second,
 	}
 
-	if !*demo {
-		// Graceful shutdown: SIGINT/SIGTERM stops accepting connections and
-		// drains in-flight requests (queries resolve their epoch and finish)
-		// instead of killing them mid-response.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		errc := make(chan error, 1)
-		go func() { errc <- srv.Serve(ln) }()
-		select {
-		case err := <-errc:
-			log.Fatal(err)
-		case <-ctx.Done():
-			stop()
-			log.Printf("signal received; draining in-flight requests...")
-			sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(sctx); err != nil {
-				log.Fatalf("shutdown: %v", err)
-			}
-			log.Printf("drained; bye")
-			return
-		}
-	}
-	if corpus == nil {
-		log.Fatal("-demo requires the built-in training corpus (omit -index)")
-	}
-	runDemo(srv, ln, ix, corpus, *dataDir)
-}
-
-// runDemo exercises the full HTTP stack end to end and exits non-zero on
-// any contract violation; CI runs it as the serving smoke test.
-func runDemo(srv *http.Server, ln net.Listener, ix *usp.Index, corpus *dataset.Labeled, dataDir string) {
-	go func() {
-		if err := srv.Serve(ln); err != http.ErrServerClosed {
-			log.Printf("server: %v", err)
-		}
-	}()
-	base := "http://" + ln.Addr().String()
-
-	post := func(path string, req, resp any) {
-		body, _ := json.Marshal(req)
-		r, err := http.Post(base+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer r.Body.Close()
-		if r.StatusCode != http.StatusOK {
-			msg, _ := io.ReadAll(r.Body)
-			log.Fatalf("%s: HTTP %d: %s", path, r.StatusCode, msg)
-		}
-		if resp != nil {
-			if err := json.NewDecoder(r.Body).Decode(resp); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	postStatus := func(path string, req any) int {
-		body, _ := json.Marshal(req)
-		r, err := http.Post(base+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			log.Fatal(err)
-		}
-		r.Body.Close()
-		return r.StatusCode
-	}
-
-	resp, err := http.Get(base + "/stats")
-	if err != nil {
+	// Graceful shutdown: SIGINT/SIGTERM stops accepting connections and
+	// drains in-flight requests (queries resolve their epoch and finish)
+	// instead of killing them mid-response.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	select {
+	case err := <-errc:
 		log.Fatal(err)
-	}
-	var stats map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		log.Fatal(err)
-	}
-	resp.Body.Close()
-	fmt.Printf("stats: %v\n", stats)
-
-	var sr serve.SearchResponse
-	post("/search", serve.SearchRequest{Vector: corpus.Row(3), K: 5, Probes: 2}, &sr)
-	fmt.Printf("search: ids=%v scanned=%d elapsed=%s\n", sr.IDs, sr.Scanned, sr.Elapsed)
-	if len(sr.IDs) != 5 || sr.IDs[0] != 3 {
-		log.Fatalf("demo self-check failed: %+v", sr)
-	}
-
-	// Request validation: omitted/invalid parameters are 400, not silently
-	// defaulted — a fan-out front must be able to trust the status class.
-	for _, bad := range []struct {
-		name string
-		req  serve.SearchRequest
-	}{
-		{"k omitted", serve.SearchRequest{Vector: corpus.Row(3)}},
-		{"k negative", serve.SearchRequest{Vector: corpus.Row(3), K: -2}},
-		{"probes negative", serve.SearchRequest{Vector: corpus.Row(3), K: 5, Probes: -1}},
-		{"rerank_k invalid", serve.SearchRequest{Vector: corpus.Row(3), K: 5, RerankK: -2}},
-		{"dim mismatch", serve.SearchRequest{Vector: corpus.Row(3)[:8], K: 5}},
-	} {
-		if code := postStatus("/search", bad.req); code != http.StatusBadRequest {
-			log.Fatalf("validation self-check failed: %s got HTTP %d, want 400", bad.name, code)
+	case <-ctx.Done():
+		stop()
+		log.Printf("signal received; draining in-flight requests...")
+		sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(sctx); err != nil {
+			log.Fatalf("shutdown: %v", err)
 		}
+		log.Printf("drained; bye")
 	}
-	fmt.Println("validation: invalid k/probes/rerank_k/dim all rejected with 400")
-
-	// Batch search: rows 3, 7, 11 must each be their own nearest neighbor.
-	var br serve.BatchSearchResponse
-	post("/search/batch", serve.BatchSearchRequest{
-		Vectors: [][]float32{corpus.Row(3), corpus.Row(7), corpus.Row(11)},
-		K:       3, Probes: 2,
-	}, &br)
-	fmt.Printf("batch search: ids=%v elapsed=%s\n", br.IDs, br.Elapsed)
-	if len(br.IDs) != 3 || br.IDs[0][0] != 3 || br.IDs[1][0] != 7 || br.IDs[2][0] != 11 {
-		log.Fatalf("batch demo self-check failed: %+v", br)
-	}
-
-	// Add a vector, then find it.
-	nv := append([]float32(nil), corpus.Row(5)...)
-	nv[0] += 0.01
-	var ar serve.AddResponse
-	post("/add", serve.AddRequest{Vector: nv}, &ar)
-	post("/search", serve.SearchRequest{Vector: nv, K: 1, Probes: 2}, &sr)
-	fmt.Printf("add+search: id=%d found=%v\n", ar.ID, sr.IDs)
-	if len(sr.IDs) != 1 || sr.IDs[0] != ar.ID {
-		log.Fatalf("add demo self-check failed: added %d, found %v", ar.ID, sr.IDs)
-	}
-
-	// Delete it again: it must vanish from results immediately, and a
-	// repeat delete must be 404 (not found), not 400 or 500.
-	var dr serve.DeleteResponse
-	post("/delete", serve.DeleteRequest{ID: ar.ID}, &dr)
-	post("/search", serve.SearchRequest{Vector: nv, K: 3, Probes: 2}, &sr)
-	for _, id := range sr.IDs {
-		if id == ar.ID {
-			log.Fatalf("delete demo self-check failed: %d still served", ar.ID)
-		}
-	}
-	if code := postStatus("/delete", serve.DeleteRequest{ID: ar.ID}); code != http.StatusNotFound {
-		log.Fatalf("repeat delete got HTTP %d, want 404", code)
-	}
-	fmt.Printf("delete: id=%d now absent from %v\n", ar.ID, sr.IDs)
-
-	// Compact, then snapshot to disk (confined to -data-dir) and reload it
-	// through the rolling-swap endpoint.
-	post("/compact", nil, nil)
-	var sv serve.SaveResponse
-	post("/save", serve.SaveRequest{Path: "index.usps"}, &sv)
-	fmt.Printf("save: %d bytes in %s\n", sv.Bytes, sv.Elapsed)
-	if want := filepath.Join(dataDir, "index.usps"); sv.Path != want {
-		log.Fatalf("save landed at %s, want %s", sv.Path, want)
-	}
-	var rr serve.ReloadResponse
-	post("/reload", serve.ReloadRequest{Path: "index.usps"}, &rr)
-	fmt.Printf("reload: %d vectors, generation %d in %s\n", rr.Vectors, rr.Generation, rr.Elapsed)
-	if rr.Generation != 1 || rr.Vectors != ix.Len() {
-		log.Fatalf("reload self-check failed: %+v (live index holds %d)", rr, ix.Len())
-	}
-	post("/search", serve.SearchRequest{Vector: corpus.Row(3), K: 5, Probes: 2}, &sr)
-	if len(sr.IDs) != 5 || sr.IDs[0] != 3 {
-		log.Fatalf("post-reload search self-check failed: %+v", sr)
-	}
-	// Escaping paths must be rejected on both snapshot endpoints.
-	if code := postStatus("/save", serve.SaveRequest{Path: "../escape.usps"}); code != http.StatusBadRequest {
-		log.Fatalf("escaping /save path not rejected: HTTP %d", code)
-	}
-	if code := postStatus("/reload", serve.ReloadRequest{Path: "../escape.usps"}); code != http.StatusBadRequest {
-		log.Fatalf("escaping /reload path not rejected: HTTP %d", code)
-	}
-
-	// Health: the index is loaded, the epoch is fresh, and the reload
-	// generation is visible.
-	r3, err := http.Get(base + "/healthz")
-	if err != nil {
-		log.Fatal(err)
-	}
-	var hz serve.HealthzResponse
-	if err := json.NewDecoder(r3.Body).Decode(&hz); err != nil {
-		log.Fatal(err)
-	}
-	r3.Body.Close()
-	fmt.Printf("healthz: status=%s epoch=%d generation=%d age=%.3fs\n", hz.Status, hz.Epoch, hz.Generation, hz.EpochAgeSeconds)
-	if hz.Status != "ok" || !hz.IndexLoaded || hz.Generation != 1 || hz.EpochAgeSeconds > 60 {
-		log.Fatalf("healthz demo self-check failed: %+v", hz)
-	}
-
-	// Metrics: the scrape must carry the core query, lifecycle, and HTTP
-	// series, with samples from the traffic just generated. The reload
-	// swapped in a fresh index registry, so only post-reload query counts
-	// are asserted alongside the server's cumulative HTTP series.
-	r4, err := http.Get(base + "/metrics")
-	if err != nil {
-		log.Fatal(err)
-	}
-	promText, err := io.ReadAll(r4.Body)
-	r4.Body.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, series := range []string{
-		"usp_query_latency_seconds_bucket",
-		"usp_query_latency_seconds_count",
-		"usp_query_candidates_total",
-		"usp_query_bins_probed_total",
-		"usp_epoch ",
-		"usp_live_vectors",
-		`http_requests_total{endpoint="/search"}`,
-		`http_requests_total{endpoint="/reload"}`,
-		`http_request_latency_seconds_bucket{endpoint="/search",le="+Inf"}`,
-	} {
-		if !strings.Contains(string(promText), series) {
-			log.Fatalf("metrics demo self-check failed: %q missing from scrape:\n%s", series, promText)
-		}
-	}
-	fmt.Printf("metrics: %d bytes of Prometheus text, core series present\n", len(promText))
-
-	fmt.Println("demo OK")
-	_ = srv.Close()
 }

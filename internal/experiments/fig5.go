@@ -41,7 +41,7 @@ func fig5(sc Scale, logf logfn, ds string, bins int) (*Report, error) {
 
 	// --- Neural LSH. ---
 	logf("fig5 %s/%d: training Neural LSH", ds, bins)
-	nlsh, _, err := neurallsh.Train(b.base, knn.BuildMatrix(b.base, kPrime), neurallsh.Config{
+	nlsh, err := neurallsh.Train(b.base, knn.BuildMatrix(b.base, kPrime), neurallsh.Config{
 		Bins: bins, Hidden: []int{sc.NLSHHidden}, Epochs: sc.Epochs, Seed: sc.Seed,
 	})
 	if err != nil {

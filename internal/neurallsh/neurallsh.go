@@ -11,7 +11,6 @@ package neurallsh
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/graphpart"
@@ -53,32 +52,21 @@ type Model struct {
 	Bins   [][]int32
 }
 
-// Stats reports offline-phase costs (Table 2/3 comparisons).
-type Stats struct {
-	PartitionTime time.Duration
-	TrainTime     time.Duration
-	Params        int
-	// TrainAccuracy is the classifier's label accuracy on the dataset.
-	TrainAccuracy float64
-}
-
 // Train builds the k-NN graph partition and fits the routing classifier.
-func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config) (*Model, Stats, error) {
+func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config) (*Model, error) {
 	if cfg.Bins < 2 {
-		return nil, Stats{}, fmt.Errorf("neurallsh: Bins must be ≥ 2, got %d", cfg.Bins)
+		return nil, fmt.Errorf("neurallsh: Bins must be ≥ 2, got %d", cfg.Bins)
 	}
 	if ds.N < cfg.Bins {
-		return nil, Stats{}, fmt.Errorf("neurallsh: %d points cannot fill %d bins", ds.N, cfg.Bins)
+		return nil, fmt.Errorf("neurallsh: %d points cannot fill %d bins", ds.N, cfg.Bins)
 	}
 	if cfg.Epochs == 0 {
 		cfg.Epochs = 60
 	}
 	batchSize := min(max(64, ds.N/25), ds.N)
 
-	t0 := time.Now()
 	g := graphpart.FromKNN(knnMat.Neighbors)
 	labels32 := graphpart.Partition(g, cfg.Bins, balanceSlack, cfg.Seed)
-	partTime := time.Since(t0)
 
 	labels := make([]int, ds.N)
 	for i, l := range labels32 {
@@ -96,7 +84,6 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config) (*Model, Stats, 
 	params := net.Params()
 	var ts nn.TrainScratch
 
-	t1 := time.Now()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		perm := rng.Perm(ds.N)
 		for lo := 0; lo < ds.N; lo += batchSize {
@@ -121,35 +108,12 @@ func Train(ds *dataset.Dataset, knnMat *knn.Matrix, cfg Config) (*Model, Stats, 
 			opt.Step(params)
 		}
 	}
-	trainTime := time.Since(t1)
 
 	m := &Model{Net: net, M: cfg.Bins, Assign: labels32, Bins: make([][]int32, cfg.Bins)}
 	for i, l := range labels32 {
 		m.Bins[l] = append(m.Bins[l], int32(i))
 	}
-
-	// Training accuracy of the router against the graph-partition labels.
-	correct := 0
-	for lo := 0; lo < ds.N; lo += 4096 {
-		hi := lo + 4096
-		if hi > ds.N {
-			hi = ds.N
-		}
-		x := tensor.FromSlice(hi-lo, ds.Dim, ds.Data[lo*ds.Dim:hi*ds.Dim])
-		pred := nn.ArgmaxRows(m.Net.Predict(x))
-		for i, p := range pred {
-			if p == labels[lo+i] {
-				correct++
-			}
-		}
-	}
-
-	return m, Stats{
-		PartitionTime: partTime,
-		TrainTime:     trainTime,
-		Params:        net.NumParams(),
-		TrainAccuracy: float64(correct) / float64(ds.N),
-	}, nil
+	return m, nil
 }
 
 // Probabilities returns the router's bin distribution for q.

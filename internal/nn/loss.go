@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"repro/internal/tensor"
-	"repro/internal/vecmath"
-)
+import "repro/internal/tensor"
 
 // LossResult bundles the scalar loss terms and the gradient of the total
 // loss with respect to the model's logits.
@@ -126,14 +123,4 @@ func CrossEntropy(logits *tensor.Matrix, labels []int) (float64, *tensor.Matrix)
 		}
 	}
 	return loss / float64(b), grad
-}
-
-// ArgmaxRows returns the index of the maximum entry of each row: the hard
-// bin assignment derived from model outputs (footnote 2 in the paper).
-func ArgmaxRows(m *tensor.Matrix) []int {
-	out := make([]int, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = vecmath.ArgMax(m.Row(i))
-	}
-	return out
 }

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/tensor"
+	"repro/internal/vecmath"
 )
 
 func TestSoftmaxRowsSumsToOne(t *testing.T) {
@@ -302,9 +303,9 @@ func TestCrossEntropyDecreasesUnderTraining(t *testing.T) {
 		t.Fatalf("loss did not converge: first=%v last=%v", first, last)
 	}
 	// Training accuracy should be perfect on this separable toy set.
-	pred := ArgmaxRows(model.Predict(x))
-	for i, p := range pred {
-		if p != labels[i] {
+	pred := model.Predict(x)
+	for i := range labels {
+		if vecmath.ArgMax(pred.Row(i)) != labels[i] {
 			t.Fatalf("point %d misclassified after training", i)
 		}
 	}
@@ -460,14 +461,6 @@ func TestCrossEntropyLabelOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	CrossEntropy(tensor.New(1, 2), []int{5})
-}
-
-func TestArgmaxRows(t *testing.T) {
-	m := tensor.FromSlice(2, 2, []float32{0.1, 0.9, 0.8, 0.2})
-	got := ArgmaxRows(m)
-	if got[0] != 1 || got[1] != 0 {
-		t.Fatalf("ArgmaxRows = %v", got)
-	}
 }
 
 func TestZeroWeightsDoNotNaN(t *testing.T) {

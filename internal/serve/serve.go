@@ -594,30 +594,33 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	// One epoch per reply: vectors and lifecycle are read from one load.
 	ix := s.eng.Load().ix
-	st := ix.Stats()
+	st, lc := ix.Stats(), ix.Lifecycle()
 	writeJSON(w, map[string]any{
-		"vectors":   ix.Len(),
+		"vectors":   lc.Live,
 		"dim":       ix.Dim(),
 		"id_offset": ix.IDOffset(),
 		"bins":      st.Bins,
 		"models":    st.Models,
 		"params":    st.Params,
-		"lifecycle": ix.Lifecycle(),
+		"lifecycle": lc,
 	})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	// One epoch per reply: vectors, rows and epoch come from one load.
 	ix := s.eng.Load().ix
+	lc := ix.Lifecycle()
 	writeJSON(w, HealthzResponse{
 		Status:          "ok",
 		IndexLoaded:     true,
-		Vectors:         ix.Len(),
-		Rows:            ix.Lifecycle().Rows,
+		Vectors:         lc.Live,
+		Rows:            lc.Rows,
 		Dim:             ix.Dim(),
 		IDOffset:        ix.IDOffset(),
 		Generation:      s.gen.Load(),
-		Epoch:           ix.Lifecycle().Epoch,
+		Epoch:           lc.Epoch,
 		EpochAgeSeconds: ix.EpochAge().Seconds(),
 		UptimeSeconds:   time.Since(s.started).Seconds(),
 	})

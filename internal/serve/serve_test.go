@@ -143,6 +143,9 @@ func TestEndpointValidation(t *testing.T) {
 		{"delete ok", "/delete", DeleteRequest{ID: 5}, 200},
 		{"delete repeat", "/delete", DeleteRequest{ID: 5}, 404},
 		{"delete out of range", "/delete", DeleteRequest{ID: 1 << 30}, 404},
+		{"compact ok", "/compact", nil, 200},
+		{"save ok", "/save", SaveRequest{Path: "ok.usps"}, 200},
+		{"reload ok", "/reload", ReloadRequest{Path: "ok.usps"}, 200},
 		{"save escape", "/save", SaveRequest{Path: "../escape.usps"}, 400},
 		{"save absolute", "/save", SaveRequest{Path: "/etc/owned.usps"}, 400},
 		{"save empty", "/save", SaveRequest{}, 400},
@@ -296,8 +299,8 @@ func TestSearchRepliesAreEncodingJSONBytes(t *testing.T) {
 	}
 	var sr SearchResponse
 	check("/search", SearchRequest{Vector: corpus.Row(3), K: 5, Probes: 2}, &sr)
-	if len(sr.IDs) != 5 {
-		t.Fatalf("search returned %d ids", len(sr.IDs))
+	if len(sr.IDs) != 5 || sr.IDs[0] != 3 {
+		t.Fatalf("search for row 3 returned %v, want 5 ids led by 3", sr.IDs)
 	}
 	rows := make([][]float32, 300) // large enough that net/http would chunk it
 	for i := range rows {
@@ -305,6 +308,11 @@ func TestSearchRepliesAreEncodingJSONBytes(t *testing.T) {
 	}
 	var br BatchSearchResponse
 	check("/search/batch", BatchSearchRequest{Vectors: rows, K: 5, Probes: 2}, &br)
+	for _, i := range []int{3, 7, 11} {
+		if len(br.IDs[i]) != 5 || br.IDs[i][0] != i {
+			t.Fatalf("batch row %d returned %v, want 5 ids led by %d", i, br.IDs[i], i)
+		}
+	}
 	check("/search/batch", BatchSearchRequest{Vectors: [][]float32{}, K: 5}, &br)
 	if br.IDs == nil || br.Distances == nil {
 		t.Fatalf("a batch of no queries answered null: %+v", br)
@@ -423,7 +431,7 @@ func TestRerankDefaultResolution(t *testing.T) {
 
 // TestReloadSwapsIndex: /save then /reload from the data directory must
 // swap the serving index (generation bump, healthz reflects it) without
-// restarting the server.
+// restarting the server, rolling back what was added since the save.
 func TestReloadSwapsIndex(t *testing.T) {
 	corpus := testCorpus(t, 53, 400, 8)
 	dir := t.TempDir()
@@ -438,9 +446,17 @@ func TestReloadSwapsIndex(t *testing.T) {
 		t.Fatalf("save landed at %s", sv.Path)
 	}
 	before := decode[HealthzResponse](t, mustGet(t, ts, "/healthz"))
-	ar := decode[AddResponse](t, post(t, ts, "/add", AddRequest{Vector: corpus.Row(0)}))
+	if before.Status != "ok" || !before.IndexLoaded || before.Generation != 0 {
+		t.Fatalf("healthz before reload %+v, want ok, loaded, generation 0", before)
+	}
+	nv := append([]float32(nil), corpus.Row(5)...)
+	nv[0] += 0.01
+	ar := decode[AddResponse](t, post(t, ts, "/add", AddRequest{Vector: nv}))
 	if ar.ID != before.Vectors {
 		t.Fatalf("add assigned id %d, want %d", ar.ID, before.Vectors)
+	}
+	if sr := decode[SearchResponse](t, post(t, ts, "/search", SearchRequest{Vector: nv, K: 1, Probes: 2})); len(sr.IDs) != 1 || sr.IDs[0] != ar.ID {
+		t.Fatalf("added id %d, search for its vector found %v", ar.ID, sr.IDs)
 	}
 
 	rr := decode[ReloadResponse](t, post(t, ts, "/reload", ReloadRequest{Path: "snap.usps"}))
@@ -448,8 +464,16 @@ func TestReloadSwapsIndex(t *testing.T) {
 		t.Fatalf("reload response %+v, want generation 1 with %d vectors", rr, before.Vectors)
 	}
 	after := decode[HealthzResponse](t, mustGet(t, ts, "/healthz"))
-	if after.Generation != 1 || after.Vectors != before.Vectors {
-		t.Fatalf("healthz after reload %+v, want generation 1 with %d vectors", after, before.Vectors)
+	if after.Status != "ok" || !after.IndexLoaded || after.Generation != 1 || after.Vectors != before.Vectors || after.EpochAgeSeconds > 60 {
+		t.Fatalf("healthz after reload %+v, want ok, loaded, generation 1 with %d vectors", after, before.Vectors)
+	}
+	for _, id := range decode[SearchResponse](t, post(t, ts, "/search", SearchRequest{Vector: nv, K: 3, Probes: 2})).IDs {
+		if id == ar.ID {
+			t.Fatalf("id %d added after the save is still served after the reload", id)
+		}
+	}
+	if sr := decode[SearchResponse](t, post(t, ts, "/search", SearchRequest{Vector: corpus.Row(3), K: 5, Probes: 2})); len(sr.IDs) != 5 || sr.IDs[0] != 3 {
+		t.Fatalf("after the reload, search for row 3 returned %v, want 5 ids led by 3", sr.IDs)
 	}
 }
 
@@ -539,10 +563,149 @@ func TestMetricsFollowReload(t *testing.T) {
 	resp.Body.Close()
 
 	body := readAll(t, mustGet(t, ts, "/metrics"))
-	for _, series := range []string{"usp_query_latency_seconds_count 1", "usp_live_vectors", "http_requests_total"} {
+	for _, series := range []string{
+		"usp_query_latency_seconds_bucket",
+		"usp_query_latency_seconds_count 1",
+		"usp_query_candidates_total",
+		"usp_query_bins_probed_total",
+		"usp_epoch ",
+		"usp_live_vectors",
+		`http_requests_total{endpoint="/search"}`,
+		`http_requests_total{endpoint="/reload"}`,
+		`http_request_latency_seconds_bucket{endpoint="/search",le="+Inf"}`,
+	} {
 		if !strings.Contains(body, series) {
 			t.Fatalf("series %q missing from post-reload scrape:\n%s", series, body)
 		}
+	}
+}
+
+// statsReply is the body of GET /stats.
+type statsReply struct {
+	Vectors   int                `json:"vectors"`
+	Dim       int                `json:"dim"`
+	IDOffset  int                `json:"id_offset"`
+	Bins      int                `json:"bins"`
+	Models    int                `json:"models"`
+	Params    int                `json:"params"`
+	Lifecycle usp.LifecycleStats `json:"lifecycle"`
+}
+
+// TestCompactAndStats: /stats reports the served index, a deleted id
+// leaves the results at once, and POST /compact folds its tombstone away
+// (GET is 405). The index is a tail shard, so its id offset is not zero.
+func TestCompactAndStats(t *testing.T) {
+	corpus := testCorpus(t, 73, 400, 8)
+	shards, err := testIndex(t, corpus).Shard(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := shards[1]
+	srv := New(ix, Config{DataDir: t.TempDir()})
+	ts := httptest.NewServer(srv.Mux())
+	defer ts.Close()
+
+	st := decode[statsReply](t, mustGet(t, ts, "/stats"))
+	bs := ix.Stats()
+	want := statsReply{
+		Vectors: ix.Len(), Dim: ix.Dim(), IDOffset: ix.IDOffset(),
+		Bins: bs.Bins, Models: bs.Models, Params: bs.Params, Lifecycle: ix.Lifecycle(),
+	}
+	if st != want || st.IDOffset == 0 || st.Bins == 0 || st.Models == 0 || st.Params == 0 {
+		t.Fatalf("/stats %+v, want %+v", st, want)
+	}
+
+	const id = 5
+	q := corpus.Row(ix.IDOffset() + id)
+	resp := post(t, ts, "/delete", DeleteRequest{ID: id})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete: HTTP %d", resp.StatusCode)
+	}
+	for _, got := range decode[SearchResponse](t, post(t, ts, "/search", SearchRequest{Vector: q, K: 3, Probes: 2})).IDs {
+		if got == id {
+			t.Fatalf("deleted id %d still served", id)
+		}
+	}
+	if lc := decode[statsReply](t, mustGet(t, ts, "/stats")).Lifecycle; lc.Tombstones != 1 || lc.Live != want.Vectors-1 {
+		t.Fatalf("/stats lifecycle after a delete: %+v", lc)
+	}
+
+	resp = post(t, ts, "/compact", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compact: HTTP %d", resp.StatusCode)
+	}
+	cr := decode[statsReply](t, resp) // only its lifecycle block is set
+	if lc := cr.Lifecycle; lc.Tombstones != 0 || lc.Dead != 1 || lc.Live != want.Vectors-1 {
+		t.Fatalf("/compact lifecycle %+v, want no tombstones, one dead row", lc)
+	}
+	if lc := decode[statsReply](t, mustGet(t, ts, "/stats")).Lifecycle; lc != cr.Lifecycle {
+		t.Fatalf("/stats lifecycle %+v after /compact reported %+v", lc, cr.Lifecycle)
+	}
+	resp, err = http.Get(ts.URL + "/compact")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /compact: HTTP %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestRepliesReadOneEpoch: every /healthz and /stats reply describes one
+// published epoch, even while Add publishes new ones. With adds only, each
+// epoch adds one row, so epoch − rows stays fixed and vectors equals rows.
+func TestRepliesReadOneEpoch(t *testing.T) {
+	corpus := testCorpus(t, 79, 400, 8)
+	ix := testIndex(t, corpus)
+	mux := New(ix, Config{DataDir: t.TempDir()}).Mux()
+	lc := ix.Lifecycle()
+	offset := int64(lc.Epoch) - int64(lc.Rows)
+
+	stop := make(chan struct{})
+	var adder sync.WaitGroup
+	adder.Add(1)
+	go func() {
+		defer adder.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				if _, err := ix.Add(corpus.Row(i % corpus.N)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		adder.Wait()
+	}()
+
+	get := func(path string, into any) {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), into) != nil {
+			t.Fatalf("GET %s: HTTP %d: %s", path, rec.Code, rec.Body)
+		}
+	}
+	const replies = 2000
+	for i := 0; i < replies; i++ {
+		var hz HealthzResponse
+		get("/healthz", &hz)
+		if int64(hz.Epoch)-int64(hz.Rows) != offset || hz.Vectors != hz.Rows {
+			t.Fatalf("reply %d: /healthz epoch %d, rows %d, vectors %d come from different epochs", i, hz.Epoch, hz.Rows, hz.Vectors)
+		}
+		var st statsReply
+		get("/stats", &st)
+		if st.Vectors != st.Lifecycle.Rows {
+			t.Fatalf("reply %d: /stats vectors %d beside lifecycle %+v", i, st.Vectors, st.Lifecycle)
+		}
+	}
+	if ix.Lifecycle().Rows == lc.Rows {
+		t.Fatal("no Add overlapped the replies")
 	}
 }
 

@@ -55,7 +55,7 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 		binsProbed: reg.Counter("usp_query_bins_probed_total", "",
 			"Partition bins probed across all queries."),
 		routeModels: reg.Counter("usp_route_models_total", "",
-			"Router model forward passes across all queries: a single query's tree walk runs only the models its probed leaves need, a batched query every model."),
+			"Router model forward passes across all queries: each query's tree walk, single or batched, runs only the models its probed leaves need."),
 		tombstonesSkipped: reg.Counter("usp_query_tombstones_skipped_total", "",
 			"Gathered candidates dropped by the tombstone filter during scans."),
 		adds: reg.Counter("usp_adds_total", "",
